@@ -655,8 +655,8 @@ def _plan_cache_rows(mapper):
     if cache is None:
         return rows
     for key, entry in cache.entries():
-        # AnalyzedStatement wraps its SELECT plan; fused multi-get plans
-        # and UNPLANNABLE sentinels have no EXPLAIN rendering.
+        # AnalyzedStatement wraps its SELECT plan; INSERT templates have
+        # no EXPLAIN rendering.
         plan = getattr(entry, "plan", entry)
         explain = getattr(plan, "explain", None)
         rows.append(

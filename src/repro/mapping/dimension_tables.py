@@ -91,9 +91,12 @@ class DimensionTableStore:
             f"(member, {', '.join(attr_names)}) "
             f"VALUES (?{', ?' * len(attr_names)})"
         )
-        self.session.execute_batch(
-            (insert, (encode_member(member),) + tuple(attrs[a] for a in attr_names))
-            for member, attrs in items
+        self.session.execute_many(
+            insert,
+            (
+                (encode_member(member),) + tuple(attrs[a] for a in attr_names)
+                for member, attrs in items
+            ),
         )
         self._columns[name] = attr_names
         return len(items)

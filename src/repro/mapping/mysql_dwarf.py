@@ -113,7 +113,6 @@ class MySQLDwarfMapper(CubeMapper):
         self.database_name = database
         self.session = self.engine.connect()
         self._prepared: Dict[str, object] = {}
-        self._compiled: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -145,12 +144,6 @@ class MySQLDwarfMapper(CubeMapper):
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
             ),
         }
-        # The zero-parse fast path: the same statements fully planned so
-        # store() streams record batches straight into the heap/B-trees.
-        self._compiled = {
-            name: self.session.compile_insert(prepared.text)
-            for name, prepared in self._prepared.items()
-        }
 
     def _next_ids(self) -> Dict[str, int]:
         rows = self.session.execute("SELECT * FROM DWARF_SCHEMA")
@@ -169,9 +162,9 @@ class MySQLDwarfMapper(CubeMapper):
         cube: DwarfCube,
         is_cube: bool = False,
         probe_size: bool = True,
-        compiled: bool = True,
     ) -> int:
-        """Persist ``cube``; ``compiled`` selects the zero-parse fast path."""
+        """Persist ``cube``: one registry row, then the node, cell, link
+        and dimension record batches streamed through ``execute_many``."""
         if not self._prepared:
             raise MappingError(f"{self.name}: call install() before store()")
         ids = self._next_ids()
@@ -212,20 +205,12 @@ class MySQLDwarfMapper(CubeMapper):
             )
             for row in schema_to_rows(cube.schema, schema_id)
         )
-        if compiled:
-            self._compiled["schema"].execute(schema_row)
-            self._compiled["node"].execute_batch(node_rows)
-            self._compiled["cell"].execute_batch(cell_rows)
-            self._compiled["node_child"].execute_batch(node_child_rows)
-            self._compiled["cell_child"].execute_batch(cell_child_rows)
-            self._compiled["dimension"].execute_batch(dimension_rows)
-        else:
-            self.session.execute_prepared(self._prepared["schema"], schema_row)
-            self.session.execute_many(self._prepared["node"], node_rows)
-            self.session.execute_many(self._prepared["cell"], cell_rows)
-            self.session.execute_many(self._prepared["node_child"], node_child_rows)
-            self.session.execute_many(self._prepared["cell_child"], cell_child_rows)
-            self.session.execute_many(self._prepared["dimension"], dimension_rows)
+        self.session.execute_prepared(self._prepared["schema"], schema_row)
+        self.session.execute_many(self._prepared["node"], node_rows)
+        self.session.execute_many(self._prepared["cell"], cell_rows)
+        self.session.execute_many(self._prepared["node_child"], node_child_rows)
+        self.session.execute_many(self._prepared["cell_child"], cell_child_rows)
+        self.session.execute_many(self._prepared["dimension"], dimension_rows)
         if probe_size:
             self.probe_size(schema_id)
         return schema_id

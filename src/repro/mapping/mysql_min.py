@@ -89,7 +89,6 @@ class MySQLMinMapper(CubeMapper):
         self.database_name = database
         self.session = self.engine.connect()
         self._prepared: Dict[str, object] = {}
-        self._compiled: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -112,12 +111,6 @@ class MySQLMinMapper(CubeMapper):
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
             ),
         }
-        # The zero-parse fast path: the same statements fully planned so
-        # store() streams record batches straight into the heap/B-trees.
-        self._compiled = {
-            name: self.session.compile_insert(prepared.text)
-            for name, prepared in self._prepared.items()
-        }
 
     def _next_ids(self) -> Dict[str, int]:
         rows = self.session.execute("SELECT * FROM DWARF_CUBE")
@@ -136,9 +129,9 @@ class MySQLMinMapper(CubeMapper):
         cube: DwarfCube,
         is_cube: bool = False,
         probe_size: bool = True,
-        compiled: bool = True,
     ) -> int:
-        """Persist ``cube``; ``compiled`` selects the zero-parse fast path."""
+        """Persist ``cube``: one registry row, then the cell and dimension
+        record batches streamed through ``execute_many``."""
         if not self._prepared:
             raise MappingError(f"{self.name}: call install() before store()")
         ids = self._next_ids()
@@ -162,14 +155,9 @@ class MySQLMinMapper(CubeMapper):
             )
             for row in schema_to_rows(cube.schema, cube_id)
         )
-        if compiled:
-            self._compiled["cube"].execute(cube_row)
-            self._compiled["cell"].execute_batch(cell_rows)
-            self._compiled["dimension"].execute_batch(dimension_rows)
-        else:
-            self.session.execute_prepared(self._prepared["cube"], cube_row)
-            self.session.execute_many(self._prepared["cell"], cell_rows)
-            self.session.execute_many(self._prepared["dimension"], dimension_rows)
+        self.session.execute_prepared(self._prepared["cube"], cube_row)
+        self.session.execute_many(self._prepared["cell"], cell_rows)
+        self.session.execute_many(self._prepared["dimension"], dimension_rows)
         if probe_size:
             self.probe_size(cube_id)
         return cube_id

@@ -109,7 +109,6 @@ class NoSQLDwarfMapper(CubeMapper):
         self.compression = compression
         self.session = self.engine.connect()
         self._prepared: Dict[str, object] = {}
-        self._compiled: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -137,12 +136,6 @@ class NoSQLDwarfMapper(CubeMapper):
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
             ),
         }
-        # The zero-parse fast path: the same statements fully planned so
-        # store() streams record batches straight into the memtable.
-        self._compiled = {
-            name: self.session.compile_insert(prepared.text)
-            for name, prepared in self._prepared.items()
-        }
 
     # ------------------------------------------------------------------
     def _next_ids(self) -> Dict[str, int]:
@@ -162,15 +155,9 @@ class NoSQLDwarfMapper(CubeMapper):
         cube: DwarfCube,
         is_cube: bool = False,
         probe_size: bool = True,
-        compiled: bool = True,
     ) -> int:
-        """Persist ``cube``.
-
-        ``compiled=True`` (the default) streams the node/cell record
-        batches through the zero-parse compiled-statement path;
-        ``compiled=False`` keeps the per-row prepared-statement path.
-        Both produce byte-identical storage.
-        """
+        """Persist ``cube``: one registry row, then the node, cell and
+        dimension record batches streamed through ``execute_many``."""
         if not self._prepared:
             raise MappingError(f"{self.name}: call install() before store()")
         ids = self._next_ids()
@@ -222,22 +209,10 @@ class NoSQLDwarfMapper(CubeMapper):
             )
             for row in schema_to_rows(cube.schema, schema_id)
         )
-        if compiled:
-            self._compiled["schema"].execute(schema_row)
-            self._compiled["node"].execute_batch(node_rows)
-            self._compiled["cell"].execute_batch(cell_rows)
-            self._compiled["dimension"].execute_batch(dimension_rows)
-        else:
-            self.session.execute_prepared(self._prepared["schema"], schema_row)
-            self.session.execute_batch(
-                (self._prepared["node"], row) for row in node_rows
-            )
-            self.session.execute_batch(
-                (self._prepared["cell"], row) for row in cell_rows
-            )
-            self.session.execute_batch(
-                (self._prepared["dimension"], row) for row in dimension_rows
-            )
+        self.session.execute_prepared(self._prepared["schema"], schema_row)
+        self.session.execute_many(self._prepared["node"], node_rows)
+        self.session.execute_many(self._prepared["cell"], cell_rows)
+        self.session.execute_many(self._prepared["dimension"], dimension_rows)
         if probe_size:
             self.probe_size(schema_id)
         return schema_id

@@ -92,7 +92,6 @@ class NoSQLMinMapper(CubeMapper):
         self.keyspace_name = keyspace
         self.session = self.engine.connect()
         self._prepared: Dict[str, object] = {}
-        self._compiled: Dict[str, object] = {}
         # Table 3 stores no entry_node_id, so finding a cube's root takes
         # a filtered scan; clients cache it per cube id after first use.
         self._entry_cache: Dict[int, int] = {}
@@ -121,12 +120,6 @@ class NoSQLMinMapper(CubeMapper):
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
             ),
         }
-        # The zero-parse fast path: the same statements fully planned so
-        # store() streams record batches straight into the memtable.
-        self._compiled = {
-            name: self.session.compile_insert(prepared.text)
-            for name, prepared in self._prepared.items()
-        }
 
     def _next_ids(self) -> Dict[str, int]:
         result = self.session.execute("SELECT * FROM dwarf_cube")
@@ -145,9 +138,9 @@ class NoSQLMinMapper(CubeMapper):
         cube: DwarfCube,
         is_cube: bool = False,
         probe_size: bool = True,
-        compiled: bool = True,
     ) -> int:
-        """Persist ``cube``; ``compiled`` selects the zero-parse fast path."""
+        """Persist ``cube``: one registry row, then the cell and dimension
+        record batches streamed through ``execute_many``."""
         if not self._prepared:
             raise MappingError(f"{self.name}: call install() before store()")
         ids = self._next_ids()
@@ -182,18 +175,9 @@ class NoSQLMinMapper(CubeMapper):
             )
             for row in schema_to_rows(cube.schema, cube_id)
         )
-        if compiled:
-            self._compiled["cube"].execute(cube_row)
-            self._compiled["cell"].execute_batch(cell_rows)
-            self._compiled["dimension"].execute_batch(dimension_rows)
-        else:
-            self.session.execute_prepared(self._prepared["cube"], cube_row)
-            self.session.execute_batch(
-                (self._prepared["cell"], row) for row in cell_rows
-            )
-            self.session.execute_batch(
-                (self._prepared["dimension"], row) for row in dimension_rows
-            )
+        self.session.execute_prepared(self._prepared["cube"], cube_row)
+        self.session.execute_many(self._prepared["cell"], cell_rows)
+        self.session.execute_many(self._prepared["dimension"], dimension_rows)
         self._entry_cache[cube_id] = transformed.entry_node_id
         if probe_size:
             self.probe_size(cube_id)

@@ -62,6 +62,7 @@ from repro.query import (
     count_partial,
     counter_totals,
     snapshot_counters,
+    table_guard,
 )
 from repro.telemetry import get_query_log, get_registry, get_tracer, wall_clock
 
@@ -103,38 +104,17 @@ def _kernel_plan(mapper, label: str, build) -> Plan:
     return plan
 
 
-def _cql_guard(mapper, name: str, table):
+def _guarded_table(mapper, name: str):
+    """``(table, guards)`` for ``name`` in the mapper's keyspace/database:
+    the storage object a kernel plan binds plus the plan-cache guard that
+    revalidates it."""
     engine = mapper.session.engine
-    keyspace = mapper.keyspace_name
-    signature = frozenset(table.indexed_columns)
-    shards = getattr(table, "shard_count", 1)
-
-    def guard() -> bool:
-        current = engine.keyspace(keyspace).table(name)
-        return (
-            current is table
-            and frozenset(table.indexed_columns) == signature
-            and getattr(current, "shard_count", 1) == shards
-        )
-
-    return guard
-
-
-def _sql_guard(mapper, name: str, table):
-    engine = mapper.session.engine
-    database = mapper.database_name
-    signature = frozenset(table.indexed_columns)
-    shards = getattr(table, "shard_count", 1)
-
-    def guard() -> bool:
-        current = engine.database(database).table(name)
-        return (
-            current is table
-            and frozenset(table.indexed_columns) == signature
-            and getattr(current, "shard_count", 1) == shards
-        )
-
-    return guard
+    if getattr(mapper, "keyspace_name", None) is not None:
+        resolve = lambda: engine.keyspace(mapper.keyspace_name).table(name)
+    else:
+        resolve = lambda: engine.database(mapper.database_name).table(name)
+    table = resolve()
+    return table, (table_guard(resolve, table),)
 
 
 def _stored_aggregator(mapper, view: EpochView) -> Aggregator:
@@ -166,30 +146,30 @@ def _stored_aggregator(mapper, view: EpochView) -> Aggregator:
 
 def _build_nosql_cells(mapper) -> Plan:
     """NoSQL-DWARF: all candidate cells of one node, block-batched."""
-    table = mapper.session.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    table, guards = _guarded_table(mapper, "dwarf_cell")
     fetch = MultiGet(
         table, lambda params: params[0], "dwarf_cell", "id",
         cache_probe=lambda: table.block_cache_hits,
     )
-    return Plan(fetch, guards=(_cql_guard(mapper, "dwarf_cell", table),))
+    return Plan(fetch, guards=guards)
 
 
 def _build_nosql_cell_match(mapper) -> Plan:
     """NoSQL-DWARF: the per-level cell match, ``MultiGet → Filter``."""
-    table = mapper.session.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    table, guards = _guarded_table(mapper, "dwarf_cell")
     fetch = MultiGet(
         table, lambda params: params[0], "dwarf_cell", "id",
         cache_probe=lambda: table.block_cache_hits,
     )
     match = Filter(fetch, lambda row, params: row["key"] == params[1], "key = ?1")
-    return Plan(match, guards=(_cql_guard(mapper, "dwarf_cell", table),))
+    return Plan(match, guards=guards)
 
 
 def _build_nosql_min_sibling_match(mapper) -> Plan:
     """NoSQL-Min: the per-level descent, an ``IndexScan`` with the name
     match pushed into the storage layer (no Filter operator remains —
     fetched siblings arrive pre-matched)."""
-    table = mapper.session.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    table, guards = _guarded_table(mapper, "dwarf_cell")
     pushed = PushedPredicate(
         (PushedCondition("name", "=", lambda params: params[1], "name = ?1"),)
     )
@@ -198,7 +178,7 @@ def _build_nosql_min_sibling_match(mapper) -> Plan:
         cache_probe=lambda: table.block_cache_hits,
         pushed=pushed,
     )
-    return Plan(scan, guards=(_cql_guard(mapper, "dwarf_cell", table),))
+    return Plan(scan, guards=guards)
 
 
 def _build_nosql_cube_scan(mapper) -> Plan:
@@ -207,23 +187,23 @@ def _build_nosql_cube_scan(mapper) -> Plan:
     ``schema_id = ?0`` travels into the storage layer, so zone-mapped
     columnar blocks holding only other cubes' cells are skipped unread.
     """
-    table = mapper.session.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    table, guards = _guarded_table(mapper, "dwarf_cell")
     pushed = PushedPredicate(
         (PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),)
     )
     scan = FullScan(table, "dwarf_cell", pushed=pushed)
-    return Plan(scan, guards=(_cql_guard(mapper, "dwarf_cell", table),))
+    return Plan(scan, guards=guards)
 
 
 def _build_nosql_cube_scan_keys(mapper) -> Plan:
     """The cube scan narrowed further by ``key IN ?1`` (all-keyed selects)."""
-    table = mapper.session.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    table, guards = _guarded_table(mapper, "dwarf_cell")
     pushed = PushedPredicate((
         PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),
         PushedCondition("key", "IN", lambda params: params[1], "key IN ?1"),
     ))
     scan = FullScan(table, "dwarf_cell", pushed=pushed)
-    return Plan(scan, guards=(_cql_guard(mapper, "dwarf_cell", table),))
+    return Plan(scan, guards=guards)
 
 
 def _build_nosql_cube_count(mapper) -> Plan:
@@ -234,7 +214,7 @@ def _build_nosql_cube_count(mapper) -> Plan:
     ``count_shard`` calls — no cell row is ever materialised on the
     all-flushed fast path (docs/parallel_query.md).
     """
-    table = mapper.session.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    table, guards = _guarded_table(mapper, "dwarf_cell")
     pushed = PushedPredicate(
         (PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),)
     )
@@ -245,7 +225,7 @@ def _build_nosql_cube_count(mapper) -> Plan:
         "count(*)",
         partial=count_partial(),
     )
-    return Plan(count, guards=(_cql_guard(mapper, "dwarf_cell", table),))
+    return Plan(count, guards=guards)
 
 
 def stored_cell_count(mapper, schema_id: int) -> int:
@@ -285,10 +265,10 @@ def stored_cell_count(mapper, schema_id: int) -> int:
 
 def _build_mysql_cell_match(mapper) -> Plan:
     """MySQL-DWARF: the per-level cell match, ``MultiGet → Filter``."""
-    table = mapper.session.engine.database(mapper.database_name).table("CELL")
+    table, guards = _guarded_table(mapper, "CELL")
     fetch = MultiGet(table, lambda params: params[0], "CELL", "id")
     match = Filter(fetch, lambda row, params: row["cell_key"] == params[1], "cell_key = ?1")
-    return Plan(match, guards=(_sql_guard(mapper, "CELL", table),))
+    return Plan(match, guards=guards)
 
 
 def stored_point_query(

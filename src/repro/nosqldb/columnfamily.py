@@ -435,58 +435,18 @@ class ColumnFamily:
                 raise InvalidRequest(f"table {self.name!r} has no column {name!r}")
             if value is not None:
                 bound.append((column, value))
-        self.insert_bound(key, bound)
-
-    def insert_bound(self, key, bound) -> None:
-        """The prepared-statement write path: columns already resolved.
-
-        ``bound`` is a list of ``(Column, non-None value)`` pairs; this is
-        what a server executes after binding parameters to a prepared
-        INSERT's column metadata.
-        """
-        self._write_clock += 1
-        ts_bytes = self._write_clock.to_bytes(8, "little")
-        parts: List[bytes] = [encode_varint(len(bound))]
-        for column, value in bound:
-            parts.append(column._encoded_name)
-            parts.append(ts_bytes)
-            parts.append(column.cql_type.validate_encode(value))
-        encoded = b"".join(parts)
-        if self._commit_log is not None:
-            self._commit_log.append(self.name, key, encoded)
-        shard = self._shard_of(key)
-        if self._indexes:
-            previous = self._read_encoded(key)
-            if previous is not None:
-                old_row = self.decode_row(previous)
-                for column_name, index in self._indexes.items():
-                    index.remove(old_row.get(column_name), key)
-            new_values = {column.name: value for column, value in bound}
-            for column_name, index in self._indexes.items():
-                index.add(new_values.get(column_name), key)
-            was_live = previous is not None
-        elif shard.n_live is not None:
-            was_live = self._is_live_in(shard, key)
-        else:
-            was_live = True  # counter dirty; the value is unused
-        shard.memtable.put(key, encoded)
-        self._row_cache.invalidate(key)
-        if shard.n_live is not None and not was_live:
-            shard.n_live += 1
-        self._n_writes += 1
-        self._m_writes.inc()
-        if shard.memtable.approximate_bytes >= FLUSH_THRESHOLD:
-            self._seal_shard(shard)
+        self.insert_bound_many(((key, bound),))
 
     def insert_bound_many(self, items) -> int:
-        """Bulk write path: many ``(key, bound)`` rows in one tight loop.
+        """The one row-write loop: many ``(key, bound)`` rows, each
+        ``bound`` a list of ``(Column, non-None value)`` pairs.
 
-        Byte-identical to calling :meth:`insert_bound` per row — same
-        write-clock sequence, cell encoding, commit-log records, index
-        maintenance and flush points — but with the per-row interpreter
-        overhead (plan lookups, closure dispatch, attribute walks) hoisted
-        out of the loop.  This is what a compiled statement's
-        ``execute_batch`` feeds.
+        This is what a server executes after binding parameters to a
+        prepared INSERT's column metadata.  Per row: one write-clock
+        tick, cell encoding, the commit-log record, index maintenance,
+        the memtable put and the flush check — in that order, so a
+        batch stores exactly the bytes the same rows written one at a
+        time would.  Returns the count written.
         """
         commit_log = self._commit_log
         indexes = self._indexes
@@ -518,7 +478,7 @@ class ColumnFamily:
             elif shard.n_live is not None:
                 was_live = self._is_live_in(shard, key)
             else:
-                was_live = True
+                was_live = True  # counter dirty; the value is unused
             shard.memtable.put(key, encoded)
             row_cache.invalidate(key)
             if shard.n_live is not None and not was_live:
@@ -528,7 +488,7 @@ class ColumnFamily:
                 self._seal_shard(shard)
             count += 1
         if count:
-            # One batched increment keeps the bulk loop free of per-row
+            # One batched increment keeps the loop free of per-row
             # metric calls.
             self._m_writes.inc(count)
         return count

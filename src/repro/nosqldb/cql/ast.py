@@ -8,31 +8,10 @@ tuple at execution time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-
-class Placeholder:
-    """A positional ``?`` bind marker (0-based)."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"?{self.index}"
-
-
-class SetLiteral:
-    """A ``{a, b, c}`` collection literal (elements may be placeholders)."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Sequence) -> None:
-        self.items = tuple(items)
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(repr(i) for i in self.items) + "}"
+# The bind-marker and collection-literal nodes both dialects share.
+from repro.query import Placeholder, SetLiteral
 
 
 class Condition:

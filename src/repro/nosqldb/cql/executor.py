@@ -12,7 +12,7 @@ boundary.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.cql import ast
@@ -26,6 +26,7 @@ from repro.query import (
     Filter,
     FullScan,
     IndexScan,
+    InsertTemplate,
     Limit,
     MultiGet,
     PUSHABLE_OPS,
@@ -40,8 +41,12 @@ from repro.query import (
     analyze_plan,
     choose_access,
     compare,
+    compile_value,
+    compile_value_list,
+    condition_desc,
     count_partial,
     null_safe_key,
+    table_guard,
 )
 
 
@@ -68,23 +73,26 @@ def execute(
     return runner.run(statement)
 
 
-def plan_insert_template(
+def insert_template(
     engine, statement: ast.Statement, current_keyspace: Optional[str]
-):
-    """Resolve a plain INSERT to ``(table, template, pk_slot)``.
+) -> Optional[InsertTemplate]:
+    """Resolve a plain INSERT once, for :meth:`Session.execute_many`.
 
-    ``template`` is a list of ``(column, is_bind, index_or_constant)``
-    slots; ``pk_slot`` is the template entry for the primary key.  Returns
-    ``None`` when the statement cannot be planned ahead of execution
-    (collection literals with inner bind markers, non-INSERT statements,
-    no resolvable keyspace, no primary-key column).
+    The column family and its ``(column, is_bind, index_or_constant)``
+    slots are resolved here, so bulk execution only binds parameters and
+    feeds :meth:`ColumnFamily.insert_bound_many`.  Returns ``None`` when
+    the statement cannot be planned ahead of execution (collection
+    literals with inner bind markers, non-INSERT statements, no
+    resolvable keyspace, no primary-key column) — those run through the
+    generic executor.
     """
     if not isinstance(statement, ast.Insert):
         return None
     keyspace_name = statement.ref.keyspace or current_keyspace
     if keyspace_name is None:
         return None
-    table = engine.keyspace(keyspace_name).table(statement.ref.table)
+    table_name = statement.ref.table
+    table = engine.keyspace(keyspace_name).table(table_name)
     template = []
     pk_slot = None
     for name, value in zip(statement.columns, statement.values):
@@ -98,164 +106,24 @@ def plan_insert_template(
         template.append(slot)
     if pk_slot is None:
         return None
-    return table, template, pk_slot
+    _, pk_is_bind, pk_value = pk_slot
 
+    def bound_rows(rows):
+        for params in rows:
+            key = params[pk_value] if pk_is_bind else pk_value
+            if key is None:
+                raise InvalidRequest(f"INSERT into {table.name!r} misses primary key")
+            bound = []
+            for column, is_bind, value in template:
+                resolved = params[value] if is_bind else value
+                if resolved is not None:
+                    bound.append((column, resolved))
+            yield key, bound
 
-def plan_point_select(
-    engine, statement: ast.Statement, current_keyspace: Optional[str]
-):
-    """Resolve ``SELECT ... WHERE <pk> = ?`` to a batched-fetch shape.
-
-    Returns ``(table, key_slot, columns, limit)`` where ``key_slot`` is
-    ``(is_bind, index_or_constant)``.  This is the shape
-    :meth:`~repro.nosqldb.session.Session.execute_many` fuses into one
-    :class:`repro.query.MultiGet` execution.  Returns ``None`` for any
-    other statement shape (those fall back to per-row execution through
-    the generic executor).
-    """
-    if not isinstance(statement, ast.Select) or statement.count:
-        return None
-    if statement.order_by is not None:
-        return None
-    keyspace_name = statement.ref.keyspace or current_keyspace
-    if keyspace_name is None:
-        return None
-    table = engine.keyspace(keyspace_name).table(statement.ref.table)
-    if len(statement.where) != 1:
-        return None
-    condition = statement.where[0]
-    if condition.column != table.primary_key or condition.op != "=":
-        return None
-    value = condition.value
-    if isinstance(value, ast.SetLiteral):
-        return None
-    is_bind = isinstance(value, ast.Placeholder)
-    columns = tuple(statement.columns or ())
-    for name in columns:
-        table.column(name)  # validate once, not per row
-    key_slot = (is_bind, value.index if is_bind else value)
-    return table, key_slot, columns, statement.limit
-
-
-class FusedPointSelect:
-    """execute_many's server-side shape: one :class:`MultiGet` resolves
-    every bound key, key-aligned so each parameter row maps to its own
-    result.  Cached in the session plan cache under the statement text;
-    ``guards`` revalidate the resolved column family on every hit."""
-
-    __slots__ = ("node", "key_slot", "columns", "limit", "guards")
-
-    def __init__(self, node, key_slot, columns, limit, guards) -> None:
-        self.node = node
-        self.key_slot = key_slot
-        self.columns = columns
-        self.limit = limit
-        self.guards = guards
-
-    def fetch(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """Key-aligned rows (None per missing key) for ``keys``."""
-        return self.node.run(keys)
-
-
-def make_select_many_plan(
-    engine, statement: ast.Statement, current_keyspace: Optional[str]
-) -> Optional[FusedPointSelect]:
-    """Compile the fused multi-get plan behind ``execute_many``.
-
-    Returns ``None`` when the statement is not the point-select shape.
-    """
-    planned = plan_point_select(engine, statement, current_keyspace)
-    if planned is None:
-        return None
-    table, key_slot, columns, limit = planned
-    node = MultiGet(
-        table,
-        keys=lambda keys: keys,
-        table_name=statement.ref.table,
-        key_desc=table.primary_key,
-        cache_probe=lambda: table.block_cache_hits,
-        keep_missing=True,
+    guard = table_guard(lambda: engine.keyspace(keyspace_name).table(table_name), table)
+    return InsertTemplate(
+        table, lambda rows: table.insert_bound_many(bound_rows(rows)), (guard,)
     )
-    keyspace_name = statement.ref.keyspace or current_keyspace
-    guard = _table_guard(engine, keyspace_name, statement.ref.table, table)
-    return FusedPointSelect(node, key_slot, columns, limit, (guard,))
-
-
-def make_insert_plan(engine, statement: ast.Statement, current_keyspace: Optional[str]):
-    """Compile a simple prepared INSERT into a per-row callable.
-
-    This is the server-side prepared-statement plan: the table and column
-    template are resolved once, so batch execution only binds parameters
-    and calls the storage engine.  Returns ``None`` when the statement is
-    not a plain INSERT (collection literals with inner bind markers and
-    non-INSERT statements fall back to the generic executor).
-    """
-    planned = plan_insert_template(engine, statement, current_keyspace)
-    if planned is None:
-        return None
-    table, template, pk_slot = planned
-    insert_bound = table.insert_bound
-    pk_column, pk_is_bind, pk_value = pk_slot
-
-    def run(params: Sequence) -> None:
-        key = params[pk_value] if pk_is_bind else pk_value
-        if key is None:
-            raise InvalidRequest(f"INSERT into {table.name!r} misses primary key")
-        bound = []
-        for column, is_bind, value in template:
-            resolved = params[value] if is_bind else value
-            if resolved is not None:
-                bound.append((column, resolved))
-        insert_bound(key, bound)
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# AST -> kernel-callable compilation helpers
-# ----------------------------------------------------------------------
-def _compile_value(value) -> Callable[[Sequence], object]:
-    """A ``resolve(params)`` callable for one literal/placeholder/set."""
-    if isinstance(value, ast.Placeholder):
-        index = value.index
-
-        def resolve(params: Sequence):
-            if index >= len(params):
-                raise InvalidRequest(
-                    f"statement has bind marker ?{index} but only "
-                    f"{len(params)} parameters were supplied"
-                )
-            return params[index]
-
-        return resolve
-    if isinstance(value, ast.SetLiteral):
-        items = [_compile_value(item) for item in value.items]
-        return lambda params: {resolve(params) for resolve in items}
-    return lambda params: value
-
-
-def _compile_value_list(values) -> Callable[[Sequence], List[object]]:
-    resolvers = [_compile_value(v) for v in values]
-    return lambda params: [resolve(params) for resolve in resolvers]
-
-
-def _condition_desc(condition: ast.Condition) -> str:
-    if condition.op == "IN":
-        return f"{condition.column} IN ({', '.join(repr(v) for v in condition.value)})"
-    return f"{condition.column} {condition.op} {condition.value!r}"
-
-
-def _table_guard(engine, keyspace_name: str, table_name: str, table: ColumnFamily):
-    """A plan-cache guard: same column family, same index signature."""
-    indexed = frozenset(table.indexed_columns)
-
-    def check() -> bool:
-        return (
-            engine.keyspace(keyspace_name).table(table_name) is table
-            and frozenset(table.indexed_columns) == indexed
-        )
-
-    return check
 
 
 def _table_meta(table: ColumnFamily) -> TableMeta:
@@ -282,7 +150,10 @@ def build_select_plan(
     if keyspace_name is None:
         raise InvalidRequest(f"no keyspace specified for table {stmt.ref.table!r}")
     table = engine.keyspace(keyspace_name).table(stmt.ref.table)
-    guards = (_table_guard(engine, keyspace_name, stmt.ref.table, table),)
+    table_name = stmt.ref.table
+    guards = (
+        table_guard(lambda: engine.keyspace(keyspace_name).table(table_name), table),
+    )
 
     conditions = list(stmt.where)
     access, index = choose_access(
@@ -295,7 +166,7 @@ def build_select_plan(
     if access == ACCESS_POINT:
         node = PointLookup(
             table,
-            key=_compile_value(condition.value),
+            key=compile_value(condition.value, InvalidRequest),
             table_name=table.name,
             key_desc=condition.column,
             cache_probe=cache_probe,
@@ -305,7 +176,7 @@ def build_select_plan(
         # per touched SSTable block instead of one walk per key.
         node = MultiGet(
             table,
-            keys=_compile_value_list(condition.value),
+            keys=compile_value_list(condition.value, InvalidRequest),
             table_name=table.name,
             key_desc=condition.column,
             cache_probe=cache_probe,
@@ -315,7 +186,7 @@ def build_select_plan(
         node = IndexScan(
             table,
             column=condition.column,
-            value=_compile_value(condition.value),
+            value=compile_value(condition.value, InvalidRequest),
             table_name=table.name,
             access=IndexScan.SECONDARY,
             pushed=pushed,
@@ -333,7 +204,7 @@ def build_select_plan(
 
     for cond in residual:
         table.column(cond.column)  # validate
-        node = Filter(node, _predicate(cond), _condition_desc(cond))
+        node = Filter(node, _predicate(cond), condition_desc(cond))
 
     if stmt.order_by is not None:
         table.column(stmt.order_by)  # validate
@@ -389,11 +260,11 @@ def _split_pushdown(table: ColumnFamily, residual):
             leftover.append(cond)
             continue
         if cond.op == "IN":
-            resolve = _compile_value_list(cond.value)
+            resolve = compile_value_list(cond.value, InvalidRequest)
         else:
-            resolve = _compile_value(cond.value)
+            resolve = compile_value(cond.value, InvalidRequest)
         pushable.append(
-            PushedCondition(cond.column, cond.op, resolve, _condition_desc(cond))
+            PushedCondition(cond.column, cond.op, resolve, condition_desc(cond))
         )
     pushed = PushedPredicate(pushable) if pushable else None
     return pushed, leftover
@@ -403,9 +274,9 @@ def _predicate(condition: ast.Condition):
     op = condition.op
     column = condition.column
     if op == "IN":
-        expected = _compile_value_list(condition.value)
+        expected = compile_value_list(condition.value, InvalidRequest)
     else:
-        expected = _compile_value(condition.value)
+        expected = compile_value(condition.value, InvalidRequest)
 
     def check(row, params):
         return compare(op, row.get(column), expected(params))
@@ -421,7 +292,7 @@ class _Executor:
 
     # -- value resolution ----------------------------------------------------
     def _resolve(self, value):
-        return _compile_value(value)(self.params)
+        return compile_value(value, InvalidRequest)(self.params)
 
     def _table(self, ref: ast.TableRef) -> ColumnFamily:
         keyspace_name = ref.keyspace or self.current_keyspace

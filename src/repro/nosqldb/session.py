@@ -1,326 +1,56 @@
 """CQL sessions: the client surface of the NoSQL engine.
 
-Mirrors the Python Cassandra driver: ``execute`` for one-off statements,
-``prepare`` + bound parameters for the hot insert path, and
-``execute_batch`` for the bulk loads the paper uses ("the DWARF cubes
-were inserted in bulk", §5).
+The session itself is the shared :class:`repro.query.Session` (mirroring
+the Python Cassandra driver: ``execute``, ``prepare`` + bound parameters,
+and ``execute_many`` for the bulk loads the paper uses, §5); this module
+only declares the CQL dialect it runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.analysis.flags import checks_enabled
+from repro.analysis.flags import check_tables
 from repro.nosqldb.cql import ast
 from repro.nosqldb.cql.executor import (
     ResultSet,
     build_select_plan,
     execute,
-    make_insert_plan,
-    make_select_many_plan,
-    plan_insert_template,
+    insert_template,
 )
 from repro.nosqldb.cql.parser import parse
-from repro.nosqldb.errors import InvalidRequest
-from repro.query import (
-    UNPLANNABLE,
-    AnalyzedStatement,
-    Plan,
-    PlanCache,
-    analyze_plan,
-    counter_totals,
-    record_query,
+from repro.query import Dialect, PreparedStatement, Session as _Session
+
+
+def _tables(engine, keyspace: Optional[str]):
+    if keyspace is None or not engine.has_keyspace(keyspace):
+        return ()
+    return engine.keyspace(keyspace).tables
+
+
+CQL_DIALECT = Dialect(
+    label="cql",
+    parse=parse,
+    select=ast.Select,
+    explain=ast.Explain,
+    build_select_plan=build_select_plan,
+    execute=execute,
+    insert_template=insert_template,
+    result=ResultSet,
+    tables=_tables,
+    check=check_tables,
 )
-from repro.telemetry import get_query_log, wall_clock
-
-_QUERY_LOG = get_query_log()
 
 
-class CompiledInsert:
-    """A fully-planned INSERT bound to one table.
+class Session(_Session):
+    """A connection to the NoSQL engine with an optional current keyspace."""
 
-    The zero-parse bulk-store fast path: the statement text is parsed and
-    planned exactly once at :meth:`Session.compile_insert` time; after
-    that, :meth:`execute_batch` binds parameter rows against the resolved
-    column template and streams them through the column family's bulk
-    write loop — no lexer, no parser, no executor dispatch, no per-row
-    plan lookup.  The stored bytes are identical to what per-row prepared
-    execution produces (same write-clock sequence, same cell encoding).
-    """
+    dialect = CQL_DIALECT
 
-    __slots__ = ("text", "table", "_template", "_pk_slot")
+    @property
+    def keyspace(self) -> Optional[str]:
+        return self.namespace
 
-    def __init__(self, text: str, table, template, pk_slot) -> None:
-        self.text = text
-        self.table = table
-        self._template = template
-        self._pk_slot = pk_slot
-
-    def execute(self, params: Sequence = ()) -> None:
-        """Insert one parameter row."""
-        self.execute_batch((params,))
-
-    def execute_batch(self, rows: Iterable[Sequence]) -> int:
-        """Insert many parameter rows; returns the count written."""
-        template = self._template
-        _, pk_is_bind, pk_value = self._pk_slot
-        table_name = self.table.name
-
-        def bound_rows():
-            for params in rows:
-                key = params[pk_value] if pk_is_bind else pk_value
-                if key is None:
-                    raise InvalidRequest(f"INSERT into {table_name!r} misses primary key")
-                bound = []
-                for column, is_bind, value in template:
-                    resolved = params[value] if is_bind else value
-                    if resolved is not None:
-                        bound.append((column, resolved))
-                yield key, bound
-
-        count = self.table.insert_bound_many(bound_rows())
-        if checks_enabled():
-            # REPRO_CHECK=1 sanitizer mode: after a bulk write the column
-            # family (SSTables, commit-log agreement, indexes) must be sound.
-            from repro.analysis.runner import runtime_check
-
-            runtime_check(self.table, label=f"execute_batch[{table_name}]")
-        return count
-
-    def __repr__(self) -> str:
-        return f"CompiledInsert({self.text!r})"
-
-
-class PreparedStatement:
-    """A parsed statement with ``?`` bind markers, reusable across executions."""
-
-    __slots__ = ("statement", "text", "_plan_key", "_plan")
-
-    def __init__(self, text: str, statement: ast.Statement) -> None:
-        self.text = text
-        self.statement = statement
-        self._plan_key = None
-        self._plan = None
-
-    def __repr__(self) -> str:
-        return f"PreparedStatement({self.text!r})"
-
-
-class Session:
-    """A connection to the engine with an optional current keyspace.
-
-    SELECTs are compiled into :mod:`repro.query` plans and memoised in
-    the session's :class:`~repro.query.PlanCache`, keyed on
-    ``(current keyspace, statement text)`` — a warm statement skips the
-    parser and the planner entirely and goes straight to the compiled
-    operator tree.  Cached plans carry guards that revalidate the
-    resolved column families (identity + index signature) on every hit,
-    so DDL invalidates them instead of silently replaying stale access
-    paths.
-    """
-
-    def __init__(self, engine, keyspace: Optional[str] = None) -> None:
-        self.engine = engine
-        self.keyspace = keyspace
-        self.plan_cache = PlanCache()
-
-    # ------------------------------------------------------------------
-    def execute(self, cql: str, params: Sequence = ()) -> Optional[ResultSet]:
-        """Parse and run one CQL statement."""
-        if _QUERY_LOG.enabled:
-            return self._execute_logged(cql, params)
-        key = (self.keyspace, cql)
-        plan = self.plan_cache.get(key)
-        if isinstance(plan, Plan):
-            return ResultSet(plan.run(params))
-        if isinstance(plan, AnalyzedStatement):
-            return self._run_analyzed(plan, params)
-        return self._dispatch(parse(cql), cql, params)
-
-    def _execute_logged(self, cql: str, params: Sequence) -> Optional[ResultSet]:
-        """The :meth:`execute` body with query-history recording.
-
-        A separate method so the REPRO_QUERY_LOG=0 hot path above pays
-        exactly one attribute check and allocates nothing extra."""
-        t0 = wall_clock()
-        key = (self.keyspace, cql)
-        plan = self.plan_cache.get(key)
-        if isinstance(plan, Plan):
-            before = counter_totals(plan)
-            result = ResultSet(plan.run(params))
-            record_query(_QUERY_LOG, cql, "cql", wall_clock() - t0,
-                         len(result), plan=plan, before=before)
-            return result
-        if isinstance(plan, AnalyzedStatement):
-            result = self._run_analyzed(plan, params)
-            record_query(_QUERY_LOG, cql, "cql", wall_clock() - t0,
-                         len(result), analyzed=result.analyzed)
-            return result
-        result = self._dispatch(parse(cql), cql, params)
-        # A cold SELECT (or EXPLAIN ANALYZE) was just compiled and cached;
-        # its fresh counters are exactly this execution's actuals.  peek()
-        # keeps the read out of the plan-cache hit/miss metrics.
-        record_query(_QUERY_LOG, cql, "cql", wall_clock() - t0,
-                     len(result) if result is not None else 0,
-                     plan=self.plan_cache.peek(key),
-                     analyzed=getattr(result, "analyzed", None))
-        return result
-
-    def _run_analyzed(self, entry: AnalyzedStatement, params: Sequence) -> ResultSet:
-        analyzed = analyze_plan(entry.plan, params)
-        result = ResultSet(analyzed.report)
-        result.analyzed = analyzed
-        return result
-
-    def prepare(self, cql: str) -> PreparedStatement:
-        return PreparedStatement(cql, parse(cql))
-
-    def _dispatch(
-        self, statement: ast.Statement, text: str, params: Sequence
-    ) -> Optional[ResultSet]:
-        """Plan-and-cache SELECTs (and analyzed EXPLAINs); everything
-        else runs the generic executor."""
-        if type(statement) is ast.Select:
-            plan = build_select_plan(self.engine, statement, self.keyspace)
-            self.plan_cache.put((self.keyspace, text), plan)
-            return ResultSet(plan.run(params))
-        if type(statement) is ast.Explain and statement.analyze:
-            plan = build_select_plan(self.engine, statement.select, self.keyspace)
-            entry = AnalyzedStatement(plan)
-            self.plan_cache.put((self.keyspace, text), entry)
-            return self._run_analyzed(entry, params)
-        result, new_keyspace = execute(self.engine, statement, params, self.keyspace)
-        if new_keyspace is not None:
-            self.keyspace = new_keyspace
-        return result
-
-    def compile_insert(self, cql: str) -> CompiledInsert:
-        """Plan a plain INSERT once, for zero-parse bulk execution.
-
-        Raises :class:`~repro.nosqldb.errors.InvalidRequest` when the
-        statement is anything but a simple INSERT (set literals with
-        inner bind markers, missing primary key, no keyspace): those
-        shapes need the generic executor.
-        """
-        statement = parse(cql)
-        planned = plan_insert_template(self.engine, statement, self.keyspace)
-        if planned is None:
-            raise InvalidRequest(
-                f"only plain INSERT statements can be compiled: {cql!r}"
-            )
-        table, template, pk_slot = planned
-        return CompiledInsert(cql, table, template, pk_slot)
-
-    def execute_prepared(
-        self, prepared: PreparedStatement, params: Sequence = ()
-    ) -> Optional[ResultSet]:
-        if _QUERY_LOG.enabled:
-            return self._execute_logged(prepared.text, params)
-        key = (self.keyspace, prepared.text)
-        plan = self.plan_cache.get(key)
-        if isinstance(plan, Plan):
-            return ResultSet(plan.run(params))
-        if isinstance(plan, AnalyzedStatement):
-            return self._run_analyzed(plan, params)
-        return self._dispatch(prepared.statement, prepared.text, params)
-
-    def execute_batch(
-        self, operations: Iterable[Tuple[PreparedStatement, Sequence]]
-    ) -> int:
-        """Run prepared mutations back-to-back; returns the count executed.
-
-        This models a CQL ``BEGIN BATCH ... APPLY BATCH`` bulk load: one
-        parse per statement shape, one execution plan per statement, then
-        pure engine work per row.
-        """
-        t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
-        count = 0
-        per_text: dict = {}
-        for prepared, params in operations:
-            plan = self._plan_for(prepared)
-            if plan is not None:
-                plan(params)
-            else:
-                execute(self.engine, prepared.statement, params, self.keyspace)
-            count += 1
-            if _QUERY_LOG.enabled:
-                per_text[prepared.text] = per_text.get(prepared.text, 0) + 1
-        self._maybe_check()
-        if _QUERY_LOG.enabled:
-            # One record per statement shape in the batch.
-            elapsed = wall_clock() - t0
-            for text, rows in per_text.items():
-                record_query(_QUERY_LOG, text, "cql",
-                             elapsed * rows / max(1, count), rows)
-        return count
-
-    def execute_many(
-        self, statement, param_rows: Iterable[Sequence]
-    ) -> List[Optional[ResultSet]]:
-        """Run one statement shape over many parameter rows at once.
-
-        ``statement`` is a :class:`PreparedStatement` or a CQL string
-        (parsed once).  The point-select shape
-        ``SELECT ... WHERE <pk> = ?`` executes as a *single* batched
-        multi-get — all keys are bound up front and resolved by
-        :meth:`~repro.nosqldb.columnfamily.ColumnFamily.get_many`, which
-        groups them by SSTable block so each block is decompressed at
-        most once.  Every other shape falls back to per-row execution.
-        """
-        if isinstance(statement, str):
-            statement = self.prepare(statement)
-        rows_list = list(param_rows)
-        fused = self._fused_plan_for(statement)
-        if fused is UNPLANNABLE:
-            # Per-row fallback logs per statement through execute_prepared.
-            return [self.execute_prepared(statement, params) for params in rows_list]
-        t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
-        is_bind, value = fused.key_slot
-        columns, limit = fused.columns, fused.limit
-        keys = [params[value] if is_bind else value for params in rows_list]
-        results: List[Optional[ResultSet]] = []
-        for row in fused.fetch(keys):
-            rows = [row] if row is not None else []
-            if limit is not None:
-                rows = rows[:limit]
-            if columns:
-                rows = [{name: r[name] for name in columns} for r in rows]
-            results.append(ResultSet(rows))
-        if _QUERY_LOG.enabled:
-            # One record for the fused multi-get batch.
-            record_query(_QUERY_LOG, statement.text, "cql", wall_clock() - t0,
-                         sum(len(r) for r in results))
-        return results
-
-    def _fused_plan_for(self, prepared: PreparedStatement):
-        """Cached fused multi-get plan (UNPLANNABLE = not a point select)."""
-        key = (self.keyspace, "select_many", prepared.text)
-        fused = self.plan_cache.get(key)
-        if fused is None:
-            fused = make_select_many_plan(self.engine, prepared.statement, self.keyspace)
-            if fused is None:
-                fused = UNPLANNABLE
-            self.plan_cache.put(key, fused)
-        return fused
-
-    def _maybe_check(self) -> None:
-        """REPRO_CHECK=1 hook: verify the current keyspace after a bulk load."""
-        if not checks_enabled() or self.keyspace is None:
-            return
-        from repro.analysis.runner import runtime_check
-
-        if not self.engine.has_keyspace(self.keyspace):
-            return
-        for table in self.engine.keyspace(self.keyspace).tables:
-            runtime_check(table, label=f"execute_batch[{self.keyspace}]")
-
-    def _plan_for(self, prepared: PreparedStatement):
-        """Cached server-side execution plan for a prepared INSERT."""
-        key = (id(self.engine), self.keyspace)
-        if prepared._plan_key != key:
-            prepared._plan_key = key
-            prepared._plan = make_insert_plan(self.engine, prepared.statement, self.keyspace)
-        return prepared._plan
-
-    def __repr__(self) -> str:
-        return f"Session(keyspace={self.keyspace!r})"
+    @keyspace.setter
+    def keyspace(self, name: Optional[str]) -> None:
+        self.namespace = name

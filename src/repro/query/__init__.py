@@ -2,8 +2,9 @@
 
 One plan/operator layer under both database engines: a common
 :class:`ResultSet`, the expression evaluator, volcano-style plan nodes
-with per-operator counters, and the rule-based planner with its plan
-cache.  Engine front-ends (``repro.sqldb``, ``repro.nosqldb``) compile
+with per-operator counters, the rule-based planner with its plan
+cache, and the dialect-parameterized client :class:`Session`.  Engine
+front-ends (``repro.sqldb``, ``repro.nosqldb``) compile
 their dialects down to this layer; this package must never import an
 engine (lint rule REPRO006).
 """
@@ -20,7 +21,17 @@ from repro.query.analyze import (
     snapshot_counters,
 )
 from repro.query.errors import describe_position, line_and_column, syntax_error_message
-from repro.query.expr import COMPARISON_OPS, compare, evaluate_aggregate, null_safe_key
+from repro.query.expr import (
+    COMPARISON_OPS,
+    Placeholder,
+    SetLiteral,
+    compare,
+    compile_value,
+    compile_value_list,
+    condition_desc,
+    evaluate_aggregate,
+    null_safe_key,
+)
 from repro.query.plan import (
     Aggregate,
     Filter,
@@ -47,9 +58,9 @@ from repro.query.planner import (
     PlanCache,
     PlanCacheStats,
     TableMeta,
-    UNPLANNABLE,
     choose_access,
     choose_join_access,
+    table_guard,
 )
 from repro.query.pushdown import (
     PUSHABLE_OPS,
@@ -58,6 +69,7 @@ from repro.query.pushdown import (
     PushedPredicate,
 )
 from repro.query.result import ResultSet
+from repro.query.session import Dialect, InsertTemplate, PreparedStatement, Session
 
 __all__ = [
     "ACCESS_INDEX",
@@ -77,34 +89,43 @@ __all__ = [
     "snapshot_counters",
     "BoundPredicate",
     "COMPARISON_OPS",
+    "Dialect",
     "Filter",
     "FullScan",
     "HashJoin",
     "IndexScan",
+    "InsertTemplate",
     "Limit",
     "MultiGet",
     "OperatorStats",
     "PUSHABLE_OPS",
     "PartialAggregate",
+    "Placeholder",
     "Plan",
     "PlanCache",
     "PlanCacheStats",
     "PlanNode",
     "PointLookup",
+    "PreparedStatement",
     "Project",
     "PushedCondition",
     "PushedPredicate",
     "ResultSet",
+    "Session",
+    "SetLiteral",
     "Sort",
     "TableMeta",
-    "UNPLANNABLE",
     "choose_access",
     "choose_join_access",
     "compare",
+    "compile_value",
+    "compile_value_list",
+    "condition_desc",
     "count_partial",
     "describe_position",
     "evaluate_aggregate",
     "line_and_column",
     "null_safe_key",
     "syntax_error_message",
+    "table_guard",
 ]

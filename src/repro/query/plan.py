@@ -315,19 +315,16 @@ class PointLookup(_Access):
 
 
 class MultiGet(_Access):
-    """One batched ``get_many`` over a runtime key list (pk ``IN``, and
-    the fused fetch behind ``execute_many``/``select_many``)."""
+    """One batched ``get_many`` over a runtime key list (pk ``IN`` and
+    the stored-query walks' per-level cell fetches)."""
 
     kind = "MultiGet"
-    __slots__ = ("keys", "keep_missing", "keys_batched", "blocks_cached")
+    __slots__ = ("keys", "keys_batched", "blocks_cached")
 
     def __init__(self, table, keys: Callable, table_name: str, key_desc: str,
-                 wrap=None, cache_probe=None, keep_missing: bool = False) -> None:
+                 wrap=None, cache_probe=None) -> None:
         super().__init__(table, table_name, key_desc, wrap, cache_probe)
         self.keys = keys
-        # keep_missing keeps a None placeholder per absent key so callers
-        # that need key-aligned results (select_many) can use this node.
-        self.keep_missing = keep_missing
         self.keys_batched = 0
         self.blocks_cached = 0
 
@@ -335,9 +332,7 @@ class MultiGet(_Access):
         resolved = list(self.keys(ctx.params))
         self.keys_batched += len(resolved)
         before = self.cache_probe() if self.cache_probe is not None else 0
-        fetched = list(self.table.get_many(resolved))
-        if not self.keep_missing:
-            fetched = [row for row in fetched if row is not None]
+        fetched = [row for row in self.table.get_many(resolved) if row is not None]
         if self.cache_probe is not None:
             self.blocks_cached += self.cache_probe() - before
         return self._emit(fetched)

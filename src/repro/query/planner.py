@@ -37,7 +37,7 @@ replaced.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.telemetry import get_registry
 
@@ -103,20 +103,29 @@ def choose_join_access(meta: TableMeta, join_column: str) -> str:
     return ACCESS_SCAN
 
 
-class _Unplannable:
-    """The cacheable negative entry: this statement shape cannot use the
-    path in question (e.g. a select_many fusion).  Carries no guards, so
-    it stays valid; the execution path it gates falls back to the generic
-    executor, which is always correct."""
+def table_guard(resolve_table: Callable[[], object], table) -> Callable[[], bool]:
+    """The plan-cache guard every cached entry bound to ``table`` carries.
 
-    __slots__ = ()
+    ``resolve_table`` looks the table up by name the way the statement
+    would today.  The guard holds while that lookup still yields the same
+    object (DROP/recreate swaps it), with the same index signature
+    (CREATE INDEX changes the access paths) and the same shard count (a
+    fanout plan must not outlive its layout).  A lookup that raises —
+    the table or its namespace is gone — counts as stale in
+    :meth:`PlanCache.get`.
+    """
+    indexed = frozenset(table.indexed_columns)
+    shards = getattr(table, "shard_count", 1)
 
-    def __repr__(self) -> str:
-        return "UNPLANNABLE"
+    def guard() -> bool:
+        current = resolve_table()
+        return (
+            current is table
+            and frozenset(table.indexed_columns) == indexed
+            and getattr(current, "shard_count", 1) == shards
+        )
 
-
-#: Singleton negative cache entry — compare with ``is``.
-UNPLANNABLE = _Unplannable()
+    return guard
 
 
 class PlanCacheStats(NamedTuple):

@@ -1,298 +1,58 @@
 """SQL sessions: the client surface of the relational engine.
 
-Mirrors a DB-API-ish driver: ``execute`` for one-off statements and
-``prepare`` + ``execute_many`` for bulk loads ("the DWARF cubes were
-inserted in bulk", paper §5).
+The session itself is the shared :class:`repro.query.Session` (a
+DB-API-ish driver: ``execute``, ``prepare`` + ``execute_prepared``, and
+``execute_many`` for bulk loads); this module only declares the SQL
+dialect it runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional
 
-from repro.analysis.flags import checks_enabled
-from repro.query import (
-    UNPLANNABLE,
-    AnalyzedStatement,
-    Plan,
-    PlanCache,
-    analyze_plan,
-    counter_totals,
-    record_query,
-)
-from repro.sqldb.errors import ProgrammingError
+from repro.analysis.flags import check_tables
+from repro.query import Dialect, PreparedStatement, Session
 from repro.sqldb.sql import ast
 from repro.sqldb.sql.executor import (
     SQLResult,
     build_select_plan,
     execute,
-    make_insert_plan,
-    make_select_many_plan,
-    plan_insert_template,
+    insert_template,
 )
 from repro.sqldb.sql.parser import parse
-from repro.telemetry import get_query_log, wall_clock
 
-_QUERY_LOG = get_query_log()
-
-
-class SQLCompiledInsert:
-    """A fully-planned INSERT bound to one table.
-
-    The zero-parse bulk-store fast path: the statement is parsed and
-    planned exactly once at :meth:`SQLSession.compile_insert` time; after
-    that, :meth:`execute_batch` binds parameter rows against the resolved
-    column template and streams them through the table's bulk write loop
-    — no lexer, no parser, no executor dispatch, no per-row plan lookup.
-    The stored pages, redo log and binlog are identical to what per-row
-    prepared execution produces.
-    """
-
-    __slots__ = ("text", "table", "_template")
-
-    def __init__(self, text: str, table, template) -> None:
-        self.text = text
-        self.table = table
-        self._template = template
-
-    def execute(self, params: Sequence = ()) -> None:
-        """Insert one parameter row."""
-        self.execute_batch((params,))
-
-    def execute_batch(self, rows: Iterable[Sequence]) -> int:
-        """Insert many parameter rows; returns the count written."""
-        template = self._template
-
-        def dict_rows():
-            for params in rows:
-                row = {}
-                for column, is_bind, value in template:
-                    resolved = params[value] if is_bind else value
-                    if resolved is not None:
-                        row[column] = resolved
-                yield row
-
-        count = self.table.insert_rows(dict_rows())
-        if checks_enabled():
-            # REPRO_CHECK=1 sanitizer mode: after a bulk write the heap
-            # (clustered tree, row codec, secondary indexes) must be sound.
-            from repro.analysis.runner import runtime_check
-
-            runtime_check(self.table, label=f"execute_batch[{self.table.name}]")
-        return count
-
-    def __repr__(self) -> str:
-        return f"SQLCompiledInsert({self.text!r})"
+SQLPreparedStatement = PreparedStatement
 
 
-class SQLPreparedStatement:
-    """A parsed statement with ``?`` bind markers, reusable across executions."""
-
-    __slots__ = ("statement", "text", "_plan_key", "_plan")
-
-    def __init__(self, text: str, statement: ast.Statement) -> None:
-        self.text = text
-        self.statement = statement
-        self._plan_key = None
-        self._plan = None
-
-    def __repr__(self) -> str:
-        return f"SQLPreparedStatement({self.text!r})"
+def _tables(engine, database: Optional[str]):
+    if database is None or not engine.has_database(database):
+        return ()
+    return engine.database(database).tables
 
 
-class SQLSession:
-    """A connection to the engine with an optional current database.
+SQL_DIALECT = Dialect(
+    label="sql",
+    parse=parse,
+    select=ast.Select,
+    explain=ast.Explain,
+    build_select_plan=build_select_plan,
+    execute=execute,
+    insert_template=insert_template,
+    result=SQLResult,
+    tables=_tables,
+    check=check_tables,
+)
 
-    SELECTs are compiled into :mod:`repro.query` plans and memoised in
-    the session's :class:`~repro.query.PlanCache`, keyed on
-    ``(current database, statement text)`` — a warm statement skips the
-    parser and the planner entirely and goes straight to the compiled
-    operator tree.  Cached plans carry guards that revalidate the
-    resolved tables (identity + index signature) on every hit, so DDL
-    invalidates them instead of silently replaying stale access paths.
-    """
 
-    def __init__(self, engine, database: Optional[str] = None) -> None:
-        self.engine = engine
-        self.database = database
-        self.plan_cache = PlanCache()
+class SQLSession(Session):
+    """A connection to the SQL engine with an optional current database."""
 
-    def execute(self, sql: str, params: Sequence = ()) -> SQLResult:
-        if _QUERY_LOG.enabled:
-            return self._execute_logged(sql, params)
-        key = (self.database, sql)
-        plan = self.plan_cache.get(key)
-        if isinstance(plan, Plan):
-            return SQLResult(plan.run(params))
-        if isinstance(plan, AnalyzedStatement):
-            return self._run_analyzed(plan, params)
-        return self._dispatch(parse(sql), sql, params)
+    dialect = SQL_DIALECT
 
-    def _execute_logged(self, sql: str, params: Sequence) -> SQLResult:
-        """The :meth:`execute` body with query-history recording.
+    @property
+    def database(self) -> Optional[str]:
+        return self.namespace
 
-        A separate method so the REPRO_QUERY_LOG=0 hot path above pays
-        exactly one attribute check and allocates nothing extra."""
-        t0 = wall_clock()
-        key = (self.database, sql)
-        plan = self.plan_cache.get(key)
-        if isinstance(plan, Plan):
-            before = counter_totals(plan)
-            result = SQLResult(plan.run(params))
-            record_query(_QUERY_LOG, sql, "sql", wall_clock() - t0,
-                         len(result), plan=plan, before=before)
-            return result
-        if isinstance(plan, AnalyzedStatement):
-            result = self._run_analyzed(plan, params)
-            record_query(_QUERY_LOG, sql, "sql", wall_clock() - t0,
-                         len(result), analyzed=result.analyzed)
-            return result
-        result = self._dispatch(parse(sql), sql, params)
-        # A cold SELECT (or EXPLAIN ANALYZE) was just compiled and cached;
-        # its fresh counters are exactly this execution's actuals.  peek()
-        # keeps the read out of the plan-cache hit/miss metrics.
-        record_query(_QUERY_LOG, sql, "sql", wall_clock() - t0, len(result),
-                     plan=self.plan_cache.peek(key),
-                     analyzed=getattr(result, "analyzed", None))
-        return result
-
-    def _run_analyzed(self, entry: AnalyzedStatement, params: Sequence) -> SQLResult:
-        analyzed = analyze_plan(entry.plan, params)
-        result = SQLResult(analyzed.report)
-        result.analyzed = analyzed
-        return result
-
-    def prepare(self, sql: str) -> SQLPreparedStatement:
-        return SQLPreparedStatement(sql, parse(sql))
-
-    def _dispatch(self, statement: ast.Statement, text: str, params: Sequence) -> SQLResult:
-        """Plan-and-cache SELECTs (and analyzed EXPLAINs); everything
-        else runs the generic executor."""
-        if type(statement) is ast.Select:
-            plan = build_select_plan(self.engine, statement, self.database)
-            self.plan_cache.put((self.database, text), plan)
-            return SQLResult(plan.run(params))
-        if type(statement) is ast.Explain and statement.analyze:
-            plan = build_select_plan(self.engine, statement.select, self.database)
-            entry = AnalyzedStatement(plan)
-            self.plan_cache.put((self.database, text), entry)
-            return self._run_analyzed(entry, params)
-        result, new_database = execute(self.engine, statement, params, self.database)
-        if new_database is not None:
-            self.database = new_database
-        return result
-
-    def compile_insert(self, sql: str) -> SQLCompiledInsert:
-        """Plan a single-row INSERT once, for zero-parse bulk execution.
-
-        Raises :class:`~repro.sqldb.errors.ProgrammingError` for anything
-        but a one-row INSERT with a resolvable database: those shapes
-        need the generic executor.
-        """
-        statement = parse(sql)
-        planned = plan_insert_template(self.engine, statement, self.database)
-        if planned is None:
-            raise ProgrammingError(
-                f"only single-row INSERT statements can be compiled: {sql!r}"
-            )
-        table, template = planned
-        return SQLCompiledInsert(sql, table, template)
-
-    def execute_prepared(
-        self, prepared: SQLPreparedStatement, params: Sequence = ()
-    ) -> SQLResult:
-        if _QUERY_LOG.enabled:
-            return self._execute_logged(prepared.text, params)
-        key = (self.database, prepared.text)
-        plan = self.plan_cache.get(key)
-        if isinstance(plan, Plan):
-            return SQLResult(plan.run(params))
-        if isinstance(plan, AnalyzedStatement):
-            return self._run_analyzed(plan, params)
-        return self._dispatch(prepared.statement, prepared.text, params)
-
-    def execute_many(
-        self, prepared: SQLPreparedStatement, rows: Iterable[Sequence]
-    ) -> int:
-        """Run one prepared DML statement per parameter row; returns the count."""
-        t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
-        key = (id(self.engine), self.database)
-        if prepared._plan_key != key:
-            prepared._plan_key = key
-            prepared._plan = make_insert_plan(self.engine, prepared.statement, self.database)
-        plan = prepared._plan
-        count = 0
-        if plan is not None:
-            for params in rows:
-                plan(params)
-                count += 1
-        else:
-            for params in rows:
-                execute(self.engine, prepared.statement, params, self.database)
-                count += 1
-        self._maybe_check(prepared)
-        if _QUERY_LOG.enabled:
-            # One record per batch: rows = parameter rows executed.
-            record_query(_QUERY_LOG, prepared.text, "sql",
-                         wall_clock() - t0, count)
-        return count
-
-    def select_many(
-        self, statement, param_rows: Iterable[Sequence]
-    ) -> List[SQLResult]:
-        """Run one SELECT shape over many parameter rows at once.
-
-        ``statement`` is an :class:`SQLPreparedStatement` or a SQL string
-        (parsed once).  The point-select shape
-        ``SELECT ... WHERE <pk> = ?`` binds all keys up front and
-        resolves them with one :meth:`~repro.sqldb.table.Table.get_many`
-        call; every other shape falls back to per-row execution.
-        """
-        if isinstance(statement, str):
-            statement = self.prepare(statement)
-        rows_list = list(param_rows)
-        fused = self._fused_plan_for(statement)
-        if fused is UNPLANNABLE:
-            # Per-row fallback logs per statement through execute_prepared.
-            return [self.execute_prepared(statement, params) for params in rows_list]
-        t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
-        is_bind, value = fused.key_slot
-        columns, limit = fused.columns, fused.limit
-        keys = [params[value] if is_bind else value for params in rows_list]
-        results: List[SQLResult] = []
-        for row in fused.fetch(keys):
-            rows = [row] if row is not None else []
-            if limit is not None:
-                rows = rows[:limit]
-            if columns:
-                rows = [{name: r[name] for name in columns} for r in rows]
-            results.append(SQLResult(rows))
-        if _QUERY_LOG.enabled:
-            # One record for the fused multi-get batch.
-            record_query(_QUERY_LOG, statement.text, "sql", wall_clock() - t0,
-                         sum(len(r) for r in results))
-        return results
-
-    def _fused_plan_for(self, prepared: SQLPreparedStatement):
-        """Cached fused multi-get plan (UNPLANNABLE = not a point select)."""
-        key = (self.database, "select_many", prepared.text)
-        fused = self.plan_cache.get(key)
-        if fused is None:
-            fused = make_select_many_plan(self.engine, prepared.statement, self.database)
-            if fused is None:
-                fused = UNPLANNABLE
-            self.plan_cache.put(key, fused)
-        return fused
-
-    def _maybe_check(self, prepared: SQLPreparedStatement) -> None:
-        """REPRO_CHECK=1 hook: verify the current database after a bulk load."""
-        if not checks_enabled() or self.database is None:
-            return
-        from repro.analysis.runner import runtime_check
-
-        if not self.engine.has_database(self.database):
-            return
-        for table in self.engine.database(self.database).tables:
-            runtime_check(table, label=f"execute_many[{prepared.text}]")
-
-    def __repr__(self) -> str:
-        return f"SQLSession(database={self.database!r})"
+    @database.setter
+    def database(self, name: Optional[str]) -> None:
+        self.namespace = name

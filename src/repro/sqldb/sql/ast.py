@@ -4,17 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-
-class Placeholder:
-    """A positional ``?`` bind marker (0-based)."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"?{self.index}"
+from repro.query import Placeholder  # the bind-marker node both dialects share
 
 
 class ColumnRef:

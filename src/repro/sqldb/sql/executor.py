@@ -25,6 +25,7 @@ from repro.query import (
     FullScan,
     HashJoin,
     IndexScan,
+    InsertTemplate,
     Limit,
     MultiGet,
     PUSHABLE_OPS,
@@ -41,9 +42,13 @@ from repro.query import (
     choose_access,
     choose_join_access,
     compare,
+    compile_value,
+    compile_value_list,
+    condition_desc,
     count_partial,
     evaluate_aggregate,
     null_safe_key,
+    table_guard,
 )
 from repro.sqldb.errors import ProgrammingError
 from repro.sqldb.sql import ast
@@ -69,194 +74,42 @@ def execute(
     return _Executor(engine, params, current_database).run(statement)
 
 
-def plan_insert_template(
+def insert_template(
     engine, statement: ast.Statement, current_database: Optional[str]
-):
-    """Resolve a single-row INSERT to ``(table, template)``.
+) -> Optional[InsertTemplate]:
+    """Resolve a single-row INSERT once, for :meth:`SQLSession.execute_many`.
 
-    ``template`` is a list of ``(column_name, is_bind, index_or_constant)``
-    slots.  Returns ``None`` for anything but a one-row INSERT with a
-    resolvable database.
+    The table and its ``(column_name, is_bind, index_or_constant)`` slots
+    are resolved here, so bulk execution only binds parameters and feeds
+    :meth:`Table.insert_rows`.  Returns ``None`` for anything but a
+    one-row INSERT with a resolvable database — those run through the
+    generic executor.
     """
     if not isinstance(statement, ast.Insert) or len(statement.rows) != 1:
         return None
+    database_name = statement.source.database or current_database
+    if database_name is None:
+        return None
+    table_name = statement.source.table
+    table = engine.database(database_name).table(table_name)
     template = []
     for column, value in zip(statement.columns, statement.rows[0]):
-        if isinstance(value, ast.Placeholder):
-            template.append((column, True, value.index))
-        else:
-            template.append((column, False, value))
-    database_name = statement.source.database or current_database
-    if database_name is None:
-        return None
-    table = engine.database(database_name).table(statement.source.table)
-    return table, template
+        is_bind = isinstance(value, ast.Placeholder)
+        template.append((column, is_bind, value.index if is_bind else value))
 
+    def dict_rows(rows):
+        for params in rows:
+            row = {}
+            for column, is_bind, value in template:
+                resolved = params[value] if is_bind else value
+                if resolved is not None:
+                    row[column] = resolved
+            yield row
 
-def plan_point_select(
-    engine, statement: ast.Statement, current_database: Optional[str]
-):
-    """Resolve ``SELECT ... FROM t WHERE <pk> = ?`` to a batched-fetch shape.
-
-    Returns ``(table, key_slot, columns, limit)`` where ``key_slot`` is
-    ``(is_bind, index_or_constant)`` and ``columns`` the projected names
-    (empty = ``*``).  This is the shape
-    :meth:`~repro.sqldb.session.SQLSession.select_many` fuses into one
-    :class:`repro.query.MultiGet` execution.  Returns ``None`` for any
-    other shape (joins, aggregates, composite keys, ...) — those fall
-    back to per-row execution through the generic executor.
-    """
-    if not isinstance(statement, ast.Select) or statement.count:
-        return None
-    if statement.joins or statement.aggregates or statement.order_by is not None:
-        return None
-    database_name = statement.source.database or current_database
-    if database_name is None:
-        return None
-    table = engine.database(database_name).table(statement.source.table)
-    if len(table.primary_key) != 1 or len(statement.where) != 1:
-        return None
-    condition = statement.where[0]
-    if condition.op != "=" or condition.column.name != table.primary_key[0]:
-        return None
-    if condition.column.qualifier not in (None, statement.source.alias):
-        return None
-    columns = []
-    for ref in statement.columns:
-        if ref.qualifier not in (None, statement.source.alias):
-            return None
-        table.column(ref.name)  # validate once, not per row
-        columns.append(ref.name)
-    value = condition.value
-    is_bind = isinstance(value, ast.Placeholder)
-    key_slot = (is_bind, value.index if is_bind else value)
-    return table, key_slot, tuple(columns), statement.limit
-
-
-class FusedPointSelect:
-    """select_many's server-side shape: one :class:`MultiGet` resolves
-    every bound key, key-aligned so each parameter row maps to its own
-    result.  Cached in the session plan cache under the statement text;
-    ``guards`` revalidate the resolved table on every hit."""
-
-    __slots__ = ("node", "key_slot", "columns", "limit", "guards")
-
-    def __init__(self, node, key_slot, columns, limit, guards) -> None:
-        self.node = node
-        self.key_slot = key_slot
-        self.columns = columns
-        self.limit = limit
-        self.guards = guards
-
-    def fetch(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """Key-aligned rows (None per missing key) for ``keys``."""
-        return self.node.run(keys)
-
-
-def make_select_many_plan(
-    engine, statement: ast.Statement, current_database: Optional[str]
-) -> Optional[FusedPointSelect]:
-    """Compile the fused multi-get plan behind ``select_many``.
-
-    Returns ``None`` when the statement is not the point-select shape.
-    """
-    planned = plan_point_select(engine, statement, current_database)
-    if planned is None:
-        return None
-    table, key_slot, columns, limit = planned
-    node = MultiGet(
-        table,
-        keys=lambda keys: keys,
-        table_name=statement.source.table,
-        key_desc=table.primary_key[0],
-        keep_missing=True,
+    guard = table_guard(lambda: engine.database(database_name).table(table_name), table)
+    return InsertTemplate(
+        table, lambda rows: table.insert_rows(dict_rows(rows)), (guard,)
     )
-    database_name = statement.source.database or current_database
-    guard = _table_guard(engine, database_name, statement.source.table, table)
-    return FusedPointSelect(node, key_slot, columns, limit, (guard,))
-
-
-def make_insert_plan(engine, statement: ast.Statement, current_database: Optional[str]):
-    """Compile a prepared single-row INSERT into a per-row callable.
-
-    The server-side plan for ``executemany``: table and column template
-    resolved once, per row only parameter binding and the storage call.
-    Returns ``None`` for anything but a one-row INSERT.
-    """
-    planned = plan_insert_template(engine, statement, current_database)
-    if planned is None:
-        return None
-    table, template = planned
-    table_insert = table.insert
-
-    def run(params: Sequence) -> None:
-        row = {}
-        for column, is_bind, value in template:
-            resolved = params[value] if is_bind else value
-            if resolved is not None:
-                row[column] = resolved
-        table_insert(row)
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# AST -> kernel-callable compilation helpers
-# ----------------------------------------------------------------------
-def _compile_value(value) -> Callable[[Sequence], object]:
-    """A ``resolve(params)`` callable for one literal-or-placeholder."""
-    if isinstance(value, ast.Placeholder):
-        index = value.index
-
-        def resolve(params: Sequence):
-            if index >= len(params):
-                raise ProgrammingError(
-                    f"statement has bind marker ?{index} but only "
-                    f"{len(params)} parameters were supplied"
-                )
-            return params[index]
-
-        return resolve
-    return lambda params: value
-
-
-def _compile_value_list(values) -> Callable[[Sequence], List[object]]:
-    resolvers = [_compile_value(v) for v in values]
-    return lambda params: [resolve(params) for resolve in resolvers]
-
-
-def _value_desc(value) -> str:
-    if isinstance(value, ast.Placeholder):
-        return repr(value)
-    return repr(value)
-
-
-def _condition_desc(condition) -> str:
-    column, op, value = condition.column, condition.op, condition.value
-    if op == "ISNULL":
-        return f"{column} IS NULL"
-    if op == "NOTNULL":
-        return f"{column} IS NOT NULL"
-    if op == "IN":
-        return f"{column} IN ({', '.join(_value_desc(v) for v in value)})"
-    return f"{column} {op} {_value_desc(value)}"
-
-
-def _table_guard(engine, database_name: str, table_name: str, table: Table):
-    """A plan-cache guard: same table object, same index signature.
-
-    DROP/recreate swaps the object; CREATE INDEX changes the signature —
-    either way the cached plan is stale and must be rebuilt.
-    """
-    indexed = frozenset(table.indexed_columns)
-
-    def check() -> bool:
-        return (
-            engine.database(database_name).table(table_name) is table
-            and frozenset(table.indexed_columns) == indexed
-        )
-
-    return check
 
 
 def _table_meta(table: Table, alias: str) -> TableMeta:
@@ -305,7 +158,7 @@ class _SelectPlanBuilder:
             node = self._join(node, join)
         for condition in residual:
             node = Filter(
-                node, self._env_predicate(condition), _condition_desc(condition)
+                node, self._env_predicate(condition), condition_desc(condition)
             )
 
         if stmt.count:
@@ -347,8 +200,11 @@ class _SelectPlanBuilder:
         database_name = source.database or self.current_database
         if database_name is None:
             raise ProgrammingError(f"no database selected for table {source.table!r}")
-        table = self.engine.database(database_name).table(source.table)
-        self.guards.append(_table_guard(self.engine, database_name, source.table, table))
+        engine, table_name = self.engine, source.table
+        table = engine.database(database_name).table(table_name)
+        self.guards.append(
+            table_guard(lambda: engine.database(database_name).table(table_name), table)
+        )
         return table
 
     # -- access-path selection ----------------------------------------------
@@ -372,7 +228,7 @@ class _SelectPlanBuilder:
         if access == ACCESS_POINT:
             node = PointLookup(
                 table,
-                key=_compile_value(condition.value),
+                key=compile_value(condition.value, ProgrammingError),
                 table_name=alias,
                 key_desc=str(condition.column),
                 wrap=wrap,
@@ -380,7 +236,7 @@ class _SelectPlanBuilder:
         elif access == ACCESS_MULTIGET:
             node = MultiGet(
                 table,
-                keys=_compile_value_list(condition.value),
+                keys=compile_value_list(condition.value, ProgrammingError),
                 table_name=alias,
                 key_desc=str(condition.column),
                 wrap=wrap,
@@ -390,7 +246,7 @@ class _SelectPlanBuilder:
             node = IndexScan(
                 table,
                 column=condition.column.name,
-                value=_compile_value(condition.value),
+                value=compile_value(condition.value, ProgrammingError),
                 table_name=alias,
                 access=IndexScan.PK_PREFIX,
                 wrap=wrap,
@@ -401,7 +257,7 @@ class _SelectPlanBuilder:
             node = IndexScan(
                 table,
                 column=condition.column.name,
-                value=_compile_value(condition.value),
+                value=compile_value(condition.value, ProgrammingError),
                 table_name=alias,
                 access=IndexScan.SECONDARY,
                 wrap=wrap,
@@ -441,11 +297,11 @@ class _SelectPlanBuilder:
                 leftover.append(cond)
                 continue
             if cond.op == "IN":
-                resolve = _compile_value_list(cond.value)
+                resolve = compile_value_list(cond.value, ProgrammingError)
             else:
-                resolve = _compile_value(cond.value)
+                resolve = compile_value(cond.value, ProgrammingError)
             pushable.append(
-                PushedCondition(name, cond.op, resolve, _condition_desc(cond))
+                PushedCondition(name, cond.op, resolve, condition_desc(cond))
             )
         pushed = PushedPredicate(pushable) if pushable else None
         return pushed, leftover
@@ -533,11 +389,11 @@ class _SelectPlanBuilder:
         alias, name = self._locate(condition.column)
         op = condition.op
         if op == "IN":
-            expected = _compile_value_list(condition.value)
+            expected = compile_value_list(condition.value, ProgrammingError)
         elif op in ("ISNULL", "NOTNULL"):
             expected = lambda params: None
         else:
-            expected = _compile_value(condition.value)
+            expected = compile_value(condition.value, ProgrammingError)
 
         def predicate(env, params):
             return compare(op, env[alias][name], expected(params))
@@ -681,7 +537,7 @@ class _Executor:
 
     # -- helpers ------------------------------------------------------------
     def _resolve(self, value):
-        return _compile_value(value)(self.params)
+        return compile_value(value, ProgrammingError)(self.params)
 
     def _table(self, source: ast.TableSource) -> Table:
         database_name = source.database or self.current_database

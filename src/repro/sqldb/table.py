@@ -183,55 +183,16 @@ class Table:
         Raises ProgrammingError for unknown columns and IntegrityError for
         NOT NULL or duplicate-primary-key violations.
         """
-        for name in row:
-            if name not in self._by_name:
-                raise ProgrammingError(f"table {self.name!r} has no column {name!r}")
-        for column in self.columns:
-            value = row.get(column.name)
-            if value is None:
-                if column.not_null and column.name not in self.primary_key:
-                    raise IntegrityError(f"column {column.name!r} is NOT NULL")
-                continue
-            column.sql_type.validate(value)
-        key = self._pk_of(row)
-        if key in self._clustered:
-            raise IntegrityError(f"duplicate primary key {key!r} in table {self.name!r}")
-        encoded = self.encode_row(row)
-        if self._redo_log is not None:
-            # InnoDB writes each mutation to the redo log before touching
-            # the page, and builds an undo record for transaction rollback.
-            self._redo_log += _REDO_HEADER
-            self._redo_log += encoded
-            self._redo_log += _UNDO_RECORD
-        if self._binlog is not None:
-            # Row-based replication log (on by default in production MySQL).
-            self._binlog += _BINLOG_HEADER
-            self._binlog += encoded
-        self._clustered.insert(key, encoded)
-        for column_name, tree in self._secondary.items():
-            value = row.get(column_name)
-            if value is not None:
-                tree.insert((value, key))
-        self._n_rows += 1
-        self._version += 1
-        # InnoDB flushes dirty buffer-pool pages continuously under bulk
-        # load; clients share that I/O cost.
-        self._dirty_bytes += len(encoded) + ROW_HEADER_BYTES
-        if self._dirty_bytes >= DIRTY_FLUSH_BYTES:
-            self._clustered.flush()
-            for tree in self._secondary.values():
-                tree.flush()
-            self._dirty_bytes = 0
+        self.insert_rows((row,))
 
     def insert_rows(self, rows) -> int:
-        """Bulk write path: many row dicts in one tight loop.
+        """The one row-write loop: many row dicts; returns the count.
 
-        Byte-identical to calling :meth:`insert` per row — same
-        validation, encoding, redo/undo and binlog records, index
-        maintenance and dirty-page flush points — with the per-row
-        interpreter overhead (attribute walks, closure dispatch) hoisted
-        out of the loop.  This is what a compiled statement's
-        ``execute_batch`` feeds.
+        Per row: validation, encoding, the redo/undo and binlog records,
+        the clustered and secondary index inserts and the dirty-page
+        flush check — in that order, so a batch stores exactly the bytes
+        the same rows inserted one at a time would.  Rows before a
+        failing one stay written.
 
         Raises ProgrammingError for unknown columns and IntegrityError for
         NOT NULL or duplicate-primary-key violations.
@@ -264,10 +225,14 @@ class Table:
                 )
             encoded = encode_row(row)
             if redo_log is not None:
+                # InnoDB writes each mutation to the redo log before
+                # touching the page, and builds an undo record for
+                # transaction rollback.
                 redo_log += _REDO_HEADER
                 redo_log += encoded
                 redo_log += _UNDO_RECORD
             if binlog is not None:
+                # Row-based replication log (on by default in production MySQL).
                 binlog += _BINLOG_HEADER
                 binlog += encoded
             clustered.insert(key, encoded)
@@ -277,6 +242,8 @@ class Table:
                     tree.insert((value, key))
             self._n_rows += 1
             self._version += 1
+            # InnoDB flushes dirty buffer-pool pages continuously under
+            # bulk load; clients share that I/O cost.
             self._dirty_bytes += len(encoded) + ROW_HEADER_BYTES
             if self._dirty_bytes >= DIRTY_FLUSH_BYTES:
                 clustered.flush()

@@ -90,8 +90,8 @@ class TestHooks:
         session.execute("CREATE DATABASE d")
         session.execute("USE d")
         session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        insert = session.compile_insert("INSERT INTO t (id, v) VALUES (?, ?)")
-        assert insert.execute_batch([(i, i * 2) for i in range(20)]) == 20
+        insert = session.prepare("INSERT INTO t (id, v) VALUES (?, ?)")
+        assert session.execute_many(insert, [(i, i * 2) for i in range(20)]) == 20
 
     def test_session_hook_raises_on_corruption(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
@@ -100,7 +100,8 @@ class TestHooks:
         session.execute("CREATE DATABASE d")
         session.execute("USE d")
         session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        insert = session.compile_insert("INSERT INTO t (id, v) VALUES (?, ?)")
-        insert.table._clustered.insert(99, b"\xff\xffgarbage")
+        insert = session.prepare("INSERT INTO t (id, v) VALUES (?, ?)")
+        table = session.engine.database("d").table("t")
+        table._clustered.insert(99, b"\xff\xffgarbage")
         with pytest.raises(InvariantViolationError):
-            insert.execute_batch([(1, 2)])
+            session.execute_many(insert, [(1, 2)])

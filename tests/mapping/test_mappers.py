@@ -4,11 +4,13 @@ Parametrised over the paper's four schemas so every mapper satisfies the
 same contract; schema-specific behaviour is tested separately below.
 """
 
+import math
+
 import pytest
 
 from repro.dwarf.builder import build_cube
 from repro.dwarf.cell import ALL
-from repro.mapping.base import MappingError
+from repro.mapping.base import MappingError, transform_cube
 from repro.mapping.mysql_dwarf import MySQLDwarfMapper
 from repro.mapping.mysql_min import MySQLMinMapper
 from repro.mapping.nosql_dwarf import NoSQLDwarfMapper
@@ -59,6 +61,9 @@ class TestMapperContract:
         assert rebuilt.value(["Ireland", "Dublin", ALL]) == 8
         assert rebuilt.stats.node_count == sample_cube.stats.node_count
         assert rebuilt.stats.cell_count == sample_cube.stats.cell_count
+        # The transformation records encode the complete DAG.
+        assert transform_cube(rebuilt).nodes == transform_cube(sample_cube).nodes
+        assert transform_cube(rebuilt).cells == transform_cube(sample_cube).cells
 
     def test_roundtrip_restores_schema_metadata(self, mapper, sample_cube):
         schema_id = mapper.store(sample_cube)
@@ -82,7 +87,9 @@ class TestMapperContract:
     def test_size_probe_writes_back(self, mapper, sample_cube):
         schema_id = mapper.store(sample_cube, probe_size=True)
         info = mapper.info(schema_id)
-        assert info.size_as_mb >= 0  # the sample cube is < 1 MB (paper: "< 1")
+        assert info.size_as_bytes > 0
+        # the sample cube is < 1 MB (paper: "< 1")
+        assert info.size_as_mb == math.floor(info.size_as_bytes / (1024 * 1024))
         assert mapper.size_bytes() > 0
 
     def test_reset_clears(self, mapper, sample_cube):

@@ -23,8 +23,8 @@ def fill(session, n=10):
     p = session.prepare(
         "INSERT INTO cells (id, key, measure, parent, leaf) VALUES (?, ?, ?, ?, ?)"
     )
-    session.execute_batch(
-        (p, (i, f"k{i}", i % 3, i // 2, i % 2 == 0)) for i in range(n)
+    session.execute_many(
+        p, ((i, f"k{i}", i % 3, i // 2, i % 2 == 0) for i in range(n))
     )
 
 
@@ -156,11 +156,11 @@ class TestPreparedStatements:
 
     def test_batch_returns_count(self, session):
         p = session.prepare("INSERT INTO cells (id) VALUES (?)")
-        assert session.execute_batch((p, (i,)) for i in range(5)) == 5
+        assert session.execute_many(p, ((i,) for i in range(5))) == 5
 
     def test_plan_fast_path_matches_generic(self, session):
         p = session.prepare("INSERT INTO cells (id, key, measure) VALUES (?, ?, ?)")
-        session.execute_batch([(p, (1, "a", 5))])          # plan path
+        session.execute_many(p, [(1, "a", 5)])              # template path
         session.execute_prepared(p, (2, "b", 6))            # generic path
         a = session.execute("SELECT * FROM cells WHERE id = 1").one()
         b = session.execute("SELECT * FROM cells WHERE id = 2").one()
@@ -169,13 +169,13 @@ class TestPreparedStatements:
 
     def test_plan_skips_none_params(self, session):
         p = session.prepare("INSERT INTO cells (id, key) VALUES (?, ?)")
-        session.execute_batch([(p, (1, None))])
+        session.execute_many(p, [(1, None)])
         assert session.execute("SELECT * FROM cells WHERE id = 1").one()["key"] is None
 
     def test_plan_missing_pk_raises(self, session):
         p = session.prepare("INSERT INTO cells (id, key) VALUES (?, ?)")
         with pytest.raises(InvalidRequest):
-            session.execute_batch([(p, (None, "x"))])
+            session.execute_many(p, [(None, "x")])
 
 
 class TestKeyspaceAccounting:

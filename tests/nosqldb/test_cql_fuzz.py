@@ -54,7 +54,7 @@ def test_prepared_and_literal_agree(key, text, number):
     session.execute("USE ks")
     session.execute("CREATE TABLE t (id int PRIMARY KEY, txt text, num int)")
     prepared = session.prepare("INSERT INTO t (id, txt, num) VALUES (?, ?, ?)")
-    session.execute_batch([(prepared, (key, text, number))])
+    session.execute_many(prepared, [(key, text, number)])
     via_plan = session.execute("SELECT * FROM t WHERE id = ?", (key,)).one()
     session.execute(
         f"INSERT INTO t (id, txt, num) VALUES ({key + 1000}, {_quote(text)}, {number})"

@@ -264,9 +264,15 @@ class TestCacheStats:
 
 
 # ----------------------------------------------------------------------
-# session-level batched execution
+# session-level batched point reads: WHERE pk IN (...) plans to MultiGet
 # ----------------------------------------------------------------------
-class TestExecuteMany:
+def _keys_batched(session, namespace, text):
+    """The MultiGet counter of the cached plan for ``text``."""
+    plan = session.plan_cache.peek((namespace, text))
+    return sum(getattr(node, "keys_batched", 0) for node in plan.root._postorder())
+
+
+class TestBatchedPointReadsCQL:
     @pytest.fixture
     def session(self):
         s = NoSQLEngine().connect()
@@ -274,39 +280,34 @@ class TestExecuteMany:
         s.execute("USE ks")
         s.execute("CREATE TABLE cells (id int PRIMARY KEY, k text, m int)")
         insert = s.prepare("INSERT INTO cells (id, k, m) VALUES (?, ?, ?)")
-        s.execute_batch((insert, (i, f"k{i}", i * 2)) for i in range(30))
+        s.execute_many(insert, ((i, f"k{i}", i * 2) for i in range(30)))
         return s
 
-    def test_point_select_matches_per_row_execution(self, session):
-        prepared = session.prepare("SELECT k, m FROM cells WHERE id = ?")
-        params = [(i,) for i in (5, 1, 5, 99, 28)]
-        batched = session.execute_many(prepared, params)
-        pointwise = [session.execute_prepared(prepared, p) for p in params]
-        assert [r.rows for r in batched] == [r.rows for r in pointwise]
-        from repro.query import UNPLANNABLE
+    def test_in_list_matches_per_row_execution(self, session):
+        point = session.prepare("SELECT k, m FROM cells WHERE id = ?")
+        text = "SELECT k, m FROM cells WHERE id IN (?, ?, ?, ?, ?)"
+        keys = (5, 1, 5, 99, 28)
+        batched = session.execute(text, keys).rows
+        pointwise = [
+            row for key in keys for row in session.execute_prepared(point, (key,)).rows
+        ]
+        assert batched == pointwise
+        assert _keys_batched(session, "ks", text) == len(keys)
 
-        assert session._fused_plan_for(prepared) is not UNPLANNABLE  # fast path engaged
-
-    def test_cql_string_accepted(self, session):
-        results = session.execute_many(
-            "SELECT m FROM cells WHERE id = ?", [(2,), (3,)]
-        )
-        assert [r.one()["m"] for r in results] == [4, 6]
-
-    def test_non_point_shape_falls_back(self, session):
-        prepared = session.prepare("SELECT count(*) FROM cells")
-        results = session.execute_many(prepared, [(), ()])
-        from repro.query import UNPLANNABLE
-
-        assert session._fused_plan_for(prepared) is UNPLANNABLE
-        assert [r.one()["count"] for r in results] == [30, 30]
-
-    def test_in_clause_uses_multi_get(self, session):
-        rows = session.execute("SELECT id, m FROM cells WHERE id IN (3, 1, 7)").rows
+    def test_in_list_with_literals(self, session):
+        text = "SELECT id, m FROM cells WHERE id IN (3, 1, 7)"
+        rows = session.execute(text).rows
         assert sorted(r["id"] for r in rows) == [1, 3, 7]
+        assert [r["m"] for r in rows] == [6, 2, 14]
+        assert _keys_batched(session, "ks", text) == 3
+
+    def test_count_shape_is_not_batched(self, session):
+        text = "SELECT count(*) FROM cells"
+        assert session.execute(text).one()["count"] == 30
+        assert _keys_batched(session, "ks", text) == 0
 
 
-class TestSelectManySQL:
+class TestBatchedPointReadsSQL:
     @pytest.fixture
     def session(self):
         from repro.sqldb.engine import SQLEngine
@@ -319,12 +320,13 @@ class TestSelectManySQL:
         s.execute_many(insert, [(i, i * 3) for i in range(20)])
         return s
 
-    def test_point_select_matches_per_row_execution(self, session):
-        prepared = session.prepare("SELECT m FROM cells WHERE id = ?")
-        params = [(4,), (0,), (4,), (77,)]
-        batched = session.select_many(prepared, params)
-        pointwise = [session.execute_prepared(prepared, p) for p in params]
-        assert [r.rows for r in batched] == [r.rows for r in pointwise]
-        from repro.query import UNPLANNABLE
-
-        assert session._fused_plan_for(prepared) is not UNPLANNABLE
+    def test_in_list_matches_per_row_execution(self, session):
+        point = session.prepare("SELECT m FROM cells WHERE id = ?")
+        text = "SELECT m FROM cells WHERE id IN (?, ?, ?, ?)"
+        keys = (4, 0, 4, 77)
+        batched = session.execute(text, keys).rows
+        pointwise = [
+            row for key in keys for row in session.execute_prepared(point, (key,)).rows
+        ]
+        assert batched == pointwise
+        assert _keys_batched(session, "db", text) == len(keys)

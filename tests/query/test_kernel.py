@@ -56,12 +56,6 @@ class TestOperators:
         assert [r["id"] for r in node.run(([4, 0, 9],))] == [4, 0]
         assert node.keys_batched == 3
 
-    def test_multi_get_keep_missing_stays_key_aligned(self):
-        node = MultiGet(
-            FakeTable(ROWS), lambda params: params[0], "t", "id", keep_missing=True
-        )
-        assert node.run(([4, 9],)) == [{"id": 4, "val": 40}, None]
-
     def test_filter_sort_limit_pipeline(self):
         plan = Plan(
             Limit(
