@@ -195,7 +195,9 @@ def _check_columnar_block(
         return []
     vectors = codec.decode_block(payload)
     keys, rows = vectors.all_rows()
-    reencoded, zones, _, _ = codec.encode_block(list(zip(keys, rows)))
+    reencoded, zones, _, _ = codec.encode_block(
+        [encode_key(key) for key in keys], rows, codec.zone_memo()
+    )
     report.check(
         reencoded == payload, _CHECKER, "sstable.columnar-roundtrip", location,
         "columnar block does not re-encode to its stored payload",
@@ -207,6 +209,23 @@ def _check_columnar_block(
         "values (block skipping could drop or retain the wrong blocks)",
     )
     return [(key, row, None) for key, row in zip(keys, rows)]
+
+
+def check_sealed_block(
+    codec, payload: bytes, encoded_keys, rows, location: str
+) -> CheckReport:
+    """The ``REPRO_CHECK=1`` build hook: a columnar payload about to be
+    stored must decode and rematerialize to exactly the entries it was
+    encoded from (rule ``sstable.columnar-roundtrip``)."""
+    report = CheckReport(f"check_sealed_block[{location}]")
+    keys, decoded_rows = codec.decode_block(payload).all_rows()
+    report.check(
+        [encode_key(key) for key in keys] == list(encoded_keys)
+        and decoded_rows == list(rows),
+        _CHECKER, "sstable.columnar-roundtrip", location,
+        "sealed columnar block does not rematerialize to its input rows",
+    )
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -572,6 +572,7 @@ def _storage_stat_lines(mapper):
         lines.append(
             f"  {table.name}: block_format={stats.block_format} "
             f"sstables={stats.sstables} columnar_blocks={stats.columnar_blocks} "
+            f"fallback_blocks={stats.fallback_blocks} "
             f"blocks_skipped={stats.blocks_skipped} "
             f"dict_hit_ratio={stats.dict_hit_ratio:.2f}"
         )

@@ -43,10 +43,10 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.nosqldb.errors import NoSQLError
 from repro.nosqldb.types import CQLType, SetType
-from repro.storage.btree import decode_key, encode_key
+from repro.storage.btree import decode_key
 from repro.storage.encoding import (
-    decode_bytes,
     decode_bytes_vector,
     decode_text,
     encode_bytes,
@@ -89,6 +89,12 @@ def default_block_format() -> str:
     return BLOCK_FORMAT_COLUMNAR
 
 
+class BlockRefused(NoSQLError):
+    """A row the columnar layout cannot hold exactly: a cell for a
+    column outside the schema, or one column repeated within a row.
+    The SSTable builder stores that block row-major instead."""
+
+
 class ColumnarCodec:
     """Schema-aware block transcoder for one column family.
 
@@ -98,33 +104,22 @@ class ColumnarCodec:
     with every SSTable it flushes or compacts.
     """
 
-    __slots__ = ("_types", "_order", "_encoded_names", "column_names")
+    __slots__ = ("_types", "_encoded_names", "column_names", "_cells", "_zoned")
 
     def __init__(self, columns: Sequence[Tuple[str, CQLType]]) -> None:
         self._types: Dict[str, CQLType] = dict(columns)
-        self._order = {name: i for i, (name, _) in enumerate(columns)}
         self._encoded_names = {name: encode_text(name) for name, _ in columns}
         self.column_names: Tuple[str, ...] = tuple(name for name, _ in columns)
+        # The write path's name table: a cell's *encoded* name bytes
+        # resolve its schema position and the ``span`` that skips its
+        # value, so no name is decoded.
+        self._cells = {
+            self._encoded_names[name]: (index, cql_type.span)
+            for index, (name, cql_type) in enumerate(columns)
+        }
+        self._zoned = tuple(not isinstance(t, SetType) for _, t in columns)
 
     # -- row codec bridge ---------------------------------------------
-    def split_cells(self, encoded: bytes) -> List[Tuple[str, bytes, bytes]]:
-        """Split an encoded row into ``(name, ts8, raw_value)`` cells in
-        stored order.  Raises KeyError for columns outside the schema
-        (the builder then falls back to a row-major block)."""
-        cells = []
-        count, offset = decode_varint(encoded, 0)
-        for _ in range(count):
-            name, offset = decode_text(encoded, offset)
-            ts = bytes(encoded[offset:offset + 8])
-            offset += 8
-            cql_type = self._types.get(name)
-            if cql_type is None:
-                raise KeyError(f"cell for unknown column {name!r}")
-            _, end = cql_type.decode(encoded, offset)
-            cells.append((name, ts, bytes(encoded[offset:end])))
-            offset = end
-        return cells
-
     def decode_value(self, name: str, raw: bytes):
         value, _ = self._types[name].decode(raw, 0)
         return value
@@ -132,86 +127,132 @@ class ColumnarCodec:
     def encoded_name(self, name: str) -> bytes:
         return self._encoded_names[name]
 
-    def zone_eligible(self, name: str) -> bool:
-        cql_type = self._types.get(name)
-        return cql_type is not None and not isinstance(cql_type, SetType)
-
     # -- block encode --------------------------------------------------
-    def encode_block(self, items: Sequence[Tuple[object, bytes]]):
-        """Transcode sorted ``(key, encoded_row)`` entries into one
-        columnar payload.
+    def zone_memo(self) -> List[Dict[bytes, object]]:
+        """A fresh per-column ``raw -> value`` memo for one SSTable
+        build: zone entries decode each distinct value once per build,
+        not once per block it recurs in."""
+        return [{} for _ in self.column_names]
+
+    def encode_block(
+        self,
+        encoded_keys: Sequence[bytes],
+        rows: Sequence[bytes],
+        decoded: List[Dict[bytes, object]],
+    ):
+        """Transpose sorted entries (``encode_key`` bytes beside encoded
+        rows) into one columnar payload; ``decoded`` is the build's
+        :meth:`zone_memo`.
+
+        One pass over the row bytes: each cell's encoded name is looked
+        up in the name table, its value is skipped with the type's
+        ``span``, and the timestamp and raw value slices go straight
+        onto that column's vectors.  No name or value is decoded; only
+        zone entries decode, once per distinct value.
 
         Returns ``(payload, zones, dict_chunks, plain_chunks)`` where
         ``zones`` maps zone-eligible column names to their
-        ``(lo, hi, distinct)`` entries for this block.
+        ``(lo, hi, distinct)`` entries for this block.  Raises
+        BlockRefused for a row naming a column outside the schema or
+        repeating one (the directory could not list its cells exactly).
         """
-        rows_cells = [self.split_cells(row) for _, row in items]
-        present = {name for cells in rows_cells for name, _, _ in cells}
-        names = sorted(present, key=lambda name: self._order[name])
-        index_of = {name: i for i, name in enumerate(names)}
+        n_columns = len(self.column_names)
+        ts_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
+        raw_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
+        orders: List[Tuple[int, ...]] = []
+        lookup = self._cells.get
+        for row in rows:
+            count = row[0]
+            if count < 0x80:  # counts are non-negative: zigzag is << 1
+                count >>= 1
+                offset = 1
+            else:
+                count, offset = decode_varint(row, 0)
+            order = []
+            for _ in range(count):
+                length = row[offset]
+                if length < 0x80:
+                    name_end = offset + 1 + (length >> 1)
+                else:
+                    length, name_end = decode_varint(row, offset)
+                    name_end += length
+                cell = lookup(row[offset:name_end])
+                if cell is None:
+                    raise BlockRefused(
+                        f"cell for unknown column {row[offset:name_end]!r}"
+                    )
+                index, span = cell
+                value_at = name_end + 8
+                offset = span(row, value_at)
+                ts_cols[index].append(row[name_end:value_at])
+                raw_cols[index].append(row[value_at:offset])
+                order.append(index)
+            orders.append(tuple(order))
 
-        parts = [encode_varint(len(items))]
-        for (key, _), cells in zip(items, rows_cells):
-            parts.append(encode_key(key))
-            parts.append(encode_varint(len(cells)))
-            for name, _, _ in cells:
-                parts.append(encode_varint(index_of[name]))
+        present = [index for index in range(n_columns) if raw_cols[index]]
+        slot_bytes: List[bytes] = [b""] * n_columns
+        for slot, index in enumerate(present):
+            slot_bytes[index] = encode_varint(slot)
+        parts = [encode_varint(len(rows))]
+        # Rows written by one statement share a cell order: build (and
+        # vet) each distinct directory entry once.
+        directory: Dict[Tuple[int, ...], bytes] = {}
+        for key_bytes, order in zip(encoded_keys, orders):
+            entry = directory.get(order)
+            if entry is None:
+                if len(set(order)) != len(order):
+                    raise BlockRefused("row repeats a column")
+                entry = directory[order] = encode_varint(len(order)) + b"".join(
+                    [slot_bytes[index] for index in order]
+                )
+            parts.append(key_bytes)
+            parts.append(entry)
 
-        parts.append(encode_varint(len(names)))
+        parts.append(encode_varint(len(present)))
         dict_chunks = 0
         zones: Dict[str, tuple] = {}
-        for name in names:
-            timestamps: List[bytes] = []
-            values: List[bytes] = []
-            for cells in rows_cells:
-                for cell_name, ts, raw in cells:
-                    if cell_name == name:
-                        timestamps.append(ts)
-                        values.append(raw)
-                        break
-            distinct_index: Dict[bytes, int] = {}
-            distinct_order: List[bytes] = []
-            for raw in values:
-                if raw not in distinct_index:
-                    distinct_index[raw] = len(distinct_order)
-                    distinct_order.append(raw)
+        for index in present:
+            name = self.column_names[index]
+            values = raw_cols[index]
+            distinct = dict.fromkeys(values)  # first-occurrence order
             use_dict = (
                 len(values) >= DICT_MIN_ROWS
-                and len(distinct_order) <= len(values) // DICT_MAX_RATIO
+                and len(distinct) <= len(values) // DICT_MAX_RATIO
             )
-            parts.append(encode_text(name))
+            parts.append(self._encoded_names[name])
             parts.append(b"\x01" if use_dict else b"\x00")
-            parts.extend(timestamps)
-            if use_dict:
-                dict_chunks += 1
-                parts.append(encode_bytes_vector(distinct_order))
-                parts.extend(encode_varint(distinct_index[raw]) for raw in values)
-            else:
-                parts.extend(encode_bytes(raw) for raw in values)
-            if self.zone_eligible(name):
-                zone = self._zone_entry(name, distinct_order)
+            parts.extend(ts_cols[index])
+            if self._zoned[index]:
+                zone = self._zone_entry(name, distinct, decoded[index])
                 if zone is not None:
                     zones[name] = zone
+            if use_dict:
+                dict_chunks += 1
+                parts.append(encode_bytes_vector(distinct))
+                for slot, raw in enumerate(distinct):
+                    distinct[raw] = encode_varint(slot)
+                parts.extend(map(distinct.__getitem__, values))
+            else:
+                parts.extend(map(encode_bytes, values))
         # Columns wholly absent from the block are exactly representable
         # too: an all-NULL zone entry lets equality predicates skip it.
-        for name in self.column_names:
-            if name not in index_of and self.zone_eligible(name):
+        for index, name in enumerate(self.column_names):
+            if not raw_cols[index] and self._zoned[index]:
                 zones[name] = (None, None, frozenset())
-        return b"".join(parts), zones, dict_chunks, len(names) - dict_chunks
+        return b"".join(parts), zones, dict_chunks, len(present) - dict_chunks
 
-    def _zone_entry(self, name: str, distinct_raw: Sequence[bytes]):
-        if not distinct_raw:
-            return (None, None, frozenset())
-        values = [self.decode_value(name, raw) for raw in distinct_raw]
-        for value in values:
-            if isinstance(value, float) and value != value:
+    def _zone_entry(self, name: str, distinct_raw, memo: Dict[bytes, object]):
+        decode = self._types[name].decode
+        values = []
+        for raw in distinct_raw:
+            value = memo.get(raw)
+            if value is None:  # no type decodes to None
+                value = memo[raw] = decode(raw, 0)[0]
+            if value != value:
                 return None  # NaN poisons ordering: no zone map
-        try:
-            lo, hi = min(values), max(values)
-        except TypeError:
-            return None
+            values.append(value)
         distinct = frozenset(values) if len(values) <= ZONE_DISTINCT_MAX else None
-        return (lo, hi, distinct)
+        return (min(values), max(values), distinct)
 
     # -- block decode --------------------------------------------------
     def decode_block(self, payload: bytes) -> "ColumnVectors":

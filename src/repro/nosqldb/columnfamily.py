@@ -86,6 +86,16 @@ class ColumnFamilyStats(NamedTuple):
     blocks_skipped: int = 0     # lifetime zone-map block skips
     dict_hit_ratio: float = 0.0  # dictionary-encoded share of column chunks
     shards: int = 1             # consistent-hash shard count
+    fallback_blocks: int = 0    # row-major blocks a columnar table had to write
+
+
+def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
+    """Record what a flush or compaction wrote: total blocks, how many
+    are columnar, and how many a columnar table had to store row-major."""
+    stats = [sstable.stats() for sstable in sstables]
+    span.set("blocks", sum(s.blocks for s in stats))
+    span.set("columnar_blocks", sum(s.columnar_blocks for s in stats))
+    span.set("fallback_blocks", sum(s.fallback_blocks for s in stats))
 
 
 class Column:
@@ -571,9 +581,10 @@ class ColumnFamily:
                 "nosqldb.flush", table=self.name, memtables=len(shard.pending)
             ) as span:
                 flushed_rows = 0
+                built = []
                 for memtable in shard.pending:
                     flushed_rows += len(memtable)
-                    shard.sstables.append(
+                    built.append(
                         SSTable(
                             memtable.sorted_items(),
                             compressed=self.compression,
@@ -584,9 +595,11 @@ class ColumnFamily:
                             codec=self._codec,
                         )
                     )
+                shard.sstables.extend(built)
                 _M_FLUSHES.inc(len(shard.pending))
                 _M_FLUSHED_ROWS.inc(flushed_rows)
                 span.set("rows", flushed_rows)
+                _set_block_counts(span, built)
                 if self.shard_count > 1:
                     span.set("shard", shard.shard_id)
                 shard.pending.clear()
@@ -598,7 +611,7 @@ class ColumnFamily:
             return
         with get_tracer().span(
             "nosqldb.compaction", table=self.name, inputs=len(shard.sstables)
-        ):
+        ) as span:
             shard.sstables = [
                 compact(
                     shard.sstables,
@@ -610,6 +623,7 @@ class ColumnFamily:
                 )
             ]
             _M_COMPACTIONS.inc()
+            _set_block_counts(span, shard.sstables)
 
     def compact(self) -> None:
         """Flush, then major-compact every shard down to one SSTable.
@@ -1002,12 +1016,14 @@ class ColumnFamily:
     def stats(self) -> ColumnFamilyStats:
         """A read-only structural + cache snapshot (no block reads)."""
         columnar_blocks = 0
+        fallback_blocks = 0
         blocks_skipped = 0
         dict_chunks = 0
         plain_chunks = 0
         for sstable in self._sstables:
             table_stats = sstable.stats()
             columnar_blocks += table_stats.columnar_blocks
+            fallback_blocks += table_stats.fallback_blocks
             blocks_skipped += table_stats.blocks_skipped
             dict_chunks += table_stats.dict_chunks
             plain_chunks += table_stats.plain_chunks
@@ -1026,6 +1042,7 @@ class ColumnFamily:
             blocks_skipped=blocks_skipped,
             dict_hit_ratio=dict_chunks / chunks if chunks else 0.0,
             shards=self.shard_count,
+            fallback_blocks=fallback_blocks,
         )
 
     def __repr__(self) -> str:

@@ -46,6 +46,7 @@ from repro.query import (
     condition_desc,
     count_partial,
     null_safe_key,
+    reject_repeated_columns,
     table_guard,
 )
 
@@ -88,6 +89,7 @@ def insert_template(
     """
     if not isinstance(statement, ast.Insert):
         return None
+    reject_repeated_columns(statement.columns, InvalidRequest)
     keyspace_name = statement.ref.keyspace or current_keyspace
     if keyspace_name is None:
         return None
@@ -368,6 +370,7 @@ class _Executor:
 
     # -- DML ----------------------------------------------------------------------
     def _insert(self, stmt: ast.Insert):
+        reject_repeated_columns(stmt.columns, InvalidRequest)
         table = self._table(stmt.ref)
         row = {}
         for column, value in zip(stmt.columns, stmt.values):

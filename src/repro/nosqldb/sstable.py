@@ -23,12 +23,14 @@ import itertools
 import zlib
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.analysis.flags import checks_enabled
 from repro.nosqldb.cache import BlockCache
 from repro.nosqldb.columnar import (
     BLOCK_FORMAT_COLUMNAR,
     BLOCK_FORMAT_ROW,
     TAG_COLUMNAR,
     TAG_ROW,
+    BlockRefused,
     ColumnVectors,
     ColumnarCodec,
 )
@@ -47,6 +49,10 @@ _M_SSTABLE_ROWS = _REGISTRY.counter(
 _M_BLOCKS_SKIPPED = _REGISTRY.counter(
     "nosqldb_blocks_skipped_total",
     "SSTable blocks skipped via zone maps under pushed-down predicates",
+)
+_M_BLOCKS_FALLBACK = _REGISTRY.counter(
+    "nosqldb_blocks_fallback_total",
+    "row-major blocks written by a columnar table (rows the codec refused)",
 )
 
 #: Uncompressed block size target, bytes.  Small chunks with zlib level 1
@@ -101,9 +107,19 @@ class BloomFilter:
         for i in range(BLOOM_HASHES):
             yield (h1 + i * h2) % self._n_bits
 
-    def add(self, key) -> None:
-        for position in self._positions(key):
-            self._bits[position >> 3] |= 1 << (position & 7)
+    def add_all(self, keys) -> None:
+        """Set every key's bits; :meth:`_positions` inlined, since an
+        SSTable build adds all its keys at once."""
+        bits = self._bits
+        n_bits = self._n_bits
+        for key in keys:
+            mixed = (hash(key) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            probe = mixed >> 32
+            step = (mixed & 0xFFFFFFFF) | 1
+            for _ in range(BLOOM_HASHES):
+                position = probe % n_bits
+                bits[position >> 3] |= 1 << (position & 7)
+                probe += step
 
     def might_contain(self, key) -> bool:
         for position in self._positions(key):
@@ -133,6 +149,7 @@ class SSTableStats(NamedTuple):
     dict_chunks: int = 0                   # dictionary-encoded column chunks
     plain_chunks: int = 0                  # plain column chunks
     blocks_skipped: int = 0                # lifetime zone-map block skips
+    fallback_blocks: int = 0               # row-major blocks of a columnar table
 
     @property
     def rows_per_block(self) -> float:
@@ -157,7 +174,8 @@ class SSTable:
         "_block_keys", "_blocks", "_index_bytes", "_n_rows", "compressed",
         "_tombstones", "_bloom", "_path", "_offsets", "_uid", "_block_cache",
         "_handle", "_block_format", "_codec", "_zone_maps", "_block_rows",
-        "_n_columnar", "_dict_chunks", "_plain_chunks", "_blocks_skipped",
+        "_n_columnar", "_n_fallback", "_dict_chunks", "_plain_chunks",
+        "_blocks_skipped",
     )
 
     def __init__(
@@ -178,9 +196,10 @@ class SSTable:
         decoded blocks so repeated reads skip decompression; without one
         every read decodes its block from scratch.  ``block_format``
         selects the layout of newly written blocks; columnar needs a
-        :class:`~repro.nosqldb.columnar.ColumnarCodec` (blocks whose
-        rows the codec cannot split fall back to row-major, so a
-        columnar table is always buildable).
+        :class:`~repro.nosqldb.columnar.ColumnarCodec` (a block the
+        codec refuses is stored row-major, so a columnar table is always
+        buildable).  Under ``REPRO_CHECK=1`` every columnar block is
+        decoded and compared with its input rows before it is stored.
         """
         self.compressed = compressed
         self._block_keys: List[object] = []
@@ -198,12 +217,12 @@ class SSTable:
         self._zone_maps: List[Optional[Dict[str, tuple]]] = []
         self._block_rows: List[int] = []
         self._n_columnar = 0
+        self._n_fallback = 0
         self._dict_chunks = 0
         self._plain_chunks = 0
         self._blocks_skipped = 0
         self._bloom = BloomFilter(len(sorted_items))
-        for key, _ in sorted_items:
-            self._bloom.add(key)
+        self._bloom.add_all([key for key, _ in sorted_items])
         self._build(sorted_items)
         if path is not None:
             self._spill_to_disk()
@@ -257,53 +276,43 @@ class SSTable:
         # larger budget (column chunks, dictionaries and zone maps only
         # pay off across tens of rows).  Scans visit rows in the same
         # order either way — only the block grouping differs.
-        columnar = (
-            self._block_format == BLOCK_FORMAT_COLUMNAR and self._codec is not None
-        )
+        codec = self._codec
+        columnar = self._block_format == BLOCK_FORMAT_COLUMNAR and codec is not None
         budget = BLOCK_BYTES * COLUMNAR_BLOCK_FACTOR if columnar else BLOCK_BYTES
-        buffer = bytearray()
-        pending: List[Tuple[object, bytes]] = []
-        count = 0
-        first_key: Optional[object] = None
-        for key, row in sorted_items:
-            if first_key is None:
-                first_key = key
-            entry = encode_key(key) + encode_bytes(row)
-            buffer += encode_varint(len(entry)) + entry
-            count += 1
+        decoded = codec.zone_memo() if columnar else None
+        checked = columnar and checks_enabled()
+        if checked:
+            # Lazy: the checkers import this module.
+            from repro.analysis.sstable_check import check_sealed_block
+        for first_key, encoded_keys, rows in _cut_blocks(sorted_items, budget):
+            tag = TAG_ROW
+            payload = zones = None
             if columnar:
-                pending.append((key, row))
-            if len(buffer) >= budget:
-                self._seal_block(first_key, bytes(buffer), count, pending or None)
-                buffer.clear()
-                pending = []
-                count = 0
-                first_key = None
-        if buffer:
-            self._seal_block(first_key, bytes(buffer), count, pending or None)
-
-    def _seal_block(self, first_key, raw: bytes, n_rows: int, items=None) -> None:
-        tag = TAG_ROW
-        payload = raw
-        zones = None
-        if items is not None:
-            try:
-                payload, zones, dict_chunks, plain_chunks = (
-                    self._codec.encode_block(items)
-                )
-            except Exception:
-                payload, zones = raw, None  # unsplittable rows: keep row-major
-            else:
-                tag = TAG_COLUMNAR
-                self._n_columnar += 1
-                self._dict_chunks += dict_chunks
-                self._plain_chunks += plain_chunks
-        body = zlib.compress(payload, COMPRESSION_LEVEL) if self.compressed else payload
-        self._block_keys.append(first_key)
-        self._blocks.append(bytes((tag,)) + body)
-        self._zone_maps.append(zones)
-        self._block_rows.append(n_rows)
-        self._index_bytes += len(encode_key(first_key)) + 8  # key + offset
+                try:
+                    payload, zones, dict_chunks, plain_chunks = codec.encode_block(
+                        encoded_keys, rows, decoded
+                    )
+                except BlockRefused:
+                    self._n_fallback += 1
+                    _M_BLOCKS_FALLBACK.inc()
+                else:
+                    tag = TAG_COLUMNAR
+                    self._n_columnar += 1
+                    self._dict_chunks += dict_chunks
+                    self._plain_chunks += plain_chunks
+                    if checked:
+                        check_sealed_block(
+                            codec, payload, encoded_keys, rows,
+                            f"sstable/block[{len(self._blocks)}]",
+                        ).raise_if_violations()
+            if payload is None:
+                payload = _row_payload(encoded_keys, rows)
+            body = zlib.compress(payload, COMPRESSION_LEVEL) if self.compressed else payload
+            self._block_keys.append(first_key)
+            self._blocks.append(bytes((tag,)) + body)
+            self._zone_maps.append(zones)
+            self._block_rows.append(len(rows))
+            self._index_bytes += len(encoded_keys[0]) + 8  # key + offset
 
     # ------------------------------------------------------------------
     def _block_payload(self, index: int) -> Tuple[int, bytes]:
@@ -549,6 +558,7 @@ class SSTable:
             dict_chunks=self._dict_chunks,
             plain_chunks=self._plain_chunks,
             blocks_skipped=self._blocks_skipped,
+            fallback_blocks=self._n_fallback,
         )
 
     def __repr__(self) -> str:
@@ -557,6 +567,42 @@ class SSTable:
             f"SSTable(rows={self._n_rows}, blocks={len(self._block_keys)}, "
             f"format={self._block_format}, compressed={self.compressed}, {where})"
         )
+
+
+def _cut_blocks(sorted_items, budget: int):
+    """Cut sorted entries into blocks of ``budget`` row-major entry
+    bytes, yielding ``(first_key, encoded_keys, rows)``.  A block's size
+    is counted from the entry lengths — the row-major bytes themselves
+    are only ever assembled by :func:`_row_payload`."""
+    encoded_keys: List[bytes] = []
+    rows: List[bytes] = []
+    size = 0
+    first_key = None
+    for key, row in sorted_items:
+        if not rows:
+            first_key = key
+        key_bytes = encode_key(key)
+        entry_len = len(key_bytes) + len(encode_varint(len(row))) + len(row)
+        size += len(encode_varint(entry_len)) + entry_len
+        encoded_keys.append(key_bytes)
+        rows.append(row)
+        if size >= budget:
+            yield first_key, encoded_keys, rows
+            encoded_keys = []
+            rows = []
+            size = 0
+    if rows:
+        yield first_key, encoded_keys, rows
+
+
+def _row_payload(encoded_keys: Sequence[bytes], rows: Sequence[bytes]) -> bytes:
+    """The row-major block payload: length-prefixed ``key · row`` entries."""
+    parts = []
+    for key_bytes, row in zip(encoded_keys, rows):
+        entry = key_bytes + encode_bytes(row)
+        parts.append(encode_varint(len(entry)))
+        parts.append(entry)
+    return b"".join(parts)
 
 
 def _row_entries(payload: bytes) -> Iterator[Tuple[object, bytes]]:

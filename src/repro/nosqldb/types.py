@@ -43,6 +43,12 @@ class CQLType:
     def decode(self, buffer, offset: int) -> Tuple[object, int]:
         raise NotImplementedError
 
+    def span(self, buffer, offset: int) -> int:
+        """End offset of the value encoded at ``offset``: exactly
+        ``decode(buffer, offset)[1]``, found without building the value
+        (the flush path slices raw cells with it)."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         return f"<cql {self.name}>"
 
@@ -72,6 +78,11 @@ class IntType(CQLType):
     def decode(self, buffer, offset: int):
         return decode_varint(buffer, offset)
 
+    def span(self, buffer, offset: int) -> int:
+        while buffer[offset] & 0x80:  # varint continuation bits
+            offset += 1
+        return offset + 1
+
 
 class BigIntType(IntType):
     name = "bigint"
@@ -96,6 +107,13 @@ class TextType(CQLType):
     def decode(self, buffer, offset: int):
         return decode_text(buffer, offset)
 
+    def span(self, buffer, offset: int) -> int:
+        length = buffer[offset]
+        if length < 0x80:  # lengths are non-negative: zigzag is << 1
+            return offset + 1 + (length >> 1)
+        length, offset = decode_varint(buffer, offset)
+        return offset + length
+
 
 class BooleanType(CQLType):
     name = "boolean"
@@ -116,6 +134,9 @@ class BooleanType(CQLType):
     def decode(self, buffer, offset: int):
         return decode_bool(buffer, offset)
 
+    def span(self, buffer, offset: int) -> int:
+        return offset + 1
+
 
 class DoubleType(CQLType):
     name = "double"
@@ -130,6 +151,9 @@ class DoubleType(CQLType):
 
     def decode(self, buffer, offset: int):
         return decode_float(buffer, offset)
+
+    def span(self, buffer, offset: int) -> int:
+        return offset + 8
 
 
 class SetType(CQLType):
@@ -159,6 +183,13 @@ class SetType(CQLType):
             item, offset = self.element.decode(buffer, offset)
             items.add(item)
         return items, offset
+
+    def span(self, buffer, offset: int) -> int:
+        count, offset = decode_varint(buffer, offset)
+        element_span = self.element.span
+        for _ in range(count):
+            offset = element_span(buffer, offset)
+        return offset
 
 
 _SCALARS = {

@@ -69,7 +69,13 @@ from repro.query.pushdown import (
     PushedPredicate,
 )
 from repro.query.result import ResultSet
-from repro.query.session import Dialect, InsertTemplate, PreparedStatement, Session
+from repro.query.session import (
+    Dialect,
+    InsertTemplate,
+    PreparedStatement,
+    Session,
+    reject_repeated_columns,
+)
 
 __all__ = [
     "ACCESS_INDEX",
@@ -126,6 +132,7 @@ __all__ = [
     "evaluate_aggregate",
     "line_and_column",
     "null_safe_key",
+    "reject_repeated_columns",
     "syntax_error_message",
     "table_guard",
 ]

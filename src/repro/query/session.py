@@ -90,6 +90,19 @@ class InsertTemplate:
         self.guards = guards
 
 
+def reject_repeated_columns(columns: Sequence[str], error: type) -> None:
+    """Refuse an INSERT column list that names a column twice (a row
+    holds one value per column; Cassandra and MySQL both reject it).
+
+    Raises ``error``, the dialect's invalid-statement exception class.
+    """
+    seen = set()
+    for name in columns:
+        if name in seen:
+            raise error(f"INSERT names column {name!r} more than once")
+        seen.add(name)
+
+
 class Session:
     """A connection to one engine with an optional current namespace.
 

@@ -48,6 +48,7 @@ from repro.query import (
     count_partial,
     evaluate_aggregate,
     null_safe_key,
+    reject_repeated_columns,
     table_guard,
 )
 from repro.sqldb.errors import ProgrammingError
@@ -87,6 +88,7 @@ def insert_template(
     """
     if not isinstance(statement, ast.Insert) or len(statement.rows) != 1:
         return None
+    reject_repeated_columns(statement.columns, ProgrammingError)
     database_name = statement.source.database or current_database
     if database_name is None:
         return None
@@ -604,6 +606,7 @@ class _Executor:
 
     # -- DML ----------------------------------------------------------------------
     def _insert(self, stmt: ast.Insert):
+        reject_repeated_columns(stmt.columns, ProgrammingError)
         table = self._table(stmt.source)
         count = 0
         for values in stmt.rows:

@@ -25,6 +25,7 @@ from repro.nosqldb.errors import InvalidRequest
 from repro.nosqldb.sstable import SSTable, compact
 from repro.nosqldb.types import parse_type
 from repro.query.pushdown import PushedCondition, PushedPredicate
+from repro.storage.btree import encode_key
 
 
 def make_cf(block_format, **kwargs) -> ColumnFamily:
@@ -107,7 +108,9 @@ def test_codec_block_roundtrip_is_exact(rows):
         vectors = codec.decode_block(payload)
         keys, encoded_rows = vectors.all_rows()
         # decode -> rematerialize -> re-encode reproduces the payload
-        reencoded, zones, _, _ = codec.encode_block(list(zip(keys, encoded_rows)))
+        reencoded, zones, _, _ = codec.encode_block(
+            [encode_key(key) for key in keys], encoded_rows, codec.zone_memo()
+        )
         assert reencoded == payload
         assert zones == table._zone_maps[index]
 

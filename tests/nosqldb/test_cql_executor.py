@@ -178,6 +178,29 @@ class TestPreparedStatements:
             session.execute_many(p, [(None, "x")])
 
 
+class TestRepeatedInsertColumn:
+    """A bound row with two cells for one column used to flush into a
+    columnar block no read could decode; the statement is now refused
+    where it is resolved, on every path."""
+
+    def test_prepared_bulk_insert_rejected(self, session):
+        p = session.prepare(
+            "INSERT INTO cells (id, measure, measure) VALUES (?, ?, ?)"
+        )
+        with pytest.raises(InvalidRequest, match="'measure' more than once"):
+            session.execute_many(p, [(2, 5, 6)])
+        table = session.engine.keyspace("ks").table("cells")
+        table.flush()
+        assert list(table.scan()) == []
+
+    def test_generic_insert_rejected(self, session):
+        with pytest.raises(InvalidRequest, match="more than once"):
+            session.execute("INSERT INTO cells (id, key, key) VALUES (1, 'a', 'b')")
+        p = session.prepare("INSERT INTO cells (id, key, key) VALUES (?, ?, ?)")
+        with pytest.raises(InvalidRequest, match="more than once"):
+            session.execute_prepared(p, (1, "a", "b"))
+
+
 class TestKeyspaceAccounting:
     def test_size_bytes_grows(self, session):
         before = session.engine.keyspace("ks").size_bytes

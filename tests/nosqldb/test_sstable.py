@@ -94,14 +94,12 @@ class TestCompact:
 class TestBloomFilter:
     def test_no_false_negatives(self):
         bloom = BloomFilter(1000)
-        for key in range(1000):
-            bloom.add(key)
+        bloom.add_all(range(1000))
         assert all(bloom.might_contain(key) for key in range(1000))
 
     def test_mostly_rejects_absent(self):
         bloom = BloomFilter(1000)
-        for key in range(1000):
-            bloom.add(key)
+        bloom.add_all(range(1000))
         false_positives = sum(
             1 for key in range(10_000, 20_000) if bloom.might_contain(key)
         )

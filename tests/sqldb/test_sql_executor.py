@@ -172,6 +172,15 @@ class TestDML:
         assert session.execute_many(p, ((i, False) for i in range(100, 110))) == 10
         assert session.execute("SELECT COUNT(*) FROM NODE").one()["count"] == 10
 
+    def test_repeated_insert_column_rejected(self, session):
+        # used to keep the last value silently; MySQL refuses the statement
+        with pytest.raises(ProgrammingError, match="'root' more than once"):
+            session.execute("INSERT INTO NODE (id, root, root) VALUES (1, TRUE, FALSE)")
+        p = session.prepare("INSERT INTO NODE (id, root, root) VALUES (?, ?, ?)")
+        with pytest.raises(ProgrammingError, match="more than once"):
+            session.execute_many(p, [(1, True, False)])
+        assert session.execute("SELECT COUNT(*) FROM NODE").one()["count"] == 0
+
     def test_prepared_params(self, session):
         fill(session)
         row = session.execute("SELECT * FROM CELL WHERE id = ?", (2,)).one()

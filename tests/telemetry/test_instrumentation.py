@@ -100,3 +100,37 @@ class TestEtlSpans:
         assert "etl.extract" in names and "etl.parse" in names
         assert registry.value("etl_facts_total") == len(facts)
         assert registry.value("etl_documents_total") == len(documents)
+
+
+class TestBlockFormatCounts:
+    """Flush and compaction spans say what they wrote, including the
+    row-major blocks a columnar table fell back to."""
+
+    def test_flush_and_compaction_report_fallback_blocks(self, live_telemetry):
+        from repro.nosqldb.columnfamily import Column, ColumnFamily
+        from repro.nosqldb.types import parse_type
+
+        registry, tracer = live_telemetry
+        cf = ColumnFamily(
+            "t", [Column("id", parse_type("int")), Column("m", parse_type("int"))],
+            "id", block_format="columnar",
+        )
+        m = cf.column("m")
+        cf.insert({"id": 1, "m": 1})
+        cf.flush()
+        cf.insert_bound_many([(2, [(cf.column("id"), 2), (m, 5), (m, 6)])])
+        cf.flush()
+        cf.compact()
+
+        def counts(name):
+            return [
+                tuple(span.attrs[key] for key in ("blocks", "columnar_blocks", "fallback_blocks"))
+                for span in tracer.roots if span.name == name
+            ]
+
+        assert counts("nosqldb.flush") == [(1, 1, 0), (1, 0, 1)]
+        # compaction re-encodes both rows into one block: refused again
+        assert counts("nosqldb.compaction") == [(1, 0, 1)]
+        assert registry.value("nosqldb_blocks_fallback_total") == 2
+        assert cf.stats().fallback_blocks == 1
+        assert cf.get(2)["m"] == 6
