@@ -161,7 +161,9 @@ def _build_nosql_cell_match(mapper) -> Plan:
         table, lambda params: params[0], "dwarf_cell", "id",
         cache_probe=lambda: table.block_cache_hits,
     )
-    match = Filter(fetch, lambda row, params: row["key"] == params[1], "key = ?1")
+    match = Filter(
+        fetch, PushedCondition("key", "=", lambda params: params[1], "key = ?1")
+    )
     return Plan(match, guards=guards)
 
 
@@ -209,23 +211,16 @@ def _build_nosql_cube_scan_keys(mapper) -> Plan:
 def _build_nosql_cube_count(mapper) -> Plan:
     """NoSQL-DWARF: count one stored cube's cells, ``Aggregate(FullScan)``.
 
-    The ``schema_id = ?0`` pushdown skips zone-refuted columnar blocks,
-    and the count partial lets a sharded family answer from per-shard
-    ``count_shard`` calls — no cell row is ever materialised on the
-    all-flushed fast path (docs/parallel_query.md).
+    The ``schema_id = ?0`` pushdown skips zone-refuted columnar blocks
+    and the count sums the surviving selections — no cell row is ever
+    materialised (docs/query_kernel.md).
     """
     table, guards = _guarded_table(mapper, "dwarf_cell")
     pushed = PushedPredicate(
         (PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),)
     )
     scan = FullScan(table, "dwarf_cell", pushed=pushed)
-    count = Aggregate(
-        scan,
-        lambda rows, params: [{"count": len(rows)}],
-        "count(*)",
-        partial=count_partial(),
-    )
-    return Plan(count, guards=guards)
+    return Plan(Aggregate(scan, count_partial(), "count(*)"), guards=guards)
 
 
 def stored_cell_count(mapper, schema_id: int) -> int:
@@ -267,7 +262,10 @@ def _build_mysql_cell_match(mapper) -> Plan:
     """MySQL-DWARF: the per-level cell match, ``MultiGet → Filter``."""
     table, guards = _guarded_table(mapper, "CELL")
     fetch = MultiGet(table, lambda params: params[0], "CELL", "id")
-    match = Filter(fetch, lambda row, params: row["cell_key"] == params[1], "cell_key = ?1")
+    match = Filter(
+        fetch,
+        PushedCondition("cell_key", "=", lambda params: params[1], "cell_key = ?1"),
+    )
     return Plan(match, guards=guards)
 
 
@@ -780,6 +778,14 @@ def _stored_select_impl(
         yield coords, merged[coords]
 
 
+#: The cell columns a :func:`stored_select` walk reads, fetched through
+#: the plans' column exit and zipped into one tuple per cell — ids are
+#: unique, so sorting the tuples orders cells by id.
+_CELL_COLUMNS = ("id", "key", "measure", "pointerNode", "parentNode")
+_KEY = 1
+_PARENT = 4
+
+
 def _select_one(
     mapper: NoSQLDwarfMapper,
     schema_id: int,
@@ -813,17 +819,17 @@ def _select_one(
             plan = _kernel_plan(
                 mapper, "nosql_dwarf:cube_scan_keys", _build_nosql_cube_scan_keys
             )
-            fetched = plan.run((schema_id, sorted(wanted)))
+            params = (schema_id, sorted(wanted))
         else:
             plan = _kernel_plan(mapper, "nosql_dwarf:cube_scan", _build_nosql_cube_scan)
-            fetched = plan.run((schema_id,))
-        by_parent: Dict[int, List[dict]] = {}
-        for row in fetched:
-            by_parent.setdefault(row["parentNode"], []).append(row)
-        for siblings in by_parent.values():
-            siblings.sort(key=lambda row: row["id"])
+            params = (schema_id,)
+        by_parent: Dict[int, List[tuple]] = {}
+        # One sort by id (the tuples' first, unique field) orders every
+        # sibling group at once.
+        for cell in sorted(zip(*plan.columns(_CELL_COLUMNS, params))):
+            by_parent.setdefault(cell[_PARENT], []).append(cell)
 
-        def cells_of(node_id: int) -> List[dict]:
+        def cells_of(node_id: int) -> List[tuple]:
             return by_parent.get(node_id, [])
 
     else:
@@ -832,27 +838,27 @@ def _select_one(
         )
         cells_plan = _kernel_plan(mapper, "nosql_dwarf:cells", _build_nosql_cells)
 
-        def cells_of(node_id: int) -> List[dict]:
+        def cells_of(node_id: int) -> List[tuple]:
             node_row = session.execute_prepared(node_statement, (node_id,)).one()
             if node_row is None:
                 raise MappingError(f"stored node {node_id} missing")
             cell_ids = sorted(node_row["childrenIds"] or ())
-            return cells_plan.run((cell_ids,))
+            return list(zip(*cells_plan.columns(_CELL_COLUMNS, (cell_ids,))))
 
-    def matching(constraint, cells: List[dict]) -> List[dict]:
-        ordinary = [c for c in cells if c["key"] != ALL_KEY_TEXT]
+    def matching(constraint, cells: List[tuple]) -> List[tuple]:
+        ordinary = [c for c in cells if c[_KEY] != ALL_KEY_TEXT]
         if isinstance(constraint, All):
-            return [c for c in cells if c["key"] == ALL_KEY_TEXT]
+            return [c for c in cells if c[_KEY] == ALL_KEY_TEXT]
         if isinstance(constraint, Member):
             wanted = encode_member(constraint.key)
-            return [c for c in ordinary if c["key"] == wanted]
+            return [c for c in ordinary if c[_KEY] == wanted]
         if isinstance(constraint, In):
             wanted = {encode_member(k) for k in constraint.keys}
-            return [c for c in ordinary if c["key"] in wanted]
+            return [c for c in ordinary if c[_KEY] in wanted]
         if isinstance(constraint, Range):
             inside = []
             for cell in ordinary:
-                member = decode_member(cell["key"])
+                member = decode_member(cell[_KEY])
                 try:
                     if constraint.lo <= member <= constraint.hi:
                         inside.append(cell)
@@ -868,14 +874,11 @@ def _select_one(
             return
         constraint = per_level[level]
         grouped = constraint.grouped
-        for cell in matching(constraint, cells_of(node_id)):
-            if grouped:
-                next_coords = coords + (decode_member(cell["key"]),)
-            else:
-                next_coords = coords
+        for _, key, measure, pointer, _ in matching(constraint, cells_of(node_id)):
+            next_coords = coords + (decode_member(key),) if grouped else coords
             if level == n_dims - 1:
-                yield next_coords, cell["measure"]
+                yield next_coords, measure
             else:
-                yield from walk(cell["pointerNode"], level + 1, next_coords)
+                yield from walk(pointer, level + 1, next_coords)
 
     yield from walk(info.entry_node_id, 0, ())

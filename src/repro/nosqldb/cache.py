@@ -139,6 +139,12 @@ class _LRUBytes:
     def enabled(self) -> bool:
         return self._capacity > 0
 
+    @property
+    def hits(self) -> int:
+        """Cumulative hit count — a plain read (plan leaves probe it
+        around every call; :meth:`stats` builds a whole snapshot)."""
+        return self._hits
+
     def _get(self, key, default=None):
         entry = self._entries.get(key)
         if entry is None:

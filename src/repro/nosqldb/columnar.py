@@ -7,7 +7,9 @@ columnar alternative sketched in *Columnar Formats for Schemaless
 LSM-based Document Stores*: within one block, cell values are
 regrouped into per-column vectors so a pushed-down predicate touches
 only the vectors it reads, whole blocks are skipped via per-column
-zone maps, and surviving rows are materialized late.
+zone maps, and a scan hands the block upward as a column batch
+(:meth:`SSTable.scan_batches`) — rows are built from the typed vectors
+once, at the end of the statement, for the columns it returns.
 
 The layout is exact — no information is dropped.  A columnar block
 records, per row, the original cell *order* (Cassandra writes cells in
@@ -413,7 +415,7 @@ class ColumnVectors:
 
     __slots__ = (
         "codec", "keys", "names", "orders", "_payload", "_present",
-        "_ts_offsets", "_ts", "_raw", "_typed", "_val_memo", "_rows",
+        "_ts_offsets", "_ts", "_raw", "_typed", "_rows",
         "nbytes",
     )
 
@@ -431,7 +433,6 @@ class ColumnVectors:
         self._ts: Dict[int, List[Optional[bytes]]] = {}
         self._raw = raw_cols
         self._typed: Dict[str, List] = {}
-        self._val_memo: Dict[Tuple[int, bytes], object] = {}
         self._rows: Optional[List[bytes]] = None
         self.nbytes = len(payload) + 16 * len(keys)  # payload + directory
 
@@ -466,41 +467,6 @@ class ColumnVectors:
                     append(value)
             self._typed[name] = vector
         return vector
-
-    def decoded_row(self, i: int) -> Dict[str, object]:
-        """Row ``i`` as the same dict ``ColumnFamily.decode_row`` would
-        produce from the materialized bytes (every schema column, None
-        where absent).  Decodes the row's own cells directly from the
-        raw vectors — late materialization never forces whole-column
-        decode of columns the predicate didn't touch."""
-        row = dict.fromkeys(self.codec.column_names)
-        names = self.names
-        raw_cols = self._raw
-        memo = self._val_memo
-        decode = self.codec.decode_value
-        for col_index in self.orders[i]:
-            raw = raw_cols[col_index][i]
-            memo_key = (col_index, raw)
-            value = memo.get(memo_key)
-            if value is None and memo_key not in memo:
-                value = decode(names[col_index], raw)
-                memo[memo_key] = value
-            row[names[col_index]] = value
-        return row
-
-    def rows_at(self, indices: List[int]) -> List[Dict[str, object]]:
-        """Decoded row dicts for the given row indexes (ascending).
-
-        Sparse hits decode cell-by-cell via :meth:`decoded_row`; dense
-        hits (a meaningful fraction of the block surviving a predicate)
-        switch to column-at-a-time decoding through the memoized
-        :meth:`typed` vectors, which pays each column's decode once per
-        block instead of once per surviving row.
-        """
-        if len(indices) * 4 < len(self.keys):
-            return [self.decoded_row(i) for i in indices]
-        pairs = [(name, self.typed(name)) for name in self.codec.column_names]
-        return [{name: vec[i] for name, vec in pairs} for i in indices]
 
     def _ts_vec(self, col_index: int) -> List[Optional[bytes]]:
         """Timestamps of column ``col_index`` sliced out of the payload

@@ -40,6 +40,7 @@ from repro.nosqldb.memtable import Memtable
 from repro.nosqldb.sharding import HashRing, resolve_shards
 from repro.nosqldb.sstable import SSTable, compact
 from repro.nosqldb.types import CQLType, SetType
+from repro.query.batch import Batch, RowBatch
 from repro.storage.btree import BTree
 from repro.storage.encoding import decode_text, encode_text
 from repro.storage.varint import decode_varint, encode_varint
@@ -87,6 +88,16 @@ class ColumnFamilyStats(NamedTuple):
     dict_hit_ratio: float = 0.0  # dictionary-encoded share of column chunks
     shards: int = 1             # consistent-hash shard count
     fallback_blocks: int = 0    # row-major blocks a columnar table had to write
+
+
+def _overlaps(span, others) -> bool:
+    """Does the key range ``span`` intersect any of ``others`` (each a
+    ``(lo, hi)`` pair, or None for an empty layer)?"""
+    lo, hi = span
+    return any(
+        other is not None and lo <= other[1] and other[0] <= hi
+        for other in others
+    )
 
 
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
@@ -342,9 +353,9 @@ class ColumnFamily:
             raise InvalidRequest("secondary indexes on collections are not supported")
         index = SecondaryIndex(index_name, column)
         # Backfill from existing data.
-        for key, encoded in self._all_items():
-            row = self.decode_row(encoded)
-            index.add(row.get(column), key)
+        primary_key = self.primary_key
+        for row in self.scan():
+            index.add(row[column], row[primary_key])
         self._indexes[column] = index
         return index
 
@@ -369,7 +380,10 @@ class ColumnFamily:
         The query kernel probes this around each batched read to
         attribute cache-backed block fetches to the plan's access node.
         """
-        return sum(shard.block_cache.stats().hits for shard in self._shards)
+        hits = 0
+        for shard in self._shards:
+            hits += shard.block_cache.hits
+        return hits
 
     # ------------------------------------------------------------------
     # row codec (Cassandra 2.x storage format)
@@ -630,8 +644,7 @@ class ColumnFamily:
 
         Size-tiered compaction normally waits for ``COMPACTION_THRESHOLD``
         tables; this forces the steady state a long-lived stored cube
-        reaches anyway — one compacted table per shard, which is also the
-        shape :meth:`count_shard` needs for its no-materialize fast path.
+        reaches anyway — one compacted table per shard.
         """
         self.flush()
         for shard in self._shards:
@@ -684,21 +697,19 @@ class ColumnFamily:
         self._row_cache.invalidate(key)
 
     def rebuild_indexes(self) -> None:
-        """Rebuild every secondary index from the recovered data.
-
-        One decode per row feeds every index; previously each index
-        re-decoded (and re-decompressed) the whole table for itself.
-        """
+        """Rebuild every secondary index from the recovered data (one
+        scan feeds every index)."""
         if not self._indexes:
             return
         fresh = {
             column_name: SecondaryIndex(old.name, old.column)
             for column_name, old in self._indexes.items()
         }
-        for key, encoded in self._all_items():
-            row = self.decode_row(encoded)
+        primary_key = self.primary_key
+        for row in self.scan():
+            key = row[primary_key]
             for column_name, index in fresh.items():
-                index.add(row.get(column_name), key)
+                index.add(row[column_name], key)
         self._indexes = fresh
 
     # ------------------------------------------------------------------
@@ -845,139 +856,82 @@ class ColumnFamily:
             for encoded in self.get_many_encoded(keys)
         ]
 
-    def _shard_items(self, shard: _Shard) -> Iterator[Tuple[object, bytes]]:
-        """Every live ``(key, encoded_row)`` of one shard, newest version
-        wins.  Sealed memtables are layered between the active memtable
-        and the SSTables, so scanning never forces materialisation.  The
-        ring assigns each key to exactly one shard, so per-shard
-        ``seen``/``deleted`` sets implement the same LSM shadowing the
-        unsharded walk did."""
-        seen = set()
-        deleted = set()
-        for memtable in (shard.memtable, *reversed(shard.pending)):
-            for key, encoded in memtable:
-                if key in seen or key in deleted:
-                    continue
-                seen.add(key)
-                yield key, encoded
-            deleted |= set(memtable.tombstones)
-        for sstable in reversed(shard.sstables):
-            for key, encoded in sstable.items():
-                if key in seen or key in deleted:
-                    continue
-                seen.add(key)
-                yield key, encoded
-            deleted |= set(sstable.tombstones)
+    def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
+        """Every live row of one shard as column batches; with ``pushed``
+        (a bound predicate from :mod:`repro.query.pushdown`) each batch's
+        selection is already narrowed to the rows satisfying it.
 
-    def _all_items(self) -> Iterator[Tuple[object, bytes]]:
-        """Every live ``(key, encoded_row)`` across shards, in shard
-        order (identical to the historical order at one shard)."""
-        for shard in self._shards:
-            yield from self._shard_items(shard)
+        Layers are visited newest first — active memtable, sealed
+        memtables (searched in place: scanning never forces
+        materialisation), SSTables — and no row is built: memtable rows
+        leave as one lazily decoded batch per memtable, SSTables as one
+        batch per block (:meth:`SSTable.scan_batches`).
 
-    def scan_shard(self, shard_id: int, pushed=None) -> Iterator[Dict[str, object]]:
-        """Every live row of one shard; with ``pushed`` (a bound
-        predicate from :mod:`repro.query.pushdown`) only the rows
-        satisfying it.
-
-        The pushed path mirrors :meth:`_shard_items` layer for layer —
-        same visit order, same LSM shadowing — but filters *inside* each
-        layer: memtable rows are tested after decode, SSTables evaluate
-        the predicate on column vectors (columnar blocks) or row-wise,
-        and the shard's oldest SSTable layer may skip whole blocks via
-        zone maps (only there is a skipped key guaranteed not to shadow
-        an older version; shards are disjoint, so other shards' layers
-        never matter).  Predicate-failing keys in newer layers still
-        enter ``seen`` — an older, predicate-passing version of the same
-        key must stay hidden.
+        The ring assigns each key to exactly one shard, so LSM shadowing
+        is a per-shard matter.  It narrows a batch's selection by key
+        and is only tracked where it can happen: a layer checks the
+        ``seen`` keys when a *newer* layer's key range overlaps its own,
+        and records its keys (predicate-failing ones and tombstones
+        included — a newer failing version hides the older passing one)
+        when an *older* layer's does.  A single layer, or the disjoint
+        id ranges two stored cubes occupy, keep no ``seen`` set at all,
+        and only a layer that records nothing may skip its zone-refuted
+        blocks unread.
 
         Shard-local by construction: the kernel fans these out as
         scatter tasks, one per shard.
         """
         shard = self._shards[shard_id]
-        if pushed is None:
-            for _, encoded in self._shard_items(shard):
-                yield self.decode_row(encoded)
-            return
-        seen = set()
-        deleted = set()
-        for memtable in (shard.memtable, *reversed(shard.pending)):
-            for key, encoded in memtable:
-                if key in seen or key in deleted:
-                    continue
-                seen.add(key)
-                row = self.decode_row(encoded)
-                if pushed.matches(row):
-                    yield row
+        layers = [shard.memtable, *reversed(shard.pending), *reversed(shard.sstables)]
+        ranges = [layer.key_range() for layer in layers]
+        seen: set = set()
+        for position, (layer, span) in enumerate(zip(layers, ranges)):
+            if span is None:
+                continue
+            shadow = seen if _overlaps(span, ranges[:position]) else None
+            record = seen if _overlaps(span, ranges[position + 1:]) else None
+            if isinstance(layer, SSTable):
+                yield from layer.scan_batches(pushed, self.decode_row, shadow, record)
+            else:
+                if shadow:
+                    live = [row for key, row in layer if key not in shadow]
                 else:
-                    pushed.note_pruned(1)
-            deleted |= set(memtable.tombstones)
-        layers = list(reversed(shard.sstables))
-        for position, sstable in enumerate(layers):
-            allow_skip = position == len(layers) - 1
-            for key, row in sstable.scan_filtered(
-                pushed, allow_skip, self.decode_row
-            ):
-                if key in seen or key in deleted:
-                    continue
-                seen.add(key)
-                if row is not None:
-                    yield row
-            deleted |= set(sstable.tombstones)
+                    live = [row for _, row in layer]
+                if record is not None:
+                    record.update(key for key, _ in layer)
+                if live:
+                    batch = RowBatch(live, self.decode_row)
+                    if pushed is not None:
+                        pushed.narrow(batch)
+                    yield batch
+            if record is not None:
+                record.update(layer.tombstones)
+
+    def scan_shard(self, shard_id: int, pushed=None) -> Iterator[Dict[str, object]]:
+        """:meth:`scan_batches` as rows — a view for index rebuilds,
+        checkers and tests; queries consume the batches."""
+        for batch in self.scan_batches(shard_id, pushed):
+            yield from batch.rows()
 
     def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
         """Every live row; with ``pushed`` only the rows satisfying it.
 
         Shards are visited in ring order, each with the full layered
-        walk of :meth:`scan_shard` — at one shard this is exactly the
+        walk of :meth:`scan_batches` — at one shard this is exactly the
         historical scan, order included.
         """
         for shard in self._shards:
             yield from self.scan_shard(shard.shard_id, pushed)
 
-    def count_shard(self, shard_id: int, pushed=None) -> int:
-        """Number of live rows in one shard satisfying ``pushed``.
-
-        When the shard is fully materialised into a single compacted
-        SSTable with no tombstones (the steady state of a stored cube),
-        counting never touches row bytes: :meth:`SSTable.count_filtered`
-        skips zone-refuted blocks and counts predicate masks without
-        materialising a single row.  Any unflushed or layered state
-        falls back to the scan, which is always correct.
-        """
-        shard = self._shards[shard_id]
-        if (
-            len(shard.memtable) == 0
-            and not shard.memtable.tombstones
-            and not shard.pending
-            and len(shard.sstables) == 1
-            and not shard.sstables[0].tombstones
-        ):
-            return shard.sstables[0].count_filtered(pushed, self.decode_row)
-        return sum(1 for _ in self.scan_shard(shard_id, pushed))
-
-    def lookup_indexed(self, column: str, value, pushed=None) -> List[Dict[str, object]]:
-        """Raises InvalidRequest when ``column`` has no secondary index.
-
-        ``pushed`` filters the fetched rows inside the storage layer
-        (index probes are point reads, so there is no block skipping —
-        just pruning before the rows reach the kernel)."""
+    def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
+        """Raises InvalidRequest when ``column`` has no secondary index."""
         index = self._indexes.get(column)
         if index is None:
             raise InvalidRequest(
                 f"no secondary index on {self.name}.{column}; "
                 "use ALLOW FILTERING for a full scan"
             )
-        rows = [row for row in self.get_many(index.lookup(value)) if row is not None]
-        if pushed is None:
-            return rows
-        kept = []
-        for row in rows:
-            if pushed.matches(row):
-                kept.append(row)
-            else:
-                pushed.note_pruned(1)
-        return kept
+        return [row for row in self.get_many(index.lookup(value)) if row is not None]
 
     def has_index(self, column: str) -> bool:
         return column in self._indexes
@@ -989,7 +943,9 @@ class ColumnFamily:
         total = 0
         for shard in self._shards:
             if shard.n_live is None:
-                shard.n_live = sum(1 for _ in self._shard_items(shard))
+                shard.n_live = sum(
+                    batch.count() for batch in self.scan_batches(shard.shard_id)
+                )
             total += shard.n_live
         return total
 

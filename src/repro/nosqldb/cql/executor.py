@@ -40,7 +40,6 @@ from repro.query import (
     TableMeta,
     analyze_plan,
     choose_access,
-    compare,
     compile_value,
     compile_value_list,
     condition_desc,
@@ -206,7 +205,7 @@ def build_select_plan(
 
     for cond in residual:
         table.column(cond.column)  # validate
-        node = Filter(node, _predicate(cond), condition_desc(cond))
+        node = Filter(node, _condition(cond))
 
     if stmt.order_by is not None:
         table.column(stmt.order_by)  # validate
@@ -222,25 +221,13 @@ def build_select_plan(
     if stmt.count:
         # CQL counts what the statement returns, so LIMIT applies first
         # (unlike SQL, where COUNT ignores it) — the Aggregate sits
-        # above the Limit node.  The partial decomposition only engages
-        # when the Aggregate sits directly on a sharded FullScan, so a
-        # LIMIT (or any other interposed operator) keeps the serial,
-        # statement-faithful order of operations.
-        node = Aggregate(
-            node,
-            lambda rows, params: [{"count": len(rows)}],
-            "count(*)",
-            partial=count_partial(),
-        )
+        # above the Limit node and sums the selections it let through.
+        node = Aggregate(node, count_partial(), "count(*)")
     elif stmt.columns:
-        names = list(stmt.columns)
+        names = tuple(stmt.columns)
         for name in names:
             table.column(name)  # validate
-        node = Project(
-            node,
-            lambda row: {name: row[name] for name in names},
-            ", ".join(names),
-        )
+        node = Project(node, names, ", ".join(names))
     return Plan(node, guards=guards)
 
 
@@ -258,32 +245,23 @@ def _split_pushdown(table: ColumnFamily, residual):
     leftover = []
     for cond in residual:
         table.column(cond.column)  # validate
-        if cond.op not in PUSHABLE_OPS:
-            leftover.append(cond)
-            continue
-        if cond.op == "IN":
-            resolve = compile_value_list(cond.value, InvalidRequest)
+        if cond.op in PUSHABLE_OPS:
+            pushable.append(_condition(cond))
         else:
-            resolve = compile_value(cond.value, InvalidRequest)
-        pushable.append(
-            PushedCondition(cond.column, cond.op, resolve, condition_desc(cond))
-        )
+            leftover.append(cond)
     pushed = PushedPredicate(pushable) if pushable else None
     return pushed, leftover
 
 
-def _predicate(condition: ast.Condition):
-    op = condition.op
-    column = condition.column
-    if op == "IN":
-        expected = compile_value_list(condition.value, InvalidRequest)
+def _condition(condition: ast.Condition) -> PushedCondition:
+    """One WHERE conjunct in the kernel's declarative form."""
+    if condition.op == "IN":
+        resolve = compile_value_list(condition.value, InvalidRequest)
     else:
-        expected = compile_value(condition.value, InvalidRequest)
-
-    def check(row, params):
-        return compare(op, row.get(column), expected(params))
-
-    return check
+        resolve = compile_value(condition.value, InvalidRequest)
+    return PushedCondition(
+        condition.column, condition.op, resolve, condition_desc(condition)
+    )
 
 
 class _Executor:

@@ -61,6 +61,15 @@ class Memtable:
     def tombstones(self) -> frozenset:
         return frozenset(self._tombstones)
 
+    def key_range(self) -> Optional[Tuple[object, object]]:
+        """``(lowest, highest)`` key this memtable holds a row or a
+        tombstone for, or None when it holds neither — what a scan
+        compares to decide whether LSM layers can shadow each other."""
+        if not self._rows and not self._tombstones:
+            return None
+        keys = [*self._rows, *self._tombstones]
+        return min(keys), max(keys)
+
     def sorted_items(self) -> List[Tuple[object, bytes]]:
         return sorted(self._rows.items(), key=lambda item: item[0])
 

@@ -12,7 +12,7 @@ classic row-major entry list, ``'C'`` for the column-major layout of
 table's ``block_format`` only chooses what *new* blocks are written, so
 compaction naturally rewrites row-major runs into columnar ones.
 Columnar blocks additionally carry in-memory per-column zone maps that
-:meth:`SSTable.scan_filtered` uses to skip whole blocks under a
+:meth:`SSTable.scan_batches` uses to skip whole blocks under a
 pushed-down predicate (see :mod:`repro.query.pushdown`).
 """
 
@@ -34,6 +34,7 @@ from repro.nosqldb.columnar import (
     ColumnVectors,
     ColumnarCodec,
 )
+from repro.query.batch import Batch, RowBatch, VectorBatch
 from repro.storage.btree import decode_key, encode_key
 from repro.storage.encoding import decode_bytes, encode_bytes
 from repro.storage.varint import decode_varint, encode_varint
@@ -175,7 +176,7 @@ class SSTable:
         "_tombstones", "_bloom", "_path", "_offsets", "_uid", "_block_cache",
         "_handle", "_block_format", "_codec", "_zone_maps", "_block_rows",
         "_n_columnar", "_n_fallback", "_dict_chunks", "_plain_chunks",
-        "_blocks_skipped",
+        "_blocks_skipped", "_key_range",
     )
 
     def __init__(
@@ -223,6 +224,10 @@ class SSTable:
         self._blocks_skipped = 0
         self._bloom = BloomFilter(len(sorted_items))
         self._bloom.add_all([key for key, _ in sorted_items])
+        edges = list(tombstones)
+        if sorted_items:
+            edges += (sorted_items[0][0], sorted_items[-1][0])
+        self._key_range = (min(edges), max(edges)) if edges else None
         self._build(sorted_items)
         if path is not None:
             self._spill_to_disk()
@@ -419,100 +424,60 @@ class SSTable:
             keys, rows = self._decoded_block(index)
             yield from zip(keys, rows)
 
-    def scan_filtered(self, bound, allow_skip: bool, decode_row):
-        """Scan under a pushed-down predicate (duck-typed
-        :class:`~repro.query.pushdown.BoundPredicate`).
+    def key_range(self) -> Optional[Tuple[object, object]]:
+        """``(lowest, highest)`` key this table holds a row or a
+        tombstone for (None for an empty table): two LSM layers whose
+        ranges are disjoint cannot shadow each other."""
+        return self._key_range
 
-        Yields ``(key, decoded_row_or_None)`` in key order: None marks a
-        row the predicate pruned, whose *key* the caller must still
-        record for LSM shadowing (a newer predicate-failing version
-        hides any older version of the same key).  With ``allow_skip``
-        (safe only on the oldest layer of a scan, where no skipped key
-        can shadow anything) blocks whose zone maps refute the predicate
-        are skipped without being read at all.  ``decode_row`` decodes
-        row-major entries (columnar blocks decode themselves).
+    def scan_batches(
+        self, bound, decode_row, shadow: Optional[set] = None,
+        record: Optional[set] = None,
+    ) -> Iterator[Batch]:
+        """This table's live rows as one column batch per block, under an
+        optional pushed predicate (duck-typed
+        :class:`~repro.query.pushdown.BoundPredicate`) — no row is built.
+
+        Per block: the zone check, then the predicate narrows the
+        batch's selection on column vectors (row-major entries decode
+        lazily through ``decode_row``), then LSM shadowing narrows it by
+        key.  ``shadow`` holds the keys newer layers of the scan carry
+        (rows and tombstones), or is None when no newer layer overlaps
+        this table's key range; ``record`` is the set this table's keys
+        must be added to because an *older* layer overlaps it (None
+        otherwise).  A block whose zone maps refute the predicate is
+        skipped without being read — unless its keys must be recorded:
+        a newer predicate-failing version still hides the older one.
         """
+        names = self._codec.column_names if self._codec is not None else ()
         for index in range(len(self._block_keys)):
             zones = self._zone_maps[index]
-            if zones is not None and not bound.block_may_match(zones):
+            if bound is not None and zones is not None and not bound.block_may_match(zones):
                 bound.note_pruned(self._block_rows[index])
-                if allow_skip:
+                if record is None:
                     self._blocks_skipped += 1
                     _M_BLOCKS_SKIPPED.inc()
                     bound.note_skipped(1)
-                    continue
-                obj = self._decoded_obj(index)
-                keys = obj.keys if isinstance(obj, ColumnVectors) else obj[0]
-                for key in keys:
-                    yield key, None
+                else:
+                    obj = self._decoded_obj(index)
+                    record.update(obj.keys if isinstance(obj, ColumnVectors) else obj[0])
                 continue
             obj = self._decoded_obj(index)
             if isinstance(obj, ColumnVectors):
                 keys = obj.keys
-                mask = bound.matches_vectors(obj.typed, len(keys))
-                matched = [i for i, hit in enumerate(mask) if hit]
-                rows = iter(obj.rows_at(matched)) if matched else iter(())
-                pruned = len(keys) - len(matched)
-                for i, key in enumerate(keys):
-                    yield key, next(rows) if mask[i] else None
-                if pruned:
-                    bound.note_pruned(pruned)
+                batch: Batch = VectorBatch(len(keys), obj.typed, names)
             else:
                 keys, rows = obj
-                pruned = 0
-                for key, encoded in zip(keys, rows):
-                    row = decode_row(encoded)
-                    if bound.matches(row):
-                        yield key, row
-                    else:
-                        pruned += 1
-                        yield key, None
-                if pruned:
-                    bound.note_pruned(pruned)
-
-    def count_filtered(self, bound, decode_row) -> int:
-        """Count the rows matching ``bound`` without materialising any.
-
-        Valid only when this table is a scan's sole layer and carries no
-        tombstones (the column family's ``count_shard`` fast path
-        guarantees both): every key here is live, so counting needs no
-        shadowing bookkeeping.  Zone-refuted blocks are skipped exactly
-        as on :meth:`scan_filtered`'s oldest layer, and columnar blocks
-        count predicate-mask hits without ever calling ``rows_at`` —
-        matching rows are not rematerialised either, which is what makes
-        the partial-aggregate COUNT path beat the row-producing scan.
-        ``bound`` may be None (count everything).
-        """
-        if bound is None:
-            return self._n_rows
-        total = 0
-        for index in range(len(self._block_keys)):
-            zones = self._zone_maps[index]
-            if zones is not None and not bound.block_may_match(zones):
-                bound.note_pruned(self._block_rows[index])
-                self._blocks_skipped += 1
-                _M_BLOCKS_SKIPPED.inc()
-                bound.note_skipped(1)
-                continue
-            obj = self._decoded_obj(index)
-            if isinstance(obj, ColumnVectors):
-                n_keys = len(obj.keys)
-                mask = bound.matches_vectors(obj.typed, n_keys)
-                hits = sum(1 for hit in mask if hit)
-                total += hits
-                if n_keys - hits:
-                    bound.note_pruned(n_keys - hits)
-            else:
-                keys, rows = obj
-                pruned = 0
-                for encoded in rows:
-                    if bound.matches(decode_row(encoded)):
-                        total += 1
-                    else:
-                        pruned += 1
-                if pruned:
-                    bound.note_pruned(pruned)
-        return total
+                batch = RowBatch(rows, decode_row)
+            if bound is not None:
+                bound.narrow(batch)
+            if shadow and not shadow.isdisjoint(keys):
+                positions = batch.sel if batch.sel is not None else range(batch.n)
+                batch.sel = [i for i in positions if keys[i] not in shadow]
+            if record is not None:
+                record.update(keys)
+            if batch.sel is None or batch.sel:
+                yield batch
 
     def __len__(self) -> int:
         return self._n_rows

@@ -2,7 +2,7 @@
 
 One plan/operator layer under both database engines: a common
 :class:`ResultSet`, the expression evaluator, volcano-style plan nodes
-with per-operator counters, the rule-based planner with its plan
+exchanging column :class:`Batch` es with per-operator counters, the rule-based planner with its plan
 cache, and the dialect-parameterized client :class:`Session`.  Engine
 front-ends (``repro.sqldb``, ``repro.nosqldb``) compile
 their dialects down to this layer; this package must never import an
@@ -20,6 +20,7 @@ from repro.query.analyze import (
     shard_fanout,
     snapshot_counters,
 )
+from repro.query.batch import Batch, RowBatch, VectorBatch
 from repro.query.errors import describe_position, line_and_column, syntax_error_message
 from repro.query.expr import (
     COMPARISON_OPS,
@@ -87,6 +88,7 @@ __all__ = [
     "Aggregate",
     "AnalyzedRun",
     "AnalyzedStatement",
+    "Batch",
     "analyze_plan",
     "annotate_explain",
     "counter_totals",
@@ -117,10 +119,12 @@ __all__ = [
     "PushedCondition",
     "PushedPredicate",
     "ResultSet",
+    "RowBatch",
     "Session",
     "SetLiteral",
     "Sort",
     "TableMeta",
+    "VectorBatch",
     "choose_access",
     "choose_join_access",
     "compare",

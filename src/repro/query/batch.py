@@ -1,0 +1,144 @@
+"""Column batches: what the kernel's operators hand each other.
+
+A batch is ``n`` rows held column-wise plus a *selection vector*:
+``sel`` lists, in ascending order, the positions still part of the
+result, or is ``None`` while every row is.  Operators never copy data
+to drop a row — a scan's pushed predicate, a ``Filter``, LSM shadowing
+and ``Limit`` all just narrow ``sel`` — and nobody builds a row dict
+until :meth:`Batch.rows` is called, which happens once per statement at
+the ``ResultSet`` boundary (or inside the two pipeline breakers, ``Sort``
+and ``HashJoin``) and only for the columns the statement returns.
+
+Two backings share the contract:
+
+* :class:`VectorBatch` — a decoded columnar SSTable block.  ``column``
+  is the block's memoized typed vector, so a predicate or an aggregate
+  touches only the columns it reads.
+* :class:`RowBatch` — rows that already exist as dicts (point, multi-get
+  and index fetches, operator outputs) or as encoded bytes that decode on
+  first column access (memtables, row-format blocks, B-tree leaves), so
+  ``COUNT(*)`` over them decodes nothing.
+
+``column(name)`` is addressed by position (index it with ``sel``);
+``values(name)`` is the same column gathered down to the selected rows.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence
+
+
+def gather(vector: Sequence, sel: Optional[List[int]]) -> Sequence:
+    """``vector`` restricted to the positions in ``sel`` (None = all)."""
+    if sel is None:
+        return vector
+    if len(sel) > 1:
+        return itemgetter(*sel)(vector)
+    return [vector[i] for i in sel]
+
+
+class Batch:
+    """The shared half of both backings: selection, projection, exits."""
+
+    __slots__ = ("n", "sel", "names", "labels", "part")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.sel: Optional[List[int]] = None
+        # What rows() materializes by default: source column names and
+        # the keys they get (None = every column under its own name).
+        self.names: Optional[Sequence[str]] = None
+        self.labels: Optional[Sequence[str]] = None
+        # Which independent partition of a scan (its shard) the batch
+        # came from; an Aggregate folds each partition to its own state.
+        self.part: Optional[int] = None
+
+    def count(self) -> int:
+        """How many rows are still selected."""
+        return self.n if self.sel is None else len(self.sel)
+
+    def column(self, name: str) -> Sequence:
+        """Column ``name`` for all ``n`` positions (None where absent)."""
+        raise NotImplementedError
+
+    def values(self, name: str) -> Sequence:
+        """Column ``name`` of the selected rows only, in order."""
+        return gather(self.column(name), self.sel)
+
+    def rows(self, names: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
+        """The selected rows as dicts — the one place rows get built.
+
+        ``names`` overrides the batch's projection; without either,
+        every column is emitted under its own name.
+        """
+        raise NotImplementedError
+
+    def _output(self, names: Optional[Sequence[str]]):
+        """``(names, labels)`` that :meth:`rows` emits; ``(None, None)``
+        stands for every column under its own name."""
+        if names is not None:
+            return names, names
+        return self.names, self.labels
+
+
+class VectorBatch(Batch):
+    """A decoded columnar block: ``column_of(name)`` yields its vectors."""
+
+    __slots__ = ("_column_of", "_all_names")
+
+    def __init__(self, n: int, column_of: Callable[[str], Sequence],
+                 all_names: Sequence[str]) -> None:
+        super().__init__(n)
+        self._column_of = column_of
+        self._all_names = all_names
+
+    def column(self, name: str) -> Sequence:
+        return self._column_of(name)
+
+    def rows(self, names: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
+        names, labels = self._output(names)
+        if names is None:
+            names = labels = self._all_names
+        if self.sel is not None and not self.sel:
+            return []
+        columns = [self.values(name) for name in names]
+        return [dict(zip(labels, row)) for row in zip(*columns)]
+
+
+class RowBatch(Batch):
+    """Rows held as dicts, or as encoded bytes plus their ``decode``."""
+
+    __slots__ = ("_rows", "_decode")
+
+    def __init__(self, rows: List, decode: Optional[Callable] = None) -> None:
+        # Spelled out, not super().__init__: one of these is built per
+        # point read.
+        self.n = len(rows)
+        self.sel = self.names = self.labels = self.part = None
+        self._rows = rows
+        self._decode = decode
+
+    def _decoded(self) -> List[Dict[str, object]]:
+        decode = self._decode
+        if decode is not None:
+            self._rows = [decode(encoded) for encoded in self._rows]
+            self._decode = None
+        return self._rows
+
+    def column(self, name: str) -> Sequence:
+        rows = self._rows if self._decode is None else self._decoded()
+        return [row[name] for row in rows]
+
+    def rows(self, names: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
+        rows = self._rows if self._decode is None else self._decoded()
+        if self.sel is not None:
+            rows = [rows[i] for i in self.sel]
+        names, labels = self._output(names)
+        if names is None:
+            return rows
+        if len(names) == 1:
+            name, label = names[0], labels[0]
+            return [{label: row[name]} for row in rows]
+        pick = itemgetter(*names)
+        return [dict(zip(labels, pick(row))) for row in rows]

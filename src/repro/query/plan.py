@@ -3,12 +3,21 @@
 A plan is a tree of operators.  Leaves are *access paths* bound to a
 storage object (a relational :class:`~repro.sqldb.table.Table` or a
 :class:`~repro.nosqldb.columnfamily.ColumnFamily` — the kernel only
-relies on the common ``get``/``get_many``/``lookup_indexed``/``scan``
-duck type); inner nodes transform row streams.  Engine front-ends
-compile their dialect's AST into the callables each node carries —
-key resolvers take the bind-parameter tuple, predicates take
-``(row, params)`` — so the kernel never sees an AST and never imports
-an engine (lint rule REPRO006 enforces that direction).
+relies on the common ``get``/``get_many``/``lookup_indexed``/
+``scan_batches`` duck type); inner nodes transform the stream.  What
+flows between operators is the column :class:`~repro.query.batch.Batch`:
+every node implements ``batches(ctx)``, pulls its child's batches and
+narrows their selection vectors; row dicts are built exactly once, by
+:meth:`PlanNode.run` at the ``ResultSet`` boundary, for the columns the
+statement returns.  ``Sort`` and ``HashJoin`` are the only pipeline
+breakers: they materialize their input rows and re-emit one row-backed
+batch.
+
+Engine front-ends compile their dialect's AST into what each node
+carries — key resolvers take the bind-parameter tuple, conditions are
+declarative ``(column, op, resolve)`` triples, projections are column
+lists — so the kernel never sees an AST and never imports an engine
+(lint rule REPRO006 enforces that direction).
 
 Every node keeps cumulative counters (``calls``, ``rows_in``,
 ``rows_out``, plus ``keys_batched`` and ``blocks_cached`` on batched
@@ -20,8 +29,13 @@ same vocabulary everywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.query.batch import Batch, RowBatch
+from repro.query.pushdown import PushedCondition, narrow
 from repro.telemetry import cpu_clock, get_tracer, wall_clock
 
 _TRACER = get_tracer()
@@ -32,44 +46,66 @@ def _shard_count(table) -> int:
     return getattr(table, "shard_count", 1)
 
 
-def _run_sharded(table, tasks):
-    """Run per-shard tasks through the table's scatter hook.
+def _scatter(table, table_name: str, open_shard: Callable) -> List[Tuple]:
+    """``open_shard(shard_id) -> (bound, batches)`` for every shard of
+    ``table``, in ring order.
 
-    Sharded storage objects expose ``run_sharded(tasks)`` (backed by the
-    ``REPRO_WORKERS`` pool); the kernel duck-types it — it cannot import
-    the pool itself, the engines sit above it (REPRO006) — and falls
-    back to serial execution for plain tables.  Results come back in
-    task (= shard) order either way.
+    A lone shard is opened inline and its batch stream stays lazy, so a
+    ``Limit`` above the scan stops it early.  Several shards are each
+    drained on the table's scatter hook first — sharded storage objects
+    expose ``run_sharded(tasks)`` (backed by the ``REPRO_WORKERS`` pool;
+    the kernel duck-types it, the engines sit above it) — one
+    ``query.shard_scan`` span apiece, which ``Tracer.merged()`` folds
+    across worker roots.  A shard's task only walks its own block lists
+    and binds its own predicate (the pruning counters on a
+    :class:`~repro.query.pushdown.BoundPredicate` are mutable), so the
+    caller folds counters at the gather, never a worker.
     """
+    shards = _shard_count(table)
+    if shards == 1:
+        return [open_shard(0)]
+
+    def drain(shard_id: int):
+        with _TRACER.span("query.shard_scan", table=table_name, shard=shard_id):
+            bound, stream = open_shard(shard_id)
+            return bound, list(stream)
+
+    tasks = [partial(drain, shard_id) for shard_id in range(shards)]
     runner = getattr(table, "run_sharded", None)
     if runner is None:
         return [task() for task in tasks]
     return runner(tasks)
 
 
-class PartialAggregate(NamedTuple):
-    """A distributive aggregate split into per-shard fold + global merge.
+def _fanout(table) -> Tuple[str, ...]:
+    """EXPLAIN's per-shard rows for an operator scattering over ``table``
+    (none for a single shard, so unsharded EXPLAIN output is unchanged)."""
+    shards = _shard_count(table)
+    if shards <= 1:
+        return ()
+    return tuple(f"fanout shard={i}" for i in range(shards))
 
-    ``fold_shard(rows, params)`` runs inside each shard's scatter task
-    and reduces that shard's rows to a small state object;
-    ``merge(states, params)`` combines the per-shard states — in shard
-    order — into the final aggregate output rows.  ``count_only`` marks
-    the pure COUNT(*) shape, which lets a sharded ``FullScan`` child
-    answer from ``count_shard`` without materialising any row at all.
+
+class PartialAggregate(NamedTuple):
+    """A distributive aggregate as fold-to-state + merge-states.
+
+    ``fold(batches, params)`` reduces one partition of the input — a
+    shard's batches, or the whole stream when it is not partitioned — to
+    a small state object, reading column vectors; ``merge(states,
+    params)`` combines the states, in partition order, into the
+    aggregate's output rows.
     """
 
-    fold_shard: Callable
+    fold: Callable
     merge: Callable
-    count_only: bool = False
 
 
 def count_partial() -> PartialAggregate:
-    """The COUNT(*) decomposition both dialects share: per-shard row
-    counts, summed at the gather."""
+    """The COUNT(*) decomposition both dialects share: selected-row
+    counts per partition, summed at the gather — no column is read."""
     return PartialAggregate(
-        fold_shard=lambda rows, params: len(rows),
+        fold=lambda batches, params: sum(batch.count() for batch in batches),
         merge=lambda states, params: [{"count": sum(states)}],
-        count_only=True,
     )
 
 
@@ -78,7 +114,7 @@ class OperatorStats(NamedTuple):
 
     ``seconds`` is cumulative wall time spent in the operator *including
     its children* (volcano execution is pull-based, so a parent's clock
-    runs while its child produces rows).  It is only accumulated while
+    runs while its child produces batches).  It is only accumulated while
     tracing is enabled (``REPRO_TRACE=1``); otherwise it stays 0.0 and
     execution pays a single attribute check per operator call.
     """
@@ -126,25 +162,43 @@ class PlanNode:
         self.cpu_seconds = 0.0
 
     # -- execution ---------------------------------------------------------
-    def run(self, params: Sequence = (), timed: bool = False) -> List[Dict[str, object]]:
-        """Execute the subtree rooted here with ``params`` bound."""
-        return self.rows(_Context(params, timed))
-
-    def rows(self, ctx: _Context) -> List[Dict[str, object]]:
-        """Produce this operator's row stream, timing it when tracing is
-        on (or the execution asked to be timed)."""
-        if not (_TRACER.enabled or ctx.timed):
-            return self._execute(ctx)
-        t0 = wall_clock()
-        c0 = cpu_clock()
-        try:
-            return self._execute(ctx)
-        finally:
-            self.cpu_seconds += cpu_clock() - c0
-            self.seconds += wall_clock() - t0
-
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
+    def batches(self, ctx: _Context) -> Iterable[Batch]:
+        """This operator's output as a pull-based stream of batches."""
         raise NotImplementedError
+
+    def pull(self, ctx: _Context) -> Iterable[Batch]:
+        """:meth:`batches`, timed when tracing is on (or the execution
+        asked to be timed): the clock runs while this operator — and the
+        children it pulls from — produce each batch."""
+        stream = self.batches(ctx)
+        if _TRACER.enabled or ctx.timed:
+            return self._clocked(stream)
+        return stream
+
+    def _clocked(self, stream: Iterable[Batch]) -> Iterator[Batch]:
+        stream = iter(stream)
+        while True:
+            t0 = wall_clock()
+            c0 = cpu_clock()
+            try:
+                batch = next(stream)
+            except StopIteration:
+                return
+            finally:
+                self.cpu_seconds += cpu_clock() - c0
+                self.seconds += wall_clock() - t0
+            yield batch
+
+    def run(self, params: Sequence = (), timed: bool = False) -> List[Dict[str, object]]:
+        """Execute the subtree rooted here with ``params`` bound and
+        materialize its rows — the ``ResultSet`` boundary."""
+        rows: Optional[List[Dict[str, object]]] = None
+        for batch in self.pull(_Context(params, timed)):
+            if rows is None:
+                rows = batch.rows()
+            else:
+                rows.extend(batch.rows())
+        return rows if rows is not None else []
 
     # -- introspection -----------------------------------------------------
     @property
@@ -252,24 +306,19 @@ class PlanNode:
 class _Access(PlanNode):
     """Shared shape of the storage-bound leaves.
 
-    ``wrap`` (optional) re-shapes each fetched row before it enters the
-    stream — the SQL binding uses it to namespace rows as
-    ``{alias: row}`` for joins.  It is representation plumbing, not an
-    operator, so it never shows up in EXPLAIN.  ``cache_probe``
-    (optional) reads the storage object's block-cache hit counter so the
-    leaf can attribute cache-backed block reads to itself.
+    ``cache_probe`` (optional) reads the storage object's block-cache
+    hit counter so the leaf can attribute cache-backed block reads to
+    itself.
     """
 
-    __slots__ = ("table", "_table_name", "_key_desc", "wrap", "cache_probe")
+    __slots__ = ("table", "_table_name", "_key_desc", "cache_probe")
 
     def __init__(self, table, table_name: str, key_desc: Optional[str],
-                 wrap: Optional[Callable] = None,
                  cache_probe: Optional[Callable[[], int]] = None) -> None:
         super().__init__()
         self.table = table
         self._table_name = table_name
         self._key_desc = key_desc
-        self.wrap = wrap
         self.cache_probe = cache_probe
 
     @property
@@ -280,13 +329,11 @@ class _Access(PlanNode):
     def key_desc(self) -> Optional[str]:
         return self._key_desc
 
-    def _emit(self, rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    def _emit(self, rows: List[Dict[str, object]]) -> Tuple[Batch, ...]:
+        """Fetched rows as this call's one row-backed batch."""
         self.calls += 1
         self.rows_out += len(rows)
-        if self.wrap is not None:
-            wrap = self.wrap
-            return [wrap(row) for row in rows]
-        return rows
+        return (RowBatch(rows),)
 
 
 class PointLookup(_Access):
@@ -296,13 +343,13 @@ class PointLookup(_Access):
     __slots__ = ("key", "keys_batched", "blocks_cached")
 
     def __init__(self, table, key: Callable, table_name: str, key_desc: str,
-                 wrap=None, cache_probe=None) -> None:
-        super().__init__(table, table_name, key_desc, wrap, cache_probe)
+                 cache_probe=None) -> None:
+        super().__init__(table, table_name, key_desc, cache_probe)
         self.key = key
         self.keys_batched = 0
         self.blocks_cached = 0
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
+    def batches(self, ctx: _Context) -> Iterable[Batch]:
         before = self.cache_probe() if self.cache_probe is not None else 0
         row = self.table.get(self.key(ctx.params))
         if self.cache_probe is not None:
@@ -322,13 +369,13 @@ class MultiGet(_Access):
     __slots__ = ("keys", "keys_batched", "blocks_cached")
 
     def __init__(self, table, keys: Callable, table_name: str, key_desc: str,
-                 wrap=None, cache_probe=None) -> None:
-        super().__init__(table, table_name, key_desc, wrap, cache_probe)
+                 cache_probe=None) -> None:
+        super().__init__(table, table_name, key_desc, cache_probe)
         self.keys = keys
         self.keys_batched = 0
         self.blocks_cached = 0
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
+    def batches(self, ctx: _Context) -> Iterable[Batch]:
         resolved = list(self.keys(ctx.params))
         self.keys_batched += len(resolved)
         before = self.cache_probe() if self.cache_probe is not None else 0
@@ -342,10 +389,9 @@ class MultiGet(_Access):
         # point reads through the ring (``scatter_reads``); the fanout
         # rows surface that worst case — at runtime only the shards the
         # key list actually hits are walked.
-        shards = _shard_count(self.table)
-        if shards <= 1 or not getattr(self.table, "scatter_reads", False):
+        if not getattr(self.table, "scatter_reads", False):
             return ()
-        return tuple(f"fanout shard={i}" for i in range(shards))
+        return _fanout(self.table)
 
     def detail(self) -> str:
         return "primary key, batched"
@@ -356,9 +402,9 @@ class IndexScan(_Access):
     composite keys, a clustered primary-key *prefix* scan.
 
     ``pushed`` (an optional :class:`repro.query.pushdown.PushedPredicate`)
-    carries the residual conditions the storage layer can evaluate
-    itself; the fetched rows arrive pre-filtered and the pruning counts
-    accumulate on the node (``rows_pruned``/``blocks_skipped``).
+    carries the residual conditions evaluated on the fetched batch
+    before it leaves the node (index probes are point reads, so there is
+    no block skipping); the pruning count accumulates on the node.
     """
 
     kind = "IndexScan"
@@ -367,9 +413,9 @@ class IndexScan(_Access):
     __slots__ = ("column", "value", "access", "pushed", "blocks_skipped", "rows_pruned")
 
     def __init__(self, table, column: str, value: Callable, table_name: str,
-                 access: str = SECONDARY, wrap=None, cache_probe=None,
+                 access: str = SECONDARY, cache_probe=None,
                  pushed=None) -> None:
-        super().__init__(table, table_name, column, wrap, cache_probe)
+        super().__init__(table, table_name, column, cache_probe)
         self.column = column
         self.value = value
         self.access = access
@@ -377,23 +423,19 @@ class IndexScan(_Access):
         self.blocks_skipped = 0
         self.rows_pruned = 0
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
+    def batches(self, ctx: _Context) -> Iterable[Batch]:
         resolved = self.value(ctx.params)
+        if self.access == self.PK_PREFIX:
+            batch = RowBatch(self.table.lookup_pk_prefix(resolved))
+        else:
+            batch = RowBatch(self.table.lookup_indexed(self.column, resolved))
         if self.pushed is not None:
             bound = self.pushed.bind(ctx.params)
-            if self.access == self.PK_PREFIX:
-                fetched = self.table.lookup_pk_prefix(resolved, pushed=bound)
-            else:
-                fetched = self.table.lookup_indexed(
-                    self.column, resolved, pushed=bound
-                )
-            self.blocks_skipped += bound.blocks_skipped
+            bound.narrow(batch)
             self.rows_pruned += bound.rows_pruned
-        elif self.access == self.PK_PREFIX:
-            fetched = self.table.lookup_pk_prefix(resolved)
-        else:
-            fetched = self.table.lookup_indexed(self.column, resolved)
-        return self._emit(fetched)
+        self.calls += 1
+        self.rows_out += batch.count()
+        return (batch,)
 
     def detail(self) -> str:
         if self.pushed is not None:
@@ -404,78 +446,54 @@ class IndexScan(_Access):
 class FullScan(_Access):
     """Read every live row — the path of last resort.
 
-    With a ``pushed`` predicate the storage layer filters during the
-    scan: zone-mapped columnar blocks may be skipped unread, and rows
-    failing the predicate are pruned before materialization (see
+    The scan always iterates the table's shards through
+    ``scan_batches(shard_id, pushed)`` (see :func:`_scatter`).  With a
+    ``pushed`` predicate the storage layer filters during the scan:
+    zone-mapped columnar blocks may be skipped unread, and the predicate
+    narrows each batch's selection on column vectors (see
     :mod:`repro.query.pushdown`).
     """
 
     kind = "FullScan"
     __slots__ = ("pushed", "blocks_skipped", "rows_pruned", "shard_rows")
 
-    def __init__(self, table, table_name: str, wrap=None, pushed=None) -> None:
-        super().__init__(table, table_name, None, wrap)
+    def __init__(self, table, table_name: str, pushed=None) -> None:
+        super().__init__(table, table_name, None)
         self.pushed = pushed
         self.blocks_skipped = 0
         self.rows_pruned = 0
-        # Cumulative rows gathered per shard id; EXPLAIN ANALYZE reads
+        # Cumulative rows emitted per shard id; EXPLAIN ANALYZE reads
         # this to annotate the ``fanout shard=<i>`` rows with actuals.
         self.shard_rows: Dict[int, int] = {}
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        if _shard_count(self.table) > 1:
-            return self._emit(self._scatter_rows(ctx))
-        if self.pushed is None:
-            return self._emit(list(self.table.scan()))
-        bound = self.pushed.bind(ctx.params)
-        fetched = list(self.table.scan(pushed=bound))
-        self.blocks_skipped += bound.blocks_skipped
-        self.rows_pruned += bound.rows_pruned
-        return self._emit(fetched)
-
-    def _scatter_rows(self, ctx: _Context) -> List[Dict[str, object]]:
-        """Morsel-parallel scan: one shard-local task per shard on the
-        table's worker pool, gathered in shard order.
-
-        Each task binds its *own* predicate (the pruning counters on a
-        :class:`~repro.query.pushdown.BoundPredicate` are mutable, so
-        sharing one across threads would race) and only walks its
-        shard's block lists — zone-map skips stay per-shard.  The
-        per-shard counters fold into this node's totals at the gather,
-        and each task runs under a ``query.shard_scan`` span that
-        ``Tracer.merged()`` folds across worker roots.
-        """
+    def batches(self, ctx: _Context) -> Iterator[Batch]:
         table, pushed, params = self.table, self.pushed, ctx.params
 
-        def scan_one(shard_id: int):
+        def open_shard(shard_id: int):
             bound = pushed.bind(params) if pushed is not None else None
-            with _TRACER.span(
-                "query.shard_scan", table=self._table_name, shard=shard_id
-            ):
-                rows = list(table.scan_shard(shard_id, bound))
-            return rows, bound
+            return bound, table.scan_batches(shard_id, bound)
 
-        results = _run_sharded(
-            table,
-            [
-                (lambda shard_id=shard_id: scan_one(shard_id))
-                for shard_id in range(_shard_count(table))
-            ],
-        )
-        fetched: List[Dict[str, object]] = []
-        for shard_id, (rows, bound) in enumerate(results):
-            fetched.extend(rows)
-            self.shard_rows[shard_id] = self.shard_rows.get(shard_id, 0) + len(rows)
-            if bound is not None:
-                self.blocks_skipped += bound.blocks_skipped
-                self.rows_pruned += bound.rows_pruned
-        return fetched
+        self.calls += 1
+        for shard_id, (bound, stream) in enumerate(
+            _scatter(table, self._table_name, open_shard)
+        ):
+            emitted = 0
+            try:
+                for batch in stream:
+                    batch.part = shard_id
+                    emitted += batch.count()
+                    yield batch
+            finally:
+                # Also reached when a Limit above stops pulling: the
+                # counters then report what the scan actually did.
+                self.rows_out += emitted
+                self.shard_rows[shard_id] = self.shard_rows.get(shard_id, 0) + emitted
+                if bound is not None:
+                    self.blocks_skipped += bound.blocks_skipped
+                    self.rows_pruned += bound.rows_pruned
 
     def _explain_fanout(self) -> Tuple[str, ...]:
-        shards = _shard_count(self.table)
-        if shards <= 1:
-            return ()
-        return tuple(f"fanout shard={i}" for i in range(shards))
+        return _fanout(self.table)
 
     def detail(self) -> str:
         if self.pushed is not None:
@@ -484,7 +502,7 @@ class FullScan(_Access):
 
 
 # ----------------------------------------------------------------------
-# row-stream transforms
+# batch-stream transforms
 # ----------------------------------------------------------------------
 class _Transform(PlanNode):
     __slots__ = ("child", "_detail")
@@ -501,65 +519,89 @@ class _Transform(PlanNode):
     def detail(self) -> str:
         return self._detail
 
-    def _account(self, rows_in: int, rows_out: int) -> None:
+    def _counted(self, ctx: _Context) -> Iterable[Batch]:
+        """The child's batches, tallied into ``calls``/``rows_in``
+        (``map``, not a generator: a point read is a single batch)."""
         self.calls += 1
-        self.rows_in += rows_in
-        self.rows_out += rows_out
+        return map(self._tally, self.child.pull(ctx))
+
+    def _tally(self, batch: Batch) -> Batch:
+        self.rows_in += batch.count()
+        return batch
+
+    def _input_rows(self, ctx: _Context) -> List[Dict[str, object]]:
+        """A pipeline breaker's input: the child's rows, materialized."""
+        return [row for batch in self._counted(ctx) for row in batch.rows()]
 
 
 class Filter(_Transform):
-    """Keep rows satisfying a compiled ``(row, params) -> bool`` predicate."""
+    """Keep the rows satisfying one declarative condition: the selection
+    vector narrows, nothing is copied."""
 
     kind = "Filter"
-    __slots__ = ("predicate",)
+    __slots__ = ("condition",)
 
-    def __init__(self, child: PlanNode, predicate: Callable, detail: str) -> None:
-        super().__init__(child, detail)
-        self.predicate = predicate
+    def __init__(self, child: PlanNode, condition: PushedCondition) -> None:
+        super().__init__(child, condition.desc)
+        self.condition = condition
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        incoming = self.child.rows(ctx)
-        predicate, params = self.predicate, ctx.params
-        kept = [row for row in incoming if predicate(row, params)]
-        self._account(len(incoming), len(kept))
-        return kept
+    def batches(self, ctx: _Context) -> Iterable[Batch]:
+        column, op, resolve, _ = self.condition
+        bound = ((column, op, resolve(ctx.params)),)
+
+        def step(batch: Batch) -> Batch:
+            narrow(batch, bound)
+            self.rows_out += batch.count()
+            return batch
+
+        return map(step, self._counted(ctx))
 
 
 class Project(_Transform):
-    """Map each row through a compiled projection."""
+    """Choose the columns (and their output labels) rows are built from
+    when the batch is materialized; ``names=None`` keeps every column."""
 
     kind = "Project"
-    __slots__ = ("projector",)
+    __slots__ = ("names", "labels")
 
-    def __init__(self, child: PlanNode, projector: Callable, detail: str) -> None:
+    def __init__(self, child: PlanNode, names: Optional[Sequence[str]],
+                 detail: str, labels: Optional[Sequence[str]] = None) -> None:
         super().__init__(child, detail)
-        self.projector = projector
+        self.names = names
+        self.labels = labels if labels is not None else names
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        incoming = self.child.rows(ctx)
-        projector = self.projector
-        out = [projector(row) for row in incoming]
-        self._account(len(incoming), len(out))
-        return out
+    def batches(self, ctx: _Context) -> Iterable[Batch]:
+        return map(self._step, self._counted(ctx))
+
+    def _step(self, batch: Batch) -> Batch:
+        self.rows_out += batch.count()
+        if self.names is not None:
+            batch.names = self.names
+            batch.labels = self.labels
+        return batch
 
 
 class HashJoin(_Transform):
     """Inner equi-join against a probe side built per execution.
 
-    ``probe_factory()`` returns a ``probe(key) -> rows`` callable — a
-    point/index lookup for eq_ref/index joins, or a freshly built hash
-    table for the general case.  ``key_of`` extracts the join key from a
-    left row; ``merge`` combines a left row with a matched right row.
+    The probe side is either ``probe_factory()`` — returning a
+    ``probe(key) -> rows`` callable, a point/index lookup for
+    eq_ref/index joins — or a declared ``build_table``/``build_key``:
+    the kernel then hashes that relation itself, one partial hash table
+    per shard (see :func:`_scatter`), merged in shard order.  ``key_of``
+    extracts the join key from a left row; ``merge`` combines a left row
+    with a matched right row.  A pipeline breaker: left rows are
+    materialized, the joined rows leave as one row-backed batch.
     """
 
     kind = "HashJoin"
     __slots__ = ("probe_factory", "key_of", "merge", "_table_name", "_key_desc",
                  "build_table", "build_key", "shard_rows")
 
-    def __init__(self, child: PlanNode, probe_factory: Callable,
-                 key_of: Callable, merge: Callable,
+    def __init__(self, child: PlanNode, key_of: Callable, merge: Callable,
                  table_name: str, detail: str,
                  key_desc: Optional[str] = None,
+                 probe_factory: Optional[Callable] = None,
                  build_table=None, build_key: Optional[str] = None) -> None:
         super().__init__(child, detail)
         self.probe_factory = probe_factory
@@ -567,10 +609,6 @@ class HashJoin(_Transform):
         self.merge = merge
         self._table_name = table_name
         self._key_desc = key_desc
-        # Optional declarative build-side spec: when the probe side is a
-        # full-relation hash build over a sharded table, the kernel can
-        # build per-shard partial hash tables in parallel and merge them,
-        # instead of calling the single-threaded ``probe_factory``.
         self.build_table = build_table
         self.build_key = build_key
         # Cumulative build-side rows hashed per shard id (see FullScan).
@@ -586,48 +624,31 @@ class HashJoin(_Transform):
 
     def _probe(self):
         table, key_column = self.build_table, self.build_key
-        if table is None or key_column is None or _shard_count(table) <= 1:
+        if table is None:
             return self.probe_factory()
-
-        def build_one(shard_id: int) -> Dict[object, List]:
-            with _TRACER.span(
-                "query.shard_scan", table=self._table_name, shard=shard_id
-            ):
-                partial: Dict[object, List] = {}
-                for row in table.scan_shard(shard_id):
+        build: Dict[object, List] = {}
+        opened = _scatter(
+            table, self._table_name,
+            lambda shard_id: (None, table.scan_batches(shard_id)),
+        )
+        for shard_id, (_, stream) in enumerate(opened):
+            built = 0
+            for batch in stream:
+                for row in batch.rows():
                     key = row.get(key_column)
                     if key is not None:
-                        partial.setdefault(key, []).append(row)
-            return partial
-
-        partials = _run_sharded(
-            table,
-            [
-                (lambda shard_id=shard_id: build_one(shard_id))
-                for shard_id in range(_shard_count(table))
-            ],
-        )
-        build: Dict[object, List] = {}
-        for shard_id, partial in enumerate(partials):
-            # shard order keeps the merge deterministic
-            built = 0
-            for key, rows in partial.items():
-                build.setdefault(key, []).extend(rows)
-                built += len(rows)
+                        build.setdefault(key, []).append(row)
+                        built += 1
             self.shard_rows[shard_id] = self.shard_rows.get(shard_id, 0) + built
         return lambda key: build.get(key, ())
 
     def _explain_fanout(self) -> Tuple[str, ...]:
-        table = self.build_table
-        if table is None or self.build_key is None:
+        if self.build_table is None:
             return ()
-        shards = _shard_count(table)
-        if shards <= 1:
-            return ()
-        return tuple(f"fanout shard={i}" for i in range(shards))
+        return _fanout(self.build_table)
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        incoming = self.child.rows(ctx)
+    def batches(self, ctx: _Context) -> Iterator[Batch]:
+        incoming = self._input_rows(ctx)
         probe = self._probe()
         key_of, merge = self.key_of, self.merge
         joined: List[Dict[str, object]] = []
@@ -637,107 +658,43 @@ class HashJoin(_Transform):
                 continue
             for right in probe(key):
                 joined.append(merge(row, right))
-        self._account(len(incoming), len(joined))
-        return joined
+        self.rows_out += len(joined)
+        yield RowBatch(joined)
 
 
 class Aggregate(_Transform):
-    """Fold the child's rows into aggregate output rows.
+    """Fold the child's batches into aggregate output rows.
 
-    The fold callable ``(rows, params) -> rows`` carries the dialect's
-    grouping/labelling rules, compiled by the engine front-end from the
-    shared :func:`repro.query.expr.evaluate_aggregate` primitive.
-
-    When the engine also supplies a :class:`PartialAggregate` and the
-    child is a :class:`FullScan` over a sharded table, the fold
-    decomposes: each shard folds its own rows to a partial state in a
-    worker (``fold_shard``), and the gather merges the states
-    (``merge``) — the classic two-phase parallel aggregate.  Count-only
-    partials additionally skip row materialization entirely when the
-    table exposes ``count_shard``.
+    The :class:`PartialAggregate` carries the dialect's grouping and
+    labelling rules, compiled by the engine front-end.  Each partition
+    of the input (``Batch.part``: a scan's shard) folds to its own state
+    and ``merge`` combines them — the classic two-phase aggregate; an
+    unpartitioned stream is simply one state.  The fold reads column
+    vectors and selection counts, never rows.
     """
 
     kind = "Aggregate"
-    __slots__ = ("fold", "partial")
+    __slots__ = ("partial",)
 
-    def __init__(self, child: PlanNode, fold: Callable, detail: str,
-                 partial: Optional["PartialAggregate"] = None) -> None:
+    def __init__(self, child: PlanNode, partial: PartialAggregate, detail: str) -> None:
         super().__init__(child, detail)
-        self.fold = fold
         self.partial = partial
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        if (
-            self.partial is not None
-            and isinstance(self.child, FullScan)
-            and _shard_count(self.child.table) > 1
-        ):
-            return self._execute_scatter(ctx)
-        incoming = self.child.rows(ctx)
-        out = self.fold(incoming, ctx.params)
-        self._account(len(incoming), len(out))
-        return out
-
-    def _execute_scatter(self, ctx: _Context) -> List[Dict[str, object]]:
-        """Scatter ``fold_shard`` across the child scan's shards, merge
-        the partial states at the gather.
-
-        The child FullScan never materializes a full-relation row list:
-        each worker folds its shard's rows to a state immediately (and
-        the count-only fast path asks the table to count without
-        decoding rows at all).  The child's counters are accounted here
-        so EXPLAIN/stats stay truthful about rows scanned and blocks
-        skipped per shard.
-        """
-        child, partial, params = self.child, self.partial, ctx.params
-        table, pushed, wrap = child.table, child.pushed, child.wrap
-        use_count = (
-            partial.count_only
-            and wrap is None
-            and hasattr(table, "count_shard")
-        )
-
-        def fold_one(shard_id: int):
-            bound = pushed.bind(params) if pushed is not None else None
-            with _TRACER.span(
-                "query.shard_scan", table=child.table_name, shard=shard_id
-            ):
-                if use_count:
-                    state = table.count_shard(shard_id, bound)
-                    rows_seen = state
-                else:
-                    rows = list(table.scan_shard(shard_id, bound))
-                    if wrap is not None:
-                        rows = [wrap(row) for row in rows]
-                    state = partial.fold_shard(rows, params)
-                    rows_seen = len(rows)
-            return state, rows_seen, bound
-
-        results = _run_sharded(
-            table,
-            [
-                (lambda shard_id=shard_id: fold_one(shard_id))
-                for shard_id in range(_shard_count(table))
-            ],
-        )
-        states: List[object] = []
-        total_rows = 0
-        for shard_id, (state, rows_seen, bound) in enumerate(results):
-            states.append(state)
-            total_rows += rows_seen
-            child.shard_rows[shard_id] = child.shard_rows.get(shard_id, 0) + rows_seen
-            if bound is not None:
-                child.blocks_skipped += bound.blocks_skipped
-                child.rows_pruned += bound.rows_pruned
-        child.calls += 1
-        child.rows_out += total_rows
-        out = partial.merge(states, params)
-        self._account(total_rows, len(out))
-        return out
+    def batches(self, ctx: _Context) -> Iterator[Batch]:
+        fold, merge = self.partial
+        params = ctx.params
+        states = [
+            fold(part, params)
+            for _, part in groupby(self._counted(ctx), key=attrgetter("part"))
+        ]
+        out = merge(states, params)
+        self.rows_out += len(out)
+        yield RowBatch(out)
 
 
 class Sort(_Transform):
-    """Stable sort by a compiled key (NULLs last ascending)."""
+    """Stable sort by a compiled row key (NULLs last ascending) — a
+    pipeline breaker."""
 
     kind = "Sort"
     __slots__ = ("key", "descending")
@@ -747,18 +704,18 @@ class Sort(_Transform):
         self.key = key
         self.descending = descending
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        incoming = self.child.rows(ctx)
-        out = sorted(incoming, key=self.key, reverse=self.descending)
-        self._account(len(incoming), len(out))
-        return out
+    def batches(self, ctx: _Context) -> Iterator[Batch]:
+        out = sorted(self._input_rows(ctx), key=self.key, reverse=self.descending)
+        self.rows_out += len(out)
+        yield RowBatch(out)
 
     def detail(self) -> str:
         return f"{self._detail} {'DESC' if self.descending else 'ASC'}"
 
 
 class Limit(_Transform):
-    """Truncate the stream to the first ``count`` rows."""
+    """Truncate the stream to the first ``count`` rows — and stop
+    pulling from the child once it has them."""
 
     kind = "Limit"
     __slots__ = ("count",)
@@ -767,11 +724,22 @@ class Limit(_Transform):
         super().__init__(child, str(count))
         self.count = count
 
-    def _execute(self, ctx: _Context) -> List[Dict[str, object]]:
-        incoming = self.child.rows(ctx)
-        out = incoming[: self.count]
-        self._account(len(incoming), len(out))
-        return out
+    def batches(self, ctx: _Context) -> Iterator[Batch]:
+        wanted = self.count
+        if wanted <= 0:
+            self.calls += 1
+            return
+        for batch in self._counted(ctx):
+            got = batch.count()
+            if got > wanted:
+                positions = batch.sel if batch.sel is not None else range(batch.n)
+                batch.sel = list(positions[:wanted])
+                got = wanted
+            self.rows_out += got
+            wanted -= got
+            yield batch
+            if not wanted:
+                return
 
 
 # ----------------------------------------------------------------------
@@ -797,6 +765,15 @@ class Plan:
 
     def run(self, params: Sequence = (), timed: bool = False) -> List[Dict[str, object]]:
         return self.root.run(params, timed)
+
+    def columns(self, names: Sequence[str], params: Sequence = ()) -> List[List]:
+        """The result as one value list per column in ``names`` — the
+        exit for callers that consume columns; no row is built."""
+        out: List[List] = [[] for _ in names]
+        for batch in self.root.pull(_Context(params)):
+            for values, name in zip(out, names):
+                values.extend(batch.values(name))
+        return out
 
     def valid(self) -> bool:
         return all(guard() for guard in self.guards)

@@ -1,35 +1,36 @@
-"""Predicate pushdown: filters evaluated inside the storage layer.
+"""Conditions evaluated a column at a time, in storage or in a Filter.
 
-Both executors historically translated every residual WHERE condition
-into a kernel :class:`~repro.query.plan.Filter` above the access node,
-so a scan decoded (and, on the NoSQL engine, materialized) every row
-only for most of them to be discarded one operator later.  Pushdown
-moves the cheap, storage-evaluable conditions *into* ``FullScan`` /
-``IndexScan``: the planner extracts the pushable subset of the residual
-filter, wraps it in a :class:`PushedPredicate`, and the access node
-hands a per-execution :class:`BoundPredicate` to the table's
-``scan(pushed=...)`` / ``lookup_indexed(..., pushed=...)`` methods.
+A WHERE conjunct reaches execution as a :class:`PushedCondition` —
+``(column, op, resolve)`` plus its EXPLAIN text.  The planner moves the
+storage-evaluable ones (:data:`PUSHABLE_OPS`) *into* ``FullScan`` /
+``IndexScan`` as a :class:`PushedPredicate`; the access node hands a
+per-execution :class:`BoundPredicate` to the table's
+``scan_batches(shard_id, pushed)``.  The rest stay
+:class:`~repro.query.plan.Filter` nodes.  Both are evaluated by the one
+evaluator here, :func:`select`: it reads a column of a
+:class:`~repro.query.batch.Batch` and narrows the batch's selection
+vector — no row is built to test it.
 
-The storage layers duck-type the bound object — they never import the
-kernel — and may exploit it three ways, in decreasing strength:
+A storage layer exploits a bound predicate in decreasing strength:
 
 1. **block skipping** — columnar SSTable blocks carry per-column zone
    maps; :meth:`BoundPredicate.block_may_match` proves a whole block
    cannot contribute and the reader never even decodes it;
-2. **late materialization** — columnar blocks evaluate the predicate on
-   the needed column vectors only and materialize surviving rows;
-3. **row pruning** — row-major blocks, memtables and the relational
-   B-tree evaluate the predicate row-wise before handing rows upward.
+2. **vector evaluation** — :meth:`BoundPredicate.narrow` evaluates the
+   conditions on the batch's needed columns only (typed vectors of a
+   columnar block; decoded rows of a memtable, a row-format block or a
+   B-tree leaf) and counts what it pruned once per batch.
 
-Semantics are exactly those of the :class:`Filter` chain the predicate
-replaced: conditions are evaluated in residual order with the same
-NULL-rejecting :func:`~repro.query.expr.compare`, so pushed and
-unpushed plans return identical answers.
+Semantics are those of :func:`~repro.query.expr.compare` applied per
+row: conditions in order, a later condition only evaluated where the
+earlier ones hold, NULL-rejecting — so pushed and unpushed plans return
+identical answers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Tuple
+import operator
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.query.expr import compare
 from repro.telemetry import get_registry
@@ -47,7 +48,8 @@ PUSHABLE_OPS = frozenset({"=", "!=", "<", ">", "<=", ">=", "IN"})
 
 
 class PushedCondition(NamedTuple):
-    """One pushable WHERE condition in planner-compiled form."""
+    """One WHERE condition in planner-compiled form (pushed into the
+    access path, or carried by a :class:`~repro.query.plan.Filter`)."""
 
     column: str
     op: str
@@ -93,51 +95,21 @@ class BoundPredicate:
         self.blocks_skipped = 0
         self.rows_pruned = 0
 
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        """The distinct columns the predicate reads, in condition order."""
-        seen = []
-        for column, _, _ in self.conditions:
-            if column not in seen:
-                seen.append(column)
-        return tuple(seen)
-
     def matches(self, row: Mapping) -> bool:
-        """Evaluate against a decoded row (or a partial dict holding at
-        least :attr:`columns`).  Mirrors the Filter chain: conditions in
+        """Evaluate against one decoded row — the row-at-a-time twin of
+        :meth:`narrow` (DML ``WHERE`` clauses use it): conditions in
         order, short-circuiting, NULL-rejecting."""
         for column, op, expected in self.conditions:
             if not compare(op, row.get(column), expected):
                 return False
         return True
 
-    def matches_vectors(self, column_vector: Callable, n_rows: int) -> list:
-        """Evaluate the predicate over a whole decoded block at once.
-
-        ``column_vector(name)`` must return the column as a list of
-        ``n_rows`` decoded values (None where absent).  Returns a
-        boolean mask in row order.  Semantically identical to calling
-        :meth:`matches` per row: conditions are applied in order and
-        later conditions are only evaluated where earlier ones still
-        hold (the ``mask[i] and ...`` short-circuit), preserving the
-        Filter chain's short-circuit behaviour exactly.
-        """
-        mask = None
-        for column, op, expected in self.conditions:
-            if op == "IN":
-                try:
-                    expected = frozenset(expected)
-                except TypeError:
-                    pass  # unhashable members: linear membership as-is
-            vector = column_vector(column)
-            if mask is None:
-                mask = [compare(op, value, expected) for value in vector]
-            else:
-                mask = [
-                    held and compare(op, vector[i], expected)
-                    for i, held in enumerate(mask)
-                ]
-        return mask if mask is not None else [True] * n_rows
+    def narrow(self, batch) -> None:
+        """Narrow ``batch.sel`` to the rows satisfying the predicate and
+        count the pruned ones (one counter update per batch)."""
+        pruned = narrow(batch, self.conditions)
+        if pruned:
+            self.note_pruned(pruned)
 
     def block_may_match(self, zones: Mapping) -> bool:
         """Can any row in a block with these zone maps satisfy the
@@ -163,6 +135,83 @@ class BoundPredicate:
     def note_pruned(self, rows: int) -> None:
         self.rows_pruned += rows
         _M_ROWS_PRUNED.inc(rows)
+
+
+_ORDERED = {
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def select(op: str, vector: Sequence, expected,
+           sel: Optional[List[int]] = None) -> List[int]:
+    """The ascending positions of ``vector`` — among ``sel``, or all of
+    them — whose value satisfies ``value OP expected``.
+
+    Exactly :func:`~repro.query.expr.compare` per value, evaluated over
+    a whole column.  Raises ValueError for an unknown operator.
+    """
+    if op == "=":
+        if expected is None:
+            return []  # compare("=", x, None) is never true
+        if sel is not None:
+            return [i for i in sel if vector[i] == expected]
+        # Equality on a low-cardinality column (schema ids, flags) mostly
+        # keeps or drops a whole block: count first, at C speed.  (NaN
+        # never equals itself, but list.count matches it by identity.)
+        hits = vector.count(expected) if expected == expected else 0
+        if hits == len(vector):
+            return list(range(hits))
+        if not hits:
+            return []
+        return [i for i, value in enumerate(vector) if value == expected]
+    test = _ORDERED.get(op)
+    if test is not None:
+        if sel is None:
+            return [
+                i for i, value in enumerate(vector)
+                if value is not None and test(value, expected)
+            ]
+        return [
+            i for i in sel
+            if vector[i] is not None and test(vector[i], expected)
+        ]
+    if op == "IN":
+        try:
+            expected = frozenset(expected)
+        except TypeError:
+            pass  # unhashable members: linear membership as-is
+        if sel is None:
+            return [i for i, value in enumerate(vector) if value in expected]
+        return [i for i in sel if vector[i] in expected]
+    if op not in ("ISNULL", "NOTNULL"):
+        raise ValueError(f"unsupported comparison operator {op!r}")
+    null = op == "ISNULL"
+    if sel is None:
+        return [i for i, value in enumerate(vector) if (value is None) is null]
+    return [i for i in sel if (vector[i] is None) is null]
+
+
+def narrow(batch, conditions) -> int:
+    """Narrow ``batch.sel`` by bound ``(column, op, expected)``
+    conditions, in order; returns how many selected rows were dropped.
+
+    A later condition only sees the positions the earlier ones kept —
+    the per-row short-circuit of a Filter chain."""
+    sel = batch.sel
+    before = batch.n if sel is None else len(sel)
+    for column, op, expected in conditions:
+        if sel is not None and not sel:
+            break
+        sel = select(op, batch.column(column), expected, sel)
+    if sel is None:
+        return 0
+    kept = len(sel)
+    batch.sel = None if kept == batch.n else sel
+    return before - kept
 
 
 def _zone_may_match(zone, op: str, expected) -> bool:

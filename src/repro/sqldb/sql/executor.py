@@ -21,6 +21,7 @@ from repro.query import (
     ACCESS_PK_PREFIX,
     ACCESS_POINT,
     Aggregate,
+    BoundPredicate,
     Filter,
     FullScan,
     HashJoin,
@@ -41,7 +42,6 @@ from repro.query import (
     analyze_plan,
     choose_access,
     choose_join_access,
-    compare,
     compile_value,
     compile_value_list,
     condition_desc,
@@ -144,6 +144,13 @@ class _SelectPlanBuilder:
         self.current_database = current_database
         self.tables: Dict[str, Table] = {}
         self.guards: List[Callable[[], bool]] = []
+        self.base_alias = stmt.source.alias
+
+    def _slot(self, alias: str, name: str) -> str:
+        """The key a column has in the rows flowing through the plan:
+        base-table columns keep their stored name (scan batches flow
+        through untouched), joined tables' columns are qualified."""
+        return name if alias == self.base_alias else f"{alias}.{name}"
 
     def build(self) -> Plan:
         stmt = self.stmt
@@ -154,44 +161,33 @@ class _SelectPlanBuilder:
         for source in sources:
             self.tables[source.alias] = self._resolve_table(source)
 
-        base_alias = stmt.source.alias
-        node, residual = self._base_access(base_alias, list(stmt.where))
+        node, residual = self._base_access(self.base_alias, list(stmt.where))
         for join in stmt.joins:
             node = self._join(node, join)
         for condition in residual:
-            node = Filter(
-                node, self._env_predicate(condition), condition_desc(condition)
-            )
+            node = Filter(node, self._condition(condition))
 
         if stmt.count:
             # SELECT COUNT(*) counts the filtered set; ORDER BY/LIMIT are
-            # ignored, as they always were on this fast path.  The count
-            # partial lets a sharded FullScan child answer from per-shard
-            # counts without materializing rows.
-            return self._finish(
-                Aggregate(
-                    node,
-                    lambda rows, params: [{"count": len(rows)}],
-                    "count(*)",
-                    partial=count_partial(),
-                )
-            )
+            # ignored, as they always were on this fast path.
+            return self._finish(Aggregate(node, count_partial(), "count(*)"))
         if stmt.aggregates:
             return self._finish(self._aggregate_tail(node))
 
         for ref in stmt.columns:  # validate even when no rows will match
             self._locate(ref)
         if stmt.order_by is not None:
-            alias, name = self._locate(stmt.order_by)
+            order_slot = self._slot(*self._locate(stmt.order_by))
             node = Sort(
                 node,
-                key=lambda env: null_safe_key(env[alias][name]),
+                key=lambda row: null_safe_key(row[order_slot]),
                 descending=stmt.descending,
                 detail=str(stmt.order_by),
             )
         if stmt.limit is not None:
             node = Limit(node, stmt.limit)
-        node = Project(node, self._projector(), self._projection_desc())
+        names, labels = self._projection()
+        node = Project(node, names, self._projection_desc(), labels)
         return self._finish(node)
 
     def _finish(self, node) -> Plan:
@@ -224,16 +220,12 @@ class _SelectPlanBuilder:
         condition = eligible[index] if index is not None else None
         residual = [c for c in conditions if c is not condition]
 
-        def wrap(row, _alias=alias):
-            return {_alias: row}
-
         if access == ACCESS_POINT:
             node = PointLookup(
                 table,
                 key=compile_value(condition.value, ProgrammingError),
                 table_name=alias,
                 key_desc=str(condition.column),
-                wrap=wrap,
             )
         elif access == ACCESS_MULTIGET:
             node = MultiGet(
@@ -241,7 +233,6 @@ class _SelectPlanBuilder:
                 keys=compile_value_list(condition.value, ProgrammingError),
                 table_name=alias,
                 key_desc=str(condition.column),
-                wrap=wrap,
             )
         elif access == ACCESS_PK_PREFIX:
             pushed, residual = self._split_pushdown(alias, residual)
@@ -251,7 +242,6 @@ class _SelectPlanBuilder:
                 value=compile_value(condition.value, ProgrammingError),
                 table_name=alias,
                 access=IndexScan.PK_PREFIX,
-                wrap=wrap,
                 pushed=pushed,
             )
         elif access == ACCESS_INDEX:
@@ -262,12 +252,11 @@ class _SelectPlanBuilder:
                 value=compile_value(condition.value, ProgrammingError),
                 table_name=alias,
                 access=IndexScan.SECONDARY,
-                wrap=wrap,
                 pushed=pushed,
             )
         else:
             pushed, residual = self._split_pushdown(alias, residual)
-            node = FullScan(table, alias, wrap=wrap, pushed=pushed)
+            node = FullScan(table, alias, pushed=pushed)
         return node, residual
 
     def _split_pushdown(self, alias: str, residual: List[ast.Condition]):
@@ -298,13 +287,7 @@ class _SelectPlanBuilder:
             if located_alias != alias:
                 leftover.append(cond)
                 continue
-            if cond.op == "IN":
-                resolve = compile_value_list(cond.value, ProgrammingError)
-            else:
-                resolve = compile_value(cond.value, ProgrammingError)
-            pushable.append(
-                PushedCondition(name, cond.op, resolve, condition_desc(cond))
-            )
+            pushable.append(self._condition(cond))
         pushed = PushedPredicate(pushable) if pushable else None
         return pushed, leftover
 
@@ -331,7 +314,7 @@ class _SelectPlanBuilder:
             _table_meta(right_table, right_alias), right_ref.name
         )
         right_name = right_ref.name
-        build_table = None
+        build_table = probe_factory = None
         if access == ACCESS_POINT:
             detail = "eq_ref"
 
@@ -353,61 +336,50 @@ class _SelectPlanBuilder:
 
         else:
             detail = "hash build"
-            # Declaring the build side lets the kernel scatter the hash
-            # build across the right table's shards instead of calling
-            # the serial factory.
+            # Declaring the build side has the kernel hash the right
+            # table itself, scattered across its shards.
             build_table = right_table
 
-            def probe_factory():
-                build: Dict[object, List[Dict[str, object]]] = {}
-                for row in right_table.scan():
-                    key = row.get(right_name)
-                    if key is not None:
-                        build.setdefault(key, []).append(row)
-                return lambda key: build.get(key, ())
+        left_slot = self._slot(left_alias, left_name)
+        right_names = right_table.column_names
+        right_slots = [self._slot(right_alias, name) for name in right_names]
 
-        def key_of(env, _a=left_alias, _n=left_name):
-            return env[_a][_n]
-
-        def merge(env, right_row, _alias=right_alias):
-            merged = dict(env)
-            merged[_alias] = right_row
+        def merge(row, right_row):
+            merged = dict(row)
+            merged.update(zip(right_slots, map(right_row.__getitem__, right_names)))
             return merged
 
         return HashJoin(
             node,
-            probe_factory,
-            key_of,
-            merge,
+            key_of=lambda row: row[left_slot],
+            merge=merge,
             table_name=right_alias,
             detail=detail,
             key_desc=str(right_ref),
+            probe_factory=probe_factory,
             build_table=build_table,
             build_key=right_name if build_table is not None else None,
         )
 
     # -- filters --------------------------------------------------------------
-    def _env_predicate(self, condition: ast.Condition):
-        alias, name = self._locate(condition.column)
-        op = condition.op
-        if op == "IN":
-            expected = compile_value_list(condition.value, ProgrammingError)
-        elif op in ("ISNULL", "NOTNULL"):
-            expected = lambda params: None
+    def _condition(self, condition: ast.Condition) -> PushedCondition:
+        """One WHERE conjunct in the kernel's declarative form, its
+        column resolved to the slot it occupies in the flowing rows."""
+        if condition.op == "IN":
+            resolve = compile_value_list(condition.value, ProgrammingError)
         else:
-            expected = compile_value(condition.value, ProgrammingError)
-
-        def predicate(env, params):
-            return compare(op, env[alias][name], expected(params))
-
-        return predicate
+            resolve = compile_value(condition.value, ProgrammingError)
+        return PushedCondition(
+            self._slot(*self._locate(condition.column)),
+            condition.op, resolve, condition_desc(condition),
+        )
 
     # -- aggregation -----------------------------------------------------------
     def _aggregate_tail(self, node):
         """GROUP BY / aggregate evaluation over the filtered row set."""
         stmt = self.stmt
         group_refs = list(stmt.group_by)
-        group_slots = [self._locate(ref) for ref in group_refs]
+        group_slots = [self._slot(*self._locate(ref)) for ref in group_refs]
         # Plain select items must be grouping columns (standard SQL rule).
         group_names = {(ref.qualifier, ref.name) for ref in group_refs} | {
             (None, ref.name) for ref in group_refs
@@ -421,38 +393,16 @@ class _SelectPlanBuilder:
             ref.name if ref.qualifier is None else f"{ref.qualifier}.{ref.name}"
             for ref in group_refs
         ]
-        aggregate_slots = [
-            (agg, self._locate(agg.column) if agg.column is not None else None)
+        aggregates = [
+            (agg, self._slot(*self._locate(agg.column)) if agg.column is not None else None)
             for agg in stmt.aggregates
         ]
-
-        def fold(env_rows, params):
-            groups: Dict[tuple, List[Dict[str, Dict[str, object]]]] = {}
-            for env in env_rows:
-                key = tuple(env[alias][name] for alias, name in group_slots)
-                groups.setdefault(key, []).append(env)
-            if not group_refs and not groups:
-                groups[()] = []  # global aggregates over zero rows still report
-
-            out_rows: List[Dict[str, object]] = []
-            for key, members in groups.items():
-                row: Dict[str, object] = {}
-                for label, value in zip(group_labels, key):
-                    row[label] = value
-                for agg, slot in aggregate_slots:
-                    row[agg.label] = _run_aggregate(agg, slot, members)
-                out_rows.append(row)
-            return out_rows
 
         detail = ", ".join(agg.label for agg in stmt.aggregates)
         if group_labels:
             detail += f" group by {', '.join(group_labels)}"
         node = Aggregate(
-            node,
-            fold,
-            detail,
-            partial=_aggregate_partial(group_refs, group_slots, group_labels,
-                                       aggregate_slots),
+            node, _aggregate_partial(group_slots, group_labels, aggregates), detail
         )
 
         if stmt.order_by is not None:
@@ -477,29 +427,26 @@ class _SelectPlanBuilder:
         return node
 
     # -- projection --------------------------------------------------------------
-    def _projector(self):
+    def _projection(self):
+        """``(names, labels)`` for the Project node: the slots the output
+        rows are built from and the keys they get.  ``(None, None)`` is
+        SELECT * over one table — every column under its own name."""
         columns = self.stmt.columns
+        names: List[str] = []
+        labels: List[str] = []
         if not columns:  # SELECT *
-
-            def project_star(env):
-                merged: Dict[str, object] = {}
-                for alias, row in env.items():
-                    for name, value in row.items():
-                        key = name if name not in merged else f"{alias}.{name}"
-                        merged[key] = value
-                return merged
-
-            return project_star
-        slots = []
+            if len(self.tables) == 1:
+                return None, None
+            for alias, table in self.tables.items():
+                for name in table.column_names:
+                    names.append(self._slot(alias, name))
+                    labels.append(name if name not in labels else f"{alias}.{name}")
+            return names, labels
         for ref in columns:
             alias, name = self._locate(ref)
-            label = name if ref.qualifier is None else f"{alias}.{name}"
-            slots.append((alias, name, label))
-
-        def project(env):
-            return {label: env[alias][name] for alias, name, label in slots}
-
-        return project
+            names.append(self._slot(alias, name))
+            labels.append(name if ref.qualifier is None else f"{alias}.{name}")
+        return names, labels
 
     def _projection_desc(self) -> str:
         if not self.stmt.columns:
@@ -632,14 +579,12 @@ class _Executor:
         builder.current_database = self.current_database
         builder.tables = {alias: table}
         builder.guards = []
-        compiled = [builder._env_predicate(condition) for condition in where]
+        builder.base_alias = alias
         params = self.params
-
-        def predicate(row: Dict[str, object]) -> bool:
-            env = {alias: row}
-            return all(check(env, params) for check in compiled)
-
-        return predicate
+        return BoundPredicate(tuple(
+            (column, op, resolve(params))
+            for column, op, resolve, _ in map(builder._condition, where)
+        )).matches
 
     def _update(self, stmt: ast.Update):
         table = self._table(stmt.source)
@@ -671,44 +616,29 @@ class _Executor:
         return result, None
 
 
-def _run_aggregate(agg: ast.Aggregate, slot, members) -> object:
-    """One aggregate over one group's rows (NULLs ignored, as in SQL)."""
-    if agg.column is None:  # COUNT(*)
-        return len(members)
-    alias, name = slot
-    values = [env[alias][name] for env in members if env[alias][name] is not None]
-    try:
-        return evaluate_aggregate(agg.func, values)
-    except ValueError:  # pragma: no cover - parsers only emit known funcs
-        raise ProgrammingError(f"unknown aggregate {agg.func!r}") from None
-
-
 # ----------------------------------------------------------------------
-# partial (two-phase) aggregation
+# two-phase aggregation
 # ----------------------------------------------------------------------
-#: Aggregates with a distributive/algebraic decomposition: per-shard
-#: partial states merge into the exact serial answer.  AVG is algebraic
-#: — its state is a (sum, count) pair.
-_DECOMPOSABLE = frozenset({"count", "sum", "min", "max", "avg"})
-
-
-def _partial_state(agg: ast.Aggregate, slot, members) -> object:
-    """One shard's partial state for one aggregate over one group."""
+def _partial_state(agg: ast.Aggregate, count: int, values: Optional[list]) -> object:
+    """One partition's state for one aggregate over one group of
+    ``count`` rows; ``values`` are its column's non-NULL values (NULLs
+    ignored, as in SQL)."""
     if agg.column is None:  # COUNT(*)
-        return len(members)
-    alias, name = slot
-    values = [env[alias][name] for env in members if env[alias][name] is not None]
+        return count
     if agg.func == "count":
         return len(values)
     if agg.func == "avg":
         return (sum(values), len(values)) if values else (None, 0)
-    # sum/min/max: None marks an all-NULL (or empty) shard slice
-    return evaluate_aggregate(agg.func, values) if values else None
+    # sum/min/max: None marks an all-NULL (or empty) partition
+    try:
+        return evaluate_aggregate(agg.func, values) if values else None
+    except ValueError:  # pragma: no cover - parsers only emit known funcs
+        raise ProgrammingError(f"unknown aggregate {agg.func!r}") from None
 
 
 def _merge_partial(agg: ast.Aggregate, states: List[object]) -> object:
-    """Combine one aggregate's per-shard states into its final value,
-    matching :func:`_run_aggregate` over the union of the shards' rows."""
+    """Combine one aggregate's per-partition states into its final
+    value: the aggregate over the union of the partitions' rows."""
     if agg.column is None or agg.func == "count":
         return sum(states)
     if agg.func == "avg":
@@ -724,48 +654,62 @@ def _merge_partial(agg: ast.Aggregate, states: List[object]) -> object:
     return min(present) if agg.func == "min" else max(present)
 
 
-def _aggregate_partial(
-    group_refs, group_slots, group_labels, aggregate_slots
-) -> Optional[PartialAggregate]:
-    """The two-phase decomposition of a GROUP BY / aggregate tail.
+def _aggregate_partial(group_slots, group_labels, aggregates) -> PartialAggregate:
+    """The fold/merge form of a GROUP BY / aggregate tail.
 
-    Returns ``None`` when any aggregate lacks a decomposition, pinning
-    the serial fold.  Group output order under scatter follows
-    first-appearance in shard-gather order rather than row-stream order
-    — SQL guarantees no order without ORDER BY, and the Sort node (when
-    present) sits above the Aggregate either way.
+    ``fold`` reads the grouping and aggregate columns of each batch as
+    vectors — no row is built — and reduces a partition to
+    ``{group key: [state per aggregate]}``; ``merge`` combines the
+    partitions' states exactly (AVG is algebraic: its state is a
+    ``(sum, count)`` pair).  Groups come out in first-appearance order
+    of the stream — SQL guarantees no order without ORDER BY, and the
+    Sort node (when present) sits above the Aggregate either way.
     """
-    for agg, _ in aggregate_slots:
-        if agg.column is not None and agg.func not in _DECOMPOSABLE:
-            return None
+    value_slots = list(dict.fromkeys(slot for _, slot in aggregates if slot is not None))
 
-    def fold_shard(env_rows, params):
-        groups: Dict[tuple, List[Dict[str, Dict[str, object]]]] = {}
-        for env in env_rows:
-            key = tuple(env[alias][name] for alias, name in group_slots)
-            groups.setdefault(key, []).append(env)
-        return {
-            key: [_partial_state(agg, slot, members) for agg, slot in aggregate_slots]
-            for key, members in groups.items()
-        }
+    def fold(batches, params):
+        groups: Dict[tuple, list] = {}  # key -> [row count, values per value slot]
+        for batch in batches:
+            n = batch.count()
+            if not n:
+                continue
+            vectors = [batch.values(slot) for slot in value_slots]
+            if group_slots:
+                keys = zip(*[batch.values(slot) for slot in group_slots])
+            else:
+                keys = ((),) * n
+            for position, key in enumerate(keys):
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = [0, [[] for _ in value_slots]]
+                group[0] += 1
+                for values, vector in zip(group[1], vectors):
+                    if vector[position] is not None:
+                        values.append(vector[position])
+        states = {}
+        for key, (count, gathered) in groups.items():
+            by_slot = dict(zip(value_slots, gathered))
+            states[key] = [
+                _partial_state(agg, count, by_slot.get(slot))
+                for agg, slot in aggregates
+            ]
+        return states
 
-    def merge(shard_states, params):
+    def merge(partitions, params):
         merged: Dict[tuple, List[List[object]]] = {}
-        for shard_groups in shard_states:
-            for key, agg_states in shard_groups.items():
-                slots = merged.setdefault(key, [[] for _ in aggregate_slots])
-                for index, state in enumerate(agg_states):
+        for groups in partitions:
+            for key, states in groups.items():
+                slots = merged.setdefault(key, [[] for _ in aggregates])
+                for index, state in enumerate(states):
                     slots[index].append(state)
-        if not group_refs and not merged:
-            merged[()] = [[] for _ in aggregate_slots]  # zero rows still report
+        if not group_slots and not merged:
+            merged[()] = [[] for _ in aggregates]  # zero rows still report
         out_rows: List[Dict[str, object]] = []
         for key, slots in merged.items():
-            row: Dict[str, object] = {}
-            for label, value in zip(group_labels, key):
-                row[label] = value
-            for (agg, _), states in zip(aggregate_slots, slots):
+            row: Dict[str, object] = dict(zip(group_labels, key))
+            for (agg, _), states in zip(aggregates, slots):
                 row[agg.label] = _merge_partial(agg, states)
             out_rows.append(row)
         return out_rows
 
-    return PartialAggregate(fold_shard=fold_shard, merge=merge)
+    return PartialAggregate(fold=fold, merge=merge)

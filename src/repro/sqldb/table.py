@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.workers import map_tasks
+from repro.query.batch import Batch, RowBatch
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.sqldb.types import SQLType
 from repro.storage.btree import BTree
@@ -333,48 +334,54 @@ class Table:
             results.append(decode(encoded) if encoded is not None else None)
         return results
 
-    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
-        """Every row in key order; with ``pushed`` (a bound predicate
-        from :mod:`repro.query.pushdown`) only the rows satisfying it.
-        The clustered B-tree has no zone maps, so pushdown here is
-        row-wise pruning before rows reach the kernel."""
-        for _, encoded in self._clustered.items():
-            row = self.decode_row(encoded)
-            if pushed is not None and not pushed.matches(row):
-                pushed.note_pruned(1)
-                continue
-            yield row
+    def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
+        """The virtual shard's rows in key order, one row-backed batch
+        per B-tree leaf page; with ``pushed`` (a bound predicate from
+        :mod:`repro.query.pushdown`) each batch's selection is already
+        narrowed to the rows satisfying it.
+
+        A batch holds the page's *encoded* rows and decodes them on
+        first column access, so ``COUNT(*)`` decodes nothing.  The
+        clustered B-tree has no zone maps: pushdown here is evaluating
+        the predicate on the page's decoded columns, counted once per
+        page.  With several shards each one walks the shared tree but
+        keeps only the primary keys its ring slice owns, so N scatter
+        tasks together decode every row at most once; the slices are
+        disjoint and exhaustive.
+        """
+        decode = self.decode_row
+        shard_for = self._ring.shard_for if self.shard_count > 1 else None
+        for keys, values in self._clustered.leaves():
+            if shard_for is not None:
+                values = [
+                    encoded for pk, encoded in zip(keys, values)
+                    if shard_for(pk) == shard_id
+                ]
+                if not values:
+                    continue
+            batch = RowBatch(values, decode)
+            if pushed is not None:
+                pushed.narrow(batch)
+            yield batch
 
     def scan_shard(self, shard_id: int, pushed=None) -> Iterator[Dict[str, object]]:
-        """The virtual shard's slice of :meth:`scan`.
+        """:meth:`scan_batches` as rows — a view for checkers and tests;
+        queries consume the batches."""
+        for batch in self.scan_batches(shard_id, pushed):
+            yield from batch.rows()
 
-        Each shard walks the shared clustered tree but decodes only the
-        primary keys its ring slice owns, so N scatter tasks together
-        decode every row exactly once (key iteration is repeated per
-        shard, decode — the dominant cost — is not).  Shard slices are
-        disjoint and exhaustive: chaining ``scan_shard(0..N-1)`` yields
-        the same multiset of rows as :meth:`scan`.
-        """
-        if self.shard_count == 1:
-            yield from self.scan(pushed)
-            return
-        shard_for = self._ring.shard_for
-        decode = self.decode_row
-        for pk, encoded in self._clustered.items():
-            if shard_for(pk) != shard_id:
-                continue
-            row = decode(encoded)
-            if pushed is not None and not pushed.matches(row):
-                pushed.note_pruned(1)
-                continue
-            yield row
+    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
+        """Every row (key order at one shard); with ``pushed`` only the
+        rows satisfying it."""
+        for shard_id in range(self.shard_count):
+            yield from self.scan_shard(shard_id, pushed)
 
     def run_sharded(self, tasks):
         """Scatter hook the kernel duck-types: run per-shard tasks on the
         ``REPRO_WORKERS`` pool, results in task (= shard) order."""
         return map_tasks(tasks)
 
-    def lookup_pk_prefix(self, value, pushed=None) -> List[Dict[str, object]]:
+    def lookup_pk_prefix(self, value) -> List[Dict[str, object]]:
         """Rows whose *first* primary-key component equals ``value``.
 
         The clustered-index prefix scan InnoDB uses for composite keys
@@ -382,24 +389,15 @@ class Table:
         """
         if len(self.primary_key) < 2:
             row = self.get(value)
-            rows = [row] if row is not None else []
-        else:
-            rows = []
-            for key, encoded in self._clustered.items(lo=(value,)):
-                if key[0] != value:
-                    break
-                rows.append(self.decode_row(encoded))
-        if pushed is None:
-            return rows
-        kept = []
-        for row in rows:
-            if pushed.matches(row):
-                kept.append(row)
-            else:
-                pushed.note_pruned(1)
-        return kept
+            return [row] if row is not None else []
+        rows = []
+        for key, encoded in self._clustered.items(lo=(value,)):
+            if key[0] != value:
+                break
+            rows.append(self.decode_row(encoded))
+        return rows
 
-    def lookup_indexed(self, column: str, value, pushed=None) -> List[Dict[str, object]]:
+    def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
         """Raises ProgrammingError when ``column`` has no secondary index."""
         tree = self._secondary.get(column)
         if tree is None:
@@ -409,12 +407,8 @@ class Table:
             if composite[0] != value:
                 break
             row = self.get(composite[1])
-            if row is None:
-                continue
-            if pushed is not None and not pushed.matches(row):
-                pushed.note_pruned(1)
-                continue
-            rows.append(row)
+            if row is not None:
+                rows.append(row)
         return rows
 
     def __len__(self) -> int:

@@ -322,6 +322,16 @@ class BTree:
     def keys(self, lo=None, hi=None) -> Iterator:
         return (key for key, _ in self.items(lo, hi))
 
+    def leaves(self) -> Iterator[Tuple[List, List[Optional[bytes]]]]:
+        """Yield each leaf page's ``(keys, values)`` lists in key order —
+        the page-at-a-time twin of :meth:`items` (the lists are the
+        page's own: read them, do not keep or mutate them)."""
+        leaf = self._first_leaf
+        while leaf is not None:
+            if leaf.keys:
+                yield leaf.keys, leaf.values
+            leaf = leaf.next
+
     def __len__(self) -> int:
         return self._n_entries
 

@@ -128,11 +128,47 @@ class TestZoneMaps:
         cf.flush()
         table = cf._sstables[0]
         before = table.blocks_skipped
-        fetched = table.scan_filtered(bound_eq("name", "z"), True, cf.decode_row)
-        rows = [(key, row) for key, row in fetched if row is not None]
-        assert {row["name"] for _, row in rows} == {"z"}
+        bound = bound_eq("name", "z")
+        batches = list(table.scan_batches(bound, cf.decode_row))
+        rows = [row for batch in batches for row in batch.rows()]
+        assert {row["name"] for row in rows} == {"z"}
         assert len(rows) == 1000
         assert table.blocks_skipped > before
+        # every row is either emitted or counted as pruned, never both
+        assert sum(batch.count() for batch in batches) + bound.rows_pruned == 2000
+
+    def test_scan_batches_expose_vectors_without_building_rows(self):
+        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        fill(cf, 60)
+        cf.flush()
+        table = cf._sstables[0]
+        (batch,) = table.scan_batches(bound_eq("name", "b"), cf.decode_row)
+        assert batch.n == 60 and batch.sel == list(range(1, 60, 3))
+        # columns are addressed by position; values() applies the selection
+        assert batch.column("m") == list(range(60))
+        assert list(batch.values("m")) == list(range(1, 60, 3))
+        # late materialization: only the named columns, only selected rows
+        assert batch.rows(("id", "m"))[:2] == [{"id": 1, "m": 1}, {"id": 4, "m": 4}]
+        assert batch.rows()[0] == {"id": 1, "name": "b", "m": 1}
+        # an unpushed scan selects everything and still builds no row
+        (whole,) = table.scan_batches(None, cf.decode_row)
+        assert whole.sel is None and whole.count() == 60
+
+    def test_recording_layer_may_not_skip_refuted_blocks(self):
+        # ``record`` (an older layer overlaps) forces a zone-refuted
+        # block to be read for its keys; without it the block is skipped.
+        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        fill(cf, 30)
+        cf.flush()
+        table = cf._sstables[0]
+        seen = set()
+        bound = bound_eq("m", -1)
+        assert list(table.scan_batches(bound, cf.decode_row, None, seen)) == []
+        assert seen == set(range(30)) and bound.blocks_skipped == 0
+        assert bound.rows_pruned == 30
+        bound = bound_eq("m", -1)
+        assert list(table.scan_batches(bound, cf.decode_row)) == []
+        assert bound.blocks_skipped == 1 and bound.rows_pruned == 30
 
     def test_zone_skip_counts_surface_in_stats(self):
         cf = make_cf(BLOCK_FORMAT_COLUMNAR)
@@ -153,6 +189,56 @@ class TestZoneMaps:
         cf.insert({"id": 1, "name": "new", "m": 1})
         cf.flush()
         assert list(cf.scan(pushed=bound_eq("name", "old"))) == []
+        # ...and so must a newer *memtable* version that fails it
+        cf.insert({"id": 1, "name": "newest", "m": 1})
+        assert list(cf.scan(pushed=bound_eq("name", "new"))) == []
+        assert [row["name"] for row in cf.scan()] == ["newest"]
+
+    def test_key_disjoint_layers_keep_no_shadow_bookkeeping(self, monkeypatch):
+        # Two stored cubes occupy disjoint id ranges: neither layer can
+        # shadow the other, so no key is checked or recorded and the
+        # *newer* layer may skip its zone-refuted blocks too.
+        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        for i in range(40):
+            cf.insert({"id": i, "name": "old", "m": i})
+        cf.flush()
+        for i in range(100, 140):
+            cf.insert({"id": i, "name": "new", "m": i})
+        cf.flush()
+        older, newer = cf._sstables
+        assert older.key_range() == (0, 39) and newer.key_range() == (100, 139)
+        calls = []
+        original = SSTable.scan_batches
+
+        def spy(self, bound, decode_row, shadow=None, record=None):
+            calls.append((shadow, record))
+            return original(self, bound, decode_row, shadow, record)
+
+        monkeypatch.setattr(SSTable, "scan_batches", spy)
+        bound = bound_eq("name", "old")
+        assert len(list(cf.scan(pushed=bound))) == 40
+        assert calls == [(None, None), (None, None)]
+        assert bound.blocks_skipped == 1  # the newer layer's only block
+        # overlapping ranges bring the bookkeeping back
+        cf.insert({"id": 20, "name": "old", "m": -1})
+        cf.flush()
+        calls.clear()
+        assert len(list(cf.scan(pushed=bound_eq("name", "old")))) == 40
+        newest, middle, oldest = calls
+        assert newest[0] is None and newest[1] is not None   # records only
+        assert middle == (None, None)                          # disjoint from both
+        assert oldest[0] is not None and oldest[1] is None   # checks only
+
+    def test_tombstones_widen_a_layers_key_range(self):
+        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        fill(cf, 10)
+        cf.flush()
+        cf.insert({"id": 50, "name": "x", "m": 50})
+        cf.delete(3)
+        cf.flush()
+        assert cf._sstables[1].key_range() == (3, 50)
+        assert sorted(row["id"] for row in cf.scan()) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 50]
+        assert len(list(cf.scan(pushed=bound_eq("m", 3)))) == 0
 
     def test_all_null_column_is_skippable(self):
         cf = make_cf(BLOCK_FORMAT_COLUMNAR)

@@ -115,12 +115,34 @@ class TestShardedColumnFamily:
         ]
         assert chained == list(sharded.scan())
 
-    def test_count_shard_sums_to_len(self):
+    def test_shard_batch_counts_sum_to_len(self):
+        # Counting never needs rows: the per-shard batch selections sum
+        # to the live-row count, flushed or not, layered or not.
+        sharded = make_family(shards=4)
+
+        def counted():
+            return sum(
+                batch.count()
+                for shard_id in range(sharded.shard_count)
+                for batch in sharded.scan_batches(shard_id)
+            )
+
+        assert counted() == len(sharded) == 60
+        sharded.flush()
+        assert counted() == 60
+        sharded.delete(3)
+        sharded.insert({"id": 5, "label": "x"})
+        assert counted() == len(sharded) == 59
+        sharded.drop_volatile_state()  # len() recounts through the batches
+        assert counted() == len(sharded) == 60
+
+    def test_scan_batches_stay_on_their_shard(self):
         sharded = make_family(shards=4)
         sharded.flush()
-        assert sum(
-            sharded.count_shard(i) for i in range(sharded.shard_count)
-        ) == len(sharded)
+        ring = sharded.ring
+        for shard_id in range(sharded.shard_count):
+            for batch in sharded.scan_batches(shard_id):
+                assert {ring.shard_for(key) for key in batch.values("id")} == {shard_id}
 
     def test_writes_route_by_ring(self):
         sharded = make_family(shards=4)

@@ -1,0 +1,275 @@
+"""What the batch execution path must not do: scan past a LIMIT, build
+rows for a COUNT, re-encode columnar blocks for an unfiltered scan, or
+report pruning one row at a time.
+
+These pin *work done* through operator counters, block-cache misses and
+call spies — never wall time.  The LIMIT and unfiltered-scan cases are
+regression tests: both fail on the row-generator scan chain this path
+replaced (``list(table.scan())`` before ``Limit``; ``SSTable.items()``
+-> ``ColumnVectors.materialize`` -> ``decode_row`` for unpushed scans).
+"""
+
+import pytest
+
+from repro.mapping.registry import make_mapper
+from repro.mapping.stored_query import stored_cell_count, stored_select
+from repro.dwarf.builder import DwarfBuilder
+from repro.core.schema import CubeSchema
+from repro.dwarf.query import Each
+from repro.nosqldb.columnar import ColumnVectors
+from repro.nosqldb.engine import NoSQLEngine
+from repro.query import BoundPredicate, RowBatch, VectorBatch
+from repro.sqldb.engine import SQLEngine
+from repro.telemetry import get_tracer
+
+from tests.query.test_sharded_equivalence import env
+
+N_ROWS = 3000  # dozens of columnar blocks / B-tree leaf pages
+
+
+def build_cql(shards=1, rows=N_ROWS, layers=1):
+    with env(REPRO_SHARDS=shards):
+        session = NoSQLEngine().connect()
+        session.execute("CREATE KEYSPACE k")
+        session.execute("USE k")
+        session.execute("CREATE TABLE t (id int PRIMARY KEY, grp text, val int)")
+    table = session.engine.keyspace("k").table("t")
+    step = rows // layers
+    for i in range(rows):
+        table.insert({"id": i, "grp": f"g{i * 3 // rows}", "val": i % 50})
+        if (i + 1) % step == 0:
+            table.flush()
+    table.flush()
+    return session, table
+
+
+def build_sql(shards=1, rows=N_ROWS):
+    with env(REPRO_SHARDS=shards):
+        session = SQLEngine().connect()
+        session.execute("CREATE DATABASE d")
+        session.execute("USE d")
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, grp VARCHAR(8), val INT)")
+    table = session.engine.database("d").table("t")
+    table.insert_rows(
+        {"id": i, "grp": f"g{i * 3 // rows}", "val": i % 50} for i in range(rows)
+    )
+    return session, table
+
+
+def leaf(session, text):
+    return session.execute("EXPLAIN ANALYZE " + text).rows[0]
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """Counts every row dict a batch builds while the test runs."""
+    built = []
+    for cls in (RowBatch, VectorBatch):
+        original = cls.rows
+
+        def spy(self, names=None, _original=original):
+            out = _original(self, names)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(cls, "rows", spy)
+    return built
+
+
+# ----------------------------------------------------------------------
+# LIMIT stops the scan
+# ----------------------------------------------------------------------
+class TestLimitStopsTheScan:
+    def test_cql_limit_decodes_only_the_blocks_it_needs(self):
+        session, table = build_cql()
+        blocks = table.stats().columnar_blocks
+        assert blocks > 10
+        cold = table.stats().block_cache.misses
+        assert len(session.execute("SELECT * FROM t LIMIT 5").rows) == 5
+        assert table.stats().block_cache.misses - cold == 1  # one block, not all
+        scanned = leaf(session, "SELECT * FROM t LIMIT 5")
+        assert scanned["node"] == "FullScan"
+        assert 5 <= scanned["rows"] < N_ROWS / 4  # the leaf reports what it emitted
+        # a pushed predicate skips the leading blocks and still stops early
+        scanned = leaf(session, "SELECT id FROM t WHERE grp = 'g2' LIMIT 5 ALLOW FILTERING")
+        assert scanned["rows"] < N_ROWS / 4 and scanned["blocks_skipped"] > 0
+
+    def test_sql_limit_decodes_only_the_pages_it_needs(self, monkeypatch):
+        session, table = build_sql()
+        decoded = []
+        original = table.decode_row
+        monkeypatch.setattr(
+            table, "decode_row", lambda encoded: decoded.append(1) or original(encoded)
+        )
+        assert [r["id"] for r in session.execute("SELECT id FROM t LIMIT 5").rows] == [0, 1, 2, 3, 4]
+        assert 5 <= len(decoded) <= 64  # one leaf page at most
+        assert leaf(session, "SELECT id FROM t LIMIT 5")["rows"] <= 64
+
+    def test_sort_below_limit_still_sees_every_row(self):
+        for session, _ in (build_cql(), build_sql()):
+            rows = session.execute("SELECT id FROM t ORDER BY id DESC LIMIT 3").rows
+            assert [r["id"] for r in rows] == [N_ROWS - 1, N_ROWS - 2, N_ROWS - 3]
+            assert leaf(session, "SELECT id FROM t ORDER BY id DESC LIMIT 3")["rows"] == N_ROWS
+
+    def test_count_and_limit_keep_their_dialect_semantics(self):
+        cql, _ = build_cql()
+        sql, _ = build_sql()
+        # CQL counts what the statement returns: LIMIT applies first...
+        assert cql.execute("SELECT count(*) FROM t LIMIT 7").rows == [{"count": 7}]
+        assert leaf(cql, "SELECT count(*) FROM t LIMIT 7")["rows"] < N_ROWS / 4
+        assert cql.execute("SELECT count(*) FROM t LIMIT 0").rows == [{"count": 0}]
+        # ...SQL's COUNT ignores it.
+        assert sql.execute("SELECT COUNT(*) FROM t LIMIT 7").rows == [{"count": N_ROWS}]
+
+
+# ----------------------------------------------------------------------
+# nothing is built that the statement does not return
+# ----------------------------------------------------------------------
+class TestLateMaterialization:
+    def test_unfiltered_scan_never_reencodes_columnar_rows(self, monkeypatch):
+        session, table = build_cql(layers=2)
+        assert table.stats().columnar_blocks > 10
+
+        def forbidden(self, i):
+            raise AssertionError("an unpushed scan re-encoded a columnar row")
+
+        monkeypatch.setattr(ColumnVectors, "materialize", forbidden)
+        rows = session.execute("SELECT * FROM t").rows
+        assert len(rows) == N_ROWS
+        assert rows[0] == {"id": 1500, "grp": "g1", "val": 0}  # newest layer first
+        assert sorted(r["id"] for r in rows) == list(range(N_ROWS))
+        assert len(list(table.scan())) == N_ROWS  # the row view rides the batches too
+
+    def test_count_builds_no_row_dicts(self, built_rows):
+        cql, cql_table = build_cql(layers=2)
+        sql, _ = build_sql()
+        cql_table.insert({"id": N_ROWS, "grp": "g0", "val": 1})  # a memtable layer too
+        statements = (
+            (cql, "SELECT count(*) FROM t", N_ROWS + 1),
+            (cql, "SELECT count(*) FROM t WHERE grp = 'g1' ALLOW FILTERING", 1000),
+            (cql, "SELECT count(*) FROM t WHERE grp = 'g1' AND val > 40 ALLOW FILTERING", 180),
+            (sql, "SELECT COUNT(*) FROM t", N_ROWS),
+            (sql, "SELECT COUNT(*) FROM t WHERE grp = 'g1' AND val IS NOT NULL", 1000),
+        )
+        for session, text, expected in statements:
+            built_rows.clear()
+            assert session.execute(text).rows == [{"count": expected}], text
+            # the only rows() call materializes the Aggregate's one output row
+            assert built_rows == [1], text
+        # COUNT(*) over a plain table never even decodes: the filtered
+        # count is no slower than the doubly filtered one by construction.
+        plain = leaf(cql, "SELECT count(*) FROM t WHERE grp = 'g1' ALLOW FILTERING")
+        narrow = leaf(cql, "SELECT count(*) FROM t WHERE grp = 'g1' AND val > 40 ALLOW FILTERING")
+        assert plain["rows"] + plain["rows_pruned"] == narrow["rows"] + narrow["rows_pruned"]
+
+    def test_sql_count_decodes_nothing(self, monkeypatch):
+        session, table = build_sql()
+        monkeypatch.setattr(
+            table, "decode_row",
+            lambda encoded: (_ for _ in ()).throw(AssertionError("COUNT(*) decoded a row")),
+        )
+        assert session.execute("SELECT COUNT(*) FROM t").rows == [{"count": N_ROWS}]
+
+    def test_projection_builds_only_the_named_columns(self, built_rows):
+        session, _ = build_cql()
+        rows = session.execute("SELECT id, val FROM t WHERE grp = 'g2' ALLOW FILTERING").rows
+        assert len(rows) == 1000 and set(rows[0]) == {"id", "val"}
+        assert sum(built_rows) == 1000  # each returned row built once, no others
+
+    def test_stored_select_scan_reads_columns_not_rows(self, built_rows):
+        mapper = make_mapper("NoSQL-DWARF")
+        cube = DwarfBuilder(CubeSchema("c", ["d1", "d2"])).build(
+            [(f"m{i % 7}", i % 5, i) for i in range(200)]
+        )
+        schema_id = mapper.store(cube, probe_size=False)
+        for table in mapper.engine.keyspace(mapper.keyspace_name).tables:
+            table.flush()
+        built_rows.clear()
+        scanned = list(stored_select(mapper, schema_id, strategy="scan", d1=Each()))
+        # the dimension read builds its two rows; no cell row is ever built
+        assert max(built_rows, default=0) <= 2 < cube.stats.cell_count
+        assert scanned == list(stored_select(mapper, schema_id, strategy="walk", d1=Each()))
+        assert stored_cell_count(mapper, schema_id) == cube.stats.cell_count
+
+
+# ----------------------------------------------------------------------
+# sqldb reports pruning per batch, not per row
+# ----------------------------------------------------------------------
+def test_sqldb_reports_pruned_rows_once_per_page(monkeypatch):
+    session, table = build_sql()
+    calls = []
+    original = BoundPredicate.note_pruned
+    monkeypatch.setattr(
+        BoundPredicate, "note_pruned",
+        lambda self, rows: calls.append(rows) or original(self, rows),
+    )
+    assert len(session.execute("SELECT id FROM t WHERE val = 7").rows) == N_ROWS // 50
+    assert sum(calls) == N_ROWS - N_ROWS // 50
+    assert len(calls) <= N_ROWS // 32  # one call per leaf page, not per rejected row
+    scanned = leaf(session, "SELECT id FROM t WHERE val = 7")
+    assert scanned["rows"] + scanned["rows_pruned"] == N_ROWS
+
+
+# ----------------------------------------------------------------------
+# the shard grid (what bench_parallel_query's CI job guarded)
+# ----------------------------------------------------------------------
+class TestShardGrid:
+    def _store_two_cubes(self, shards):
+        with env(REPRO_SHARDS=shards):
+            mapper = make_mapper("NoSQL-DWARF")
+        schema = CubeSchema("c", ["d1", "d2", "d3"])
+        other = DwarfBuilder(schema).build(
+            [(f"o{i % 11}", i % 13, f"x{i % 5}", 1) for i in range(900)]
+        )
+        cube = DwarfBuilder(schema).build(
+            [(f"m{i % 9}", i % 17, f"y{i % 7}", i) for i in range(900)]
+        )
+        mapper.store(other, probe_size=False)
+        schema_id = mapper.store(cube, probe_size=False)
+        for table in mapper.engine.keyspace(mapper.keyspace_name).tables:
+            table.compact()
+        return mapper, schema_id, cube
+
+    def test_answers_skips_and_spans_across_the_grid(self):
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        answers = {}
+        try:
+            for shards, workers in ((1, 1), (2, 2), (4, 4)):
+                mapper, schema_id, cube = self._store_two_cubes(shards)
+                cells = mapper.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+                skipped_before = [
+                    sum(t.blocks_skipped for t in shard.sstables) for shard in cells.shards
+                ]
+                tracer.enabled = True
+                tracer.reset()
+                with env(REPRO_WORKERS=workers):
+                    count = stored_cell_count(mapper, schema_id)
+                    merged = tracer.merged()
+                    scan = list(stored_select(mapper, schema_id, strategy="scan",
+                                              d1=Each(), d2=Each()))
+                tracer.enabled = was_enabled
+                assert count == cube.stats.cell_count
+                answers[shards] = (count, scan)
+                # zone maps refute the other cube's blocks on every shard
+                skipped = [
+                    sum(t.blocks_skipped for t in shard.sstables) - before
+                    for shard, before in zip(cells.shards, skipped_before)
+                ]
+                assert all(n > 0 for n in skipped), (shards, skipped)
+                # one query.shard_scan span per shard at every count above 1
+                spans = _count_spans(merged, "query.shard_scan")
+                assert spans == (shards if shards > 1 else 0), (shards, spans)
+        finally:
+            tracer.enabled = was_enabled
+            tracer.reset()
+        assert answers[1] == answers[2] == answers[4]
+
+
+def _count_spans(nodes, name):
+    total = 0
+    for node in nodes:
+        if node["name"] == name:
+            total += node["count"]
+        total += _count_spans(node.get("children", ()), name)
+    return total

@@ -9,6 +9,7 @@ from repro.query import (
     ACCESS_PK_PREFIX,
     ACCESS_POINT,
     ACCESS_SCAN,
+    Aggregate,
     Filter,
     FullScan,
     Limit,
@@ -16,13 +17,18 @@ from repro.query import (
     Plan,
     PlanCache,
     PointLookup,
+    Project,
+    PushedCondition,
+    RowBatch,
     Sort,
     TableMeta,
+    count_partial,
     choose_access,
     evaluate_aggregate,
     null_safe_key,
 )
 from repro.query.expr import compare
+from repro.query.plan import _Context
 
 
 class FakeTable:
@@ -37,11 +43,21 @@ class FakeTable:
     def get_many(self, keys):
         return [self._rows.get(key) for key in keys]
 
-    def scan(self):
-        return iter(self._rows.values())
+    def scan_batches(self, shard_id, pushed=None):
+        """Two row-backed batches, so multi-batch plumbing is exercised."""
+        rows = list(self._rows.values())
+        for chunk in (rows[:2], rows[2:]):
+            batch = RowBatch(chunk)
+            if pushed is not None:
+                pushed.narrow(batch)
+            yield batch
 
 
 ROWS = [{"id": i, "val": i * 10} for i in range(5)]
+
+
+def _ctx(params):
+    return _Context(params)
 
 
 class TestOperators:
@@ -62,8 +78,7 @@ class TestOperators:
                 Sort(
                     Filter(
                         FullScan(FakeTable(ROWS), "t"),
-                        lambda row, params: row["val"] >= params[0],
-                        "val >= ?0",
+                        PushedCondition("val", ">=", lambda params: params[0], "val >= ?0"),
                     ),
                     key=lambda row: null_safe_key(row["val"]),
                     descending=True,
@@ -77,6 +92,47 @@ class TestOperators:
         assert stats["FullScan"].rows_out == 5
         assert stats["Filter"].rows_in == 5 and stats["Filter"].rows_out == 3
         assert stats["Limit"].rows_out == 2
+
+    def test_operators_exchange_batches_not_rows(self):
+        # Filter narrows the selection vector in place; nothing is
+        # copied and no row dict is built before run() asks for them.
+        scan = FullScan(FakeTable(ROWS), "t")
+        node = Filter(scan, PushedCondition("val", "<", lambda params: params[0], "val < ?0"))
+        first, second = node.batches(_ctx((25,)))
+        assert (first.n, first.sel) == (2, None)      # both rows pass: all selected
+        assert (second.n, second.sel) == (3, [0])     # ids 2, 3, 4: only 2 passes
+        assert first.part == second.part == 0
+        assert list(second.values("id")) == [2]
+        assert second.rows(("val",)) == [{"val": 20}]
+
+    def test_project_is_applied_at_materialization(self):
+        plan = Plan(Project(FullScan(FakeTable(ROWS), "t"), ("val",), "val", ("v",)))
+        assert plan.run(())[:2] == [{"v": 0}, {"v": 10}]
+        assert plan.columns(("id", "val")) == [[0, 1, 2, 3, 4], [0, 10, 20, 30, 40]]
+
+    def test_limit_stops_pulling(self):
+        scan = FullScan(FakeTable(ROWS), "t")
+        plan = Plan(Limit(scan, 1))
+        assert plan.run(()) == [ROWS[0]]
+        assert scan.rows_out == 2  # the first batch only, not all five rows
+        assert Plan(Limit(FullScan(FakeTable(ROWS), "t"), 0)).run(()) == []
+        count = Plan(Aggregate(Limit(FullScan(FakeTable(ROWS), "t"), 3), count_partial(), "count(*)"))
+        assert count.run(()) == [{"count": 3}]
+
+    def test_every_operator_executes_batches_and_nothing_else(self):
+        # One execution path (docs/query_kernel.md): no operator carries
+        # a row-list method beside batches(ctx).  CI greps for the same.
+        from repro.query import plan as plan_module
+
+        operators = [
+            cls for cls in vars(plan_module).values()
+            if isinstance(cls, type) and issubclass(cls, plan_module.PlanNode)
+            and not cls.__name__.startswith("_") and cls is not plan_module.PlanNode
+        ]
+        assert len(operators) == 10
+        for cls in operators:
+            assert "batches" in vars(cls), cls
+            assert not hasattr(cls, "_execute") and not hasattr(cls, "rows"), cls
 
     def test_describe_dispatches_plans_and_nodes(self):
         scan = FullScan(FakeTable(ROWS), "t")
