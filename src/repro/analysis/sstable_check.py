@@ -181,10 +181,11 @@ def _check_columnar_block(
 
     The round-trip is exact both ways: decode -> rematerialize rows ->
     re-encode must reproduce the stored payload byte-for-byte (the
-    encoder is deterministic), and the table's in-memory zone maps must
-    equal a fresh recomputation from the stored values.  Raises when the
-    payload cannot be decoded at all (reported as a corrupt block by the
-    caller).
+    encoder is deterministic), and the table's in-memory zone maps and
+    chunk layout must equal a fresh recomputation from the stored
+    values.  The payload is decoded *without* the table's layout, so a
+    wrong one cannot vouch for itself.  Raises when the payload cannot
+    be decoded at all (reported as a corrupt block by the caller).
     """
     codec = table._codec
     if codec is None:
@@ -195,7 +196,7 @@ def _check_columnar_block(
         return []
     vectors = codec.decode_block(payload)
     keys, rows = vectors.all_rows()
-    reencoded, zones, _, _ = codec.encode_block(
+    reencoded, zones, _, _, layout = codec.encode_block(
         [encode_key(key) for key in keys], rows, codec.zone_memo()
     )
     report.check(
@@ -208,17 +209,24 @@ def _check_columnar_block(
         "in-memory zone maps differ from a recomputation over the stored "
         "values (block skipping could drop or retain the wrong blocks)",
     )
+    report.check(
+        table._layouts[index] == layout, _CHECKER, "sstable.columnar-roundtrip",
+        location,
+        "in-memory chunk layout differs from a recomputation over the "
+        "stored values (reads would parse column chunks at the wrong offsets)",
+    )
     return [(key, row, None) for key, row in zip(keys, rows)]
 
 
 def check_sealed_block(
-    codec, payload: bytes, encoded_keys, rows, location: str
+    codec, payload: bytes, layout, encoded_keys, rows, location: str
 ) -> CheckReport:
     """The ``REPRO_CHECK=1`` build hook: a columnar payload about to be
-    stored must decode and rematerialize to exactly the entries it was
+    stored must decode — through the chunk ``layout`` stored beside it,
+    as reads will — and rematerialize to exactly the entries it was
     encoded from (rule ``sstable.columnar-roundtrip``)."""
     report = CheckReport(f"check_sealed_block[{location}]")
-    keys, decoded_rows = codec.decode_block(payload).all_rows()
+    keys, decoded_rows = codec.decode_block(payload, layout).all_rows()
     report.check(
         [encode_key(key) for key in keys] == list(encoded_keys)
         and decoded_rows == list(rows),

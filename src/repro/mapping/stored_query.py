@@ -155,7 +155,8 @@ def _build_nosql_cells(mapper) -> Plan:
 
 
 def _build_nosql_cell_match(mapper) -> Plan:
-    """NoSQL-DWARF: the per-level cell match, ``MultiGet → Filter``."""
+    """NoSQL-DWARF: the per-level cell match, ``MultiGet → Filter``; the
+    walk reads the match's :data:`_NOSQL_MATCH_COLUMNS` only."""
     table, guards = _guarded_table(mapper, "dwarf_cell")
     fetch = MultiGet(
         table, lambda params: params[0], "dwarf_cell", "id",
@@ -170,7 +171,8 @@ def _build_nosql_cell_match(mapper) -> Plan:
 def _build_nosql_min_sibling_match(mapper) -> Plan:
     """NoSQL-Min: the per-level descent, an ``IndexScan`` with the name
     match pushed into the storage layer (no Filter operator remains —
-    fetched siblings arrive pre-matched)."""
+    fetched siblings arrive pre-matched); the walk reads the match's
+    :data:`_NOSQL_MIN_MATCH_COLUMNS` only."""
     table, guards = _guarded_table(mapper, "dwarf_cell")
     pushed = PushedPredicate(
         (PushedCondition("name", "=", lambda params: params[1], "name = ?1"),)
@@ -259,7 +261,8 @@ def stored_cell_count(mapper, schema_id: int) -> int:
 
 
 def _build_mysql_cell_match(mapper) -> Plan:
-    """MySQL-DWARF: the per-level cell match, ``MultiGet → Filter``."""
+    """MySQL-DWARF: the per-level cell match, ``MultiGet → Filter``; the
+    walk reads the match's :data:`_MYSQL_MATCH_COLUMNS` only."""
     table, guards = _guarded_table(mapper, "CELL")
     fetch = MultiGet(table, lambda params: params[0], "CELL", "id")
     match = Filter(
@@ -267,6 +270,14 @@ def _build_mysql_cell_match(mapper) -> Plan:
         PushedCondition("cell_key", "=", lambda params: params[1], "cell_key = ?1"),
     )
     return Plan(match, guards=guards)
+
+
+#: What a descent reads of the cell it matched at one level — fetched
+#: through the plans' column exit (:meth:`~repro.query.Plan.columns`),
+#: so no other column of the cell is decoded and no row is built.
+_NOSQL_MATCH_COLUMNS = ("pointerNode", "measure", "leaf")
+_NOSQL_MIN_MATCH_COLUMNS = ("childNodeId", "item")
+_MYSQL_MATCH_COLUMNS = ("id", "measure", "leaf")
 
 
 def stored_point_query(
@@ -361,13 +372,14 @@ def _nosql_dwarf_point(mapper: NoSQLDwarfMapper, schema_id: int, keys: List[str]
         # One batched multi-get for all candidate cells of this node —
         # grouped by SSTable block — with the key match applied by the
         # plan's Filter operator.
-        matches = cell_match.run((cell_ids, key_text))
-        if not matches:
+        pointers, measures, leaves = cell_match.columns(
+            _NOSQL_MATCH_COLUMNS, (cell_ids, key_text)
+        )
+        if not pointers:
             return None
-        match = matches[0]
-        node_id = match["pointerNode"]
-        measure = match["measure"]
-        if match["leaf"] and level != len(keys) - 1:
+        node_id = pointers[0]
+        measure = measures[0]
+        if leaves[0] and level != len(keys) - 1:
             raise QueryError("coordinate vector longer than the stored cube's depth")
     return measure
 
@@ -401,12 +413,13 @@ def _nosql_min_point(mapper: NoSQLMinMapper, schema_id: int, keys: List[str]):
     for key_text in keys:
         if node_id is None:
             return None
-        matches = sibling_match.run((node_id, key_text))
-        if not matches:
+        children, items = sibling_match.columns(
+            _NOSQL_MIN_MATCH_COLUMNS, (node_id, key_text)
+        )
+        if not children:
             return None
-        match = matches[0]
-        node_id = match["childNodeId"]
-        measure = match["item"]
+        node_id = children[0]
+        measure = items[0]
     return measure
 
 
@@ -429,23 +442,22 @@ def _mysql_dwarf_point(mapper: MySQLDwarfMapper, schema_id: int, keys: List[str]
         if node_id is None:
             return None
         # Clustered-prefix probe for the link rows, then all candidate
-        # cells in one batched MultiGet (Table.get_many) with the key
+        # cells in one batched MultiGet (Table.get_batches) with the key
         # match applied by the plan's Filter operator — same rows, in the
         # same (cell_id-ascending) order, as the old per-level
         # NODE_CHILDREN ⋈ CELL hash join.
         children = session.execute_prepared(children_statement, (node_id,))
         cell_ids = sorted(link["cell_id"] for link in children)
-        matches = cell_match.run((cell_ids, key_text))
-        if not matches:
+        ids, measures, leaves = cell_match.columns(
+            _MYSQL_MATCH_COLUMNS, (cell_ids, key_text)
+        )
+        if not ids:
             return None
-        match = matches[0]
-        measure = match["measure"]
-        if match["leaf"]:
+        measure = measures[0]
+        if leaves[0]:
             node_id = None
         else:
-            pointer = session.execute_prepared(
-                pointer_statement, (match["id"],)
-            ).one()
+            pointer = session.execute_prepared(pointer_statement, (ids[0],)).one()
             node_id = pointer["node_id"] if pointer else None
     return measure
 

@@ -7,9 +7,12 @@ columnar alternative sketched in *Columnar Formats for Schemaless
 LSM-based Document Stores*: within one block, cell values are
 regrouped into per-column vectors so a pushed-down predicate touches
 only the vectors it reads, whole blocks are skipped via per-column
-zone maps, and a scan hands the block upward as a column batch
-(:meth:`SSTable.scan_batches`) — rows are built from the typed vectors
-once, at the end of the statement, for the columns it returns.
+zone maps, and a read hands the block upward as a column batch — a scan
+the whole block (:meth:`SSTable.scan_batches`), a fetch the block with
+the positions of its keys selected (:meth:`SSTable.locate`) — so rows
+are built from the typed vectors once, at the end of the statement, for
+the columns it returns, and only the chunks of the columns a read
+touches are ever parsed.
 
 The layout is exact — no information is dropped.  A columnar block
 records, per row, the original cell *order* (Cassandra writes cells in
@@ -38,12 +41,19 @@ values; ``distinct`` is an exact frozenset when the block has at most
 with *no* non-NULL value in the block gets ``(None, None, frozenset())``
 so equality predicates can skip it outright.  Set-typed columns and
 columns containing NaN are excluded (unordered / unorderable).
+
+Neither is a block's :class:`ChunkLayout` — where each column chunk
+starts.  The payload stores no chunk lengths, but the encoder knows the
+offsets as it concatenates, and the SSTable keeps them beside the zone
+maps so a decoded block can parse one chunk without walking the ones
+before it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.nosqldb.errors import NoSQLError
 from repro.nosqldb.types import CQLType, SetType
@@ -97,6 +107,17 @@ class BlockRefused(NoSQLError):
     The SSTable builder stores that block row-major instead."""
 
 
+class ChunkLayout(NamedTuple):
+    """Where a columnar payload's column chunks are: the present
+    columns' ``names`` in chunk order, and the payload offset each chunk
+    ``starts`` at.  :meth:`ColumnarCodec.encode_block` knows both as it
+    concatenates; like zone maps they are kept in memory beside the
+    block, never serialized."""
+
+    names: Tuple[str, ...]
+    starts: Tuple[int, ...]
+
+
 class ColumnarCodec:
     """Schema-aware block transcoder for one column family.
 
@@ -126,9 +147,6 @@ class ColumnarCodec:
         value, _ = self._types[name].decode(raw, 0)
         return value
 
-    def encoded_name(self, name: str) -> bytes:
-        return self._encoded_names[name]
-
     # -- block encode --------------------------------------------------
     def zone_memo(self) -> List[Dict[bytes, object]]:
         """A fresh per-column ``raw -> value`` memo for one SSTable
@@ -152,11 +170,12 @@ class ColumnarCodec:
         onto that column's vectors.  No name or value is decoded; only
         zone entries decode, once per distinct value.
 
-        Returns ``(payload, zones, dict_chunks, plain_chunks)`` where
-        ``zones`` maps zone-eligible column names to their
-        ``(lo, hi, distinct)`` entries for this block.  Raises
-        BlockRefused for a row naming a column outside the schema or
-        repeating one (the directory could not list its cells exactly).
+        Returns ``(payload, zones, dict_chunks, plain_chunks, layout)``
+        where ``zones`` maps zone-eligible column names to their
+        ``(lo, hi, distinct)`` entries for this block and ``layout`` is
+        the block's :class:`ChunkLayout`.  Raises BlockRefused for a row
+        naming a column outside the schema or repeating one (the
+        directory could not list its cells exactly).
         """
         n_columns = len(self.column_names)
         ts_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
@@ -211,6 +230,11 @@ class ColumnarCodec:
             parts.append(entry)
 
         parts.append(encode_varint(len(present)))
+        # The directory and each chunk are joined on their own, so every
+        # chunk's start offset falls out of the concatenation.
+        pieces = [b"".join(parts)]
+        position = len(pieces[0])
+        starts: List[int] = []
         dict_chunks = 0
         zones: Dict[str, tuple] = {}
         for index in present:
@@ -221,8 +245,7 @@ class ColumnarCodec:
                 len(values) >= DICT_MIN_ROWS
                 and len(distinct) <= len(values) // DICT_MAX_RATIO
             )
-            parts.append(self._encoded_names[name])
-            parts.append(b"\x01" if use_dict else b"\x00")
+            parts = [self._encoded_names[name], b"\x01" if use_dict else b"\x00"]
             parts.extend(ts_cols[index])
             if self._zoned[index]:
                 zone = self._zone_entry(name, distinct, decoded[index])
@@ -236,12 +259,23 @@ class ColumnarCodec:
                 parts.extend(map(distinct.__getitem__, values))
             else:
                 parts.extend(map(encode_bytes, values))
+            piece = b"".join(parts)
+            starts.append(position)
+            position += len(piece)
+            pieces.append(piece)
         # Columns wholly absent from the block are exactly representable
         # too: an all-NULL zone entry lets equality predicates skip it.
         for index, name in enumerate(self.column_names):
             if not raw_cols[index] and self._zoned[index]:
                 zones[name] = (None, None, frozenset())
-        return b"".join(parts), zones, dict_chunks, len(present) - dict_chunks
+        names = (
+            self.column_names if len(present) == n_columns
+            else tuple(self.column_names[index] for index in present)
+        )
+        return (
+            b"".join(pieces), zones, dict_chunks, len(present) - dict_chunks,
+            ChunkLayout(names, tuple(starts)),
+        )
 
     def _zone_entry(self, name: str, distinct_raw, memo: Dict[bytes, object]):
         decode = self._types[name].decode
@@ -257,16 +291,21 @@ class ColumnarCodec:
         return (min(values), max(values), distinct)
 
     # -- block decode --------------------------------------------------
-    def decode_block(self, payload: bytes) -> "ColumnVectors":
-        """Parse one columnar payload into a :class:`ColumnVectors`.
+    def decode_block(
+        self, payload: bytes, layout: Optional[ChunkLayout] = None
+    ) -> "ColumnVectors":
+        """Parse one columnar payload's directory (keys and cell orders)
+        into a :class:`ColumnVectors`; column chunks parse on first
+        touch, from the offsets in ``layout``.
 
-        This is the cold-scan hot path — every non-skipped block of a
-        filtered scan comes through here — so the varint/key/length
-        reads are inlined (one-byte fast path, the overwhelmingly common
-        case for directory entries) instead of calling the shared
-        decoders per value, and timestamps are left in place in the
-        payload for lazy extraction (scans never look at them; only
-        :meth:`ColumnVectors.materialize` does).
+        Without a ``layout`` (a checker handed bare payload bytes) the
+        chunks are walked once, in order, to find where each starts.
+
+        This is the cold-read hot path — every block a read misses in
+        the cache comes through here — so the varint/key/length reads
+        are inlined (one-byte fast path, the overwhelmingly common case
+        for directory entries) instead of calling the shared decoders
+        per value.
         """
         buf = payload
         o = 0
@@ -291,6 +330,7 @@ class ColumnarCodec:
         keys_append = keys.append
         orders: List[Tuple[int, ...]] = []
         orders_append = orders.append
+        entries: Dict[bytes, Tuple[int, ...]] = {}
         for _ in range(n_rows):
             tag = buf[o]
             o += 1
@@ -323,140 +363,161 @@ class ColumnarCodec:
             else:
                 key, o = decode_key(buf, o - 1)
                 keys_append(key)
+            # Rows written by one statement share a cell order, so most
+            # directory entries repeat an earlier one byte for byte.
+            # Only entries made of one-byte varints are memoized: a hit
+            # on the first ``1 + n_cells`` bytes then proves this entry
+            # is all one-byte too, i.e. exactly those bytes.
             b = buf[o]
             if b < 0x80:
-                n_cells = b >> 1
-                o += 1
-            else:
-                n_cells, o = decode_varint(buf, o)
-            # column indexes are tiny: the one-byte path is effectively
-            # always taken, the fallback only guards pathological widths
-            order = []
-            order_append = order.append
-            for _ in range(n_cells):
-                b = buf[o]
-                if b < 0x80:
-                    order_append(b >> 1)
-                    o += 1
-                else:
-                    col_index, o = decode_varint(buf, o)
-                    order_append(col_index)
-            orders_append(tuple(order))
-
-        b = buf[o]
-        if b < 0x80:
-            n_cols = b >> 1
-            o += 1
-        else:
-            n_cols, o = decode_varint(buf, o)
-        present_rows: List[List[int]] = [[] for _ in range(n_cols)]
-        for i, order in enumerate(orders):
-            for col_index in order:
-                present_rows[col_index].append(i)
-
-        names: List[str] = []
-        ts_offsets: List[int] = []
-        raw_cols: List[List[Optional[bytes]]] = []
-        for col_index in range(n_cols):
-            name, o = decode_text(buf, o)
-            names.append(name)
-            flag = buf[o]
-            o += 1
-            rows_here = present_rows[col_index]
-            ts_offsets.append(o)
-            o += 8 * len(rows_here)  # timestamps stay in place, read lazily
-            raw_vec: List[Optional[bytes]] = [None] * n_rows
-            if flag:
-                distinct, o = decode_bytes_vector(buf, o)
-                for i in rows_here:
-                    b = buf[o]
-                    if b < 0x80:
-                        raw_vec[i] = distinct[b >> 1]
-                        o += 1
-                    else:
-                        dict_idx, o = decode_varint(buf, o)
-                        raw_vec[i] = distinct[dict_idx]
-            else:
-                for i in rows_here:
-                    b = buf[o]
-                    o += 1
-                    if b < 0x80:
-                        length = b >> 1
-                    else:
-                        u = b & 0x7F
-                        shift = 7
-                        while True:
-                            b = buf[o]
-                            o += 1
-                            u |= (b & 0x7F) << shift
-                            if b < 0x80:
-                                break
-                            shift += 7
-                        length = u >> 1
-                    end = o + length
-                    raw_vec[i] = buf[o:end]
+                end = o + 1 + (b >> 1)
+                order = entries.get(buf[o:end])
+                if order is not None:
+                    orders_append(order)
                     o = end
-            raw_cols.append(raw_vec)
-        return ColumnVectors(
-            self, payload, keys, tuple(names), orders, present_rows,
-            ts_offsets, raw_cols,
-        )
+                    continue
+            start = o
+            n_cells, o = decode_varint(buf, o)
+            cells = []
+            for _ in range(n_cells):
+                col_index, o = decode_varint(buf, o)
+                cells.append(col_index)
+            order = tuple(cells)
+            if o - start == 1 + n_cells:
+                entries[buf[start:o]] = order
+            orders_append(order)
+
+        n_cols, o = decode_varint(buf, o)
+        vectors = ColumnVectors(self, payload, keys, orders, n_cols)
+        if layout is None:
+            names = []
+            starts = []
+            for col_index in range(n_cols):
+                names.append(decode_text(buf, o)[0])
+                starts.append(o)
+                o = vectors._parse_chunk(col_index, o)
+            layout = ChunkLayout(tuple(names), tuple(starts))
+        vectors.names, vectors._starts = layout
+        return vectors
 
 
 class ColumnVectors:
     """One decoded columnar block: the form the block cache holds.
 
-    Raw value bytes are kept verbatim (typed decode is lazy and
-    memoized per column; per-cell timestamps stay inside the retained
-    payload until :meth:`materialize` asks for them), so caching a
-    block once serves both vector predicate evaluation and byte-exact
-    row rematerialization.
+    The directory (``keys``, ``orders``) is parsed up front — locating a
+    key needs nothing else.  A column's chunk is parsed into its raw
+    value vector the first time something reads that column, and raw
+    value bytes are kept verbatim (typed decode is lazy too, and
+    memoized per column when a scan decodes a whole vector; per-cell
+    timestamps stay inside the retained payload until
+    :meth:`materialize` slices them out), so one cached block serves
+    vector predicate evaluation, point fetches and byte-exact row
+    rematerialization.
     """
 
     __slots__ = (
-        "codec", "keys", "names", "orders", "_payload", "_present",
-        "_ts_offsets", "_ts", "_raw", "_typed", "_rows",
-        "nbytes",
+        "codec", "keys", "names", "orders", "_payload", "_starts",
+        "_chunks", "_typed", "nbytes",
     )
 
-    def __init__(
-        self, codec, payload, keys, names, orders, present_rows,
-        ts_offsets, raw_cols,
-    ) -> None:
+    def __init__(self, codec, payload, keys, orders, n_cols) -> None:
         self.codec = codec
         self.keys = keys
-        self.names = names
         self.orders = orders
         self._payload = payload
-        self._present = present_rows
-        self._ts_offsets = ts_offsets
-        self._ts: Dict[int, List[Optional[bytes]]] = {}
-        self._raw = raw_cols
+        self.names: Tuple[str, ...] = ()
+        self._starts: Tuple[int, ...] = ()
+        # Per column, once parsed: (raw value vector, the rows holding a
+        # cell for it, the payload offset of their timestamps, the
+        # encoded column name as it sits at the chunk's head).
+        self._chunks: List[Optional[tuple]] = [None] * n_cols
         self._typed: Dict[str, List] = {}
-        self._rows: Optional[List[bytes]] = None
         self.nbytes = len(payload) + 16 * len(keys)  # payload + directory
 
     def __len__(self) -> int:
         return len(self.keys)
 
+    def _chunk(self, col_index: int) -> tuple:
+        chunk = self._chunks[col_index]
+        if chunk is None:
+            self._parse_chunk(col_index, self._starts[col_index])
+            chunk = self._chunks[col_index]
+        return chunk
+
+    def _parse_chunk(self, col_index: int, o: int) -> int:
+        """Parse the chunk of column ``col_index``, which starts at
+        payload offset ``o``; returns the offset just past it."""
+        buf = self._payload
+        n_rows = len(self.keys)
+        rows_here = [
+            i for i, order in enumerate(self.orders) if col_index in order
+        ]
+        name_at = o
+        length, o = decode_varint(buf, o)
+        o += length
+        encoded_name = buf[name_at:o]
+        flag = buf[o]
+        o += 1
+        ts_offset = o
+        o += 8 * len(rows_here)  # timestamps stay in place, read lazily
+        raw_vec: List[Optional[bytes]] = [None] * n_rows
+        if flag:
+            distinct, o = decode_bytes_vector(buf, o)
+            for i in rows_here:
+                b = buf[o]
+                if b < 0x80:
+                    raw_vec[i] = distinct[b >> 1]
+                    o += 1
+                else:
+                    dict_idx, o = decode_varint(buf, o)
+                    raw_vec[i] = distinct[dict_idx]
+        else:
+            for i in rows_here:
+                b = buf[o]
+                o += 1
+                if b < 0x80:
+                    length = b >> 1
+                else:
+                    u = b & 0x7F
+                    shift = 7
+                    while True:
+                        b = buf[o]
+                        o += 1
+                        u |= (b & 0x7F) << shift
+                        if b < 0x80:
+                            break
+                        shift += 7
+                    length = u >> 1
+                end = o + length
+                raw_vec[i] = buf[o:end]
+                o = end
+        self._chunks[col_index] = (raw_vec, rows_here, ts_offset, encoded_name)
+        return o
+
+    def _raw(self, name: str) -> Optional[List[Optional[bytes]]]:
+        """The raw value vector of column ``name`` (None for a column
+        with no chunk in this block), parsing its chunk on first touch."""
+        names = self.names
+        return self._chunk(names.index(name))[0] if name in names else None
+
     def typed(self, name: str) -> List:
         """Column ``name`` decoded into a value vector (None where the
-        row has no such cell), memoized on the cached block.  Decoding
-        goes through a per-distinct-bytes memo: dictionary-encoded and
-        low-cardinality chunks (DWARF keys, schema ids, flags) decode
-        each distinct value once, not once per row."""
+        row has no such cell), memoized on the cached block — what a
+        scan reads.  Decoding goes through a per-distinct-bytes memo:
+        dictionary-encoded and low-cardinality chunks (DWARF keys,
+        schema ids, flags) decode each distinct value once, not once per
+        row."""
         vector = self._typed.get(name)
         if vector is None:
-            try:
-                col_index = self.names.index(name)
-            except ValueError:
+            raw_vec = self._raw(name)
+            if raw_vec is None:
                 vector = [None] * len(self.keys)
             else:
                 decode = self.codec.decode_value
                 memo: Dict[bytes, object] = {}
                 vector = []
                 append = vector.append
-                for raw in self._raw[col_index]:
+                for raw in raw_vec:
                     if raw is None:
                         append(None)
                         continue
@@ -468,35 +529,43 @@ class ColumnVectors:
             self._typed[name] = vector
         return vector
 
-    def _ts_vec(self, col_index: int) -> List[Optional[bytes]]:
-        """Timestamps of column ``col_index`` sliced out of the payload
-        on first use (scans never need them; materialization does)."""
-        vec = self._ts.get(col_index)
-        if vec is None:
-            vec = [None] * len(self.keys)
-            payload = self._payload
-            offset = self._ts_offsets[col_index]
-            for i in self._present[col_index]:
-                vec[i] = payload[offset:offset + 8]
-                offset += 8
-            self._ts[col_index] = vec
-        return vec
+    def values_at(self, name: str, positions: Sequence[int]) -> List:
+        """Column ``name`` at ``positions`` only — what a fetch reads:
+        just those cells are decoded, unless a scan already left the
+        whole typed vector on the block."""
+        vector = self._typed.get(name)
+        if vector is not None:
+            return [vector[i] for i in positions]
+        raw_vec = self._raw(name)
+        if raw_vec is None:
+            return [None] * len(positions)
+        decode = self.codec.decode_value
+        values = []
+        for i in positions:
+            raw = raw_vec[i]
+            values.append(None if raw is None else decode(name, raw))
+        return values
 
     def materialize(self, i: int) -> bytes:
         """Row ``i`` re-encoded byte-identically to its row-major form."""
         order = self.orders[i]
         parts = [encode_varint(len(order))]
-        encoded_name = self.codec.encoded_name
-        names = self.names
+        chunks = self._chunks
+        payload = self._payload
         for col_index in order:
-            parts.append(encoded_name(names[col_index]))
-            parts.append(self._ts_vec(col_index)[i])
-            parts.append(self._raw[col_index][i])
+            chunk = chunks[col_index]
+            if chunk is None:
+                chunk = self._chunk(col_index)
+            raw_vec, rows_here, ts_offset, encoded_name = chunk
+            # The cell's timestamp is the rank-th of its chunk.
+            ts_at = ts_offset + 8 * bisect_left(rows_here, i)
+            parts.append(encoded_name)
+            parts.append(payload[ts_at:ts_at + 8])
+            parts.append(raw_vec[i])
         return b"".join(parts)
 
     def all_rows(self) -> Tuple[List, List[bytes]]:
-        """The block in classic ``(keys, rows)`` form, materialized once
-        and memoized — point reads through columnar blocks use this."""
-        if self._rows is None:
-            self._rows = [self.materialize(i) for i in range(len(self.keys))]
-        return self.keys, self._rows
+        """The block in classic ``(keys, rows)`` form — every row
+        rematerialized, for the callers whose business is encoded bytes
+        (compaction, the round-trip checkers).  Nothing is kept."""
+        return self.keys, [self.materialize(i) for i in range(len(self.keys))]

@@ -40,7 +40,7 @@ from repro.nosqldb.memtable import Memtable
 from repro.nosqldb.sharding import HashRing, resolve_shards
 from repro.nosqldb.sstable import SSTable, compact
 from repro.nosqldb.types import CQLType, SetType
-from repro.query.batch import Batch, RowBatch
+from repro.query.batch import Batch, FetchedBatch, RowBatch
 from repro.storage.btree import BTree
 from repro.storage.encoding import decode_text, encode_text
 from repro.storage.varint import decode_varint, encode_varint
@@ -257,8 +257,10 @@ class ColumnFamily:
         self._row_cache = RowCache(
             row_cache_budget() if row_cache_bytes is None else row_cache_bytes
         )
-        # Content-addressed decode memo: encoded row bytes -> decoded dict.
+        # Content-addressed decode memo: encoded row bytes -> decoded dict
+        # (in use while the row cache is; a budget is fixed for life).
         self._decode_memo: Dict[bytes, Dict[str, object]] = {}
+        self._memoize_decodes = self._row_cache.enabled
         # Deterministic write clock standing in for microsecond timestamps.
         self._write_clock = 1_400_000_000_000_000
 
@@ -416,7 +418,7 @@ class ColumnFamily:
         the key IS the input) while the row cache is enabled.  Callers get
         a fresh shallow copy each time; cell values are immutable scalars.
         """
-        if self._row_cache.enabled:
+        if self._memoize_decodes:
             memo = self._decode_memo
             row = memo.get(encoded)
             if row is None:
@@ -716,6 +718,8 @@ class ColumnFamily:
     # read path
     # ------------------------------------------------------------------
     def _read_encoded(self, key) -> Optional[bytes]:
+        """The stored row bytes of ``key`` through the row cache — the
+        write path's read-before-write (index maintenance)."""
         cached = self._row_cache.get(key)
         if cached is not None:
             return None if cached is NEGATIVE else cached
@@ -724,28 +728,10 @@ class ColumnFamily:
         return encoded
 
     def _read_encoded_uncached(self, key) -> Optional[bytes]:
-        """Walk the owning shard's active memtable → sealed memtables →
-        SSTables, newest first.  Sealed memtables are searched in place —
-        a read never forces the flusher's work as a side effect."""
-        shard = self._shard_of(key)
-        encoded = shard.memtable.get(key)
-        if encoded is not None:
-            return encoded
-        if shard.memtable.is_deleted(key):
-            return None
-        for memtable in reversed(shard.pending):
-            encoded = memtable.get(key)
-            if encoded is not None:
-                return encoded
-            if memtable.is_deleted(key):
-                return None
-        for sstable in reversed(shard.sstables):
-            if sstable.is_deleted(key):
-                return None
-            encoded = sstable.get(key)
-            if encoded is not None:
-                return encoded
-        return None
+        """The stored row bytes of ``key`` straight from the layers (a
+        row found in a columnar block is rematerialized)."""
+        hit = self._locate_in(self._shard_of(key), (key,))[key]
+        return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
 
     def _is_live_in(self, shard: _Shard, key) -> bool:
         """Whether ``key`` currently has a live row in its owning shard —
@@ -767,94 +753,180 @@ class ColumnFamily:
         for sstable in reversed(shard.sstables):
             if sstable.is_deleted(key):
                 return False
-            if sstable.get(key) is not None:
+            if key in sstable:
                 return True
         return False
 
     def _is_live(self, key) -> bool:
         return self._is_live_in(self._shard_of(key), key)
 
-    def get(self, key) -> Optional[Dict[str, object]]:
-        encoded = self._read_encoded(key)
-        return self.decode_row(encoded) if encoded is not None else None
-
-    def get_many_encoded(self, keys: Sequence) -> List[Optional[bytes]]:
-        """Encoded rows for ``keys`` (None for absent), order-preserving.
-
-        Equivalent to ``[self._read_encoded(k) for k in keys]`` but keys
-        that miss the row cache are resolved in one batched walk per
-        shard: a single :meth:`SSTable.get_many` per SSTable groups them
-        by block, so each block is decompressed at most once per call.
-        With several shards involved, the shard walks scatter onto the
-        ``REPRO_WORKERS`` pool and the row cache is written only after
-        the gather, on the calling thread.
-        """
-        results: List[Optional[bytes]] = [None] * len(keys)
-        positions: Dict[object, List[int]] = {}
-        for position, key in enumerate(keys):
-            cached = self._row_cache.get(key)
-            if cached is not None:
-                results[position] = None if cached is NEGATIVE else cached
-            else:
-                positions.setdefault(key, []).append(position)
-        if not positions:
-            return results
-        by_shard: Dict[int, List[object]] = {}
-        for key in positions:
-            by_shard.setdefault(self._ring.shard_for(key), []).append(key)
-        shard_ids = sorted(by_shard)
-        if len(shard_ids) == 1:
-            shard_id = shard_ids[0]
-            gathered = [self._resolve_shard_keys(shard_id, by_shard[shard_id])]
-        else:
-            gathered = self.run_sharded([
-                (lambda sid=shard_id: self._resolve_shard_keys(sid, by_shard[sid]))
-                for shard_id in shard_ids
-            ])
-        for resolved in gathered:
-            for key, encoded in resolved.items():
-                self._row_cache.put(key, encoded)
-                for position in positions[key]:
-                    results[position] = encoded
-        return results
-
-    def _resolve_shard_keys(self, shard_id: int, keys: List) -> Dict[object, Optional[bytes]]:
-        """Batched layered walk of one shard for ``keys`` (shard-local:
-        safe as a scatter task)."""
-        shard = self._shards[shard_id]
-        resolved: Dict[object, Optional[bytes]] = {}
-        unresolved = set(keys)
+    def _locate_in(self, shard: _Shard, keys) -> Dict[object, object]:
+        """Layered walk of one shard for ``keys`` — active memtable →
+        sealed memtables (searched in place: a read never forces the
+        flusher's work) → SSTables, newest first, each SSTable decoding
+        a touched block once (:meth:`SSTable.locate`).  Every key maps
+        to its encoded row (memtables, row-format blocks), to
+        ``(ColumnVectors, position)`` (columnar blocks) or to None
+        (deleted or absent).  Shard-local: safe as a scatter task."""
+        resolved: Dict[object, object] = {}
+        unresolved = list(keys)
         for memtable in (shard.memtable, *reversed(shard.pending)):
             if not unresolved:
-                break
-            for key in list(unresolved):
+                return resolved
+            remaining = []
+            for key in unresolved:
                 encoded = memtable.get(key)
                 if encoded is not None:
                     resolved[key] = encoded
-                    unresolved.discard(key)
                 elif memtable.is_deleted(key):
                     resolved[key] = None
-                    unresolved.discard(key)
+                else:
+                    remaining.append(key)
+            unresolved = remaining
+        unresolved = set(unresolved)
         for sstable in reversed(shard.sstables):
             if not unresolved:
                 break
             for key in [k for k in unresolved if sstable.is_deleted(k)]:
                 resolved[key] = None
                 unresolved.discard(key)
-            for key, encoded in sstable.get_many(list(unresolved)).items():
-                resolved[key] = encoded
+            for key, hit in sstable.locate(list(unresolved)).items():
+                resolved[key] = hit
                 unresolved.discard(key)
         for key in unresolved:
             resolved[key] = None
         return resolved
 
-    def get_many(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """Decoded rows for ``keys``; ``get_many(ks) == [get(k) for k in ks]``."""
+    def get_batches(self, keys: Sequence, index: Optional[str] = None) -> List[Batch]:
+        """The live rows of ``keys`` as column batches, in requested-key
+        order (a repeated key repeats its row, an absent one is skipped)
+        — the fetch entry point beside :meth:`scan_batches`; no row is
+        built.  With ``index`` the keys are values of that secondary-
+        indexed column and every row holding one of them is fetched.
+
+        Keys are answered from the row cache where it has them; the
+        rest resolve in one batched walk per shard
+        (:meth:`_locate_in`).  With several shards involved the walks
+        scatter onto the ``REPRO_WORKERS`` pool, and the row cache is
+        written only after the gather, on the calling thread: the
+        encoded bytes of the fetched rows (rematerialized for those
+        found in columnar blocks) and negative entries for absent keys.
+
+        A key found in a columnar block leaves as a position in a
+        :class:`~repro.query.batch.FetchedBatch` over the cached
+        vectors; rows that exist as encoded bytes (memtables, row-format
+        blocks, row-cache hits) leave in lazily decoded
+        :class:`~repro.query.batch.RowBatch`es.  Consecutive keys from
+        one source share a batch.
+
+        Raises InvalidRequest when ``index`` names an unindexed column.
+        """
+        if index is not None:
+            secondary = self._indexes.get(index)
+            if secondary is None:
+                raise InvalidRequest(
+                    f"no secondary index on {self.name}.{index}; "
+                    "use ALLOW FILTERING for a full scan"
+                )
+            keys = [key for value in keys for key in secondary.lookup(value)]
+        row_cache = self._row_cache
+        hits: List[object] = list(map(row_cache.get, keys))
+        if None in hits and self._resolve_missed(keys, hits):
+            return self._fetched_batches(hits)
+        # Every row exists as encoded bytes — always so on the warm path,
+        # where the row cache answered every key.
+        if None in hits or NEGATIVE in hits:
+            hits = [hit for hit in hits if hit is not None and hit is not NEGATIVE]
+        return [RowBatch(hits, self.decode_row)] if hits else []
+
+    def _resolve_missed(self, keys: Sequence, hits: List) -> bool:
+        """Fill in ``hits`` (per requested key: its row-cache answer, or
+        None where uncached) from storage, and the row cache with what
+        was found.  True when a key was found in a columnar block — its
+        ``hits`` entry is then ``(ColumnVectors, position)``."""
+        missed: Dict[object, List[int]] = {}
+        for position, hit in enumerate(hits):
+            if hit is None:
+                missed.setdefault(keys[position], []).append(position)
+        shards = self._shards
+        if self.shard_count == 1:
+            gathered = [self._locate_in(shards[0], missed)]
+        else:
+            by_shard: Dict[int, List[object]] = {}
+            for key in missed:
+                by_shard.setdefault(self._ring.shard_for(key), []).append(key)
+            if len(by_shard) == 1:
+                (shard_id, wanted), = by_shard.items()
+                gathered = [self._locate_in(shards[shard_id], wanted)]
+            else:
+                gathered = self.run_sharded([
+                    (lambda sid=shard_id: self._locate_in(shards[sid], by_shard[sid]))
+                    for shard_id in sorted(by_shard)
+                ])
+        row_cache = self._row_cache
+        cache_rows = row_cache.enabled
+        columnar = False
+        for resolved in gathered:
+            for key, hit in resolved.items():
+                if type(hit) is tuple:
+                    columnar = True
+                    if cache_rows:
+                        row_cache.put(key, hit[0].materialize(hit[1]))
+                elif cache_rows:
+                    row_cache.put(key, hit)
+                if hit is not None:
+                    for position in missed[key]:
+                        hits[position] = hit
+        return columnar
+
+    def _fetched_batches(self, hits: List) -> List[Batch]:
+        """Per-key fetch results, in order, as batches: a run of encoded
+        rows becomes one ``RowBatch``; a run of ascending positions in
+        one columnar block becomes one ``FetchedBatch``."""
+        runs: List[Tuple[object, List]] = []
+        source = run = None
+        for hit in hits:
+            if hit is None or hit is NEGATIVE:
+                continue
+            block, item = hit if type(hit) is tuple else (None, hit)
+            if run is None or block is not source or (
+                block is not None and item <= run[-1]
+            ):
+                source, run = block, []
+                runs.append((source, run))
+            run.append(item)
         decode = self.decode_row
+        names = self._codec.column_names
         return [
-            decode(encoded) if encoded is not None else None
-            for encoded in self.get_many_encoded(keys)
+            RowBatch(run, decode) if block is None
+            else FetchedBatch(len(block), block.typed, block.values_at, names, run)
+            for block, run in runs
         ]
+
+    def get(self, key) -> Optional[Dict[str, object]]:
+        """:meth:`get_batches` for one key, as a row (or None) — a view
+        for the write path, checkers and tests; queries consume the
+        batches."""
+        for batch in self.get_batches((key,)):
+            return batch.rows()[0]
+        return None
+
+    def get_many(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
+        """:meth:`get_batches` as rows aligned with ``keys`` (None where
+        absent): ``get_many(ks) == [get(k) for k in ks]``."""
+        fetched = iter(
+            [row for batch in self.get_batches(keys) for row in batch.rows()]
+        )
+        primary_key = self.primary_key
+        rows: List[Optional[Dict[str, object]]] = []
+        row = next(fetched, None)
+        for key in keys:
+            if row is not None and row[primary_key] == key:
+                rows.append(row)
+                row = next(fetched, None)
+            else:
+                rows.append(None)
+        return rows
 
     def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
         """Every live row of one shard as column batches; with ``pushed``
@@ -924,14 +996,14 @@ class ColumnFamily:
             yield from self.scan_shard(shard.shard_id, pushed)
 
     def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
-        """Raises InvalidRequest when ``column`` has no secondary index."""
-        index = self._indexes.get(column)
-        if index is None:
-            raise InvalidRequest(
-                f"no secondary index on {self.name}.{column}; "
-                "use ALLOW FILTERING for a full scan"
-            )
-        return [row for row in self.get_many(index.lookup(value)) if row is not None]
+        """The rows whose indexed ``column`` equals ``value`` — a row
+        view of :meth:`get_batches`.  Raises InvalidRequest when
+        ``column`` has no secondary index."""
+        return [
+            row
+            for batch in self.get_batches((value,), index=column)
+            for row in batch.rows()
+        ]
 
     def has_index(self, column: str) -> bool:
         return column in self._indexes

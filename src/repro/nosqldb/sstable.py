@@ -13,7 +13,12 @@ table's ``block_format`` only chooses what *new* blocks are written, so
 compaction naturally rewrites row-major runs into columnar ones.
 Columnar blocks additionally carry in-memory per-column zone maps that
 :meth:`SSTable.scan_batches` uses to skip whole blocks under a
-pushed-down predicate (see :mod:`repro.query.pushdown`).
+pushed-down predicate (see :mod:`repro.query.pushdown`), and the chunk
+layout that lets a read parse only the column chunks it touches.
+
+Both reads leave as column batches: :meth:`SSTable.scan_batches` hands
+out whole blocks, :meth:`SSTable.locate` the blocks and positions of
+the keys a fetch names — no row is built for either.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import zlib
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.flags import checks_enabled
 from repro.nosqldb.cache import BlockCache
@@ -31,6 +36,7 @@ from repro.nosqldb.columnar import (
     TAG_COLUMNAR,
     TAG_ROW,
     BlockRefused,
+    ChunkLayout,
     ColumnVectors,
     ColumnarCodec,
 )
@@ -174,7 +180,8 @@ class SSTable:
     __slots__ = (
         "_block_keys", "_blocks", "_index_bytes", "_n_rows", "compressed",
         "_tombstones", "_bloom", "_path", "_offsets", "_uid", "_block_cache",
-        "_handle", "_block_format", "_codec", "_zone_maps", "_block_rows",
+        "_handle", "_block_format", "_codec", "_zone_maps", "_layouts",
+        "_block_rows",
         "_n_columnar", "_n_fallback", "_dict_chunks", "_plain_chunks",
         "_blocks_skipped", "_key_range",
     )
@@ -216,6 +223,7 @@ class SSTable:
         self._block_format = block_format
         self._codec = codec
         self._zone_maps: List[Optional[Dict[str, tuple]]] = []
+        self._layouts: List[Optional[ChunkLayout]] = []
         self._block_rows: List[int] = []
         self._n_columnar = 0
         self._n_fallback = 0
@@ -291,11 +299,11 @@ class SSTable:
             from repro.analysis.sstable_check import check_sealed_block
         for first_key, encoded_keys, rows in _cut_blocks(sorted_items, budget):
             tag = TAG_ROW
-            payload = zones = None
+            payload = zones = layout = None
             if columnar:
                 try:
-                    payload, zones, dict_chunks, plain_chunks = codec.encode_block(
-                        encoded_keys, rows, decoded
+                    payload, zones, dict_chunks, plain_chunks, layout = (
+                        codec.encode_block(encoded_keys, rows, decoded)
                     )
                 except BlockRefused:
                     self._n_fallback += 1
@@ -307,7 +315,7 @@ class SSTable:
                     self._plain_chunks += plain_chunks
                     if checked:
                         check_sealed_block(
-                            codec, payload, encoded_keys, rows,
+                            codec, payload, layout, encoded_keys, rows,
                             f"sstable/block[{len(self._blocks)}]",
                         ).raise_if_violations()
             if payload is None:
@@ -316,6 +324,7 @@ class SSTable:
             self._block_keys.append(first_key)
             self._blocks.append(bytes((tag,)) + body)
             self._zone_maps.append(zones)
+            self._layouts.append(layout)
             self._block_rows.append(len(rows))
             self._index_bytes += len(encoded_keys[0]) + 8  # key + offset
 
@@ -333,9 +342,9 @@ class SSTable:
         """Block ``index`` in decoded form, through the block cache.
 
         Row-major blocks decode to ``(keys, rows)`` lists; columnar
-        blocks decode to :class:`ColumnVectors` (vectors plus lazy
-        byte-exact rematerialization), cached as such so one decode
-        serves scans and point reads alike.
+        blocks decode to :class:`ColumnVectors` (the key directory, plus
+        column chunks parsed as reads touch them), cached as such so one
+        decode serves scans and fetches alike.
         """
         cache = self._block_cache
         if cache is not None:
@@ -344,7 +353,7 @@ class SSTable:
                 return cached
         tag, payload = self._block_payload(index)
         if tag == TAG_COLUMNAR:
-            obj = self._codec.decode_block(payload)
+            obj = self._codec.decode_block(payload, self._layouts[index])
             nbytes = obj.nbytes
         else:
             keys: List = []
@@ -358,43 +367,17 @@ class SSTable:
             cache.put_entry(self._uid, index, obj, nbytes)
         return obj
 
-    def _decoded_block(self, index: int) -> Tuple[List, List]:
-        """Block ``index`` decoded once into sorted ``(keys, rows)`` lists.
+    def locate(self, keys: Iterable) -> Dict[object, object]:
+        """Where this table holds each of ``keys``: bloom filter, sparse
+        index, then a bisect on the block's sorted keys — one block
+        decode per touched block, no row built.
 
-        Served from the block cache when possible; a miss decompresses
-        and decodes the block, then caches the decoded form so the next
-        read bisects instead of paying zlib again.
+        A key in a columnar block maps to ``(ColumnVectors, position)``,
+        a key in a row-format block to its encoded row.  Tombstoned and
+        absent keys are simply missing from the result (call
+        :meth:`is_deleted` to tell the two apart).
         """
-        obj = self._decoded_obj(index)
-        if isinstance(obj, ColumnVectors):
-            return obj.all_rows()
-        return obj
-
-    def get(self, key) -> Optional[bytes]:
-        """Encoded row for ``key`` or None (tombstoned keys return None)."""
-        if key in self._tombstones:
-            return None
-        if not self._block_keys or not self._bloom.might_contain(key):
-            return None
-        index = bisect.bisect_right(self._block_keys, key) - 1
-        if index < 0:
-            return None
-        keys, rows = self._decoded_block(index)
-        position = bisect.bisect_left(keys, key)
-        if position < len(keys) and keys[position] == key:
-            return rows[position]
-        return None
-
-    def get_many(self, keys: Sequence) -> Dict[object, bytes]:
-        """Encoded rows for every *found* key, one block decode per block.
-
-        Keys are grouped by the block the sparse index maps them to and
-        each needed block is decoded at most once — the core of the
-        engine's batched multi-get.  Tombstoned and absent keys are
-        simply missing from the result (call :meth:`is_deleted` to tell
-        the two apart).
-        """
-        found: Dict[object, bytes] = {}
+        found: Dict[object, object] = {}
         if not self._block_keys:
             return found
         block_keys = self._block_keys
@@ -408,20 +391,31 @@ class SSTable:
             if index >= 0:
                 by_block.setdefault(index, []).append(key)
         for index, wanted in by_block.items():
-            entry_keys, entry_rows = self._decoded_block(index)
+            block = self._decoded_obj(index)
+            columnar = isinstance(block, ColumnVectors)
+            entry_keys = block.keys if columnar else block[0]
             n_entries = len(entry_keys)
             for key in wanted:
                 position = bisect.bisect_left(entry_keys, key)
                 if position < n_entries and entry_keys[position] == key:
-                    found[key] = entry_rows[position]
+                    found[key] = (block, position) if columnar else block[1][position]
         return found
+
+    def __contains__(self, key) -> bool:
+        """Does this table hold a live row for ``key``?  (The write
+        path's liveness probe: :meth:`locate`, so nothing is
+        rematerialized to answer yes or no.)"""
+        return bool(self.locate((key,)))
 
     def is_deleted(self, key) -> bool:
         return key in self._tombstones
 
     def items(self) -> Iterator[Tuple[object, bytes]]:
+        """Every ``(key, encoded row)`` entry in key order — compaction's
+        input, the one reader whose business is row-major bytes."""
         for index in range(len(self._block_keys)):
-            keys, rows = self._decoded_block(index)
+            block = self._decoded_obj(index)
+            keys, rows = block.all_rows() if isinstance(block, ColumnVectors) else block
             yield from zip(keys, rows)
 
     def key_range(self) -> Optional[Tuple[object, object]]:

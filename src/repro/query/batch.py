@@ -13,10 +13,13 @@ Two backings share the contract:
 
 * :class:`VectorBatch` — a decoded columnar SSTable block.  ``column``
   is the block's memoized typed vector, so a predicate or an aggregate
-  touches only the columns it reads.
-* :class:`RowBatch` — rows that already exist as dicts (point, multi-get
-  and index fetches, operator outputs) or as encoded bytes that decode on
-  first column access (memtables, row-format blocks, B-tree leaves), so
+  touches only the columns it reads.  A fetch (point, multi-get, index)
+  that found its keys in such a block gets a :class:`FetchedBatch`: the
+  same block with ``sel`` set to the keys' positions, whose columns
+  are decoded at the selected positions only.
+* :class:`RowBatch` — rows that already exist as dicts (operator
+  outputs) or as encoded bytes that decode on first column access
+  (memtables, row-format blocks, row-cache hits, B-tree leaves), so
   ``COUNT(*)`` over them decodes nothing.
 
 ``column(name)`` is addressed by position (index it with ``sel``);
@@ -106,6 +109,38 @@ class VectorBatch(Batch):
         return [dict(zip(labels, row)) for row in zip(*columns)]
 
 
+class FetchedBatch(VectorBatch):
+    """The rows a fetch located in a decoded columnar block, selected by
+    position.  ``values_at(name, positions)`` decodes a column at the
+    given positions only, so what a statement reads of a fetched row is
+    all that is ever decoded of the block."""
+
+    __slots__ = ("_values_at",)
+
+    def __init__(self, n: int, column_of: Callable[[str], Sequence],
+                 values_at: Callable[[str, Sequence[int]], Sequence],
+                 all_names: Sequence[str], sel: List[int]) -> None:
+        super().__init__(n, column_of, all_names)
+        self._values_at = values_at
+        self.sel = sel
+
+    def values(self, name: str) -> Sequence:
+        if self.sel is None:
+            return self._column_of(name)
+        return self._values_at(name, self.sel)
+
+    def column(self, name: str) -> Sequence:
+        # A selection only ever narrows: a vector filled in at the
+        # selected positions is all any operator downstream will read.
+        sel = self.sel
+        if sel is None:
+            return self._column_of(name)
+        vector = [None] * self.n
+        for i, value in zip(sel, self._values_at(name, sel)):
+            vector[i] = value
+        return vector
+
+
 class RowBatch(Batch):
     """Rows held as dicts, or as encoded bytes plus their ``decode``."""
 
@@ -122,13 +157,21 @@ class RowBatch(Batch):
     def _decoded(self) -> List[Dict[str, object]]:
         decode = self._decode
         if decode is not None:
-            self._rows = [decode(encoded) for encoded in self._rows]
+            self._rows = list(map(decode, self._rows))
             self._decode = None
         return self._rows
 
     def column(self, name: str) -> Sequence:
         rows = self._rows if self._decode is None else self._decoded()
         return [row[name] for row in rows]
+
+    def values(self, name: str) -> Sequence:
+        # Read straight off the selected rows: a fetch's Filter usually
+        # leaves one of them.
+        if self.sel is None:
+            return self.column(name)
+        rows = self._rows if self._decode is None else self._decoded()
+        return [rows[i][name] for i in self.sel]
 
     def rows(self, names: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
         rows = self._rows if self._decode is None else self._decoded()

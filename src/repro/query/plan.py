@@ -3,10 +3,12 @@
 A plan is a tree of operators.  Leaves are *access paths* bound to a
 storage object (a relational :class:`~repro.sqldb.table.Table` or a
 :class:`~repro.nosqldb.columnfamily.ColumnFamily` — the kernel only
-relies on the common ``get``/``get_many``/``lookup_indexed``/
-``scan_batches`` duck type); inner nodes transform the stream.  What
-flows between operators is the column :class:`~repro.query.batch.Batch`:
-every node implements ``batches(ctx)``, pulls its child's batches and
+relies on the common duck type of two entry points:
+``get_batches(keys, index=None)`` to fetch and
+``scan_batches(shard_id, pushed)`` to scan); inner nodes transform the
+stream.  What flows between operators is the column
+:class:`~repro.query.batch.Batch`: every node implements
+``batches(ctx)``, pulls its child's batches and
 narrows their selection vectors; row dicts are built exactly once, by
 :meth:`PlanNode.run` at the ``ResultSet`` boundary, for the columns the
 statement returns.  ``Sort`` and ``HashJoin`` are the only pipeline
@@ -307,8 +309,8 @@ class _Access(PlanNode):
     """Shared shape of the storage-bound leaves.
 
     ``cache_probe`` (optional) reads the storage object's block-cache
-    hit counter so the leaf can attribute cache-backed block reads to
-    itself.
+    hit counter so a fetching leaf can attribute cache-backed block
+    reads to itself.
     """
 
     __slots__ = ("table", "_table_name", "_key_desc", "cache_probe")
@@ -329,60 +331,70 @@ class _Access(PlanNode):
     def key_desc(self) -> Optional[str]:
         return self._key_desc
 
-    def _emit(self, rows: List[Dict[str, object]]) -> Tuple[Batch, ...]:
-        """Fetched rows as this call's one row-backed batch."""
-        self.calls += 1
-        self.rows_out += len(rows)
-        return (RowBatch(rows),)
+
+class _KeyFetch(_Access):
+    """The primary-key fetching leaves: one ``get_batches(keys)`` per
+    call — the rows arrive as batches in requested-key order — framed by
+    the cache probe, plus the two counters only they keep."""
+
+    __slots__ = ("keys_batched", "blocks_cached")
+
+    def __init__(self, table, table_name: str, key_desc: str, cache_probe=None) -> None:
+        super().__init__(table, table_name, key_desc, cache_probe)
+        self.keys_batched = 0
+        self.blocks_cached = 0
 
 
-class PointLookup(_Access):
-    """One primary-key ``get``: the ``WHERE pk = x`` access path."""
+class PointLookup(_KeyFetch):
+    """One primary-key fetch: the ``WHERE pk = x`` access path."""
 
     kind = "PointLookup"
-    __slots__ = ("key", "keys_batched", "blocks_cached")
+    __slots__ = ("key",)
 
     def __init__(self, table, key: Callable, table_name: str, key_desc: str,
                  cache_probe=None) -> None:
         super().__init__(table, table_name, key_desc, cache_probe)
         self.key = key
-        self.keys_batched = 0
-        self.blocks_cached = 0
 
     def batches(self, ctx: _Context) -> Iterable[Batch]:
-        before = self.cache_probe() if self.cache_probe is not None else 0
-        row = self.table.get(self.key(ctx.params))
-        if self.cache_probe is not None:
-            self.blocks_cached += self.cache_probe() - before
+        probe = self.cache_probe
+        before = probe() if probe is not None else 0
+        fetched = self.table.get_batches((self.key(ctx.params),))
+        if probe is not None:
+            self.blocks_cached += probe() - before
+        self.calls += 1
         self.keys_batched += 1
-        return self._emit([row] if row is not None else [])
+        self.rows_out += len(fetched)  # one key: at most one one-row batch
+        return fetched
 
     def detail(self) -> str:
         return "primary key"
 
 
-class MultiGet(_Access):
-    """One batched ``get_many`` over a runtime key list (pk ``IN`` and
-    the stored-query walks' per-level cell fetches)."""
+class MultiGet(_KeyFetch):
+    """One batched fetch over a runtime key list (pk ``IN`` and the
+    stored-query walks' per-level cell fetches)."""
 
     kind = "MultiGet"
-    __slots__ = ("keys", "keys_batched", "blocks_cached")
+    __slots__ = ("keys",)
 
     def __init__(self, table, keys: Callable, table_name: str, key_desc: str,
                  cache_probe=None) -> None:
         super().__init__(table, table_name, key_desc, cache_probe)
         self.keys = keys
-        self.keys_batched = 0
-        self.blocks_cached = 0
 
     def batches(self, ctx: _Context) -> Iterable[Batch]:
         resolved = list(self.keys(ctx.params))
         self.keys_batched += len(resolved)
-        before = self.cache_probe() if self.cache_probe is not None else 0
-        fetched = [row for row in self.table.get_many(resolved) if row is not None]
-        if self.cache_probe is not None:
-            self.blocks_cached += self.cache_probe() - before
-        return self._emit(fetched)
+        probe = self.cache_probe
+        before = probe() if probe is not None else 0
+        fetched = self.table.get_batches(resolved)
+        if probe is not None:
+            self.blocks_cached += probe() - before
+        self.calls += 1
+        for batch in fetched:
+            self.rows_out += batch.count()
+        return fetched
 
     def _explain_fanout(self) -> Tuple[str, ...]:
         # Batched reads scatter-gather inside storage objects that route
@@ -424,18 +436,16 @@ class IndexScan(_Access):
         self.rows_pruned = 0
 
     def batches(self, ctx: _Context) -> Iterable[Batch]:
-        resolved = self.value(ctx.params)
-        if self.access == self.PK_PREFIX:
-            batch = RowBatch(self.table.lookup_pk_prefix(resolved))
-        else:
-            batch = RowBatch(self.table.lookup_indexed(self.column, resolved))
-        if self.pushed is not None:
-            bound = self.pushed.bind(ctx.params)
-            bound.narrow(batch)
-            self.rows_pruned += bound.rows_pruned
+        fetched = self.table.get_batches((self.value(ctx.params),), self.column)
         self.calls += 1
-        self.rows_out += batch.count()
-        return (batch,)
+        bound = self.pushed.bind(ctx.params) if self.pushed is not None else None
+        for batch in fetched:
+            if bound is not None:
+                bound.narrow(batch)
+            self.rows_out += batch.count()
+        if bound is not None:
+            self.rows_pruned += bound.rows_pruned
+        return fetched
 
     def detail(self) -> str:
         if self.pushed is not None:

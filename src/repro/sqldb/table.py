@@ -319,20 +319,46 @@ class Table:
         encoded = self._clustered.get(key)
         return self.decode_row(encoded) if encoded is not None else None
 
-    def get_many(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """Point-read many primary keys in one call, order-preserving.
+    def get_batches(self, keys: Sequence, index: Optional[str] = None) -> List[Batch]:
+        """The rows of ``keys`` as one lazily decoded batch, in
+        requested-key order (absent keys skipped) — the fetch entry
+        point beside :meth:`scan_batches`, and the relational analogue
+        of the NoSQL engine's batched multi-get: one B-tree probe per
+        key.
 
-        The relational analogue of the NoSQL engine's batched multi-get:
-        one B-tree probe per key without per-statement executor overhead;
-        ``get_many(ks) == [get(k) for k in ks]``.
+        With ``index`` the keys are values of that column and every row
+        holding one of them is fetched: through the clustered index when
+        ``index`` leads a composite primary key (InnoDB's prefix scan,
+        e.g. ``NODE_CHILDREN(node_id, cell_id)`` probed by ``node_id``),
+        else through the column's secondary index.
+
+        Raises ProgrammingError when ``index`` names neither.
         """
-        clustered_get = self._clustered.get
-        decode = self.decode_row
-        results: List[Optional[Dict[str, object]]] = []
-        for key in keys:
-            encoded = clustered_get(key)
-            results.append(decode(encoded) if encoded is not None else None)
-        return results
+        clustered = self._clustered
+        encoded_rows: List[bytes] = []
+        if index is None:
+            for key in keys:
+                encoded = clustered.get(key)
+                if encoded is not None:
+                    encoded_rows.append(encoded)
+        elif index == self.primary_key[0] and len(self.primary_key) > 1:
+            for value in keys:
+                for key, encoded in clustered.items(lo=(value,)):
+                    if key[0] != value:
+                        break
+                    encoded_rows.append(encoded)
+        else:
+            tree = self._secondary.get(index)
+            if tree is None:
+                raise ProgrammingError(f"no index on {self.name}.{index}")
+            for value in keys:
+                for composite, _ in tree.items(lo=(value,)):
+                    if composite[0] != value:
+                        break
+                    encoded = clustered.get(composite[1])
+                    if encoded is not None:
+                        encoded_rows.append(encoded)
+        return [RowBatch(encoded_rows, self.decode_row)] if encoded_rows else []
 
     def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
         """The virtual shard's rows in key order, one row-backed batch
@@ -381,35 +407,15 @@ class Table:
         ``REPRO_WORKERS`` pool, results in task (= shard) order."""
         return map_tasks(tasks)
 
-    def lookup_pk_prefix(self, value) -> List[Dict[str, object]]:
-        """Rows whose *first* primary-key component equals ``value``.
-
-        The clustered-index prefix scan InnoDB uses for composite keys
-        (e.g. ``NODE_CHILDREN(node_id, cell_id)`` probed by ``node_id``).
-        """
-        if len(self.primary_key) < 2:
-            row = self.get(value)
-            return [row] if row is not None else []
-        rows = []
-        for key, encoded in self._clustered.items(lo=(value,)):
-            if key[0] != value:
-                break
-            rows.append(self.decode_row(encoded))
-        return rows
-
     def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
-        """Raises ProgrammingError when ``column`` has no secondary index."""
-        tree = self._secondary.get(column)
-        if tree is None:
-            raise ProgrammingError(f"no index on {self.name}.{column}")
-        rows = []
-        for composite, _ in tree.items(lo=(value,)):
-            if composite[0] != value:
-                break
-            row = self.get(composite[1])
-            if row is not None:
-                rows.append(row)
-        return rows
+        """The rows whose indexed ``column`` equals ``value`` — a row
+        view of :meth:`get_batches`.  Raises ProgrammingError when
+        ``column`` has no index."""
+        return [
+            row
+            for batch in self.get_batches((value,), index=column)
+            for row in batch.rows()
+        ]
 
     def __len__(self) -> int:
         return self._n_rows

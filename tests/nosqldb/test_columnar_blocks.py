@@ -18,9 +18,11 @@ from repro.nosqldb.columnar import (
     TAG_COLUMNAR,
     TAG_ROW,
     ColumnarCodec,
+    ColumnVectors,
     default_block_format,
 )
 from repro.nosqldb.columnfamily import Column, ColumnFamily
+from repro.nosqldb.engine import NoSQLEngine
 from repro.nosqldb.errors import InvalidRequest
 from repro.nosqldb.sstable import SSTable, compact
 from repro.nosqldb.types import parse_type
@@ -108,11 +110,15 @@ def test_codec_block_roundtrip_is_exact(rows):
         vectors = codec.decode_block(payload)
         keys, encoded_rows = vectors.all_rows()
         # decode -> rematerialize -> re-encode reproduces the payload
-        reencoded, zones, _, _ = codec.encode_block(
+        reencoded, zones, _, _, layout = codec.encode_block(
             [encode_key(key) for key in keys], encoded_rows, codec.zone_memo()
         )
         assert reencoded == payload
         assert zones == table._zone_maps[index]
+        # the chunk layout kept beside the block is the one a walk of
+        # the bare payload finds, and decoding through it changes nothing
+        assert layout == table._layouts[index] == (vectors.names, vectors._starts)
+        assert codec.decode_block(payload, layout).all_rows() == (keys, encoded_rows)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +274,104 @@ class TestDictionaries:
         # may dictionary-encode, so plain chunks must dominate.
         stats = cf._sstables[0].stats()
         assert stats.plain_chunks > stats.dict_chunks
+
+
+# ----------------------------------------------------------------------
+# fetches: one row, not the block
+# ----------------------------------------------------------------------
+class TestFetch:
+    """A key found in a columnar block leaves storage as a position in
+    the cached vectors: no row is re-encoded, only the chunks of the
+    columns the statement names are parsed, and a fetched column is
+    decoded at the fetched positions (docs/read_path.md)."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = {"materialize": [], "chunks": [], "decoded": []}
+        materialize, parse_chunk = ColumnVectors.materialize, ColumnVectors._parse_chunk
+        decode_value = ColumnarCodec.decode_value
+
+        def spy_materialize(self, i):
+            calls["materialize"].append(self.keys[i])
+            return materialize(self, i)
+
+        def spy_parse_chunk(self, col_index, offset):
+            if self.names:  # (a checker's layout-less walk has none yet)
+                calls["chunks"].append(self.names[col_index])
+            return parse_chunk(self, col_index, offset)
+
+        def spy_decode_value(self, name, raw):
+            calls["decoded"].append(name)
+            return decode_value(self, name, raw)
+
+        monkeypatch.setattr(ColumnVectors, "materialize", spy_materialize)
+        monkeypatch.setattr(ColumnVectors, "_parse_chunk", spy_parse_chunk)
+        monkeypatch.setattr(ColumnarCodec, "decode_value", spy_decode_value)
+        return calls
+
+    def session(self, monkeypatch, spy, row_cache_bytes):
+        monkeypatch.setenv("REPRO_BLOCK_FORMAT", "columnar")
+        monkeypatch.setenv("REPRO_ROW_CACHE_BYTES", str(row_cache_bytes))
+        session = NoSQLEngine().connect()
+        session.execute("CREATE KEYSPACE k")
+        session.execute("USE k")
+        session.execute("CREATE TABLE t (id int PRIMARY KEY, name text, m int, tags set<int>)")
+        table = session.engine.keyspace("k").table("t")
+        for i in range(60):
+            table.insert({"id": i, "name": "abc"[i % 3], "m": i, "tags": {i, i + 1}})
+        table.flush()
+        assert table.stats().columnar_blocks == 1
+        for seen in spy.values():  # (REPRO_CHECK=1 decodes what it seals)
+            seen.clear()
+        return session, table
+
+    def test_cold_point_read_touches_one_chunk_at_one_position(self, monkeypatch, spy):
+        session, table = self.session(monkeypatch, spy, row_cache_bytes=0)
+        assert session.execute("SELECT tags FROM t WHERE id = 7").rows == [{"tags": {7, 8}}]
+        assert spy == {"materialize": [], "chunks": ["tags"], "decoded": ["tags"]}
+
+    def test_cold_multi_get_parses_the_named_chunks_only(self, monkeypatch, spy):
+        session, table = self.session(monkeypatch, spy, row_cache_bytes=0)
+        rows = session.execute(
+            "SELECT m FROM t WHERE id IN (9, 3, 99, 4, 9) AND name = 'a' ALLOW FILTERING"
+        ).rows
+        assert rows == [{"m": 9}, {"m": 3}, {"m": 9}]
+        assert spy["materialize"] == []
+        assert sorted(spy["chunks"]) == ["m", "name"]
+        # name is decoded for the four fetched rows, m for the three
+        # that pass — out of a block of sixty
+        assert sorted(spy["decoded"]) == ["m"] * 3 + ["name"] * 4
+        # a scan that already left a whole typed vector is reused as is
+        list(table.scan())
+        del spy["decoded"][:]
+        assert session.execute("SELECT m FROM t WHERE id = 5").rows == [{"m": 5}]
+        assert spy["decoded"] == []
+
+    def test_row_cache_is_filled_with_the_fetched_rows_only(self, monkeypatch, spy):
+        session, table = self.session(monkeypatch, spy, row_cache_bytes=1 << 20)
+        text = "SELECT name FROM t WHERE id IN (9, 3, 99, 9)"
+        expected = [{"name": "a"}, {"name": "a"}, {"name": "a"}]
+        assert session.execute(text).rows == expected
+        assert sorted(spy["materialize"]) == [3, 9]
+        cached = dict(table._row_cache.items())
+        assert set(cached) == {3, 9, 99}
+        assert table.decode_row(cached[3]) == table.get(3)
+        # warm: served from the row cache, nothing rematerialized
+        assert session.execute(text).rows == expected
+        assert sorted(spy["materialize"]) == [3, 9]
+        assert not columnfamily_check(table).violations
+
+    def test_liveness_probe_never_materializes(self, monkeypatch, spy):
+        # insert/delete keep the live-row counter by asking each layer
+        # "do you hold this key?" — a directory lookup, not a row read.
+        session, table = self.session(monkeypatch, spy, row_cache_bytes=0)
+        table.insert({"id": 5, "name": "z", "m": -5})      # overwrite
+        table.insert({"id": 100, "name": "new", "m": 100})  # fresh key
+        table.delete(6)
+        table.delete(200)                                   # absent
+        assert len(table) == 60
+        assert spy == {"materialize": [], "chunks": [], "decoded": []}
+        assert 7 in table._sstables[0] and 200 not in table._sstables[0]
 
 
 # ----------------------------------------------------------------------

@@ -209,6 +209,7 @@ def oracle_encode_block(columns, items):
         parts += [encode_key(key), encode_varint(len(cells))]
         parts += [encode_varint(names.index(n)) for n, _, _ in cells]
     parts.append(encode_varint(len(names)))
+    starts = []
     dict_chunks = 0
     zones = {
         name: (None, None, frozenset())
@@ -223,6 +224,7 @@ def oracle_encode_block(columns, items):
             len(values) >= DICT_MIN_ROWS
             and len(distinct) <= len(values) // DICT_MAX_RATIO
         )
+        starts.append(sum(map(len, parts)))
         parts += [encode_text(name), b"\x01" if use_dict else b"\x00"]
         parts += [ts for ts, _ in picked]
         if use_dict:
@@ -236,7 +238,10 @@ def oracle_encode_block(columns, items):
             continue  # unordered / NaN: no zone entry
         exact = frozenset(decoded) if len(decoded) <= ZONE_DISTINCT_MAX else None
         zones[name] = (min(decoded), max(decoded), exact)
-    return b"".join(parts), zones, dict_chunks, len(names) - dict_chunks
+    return (
+        b"".join(parts), zones, dict_chunks, len(names) - dict_chunks,
+        (tuple(names), tuple(starts)),
+    )
 
 
 cell_values = {
@@ -302,7 +307,7 @@ class TestRefusals:
         assert (stats.blocks, stats.columnar_blocks, stats.fallback_blocks) == (1, 0, 1)
         assert table._zone_maps == [None]
         assert list(table.items()) == [(1, good), (2, alien), (3, good)]
-        assert table.get(2) == alien
+        assert table.locate((2,)).get(2) == alien
 
     def test_repeated_column_row_stays_readable(self):
         # the shape an old commit log can still replay: two cells, one column

@@ -5,6 +5,11 @@ import pytest
 from repro.nosqldb.sstable import BloomFilter, SSTable, compact
 
 
+def read(table, key):
+    """The encoded row a row-format table holds for ``key`` (or None)."""
+    return table.locate((key,)).get(key)
+
+
 def make_items(n, prefix="row"):
     return [(i, f"{prefix}{i}".encode()) for i in range(n)]
 
@@ -12,13 +17,13 @@ def make_items(n, prefix="row"):
 class TestBuildAndRead:
     def test_point_reads(self):
         table = SSTable(make_items(500))
-        assert table.get(0) == b"row0"
-        assert table.get(499) == b"row499"
-        assert table.get(777) is None
+        assert read(table, 0) == b"row0"
+        assert read(table, 499) == b"row499"
+        assert read(table, 777) is None
 
     def test_uncompressed_mode(self):
         table = SSTable(make_items(100), compressed=False)
-        assert table.get(50) == b"row50"
+        assert read(table, 50) == b"row50"
 
     def test_scan_in_order(self):
         table = SSTable(make_items(300))
@@ -29,18 +34,18 @@ class TestBuildAndRead:
 
     def test_empty_table(self):
         table = SSTable([])
-        assert table.get(1) is None
+        assert read(table, 1) is None
         assert list(table.items()) == []
 
     def test_string_keys(self):
         items = sorted((f"k{i:03d}", b"v") for i in range(50))
         table = SSTable(items)
-        assert table.get("k025") == b"v"
-        assert table.get("zzz") is None
+        assert read(table, "k025") == b"v"
+        assert read(table, "zzz") is None
 
     def test_key_before_first_block(self):
         table = SSTable([(10, b"v")])
-        assert table.get(1) is None
+        assert read(table, 1) is None
 
 
 class TestSize:
@@ -58,7 +63,7 @@ class TestTombstones:
     def test_tombstoned_key_reads_none(self):
         table = SSTable(make_items(10), tombstones=frozenset({3}))
         assert table.is_deleted(3)
-        assert table.get(3) is None
+        assert read(table, 3) is None
 
 
 class TestCompact:
@@ -66,15 +71,15 @@ class TestCompact:
         old = SSTable([(1, b"old"), (2, b"keep")])
         new = SSTable([(1, b"new")])
         merged = compact([old, new])
-        assert merged.get(1) == b"new"
-        assert merged.get(2) == b"keep"
+        assert read(merged, 1) == b"new"
+        assert read(merged, 2) == b"keep"
 
     def test_tombstone_removes_row(self):
         old = SSTable([(1, b"v"), (2, b"w")])
         deleter = SSTable([], tombstones=frozenset({1}))
         merged = compact([old, deleter])
-        assert merged.get(1) is None
-        assert merged.get(2) == b"w"
+        assert read(merged, 1) is None
+        assert read(merged, 2) == b"w"
         assert not merged.tombstones  # applied and discarded
 
     def test_reinsert_after_tombstone_survives(self):
@@ -82,7 +87,7 @@ class TestCompact:
         second = SSTable([], tombstones=frozenset({1}))
         third = SSTable([(1, b"b")])
         merged = compact([first, second, third])
-        assert merged.get(1) == b"b"
+        assert read(merged, 1) == b"b"
 
     def test_result_sorted(self):
         left = SSTable([(1, b"a"), (5, b"e")])

@@ -10,6 +10,15 @@ insert / update-to-NULL / delete / flush / compact sequences against
 both engines, both block formats and 1 and 4 shards, and every
 statement must return identical rows *in identical order*, the same
 ``COUNT(*)`` and the same ``rows emitted + rows pruned`` at the leaf.
+
+Fetches get the same treatment: before ``get_batches``, a point,
+multi-get or index leaf walked the layers for each key's *encoded row*
+and decoded it (``SSTable.get`` -> ``decode_row``); :func:`oracle_get`
+keeps that walk.  ``WHERE pk = ?``, ``WHERE pk IN (...)`` (unsorted,
+duplicated, absent, tombstoned and shadowed keys) and secondary-index
+probes with pushed residuals run over rows spread across the active
+memtable, sealed memtables and several SSTables — one of them holding a
+block the columnar codec refused — with the row cache on and off.
 """
 
 import pytest
@@ -29,6 +38,7 @@ from repro.nosqldb.engine import NoSQLEngine
 from repro.query.expr import compare, evaluate_aggregate, null_safe_key
 from repro.query.pushdown import PUSHABLE_OPS
 from repro.sqldb.engine import SQLEngine
+from repro.storage.varint import encode_varint
 
 from tests.query.test_sharded_equivalence import env
 
@@ -85,12 +95,51 @@ def oracle_scan(table, pushed):
     return rows, pruned
 
 
+def oracle_get(table, key):
+    """The live row of ``key`` or None — the old ``get``: memtable,
+    sealed memtables, then SSTables newest first, the first layer that
+    knows the key (as a row or a tombstone) answering."""
+    if not isinstance(table, ColumnFamily):
+        encoded = table._clustered.get(key)
+        return table.decode_row(encoded) if encoded is not None else None
+    shard = table.shards[table.shard_for(key)]
+    for memtable in (shard.memtable, *reversed(shard.pending)):
+        encoded = memtable.get(key)
+        if encoded is not None:
+            return table.decode_row(encoded)
+        if memtable.is_deleted(key):
+            return None
+    for sstable in reversed(shard.sstables):
+        if sstable.is_deleted(key):
+            return None
+        for entry_key, encoded in sstable.items():
+            if entry_key == key:
+                return table.decode_row(encoded)
+    return None
+
+
+def oracle_fetch(table, access):
+    """The rows a fetching leaf hands up, in its order: one per
+    requested key (repeats repeated, absent keys skipped); an index
+    probe requests the keys holding the value, ascending."""
+    kind, wanted = access
+    if kind == "index":
+        keys = sorted(row["id"] for row in oracle_scan(table, [])[0] if row["grp"] == wanted)
+    else:
+        keys = wanted if kind == "in" else [wanted]
+    return [row for row in map(lambda key: oracle_get(table, key), keys) if row is not None]
+
+
 def oracle_answer(table, spec, dialect):
     """``(result rows, rows examined at the leaf)`` for one statement."""
     where = [c for c in spec["where"] if dialect == "sql" or c[1] in PUSHABLE_OPS]
-    pushed = [c for c in where if c[1] in PUSHABLE_OPS]
-    rows, pruned = oracle_scan(table, pushed)
-    examined = len(rows) + pruned
+    if "access" in spec:
+        rows = oracle_fetch(table, spec["access"])
+        examined = len(rows)
+    else:
+        pushed = [c for c in where if c[1] in PUSHABLE_OPS]
+        rows, pruned = oracle_scan(table, pushed)
+        examined = len(rows) + pruned
     rows = [row for row in rows if _passes(row, where)]
     if spec["shape"] == "count":
         if dialect == "cql" and spec["limit"] is not None:
@@ -129,8 +178,14 @@ def _literal(value):
     return f"'{value}'" if isinstance(value, str) else str(value)
 
 
+_ACCESS_CONDITION = {"point": ("id", "="), "in": ("id", "IN"), "index": ("grp", "=")}
+
+
 def render(spec, dialect):
     where = [c for c in spec["where"] if dialect == "sql" or c[1] in PUSHABLE_OPS]
+    if "access" in spec:
+        kind, wanted = spec["access"]
+        where = [(*_ACCESS_CONDITION[kind], wanted), *where]
     parts = []
     for column, op, expected in where:
         if op == "ISNULL":
@@ -189,9 +244,21 @@ ops_strategy = st.lists(
 )
 
 
-def build(ops, dialect, block_format, shards):
+def refused_row(table, key, val):
+    """An encoded row no columnar block can hold — ``val`` written twice,
+    the stale cell first — which decodes like ``{id: key, val: val}``."""
+    def cell(name, value, ts):
+        column = table.column(name)
+        return column._encoded_name + ts.to_bytes(8, "little") + column.cql_type.encode(value)
+
+    return b"".join((encode_varint(3), cell("id", key, 1), cell("val", val + 1, 1),
+                     cell("val", val, 2)))
+
+
+def build(ops, dialect, block_format, shards, row_cache_bytes=None, indexed=False):
     """Apply ``ops`` through the storage API; returns (session, table)."""
-    with env(REPRO_BLOCK_FORMAT=block_format, REPRO_SHARDS=shards):
+    budgets = {} if row_cache_bytes is None else {"REPRO_ROW_CACHE_BYTES": row_cache_bytes}
+    with env(REPRO_BLOCK_FORMAT=block_format, REPRO_SHARDS=shards, **budgets):
         if dialect == "sql":
             session = SQLEngine().connect()
             session.execute("CREATE DATABASE d")
@@ -204,6 +271,8 @@ def build(ops, dialect, block_format, shards):
             session.execute("USE k")
             session.execute("CREATE TABLE t (id int PRIMARY KEY, grp text, val int)")
             table = session.engine.keyspace("k").table("t")
+    if indexed:
+        session.execute("CREATE INDEX t_grp ON t (grp)")
     live = set()
     for op in ops:
         kind = op[0]
@@ -226,8 +295,14 @@ def build(ops, dialect, block_format, shards):
                 table.delete_where(lambda r, k=op[1]: r["id"] == k)
             else:
                 table.delete(op[1])
-        elif kind in ("flush", "compact") and dialect == "cql":
+        elif kind in ("flush", "compact", "seal_memtable") and dialect == "cql":
             getattr(table, kind)()
+        elif kind == "refused" and dialect == "cql":
+            # Straight into the memtable, the way commit-log replay
+            # writes: the block it is flushed into falls back to rows.
+            live.add(op[1])
+            table.apply_replayed(op[1], refused_row(table, op[1], op[2]))
+            table.rebuild_indexes()
     return session, table
 
 
@@ -259,6 +334,86 @@ def test_batch_path_answers_like_the_row_path(ops, specs, dialect, block_format,
             leaf = session.execute("EXPLAIN ANALYZE " + text).rows[shards if shards > 1 else 0]
             assert leaf["node"] == "FullScan"
             assert leaf["rows"] + leaf["rows_pruned"] == examined, text
+
+
+# ----------------------------------------------------------------------
+# fetches: point, multi-get and index leaves
+# ----------------------------------------------------------------------
+fetch_ops_strategy = st.lists(
+    st.one_of(
+        ops_strategy.wrapped_strategy.element_strategy,
+        st.tuples(st.just("seal_memtable")),
+        st.tuples(st.just("refused"), st.integers(0, 14), st.integers(0, 5)),
+    ),
+    max_size=40,
+)
+
+fetch_spec_strategy = st.fixed_dictionaries({
+    "access": st.one_of(
+        st.tuples(st.just("point"), st.integers(0, 15)),
+        st.tuples(st.just("in"), st.lists(st.integers(0, 16), min_size=1, max_size=8)),
+        st.tuples(st.just("index"), st.sampled_from(GROUPS)),
+    ),
+    "where": st.lists(condition_strategy.filter(lambda c: c[0] == "val"), max_size=2),
+    "shape": st.sampled_from(("rows", "rows", "count")),
+    "columns": st.sampled_from(((), ("id", "val"), ("grp",), ("val",))),
+    "order": st.one_of(st.none(), st.tuples(st.sampled_from(("id", "val")), st.booleans())),
+    "limit": st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+})
+
+FETCH_LEAVES = {"point": "PointLookup", "in": "MultiGet", "index": "IndexScan"}
+
+
+@given(
+    ops=fetch_ops_strategy,
+    specs=st.lists(fetch_spec_strategy, min_size=1, max_size=5),
+    dialect=st.sampled_from(("sql", "cql")),
+    block_format=st.sampled_from(("row", "columnar")),
+    shards=st.sampled_from((1, 4)),
+    row_cache_bytes=st.sampled_from((0, 1 << 20)),
+)
+@settings(max_examples=150, deadline=None)
+def test_fetch_path_answers_like_the_row_path(
+    ops, specs, dialect, block_format, shards, row_cache_bytes
+):
+    session, table = build(ops, dialect, block_format, shards, row_cache_bytes, indexed=True)
+    for spec in specs:
+        text = render(spec, dialect)
+        expected, fetched = oracle_answer(table, spec, dialect)
+        assert session.execute(text).rows == expected, text
+        assert session.execute(text).rows == expected, text  # warm plan, warm row cache
+        leaf = next(
+            row for row in session.execute("EXPLAIN ANALYZE " + text).rows
+            if not row["detail"].startswith("fanout")
+        )
+        assert leaf["node"] == FETCH_LEAVES[spec["access"][0]], text
+        if spec["limit"] != 0:  # LIMIT 0 never pulls from the leaf
+            assert leaf["rows"] + leaf["rows_pruned"] == fetched, text
+
+
+def test_fetch_differential_reaches_a_refused_block_in_a_columnar_table():
+    """The hand-picked case the property above must keep finding: one
+    multi-get over the active memtable, a sealed memtable, a columnar
+    block, a row-format fallback block, a tombstone and a shadowed row."""
+    ops = [
+        *(("insert", key, GROUPS[key % 3], key % 4) for key in range(8)),
+        ("refused", 3, 5),
+        ("flush",),                                # columnar + refused blocks
+        ("insert", 1, "g2", None), ("delete", 2), ("flush",),   # shadows, tombstone
+        ("insert", 9, "g0", 1), ("seal_memtable",),
+        ("insert", 10, "g1", 2),
+    ]
+    spec = {"access": ("in", [10, 3, 2, 9, 1, 3, 12, 0]), "where": [], "shape": "rows",
+            "columns": (), "order": None, "limit": None}
+    for shards in (1, 4):
+        session, table = build(ops, "cql", "columnar", shards, 0, indexed=True)
+        stats = table.stats()
+        assert stats.fallback_blocks >= 1 and stats.columnar_blocks >= 1
+        assert stats.sstables >= 2 and stats.pending_memtables >= 1
+        expected, _ = oracle_answer(table, spec, "cql")
+        assert [row["id"] for row in expected] == [10, 3, 9, 1, 3, 0]
+        assert expected[1] == {"id": 3, "grp": None, "val": 5}
+        assert session.execute(render(spec, "cql")).rows == expected
 
 
 # ----------------------------------------------------------------------

@@ -37,11 +37,9 @@ class FakeTable:
     def __init__(self, rows):
         self._rows = {row["id"]: row for row in rows}
 
-    def get(self, key):
-        return self._rows.get(key)
-
-    def get_many(self, keys):
-        return [self._rows.get(key) for key in keys]
+    def get_batches(self, keys, index=None):
+        found = [self._rows[key] for key in keys if key in self._rows]
+        return [RowBatch(found)] if found else []
 
     def scan_batches(self, shard_id, pushed=None):
         """Two row-backed batches, so multi-batch plumbing is exercised."""
@@ -133,6 +131,24 @@ class TestOperators:
         for cls in operators:
             assert "batches" in vars(cls), cls
             assert not hasattr(cls, "_execute") and not hasattr(cls, "rows"), cls
+
+    def test_leaves_read_storage_through_batches_only(self):
+        # Fetch beside scan (docs/query_kernel.md): no leaf asks storage
+        # for rows, and storage has no row-returning block read left to
+        # ask.  CI greps for the same.
+        import inspect
+        import re
+
+        from repro.nosqldb.sstable import SSTable
+        from repro.query import plan as plan_module
+
+        source = inspect.getsource(plan_module)
+        assert not re.search(
+            r"\.get_many\(|\.get\(self\.key|\.lookup_indexed\(|\.lookup_pk_prefix\(", source
+        )
+        assert set(re.findall(r"\.table\.(\w+)\(", source)) == {"get_batches"}
+        for name in ("get", "get_many", "_decoded_block"):
+            assert not hasattr(SSTable, name), name
 
     def test_describe_dispatches_plans_and_nodes(self):
         scan = FullScan(FakeTable(ROWS), "t")
