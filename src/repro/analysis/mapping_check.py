@@ -17,6 +17,10 @@ of that promise independently:
   structurally identical, through the real engine write/read paths.
 * **Registry agreement** — the stored :class:`StoredSchemaInfo` row
   reports the same node/cell counts the transformation produced.
+* **Declaration agreement** — every table the mapper's
+  :class:`~repro.mapping.schema_mapping.SchemaMapping` declares exists
+  with exactly the declared columns, in order, and the declared
+  secondary indexes.
 """
 
 from __future__ import annotations
@@ -142,11 +146,30 @@ def mapping_check(mapper: CubeMapper, cube: DwarfCube) -> CheckReport:
         f"registry reports {info.cell_count} cells, transformation produced "
         f"{len(flat.cells)}",
     )
-    if info.entry_node_id is not None:
+    if mapper.mapping.registry.column("is_cube") is not None:
         # Only the DWARF schemas persist the entry node and the is_cube
         # flag (paper Table 1-A); the Min registries model neither.
         report.check(
             bool(info.is_cube), _CHECKER, "mapping.registry", mapper.name,
             "cube stored with is_cube=True registered as a plain schema",
+        )
+
+    space = mapper.space()
+    for declared in mapper.mapping.tables:
+        where = f"{mapper.name}/{declared.name}"
+        if not space.has_table(declared.name):
+            report.add(_CHECKER, "mapping.declaration", where, "declared table missing")
+            continue
+        table = space.table(declared.name)
+        columns = tuple(column.name for column in declared.columns)
+        report.check(
+            tuple(table.column_names) == columns, _CHECKER, "mapping.declaration",
+            where, f"columns {tuple(table.column_names)} differ from declared {columns}",
+        )
+        report.check(
+            set(table.indexed_columns) == set(declared.indexes), _CHECKER,
+            "mapping.declaration", where,
+            f"indexes {sorted(table.indexed_columns)} differ from declared "
+            f"{sorted(declared.indexes)}",
         )
     return report

@@ -49,6 +49,7 @@ from repro.bench.datasets import DATASETS_BY_NAME, current_scale
 from repro.bench.reporting import format_table
 from repro.bench.runner import DATASET_ORDER, PAPER_TABLE4_MB, PAPER_TABLE5_MS, run_matrix
 from repro.mapping.registry import MAPPER_FACTORIES, make_mapper
+from repro.mapping.schema_mapping import CQL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +370,7 @@ def _warm_query_pass(mapper, name: str, cube) -> bool:
     ok = cold == expected and warm == expected
     status = "answers agree" if ok else f"ANSWERS DIVERGE (cube={expected}, cold={cold}, warm={warm})"
     print(f"stored-query warm pass[{name}]: {len(vectors)} queries x2, {status}")
-    if hasattr(mapper, "keyspace_name"):
+    if mapper.mapping.backend.block_cache:
         for kind in ("row", "block"):
             hits = after[(kind, "hits")] - before[(kind, "hits")]
             misses = after[(kind, "misses")] - before[(kind, "misses")]
@@ -522,12 +523,8 @@ def _check_invariants(dataset: str) -> bool:
         mapper = make_mapper(name)
         ok &= _print_report(mapping_check(mapper, bundle.cube))
         ok &= _warm_query_pass(mapper, name, bundle.cube)
-        if hasattr(mapper, "database_name"):
-            tables = mapper.engine.database(mapper.database_name).tables
-        else:
-            tables = mapper.engine.keyspace(mapper.keyspace_name).tables
         ok &= _print_report(
-            runner.check_all(tables, name=f"storage[{name}]")
+            runner.check_all(mapper.space().tables, name=f"storage[{name}]")
         )
     return ok
 
@@ -563,11 +560,9 @@ def _operator_stat_lines(mapper):
 def _storage_stat_lines(mapper):
     """Per-column-family block-format stats for NoSQL-backed mappers."""
     lines = []
-    session = getattr(mapper, "session", None)
-    keyspace_name = getattr(mapper, "keyspace_name", None)
-    if session is None or keyspace_name is None:
+    if mapper.mapping.backend is not CQL:
         return lines
-    for table in session.engine.keyspace(keyspace_name).tables:
+    for table in mapper.space().tables:
         stats = table.stats()
         lines.append(
             f"  {table.name}: block_format={stats.block_format} "
@@ -671,12 +666,8 @@ def _plan_cache_rows(mapper):
 
 def _epoch_rows(mapper):
     """Every row of the mapper's cube-epoch table (empty when absent)."""
-    table = getattr(mapper, "epoch_table", None)
-    session = getattr(mapper, "session", None)
-    if table is None or session is None:
-        return []
     try:
-        result = session.execute(f"SELECT * FROM {table}")
+        result = mapper.session.execute(f"SELECT * FROM {mapper.mapping.epochs.name}")
     except Exception:  # epoch table never installed
         return []
     return [dict(row) for row in result] if result is not None else []
@@ -687,12 +678,10 @@ def _shard_layout(mapper):
     from repro.nosqldb.sharding import resolve_shards
 
     layout = {"configured": resolve_shards()}
-    session = getattr(mapper, "session", None)
-    keyspace = getattr(mapper, "keyspace_name", None)
-    if session is not None and keyspace is not None:
+    if mapper.mapping.backend is CQL:
         layout["tables"] = {
             table.name: getattr(table, "shard_count", 1)
-            for table in session.engine.keyspace(keyspace).tables
+            for table in mapper.space().tables
         }
     return layout
 

@@ -104,17 +104,10 @@ class DimensionTableStore:
     # ------------------------------------------------------------------
     def attributes(self, dimension_table: str, member) -> Optional[Dict[str, object]]:
         """The attribute dict of ``member``, or None when absent."""
-        name = self.table_name(dimension_table)
         try:
-            row = self.session.execute(
-                f"SELECT * FROM {self.mapper.keyspace_name}.{name} WHERE member = ?",
-                (encode_member(member),),
-            ).one()
+            return self._member_attributes(dimension_table, encode_member(member))
         except InvalidRequest:
             return None
-        if row is None:
-            return None
-        return {k: v for k, v in row.items() if k != "member"}
 
     def describe_cell(self, schema_id: int, cell_id: int) -> Optional[Dict[str, object]]:
         """Follow a stored cell's ``dimension_table_name`` to its attributes.
@@ -131,10 +124,13 @@ class DimensionTableStore:
         table = cell["dimension_table_name"]
         if table is None:
             return None
-        name = self.table_name(table)
+        return self._member_attributes(table, cell["key"])
+
+    def _member_attributes(self, dimension_table: str, key_text: str):
         row = self.session.execute(
-            f"SELECT * FROM {self.mapper.keyspace_name}.{name} WHERE member = ?",
-            (cell["key"],),
+            f"SELECT * FROM {self.mapper.keyspace_name}.{self.table_name(dimension_table)} "
+            "WHERE member = ?",
+            (key_text,),
         ).one()
         if row is None:
             return None

@@ -46,6 +46,7 @@ stored queries keep answering through the epoch row.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.dwarf.cube import DwarfCube
@@ -104,44 +105,25 @@ def resolve_merge_deltas(merge_deltas: Optional[int] = None) -> int:
     return max(1, int(merge_deltas))
 
 
+@dataclass
 class EpochView:
     """One consistent read of a logical cube's epoch row."""
 
-    __slots__ = (
-        "logical_id", "epoch", "base_id", "delta_ids", "retired_ids", "pending_id",
-    )
-
-    def __init__(
-        self,
-        logical_id: int,
-        epoch: int,
-        base_id: int,
-        delta_ids: Tuple[int, ...],
-        retired_ids: Tuple[int, ...],
-        pending_id: int,
-    ) -> None:
-        self.logical_id = logical_id
-        self.epoch = epoch
-        self.base_id = base_id
-        self.delta_ids = delta_ids
-        self.retired_ids = retired_ids
-        self.pending_id = pending_id
+    logical_id: int
+    epoch: int
+    base_id: int
+    delta_ids: Tuple[int, ...]
+    retired_ids: Tuple[int, ...]
+    pending_id: int
 
     @property
     def cube_ids(self) -> Tuple[int, ...]:
         """Physical cubes a query must consult: base plus unfolded deltas."""
         return (self.base_id,) + self.delta_ids
 
-    def __repr__(self) -> str:
-        return (
-            f"EpochView(logical={self.logical_id}, epoch={self.epoch}, "
-            f"base={self.base_id}, deltas={self.delta_ids}, "
-            f"retired={self.retired_ids}, pending={self.pending_id})"
-        )
-
 
 # ----------------------------------------------------------------------
-# epoch-row I/O (dialect differences live in the mappers' table names)
+# epoch-row I/O (the table name comes from the schema declaration)
 # ----------------------------------------------------------------------
 def _encode_ids(ids: Sequence[int]) -> str:
     return ",".join(str(i) for i in ids)
@@ -153,29 +135,16 @@ def _decode_ids(text: Optional[str]) -> Tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _epoch_table(mapper: CubeMapper) -> Optional[str]:
-    return getattr(mapper, "epoch_table", None)
-
-
 def _has_epoch_table(mapper: CubeMapper) -> bool:
-    if getattr(mapper, "_epoch_table_present", False):
-        return True
-    name = _epoch_table(mapper)
-    if name is None:
-        return False
-    try:
-        keyspace = getattr(mapper, "keyspace_name", None)
-        if keyspace is not None:
-            present = mapper.engine.keyspace(keyspace).has_table(name)
-        else:
-            present = mapper.engine.database(mapper.database_name).has_table(name)
-    except Exception:
-        present = False
-    if present:
-        # Only the positive answer is cached: install() may create the
-        # table after the first probe.
-        mapper._epoch_table_present = True
-    return present
+    # Only a positive answer sticks: install() may create the table after
+    # the first probe.
+    if not mapper._epoch_table_present:
+        try:
+            space = mapper.space()
+        except Exception:  # the keyspace/database is not installed yet
+            return False
+        mapper._epoch_table_present = space.has_table(mapper.mapping.epochs.name)
+    return mapper._epoch_table_present
 
 
 def resolve_epoch(mapper: CubeMapper, logical_id: int) -> Optional[EpochView]:
@@ -185,7 +154,7 @@ def resolve_epoch(mapper: CubeMapper, logical_id: int) -> Optional[EpochView]:
     if not _has_epoch_table(mapper):
         return None
     statement = cached_statement(
-        mapper, f"SELECT * FROM {mapper.epoch_table} WHERE id = ?"
+        mapper, f"SELECT * FROM {mapper.mapping.epochs.name} WHERE id = ?"
     )
     row = mapper.session.execute_prepared(statement, (logical_id,)).one()
     if row is None:
@@ -212,40 +181,28 @@ def require_epoch(mapper: CubeMapper, logical_id: int) -> EpochView:
 def _insert_epoch_row(mapper: CubeMapper, view: EpochView) -> None:
     statement = cached_statement(
         mapper,
-        f"INSERT INTO {mapper.epoch_table} "
+        f"INSERT INTO {mapper.mapping.epochs.name} "
         "(id, epoch, base_id, delta_ids, retired_ids, pending_id) "
         "VALUES (?, ?, ?, ?, ?, ?)",
     )
-    mapper.session.execute_prepared(
-        statement,
-        (
-            view.logical_id,
-            view.epoch,
-            view.base_id,
-            _encode_ids(view.delta_ids),
-            _encode_ids(view.retired_ids),
-            view.pending_id,
-        ),
-    )
+    mapper.session.execute_prepared(statement, (view.logical_id, *_epoch_values(view)))
 
 
 def _update_epoch_row(mapper: CubeMapper, view: EpochView) -> None:
     """Publish ``view`` — one single-row UPDATE, the atomic flip point."""
     statement = cached_statement(
         mapper,
-        f"UPDATE {mapper.epoch_table} SET epoch = ?, base_id = ?, "
+        f"UPDATE {mapper.mapping.epochs.name} SET epoch = ?, base_id = ?, "
         "delta_ids = ?, retired_ids = ?, pending_id = ? WHERE id = ?",
     )
-    mapper.session.execute_prepared(
-        statement,
-        (
-            view.epoch,
-            view.base_id,
-            _encode_ids(view.delta_ids),
-            _encode_ids(view.retired_ids),
-            view.pending_id,
-            view.logical_id,
-        ),
+    mapper.session.execute_prepared(statement, (*_epoch_values(view), view.logical_id))
+
+
+def _epoch_values(view: EpochView) -> tuple:
+    """The row's non-key columns, in SET-clause order."""
+    return (
+        view.epoch, view.base_id, _encode_ids(view.delta_ids),
+        _encode_ids(view.retired_ids), view.pending_id,
     )
 
 
@@ -255,11 +212,7 @@ def _predict_physical_id(mapper: CubeMapper) -> int:
     Valid while the caller holds the maintainer's write lock — nothing
     else may store into this mapper between prediction and store.
     """
-    ids = mapper._next_ids()
-    physical = ids.get("schema", ids.get("cube"))
-    if physical is None:  # pragma: no cover - defensive
-        raise MappingError(f"{mapper.name}: cannot predict next physical id")
-    return physical
+    return mapper._next_ids()["schema"]
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +223,7 @@ def open_epoch(mapper: CubeMapper, base: DwarfCube) -> int:
     id clients query from now on."""
     if not _has_epoch_table(mapper):
         raise MappingError(
-            f"{mapper.name}: install() must create {_epoch_table(mapper) or 'the epoch table'} "
+            f"{mapper.name}: install() must create {mapper.mapping.epochs.name} "
             "before opening a maintained cube"
         )
     physical = mapper.store(base, is_cube=True)
@@ -315,14 +268,9 @@ def flip_epoch(mapper: CubeMapper, logical_id: int, merged: DwarfCube) -> Tuple[
     view.pending_id = pending
     _update_epoch_row(mapper, view)
     new_id = mapper.store(merged, is_cube=True)
-    retired = view.retired_ids + (view.base_id,) + view.delta_ids
-    flipped = EpochView(
-        logical_id=logical_id,
-        epoch=view.epoch + 1,
-        base_id=new_id,
-        delta_ids=(),
-        retired_ids=retired,
-        pending_id=0,
+    flipped = replace(
+        view, epoch=view.epoch + 1, base_id=new_id, delta_ids=(), pending_id=0,
+        retired_ids=view.retired_ids + (view.base_id,) + view.delta_ids,
     )
     _update_epoch_row(mapper, flipped)
     mapper.bump_cube_epoch()
@@ -365,11 +313,9 @@ def recover_epoch(mapper: CubeMapper, logical_id: int) -> EpochView:
         return view
     try:
         mapper.info(view.pending_id)
-        registered = True
-    except MappingError:
-        registered = False
-    if registered:
         view.retired_ids = view.retired_ids + (view.pending_id,)
+    except MappingError:
+        pass  # the store never reached the registry: nothing to retire
     view.pending_id = 0
     _update_epoch_row(mapper, view)
     mapper.bump_cube_epoch()

@@ -2,52 +2,48 @@
 
 The ``entry_node_id`` column "serves as the entry point for all traversal
 functions" — these functions.  A :func:`stored_point_query` answers a
-point/ALL query directly against the storage engine, without rebuilding
-the whole cube, using whatever access paths the schema offers:
+point/ALL query against storage, without rebuilding the cube, in one
+descent: from the entry node, one step per dimension, each matching the
+coordinate's key among the current node's cells and following the
+matched cell's pointer.  How a step reads storage follows from the
+schema's :class:`~repro.mapping.schema_mapping.SchemaMapping`:
 
-* **NoSQL-DWARF** — walk node rows by primary key; each node's
-  ``childrenIds`` set gives the candidate cells, read by primary key.
-* **NoSQL-Min** — no node rows: descend through the ``parentNodeId``
-  *secondary index*, which is exactly the query workload the paper keeps
-  those expensive indexes for.
-* **MySQL-DWARF** — a NODE_CHILDREN prefix probe plus one batched CELL
-  fetch per level.
-* **MySQL-Min** — no node construct and no indexes: the paper predicts
-  "a significant impact on query times as DWARF Node reconstruction is
-  required"; the strategy scans the cube's cells once, reconstructs
-  nodes in memory, and keeps the reconstruction in a version-guarded
-  cache so repeated queries only rescan after a mutation.
+* ``set`` (NoSQL-DWARF) — the node row by primary key, then one
+  ``MultiGet → Filter`` over its ``childrenIds``;
+* ``link`` (MySQL-DWARF) — a NODE_CHILDREN prefix probe, one
+  ``MultiGet → Filter``, then the CELL_CHILDREN pointer probe;
+* ``parent`` with the parent column indexed (NoSQL-Min) — one
+  ``IndexScan`` with the key match pushed into storage: the query
+  workload the paper keeps those expensive secondary indexes for;
+* ``parent`` without (MySQL-Min) — "DWARF Node reconstruction is
+  required": one scan of the cube's cells, grouped by parent in memory
+  and cached until the table next changes.
 
-Every fetch the walks perform is a :mod:`repro.query` plan.  Statement
-shapes (node lookups, prefix probes, the reconstruction scan) go through
-the session's plan cache as prepared text; the per-level cell-match loops
-are *direct* kernel plans — ``MultiGet → Filter`` (or ``IndexScan →
-Filter`` for NoSQL-Min) — built once per mapper, cached in the same
-:class:`~repro.query.PlanCache` under ``stored:`` labels, and guarded
-against DDL exactly like session plans.  :func:`explain_strategy` renders
-each strategy's access paths in the shared EXPLAIN vocabulary.
+Statement steps go through the session's plan cache as prepared text;
+the cell matches are *direct* kernel plans cached in the same
+:class:`~repro.query.PlanCache` under ``stored:`` labels and guarded
+against DDL like session plans.  One step table per schema feeds the
+descent, :func:`explain_strategy` and :func:`analyze_strategy`.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import lru_cache, partial, reduce
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
-from repro.core.aggregators import Aggregator
 from repro.core.errors import QueryError
 from repro.core.tuples import member_sort_key
 from repro.dwarf.cell import ALL
 from repro.mapping.base import (
     ALL_KEY_TEXT,
+    CubeMapper,
     MappingError,
     cached_statement,
+    decode_member,
     encode_member,
 )
-from repro.mapping.incremental import EpochView, resolve_epoch
-from repro.mapping.mysql_dwarf import MySQLDwarfMapper
-from repro.mapping.mysql_min import MySQLMinMapper
-from repro.mapping.nosql_dwarf import NoSQLDwarfMapper
-from repro.mapping.nosql_min import NoSQLMinMapper
+from repro.mapping.incremental import resolve_epoch
+from repro.mapping.schema_mapping import LINK, PARENT, SET, SchemaMapping
 from repro.nosqldb.sharding import resolve_shards
 from repro.query import (
     Aggregate,
@@ -75,14 +71,17 @@ _M_STORED_QUERIES = get_registry().counter(
 _QUERY_LOG = get_query_log()
 
 
-# A per-mapper prepared-statement cache for the stored-query walks: each
-# distinct statement shape is parsed once per mapper; its plan lives in
-# the session's PlanCache, so after the first execution the walks only
-# bind parameters.
-_prepared = cached_statement
+# ----------------------------------------------------------------------
+# kernel plans, built from the declaration
+# ----------------------------------------------------------------------
+class _Kernel(NamedTuple):
+    """A step run as a direct kernel plan, cached as ``stored:<label>``."""
+
+    label: str
+    build: Callable[[CubeMapper], Plan]
 
 
-def _kernel_plan(mapper, label: str, build) -> Plan:
+def _kernel_plan(mapper: CubeMapper, kernel: _Kernel) -> Plan:
     """A direct :mod:`repro.query` plan, memoised in the session's cache.
 
     Keyed ``(scope, "stored:<label>", shards, cube_epoch)`` next to the
@@ -94,206 +93,297 @@ def _kernel_plan(mapper, label: str, build) -> Plan:
     new one) and an epoch flip of a maintained cube (pre-flip kernels
     become unreachable and LRU-evict instead of walking superseded rows).
     """
-    session = mapper.session
-    scope = getattr(mapper, "keyspace_name", None) or mapper.database_name
-    key = (scope, "stored:" + label, resolve_shards(), mapper.cube_epoch)
-    plan = session.plan_cache.get(key)
+    cache = mapper.session.plan_cache
+    key = (mapper.namespace, "stored:" + kernel.label, resolve_shards(), mapper.cube_epoch)
+    plan = cache.get(key)
     if plan is None:
-        plan = build(mapper)
-        session.plan_cache.put(key, plan)
+        plan = kernel.build(mapper)
+        cache.put(key, plan)
     return plan
 
 
-def _guarded_table(mapper, name: str):
-    """``(table, guards)`` for ``name`` in the mapper's keyspace/database:
-    the storage object a kernel plan binds plus the plan-cache guard that
-    revalidates it."""
-    engine = mapper.session.engine
-    if getattr(mapper, "keyspace_name", None) is not None:
-        resolve = lambda: engine.keyspace(mapper.keyspace_name).table(name)
-    else:
-        resolve = lambda: engine.database(mapper.database_name).table(name)
+def _guarded_cells(mapper: CubeMapper):
+    """The cell table a kernel plan binds, the plan-cache guard that
+    revalidates it, and its block-cache hit counter (if it has one)."""
+    name = mapper.mapping.cells.name
+    resolve = lambda: mapper.table(name)
     table = resolve()
-    return table, (table_guard(resolve, table),)
+    probe = (lambda: table.block_cache_hits) if mapper.mapping.backend.block_cache else None
+    return table, (table_guard(resolve, table),), probe
 
 
-def _stored_aggregator(mapper, view: EpochView) -> Aggregator:
-    """The maintained cube's aggregate function, read from the dimension
-    registry of the current base and cached per ``(logical id, epoch)``
-    (an epoch flip clears the cache through ``bump_cube_epoch``)."""
-    cache = getattr(mapper, "_aggregator_cache", None)
-    if cache is None:
-        cache = {}
-        mapper._aggregator_cache = cache
-    key = (view.logical_id, view.epoch)
-    aggregator = cache.get(key)
-    if aggregator is None:
-        text = f"SELECT * FROM {mapper.dimension_table} WHERE schema_id = ?"
-        if getattr(mapper, "keyspace_name", None) is not None:
-            text += " ALLOW FILTERING"
-        row = mapper.session.execute_prepared(
-            _prepared(mapper, text), (view.base_id,)
-        ).one()
-        if row is None:
-            raise MappingError(
-                f"maintained cube {view.logical_id} has no dimension rows "
-                f"for base {view.base_id}"
-            )
-        aggregator = Aggregator.get(row["aggregator"])
-        cache[key] = aggregator
-    return aggregator
+def _key_match(cells, op: str = "=", marker: str = "?1") -> PushedCondition:
+    key = cells.column("key_text")
+    return PushedCondition(key, op, lambda params: params[1], f"{key} {op} {marker}")
 
 
-def _build_nosql_cells(mapper) -> Plan:
-    """NoSQL-DWARF: all candidate cells of one node, block-batched."""
-    table, guards = _guarded_table(mapper, "dwarf_cell")
-    fetch = MultiGet(
-        table, lambda params: params[0], "dwarf_cell", "id",
-        cache_probe=lambda: table.block_cache_hits,
+def _cube_match(cells) -> PushedCondition:
+    column = cells.column("schema_id")
+    return PushedCondition(column, "=", lambda params: params[0], f"{column} = ?0")
+
+
+def _build_fetch(mapper, match: bool = False) -> Plan:
+    """One node's candidate cells, block-batched by primary key
+    (``MultiGet``); with ``match``, the per-level key match on top
+    (``MultiGet → Filter``)."""
+    table, guards, probe = _guarded_cells(mapper)
+    cells = mapper.mapping.cells
+    root = MultiGet(
+        table, lambda params: params[0], cells.name, cells.column("cell_id"),
+        cache_probe=probe,
     )
-    return Plan(fetch, guards=guards)
+    if match:
+        root = Filter(root, _key_match(cells))
+    return Plan(root, guards=guards)
 
 
-def _build_nosql_cell_match(mapper) -> Plan:
-    """NoSQL-DWARF: the per-level cell match, ``MultiGet → Filter``; the
-    walk reads the match's :data:`_NOSQL_MATCH_COLUMNS` only."""
-    table, guards = _guarded_table(mapper, "dwarf_cell")
-    fetch = MultiGet(
-        table, lambda params: params[0], "dwarf_cell", "id",
-        cache_probe=lambda: table.block_cache_hits,
-    )
-    match = Filter(
-        fetch, PushedCondition("key", "=", lambda params: params[1], "key = ?1")
-    )
-    return Plan(match, guards=guards)
-
-
-def _build_nosql_min_sibling_match(mapper) -> Plan:
-    """NoSQL-Min: the per-level descent, an ``IndexScan`` with the name
-    match pushed into the storage layer (no Filter operator remains —
-    fetched siblings arrive pre-matched); the walk reads the match's
-    :data:`_NOSQL_MIN_MATCH_COLUMNS` only."""
-    table, guards = _guarded_table(mapper, "dwarf_cell")
-    pushed = PushedPredicate(
-        (PushedCondition("name", "=", lambda params: params[1], "name = ?1"),)
-    )
+def _build_sibling_match(mapper) -> Plan:
+    """The per-level descent through the parent-column secondary index:
+    an ``IndexScan`` with the key match pushed into the storage layer (no
+    Filter operator remains — fetched siblings arrive pre-matched)."""
+    table, guards, probe = _guarded_cells(mapper)
+    cells = mapper.mapping.cells
     scan = IndexScan(
-        table, "parentNodeId", lambda params: params[0], "dwarf_cell",
-        cache_probe=lambda: table.block_cache_hits,
-        pushed=pushed,
+        table, cells.column("parent_node_id"), lambda params: params[0], cells.name,
+        cache_probe=probe, pushed=PushedPredicate((_key_match(cells),)),
     )
     return Plan(scan, guards=guards)
 
 
-def _build_nosql_cube_scan(mapper) -> Plan:
-    """NoSQL-DWARF scan strategy: one pushed full scan over the cube.
+def _build_cube_scan(mapper, keyed: bool = False, count: bool = False) -> Plan:
+    """One pushed full scan over a stored cube's cells.
 
     ``schema_id = ?0`` travels into the storage layer, so zone-mapped
-    columnar blocks holding only other cubes' cells are skipped unread.
+    columnar blocks holding only other cubes' cells are skipped unread;
+    ``keyed`` also pushes ``key IN ?1`` (all-keyed selects).  With
+    ``count``, ``Aggregate(FullScan)`` sums the surviving selections — no
+    cell row is ever materialised (docs/query_kernel.md).
     """
-    table, guards = _guarded_table(mapper, "dwarf_cell")
-    pushed = PushedPredicate(
-        (PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),)
-    )
-    scan = FullScan(table, "dwarf_cell", pushed=pushed)
-    return Plan(scan, guards=guards)
+    table, guards, _ = _guarded_cells(mapper)
+    cells = mapper.mapping.cells
+    conditions = (_cube_match(cells),) + ((_key_match(cells, "IN"),) if keyed else ())
+    root = FullScan(table, cells.name, pushed=PushedPredicate(conditions))
+    if count:
+        root = Aggregate(root, count_partial(), "count(*)")
+    return Plan(root, guards=guards)
 
 
-def _build_nosql_cube_scan_keys(mapper) -> Plan:
-    """The cube scan narrowed further by ``key IN ?1`` (all-keyed selects)."""
-    table, guards = _guarded_table(mapper, "dwarf_cell")
-    pushed = PushedPredicate((
-        PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),
-        PushedCondition("key", "IN", lambda params: params[1], "key IN ?1"),
-    ))
-    scan = FullScan(table, "dwarf_cell", pushed=pushed)
-    return Plan(scan, guards=guards)
+# ----------------------------------------------------------------------
+# the per-schema step table
+# ----------------------------------------------------------------------
+_cell_match = partial(_build_fetch, match=True)
 
 
-def _build_nosql_cube_count(mapper) -> Plan:
-    """NoSQL-DWARF: count one stored cube's cells, ``Aggregate(FullScan)``.
-
-    The ``schema_id = ?0`` pushdown skips zone-refuted columnar blocks
-    and the count sums the surviving selections — no cell row is ever
-    materialised (docs/query_kernel.md).
-    """
-    table, guards = _guarded_table(mapper, "dwarf_cell")
-    pushed = PushedPredicate(
-        (PushedCondition("schema_id", "=", lambda params: params[0], "schema_id = ?0"),)
-    )
-    scan = FullScan(table, "dwarf_cell", pushed=pushed)
-    return Plan(Aggregate(scan, count_partial(), "count(*)"), guards=guards)
+def _walk_kind(mapping: SchemaMapping) -> str:
+    """``set`` / ``link`` / ``index`` / ``scan``: how a descent step reads."""
+    if mapping.relation != PARENT:
+        return mapping.relation
+    cells = mapping.cells
+    return "index" if cells.column("parent_node_id") in cells.indexes else "scan"
 
 
-def stored_cell_count(mapper, schema_id: int) -> int:
-    """How many cells the stored cube ``schema_id`` holds, counted in
-    storage (NoSQL-DWARF only).
+@lru_cache(maxsize=None)
+def _steps(mapping: SchemaMapping) -> Dict[str, object]:
+    """The descent's access paths, in order: step name → statement text
+    (run through the session) or :class:`_Kernel` (a direct plan)."""
+    kind, label, cells = _walk_kind(mapping), mapping.label, mapping.cells
+    if kind == SET:
+        nodes = mapping.nodes
+        return {
+            "node": f"SELECT {nodes.column('children_cell_ids')} FROM {nodes.name} "
+                    f"WHERE {nodes.column('node_id')} = ?",
+            "cells": _Kernel(f"{label}:cell_match", _cell_match),
+        }
+    if kind == LINK:
+        children = mapping.link("parent_node_id")
+        pointers = mapping.link("pointer_node_id")
+        return {
+            "children": f"SELECT {children.column('cell_id')} FROM {children.name} "
+                        f"WHERE {children.column('parent_node_id')} = ?",
+            "cells": _Kernel(f"{label}:cell_match", _cell_match),
+            "pointer": f"SELECT {pointers.column('pointer_node_id')} FROM {pointers.name} "
+                       f"WHERE {pointers.column('cell_id')} = ?",
+        }
+    cube = f"{cells.column('schema_id')} = ?{mapping.backend.filtering}"
+    if kind == "index":
+        return {
+            "entry": f"SELECT * FROM {cells.name} WHERE "
+                     f"{cells.column('is_root_cell')} = true AND {cube}",
+            "siblings": _Kernel(f"{label}:sibling_match", _build_sibling_match),
+        }
+    return {"cells": f"SELECT * FROM {cells.name} WHERE {cube}"}
 
-    Equals ``len(list(stored_select(mapper, schema_id, strategy="scan",
-    ...)))`` over every cell rather than a constrained slice — the
-    benchmark-grade aggregate the scatter-gather path accelerates.
-    """
-    if not isinstance(mapper, NoSQLDwarfMapper):
-        raise MappingError("stored_cell_count is implemented for NoSQL-DWARF storage")
-    t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
-    view = resolve_epoch(mapper, schema_id)
-    cube_ids = (schema_id,) if view is None else view.cube_ids
-    for physical_id in cube_ids:
-        mapper.info(physical_id)  # validate
-    plan = _kernel_plan(mapper, "nosql_dwarf:cube_count", _build_nosql_cube_count)
-    before = counter_totals(plan) if _QUERY_LOG.enabled else None
-    with get_tracer().span("stored.cell_count", schema=mapper.name):
-        total = sum(plan.run((physical_id,))[0]["count"] for physical_id in cube_ids)
-    if _QUERY_LOG.enabled:
-        now = counter_totals(plan)
-        _QUERY_LOG.record(
-            f"stored:{mapper.name}:cell_count",
-            "stored",
-            wall_clock() - t0,
-            rows=len(cube_ids),
-            cache_hits=now["cache_hits"] - before["cache_hits"],
-            blocks_skipped=now["blocks_skipped"] - before["blocks_skipped"],
-            rows_pruned=now["rows_pruned"] - before["rows_pruned"],
-            shards=resolve_shards(),
-            epoch=mapper.cube_epoch,
+
+@lru_cache(maxsize=None)
+def _select_kernels(mapping: SchemaMapping) -> Dict[str, _Kernel]:
+    """The :func:`stored_select` / :func:`stored_cell_count` plans (of a
+    schema with node rows)."""
+    label = mapping.label
+    return {
+        "cube_scan": _Kernel(f"{label}:cube_scan", _build_cube_scan),
+        "cube_count": _Kernel(f"{label}:cube_count", partial(_build_cube_scan, count=True)),
+        "cube_scan_keys": _Kernel(
+            f"{label}:cube_scan_keys", partial(_build_cube_scan, keyed=True)
+        ),
+        "cells": _Kernel(f"{label}:cells", _build_fetch),
+    }
+
+
+def _mapping_of(mapper) -> SchemaMapping:
+    if not isinstance(mapper, CubeMapper):
+        raise MappingError(f"no stored-query strategy for {mapper!r}")
+    return mapper.mapping
+
+
+# ----------------------------------------------------------------------
+# the descent
+# ----------------------------------------------------------------------
+# Each opener takes the registry's entry node (None when the schema keeps
+# none) and returns the cube's entry node with the per-level step
+# ``step(node_id, key) -> (next_node_id, measure) | None``; an entry of
+# None means the cube holds no cells.
+def _open_set(mapper, schema_id: int, entry: Optional[int]):
+    mapping, session = mapper.mapping, mapper.session
+    steps = _steps(mapping)
+    node_statement = cached_statement(mapper, steps["node"])
+    cell_match = _kernel_plan(mapper, steps["cells"])
+    children = mapping.nodes.column("children_cell_ids")
+    wanted = (mapping.cells.column("pointer_node_id"), mapping.cells.column("measure"))
+
+    def step(node_id: int, key: str):
+        node_row = session.execute_prepared(node_statement, (node_id,)).one()
+        if node_row is None:
+            raise MappingError(f"stored node {node_id} missing")
+        # One batched multi-get for all candidate cells of this node —
+        # grouped by SSTable block — key-matched by the plan's Filter.
+        return _first(cell_match.columns(wanted, (sorted(node_row[children] or ()), key)))
+
+    return entry, step
+
+
+def _open_link(mapper, schema_id: int, entry: Optional[int]):
+    mapping, session = mapper.mapping, mapper.session
+    steps = _steps(mapping)
+    children_statement = cached_statement(mapper, steps["children"])
+    pointer_statement = cached_statement(mapper, steps["pointer"])
+    cell_match = _kernel_plan(mapper, steps["cells"])
+    member = mapping.link("parent_node_id").column("cell_id")
+    target = mapping.link("pointer_node_id").column("pointer_node_id")
+    cells = mapping.cells
+    wanted = (cells.column("cell_id"), cells.column("measure"), cells.column("is_leaf"))
+
+    def step(node_id: int, key: str):
+        # Clustered-prefix probe for the link rows, then every candidate
+        # cell in one batched MultiGet, key-matched by the Filter.
+        links = session.execute_prepared(children_statement, (node_id,))
+        ids, measures, leaves = cell_match.columns(
+            wanted, (sorted(link[member] for link in links), key)
         )
-    return total
+        if not ids:
+            return None
+        if leaves[0]:
+            return None, measures[0]
+        pointer = session.execute_prepared(pointer_statement, (ids[0],)).one()
+        return (pointer[target] if pointer else None), measures[0]
+
+    return entry, step
 
 
-def _build_mysql_cell_match(mapper) -> Plan:
-    """MySQL-DWARF: the per-level cell match, ``MultiGet → Filter``; the
-    walk reads the match's :data:`_MYSQL_MATCH_COLUMNS` only."""
-    table, guards = _guarded_table(mapper, "CELL")
-    fetch = MultiGet(table, lambda params: params[0], "CELL", "id")
-    match = Filter(
-        fetch,
-        PushedCondition("cell_key", "=", lambda params: params[1], "cell_key = ?1"),
-    )
-    return Plan(match, guards=guards)
+def _open_index(mapper, schema_id: int, entry: Optional[int]):
+    mapping = mapper.mapping
+    steps, cells = _steps(mapping), mapping.cells
+    entry = mapper._entry_cache.get(schema_id)
+    if entry is None:
+        # No entry_node_id in the registry: one filtered scan, then cached.
+        root = mapper.session.execute_prepared(
+            cached_statement(mapper, steps["entry"]), (schema_id,)
+        ).one()
+        if root is None:
+            return None, None
+        entry = mapper._entry_cache[schema_id] = root[cells.column("parent_node_id")]
+    siblings = _kernel_plan(mapper, steps["siblings"])
+    wanted = (cells.column("pointer_node_id"), cells.column("measure"))
+
+    def step(node_id: int, key: str):
+        return _first(siblings.columns(wanted, (node_id, key)))
+
+    return entry, step
 
 
-#: What a descent reads of the cell it matched at one level — fetched
-#: through the plans' column exit (:meth:`~repro.query.Plan.columns`),
-#: so no other column of the cell is decoded and no row is built.
-_NOSQL_MATCH_COLUMNS = ("pointerNode", "measure", "leaf")
-_NOSQL_MIN_MATCH_COLUMNS = ("childNodeId", "item")
-_MYSQL_MATCH_COLUMNS = ("id", "measure", "leaf")
+def _open_scan(mapper, schema_id: int, entry: Optional[int]):
+    mapping = mapper.mapping
+    cells = mapping.cells
+    table = mapper.table(cells.name)
+    # The reconstruction is cached against the table's mutation counter,
+    # so the paper's "DWARF Node reconstruction is required" cost is paid
+    # once per table version; the scan's cube condition is pushed down.
+    cached = mapper._reconstruction_cache.get(schema_id)
+    if cached is not None and cached[0] == table.version:
+        _, by_parent, entry = cached
+    else:
+        rows = list(mapper.session.execute_prepared(
+            cached_statement(mapper, _steps(mapping)["cells"]), (schema_id,)
+        ))
+        if not rows:
+            return None, None
+        parent, root = cells.column("parent_node_id"), cells.column("is_root_cell")
+        by_parent: Dict[int, List[dict]] = {}
+        entry = None
+        for row in rows:
+            by_parent.setdefault(row[parent], []).append(row)
+            if row[root]:
+                entry = row[parent]
+        if entry is None:
+            raise MappingError("stored cube has no root cells")
+        mapper._reconstruction_cache[schema_id] = (table.version, by_parent, entry)
+    key_column = cells.column("key_text")
+    pointer, measure = cells.column("pointer_node_id"), cells.column("measure")
+
+    def step(node_id: int, key: str):
+        for row in by_parent.get(node_id, ()):
+            if row[key_column] == key:
+                return row[pointer], row[measure]
+        return None
+
+    return entry, step
 
 
-def stored_point_query(
-    mapper,
-    schema_id: int,
-    coordinates: Sequence,
-):
+def _first(columns):
+    """``(pointer, measure)`` of the first matched cell, or None."""
+    pointers, measures = columns
+    return (pointers[0], measures[0]) if pointers else None
+
+
+_OPENERS = {SET: _open_set, LINK: _open_link, "index": _open_index, "scan": _open_scan}
+
+
+def _descend(mapper, schema_id: int, keys: List[str]):
+    """The point-query descent over one physical stored cube."""
+    entry = mapper.info(schema_id).entry_node_id  # also validates the id
+    node_id, step = _OPENERS[_walk_kind(mapper.mapping)](mapper, schema_id, entry)
+    measure = None
+    for key in keys:
+        if node_id is None:
+            return None
+        found = step(node_id, key)
+        if found is None:
+            return None
+        node_id, measure = found
+    return measure
+
+
+def stored_point_query(mapper, schema_id: int, coordinates: Sequence):
     """Answer a point query against the stored cube ``schema_id``.
 
     ``coordinates`` holds one entry per dimension — a member value or
     :data:`~repro.dwarf.ALL`.  Returns the aggregate (or ``None`` when no
-    fact matches), identical to ``mapper.load(schema_id).value(...)``.
+    fact matches), identical to ``mapper.load(schema_id).value(...)`` —
+    including its :class:`~repro.core.errors.QueryError` for a vector of
+    the wrong length.
 
     When ``schema_id`` names a *maintained* cube (one with an epoch row,
     see :mod:`repro.mapping.incremental`), the walk reads through the
-    epoch: the same strategy runs once per physical cube of the snapshot
+    epoch: the same descent runs once per physical cube of the snapshot
     — base plus any unmerged deltas — and the per-cube answers combine
     with the schema's aggregate function.  The epoch row is resolved in
     one primary-key read, so a query observes either the pre-merge
@@ -307,288 +397,76 @@ def stored_point_query(
     plans = [plan for plan in _strategy_plans(mapper).values() if plan is not None]
     before = [counter_totals(plan) for plan in plans]
     answer = _point_query(mapper, schema_id, coordinates)
-    deltas = {"cache_hits": 0, "blocks_skipped": 0, "rows_pruned": 0}
-    for plan, b in zip(plans, before):
+    _log(mapper, "point_query", t0, 0 if answer is None else 1, plans, before)
+    return answer
+
+
+def _log(mapper, what: str, t0: float, rows: int, plans=(), before=()) -> None:
+    """One query-log record for a stored query, with the counter deltas
+    of ``plans`` since the ``before`` snapshots."""
+    deltas = dict.fromkeys(("cache_hits", "blocks_skipped", "rows_pruned"), 0)
+    for plan, start in zip(plans, before):
         now = counter_totals(plan)
         for name in deltas:
-            deltas[name] += now[name] - b[name]
+            deltas[name] += now[name] - start[name]
     _QUERY_LOG.record(
-        f"stored:{mapper.name}:point_query",
-        "stored",
-        wall_clock() - t0,
-        rows=0 if answer is None else 1,
-        cache_hits=deltas["cache_hits"],
-        blocks_skipped=deltas["blocks_skipped"],
-        rows_pruned=deltas["rows_pruned"],
-        shards=resolve_shards(),
-        epoch=mapper.cube_epoch,
+        f"stored:{mapper.name}:{what}", "stored", wall_clock() - t0, rows=rows,
+        shards=resolve_shards(), epoch=mapper.cube_epoch, **deltas,
     )
-    return answer
 
 
 def _point_query(mapper, schema_id: int, coordinates: Sequence):
     """The :func:`stored_point_query` walk, shared by the plain, logged
     and analyzed entry points."""
-    strategy = _STRATEGIES.get(type(mapper))
-    if strategy is None:
-        raise MappingError(f"no stored-query strategy for {type(mapper).__name__}")
+    _mapping_of(mapper)
+    view = resolve_epoch(mapper, schema_id)
+    cube_ids = (schema_id,) if view is None else view.cube_ids
+    schema = mapper.stored_schema(cube_ids[0])
+    if len(coordinates) != schema.n_dimensions:
+        raise QueryError(
+            f"expected {schema.n_dimensions} coordinates for schema "
+            f"{schema.name!r}, got {len(coordinates)}"
+        )
     keys = [ALL_KEY_TEXT if c is ALL else encode_member(c) for c in coordinates]
     _M_STORED_QUERIES.labels(mapper.name).inc()
-    view = resolve_epoch(mapper, schema_id)
     with get_tracer().span("stored.point_query", schema=mapper.name):
-        if view is None:
-            return strategy(mapper, schema_id, keys)
-        if len(view.cube_ids) == 1:
-            return strategy(mapper, view.base_id, keys)
         answers = [
             answer
-            for physical_id in view.cube_ids
-            for answer in (strategy(mapper, physical_id, keys),)
+            for physical_id in cube_ids
+            for answer in (_descend(mapper, physical_id, keys),)
             if answer is not None
         ]
-        if not answers:
-            return None
-        aggregator = _stored_aggregator(mapper, view)
-        return reduce(aggregator.merge, answers)
+    return reduce(schema.aggregator.merge, answers) if answers else None
 
 
 # ----------------------------------------------------------------------
-# NoSQL-DWARF: primary-key walks over node and cell rows
+# EXPLAIN / EXPLAIN ANALYZE of the descent
 # ----------------------------------------------------------------------
-def _nosql_dwarf_point(mapper: NoSQLDwarfMapper, schema_id: int, keys: List[str]):
-    session = mapper.session
-    info = mapper.info(schema_id)
-    node_statement = _prepared(mapper, "SELECT childrenIds FROM dwarf_node WHERE id = ?")
-    cell_match = _kernel_plan(mapper, "nosql_dwarf:cell_match", _build_nosql_cell_match)
-    node_id: Optional[int] = info.entry_node_id
-    measure = None
-    for level, key_text in enumerate(keys):
-        if node_id is None:
-            return None
-        node_row = session.execute_prepared(node_statement, (node_id,)).one()
-        if node_row is None:
-            raise MappingError(f"stored node {node_id} missing")
-        cell_ids = sorted(node_row["childrenIds"] or ())
-        # One batched multi-get for all candidate cells of this node —
-        # grouped by SSTable block — with the key match applied by the
-        # plan's Filter operator.
-        pointers, measures, leaves = cell_match.columns(
-            _NOSQL_MATCH_COLUMNS, (cell_ids, key_text)
-        )
-        if not pointers:
-            return None
-        node_id = pointers[0]
-        measure = measures[0]
-        if leaves[0] and level != len(keys) - 1:
-            raise QueryError("coordinate vector longer than the stored cube's depth")
-    return measure
-
-
-# ----------------------------------------------------------------------
-# NoSQL-Min: descend through the parentNodeId secondary index
-# ----------------------------------------------------------------------
-def _nosql_min_point(mapper: NoSQLMinMapper, schema_id: int, keys: List[str]):
-    session = mapper.session
-    mapper.info(schema_id)  # validate
-    node_id: Optional[int] = mapper._entry_cache.get(schema_id)
-    if node_id is None:
-        # No entry_node_id in Table 3: one filtered scan, then cached.
-        first = session.execute_prepared(
-            _prepared(
-                mapper,
-                "SELECT * FROM dwarf_cell WHERE root = true AND cubeid = ? ALLOW FILTERING",
-            ),
-            (schema_id,),
-        ).one()
-        if first is None:
-            return None
-        node_id = first["parentNodeId"]
-        mapper._entry_cache[schema_id] = node_id
-    # The secondary index the schema pays for (paper §5.1), probed and
-    # name-matched by one IndexScan → Filter plan per level.
-    sibling_match = _kernel_plan(
-        mapper, "nosql_min:sibling_match", _build_nosql_min_sibling_match
-    )
-    measure = None
-    for key_text in keys:
-        if node_id is None:
-            return None
-        children, items = sibling_match.columns(
-            _NOSQL_MIN_MATCH_COLUMNS, (node_id, key_text)
-        )
-        if not children:
-            return None
-        node_id = children[0]
-        measure = items[0]
-    return measure
-
-
-# ----------------------------------------------------------------------
-# MySQL-DWARF: a NODE_CHILDREN prefix probe + one batched CELL fetch per level
-# ----------------------------------------------------------------------
-def _mysql_dwarf_point(mapper: MySQLDwarfMapper, schema_id: int, keys: List[str]):
-    session = mapper.session
-    info = mapper.info(schema_id)
-    children_statement = _prepared(
-        mapper, "SELECT cell_id FROM NODE_CHILDREN WHERE node_id = ?"
-    )
-    pointer_statement = _prepared(
-        mapper, "SELECT node_id FROM CELL_CHILDREN WHERE cell_id = ?"
-    )
-    cell_match = _kernel_plan(mapper, "mysql_dwarf:cell_match", _build_mysql_cell_match)
-    node_id: Optional[int] = info.entry_node_id
-    measure = None
-    for key_text in keys:
-        if node_id is None:
-            return None
-        # Clustered-prefix probe for the link rows, then all candidate
-        # cells in one batched MultiGet (Table.get_batches) with the key
-        # match applied by the plan's Filter operator — same rows, in the
-        # same (cell_id-ascending) order, as the old per-level
-        # NODE_CHILDREN ⋈ CELL hash join.
-        children = session.execute_prepared(children_statement, (node_id,))
-        cell_ids = sorted(link["cell_id"] for link in children)
-        ids, measures, leaves = cell_match.columns(
-            _MYSQL_MATCH_COLUMNS, (cell_ids, key_text)
-        )
-        if not ids:
-            return None
-        measure = measures[0]
-        if leaves[0]:
-            node_id = None
-        else:
-            pointer = session.execute_prepared(pointer_statement, (ids[0],)).one()
-            node_id = pointer["node_id"] if pointer else None
-    return measure
-
-
-# ----------------------------------------------------------------------
-# MySQL-Min: scan once, reconstruct nodes, walk in memory
-# ----------------------------------------------------------------------
-def _mysql_min_point(mapper: MySQLMinMapper, schema_id: int, keys: List[str]):
-    session = mapper.session
-    mapper.info(schema_id)  # validate
-    table = session.engine.database(mapper.database_name).table("DWARF_CELL")
-    # The reconstruction is cached against the table's mutation counter:
-    # repeated queries walk the cached node map and only rescan after a
-    # write invalidates it (cf. the paper's "DWARF Node reconstruction
-    # is required" cost, paid once per table version instead of per query).
-    # The reconstruction statement's `cubeid = ?` condition is pushed
-    # into the storage layer by the SQL planner (FullScan pushed=...),
-    # so other cubes' rows are pruned before materialization.
-    cache = getattr(mapper, "_reconstruction_cache", None)
-    if cache is None:
-        cache = {}
-        mapper._reconstruction_cache = cache
-    cached = cache.get(schema_id)
-    if cached is not None and cached[0] == table.version:
-        _, by_parent, entry = cached
-    else:
-        rows = list(
-            session.execute_prepared(
-                _prepared(mapper, "SELECT * FROM DWARF_CELL WHERE cubeid = ?"),
-                (schema_id,),
-            )
-        )
-        if not rows:
-            return None
-        by_parent: Dict[int, List[dict]] = {}
-        entry: Optional[int] = None
-        for row in rows:
-            by_parent.setdefault(row["parentNodeId"], []).append(row)
-            if row["root"]:
-                entry = row["parentNodeId"]
-        if entry is None:
-            raise MappingError("stored cube has no root cells")
-        cache[schema_id] = (table.version, by_parent, entry)
-    node_id: Optional[int] = entry
-    measure = None
-    for key_text in keys:
-        if node_id is None:
-            return None
-        match = next(
-            (row for row in by_parent.get(node_id, ()) if row["name"] == key_text),
-            None,
-        )
-        if match is None:
-            return None
-        node_id = match["childNodeId"]
-        measure = match["item"]
-    return measure
-
-
-_STRATEGIES = {
-    NoSQLDwarfMapper: _nosql_dwarf_point,
-    NoSQLMinMapper: _nosql_min_point,
-    MySQLDwarfMapper: _mysql_dwarf_point,
-    MySQLMinMapper: _mysql_min_point,
-}
-
-
-def _explain_statement(session, text: str) -> List[dict]:
-    return list(session.execute("EXPLAIN " + text))
-
-
 def explain_strategy(mapper, schema_id: Optional[int] = None) -> Dict[str, List[dict]]:
-    """EXPLAIN every access path a :func:`stored_point_query` walk uses.
+    """EXPLAIN every access path the schema's stored queries use.
 
-    Returns an ordered mapping of walk step → plan rows in the shared
+    Returns an ordered mapping of step → plan rows in the shared
     :mod:`repro.query` EXPLAIN vocabulary (``step``/``node``/``table``/
-    ``key``/``detail``).  Plans are shape-level, so ``schema_id`` is
-    accepted for symmetry with the query functions but not required.
+    ``key``/``detail``): the point-query descent's steps, then (schemas
+    with node rows) the :func:`stored_select` scan and the
+    :func:`stored_cell_count` aggregate.  Plans are shape-level, so
+    ``schema_id`` is accepted for symmetry with the query functions but
+    not required.
     """
-    kind = type(mapper)
-    if kind not in _STRATEGIES:
-        raise MappingError(f"no stored-query strategy for {kind.__name__}")
-    session = mapper.session
-    if kind is NoSQLDwarfMapper:
-        return {
-            "node": _explain_statement(
-                session, "SELECT childrenIds FROM dwarf_node WHERE id = ?"
-            ),
-            "cells": _kernel_plan(
-                mapper, "nosql_dwarf:cell_match", _build_nosql_cell_match
-            ).explain(),
-            "cube_scan": _kernel_plan(
-                mapper, "nosql_dwarf:cube_scan", _build_nosql_cube_scan
-            ).explain(),
-            "cube_count": _kernel_plan(
-                mapper, "nosql_dwarf:cube_count", _build_nosql_cube_count
-            ).explain(),
-        }
-    if kind is NoSQLMinMapper:
-        return {
-            "entry": _explain_statement(
-                session,
-                "SELECT * FROM dwarf_cell WHERE root = true AND cubeid = ? ALLOW FILTERING",
-            ),
-            "siblings": _kernel_plan(
-                mapper, "nosql_min:sibling_match", _build_nosql_min_sibling_match
-            ).explain(),
-        }
-    if kind is MySQLDwarfMapper:
-        return {
-            "children": _explain_statement(
-                session, "SELECT cell_id FROM NODE_CHILDREN WHERE node_id = ?"
-            ),
-            "cells": _kernel_plan(
-                mapper, "mysql_dwarf:cell_match", _build_mysql_cell_match
-            ).explain(),
-            "pointer": _explain_statement(
-                session, "SELECT node_id FROM CELL_CHILDREN WHERE cell_id = ?"
-            ),
-        }
-    if kind is MySQLMinMapper:
-        return {
-            "cells": _explain_statement(
-                session, "SELECT * FROM DWARF_CELL WHERE cubeid = ?"
-            ),
-        }
-    raise MappingError(f"no stored-query strategy for {kind.__name__}")
+    mapping = _mapping_of(mapper)
+    steps = dict(_steps(mapping))
+    if _walk_kind(mapping) == SET:
+        select = _select_kernels(mapping)
+        steps.update(cube_scan=select["cube_scan"], cube_count=select["cube_count"])
+    return {
+        name: list(mapper.session.execute("EXPLAIN " + step))
+        if isinstance(step, str) else _kernel_plan(mapper, step).explain()
+        for name, step in steps.items()
+    }
 
 
 def _strategy_plans(mapper) -> Dict[str, Optional[Plan]]:
-    """Walk step → live plan for the mapper's point-query access paths.
+    """Descent step → live plan.
 
     Kernel plans are fetched (building on first use) through
     :func:`_kernel_plan`; statement plans are *peeked* from the session's
@@ -596,43 +474,14 @@ def _strategy_plans(mapper) -> Dict[str, Optional[Plan]]:
     executed maps to ``None`` rather than being compiled here, so
     reading the plans never changes what a later execution would do.
     """
-    kind = type(mapper)
-    if kind not in _STRATEGIES:
-        raise MappingError(f"no stored-query strategy for {kind.__name__}")
-    session = mapper.session
-    scope = getattr(mapper, "keyspace_name", None) or mapper.database_name
-
-    def stmt(text: str) -> Optional[Plan]:
-        plan = session.plan_cache.peek((scope, text))
-        return plan if isinstance(plan, Plan) else None
-
-    if kind is NoSQLDwarfMapper:
-        return {
-            "node": stmt("SELECT childrenIds FROM dwarf_node WHERE id = ?"),
-            "cells": _kernel_plan(
-                mapper, "nosql_dwarf:cell_match", _build_nosql_cell_match
-            ),
-        }
-    if kind is NoSQLMinMapper:
-        return {
-            "entry": stmt(
-                "SELECT * FROM dwarf_cell WHERE root = true AND cubeid = ? ALLOW FILTERING"
-            ),
-            "siblings": _kernel_plan(
-                mapper, "nosql_min:sibling_match", _build_nosql_min_sibling_match
-            ),
-        }
-    if kind is MySQLDwarfMapper:
-        return {
-            "children": stmt("SELECT cell_id FROM NODE_CHILDREN WHERE node_id = ?"),
-            "cells": _kernel_plan(
-                mapper, "mysql_dwarf:cell_match", _build_mysql_cell_match
-            ),
-            "pointer": stmt("SELECT node_id FROM CELL_CHILDREN WHERE cell_id = ?"),
-        }
-    return {
-        "cells": stmt("SELECT * FROM DWARF_CELL WHERE cubeid = ?"),
-    }
+    plans: Dict[str, Optional[Plan]] = {}
+    for name, step in _steps(_mapping_of(mapper)).items():
+        if isinstance(step, str):
+            plan = mapper.session.plan_cache.peek((mapper.namespace, step))
+            plans[name] = plan if isinstance(plan, Plan) else None
+        else:
+            plans[name] = _kernel_plan(mapper, step)
+    return plans
 
 
 def analyze_strategy(mapper, schema_id: int, coordinates: Sequence) -> Dict[str, object]:
@@ -670,10 +519,40 @@ def analyze_strategy(mapper, schema_id: int, coordinates: Sequence) -> Dict[str,
 
 
 # ----------------------------------------------------------------------
-# declarative select over the stored NoSQL-DWARF cube
+# count and declarative select over a stored cube with node rows
 # ----------------------------------------------------------------------
+def _select_plans(mapper, what: str) -> Dict[str, _Kernel]:
+    mapping = _mapping_of(mapper)
+    if _walk_kind(mapping) != SET:
+        raise MappingError(f"{what} is implemented for NoSQL-DWARF storage")
+    return _select_kernels(mapping)
+
+
+def stored_cell_count(mapper, schema_id: int) -> int:
+    """How many cells the stored cube ``schema_id`` holds, counted in
+    storage (NoSQL-DWARF only).
+
+    Equals ``len(list(stored_select(mapper, schema_id, strategy="scan",
+    ...)))`` over every cell rather than a constrained slice — the
+    benchmark-grade aggregate the scatter-gather path accelerates.
+    """
+    kernel = _select_plans(mapper, "stored_cell_count")["cube_count"]
+    t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
+    view = resolve_epoch(mapper, schema_id)
+    cube_ids = (schema_id,) if view is None else view.cube_ids
+    for physical_id in cube_ids:
+        mapper.info(physical_id)  # validate
+    plan = _kernel_plan(mapper, kernel)
+    before = counter_totals(plan) if _QUERY_LOG.enabled else None
+    with get_tracer().span("stored.cell_count", schema=mapper.name):
+        total = sum(plan.run((physical_id,))[0]["count"] for physical_id in cube_ids)
+    if _QUERY_LOG.enabled:
+        _log(mapper, "cell_count", t0, len(cube_ids), (plan,), (before,))
+    return total
+
+
 def stored_select(
-    mapper: NoSQLDwarfMapper,
+    mapper,
     schema_id: int,
     constraints: Optional[Mapping[str, object]] = None,
     strategy: str = "walk",
@@ -708,8 +587,8 @@ def stored_select(
     the canonical member order the single-cube walk produces.
 
     Raises :class:`~repro.core.errors.QueryError` for an unknown
-    ``strategy`` or constraint, :class:`MappingError` for a non-DWARF
-    mapper or a missing stored node.
+    ``strategy`` or constraint, :class:`MappingError` for a schema
+    without node rows or a missing stored node.
     """
     rows = _stored_select_impl(mapper, schema_id, constraints, strategy, **by_name)
     if not _QUERY_LOG.enabled:
@@ -725,30 +604,15 @@ def _logged_select(mapper, strategy: str, rows):
     for item in rows:
         count += 1
         yield item
-    _QUERY_LOG.record(
-        f"stored:{mapper.name}:select:{strategy}",
-        "stored",
-        wall_clock() - t0,
-        rows=count,
-        shards=resolve_shards(),
-        epoch=mapper.cube_epoch,
-    )
+    _log(mapper, f"select:{strategy}", t0, count)
 
 
-def _stored_select_impl(
-    mapper: NoSQLDwarfMapper,
-    schema_id: int,
-    constraints: Optional[Mapping[str, object]] = None,
-    strategy: str = "walk",
-    **by_name,
-):
+def _stored_select_impl(mapper, schema_id: int, constraints, strategy: str, **by_name):
     """The :func:`stored_select` walk (a generator; errors surface at
     first iteration, as they always have)."""
     from repro.dwarf.query import All, Constraint
-    from repro.mapping.base import schema_from_rows
 
-    if not isinstance(mapper, NoSQLDwarfMapper):
-        raise MappingError("stored_select is implemented for NoSQL-DWARF storage")
+    kernels = _select_plans(mapper, "stored_select")
     if strategy not in ("walk", "scan"):
         raise QueryError(f"unknown stored_select strategy {strategy!r}")
     spec = dict(constraints or {})
@@ -756,13 +620,7 @@ def _stored_select_impl(
 
     view = resolve_epoch(mapper, schema_id)
     base_id = schema_id if view is None else view.base_id
-    dimension_rows = list(
-        mapper.session.execute(
-            "SELECT * FROM dwarf_dimension WHERE schema_id = ? ALLOW FILTERING",
-            (base_id,),
-        )
-    )
-    schema = schema_from_rows(dimension_rows)
+    schema = mapper.stored_schema(base_id)
     per_level: List[object] = [All()] * schema.n_dimensions
     for name, constraint in spec.items():
         if not isinstance(constraint, Constraint):
@@ -770,103 +628,96 @@ def _stored_select_impl(
         per_level[schema.dimension_index(name)] = constraint
 
     if view is None or len(view.cube_ids) == 1:
-        yield from _select_one(mapper, base_id, schema, per_level, strategy)
+        yield from _select_one(mapper, kernels, base_id, per_level, strategy)
         return
 
     # Pre-merge overlay: run the same walk over base + deltas, fold the
     # per-coordinate values with the cube's aggregate function, and emit
     # in canonical member order (the order one merged walk would yield).
-    aggregator = _stored_aggregator(mapper, view)
+    merge = schema.aggregator.merge
     merged: Dict[tuple, object] = {}
     for physical_id in view.cube_ids:
-        for coords, value in _select_one(mapper, physical_id, schema, per_level, strategy):
+        for coords, value in _select_one(mapper, kernels, physical_id, per_level, strategy):
             previous = merged.get(coords)
-            merged[coords] = (
-                value if previous is None else aggregator.merge(previous, value)
-            )
+            merged[coords] = value if previous is None else merge(previous, value)
     for coords in sorted(
         merged, key=lambda c: tuple(member_sort_key(member) for member in c)
     ):
         yield coords, merged[coords]
 
 
-#: The cell columns a :func:`stored_select` walk reads, fetched through
-#: the plans' column exit and zipped into one tuple per cell — ids are
-#: unique, so sorting the tuples orders cells by id.
-_CELL_COLUMNS = ("id", "key", "measure", "pointerNode", "parentNode")
+#: What a :func:`stored_select` walk reads of each cell, by role, fetched
+#: through the plans' column exit and zipped into one tuple per cell —
+#: ids are unique, so sorting the tuples orders cells by id.
+_CELL_ROLES = ("cell_id", "key_text", "measure", "pointer_node_id", "parent_node_id")
 _KEY = 1
 _PARENT = 4
 
 
-def _select_one(
-    mapper: NoSQLDwarfMapper,
-    schema_id: int,
-    schema,
-    per_level: List[object],
-    strategy: str,
-):
+def _admitted_keys(constraint):
+    """The encoded keys an ``All``/``Member``/``In`` constraint admits
+    (an encoded member never equals the ALL marker); None otherwise."""
+    from repro.dwarf.query import All, In, Member
+
+    if isinstance(constraint, All):
+        return {ALL_KEY_TEXT}
+    if isinstance(constraint, Member):
+        return {encode_member(constraint.key)}
+    if isinstance(constraint, In):
+        return {encode_member(k) for k in constraint.keys}
+    return None
+
+
+def _select_one(mapper, kernels, schema_id: int, per_level: List[object], strategy: str):
     """The :func:`stored_select` walk over one physical stored cube."""
-    from repro.dwarf.query import All, Each, In, Member, Range
-    from repro.mapping.base import decode_member
+    from repro.dwarf.query import Each, Range
 
-    session = mapper.session
-    info = mapper.info(schema_id)
-    n_dims = schema.n_dimensions
+    mapping, session = mapper.mapping, mapper.session
+    entry_node_id = mapper.info(schema_id).entry_node_id
+    n_dims = len(per_level)
+    columns = tuple(mapping.cells.column(role) for role in _CELL_ROLES)
 
+    # The encoded keys each All/Member/In level admits (None: Each/Range).
+    admitted = [_admitted_keys(constraint) for constraint in per_level]
     if strategy == "scan":
-        keyed = all(isinstance(c, (All, In, Member)) for c in per_level)
-        if keyed:
+        if all(keys is not None for keys in admitted):
             # Every level names its surviving keys outright, so the scan
             # can also push `key IN wanted` — the union of ALL markers
             # and requested members — and prune non-matching cells (or
             # whole blocks) inside the storage layer.
-            wanted = set()
-            for constraint in per_level:
-                if isinstance(constraint, All):
-                    wanted.add(ALL_KEY_TEXT)
-                elif isinstance(constraint, Member):
-                    wanted.add(encode_member(constraint.key))
-                else:
-                    wanted.update(encode_member(k) for k in constraint.keys)
-            plan = _kernel_plan(
-                mapper, "nosql_dwarf:cube_scan_keys", _build_nosql_cube_scan_keys
-            )
-            params = (schema_id, sorted(wanted))
+            plan = _kernel_plan(mapper, kernels["cube_scan_keys"])
+            params = (schema_id, sorted(set().union(*admitted)))
         else:
-            plan = _kernel_plan(mapper, "nosql_dwarf:cube_scan", _build_nosql_cube_scan)
+            plan = _kernel_plan(mapper, kernels["cube_scan"])
             params = (schema_id,)
         by_parent: Dict[int, List[tuple]] = {}
         # One sort by id (the tuples' first, unique field) orders every
         # sibling group at once.
-        for cell in sorted(zip(*plan.columns(_CELL_COLUMNS, params))):
+        for cell in sorted(zip(*plan.columns(columns, params))):
             by_parent.setdefault(cell[_PARENT], []).append(cell)
 
         def cells_of(node_id: int) -> List[tuple]:
             return by_parent.get(node_id, [])
 
     else:
-        node_statement = _prepared(
-            mapper, "SELECT childrenIds FROM dwarf_node WHERE id = ?"
-        )
-        cells_plan = _kernel_plan(mapper, "nosql_dwarf:cells", _build_nosql_cells)
+        node_statement = cached_statement(mapper, _steps(mapping)["node"])
+        children = mapping.nodes.column("children_cell_ids")
+        cells_plan = _kernel_plan(mapper, kernels["cells"])
 
         def cells_of(node_id: int) -> List[tuple]:
             node_row = session.execute_prepared(node_statement, (node_id,)).one()
             if node_row is None:
                 raise MappingError(f"stored node {node_id} missing")
-            cell_ids = sorted(node_row["childrenIds"] or ())
-            return list(zip(*cells_plan.columns(_CELL_COLUMNS, (cell_ids,))))
+            cell_ids = sorted(node_row[children] or ())
+            return list(zip(*cells_plan.columns(columns, (cell_ids,))))
 
-    def matching(constraint, cells: List[tuple]) -> List[tuple]:
+    def matching(level: int, cells: List[tuple]) -> List[tuple]:
+        keys, constraint = admitted[level], per_level[level]
+        if keys is not None:
+            return [c for c in cells if c[_KEY] in keys]
         ordinary = [c for c in cells if c[_KEY] != ALL_KEY_TEXT]
-        if isinstance(constraint, All):
-            return [c for c in cells if c[_KEY] == ALL_KEY_TEXT]
-        if isinstance(constraint, Member):
-            wanted = encode_member(constraint.key)
-            return [c for c in ordinary if c[_KEY] == wanted]
-        if isinstance(constraint, In):
-            wanted = {encode_member(k) for k in constraint.keys}
-            return [c for c in ordinary if c[_KEY] in wanted]
+        if isinstance(constraint, Each):
+            return ordinary
         if isinstance(constraint, Range):
             inside = []
             for cell in ordinary:
@@ -877,20 +728,17 @@ def _select_one(
                 except TypeError:
                     continue
             return inside
-        if isinstance(constraint, Each):
-            return ordinary
         raise QueryError(f"unsupported constraint {constraint!r}")
 
     def walk(node_id: Optional[int], level: int, coords: tuple):
         if node_id is None:
             return
-        constraint = per_level[level]
-        grouped = constraint.grouped
-        for _, key, measure, pointer, _ in matching(constraint, cells_of(node_id)):
+        grouped = per_level[level].grouped
+        for _, key, measure, pointer, _ in matching(level, cells_of(node_id)):
             next_coords = coords + (decode_member(key),) if grouped else coords
             if level == n_dims - 1:
                 yield next_coords, measure
             else:
                 yield from walk(pointer, level + 1, next_coords)
 
-    yield from walk(info.entry_node_id, 0, ())
+    yield from walk(entry_node_id, 0, ())
