@@ -110,6 +110,7 @@ def mapping_check(mapper: CubeMapper, cube: DwarfCube) -> CheckReport:
         "to the original (topology, sharing or values differ)",
     )
 
+    schema_id = None
     try:
         schema_id = mapper.store(cube, is_cube=True)
         loaded = mapper.load(schema_id, cube.schema)
@@ -118,13 +119,15 @@ def mapping_check(mapper: CubeMapper, cube: DwarfCube) -> CheckReport:
             _CHECKER, "mapping.store-roundtrip", mapper.name,
             f"store/load raised {type(exc).__name__}: {exc}",
         )
-        return report
-    report.check(
-        structural_signature(loaded) == reference, _CHECKER,
-        "mapping.store-roundtrip", mapper.name,
-        f"cube loaded from schema_id={schema_id} is not structurally "
-        "identical to the one stored",
-    )
+        if schema_id is None:
+            return report
+    else:
+        report.check(
+            structural_signature(loaded) == reference, _CHECKER,
+            "mapping.store-roundtrip", mapper.name,
+            f"cube loaded from schema_id={schema_id} is not structurally "
+            "identical to the one stored",
+        )
 
     try:
         info = mapper.info(schema_id)

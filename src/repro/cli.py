@@ -586,13 +586,15 @@ def _resolve_dataset(raw: str) -> Optional[str]:
 
 def _run_workload(dataset: str, schema: str):
     """The instrumented observability workload shared by ``stats``,
-    ``top`` and ``debug-bundle``: ETL -> build -> store -> stored
-    queries x2, with metrics, tracing and the query log force-enabled
-    (and reset, so the report covers exactly this run).
+    ``top`` and ``debug-bundle``: ETL -> build -> store -> reload ->
+    stored queries x2, with metrics, tracing and the query log
+    force-enabled (and reset, so the report covers exactly this run).
 
-    Returns ``(bundle, mapper, n_queries, ok)`` where ``ok`` means every
-    stored answer matched the in-memory cube, cold and warm.
+    Returns ``(bundle, mapper, n_queries, ok)`` where ``ok`` means the
+    reloaded cube and every stored answer matched the in-memory cube,
+    cold and warm.
     """
+    from repro.analysis.dwarf_check import structural_signature
     from repro.bench.datasets import clear_cache, load_dataset
     from repro.dwarf.cell import ALL
     from repro.mapping.stored_query import stored_point_query
@@ -618,6 +620,7 @@ def _run_workload(dataset: str, schema: str):
     mapper = make_mapper(schema)
     with tracer.span("mapper.store", schema=mapper.name):
         schema_id = mapper.store(bundle.cube, probe_size=False)
+    reloaded = mapper.load(schema_id)  # its span splits storage read from mapper.rebuild
 
     names = [d.name for d in bundle.cube.schema.dimensions]
     vectors = _sample_query_vectors(bundle.cube)
@@ -627,7 +630,9 @@ def _run_workload(dataset: str, schema: str):
     ]
     cold = [stored_point_query(mapper, schema_id, v) for v in vectors]
     warm = [stored_point_query(mapper, schema_id, v) for v in vectors]
-    ok = cold == expected and warm == expected
+    ok = cold == expected and warm == expected and (
+        structural_signature(reloaded) == structural_signature(bundle.cube)
+    )
     return bundle, mapper, len(vectors), ok
 
 
@@ -756,7 +761,7 @@ def _cmd_stats(args) -> int:
         header = (
             f"dataset {dataset}: {data.n_tuples} tuples "
             f"(REPRO_SCALE={current_scale():g}), schema {mapper.name}, "
-            f"{n_queries} stored queries x2, "
+            f"one reload, {n_queries} stored queries x2, "
             f"{'answers agree' if ok else 'ANSWERS DIVERGE'}"
         )
 

@@ -8,11 +8,10 @@ from repro.mapping.base import (
     NodeRecord,
     StoredSchemaInfo,
     TransformedCube,
+    assemble_cube,
     decode_member,
-    derive_levels,
     encode_member,
     rebuild_cube,
-    schema_from_rows,
     schema_to_rows,
     transform_cube,
 )
@@ -58,16 +57,15 @@ __all__ = [
     "StoredSchemaInfo",
     "TransformedCube",
     "all_mappers",
+    "assemble_cube",
     "compact_epoch",
     "decode_member",
-    "derive_levels",
     "encode_member",
     "make_mapper",
     "open_epoch",
     "rebuild_cube",
     "recover_epoch",
     "resolve_epoch",
-    "schema_from_rows",
     "schema_to_rows",
     "store_delta",
     "analyze_strategy",

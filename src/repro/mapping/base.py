@@ -12,18 +12,30 @@ rows back and reassembles an identical, queryable
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import ReproError
 from repro.core.schema import CubeSchema, Dimension
+from repro.core.tuples import member_sort_key
 from repro.dwarf.cell import ALL, DwarfCell
 from repro.dwarf.cube import DwarfCube
 from repro.dwarf.node import DwarfNode
 from repro.dwarf.traversal import breadth_first
 from repro.mapping.lookup import LookupTable
 from repro.mapping.schema_mapping import SchemaMapping, Table
+from repro.nosqldb.sharding import resolve_shards
+from repro.query import (
+    Aggregate,
+    FullScan,
+    Plan,
+    PushedCondition,
+    PushedPredicate,
+    count_partial,
+    table_guard,
+)
 from repro.telemetry import get_tracer
 
 #: Reserved ``key`` text of ALL cells in storage.
@@ -215,8 +227,88 @@ def transform_cube(
 
 
 # ----------------------------------------------------------------------
-# flat records -> DWARF (the reverse direction)
+# cell columns -> DWARF (the reverse direction)
 # ----------------------------------------------------------------------
+#: The cell roles a rebuild reads, in the order :func:`assemble_cube`
+#: takes their columns (also the first six :class:`CellRecord` fields).
+CELL_ROLES = ("cell_id", "key_text", "measure", "parent_node_id", "pointer_node_id", "is_leaf")
+
+
+def assemble_cube(
+    schema: CubeSchema,
+    entry_node_id: int,
+    node_ids: Collection[int],
+    cells: Sequence[Sequence],
+    n_source_tuples: int = 0,
+) -> Tuple[DwarfCube, int]:
+    """Reassemble a DWARF from its cells, one column per
+    :data:`CELL_ROLES` role, joined on their unique ids (paper §3).
+
+    Storage keeps no node levels: one breadth-first pass from the entry
+    node creates each node where first reached and places every cell,
+    grouped by parent once.  ``node_ids`` are the nodes a cell may point
+    at.  Returns the cube and its node count.
+
+    Raises :class:`MappingError` unless every cell is placed exactly
+    once: the entry node or a pointed-at node is not in ``node_ids``, a
+    node holds a member key twice or two ALL cells, or a cell's parent
+    is unreachable from the entry node.
+    """
+    cell_ids, keys, measures, parents, pointers, leaves = cells
+    with get_tracer().span("mapper.rebuild", schema=schema.name, cells=len(cell_ids)) as span:
+        if entry_node_id not in node_ids:
+            raise MappingError(f"entry node {entry_node_id} missing from node records")
+        by_parent: Dict[int, List[int]] = {}
+        for position, parent in enumerate(parents):
+            by_parent.setdefault(parent, []).append(position)
+        # key text -> (member, sort key): a member recurs in many nodes.
+        decoded: Dict[str, tuple] = {ALL_KEY_TEXT: (ALL, None)}
+        nodes = {entry_node_id: DwarfNode(0)}
+        queue = [entry_node_id]
+        for node_id in queue:  # grows while it is walked: the BFS frontier
+            node = nodes[node_id]
+            members = []
+            for position in by_parent.pop(node_id, ()):
+                text = keys[position]
+                key_order = decoded.get(text)
+                if key_order is None:
+                    key = decode_member(text)
+                    key_order = decoded[text] = (key, member_sort_key(key))
+                key, order = key_order
+                if leaves[position]:
+                    cell = DwarfCell(key, None, measures[position])
+                else:
+                    pointer = pointers[position]
+                    child = nodes.get(pointer)
+                    if child is None:
+                        if pointer not in node_ids:
+                            raise MappingError(
+                                f"cell {cell_ids[position]} points at missing node {pointer}"
+                            )
+                        child = nodes[pointer] = DwarfNode(node.level + 1)
+                        queue.append(pointer)
+                    cell = DwarfCell(key, child)
+                if order is not None:
+                    members.append((order, cell))
+                elif node.all_cell is None:
+                    node.all_cell = cell
+                else:
+                    raise MappingError(f"node {node_id} holds two ALL cells")
+            members.sort(key=itemgetter(0))
+            for _, cell in members:
+                node.add_cell(cell)
+            if node.n_cells != len(members):
+                raise MappingError(f"node {node_id} holds a member key twice")
+        if by_parent:
+            stray = next(iter(by_parent.values()))[0]
+            raise MappingError(
+                f"cell {cell_ids[stray]} hangs off node {parents[stray]}, "
+                f"unreachable from entry node {entry_node_id}"
+            )
+        span.set("nodes", len(nodes))
+        return DwarfCube(schema, nodes[entry_node_id], n_source_tuples=n_source_tuples), len(nodes)
+
+
 def rebuild_cube(
     schema: CubeSchema,
     nodes: List[NodeRecord],
@@ -224,85 +316,96 @@ def rebuild_cube(
     entry_node_id: int,
     n_source_tuples: int = 0,
 ) -> DwarfCube:
-    """Reassemble an in-memory DWARF from flat node/cell records.
+    """:func:`assemble_cube` over the records :func:`transform_cube`
+    emits.  Raises :class:`MappingError` as :func:`assemble_cube` does."""
+    columns = [list(map(attrgetter(role), cells)) for role in CELL_ROLES]
+    node_ids = {record.node_id for record in nodes}
+    return assemble_cube(schema, entry_node_id, node_ids, columns, n_source_tuples)[0]
 
-    Joins nodes and cells on their unique ids (paper §3: "reading the
-    records ... and joining them based on their unique ids").
+
+# ----------------------------------------------------------------------
+# direct kernel plans over a schema's tables
+# ----------------------------------------------------------------------
+class Kernel(NamedTuple):
+    """A read run as a direct kernel plan, cached as ``stored:<label>``."""
+
+    label: str
+    build: Callable[["CubeMapper"], Plan]
+
+
+def kernel_plan(mapper: "CubeMapper", kernel: Kernel) -> Plan:
+    """A direct :mod:`repro.query` plan, memoised in the session's cache.
+
+    Keyed ``(scope, "stored:<label>", shards, cube_epoch)`` next to the
+    statement-text entries, so warm stored-query walks register as
+    plan-cache hits and DDL on the underlying table invalidates them
+    through the plan's guards like any other cached plan.  The key's
+    tail closes two staleness windows: a changed ``REPRO_SHARDS`` layout
+    (a fanout plan cached under the old shard count must not serve the
+    new one) and an epoch flip of a maintained cube (pre-flip kernels
+    become unreachable and LRU-evict instead of walking superseded rows).
     """
-    from repro.dwarf.builder import _member_key
-
-    with get_tracer().span(
-        "mapper.rebuild", schema=schema.name, nodes=len(nodes), cells=len(cells)
-    ):
-        node_objects: Dict[int, DwarfNode] = {
-            record.node_id: DwarfNode(record.level) for record in nodes
-        }
-        if entry_node_id not in node_objects:
-            raise MappingError(f"entry node {entry_node_id} missing from node records")
-
-        by_parent: Dict[int, List[CellRecord]] = {}
-        for record in cells:
-            by_parent.setdefault(record.parent_node_id, []).append(record)
-
-        for node_record in nodes:
-            node = node_objects[node_record.node_id]
-            members: List[Tuple[object, CellRecord]] = []
-            all_record: Optional[CellRecord] = None
-            for cell_record in by_parent.get(node_record.node_id, ()):
-                if cell_record.key_text == ALL_KEY_TEXT:
-                    all_record = cell_record
-                else:
-                    members.append((decode_member(cell_record.key_text), cell_record))
-            members.sort(key=lambda pair: _member_key(pair[0]))
-            for key, cell_record in members:
-                node.add_cell(_build_cell(key, cell_record, node_objects))
-            if all_record is not None:
-                node.all_cell = _build_cell(ALL, all_record, node_objects)
-
-        return DwarfCube(schema, node_objects[entry_node_id], n_source_tuples=n_source_tuples)
+    cache = mapper.session.plan_cache
+    key = (mapper.namespace, "stored:" + kernel.label, resolve_shards(), mapper.cube_epoch)
+    plan = cache.get(key)
+    if plan is None:
+        plan = kernel.build(mapper)
+        cache.put(key, plan)
+    return plan
 
 
-def _build_cell(key, record: CellRecord, node_objects: Dict[int, DwarfNode]) -> DwarfCell:
-    if record.is_leaf:
-        return DwarfCell(key, value=record.measure)
-    pointer = node_objects.get(record.pointer_node_id)
-    if pointer is None:
-        raise MappingError(
-            f"cell {record.cell_id} points at missing node {record.pointer_node_id}"
-        )
-    return DwarfCell(key, node=pointer)
+def guarded_table(mapper: "CubeMapper", name: str):
+    """The storage table ``name`` a kernel plan binds, the plan-cache
+    guard that revalidates it, and its block-cache hit counter (if it
+    has one)."""
+    resolve = lambda: mapper.table(name)
+    table = resolve()
+    probe = (lambda: table.block_cache_hits) if mapper.mapping.backend.block_cache else None
+    return table, (table_guard(resolve, table),), probe
 
 
-def derive_levels(cells: List[CellRecord], entry_node_id: int) -> Dict[int, int]:
-    """Dimension level of every node id, derived from the cell graph.
+def key_match(cells: Table, op: str = "=", marker: str = "?1") -> PushedCondition:
+    key = cells.column("key_text")
+    return PushedCondition(key, op, lambda params: params[1], f"{key} {op} {marker}")
 
-    Storage schemas do not persist node levels; they follow from a BFS
-    over parent-node → pointer-node edges starting at the entry node.
+
+def build_cube_scan(mapper: "CubeMapper", keyed: bool = False, count: bool = False,
+                    table: Optional[Table] = None) -> Plan:
+    """One full scan over ``table`` (default: the cells), pushed down to
+    one stored cube where the table has a ``schema_id`` column.
+
+    ``schema_id = ?0`` travels into the storage layer, so zone-mapped
+    columnar blocks holding only other cubes' rows are skipped unread;
+    ``keyed`` also pushes ``key IN ?1`` (all-keyed selects).  With
+    ``count``, ``Aggregate(FullScan)`` sums the surviving selections — no
+    cell row is ever materialised (docs/query_kernel.md).
     """
-    from collections import deque
+    declared = table or mapper.mapping.cells
+    storage, guards, _ = guarded_table(mapper, declared.name)
+    cube = declared.column("schema_id")
+    conditions = () if cube is None else (
+        PushedCondition(cube, "=", lambda params: params[0], f"{cube} = ?0"),
+    )
+    if keyed:
+        conditions += (key_match(declared, "IN"),)
+    root = FullScan(storage, declared.name,
+                    pushed=PushedPredicate(conditions) if conditions else None)
+    if count:
+        root = Aggregate(root, count_partial(), "count(*)")
+    return Plan(root, guards=guards)
 
-    children: Dict[int, List[int]] = {}
-    for record in cells:
-        if record.pointer_node_id is not None:
-            children.setdefault(record.parent_node_id, []).append(record.pointer_node_id)
 
-    levels: Dict[int, int] = {entry_node_id: 0}
-    queue = deque([entry_node_id])
-    while queue:
-        node_id = queue.popleft()
-        for child_id in children.get(node_id, ()):
-            if child_id not in levels:
-                levels[child_id] = levels[node_id] + 1
-                queue.append(child_id)
-    return levels
+@lru_cache(maxsize=None)
+def scan_kernel(mapping: SchemaMapping, table: Table) -> Kernel:
+    """The :func:`build_cube_scan` of one of ``mapping``'s tables; the
+    cells' is ``cube_scan``, the scan ``stored_select`` runs too."""
+    name = "cube_scan" if table is mapping.cells else f"{table.name}_scan"
+    return Kernel(f"{mapping.label}:{name}", partial(build_cube_scan, table=table))
 
 
 # ----------------------------------------------------------------------
 # the mapper: one implementation, driven by a SchemaMapping
 # ----------------------------------------------------------------------
-#: CellRecord fields no schema stores, and what ``load`` fills in.
-_CELL_DEFAULTS = {"is_root_cell": False, "level": 0}
-
 
 class CubeMapper:
     """One storage schema: install, store, probe, reload — all derived
@@ -376,12 +479,9 @@ class CubeMapper:
 
     def _next_ids(self) -> Dict[str, int]:
         """Allocate the next schema/node/cell ids by querying the registry (§4)."""
-        ids = {"schema": 1, "node": 1, "cell": 1}
-        for row in self.session.execute(f"SELECT * FROM {self.mapping.registry.name}"):
-            ids["schema"] = max(ids["schema"], row["id"] + 1)
-            ids["node"] += row["node_count"]
-            ids["cell"] += row["cell_count"]
-        return ids
+        registry = self.mapping.registry
+        ids, nodes, cells = self._columns(registry, ("id", "node_count", "cell_count"))
+        return {"schema": max(ids, default=0) + 1, "node": sum(nodes) + 1, "cell": sum(cells) + 1}
 
     def store(self, cube: DwarfCube, is_cube: bool = False, probe_size: bool = True) -> int:
         """Persist ``cube`` — one registry row, then every other table's
@@ -472,74 +572,100 @@ class CubeMapper:
         rows = self.session.execute(f"SELECT * FROM {self.mapping.registry.name}")
         return sorted(map(self._info, rows), key=lambda info: info.schema_id)
 
-    def _select(self, table: Table, schema_id: int, columns: str = "*"):
-        """``columns`` of every row of ``table`` in stored cube ``schema_id``."""
-        return self.session.execute(
-            f"SELECT {columns} FROM {table.name} WHERE {table.column('schema_id')} = ?"
-            + self.mapping.backend.filtering,
-            (schema_id,),
-        )
+    def _columns(self, table: Table, roles: Sequence[str],
+                 schema_id: Optional[int] = None) -> List[List]:
+        """The ``roles`` columns of ``table``'s rows — of stored cube
+        ``schema_id`` where the table has a ``schema_id`` column."""
+        plan = kernel_plan(self, scan_kernel(self.mapping, table))
+        return plan.columns([table.column(role) for role in roles], (schema_id,))
 
     def stored_schema(self, schema_id: int) -> CubeSchema:
         """The :class:`CubeSchema` stored with cube ``schema_id``, read
-        from the dimension registry once and cached per id."""
+        from the dimension registry once and cached per id.
+
+        Raises :class:`MappingError` for an unknown id, or one stored
+        without dimension rows.
+        """
         schema = self._schema_cache.get(schema_id)
         if schema is None:
-            rows = list(self._select(self.mapping.dimensions, schema_id))
-            if not rows:
+            positions, names, tables, schema_names, measures, aggregators = self._columns(
+                self.mapping.dimensions, ("position", "name", "dimension_table",
+                                          "schema_name", "measure", "aggregator"), schema_id,
+            )
+            if not positions:
                 self.info(schema_id)  # an unknown id: "no stored schema"
-            schema = schema_from_rows(rows)
-            self._schema_cache[schema_id] = schema
+                raise MappingError(f"no dimension metadata stored for schema id {schema_id}")
+            from repro.core.aggregators import Aggregator
+
+            order = sorted(range(len(positions)), key=positions.__getitem__)
+            first = order[0]
+            schema = self._schema_cache[schema_id] = CubeSchema(
+                schema_names[first],
+                [Dimension(names[i], dimension_table=tables[i]) for i in order],
+                measure=measures[first],
+                aggregator=Aggregator.get(aggregators[first]),
+            )
         return schema
 
     def load(self, schema_id: int, schema: Optional[CubeSchema] = None) -> DwarfCube:
-        """Rebuild the DWARF stored under ``schema_id`` — read the records
-        and join them on their unique ids (paper §3)."""
+        """Rebuild the DWARF stored under ``schema_id`` — read the columns
+        the rebuild needs and join them on their unique ids (paper §3).
+
+        Raises :class:`MappingError` for an unknown id, and when the rows
+        read are not the cube the registry describes: a cell row lost,
+        repeated or orphaned, or a pointer to a missing node.
+        """
         mapping = self.mapping
-        entry_node_id = self.info(schema_id).entry_node_id
-        if schema is None:
-            schema = self.stored_schema(schema_id)
-        cells = self._cell_records(schema_id)
-        if entry_node_id is None:
-            entry_node_id = self._entry_node_id(cells)
-        if mapping.nodes is None:
-            # Rebuild the DWARF-node construct the schema chose not to store.
-            node_ids = dict.fromkeys(record.parent_node_id for record in cells)
-        else:
-            key = mapping.nodes.column("node_id")
-            node_ids = [row[key] for row in self._select(mapping.nodes, schema_id)]
-        levels = derive_levels(cells, entry_node_id)
-        nodes = _node_records(node_ids, cells, levels, entry_node_id)
-        return rebuild_cube(schema, nodes, cells, entry_node_id)
+        with get_tracer().span("mapper.load", schema=self.name) as span:
+            dwarf = mapping.registry.column("entry_node_id") is not None
+            ids, *registered = self._columns(
+                mapping.registry, ("id", "cell_count", "node_count", "entry_node_id")[:3 + dwarf]
+            )
+            if schema_id not in ids:
+                raise MappingError(f"no stored schema with id {schema_id}")
+            at = ids.index(schema_id)
+            cell_count, node_count, *entry = (column[at] for column in registered)
+            if schema is None:
+                schema = self.stored_schema(schema_id)
+            roles = CELL_ROLES if dwarf else CELL_ROLES + ("is_root_cell",)
+            columns = self._cell_columns(schema_id, roles)
+            parents = columns[3]
+            if mapping.nodes is None:
+                # Rebuild the DWARF-node construct the schema chose not to store.
+                node_ids = set(parents)
+            else:
+                node_ids = set(self._columns(mapping.nodes, ("node_id",), schema_id)[0])
+            if dwarf:
+                (entry,) = entry
+            else:  # no entry_node_id in the registry: the root cells' parent
+                entry = next((parent for parent, root in zip(parents, columns[6]) if root), None)
+                if entry is None:
+                    raise MappingError("stored cube has no root cells")
+            cube, n_nodes = assemble_cube(schema, entry, node_ids, columns[:6])
+            n_cells = len(parents)
+            span.set("nodes", n_nodes)
+            span.set("cells", n_cells)
+            span.set("columns", len(roles) + (mapping.nodes is not None))
+        if (n_cells, n_nodes) != (cell_count, node_count):
+            raise MappingError(
+                f"{self.name} cube {schema_id}: its rows rebuild {n_cells} cells / "
+                f"{n_nodes} nodes, the registry records {cell_count} / {node_count}"
+            )
+        return cube
 
-    def _cell_records(self, schema_id: int) -> List[CellRecord]:
-        """The cube's cells; a role the cell table lacks is joined in from
-        the link table holding it, else takes its default."""
+    def _cell_columns(self, schema_id: int, roles: Sequence[str]) -> List[List]:
+        """The cube's cells as one column per role: the cell table's
+        through the pushed cube scan, a role it lacks joined in by cell id
+        from the link table holding it."""
         cells = self.mapping.cells
-        rows = list(self._select(cells, schema_id))
-        ids = [row[cells.column("cell_id")] for row in rows]
-
-        def field(role):
-            name = cells.column(role)
-            if name is not None:
-                return map(itemgetter(name), rows)
-            link = self.mapping.link(role)
-            if link is not None:
-                cell, value = link.column("cell_id"), link.column(role)
-                edges = self.session.execute(f"SELECT * FROM {link.name}")
-                return map({row[cell]: row[value] for row in edges}.get, ids)
-            return repeat(_CELL_DEFAULTS.get(role))
-
-        return list(map(CellRecord, *(field(role) for role in CellRecord._fields)))
-
-    @staticmethod
-    def _entry_node_id(cells: List[CellRecord]) -> int:
-        """The entry node of a registry without ``entry_node_id``: the
-        parent of the root cells."""
-        for record in cells:
-            if record.is_root_cell:
-                return record.parent_node_id
-        raise MappingError("stored cube has no root cells")
+        stored = [role for role in roles if cells.column(role) is not None]
+        read = dict(zip(stored, self._columns(cells, stored, schema_id)))
+        for role in roles:
+            if role not in read:
+                link = self.mapping.link(role)
+                edges = dict(zip(*self._columns(link, ("cell_id", role))))
+                read[role] = list(map(edges.get, read["cell_id"]))
+        return [read[role] for role in roles]
 
     # -- removal ---------------------------------------------------------
     def delete_cube_rows(self, schema_id: int) -> int:
@@ -554,22 +680,21 @@ class CubeMapper:
         reclaimed = 0
         if mapping.backend.deletes_by_key:
             for table in owned:
-                key = table.columns[0].name
-                rows = list(self._select(table, schema_id, key))
-                delete = cached_statement(self, f"DELETE FROM {table.name} WHERE {key} = ?")
-                for row in rows:
-                    session.execute_prepared(delete, (row[key],))
-                reclaimed += len(rows)
+                key = table.columns[0]
+                delete = cached_statement(self, f"DELETE FROM {table.name} WHERE {key.name} = ?")
+                ids = self._columns(table, (key.role,), schema_id)[0]
+                for id_ in ids:
+                    session.execute_prepared(delete, (id_,))
+                reclaimed += len(ids)
         else:
             for link in mapping.links:
                 # Link rows carry no cube id: delete them per owning id,
                 # by the key prefix (the containing node, or the cell).
                 prefix = link.columns[0]
                 owner = mapping.nodes if prefix.role == "parent_node_id" else mapping.cells
-                key = owner.columns[0].name
                 delete = cached_statement(self, f"DELETE FROM {link.name} WHERE {prefix.name} = ?")
-                for row in list(self._select(owner, schema_id, key)):
-                    reclaimed += session.execute_prepared(delete, (row[key],)).rowcount
+                for id_ in self._columns(owner, (owner.columns[0].role,), schema_id)[0]:
+                    reclaimed += session.execute_prepared(delete, (id_,)).rowcount
             for table in owned:
                 reclaimed += session.execute(
                     f"DELETE FROM {table.name} WHERE {table.column('schema_id')} = ?",
@@ -604,28 +729,6 @@ def _rows(table: Table, records, schema_id: int):
         values = map(attrgetter(column.role), records)
         columns.append(map(set, values) if column.type.startswith("set<") else values)
     return zip(*columns)
-
-
-def _node_records(node_ids, cells: List[CellRecord], levels: Dict[int, int],
-                  entry_node_id: int) -> List[NodeRecord]:
-    """Node records for ``node_ids``, their cell relations regrouped from
-    the cells' parent and pointer ids."""
-    children: Dict[int, List[int]] = {}
-    parents: Dict[int, List[int]] = {}
-    for record in cells:
-        children.setdefault(record.parent_node_id, []).append(record.cell_id)
-        if record.pointer_node_id is not None:
-            parents.setdefault(record.pointer_node_id, []).append(record.cell_id)
-    return [
-        NodeRecord(
-            node_id=node_id,
-            level=levels.get(node_id, 0),
-            is_root=node_id == entry_node_id,
-            children_cell_ids=tuple(children.get(node_id, ())),
-            parent_cell_ids=tuple(parents.get(node_id, ())),
-        )
-        for node_id in node_ids
-    ]
 
 
 def cached_statement(mapper: CubeMapper, text: str):
@@ -664,22 +767,3 @@ def schema_to_rows(schema: CubeSchema, schema_id: int) -> List[Dict[str, object]
             }
         )
     return rows
-
-
-def schema_from_rows(rows: List[Dict[str, object]]) -> CubeSchema:
-    """Rebuild a :class:`CubeSchema` from dimension-registry rows."""
-    if not rows:
-        raise MappingError("no dimension metadata stored for this schema id")
-    ordered = sorted(rows, key=lambda row: row["position"])
-    from repro.core.aggregators import Aggregator
-
-    first = ordered[0]
-    dimensions = [
-        Dimension(row["name"], dimension_table=row["dimension_table"]) for row in ordered
-    ]
-    return CubeSchema(
-        first["schema_name"],
-        dimensions,
-        measure=first["measure"],
-        aggregator=Aggregator.get(first["aggregator"]),
-    )

@@ -29,7 +29,7 @@ descent, :func:`explain_strategy` and :func:`analyze_strategy`.
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.errors import QueryError
 from repro.core.tuples import member_sort_key
@@ -37,28 +37,29 @@ from repro.dwarf.cell import ALL
 from repro.mapping.base import (
     ALL_KEY_TEXT,
     CubeMapper,
+    Kernel,
     MappingError,
+    build_cube_scan,
     cached_statement,
     decode_member,
     encode_member,
+    guarded_table,
+    kernel_plan,
+    key_match,
+    scan_kernel,
 )
 from repro.mapping.incremental import resolve_epoch
 from repro.mapping.schema_mapping import LINK, PARENT, SET, SchemaMapping
 from repro.nosqldb.sharding import resolve_shards
 from repro.query import (
-    Aggregate,
     Filter,
-    FullScan,
     IndexScan,
     MultiGet,
     Plan,
-    PushedCondition,
     PushedPredicate,
     annotate_explain,
-    count_partial,
     counter_totals,
     snapshot_counters,
-    table_guard,
 )
 from repro.telemetry import get_query_log, get_registry, get_tracer, wall_clock
 
@@ -74,66 +75,18 @@ _QUERY_LOG = get_query_log()
 # ----------------------------------------------------------------------
 # kernel plans, built from the declaration
 # ----------------------------------------------------------------------
-class _Kernel(NamedTuple):
-    """A step run as a direct kernel plan, cached as ``stored:<label>``."""
-
-    label: str
-    build: Callable[[CubeMapper], Plan]
-
-
-def _kernel_plan(mapper: CubeMapper, kernel: _Kernel) -> Plan:
-    """A direct :mod:`repro.query` plan, memoised in the session's cache.
-
-    Keyed ``(scope, "stored:<label>", shards, cube_epoch)`` next to the
-    statement-text entries, so warm stored-query walks register as
-    plan-cache hits and DDL on the underlying table invalidates them
-    through the plan's guards like any other cached plan.  The key's
-    tail closes two staleness windows: a changed ``REPRO_SHARDS`` layout
-    (a fanout plan cached under the old shard count must not serve the
-    new one) and an epoch flip of a maintained cube (pre-flip kernels
-    become unreachable and LRU-evict instead of walking superseded rows).
-    """
-    cache = mapper.session.plan_cache
-    key = (mapper.namespace, "stored:" + kernel.label, resolve_shards(), mapper.cube_epoch)
-    plan = cache.get(key)
-    if plan is None:
-        plan = kernel.build(mapper)
-        cache.put(key, plan)
-    return plan
-
-
-def _guarded_cells(mapper: CubeMapper):
-    """The cell table a kernel plan binds, the plan-cache guard that
-    revalidates it, and its block-cache hit counter (if it has one)."""
-    name = mapper.mapping.cells.name
-    resolve = lambda: mapper.table(name)
-    table = resolve()
-    probe = (lambda: table.block_cache_hits) if mapper.mapping.backend.block_cache else None
-    return table, (table_guard(resolve, table),), probe
-
-
-def _key_match(cells, op: str = "=", marker: str = "?1") -> PushedCondition:
-    key = cells.column("key_text")
-    return PushedCondition(key, op, lambda params: params[1], f"{key} {op} {marker}")
-
-
-def _cube_match(cells) -> PushedCondition:
-    column = cells.column("schema_id")
-    return PushedCondition(column, "=", lambda params: params[0], f"{column} = ?0")
-
-
 def _build_fetch(mapper, match: bool = False) -> Plan:
     """One node's candidate cells, block-batched by primary key
     (``MultiGet``); with ``match``, the per-level key match on top
     (``MultiGet → Filter``)."""
-    table, guards, probe = _guarded_cells(mapper)
     cells = mapper.mapping.cells
+    table, guards, probe = guarded_table(mapper, cells.name)
     root = MultiGet(
         table, lambda params: params[0], cells.name, cells.column("cell_id"),
         cache_probe=probe,
     )
     if match:
-        root = Filter(root, _key_match(cells))
+        root = Filter(root, key_match(cells))
     return Plan(root, guards=guards)
 
 
@@ -141,31 +94,13 @@ def _build_sibling_match(mapper) -> Plan:
     """The per-level descent through the parent-column secondary index:
     an ``IndexScan`` with the key match pushed into the storage layer (no
     Filter operator remains — fetched siblings arrive pre-matched)."""
-    table, guards, probe = _guarded_cells(mapper)
     cells = mapper.mapping.cells
+    table, guards, probe = guarded_table(mapper, cells.name)
     scan = IndexScan(
         table, cells.column("parent_node_id"), lambda params: params[0], cells.name,
-        cache_probe=probe, pushed=PushedPredicate((_key_match(cells),)),
+        cache_probe=probe, pushed=PushedPredicate((key_match(cells),)),
     )
     return Plan(scan, guards=guards)
-
-
-def _build_cube_scan(mapper, keyed: bool = False, count: bool = False) -> Plan:
-    """One pushed full scan over a stored cube's cells.
-
-    ``schema_id = ?0`` travels into the storage layer, so zone-mapped
-    columnar blocks holding only other cubes' cells are skipped unread;
-    ``keyed`` also pushes ``key IN ?1`` (all-keyed selects).  With
-    ``count``, ``Aggregate(FullScan)`` sums the surviving selections — no
-    cell row is ever materialised (docs/query_kernel.md).
-    """
-    table, guards, _ = _guarded_cells(mapper)
-    cells = mapper.mapping.cells
-    conditions = (_cube_match(cells),) + ((_key_match(cells, "IN"),) if keyed else ())
-    root = FullScan(table, cells.name, pushed=PushedPredicate(conditions))
-    if count:
-        root = Aggregate(root, count_partial(), "count(*)")
-    return Plan(root, guards=guards)
 
 
 # ----------------------------------------------------------------------
@@ -185,14 +120,14 @@ def _walk_kind(mapping: SchemaMapping) -> str:
 @lru_cache(maxsize=None)
 def _steps(mapping: SchemaMapping) -> Dict[str, object]:
     """The descent's access paths, in order: step name → statement text
-    (run through the session) or :class:`_Kernel` (a direct plan)."""
+    (run through the session) or :class:`Kernel` (a direct plan)."""
     kind, label, cells = _walk_kind(mapping), mapping.label, mapping.cells
     if kind == SET:
         nodes = mapping.nodes
         return {
             "node": f"SELECT {nodes.column('children_cell_ids')} FROM {nodes.name} "
                     f"WHERE {nodes.column('node_id')} = ?",
-            "cells": _Kernel(f"{label}:cell_match", _cell_match),
+            "cells": Kernel(f"{label}:cell_match", _cell_match),
         }
     if kind == LINK:
         children = mapping.link("parent_node_id")
@@ -200,7 +135,7 @@ def _steps(mapping: SchemaMapping) -> Dict[str, object]:
         return {
             "children": f"SELECT {children.column('cell_id')} FROM {children.name} "
                         f"WHERE {children.column('parent_node_id')} = ?",
-            "cells": _Kernel(f"{label}:cell_match", _cell_match),
+            "cells": Kernel(f"{label}:cell_match", _cell_match),
             "pointer": f"SELECT {pointers.column('pointer_node_id')} FROM {pointers.name} "
                        f"WHERE {pointers.column('cell_id')} = ?",
         }
@@ -209,23 +144,23 @@ def _steps(mapping: SchemaMapping) -> Dict[str, object]:
         return {
             "entry": f"SELECT * FROM {cells.name} WHERE "
                      f"{cells.column('is_root_cell')} = true AND {cube}",
-            "siblings": _Kernel(f"{label}:sibling_match", _build_sibling_match),
+            "siblings": Kernel(f"{label}:sibling_match", _build_sibling_match),
         }
     return {"cells": f"SELECT * FROM {cells.name} WHERE {cube}"}
 
 
 @lru_cache(maxsize=None)
-def _select_kernels(mapping: SchemaMapping) -> Dict[str, _Kernel]:
+def _select_kernels(mapping: SchemaMapping) -> Dict[str, Kernel]:
     """The :func:`stored_select` / :func:`stored_cell_count` plans (of a
     schema with node rows)."""
     label = mapping.label
     return {
-        "cube_scan": _Kernel(f"{label}:cube_scan", _build_cube_scan),
-        "cube_count": _Kernel(f"{label}:cube_count", partial(_build_cube_scan, count=True)),
-        "cube_scan_keys": _Kernel(
-            f"{label}:cube_scan_keys", partial(_build_cube_scan, keyed=True)
+        "cube_scan": scan_kernel(mapping, mapping.cells),
+        "cube_count": Kernel(f"{label}:cube_count", partial(build_cube_scan, count=True)),
+        "cube_scan_keys": Kernel(
+            f"{label}:cube_scan_keys", partial(build_cube_scan, keyed=True)
         ),
-        "cells": _Kernel(f"{label}:cells", _build_fetch),
+        "cells": Kernel(f"{label}:cells", _build_fetch),
     }
 
 
@@ -246,7 +181,7 @@ def _open_set(mapper, schema_id: int, entry: Optional[int]):
     mapping, session = mapper.mapping, mapper.session
     steps = _steps(mapping)
     node_statement = cached_statement(mapper, steps["node"])
-    cell_match = _kernel_plan(mapper, steps["cells"])
+    cell_match = kernel_plan(mapper, steps["cells"])
     children = mapping.nodes.column("children_cell_ids")
     wanted = (mapping.cells.column("pointer_node_id"), mapping.cells.column("measure"))
 
@@ -266,7 +201,7 @@ def _open_link(mapper, schema_id: int, entry: Optional[int]):
     steps = _steps(mapping)
     children_statement = cached_statement(mapper, steps["children"])
     pointer_statement = cached_statement(mapper, steps["pointer"])
-    cell_match = _kernel_plan(mapper, steps["cells"])
+    cell_match = kernel_plan(mapper, steps["cells"])
     member = mapping.link("parent_node_id").column("cell_id")
     target = mapping.link("pointer_node_id").column("pointer_node_id")
     cells = mapping.cells
@@ -301,7 +236,7 @@ def _open_index(mapper, schema_id: int, entry: Optional[int]):
         if root is None:
             return None, None
         entry = mapper._entry_cache[schema_id] = root[cells.column("parent_node_id")]
-    siblings = _kernel_plan(mapper, steps["siblings"])
+    siblings = kernel_plan(mapper, steps["siblings"])
     wanted = (cells.column("pointer_node_id"), cells.column("measure"))
 
     def step(node_id: int, key: str):
@@ -460,7 +395,7 @@ def explain_strategy(mapper, schema_id: Optional[int] = None) -> Dict[str, List[
         steps.update(cube_scan=select["cube_scan"], cube_count=select["cube_count"])
     return {
         name: list(mapper.session.execute("EXPLAIN " + step))
-        if isinstance(step, str) else _kernel_plan(mapper, step).explain()
+        if isinstance(step, str) else kernel_plan(mapper, step).explain()
         for name, step in steps.items()
     }
 
@@ -469,10 +404,11 @@ def _strategy_plans(mapper) -> Dict[str, Optional[Plan]]:
     """Descent step → live plan.
 
     Kernel plans are fetched (building on first use) through
-    :func:`_kernel_plan`; statement plans are *peeked* from the session's
-    cache under their ``(scope, text)`` key — a statement that has never
-    executed maps to ``None`` rather than being compiled here, so
-    reading the plans never changes what a later execution would do.
+    :func:`~repro.mapping.base.kernel_plan`; statement plans are
+    *peeked* from the session's cache under their ``(scope, text)`` key
+    — a statement that has never executed maps to ``None`` rather than
+    being compiled here, so reading the plans never changes what a
+    later execution would do.
     """
     plans: Dict[str, Optional[Plan]] = {}
     for name, step in _steps(_mapping_of(mapper)).items():
@@ -480,7 +416,7 @@ def _strategy_plans(mapper) -> Dict[str, Optional[Plan]]:
             plan = mapper.session.plan_cache.peek((mapper.namespace, step))
             plans[name] = plan if isinstance(plan, Plan) else None
         else:
-            plans[name] = _kernel_plan(mapper, step)
+            plans[name] = kernel_plan(mapper, step)
     return plans
 
 
@@ -521,7 +457,7 @@ def analyze_strategy(mapper, schema_id: int, coordinates: Sequence) -> Dict[str,
 # ----------------------------------------------------------------------
 # count and declarative select over a stored cube with node rows
 # ----------------------------------------------------------------------
-def _select_plans(mapper, what: str) -> Dict[str, _Kernel]:
+def _select_plans(mapper, what: str) -> Dict[str, Kernel]:
     mapping = _mapping_of(mapper)
     if _walk_kind(mapping) != SET:
         raise MappingError(f"{what} is implemented for NoSQL-DWARF storage")
@@ -542,7 +478,7 @@ def stored_cell_count(mapper, schema_id: int) -> int:
     cube_ids = (schema_id,) if view is None else view.cube_ids
     for physical_id in cube_ids:
         mapper.info(physical_id)  # validate
-    plan = _kernel_plan(mapper, kernel)
+    plan = kernel_plan(mapper, kernel)
     before = counter_totals(plan) if _QUERY_LOG.enabled else None
     with get_tracer().span("stored.cell_count", schema=mapper.name):
         total = sum(plan.run((physical_id,))[0]["count"] for physical_id in cube_ids)
@@ -685,10 +621,10 @@ def _select_one(mapper, kernels, schema_id: int, per_level: List[object], strate
             # can also push `key IN wanted` — the union of ALL markers
             # and requested members — and prune non-matching cells (or
             # whole blocks) inside the storage layer.
-            plan = _kernel_plan(mapper, kernels["cube_scan_keys"])
+            plan = kernel_plan(mapper, kernels["cube_scan_keys"])
             params = (schema_id, sorted(set().union(*admitted)))
         else:
-            plan = _kernel_plan(mapper, kernels["cube_scan"])
+            plan = kernel_plan(mapper, kernels["cube_scan"])
             params = (schema_id,)
         by_parent: Dict[int, List[tuple]] = {}
         # One sort by id (the tuples' first, unique field) orders every
@@ -702,7 +638,7 @@ def _select_one(mapper, kernels, schema_id: int, per_level: List[object], strate
     else:
         node_statement = cached_statement(mapper, _steps(mapping)["node"])
         children = mapping.nodes.column("children_cell_ids")
-        cells_plan = _kernel_plan(mapper, kernels["cells"])
+        cells_plan = kernel_plan(mapper, kernels["cells"])
 
         def cells_of(node_id: int) -> List[tuple]:
             node_row = session.execute_prepared(node_statement, (node_id,)).one()

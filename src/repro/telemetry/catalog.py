@@ -73,6 +73,7 @@ SPAN_NAMES = frozenset(
         "ingest.merge",
         "ingest.poll",
         "ingest.store_delta",
+        "mapper.load",
         "mapper.rebuild",
         "mapper.store",
         "mapper.transform",

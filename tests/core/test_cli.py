@@ -92,8 +92,8 @@ class TestStats:
         code = main(["stats", "--dataset", "day"])  # case-insensitive name
         assert code == 0
         out = capsys.readouterr().out
-        for marker in ("etl.extract", "dwarf.build", "mapper.store",
-                       "stored.point_query", "answers agree",
+        for marker in ("etl.extract", "dwarf.build", "mapper.store", "mapper.load",
+                       "mapper.rebuild", "stored.point_query", "answers agree",
                        "nosqldb_writes_total", "PointLookup"):
             assert marker in out, marker
 

@@ -5,6 +5,9 @@
   longer exists.
 * A coordinate vector of the wrong length is an error, exactly as
   ``mapper.load(id).value(...)`` makes it, on plain and maintained cubes.
+* A cell row lost, repeated or orphaned in storage makes ``load`` fail
+  with :class:`MappingError`; it used to reload silently as a different
+  (or the same, with a stray row ignored) cube.
 """
 
 import pytest
@@ -13,6 +16,7 @@ from repro.core.errors import QueryError
 from repro.core.schema import CubeSchema
 from repro.dwarf.builder import DwarfBuilder
 from repro.dwarf.cell import ALL
+from repro.mapping.base import ALL_KEY_TEXT, MappingError
 from repro.mapping.incremental import CubeMaintainer
 from repro.mapping.registry import MAPPER_FACTORIES
 from repro.mapping.stored_query import stored_point_query
@@ -64,3 +68,72 @@ def test_wrong_length_vector_raises_like_the_cube(name, maintained):
         with pytest.raises(QueryError) as got:
             stored_point_query(mapper, cube_id, vector)
         assert str(got.value) == str(expected.value)
+
+
+#: A parent node id no stored cube uses.
+ORPHAN_PARENT = 900_000
+
+#: What ``load`` reports for each kind of damage.
+DAMAGE_ERRORS = {
+    "deleted": "rebuild 35 cells / 11 nodes, the registry records 36 / 11",
+    "duplicated": "holds a member key twice",
+    "orphan": "unreachable from entry node",
+}
+
+
+def _leaf_member_row(mapper, schema_id):
+    """One stored leaf cell row of ``schema_id`` that is not an ALL cell."""
+    cells, backend = mapper.mapping.cells, mapper.mapping.backend
+    rows = mapper.session.execute(
+        f"SELECT * FROM {cells.name} WHERE {cells.column('schema_id')} = ?"
+        + backend.filtering, (schema_id,),
+    )
+    key, leaf = cells.column("key_text"), cells.column("is_leaf")
+    return min(
+        (row for row in rows if row[leaf] and row[key] != ALL_KEY_TEXT),
+        key=lambda row: row[cells.column("cell_id")],
+    )
+
+
+def _insert_copy(mapper, row, cell_id, parent=None):
+    """Store a copy of cell ``row`` as cell ``cell_id`` — under the same
+    parent node, or under ``parent``."""
+    mapping, session = mapper.mapping, mapper.session
+    cells = mapping.cells
+    old_id = row[cells.column("cell_id")]
+    values = dict(row, **{cells.column("cell_id"): cell_id})
+    if parent is not None and cells.column("parent_node_id") is not None:
+        values[cells.column("parent_node_id")] = parent
+    session.execute(cells.insert(), tuple(values[c.name] for c in cells.written))
+    link = mapping.link("parent_node_id")
+    if link is not None:  # the node -> cell edge lives in a link table
+        node, cell = link.column("parent_node_id"), link.column("cell_id")
+        if parent is None:
+            edges = session.execute(f"SELECT * FROM {link.name}")
+            parent = next(edge[node] for edge in edges if edge[cell] == old_id)
+        session.execute(link.insert(), (parent, cell_id))
+
+
+@pytest.mark.parametrize("damage", ["deleted", "duplicated", "orphan"])
+@pytest.mark.parametrize("name", list(MAPPER_FACTORIES))
+def test_load_refuses_a_lost_or_extra_cell_row(name, damage):
+    schema = CubeSchema("damaged", ["country", "city", "station"])
+    cube = DwarfBuilder(schema).build([
+        ("France", "Paris", "Rue Cler", 7), ("France", "Lyon", "Bellecour", 4),
+        ("Ireland", "Cork", "Patrick St", 2), ("Ireland", "Dublin", "Fenian St", 3),
+        ("Ireland", "Dublin", "Portobello", 5),
+    ])
+    mapper = _installed(name)
+    schema_id = mapper.store(cube)
+    row = _leaf_member_row(mapper, schema_id)
+    cells = mapper.mapping.cells
+    if damage == "deleted":
+        mapper.session.execute(
+            f"DELETE FROM {cells.name} WHERE {cells.column('cell_id')} = ?",
+            (row[cells.column("cell_id")],),
+        )
+    else:
+        parent = ORPHAN_PARENT if damage == "orphan" else None
+        _insert_copy(mapper, row, ORPHAN_PARENT + 1, parent)
+    with pytest.raises(MappingError, match=DAMAGE_ERRORS[damage]):
+        mapper.load(schema_id)

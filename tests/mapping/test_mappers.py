@@ -169,9 +169,10 @@ class TestSchemaSpecifics:
         mapper.install()
         mapper.store(sample_cube)
         session = mapper.session
-        entry = mapper._entry_node_id(
-            [c for c in _min_cells(mapper)]
+        roots = session.execute(
+            "SELECT parentNodeId FROM dwarf_cell WHERE root = true AND cubeid = 1 ALLOW FILTERING"
         )
+        (entry,) = {row["parentNodeId"] for row in roots}
         rows = session.execute(
             "SELECT * FROM dwarf_cell WHERE parentNodeId = ?", (entry,)
         )
@@ -208,16 +209,3 @@ class TestSchemaSpecifics:
         assert not database.has_table("NODE")
         assert len(database.table("DWARF_CELL")) == sample_cube.stats.cell_count
 
-
-def _min_cells(mapper):
-    from repro.mapping.base import CellRecord
-
-    rows = mapper.session.execute("SELECT * FROM dwarf_cell WHERE cubeid = 1 ALLOW FILTERING")
-    return [
-        CellRecord(
-            cell_id=row["id"], key_text=row["name"], measure=row["item"],
-            parent_node_id=row["parentNodeId"], pointer_node_id=row["childNodeId"],
-            is_leaf=row["leaf"], is_root_cell=row["root"], dimension_table=None, level=0,
-        )
-        for row in rows
-    ]

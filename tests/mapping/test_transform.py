@@ -8,7 +8,6 @@ from repro.mapping.base import (
     ALL_KEY_TEXT,
     MappingError,
     decode_member,
-    derive_levels,
     encode_member,
     rebuild_cube,
     transform_cube,
@@ -143,7 +142,12 @@ class TestRebuild:
 
 class TestDeriveLevels:
     def test_levels_match_structure(self, sample_cube):
+        """Storage keeps no levels: the rebuild derives each node's from
+        its distance to the entry node."""
         transformed = transform_cube(sample_cube)
-        levels = derive_levels(transformed.cells, transformed.entry_node_id)
-        by_id = {n.node_id: n.level for n in transformed.nodes}
-        assert levels == by_id
+        # Levels the rebuild must not read: every record claims level 0.
+        flat = [node._replace(level=0) for node in transformed.nodes]
+        rebuilt = rebuild_cube(
+            sample_cube.schema, flat, transformed.cells, transformed.entry_node_id
+        )
+        assert transform_cube(rebuilt).nodes == transformed.nodes

@@ -59,6 +59,24 @@ class TestLayerCoverage:
         assert registry.value("query_plan_cache_hits_total") > 0
 
 
+class TestLoadSpans:
+    def test_load_splits_into_storage_read_and_rebuild(self, live_telemetry, sample_cube):
+        _, tracer = live_telemetry
+        mapper = make_mapper("MySQL-DWARF")
+        schema_id = mapper.store(sample_cube, probe_size=False)
+        tracer.reset()
+        mapper.load(schema_id)
+
+        (load,) = [span for span in tracer.roots if span.name == "mapper.load"]
+        stats = sample_cube.stats
+        # Six cell roles (two joined from the link tables) + the node ids.
+        assert load.attrs == {"schema": "MySQL-DWARF", "nodes": stats.node_count,
+                              "cells": stats.cell_count, "columns": 7}
+        (rebuild,) = [span for span in load.children if span.name == "mapper.rebuild"]
+        assert rebuild.attrs["nodes"] == stats.node_count
+        assert 0.0 < rebuild.wall_s <= load.wall_s
+
+
 class TestOperatorClock:
     def test_seconds_accumulate_only_when_tracing(self, sample_cube):
         from repro.telemetry import get_tracer
