@@ -15,13 +15,17 @@ the relational layer's own promises:
   reproduces the stored bytes (null bitmap included).
 * **Constraint integrity** — NOT NULL columns hold values in every
   stored row.
+* **Column reads** — every column of every leaf page read through
+  :meth:`~repro.sqldb.table.Table.decode_column` (null bit, then the
+  widths and spans of the columns before it) equals what the full-row
+  :meth:`~repro.sqldb.table.Table.decode_row` gives, NULLs included.
 * **Secondary-index ↔ heap agreement** — each secondary tree holds
   exactly the ``(value, pk)`` pairs derivable from the clustered rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.btree_check import btree_check
 from repro.analysis.violations import CheckReport
@@ -43,39 +47,18 @@ def heap_check(table: Table) -> CheckReport:
         if column.not_null and column.name not in table.primary_key
     ]
     n_rows = 0
-    for pk, encoded in table._clustered.items():
-        n_rows += 1
-        location = f"{table.name}[{pk!r}]"
-        try:
-            row = table.decode_row(encoded)
-        except Exception as exc:
-            report.add(
-                _CHECKER, "heap.corrupt-row", location,
-                f"stored row failed to decode: {type(exc).__name__}: {exc}",
-            )
-            continue
-        try:
-            derived = table._pk_of(row)
-        except Exception:
-            derived = None
-        report.check(
-            derived == pk, _CHECKER, "heap.pk-agreement", location,
-            f"row decodes to primary key {derived!r}, filed under {pk!r}",
-        )
-        report.check(
-            table.encode_row(row) == encoded, _CHECKER, "heap.row-codec",
-            location,
-            "row does not re-encode to its stored bytes (codec round-trip)",
-        )
-        for column in not_null:
-            report.check(
-                row.get(column.name) is not None, _CHECKER, "heap.not-null",
-                location, f"NOT NULL column {column.name!r} stores NULL",
-            )
-        for column_name in expected:
-            value = row.get(column_name)
-            if value is not None:
-                expected[column_name].add((value, pk))
+    for keys, values in table._clustered.leaves():
+        decoded: List[Tuple[object, bytes, Dict[str, object]]] = []
+        for pk, encoded in zip(keys, values):
+            n_rows += 1
+            row = _check_row(report, table, pk, encoded, not_null)
+            if row is not None:
+                decoded.append((pk, encoded, row))
+                for column_name in expected:
+                    value = row.get(column_name)
+                    if value is not None:
+                        expected[column_name].add((value, pk))
+        _check_columns(report, table, decoded)
 
     report.check(
         n_rows == len(table), _CHECKER, "heap.row-count", table.name,
@@ -99,6 +82,73 @@ def heap_check(table: Table) -> CheckReport:
             f"e.g. {_example(extra)}",
         )
     return report
+
+
+def _check_row(report: CheckReport, table: Table, pk, encoded: bytes, not_null):
+    """The per-row rules; returns the decoded row, or None when the
+    stored bytes do not decode."""
+    location = f"{table.name}[{pk!r}]"
+    try:
+        row = table.decode_row(encoded)
+    except Exception as exc:
+        report.add(
+            _CHECKER, "heap.corrupt-row", location,
+            f"stored row failed to decode: {type(exc).__name__}: {exc}",
+        )
+        return None
+    try:
+        derived = table._pk_of(row)
+    except Exception:
+        derived = None
+    report.check(
+        derived == pk, _CHECKER, "heap.pk-agreement", location,
+        f"row decodes to primary key {derived!r}, filed under {pk!r}",
+    )
+    report.check(
+        table.encode_row(row) == encoded, _CHECKER, "heap.row-codec",
+        location,
+        "row does not re-encode to its stored bytes (codec round-trip)",
+    )
+    for column in not_null:
+        report.check(
+            row.get(column.name) is not None, _CHECKER, "heap.not-null",
+            location, f"NOT NULL column {column.name!r} stores NULL",
+        )
+    return row
+
+
+def _check_columns(report: CheckReport, table: Table, decoded) -> None:
+    """``heap.column-decode`` over one leaf page's decodable rows: each
+    column read on its own must give the full-row decode's values."""
+    if not decoded:
+        return
+    encoded_rows = [encoded for _, encoded, _ in decoded]
+    for name in table.column_names:
+        location = f"{table.name}.{name}"
+        try:
+            vector = table.decode_column(encoded_rows, name)
+        except Exception as exc:
+            report.add(
+                _CHECKER, "heap.column-decode", location,
+                f"column read failed on the page of {decoded[0][0]!r}: "
+                f"{type(exc).__name__}: {exc}",
+            )
+            continue
+        wrong = [
+            (pk, got, row[name])
+            for (pk, _, row), got in zip(decoded, vector)
+            if not _same(got, row[name])
+        ]
+        report.check(
+            not wrong, _CHECKER, "heap.column-decode", location,
+            f"{len(wrong)} row(s) read differently on their own, e.g. "
+            f"(pk, column read, row decode) = {wrong[:1]!r}",
+        )
+
+
+def _same(a, b) -> bool:
+    """Equal values of one type; a NaN equals a NaN."""
+    return type(a) is type(b) and (a == b or (a != a and b != b))
 
 
 def _example(entries: Set) -> str:

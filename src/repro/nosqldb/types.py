@@ -20,6 +20,7 @@ from repro.storage.encoding import (
     encode_bool,
     encode_float,
     encode_text,
+    text_span,
 )
 from repro.storage.varint import decode_varint, encode_varint
 
@@ -107,12 +108,7 @@ class TextType(CQLType):
     def decode(self, buffer, offset: int):
         return decode_text(buffer, offset)
 
-    def span(self, buffer, offset: int) -> int:
-        length = buffer[offset]
-        if length < 0x80:  # lengths are non-negative: zigzag is << 1
-            return offset + 1 + (length >> 1)
-        length, offset = decode_varint(buffer, offset)
-        return offset + length
+    span = staticmethod(text_span)
 
 
 class BooleanType(CQLType):

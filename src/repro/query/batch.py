@@ -11,16 +11,18 @@ and ``HashJoin``) and only for the columns the statement returns.
 
 Two backings share the contract:
 
-* :class:`VectorBatch` — a decoded columnar SSTable block.  ``column``
-  is the block's memoized typed vector, so a predicate or an aggregate
-  touches only the columns it reads.  A fetch (point, multi-get, index)
-  that found its keys in such a block gets a :class:`FetchedBatch`: the
-  same block with ``sel`` set to the keys' positions, whose columns
-  are decoded at the selected positions only.
+* :class:`VectorBatch` — rows addressed a column at a time:
+  ``column_of(name)`` yields a decoded columnar SSTable block's memoized
+  typed vector, or decodes one column of a B-tree leaf page's (or a
+  relational fetch's) encoded rows on first touch, so a predicate or an
+  aggregate touches only the columns it reads.  A fetch (point,
+  multi-get, index) that found its keys in a columnar block gets a
+  :class:`FetchedBatch`: the same block with ``sel`` set to the keys'
+  positions, whose columns are decoded at the selected positions only.
 * :class:`RowBatch` — rows that already exist as dicts (operator
   outputs) or as encoded bytes that decode on first column access
-  (memtables, row-format blocks, row-cache hits, B-tree leaves), so
-  ``COUNT(*)`` over them decodes nothing.
+  (memtables, row-format blocks, row-cache hits), so ``COUNT(*)`` over
+  them decodes nothing.
 
 ``column(name)`` is addressed by position (index it with ``sel``);
 ``values(name)`` is the same column gathered down to the selected rows.
@@ -86,13 +88,17 @@ class Batch:
 
 
 class VectorBatch(Batch):
-    """A decoded columnar block: ``column_of(name)`` yields its vectors."""
+    """Rows whose columns ``column_of(name)`` yields: a decoded columnar
+    block's vectors, or a B-tree leaf page's columns decoded on demand."""
 
     __slots__ = ("_column_of", "_all_names")
 
     def __init__(self, n: int, column_of: Callable[[str], Sequence],
                  all_names: Sequence[str]) -> None:
-        super().__init__(n)
+        # Spelled out, not super().__init__: one of these is built per
+        # B-tree leaf page a scan visits.
+        self.n = n
+        self.sel = self.names = self.labels = self.part = None
         self._column_of = column_of
         self._all_names = all_names
 

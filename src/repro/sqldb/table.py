@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.workers import map_tasks
-from repro.query.batch import Batch, RowBatch
+from repro.query.batch import Batch, VectorBatch
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.sqldb.types import SQLType
 from repro.storage.btree import BTree
@@ -74,7 +74,9 @@ class Table:
         self.columns: Tuple[SQLColumn, ...] = tuple(columns)
         self.primary_key: Tuple[str, ...] = tuple(primary_key)
         self._by_name = {c.name: c for c in self.columns}
+        self._names = tuple(names)
         self._pk_positions = [names.index(part) for part in self.primary_key]
+        self._locators = self._locate_columns()
         self._clustered = BTree()
         self._secondary: Dict[str, BTree] = {}
         self._index_names: Dict[str, str] = {}
@@ -110,7 +112,7 @@ class Table:
 
     @property
     def column_names(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+        return self._names
 
     def create_index(self, index_name: str, column: str) -> None:
         """Raises ProgrammingError for unknown columns or duplicate indexes."""
@@ -165,6 +167,59 @@ class Table:
             else:
                 row[column.name] = None
         return row
+
+    def _locate_columns(self) -> Dict[str, tuple]:
+        """How each column is found in an encoded row, worked out once:
+        ``(bitmap byte, bit mask, start, steps, decode)``.  A present
+        value sits at ``start`` plus what the present columns stored
+        before it occupy; ``steps`` holds each such column's ``(bitmap
+        byte, bit mask, width, span)``.  A leading run of fixed-width
+        primary-key columns — never NULL — is folded into ``start``."""
+        start = (len(self.columns) + 7) // 8
+        steps: List[tuple] = []
+        locators = {}
+        for index, column in enumerate(self.columns):
+            sql_type = column.sql_type
+            byte, mask = index >> 3, 1 << (index & 7)
+            locators[column.name] = (byte, mask, start, tuple(steps), sql_type.decode)
+            if not steps and sql_type.width and column.name in self.primary_key:
+                start += sql_type.width
+            else:
+                steps.append((byte, mask, sql_type.width, sql_type.span))
+        return locators
+
+    def decode_column(self, rows: Sequence[bytes], name: str) -> List[object]:
+        """Column ``name`` of each encoded row, None where NULL — that
+        column decoded and no other: its null bit is tested, the present
+        columns stored before it are stepped over by width or span, one
+        value is built.  Raises KeyError for a column the table lacks."""
+        byte, mask, start, steps, decode = self._locators[name]
+        out: List[object] = []
+        append = out.append
+        for row in rows:
+            if not row[byte] & mask:
+                append(None)
+                continue
+            offset = start
+            for step_byte, step_mask, width, span in steps:
+                if row[step_byte] & step_mask:
+                    offset = span(row, offset) if width is None else offset + width
+            append(decode(row, offset)[0])
+        return out
+
+    def _batch(self, rows: List[bytes]) -> Batch:
+        """Encoded ``rows`` as a column batch: each column is decoded on
+        first touch, by :meth:`decode_column`, and kept for the batch."""
+        decode_column = self.decode_column
+        decoded: Dict[str, List[object]] = {}
+
+        def column_of(name: str) -> List[object]:
+            vector = decoded.get(name)
+            if vector is None:
+                vector = decoded[name] = decode_column(rows, name)
+            return vector
+
+        return VectorBatch(len(rows), column_of, self._names)
 
     def _pk_of(self, row: Dict[str, object]):
         parts = []
@@ -257,12 +312,19 @@ class Table:
     def update_where(self, predicate, assignments: Dict[str, object]) -> int:
         """Update all rows matching ``predicate(row)``; returns the count.
 
-        Raises ProgrammingError for unknown or primary-key assignments.
+        Every assignment is checked before any row or index is touched,
+        with the rules :meth:`insert_rows` applies.  Raises
+        ProgrammingError for unknown, primary-key or ill-typed
+        assignments and IntegrityError for NULL into a NOT NULL column.
         """
-        for name in assignments:
+        for name, value in assignments.items():
             if name in self.primary_key:
                 raise ProgrammingError("updating primary key columns is not supported")
-            self.column(name)
+            column = self.column(name)
+            if value is not None:
+                column.sql_type.validate(value)
+            elif column.not_null:
+                raise IntegrityError(f"column {name!r} is NOT NULL")
         touched = 0
         updates: List[Tuple[object, Dict[str, object]]] = []
         for pk, encoded in self._clustered.items():
@@ -320,7 +382,7 @@ class Table:
         return self.decode_row(encoded) if encoded is not None else None
 
     def get_batches(self, keys: Sequence, index: Optional[str] = None) -> List[Batch]:
-        """The rows of ``keys`` as one lazily decoded batch, in
+        """The rows of ``keys`` as one column batch, in
         requested-key order (absent keys skipped) — the fetch entry
         point beside :meth:`scan_batches`, and the relational analogue
         of the NoSQL engine's batched multi-get: one B-tree probe per
@@ -358,24 +420,24 @@ class Table:
                     encoded = clustered.get(composite[1])
                     if encoded is not None:
                         encoded_rows.append(encoded)
-        return [RowBatch(encoded_rows, self.decode_row)] if encoded_rows else []
+        return [self._batch(encoded_rows)] if encoded_rows else []
 
     def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
-        """The virtual shard's rows in key order, one row-backed batch
-        per B-tree leaf page; with ``pushed`` (a bound predicate from
+        """The virtual shard's rows in key order, one column batch per
+        B-tree leaf page; with ``pushed`` (a bound predicate from
         :mod:`repro.query.pushdown`) each batch's selection is already
         narrowed to the rows satisfying it.
 
-        A batch holds the page's *encoded* rows and decodes them on
-        first column access, so ``COUNT(*)`` decodes nothing.  The
-        clustered B-tree has no zone maps: pushdown here is evaluating
-        the predicate on the page's decoded columns, counted once per
-        page.  With several shards each one walks the shared tree but
-        keeps only the primary keys its ring slice owns, so N scatter
-        tasks together decode every row at most once; the slices are
-        disjoint and exhaustive.
+        A batch holds the page's *encoded* rows and decodes a column
+        only when it is read (:meth:`decode_column`), so ``COUNT(*)``
+        decodes nothing and a statement decodes the columns it names.
+        The clustered B-tree has no zone maps: pushdown here is
+        evaluating the predicate on the page's decoded columns, counted
+        once per page.  With several shards each one walks the shared
+        tree but keeps only the primary keys its ring slice owns, so N
+        scatter tasks together decode every value at most once; the
+        slices are disjoint and exhaustive.
         """
-        decode = self.decode_row
         shard_for = self._ring.shard_for if self.shard_count > 1 else None
         for keys, values in self._clustered.leaves():
             if shard_for is not None:
@@ -385,7 +447,7 @@ class Table:
                 ]
                 if not values:
                     continue
-            batch = RowBatch(values, decode)
+            batch = self._batch(values)
             if pushed is not None:
                 pushed.narrow(batch)
             yield batch

@@ -10,10 +10,10 @@ Cassandra schemas (Table 4).
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.sqldb.errors import ProgrammingError
-from repro.storage.encoding import decode_text, encode_text
+from repro.storage.encoding import decode_text, encode_text, text_span
 
 _INT4 = struct.Struct("<i")
 _INT8 = struct.Struct("<q")
@@ -22,6 +22,8 @@ _FLOAT8 = struct.Struct("<d")
 
 class SQLType:
     name = "?"
+    #: Stored bytes of every value, or None for a length-prefixed type.
+    width: Optional[int] = None
 
     def validate(self, value) -> None:
         raise NotImplementedError
@@ -31,6 +33,12 @@ class SQLType:
 
     def decode(self, buffer, offset: int) -> Tuple[object, int]:
         raise NotImplementedError
+
+    def span(self, buffer, offset: int) -> int:
+        """End offset of the value encoded at ``offset``: exactly
+        ``decode(buffer, offset)[1]``, found without building the value
+        (a column read steps over the columns stored before its own)."""
+        return offset + self.width
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SQLType) and self.name == other.name
@@ -44,6 +52,7 @@ class SQLType:
 
 class IntType(SQLType):
     name = "int"
+    width = 4
     _range = (-(2 ** 31), 2 ** 31 - 1)
 
     def validate(self, value) -> None:
@@ -63,6 +72,7 @@ class IntType(SQLType):
 
 class BigIntType(IntType):
     name = "bigint"
+    width = 8
     _range = (-(2 ** 63), 2 ** 63 - 1)
 
     def encode(self, value) -> bytes:
@@ -76,6 +86,7 @@ class BooleanType(SQLType):
     """MySQL's BOOL/TINYINT(1)."""
 
     name = "boolean"
+    width = 1
 
     def validate(self, value) -> None:
         """Raises ProgrammingError for values that are not bool/int."""
@@ -109,6 +120,8 @@ class VarCharType(SQLType):
     def decode(self, buffer, offset: int):
         return decode_text(buffer, offset)
 
+    span = staticmethod(text_span)
+
 
 class TextType(VarCharType):
     def __init__(self) -> None:
@@ -118,6 +131,7 @@ class TextType(VarCharType):
 
 class DoubleType(SQLType):
     name = "double"
+    width = 8
 
     def validate(self, value) -> None:
         """Raises ProgrammingError for values that are not int/float."""

@@ -26,6 +26,16 @@ def decode_text(buffer, offset: int = 0) -> Tuple[str, int]:
     return bytes(buffer[offset:end]).decode("utf-8"), end
 
 
+def text_span(buffer, offset: int = 0) -> int:
+    """End offset of the text encoded at ``offset``: exactly
+    ``decode_text(buffer, offset)[1]``, without decoding the text."""
+    length = buffer[offset]
+    if length < 0x80:  # lengths are non-negative: zigzag is << 1
+        return offset + 1 + (length >> 1)
+    length, offset = decode_varint(buffer, offset)
+    return offset + length
+
+
 def encode_bytes(value: bytes) -> bytes:
     return encode_varint(len(value)) + value
 

@@ -2,7 +2,7 @@
 
 from repro.analysis.heap_check import heap_check
 from repro.sqldb.table import SQLColumn, Table
-from repro.sqldb.types import parse_type
+from repro.sqldb.types import VarCharType, parse_type
 
 
 def make_table(n=60) -> Table:
@@ -35,6 +35,19 @@ class TestCleanTables:
     def test_empty_table_passes(self):
         assert heap_check(make_table(n=0)).ok
 
+    def test_nulls_and_every_type_read_alike_per_column(self):
+        types = ("int", "text", "double", "boolean", "bigint", "varchar(8)")
+        table = Table(
+            "mixed", [SQLColumn(f"c{i}", parse_type(t)) for i, t in enumerate(types)],
+            ("c0",),
+        )
+        values = (None, "x" * 70, float("nan"), True, -(2 ** 40), "é")
+        for i in range(80):
+            row = {f"c{j}": value for j, value in enumerate(values) if (i >> j) & 1}
+            table.insert({**row, "c0": i})
+        report = heap_check(table)
+        assert report.ok, "\n".join(report.format_lines())
+
     def test_after_updates_and_deletes_passes(self):
         table = make_table()
         table.update_where(lambda row: row["id"] < 10, {"measure": -1})
@@ -58,6 +71,12 @@ class TestCorruption:
         table._clustered.insert(3, table.encode_row(row))
         report = heap_check(table)
         assert "heap.pk-agreement" in rules_of(report)
+
+    def test_wrong_span_flagged(self, monkeypatch):
+        # One byte short for every VARCHAR: the columns stored after it
+        # are read at the wrong offset; the full-row decode is unaffected.
+        monkeypatch.setattr(VarCharType, "span", lambda self, buffer, offset: offset + 1)
+        assert rules_of(heap_check(make_table())) == {"heap.column-decode"}
 
     def test_stale_index_entry_flagged(self):
         table = make_table()

@@ -9,6 +9,8 @@ replaced (``list(table.scan())`` before ``Limit``; ``SSTable.items()``
 -> ``ColumnVectors.materialize`` -> ``decode_row`` for unpushed scans).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.mapping.registry import make_mapper
@@ -97,11 +99,13 @@ class TestLimitStopsTheScan:
     def test_sql_limit_decodes_only_the_pages_it_needs(self, monkeypatch):
         session, table = build_sql()
         decoded = []
-        original = table.decode_row
+        original = table.decode_column
         monkeypatch.setattr(
-            table, "decode_row", lambda encoded: decoded.append(1) or original(encoded)
+            table, "decode_column",
+            lambda rows, name: decoded.extend([name] * len(rows)) or original(rows, name),
         )
         assert [r["id"] for r in session.execute("SELECT id FROM t LIMIT 5").rows] == [0, 1, 2, 3, 4]
+        assert set(decoded) == {"id"}
         assert 5 <= len(decoded) <= 64  # one leaf page at most
         assert leaf(session, "SELECT id FROM t LIMIT 5")["rows"] <= 64
 
@@ -164,11 +168,39 @@ class TestLateMaterialization:
 
     def test_sql_count_decodes_nothing(self, monkeypatch):
         session, table = build_sql()
-        monkeypatch.setattr(
-            table, "decode_row",
-            lambda encoded: (_ for _ in ()).throw(AssertionError("COUNT(*) decoded a row")),
-        )
+        for decoder in ("decode_row", "decode_column"):
+            monkeypatch.setattr(
+                table, decoder,
+                lambda *args: (_ for _ in ()).throw(AssertionError("COUNT(*) decoded a row")),
+            )
         assert session.execute("SELECT COUNT(*) FROM t").rows == [{"count": N_ROWS}]
+
+    def test_sql_reads_decode_only_the_columns_they_name(self, monkeypatch):
+        # The feed_to_sql store shape: MySQL-DWARF's six-column CELL table.
+        mapper = make_mapper("MySQL-DWARF")
+        cube = DwarfBuilder(CubeSchema("c", ["d1", "d2"])).build(
+            [(f"m{i % 7}", i % 5, i) for i in range(300)]
+        )
+        mapper.store(cube, probe_size=False)
+        cells = mapper.table("CELL")
+        expected = sum(row["measure"] for row in cells.scan()
+                       if row["leaf"] and row["measure"] > 40)
+        decoded = Counter()
+        original = cells.decode_column
+        monkeypatch.setattr(
+            cells, "decode_column",
+            lambda rows, name: decoded.update({name: len(rows)}) or original(rows, name),
+        )
+        session = mapper.session
+        total = session.execute(
+            "SELECT SUM(measure) FROM CELL WHERE leaf = 1 AND measure > ?", (40,)
+        ).one()["sum(measure)"]
+        assert total == expected
+        # each named column decoded once per row, no other column at all
+        assert decoded == {"leaf": len(cells), "measure": len(cells)}
+        decoded.clear()
+        assert session.execute("SELECT COUNT(*) FROM CELL").rows == [{"count": len(cells)}]
+        assert not decoded
 
     def test_projection_builds_only_the_named_columns(self, built_rows):
         session, _ = build_cql()

@@ -141,6 +141,8 @@ class TestOperators:
 
         from repro.nosqldb.sstable import SSTable
         from repro.query import plan as plan_module
+        from repro.sqldb import table as table_module
+        from repro.sqldb.table import Table
 
         source = inspect.getsource(plan_module)
         assert not re.search(
@@ -149,6 +151,11 @@ class TestOperators:
         assert set(re.findall(r"\.table\.(\w+)\(", source)) == {"get_batches"}
         for name in ("get", "get_many", "_decoded_block"):
             assert not hasattr(SSTable, name), name
+        # A B-tree leaf page or fetched row set leaves sqldb as columns
+        # read one at a time, never as rows decoded whole.
+        assert "RowBatch(" not in inspect.getsource(table_module)
+        for method in (Table.scan_batches, Table.get_batches):
+            assert "decode_row" not in inspect.getsource(method), method
 
     def test_describe_dispatches_plans_and_nodes(self):
         scan = FullScan(FakeTable(ROWS), "t")

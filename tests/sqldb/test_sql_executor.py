@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.heap_check import heap_check
 from repro.sqldb.engine import SQLEngine
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 
@@ -156,6 +157,33 @@ class TestDML:
         result = session.execute("UPDATE CELL SET measure = 0 WHERE leaf = TRUE")
         assert result.rowcount == 2
         assert session.execute("SELECT measure FROM CELL WHERE id = 1").one()["measure"] == 0
+
+    @pytest.mark.parametrize("assignment, error", [
+        ("m = 'zz'", ProgrammingError),
+        ("m = 2147483648", ProgrammingError),   # out of INT range
+        ("k = 'ninechars'", ProgrammingError),  # over VARCHAR(8)
+        ("b = NULL", IntegrityError),
+    ])
+    def test_failing_update_touches_nothing(self, session, assignment, error):
+        # A rejected UPDATE used to raise mid-way, after the matched rows'
+        # index entries were gone, or to store NULL in a NOT NULL column.
+        session.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, k VARCHAR(8), m INT, b BOOLEAN NOT NULL)"
+        )
+        session.execute("CREATE INDEX m_idx ON t (m)")
+        session.execute(
+            "INSERT INTO t (id, k, m, b) VALUES (1, 'a', 5, TRUE), (2, 'b', 6, FALSE), "
+            "(3, 'c', 7, TRUE)"
+        )
+        table = session.engine.database("dwarf").table("t")
+        before = list(table.scan())
+        with pytest.raises(error):
+            session.execute(f"UPDATE t SET {assignment} WHERE id >= 2")
+        assert session.execute("EXPLAIN SELECT id FROM t WHERE m = 6").rows[0]["node"] == "IndexScan"
+        assert session.execute("SELECT id FROM t WHERE m = 6").rows == [{"id": 2}]
+        assert list(table.scan()) == before
+        report = heap_check(table)
+        assert report.ok, "\n".join(report.format_lines())
 
     def test_delete(self, session):
         fill(session)

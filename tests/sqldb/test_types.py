@@ -91,3 +91,17 @@ class TestParseType:
     def test_unknown(self):
         with pytest.raises(ProgrammingError):
             parse_type("JSONB")
+
+
+@pytest.mark.parametrize("sql_type, value", [
+    (IntType(), -2 ** 31),
+    (BigIntType(), 2 ** 63 - 1),
+    (BooleanType(), True),
+    (DoubleType(), -0.25),
+    *((TextType(), "a" * n) for n in (0, 63, 64, 8191, 8192)),
+    (VarCharType(9000), "é" * 4096),
+])
+def test_span_ends_where_decode_ends(sql_type, value):
+    # A column read steps over the values stored before it with span.
+    buffer = b"\x07" + sql_type.encode(value) + b"\x09"
+    assert sql_type.span(buffer, 1) == sql_type.decode(buffer, 1)[1] == len(buffer) - 1
