@@ -31,11 +31,6 @@ Column-family invariants add the cross-structure checks:
   (docs/read_path.md).
 * **Live-count agreement** — the write-path-maintained row counter
   equals the deduplicated live-row count across memtables and SSTables.
-* **Shard routing** (rule ``keyspace.shard-routing``) — every live row
-  lives on exactly the shard the consistent-hash ring assigns its key,
-  no key appears on two shards, and the per-shard live-row counters sum
-  to ``len(family)``.  A routing bug would make point reads miss rows
-  that scans still see (docs/parallel_query.md).
 """
 
 from __future__ import annotations
@@ -247,19 +242,12 @@ def columnfamily_check(family: ColumnFamily) -> CheckReport:
     subsequent read or benchmark observes.
     """
     report = CheckReport(f"columnfamily_check[{family.name}]")
-    for shard in family.shards:
-        for index, sstable in enumerate(shard.sstables):
-            label = (
-                f"{family.name}/sstable[{index}]"
-                if family.shard_count == 1
-                else f"{family.name}/s{shard.shard_id}/sstable[{index}]"
-            )
-            report.merge(sstable_check(sstable, name=label))
+    for index, sstable in enumerate(family._sstables):
+        report.merge(sstable_check(sstable, name=f"{family.name}/sstable[{index}]"))
     _check_commitlog_agreement(report, family)
     _check_index_agreement(report, family)
     _check_row_cache_agreement(report, family)
     _check_live_count(report, family)
-    _check_shard_routing(report, family)
     for column_name, secondary in family._indexes.items():
         report.merge(
             btree_check(secondary._tree, name=f"{family.name}/index[{column_name}]")
@@ -268,19 +256,14 @@ def columnfamily_check(family: ColumnFamily) -> CheckReport:
 
 
 def _unflushed_view(family: ColumnFamily) -> Dict[object, Optional[bytes]]:
-    """Newest unflushed mutation per key: encoded row, or None = tombstone.
-
-    Walked per shard — shard key spaces are disjoint, so the merged view
-    is well-defined regardless of shard order.
-    """
+    """Newest unflushed mutation per key: encoded row, or None = tombstone."""
     view: Dict[object, Optional[bytes]] = {}
-    for shard in family.shards:
-        memtables = [shard.memtable] + list(reversed(shard.pending))
-        for memtable in memtables:  # newest first; first hit wins
-            for key, encoded in memtable:
-                view.setdefault(key, encoded)
-            for key in memtable.tombstones:
-                view.setdefault(key, None)
+    for memtable in [family._memtable, *reversed(family._pending)]:
+        # newest first; first hit wins
+        for key, encoded in memtable:
+            view.setdefault(key, encoded)
+        for key in memtable.tombstones:
+            view.setdefault(key, None)
     return view
 
 
@@ -318,29 +301,23 @@ def _check_commitlog_agreement(report: CheckReport, family: ColumnFamily) -> Non
             )
 
 
-def _shard_live_rows(shard) -> Iterator[Tuple[object, bytes]]:
-    """One shard's live ``(key, encoded_row)`` pairs, layered walk."""
+def _live_rows(family: ColumnFamily) -> Iterator[Tuple[object, bytes]]:
+    """Every live ``(key, encoded_row)`` without forcing materialisation
+    (layered walk, newest first)."""
     seen = set()
     deleted = set()
-    memtables = [shard.memtable] + list(reversed(shard.pending))
-    for memtable in memtables:
+    for memtable in [family._memtable, *reversed(family._pending)]:
         for key, encoded in memtable:
             if key not in seen and key not in deleted:
                 seen.add(key)
                 yield key, encoded
         deleted |= set(memtable.tombstones)
-    for sstable in reversed(shard.sstables):
+    for sstable in reversed(family._sstables):
         for key, encoded in sstable.items():
             if key not in seen and key not in deleted:
                 seen.add(key)
                 yield key, encoded
         deleted |= set(sstable.tombstones)
-
-
-def _live_rows(family: ColumnFamily) -> Iterator[Tuple[object, bytes]]:
-    """Every live ``(key, encoded_row)`` without forcing materialisation."""
-    for shard in family.shards:
-        yield from _shard_live_rows(shard)
 
 
 def _check_index_agreement(report: CheckReport, family: ColumnFamily) -> None:
@@ -409,46 +386,6 @@ def _check_live_count(report: CheckReport, family: ColumnFamily) -> None:
         f"{family.name}/live-count",
         f"write path counted {family._n_live} live row(s), storage holds {actual}",
     )
-
-
-def _check_shard_routing(report: CheckReport, family: ColumnFamily) -> None:
-    """Rule ``keyspace.shard-routing``: the ring and storage agree.
-
-    Every live row must be hosted by exactly the shard
-    ``family.ring.shard_for(key)`` names (a misrouted row is invisible
-    to point reads), no key may be live on two shards (scans would
-    double-count it), and the per-shard live-row counters must sum to
-    the family's total.
-    """
-    ring = family.ring
-    location = f"{family.name}/shard-routing"
-    owners: Dict[object, int] = {}
-    for shard in family.shards:
-        for key, _ in _shard_live_rows(shard):
-            previous = owners.get(key)
-            if previous is not None:
-                report.add(
-                    "keyspace", "keyspace.shard-routing", location,
-                    f"key {key!r} is live on shard {previous} and shard "
-                    f"{shard.shard_id} (scans would double-count it)",
-                )
-                continue
-            owners[key] = shard.shard_id
-            expected = ring.shard_for(key)
-            report.check(
-                expected == shard.shard_id, "keyspace",
-                "keyspace.shard-routing", location,
-                f"key {key!r} lives on shard {shard.shard_id} but the ring "
-                f"routes it to shard {expected} (point reads would miss it)",
-            )
-    counters = [shard.n_live for shard in family.shards]
-    if None not in counters:
-        report.check(
-            sum(counters) == len(family), "keyspace", "keyspace.shard-routing",
-            location,
-            f"per-shard live counters sum to {sum(counters)}, family holds "
-            f"{len(family)} live row(s)",
-        )
 
 
 def _example(entries: set) -> str:

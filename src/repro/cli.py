@@ -34,7 +34,7 @@ Three commands cover the common workflows:
 ``debug-bundle``
     Run the workload and write a flight-recorder JSON artifact: metrics
     snapshot, merged span tree, slow-op log, query history, plan-cache
-    entries, cube epoch rows, shard layout and every ``REPRO_*`` knob.
+    entries, cube epoch rows and every ``REPRO_*`` knob.
 """
 
 from __future__ import annotations
@@ -678,19 +678,6 @@ def _epoch_rows(mapper):
     return [dict(row) for row in result] if result is not None else []
 
 
-def _shard_layout(mapper):
-    """Configured shard fanout plus the per-column-family layout."""
-    from repro.nosqldb.sharding import resolve_shards
-
-    layout = {"configured": resolve_shards()}
-    if mapper.mapping.backend is CQL:
-        layout["tables"] = {
-            table.name: getattr(table, "shard_count", 1)
-            for table in mapper.space().tables
-        }
-    return layout
-
-
 def _collect_bundle(mapper):
     """Assemble a validated debug bundle from the live telemetry state."""
     from repro.telemetry import (
@@ -707,7 +694,6 @@ def _collect_bundle(mapper):
         query_log=get_query_log(),
         plan_cache=_plan_cache_rows(mapper),
         epochs=_epoch_rows(mapper),
-        shards=_shard_layout(mapper),
     )
     validate_bundle(bundle)
     return bundle

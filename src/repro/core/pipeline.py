@@ -57,7 +57,7 @@ class CubeConstructionPipeline:
         Suffix coalescing toggle, passed to the DWARF builder.
     workers:
         Construction worker count for the partitioned parallel builder.
-        ``None`` resolves via :func:`repro.core.workers.resolve_workers`
+        ``None`` resolves via :func:`repro.dwarf.parallel.resolve_workers`
         (``REPRO_WORKERS`` > CPU count); ``1`` pins the classic serial
         scan.
     """

@@ -29,6 +29,7 @@ below a few thousand tuples.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +37,6 @@ from repro.analysis.flags import checks_enabled
 from repro.core.errors import TupleShapeError
 from repro.core.schema import CubeSchema
 from repro.core.tuples import FactTuple, TupleSet
-from repro.core.workers import resolve_workers
 from repro.dwarf.builder import DwarfBuilder
 from repro.dwarf.cube import DwarfCube
 from repro.dwarf.node import DwarfNode
@@ -54,6 +54,21 @@ MIN_PARALLEL_TUPLES = 2048
 #: sub-dwarf graphs back costs more than true parallelism recovers, so
 #: the thread pool (shared address space, no pickling) is used instead.
 MIN_PROCESS_TUPLES = 65536
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Worker count: explicit argument > ``REPRO_WORKERS`` > CPU count.
+
+    Malformed values fall back to the CPU count and non-positive ones to
+    a single worker, as every other integer ``REPRO_*`` knob falls back
+    to its default.
+    """
+    if workers is None:
+        try:
+            workers = int(os.environ["REPRO_WORKERS"])
+        except (KeyError, ValueError):
+            workers = os.cpu_count() or 1
+    return max(1, int(workers))
 
 
 def _build_partition(schema: CubeSchema, facts: List[FactTuple], coalesce: bool):

@@ -36,8 +36,8 @@ DEFAULT_INGEST_BATCH = 64
 def resolve_ingest_batch(batch_size: Optional[int] = None) -> int:
     """Micro-batch bound: explicit argument > ``REPRO_INGEST_BATCH`` > 64.
 
-    Mirrors :func:`repro.nosqldb.sharding.resolve_shards`; malformed or
-    non-positive values fall back to the default.
+    Malformed values fall back to the default and non-positive ones to
+    1, as for every integer ``REPRO_*`` knob.
     """
     if batch_size is None:
         env = os.environ.get("REPRO_INGEST_BATCH", "").strip()

@@ -26,14 +26,13 @@ from repro.dwarf.node import DwarfNode
 from repro.dwarf.traversal import breadth_first
 from repro.mapping.lookup import LookupTable
 from repro.mapping.schema_mapping import SchemaMapping, Table
-from repro.nosqldb.sharding import resolve_shards
 from repro.query import (
     Aggregate,
     FullScan,
     Plan,
     PushedCondition,
     PushedPredicate,
-    count_partial,
+    count_rows,
     table_guard,
 )
 from repro.telemetry import get_tracer
@@ -336,17 +335,16 @@ class Kernel(NamedTuple):
 def kernel_plan(mapper: "CubeMapper", kernel: Kernel) -> Plan:
     """A direct :mod:`repro.query` plan, memoised in the session's cache.
 
-    Keyed ``(scope, "stored:<label>", shards, cube_epoch)`` next to the
+    Keyed ``(scope, "stored:<label>", cube_epoch)`` next to the
     statement-text entries, so warm stored-query walks register as
     plan-cache hits and DDL on the underlying table invalidates them
-    through the plan's guards like any other cached plan.  The key's
-    tail closes two staleness windows: a changed ``REPRO_SHARDS`` layout
-    (a fanout plan cached under the old shard count must not serve the
-    new one) and an epoch flip of a maintained cube (pre-flip kernels
-    become unreachable and LRU-evict instead of walking superseded rows).
+    through the plan's guards like any other cached plan.  The epoch in
+    the key closes a staleness window: after an epoch flip of a
+    maintained cube, pre-flip kernels become unreachable and LRU-evict
+    instead of walking superseded rows.
     """
     cache = mapper.session.plan_cache
-    key = (mapper.namespace, "stored:" + kernel.label, resolve_shards(), mapper.cube_epoch)
+    key = (mapper.namespace, "stored:" + kernel.label, mapper.cube_epoch)
     plan = cache.get(key)
     if plan is None:
         plan = kernel.build(mapper)
@@ -391,7 +389,7 @@ def build_cube_scan(mapper: "CubeMapper", keyed: bool = False, count: bool = Fal
     root = FullScan(storage, declared.name,
                     pushed=PushedPredicate(conditions) if conditions else None)
     if count:
-        root = Aggregate(root, count_partial(), "count(*)")
+        root = Aggregate(root, count_rows, "count(*)")
     return Plan(root, guards=guards)
 
 

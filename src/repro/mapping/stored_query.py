@@ -50,7 +50,6 @@ from repro.mapping.base import (
 )
 from repro.mapping.incremental import resolve_epoch
 from repro.mapping.schema_mapping import LINK, PARENT, SET, SchemaMapping
-from repro.nosqldb.sharding import resolve_shards
 from repro.query import (
     Filter,
     IndexScan,
@@ -346,7 +345,7 @@ def _log(mapper, what: str, t0: float, rows: int, plans=(), before=()) -> None:
             deltas[name] += now[name] - start[name]
     _QUERY_LOG.record(
         f"stored:{mapper.name}:{what}", "stored", wall_clock() - t0, rows=rows,
-        shards=resolve_shards(), epoch=mapper.cube_epoch, **deltas,
+        epoch=mapper.cube_epoch, **deltas,
     )
 
 
@@ -470,7 +469,7 @@ def stored_cell_count(mapper, schema_id: int) -> int:
 
     Equals ``len(list(stored_select(mapper, schema_id, strategy="scan",
     ...)))`` over every cell rather than a constrained slice — the
-    benchmark-grade aggregate the scatter-gather path accelerates.
+    benchmark-grade aggregate, answered by ``Aggregate(FullScan)``.
     """
     kernel = _select_plans(mapper, "stored_cell_count")["cube_count"]
     t0 = wall_clock() if _QUERY_LOG.enabled else 0.0

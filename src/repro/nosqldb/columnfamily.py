@@ -5,23 +5,12 @@ The write path mirrors Cassandra: commit log append, memtable insert
 memtable flush to a compressed SSTable past a threshold, size-tiered
 compaction.  ``size_bytes`` flushes and reports real encoded bytes —
 this is what the paper's ``size_as_mb`` probe reads (§4).
-
-A column family is divided into **shards** by partition-key hash on a
-consistent-hash ring (:mod:`repro.nosqldb.sharding`), the way Cassandra
-distributes this workload across its token ring.  Each shard owns its
-own memtable, sealed-memtable list, SSTable set and block-cache
-partition, so shard-local reads never contend and scatter-gather
-queries can fan out per shard (docs/parallel_query.md).  The default
-single-shard layout (``REPRO_SHARDS`` unset) is byte-identical to the
-pre-sharding engine: same file names, same flush points, same scan
-order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.workers import map_tasks
 from repro.nosqldb.cache import (
     NEGATIVE,
     BlockCache,
@@ -37,7 +26,6 @@ from repro.nosqldb.columnar import (
 )
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
 from repro.nosqldb.memtable import Memtable
-from repro.nosqldb.sharding import HashRing, resolve_shards
 from repro.nosqldb.sstable import SSTable, compact
 from repro.nosqldb.types import CQLType, SetType
 from repro.query.batch import Batch, FetchedBatch, RowBatch
@@ -60,10 +48,10 @@ _M_COMPACTIONS = _REGISTRY.counter(
     "nosqldb_compactions_total", "size-tiered compactions run"
 )
 
-#: Memtable flush threshold, bytes (per shard).
+#: Memtable flush threshold, bytes.
 FLUSH_THRESHOLD = 8 * 1024 * 1024
 
-#: Number of SSTables (per shard) that triggers a size-tiered compaction.
+#: Number of SSTables that triggers a size-tiered compaction.
 COMPACTION_THRESHOLD = 4
 
 #: Entry cap for the per-table decoded-row memo (cleared wholesale when
@@ -86,7 +74,6 @@ class ColumnFamilyStats(NamedTuple):
     columnar_blocks: int = 0    # columnar blocks across all SSTables
     blocks_skipped: int = 0     # lifetime zone-map block skips
     dict_hit_ratio: float = 0.0  # dictionary-encoded share of column chunks
-    shards: int = 1             # consistent-hash shard count
     fallback_blocks: int = 0    # row-major blocks a columnar table had to write
 
 
@@ -166,39 +153,8 @@ class SecondaryIndex:
         return len(self._tree)
 
 
-class _Shard:
-    """One ring partition's private storage: memtable lineage, SSTables
-    and a block-cache slice.  Only its owner column family touches it;
-    scatter-gather tasks for different shards never share mutable state,
-    which is what makes the fan-out thread-safe."""
-
-    __slots__ = (
-        "shard_id", "memtable", "pending", "sstables", "block_cache",
-        "generation", "n_live",
-    )
-
-    def __init__(self, shard_id: int, block_cache: BlockCache) -> None:
-        self.shard_id = shard_id
-        self.memtable = Memtable()
-        # Memtables handed to the (simulated) background flusher: sealed,
-        # not yet built into SSTables.  Clients don't wait for flushes —
-        # and reads search the sealed memtables directly, so a read never
-        # forces materialisation as a side effect (docs/read_path.md).
-        self.pending: List[Memtable] = []
-        self.sstables: List[SSTable] = []
-        self.block_cache = block_cache
-        self.generation = 0
-        # Live-row count maintained by the write path; None = unknown
-        # (recomputed lazily after crash recovery dropped the memtables).
-        self.n_live: Optional[int] = 0
-
-
 class ColumnFamily:
-    """One table: schema, sharded memtables/SSTables, secondary indexes."""
-
-    #: Kernel duck-typing flag: point and multi-get reads route through
-    #: the consistent-hash ring (EXPLAIN renders per-shard fan-out).
-    scatter_reads = True
+    """One table: schema, memtables/SSTables, secondary indexes."""
 
     def __init__(
         self,
@@ -211,14 +167,11 @@ class ColumnFamily:
         block_cache_bytes: Optional[int] = None,
         row_cache_bytes: Optional[int] = None,
         block_format: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         """``block_cache_bytes`` / ``row_cache_bytes`` override the
         environment-configured cache budgets (0 disables a cache);
         ``block_format`` ("row" | "columnar") overrides the
-        ``REPRO_BLOCK_FORMAT`` default for newly written SSTable blocks;
-        ``shards`` overrides the ``REPRO_SHARDS`` consistent-hash layout
-        (the block-cache budget is split evenly across shards)."""
+        ``REPRO_BLOCK_FORMAT`` default for newly written SSTable blocks."""
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise InvalidRequest(f"duplicate column in {name!r}")
@@ -236,24 +189,26 @@ class ColumnFamily:
         self._codec = ColumnarCodec([(c.name, c.cql_type) for c in columns])
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
         self._pk_index = names.index(primary_key)
-        self.shard_count = resolve_shards(shards)
-        self._ring = HashRing(self.shard_count)
-        block_budget = (
+        self._memtable = Memtable()
+        # Memtables handed to the (simulated) background flusher: sealed,
+        # not yet built into SSTables.  Clients don't wait for flushes —
+        # and reads search the sealed memtables directly, so a read never
+        # forces materialisation as a side effect (docs/read_path.md).
+        self._pending: List[Memtable] = []
+        self._sstables: List[SSTable] = []
+        self._block_cache = BlockCache(
             block_cache_budget() if block_cache_bytes is None else block_cache_bytes
         )
-        per_shard_budget = block_budget // self.shard_count
-        self._shards: Tuple[_Shard, ...] = tuple(
-            _Shard(shard_id, BlockCache(per_shard_budget))
-            for shard_id in range(self.shard_count)
-        )
+        self._generation = 0
+        # Live-row count maintained by the write path; None = unknown
+        # (recomputed lazily after crash recovery dropped the memtables).
+        self._n_live: Optional[int] = 0
         self._indexes: Dict[str, SecondaryIndex] = {}
         self._commit_log = commit_log
         self._data_dir = data_dir
         self._n_writes = 0
         self._m_writes = _M_WRITES.labels(name)
         # Read-path row cache (docs/read_path.md); a zero budget disables.
-        # Family-level, not per shard: it is keyed by primary key and
-        # only the caller thread ever writes it.
         self._row_cache = RowCache(
             row_cache_budget() if row_cache_bytes is None else row_cache_bytes
         )
@@ -263,67 +218,6 @@ class ColumnFamily:
         self._memoize_decodes = self._row_cache.enabled
         # Deterministic write clock standing in for microsecond timestamps.
         self._write_clock = 1_400_000_000_000_000
-
-    # ------------------------------------------------------------------
-    # shard layout
-    # ------------------------------------------------------------------
-    @property
-    def shards(self) -> Tuple[_Shard, ...]:
-        """The shard tuple, in ring order (checkers iterate this)."""
-        return self._shards
-
-    @property
-    def ring(self) -> HashRing:
-        return self._ring
-
-    def shard_for(self, key) -> int:
-        """The shard id owning ``key`` on the ring."""
-        return self._ring.shard_for(key)
-
-    def run_sharded(self, tasks) -> List[object]:
-        """Run shard-local tasks on the ``REPRO_WORKERS`` pool, results
-        in task order.  The query kernel duck-types this hook (it cannot
-        import :mod:`repro.core` itself): each task must only touch one
-        shard's state, which the per-shard scan/count methods guarantee.
-        """
-        return map_tasks(tasks)
-
-    def _shard_of(self, key) -> _Shard:
-        if self.shard_count == 1:
-            return self._shards[0]
-        return self._shards[self._ring.shard_for(key)]
-
-    # -- single-shard compatibility views -------------------------------
-    # The engine grew up single-sharded; tests and checkers reach for
-    # these names.  At one shard they are exactly the old attributes.
-    @property
-    def _memtable(self) -> Memtable:
-        return self._shards[0].memtable
-
-    @property
-    def _pending(self) -> List[Memtable]:
-        if self.shard_count == 1:
-            return self._shards[0].pending
-        return [m for shard in self._shards for m in shard.pending]
-
-    @property
-    def _sstables(self) -> List[SSTable]:
-        if self.shard_count == 1:
-            return self._shards[0].sstables
-        return [s for shard in self._shards for s in shard.sstables]
-
-    @property
-    def _block_cache(self) -> BlockCache:
-        return self._shards[0].block_cache
-
-    @property
-    def _n_live(self) -> Optional[int]:
-        total = 0
-        for shard in self._shards:
-            if shard.n_live is None:
-                return None
-            total += shard.n_live
-        return total
 
     # ------------------------------------------------------------------
     # schema
@@ -377,15 +271,12 @@ class ColumnFamily:
 
     @property
     def block_cache_hits(self) -> int:
-        """Cumulative block-cache hit count across shards (cheap reads).
+        """Cumulative block-cache hit count (cheap reads).
 
         The query kernel probes this around each batched read to
         attribute cache-backed block fetches to the plan's access node.
         """
-        hits = 0
-        for shard in self._shards:
-            hits += shard.block_cache.hits
-        return hits
+        return self._block_cache.hits
 
     # ------------------------------------------------------------------
     # row codec (Cassandra 2.x storage format)
@@ -477,7 +368,6 @@ class ColumnFamily:
         commit_log = self._commit_log
         indexes = self._indexes
         row_cache = self._row_cache
-        shard_of = self._shard_of
         count = 0
         for key, bound in items:
             self._write_clock += 1
@@ -490,7 +380,6 @@ class ColumnFamily:
             encoded = b"".join(parts)
             if commit_log is not None:
                 commit_log.append(self.name, key, encoded)
-            shard = shard_of(key)
             if indexes:
                 previous = self._read_encoded(key)
                 if previous is not None:
@@ -501,17 +390,18 @@ class ColumnFamily:
                 for column_name, index in indexes.items():
                     index.add(new_values.get(column_name), key)
                 was_live = previous is not None
-            elif shard.n_live is not None:
-                was_live = self._is_live_in(shard, key)
+            elif self._n_live is not None:
+                was_live = self._is_live(key)
             else:
                 was_live = True  # counter dirty; the value is unused
-            shard.memtable.put(key, encoded)
+            memtable = self._memtable
+            memtable.put(key, encoded)
             row_cache.invalidate(key)
-            if shard.n_live is not None and not was_live:
-                shard.n_live += 1
+            if self._n_live is not None and not was_live:
+                self._n_live += 1
             self._n_writes += 1
-            if shard.memtable.approximate_bytes >= FLUSH_THRESHOLD:
-                self._seal_shard(shard)
+            if memtable.approximate_bytes >= FLUSH_THRESHOLD:
+                self.seal_memtable()
             count += 1
         if count:
             # One batched increment keeps the loop free of per-row
@@ -534,7 +424,6 @@ class ColumnFamily:
         self.insert({k: v for k, v in current.items() if v is not None})
 
     def delete(self, key) -> None:
-        shard = self._shard_of(key)
         if self._indexes:
             previous = self._read_encoded(key)
             if previous is not None:
@@ -542,124 +431,110 @@ class ColumnFamily:
                 for column_name, index in self._indexes.items():
                     index.remove(old_row.get(column_name), key)
             was_live = previous is not None
-        elif shard.n_live is not None:
-            was_live = self._is_live_in(shard, key)
+        elif self._n_live is not None:
+            was_live = self._is_live(key)
         else:
             was_live = False
         if self._commit_log is not None:
             # tombstones are logged as empty row payloads
             self._commit_log.append(self.name, key, b"")
-        shard.memtable.delete(key)
+        self._memtable.delete(key)
         self._row_cache.invalidate(key)
-        if shard.n_live is not None and was_live:
-            shard.n_live -= 1
-
-    def _seal_shard(self, shard: _Shard) -> None:
-        if len(shard.memtable) == 0 and not shard.memtable.tombstones:
-            return
-        shard.pending.append(shard.memtable)
-        shard.memtable = Memtable()
+        if self._n_live is not None and was_live:
+            self._n_live -= 1
 
     def seal_memtable(self) -> None:
-        """Hand every shard's active memtable to the background flusher."""
-        for shard in self._shards:
-            self._seal_shard(shard)
+        """Hand the active memtable to the background flusher."""
+        if len(self._memtable) == 0 and not self._memtable.tombstones:
+            return
+        self._pending.append(self._memtable)
+        self._memtable = Memtable()
 
     def flush(self) -> None:
-        """Seal the memtables and materialise all pending SSTables."""
+        """Seal the memtable and materialise all pending SSTables."""
         self.seal_memtable()
-        for shard in self._shards:
-            self._materialize_shard(shard)
+        self._materialize()
 
-    def _next_data_path(self, shard: _Shard):
-        """File path for the shard's next SSTable generation (None =
-        in-memory).  The single-shard layout keeps the historical
-        ``{table}-{generation}-Data.db`` names byte-for-byte."""
+    def _next_data_path(self):
+        """File path for the next SSTable generation,
+        ``{table}-{generation}-Data.db`` (None = in-memory)."""
         if self._data_dir is None:
             return None
-        shard.generation += 1
-        if self.shard_count == 1:
-            return self._data_dir / f"{self.name.lower()}-{shard.generation}-Data.db"
-        return self._data_dir / (
-            f"{self.name.lower()}-s{shard.shard_id}-{shard.generation}-Data.db"
-        )
+        self._generation += 1
+        return self._data_dir / f"{self.name.lower()}-{self._generation}-Data.db"
 
-    def _materialize_shard(self, shard: _Shard) -> None:
-        """Build SSTables for the shard's sealed memtables (the
-        flusher's work).
+    def _materialize(self) -> None:
+        """Build SSTables for the sealed memtables (the flusher's work).
 
         The live key→row mapping is unchanged, so neither cache needs
         invalidating; the superseded tables of a compaction release their
         cached blocks via ``delete_file``.
         """
-        if shard.pending:
+        pending = self._pending
+        if pending:
             with get_tracer().span(
-                "nosqldb.flush", table=self.name, memtables=len(shard.pending)
+                "nosqldb.flush", table=self.name, memtables=len(pending)
             ) as span:
                 flushed_rows = 0
                 built = []
-                for memtable in shard.pending:
+                for memtable in pending:
                     flushed_rows += len(memtable)
                     built.append(
                         SSTable(
                             memtable.sorted_items(),
                             compressed=self.compression,
                             tombstones=memtable.tombstones,
-                            path=self._next_data_path(shard),
-                            block_cache=shard.block_cache,
+                            path=self._next_data_path(),
+                            block_cache=self._block_cache,
                             block_format=self.block_format,
                             codec=self._codec,
                         )
                     )
-                shard.sstables.extend(built)
-                _M_FLUSHES.inc(len(shard.pending))
+                self._sstables.extend(built)
+                _M_FLUSHES.inc(len(pending))
                 _M_FLUSHED_ROWS.inc(flushed_rows)
                 span.set("rows", flushed_rows)
                 _set_block_counts(span, built)
-                if self.shard_count > 1:
-                    span.set("shard", shard.shard_id)
-                shard.pending.clear()
-        if len(shard.sstables) >= COMPACTION_THRESHOLD:
-            self._compact_shard(shard)
+                pending.clear()
+        if len(self._sstables) >= COMPACTION_THRESHOLD:
+            self._compact_sstables()
 
-    def _compact_shard(self, shard: _Shard) -> None:
-        if len(shard.sstables) <= 1:
+    def _compact_sstables(self) -> None:
+        if len(self._sstables) <= 1:
             return
         with get_tracer().span(
-            "nosqldb.compaction", table=self.name, inputs=len(shard.sstables)
+            "nosqldb.compaction", table=self.name, inputs=len(self._sstables)
         ) as span:
-            shard.sstables = [
+            self._sstables = [
                 compact(
-                    shard.sstables,
+                    self._sstables,
                     compressed=self.compression,
-                    path=self._next_data_path(shard),
-                    block_cache=shard.block_cache,
+                    path=self._next_data_path(),
+                    block_cache=self._block_cache,
                     block_format=self.block_format,
                     codec=self._codec,
                 )
             ]
             _M_COMPACTIONS.inc()
-            _set_block_counts(span, shard.sstables)
+            _set_block_counts(span, self._sstables)
 
     def compact(self) -> None:
-        """Flush, then major-compact every shard down to one SSTable.
+        """Flush, then major-compact down to one SSTable.
 
         Size-tiered compaction normally waits for ``COMPACTION_THRESHOLD``
         tables; this forces the steady state a long-lived stored cube
-        reaches anyway — one compacted table per shard.
+        reaches anyway — one compacted table.
         """
         self.flush()
-        for shard in self._shards:
-            self._compact_shard(shard)
+        self._compact_sstables()
 
     def truncate(self) -> None:
-        for shard in self._shards:
-            shard.memtable = Memtable()
-            shard.pending = []
-            for sstable in shard.sstables:
-                sstable.delete_file()
-            shard.sstables = []
-            shard.n_live = 0
+        self._memtable = Memtable()
+        self._pending = []
+        for sstable in self._sstables:
+            sstable.delete_file()
+        self._sstables = []
+        self._n_live = 0
         self._row_cache.clear()
         self._decode_memo.clear()
         for column_name in list(self._indexes):
@@ -675,27 +550,23 @@ class ColumnFamily:
         The row cache dies with the process, and the live-row counters
         are marked unknown — ``__len__`` recounts lazily after replay.
         """
-        for shard in self._shards:
-            shard.memtable = Memtable()
-            shard.pending = []
-            shard.n_live = None
+        self._memtable = Memtable()
+        self._pending = []
+        self._n_live = None
         self._row_cache.clear()
         self._decode_memo.clear()
 
     def apply_replayed(self, key, encoded_row: bytes) -> None:
         """Re-apply one commit-log mutation (empty payload = tombstone)."""
-        shard = self._shard_of(key)
-        was_live = (
-            self._is_live_in(shard, key) if shard.n_live is not None else False
-        )
+        was_live = self._is_live(key) if self._n_live is not None else False
         if encoded_row:
-            shard.memtable.put(key, encoded_row)
-            if shard.n_live is not None and not was_live:
-                shard.n_live += 1
+            self._memtable.put(key, encoded_row)
+            if self._n_live is not None and not was_live:
+                self._n_live += 1
         else:
-            shard.memtable.delete(key)
-            if shard.n_live is not None and was_live:
-                shard.n_live -= 1
+            self._memtable.delete(key)
+            if self._n_live is not None and was_live:
+                self._n_live -= 1
         self._row_cache.invalidate(key)
 
     def rebuild_indexes(self) -> None:
@@ -730,47 +601,43 @@ class ColumnFamily:
     def _read_encoded_uncached(self, key) -> Optional[bytes]:
         """The stored row bytes of ``key`` straight from the layers (a
         row found in a columnar block is rematerialized)."""
-        hit = self._locate_in(self._shard_of(key), (key,))[key]
+        hit = self._locate((key,))[key]
         return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
 
-    def _is_live_in(self, shard: _Shard, key) -> bool:
-        """Whether ``key`` currently has a live row in its owning shard —
-        the write path's cheap probe for maintaining the live-row
+    def _is_live(self, key) -> bool:
+        """Whether ``key`` currently has a live row — the write path's cheap probe for maintaining the live-row
         counter.  Uses ``RowCache.peek`` so these internal probes leave
         the hit/miss statistics to real read traffic."""
         cached = self._row_cache.peek(key)
         if cached is not None:
             return cached is not NEGATIVE
-        if key in shard.memtable:
+        if key in self._memtable:
             return True
-        if shard.memtable.is_deleted(key):
+        if self._memtable.is_deleted(key):
             return False
-        for memtable in reversed(shard.pending):
+        for memtable in reversed(self._pending):
             if key in memtable:
                 return True
             if memtable.is_deleted(key):
                 return False
-        for sstable in reversed(shard.sstables):
+        for sstable in reversed(self._sstables):
             if sstable.is_deleted(key):
                 return False
             if key in sstable:
                 return True
         return False
 
-    def _is_live(self, key) -> bool:
-        return self._is_live_in(self._shard_of(key), key)
-
-    def _locate_in(self, shard: _Shard, keys) -> Dict[object, object]:
-        """Layered walk of one shard for ``keys`` — active memtable →
+    def _locate(self, keys) -> Dict[object, object]:
+        """Layered walk for ``keys`` — active memtable →
         sealed memtables (searched in place: a read never forces the
         flusher's work) → SSTables, newest first, each SSTable decoding
         a touched block once (:meth:`SSTable.locate`).  Every key maps
         to its encoded row (memtables, row-format blocks), to
         ``(ColumnVectors, position)`` (columnar blocks) or to None
-        (deleted or absent).  Shard-local: safe as a scatter task."""
+        (deleted or absent)."""
         resolved: Dict[object, object] = {}
         unresolved = list(keys)
-        for memtable in (shard.memtable, *reversed(shard.pending)):
+        for memtable in (self._memtable, *reversed(self._pending)):
             if not unresolved:
                 return resolved
             remaining = []
@@ -784,7 +651,7 @@ class ColumnFamily:
                     remaining.append(key)
             unresolved = remaining
         unresolved = set(unresolved)
-        for sstable in reversed(shard.sstables):
+        for sstable in reversed(self._sstables):
             if not unresolved:
                 break
             for key in [k for k in unresolved if sstable.is_deleted(k)]:
@@ -805,12 +672,10 @@ class ColumnFamily:
         indexed column and every row holding one of them is fetched.
 
         Keys are answered from the row cache where it has them; the
-        rest resolve in one batched walk per shard
-        (:meth:`_locate_in`).  With several shards involved the walks
-        scatter onto the ``REPRO_WORKERS`` pool, and the row cache is
-        written only after the gather, on the calling thread: the
-        encoded bytes of the fetched rows (rematerialized for those
-        found in columnar blocks) and negative entries for absent keys.
+        rest resolve in one batched walk (:meth:`_locate`), and the row
+        cache is then written with the encoded bytes of the fetched rows
+        (rematerialized for those found in columnar blocks) and negative
+        entries for absent keys.
 
         A key found in a columnar block leaves as a position in a
         :class:`~repro.query.batch.FetchedBatch` over the cached
@@ -848,35 +713,19 @@ class ColumnFamily:
         for position, hit in enumerate(hits):
             if hit is None:
                 missed.setdefault(keys[position], []).append(position)
-        shards = self._shards
-        if self.shard_count == 1:
-            gathered = [self._locate_in(shards[0], missed)]
-        else:
-            by_shard: Dict[int, List[object]] = {}
-            for key in missed:
-                by_shard.setdefault(self._ring.shard_for(key), []).append(key)
-            if len(by_shard) == 1:
-                (shard_id, wanted), = by_shard.items()
-                gathered = [self._locate_in(shards[shard_id], wanted)]
-            else:
-                gathered = self.run_sharded([
-                    (lambda sid=shard_id: self._locate_in(shards[sid], by_shard[sid]))
-                    for shard_id in sorted(by_shard)
-                ])
         row_cache = self._row_cache
         cache_rows = row_cache.enabled
         columnar = False
-        for resolved in gathered:
-            for key, hit in resolved.items():
-                if type(hit) is tuple:
-                    columnar = True
-                    if cache_rows:
-                        row_cache.put(key, hit[0].materialize(hit[1]))
-                elif cache_rows:
-                    row_cache.put(key, hit)
-                if hit is not None:
-                    for position in missed[key]:
-                        hits[position] = hit
+        for key, hit in self._locate(missed).items():
+            if type(hit) is tuple:
+                columnar = True
+                if cache_rows:
+                    row_cache.put(key, hit[0].materialize(hit[1]))
+            elif cache_rows:
+                row_cache.put(key, hit)
+            if hit is not None:
+                for position in missed[key]:
+                    hits[position] = hit
         return columnar
 
     def _fetched_batches(self, hits: List) -> List[Batch]:
@@ -928,8 +777,8 @@ class ColumnFamily:
                 rows.append(None)
         return rows
 
-    def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
-        """Every live row of one shard as column batches; with ``pushed``
+    def scan_batches(self, pushed=None) -> Iterator[Batch]:
+        """Every live row as column batches; with ``pushed``
         (a bound predicate from :mod:`repro.query.pushdown`) each batch's
         selection is already narrowed to the rows satisfying it.
 
@@ -939,9 +788,8 @@ class ColumnFamily:
         leave as one lazily decoded batch per memtable, SSTables as one
         batch per block (:meth:`SSTable.scan_batches`).
 
-        The ring assigns each key to exactly one shard, so LSM shadowing
-        is a per-shard matter.  It narrows a batch's selection by key
-        and is only tracked where it can happen: a layer checks the
+        LSM shadowing narrows a batch's selection by key and is only
+        tracked where it can happen: a layer checks the
         ``seen`` keys when a *newer* layer's key range overlaps its own,
         and records its keys (predicate-failing ones and tombstones
         included — a newer failing version hides the older passing one)
@@ -949,12 +797,8 @@ class ColumnFamily:
         id ranges two stored cubes occupy, keep no ``seen`` set at all,
         and only a layer that records nothing may skip its zone-refuted
         blocks unread.
-
-        Shard-local by construction: the kernel fans these out as
-        scatter tasks, one per shard.
         """
-        shard = self._shards[shard_id]
-        layers = [shard.memtable, *reversed(shard.pending), *reversed(shard.sstables)]
+        layers = [self._memtable, *reversed(self._pending), *reversed(self._sstables)]
         ranges = [layer.key_range() for layer in layers]
         seen: set = set()
         for position, (layer, span) in enumerate(zip(layers, ranges)):
@@ -979,21 +823,11 @@ class ColumnFamily:
             if record is not None:
                 record.update(layer.tombstones)
 
-    def scan_shard(self, shard_id: int, pushed=None) -> Iterator[Dict[str, object]]:
+    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
         """:meth:`scan_batches` as rows — a view for index rebuilds,
         checkers and tests; queries consume the batches."""
-        for batch in self.scan_batches(shard_id, pushed):
+        for batch in self.scan_batches(pushed):
             yield from batch.rows()
-
-    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
-        """Every live row; with ``pushed`` only the rows satisfying it.
-
-        Shards are visited in ring order, each with the full layered
-        walk of :meth:`scan_batches` — at one shard this is exactly the
-        historical scan, order included.
-        """
-        for shard in self._shards:
-            yield from self.scan_shard(shard.shard_id, pushed)
 
     def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
         """The rows whose indexed ``column`` equals ``value`` — a row
@@ -1012,14 +846,9 @@ class ColumnFamily:
     # accounting
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        total = 0
-        for shard in self._shards:
-            if shard.n_live is None:
-                shard.n_live = sum(
-                    batch.count() for batch in self.scan_batches(shard.shard_id)
-                )
-            total += shard.n_live
-        return total
+        if self._n_live is None:
+            self._n_live = sum(batch.count() for batch in self.scan_batches())
+        return self._n_live
 
     @property
     def n_writes(self) -> int:
@@ -1032,14 +861,6 @@ class ColumnFamily:
         total = sum(s.size_bytes for s in self._sstables)
         total += sum(ix.size_bytes for ix in self._indexes.values())
         return total
-
-    def _merged_block_cache_stats(self) -> CacheStats:
-        merged = [0] * 7
-        for shard in self._shards:
-            stats = shard.block_cache.stats()
-            for index, value in enumerate(stats):
-                merged[index] += value
-        return CacheStats(*merged)
 
     def stats(self) -> ColumnFamilyStats:
         """A read-only structural + cache snapshot (no block reads)."""
@@ -1058,18 +879,17 @@ class ColumnFamily:
         chunks = dict_chunks + plain_chunks
         return ColumnFamilyStats(
             rows=len(self),
-            memtable_rows=sum(len(shard.memtable) for shard in self._shards),
-            pending_memtables=sum(len(shard.pending) for shard in self._shards),
-            sstables=sum(len(shard.sstables) for shard in self._shards),
+            memtable_rows=len(self._memtable),
+            pending_memtables=len(self._pending),
+            sstables=len(self._sstables),
             indexes=len(self._indexes),
             n_writes=self._n_writes,
             row_cache=self._row_cache.stats(),
-            block_cache=self._merged_block_cache_stats(),
+            block_cache=self._block_cache.stats(),
             block_format=self.block_format,
             columnar_blocks=columnar_blocks,
             blocks_skipped=blocks_skipped,
             dict_hit_ratio=dict_chunks / chunks if chunks else 0.0,
-            shards=self.shard_count,
             fallback_blocks=fallback_blocks,
         )
 

@@ -43,7 +43,7 @@ from repro.query import (
     compile_value,
     compile_value_list,
     condition_desc,
-    count_partial,
+    count_rows,
     null_safe_key,
     reject_repeated_columns,
     table_guard,
@@ -222,7 +222,7 @@ def build_select_plan(
         # CQL counts what the statement returns, so LIMIT applies first
         # (unlike SQL, where COUNT ignores it) — the Aggregate sits
         # above the Limit node and sums the selections it let through.
-        node = Aggregate(node, count_partial(), "count(*)")
+        node = Aggregate(node, count_rows, "count(*)")
     elif stmt.columns:
         names = tuple(stmt.columns)
         for name in names:

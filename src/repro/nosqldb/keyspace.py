@@ -38,14 +38,12 @@ class Keyspace:
         compression: bool = True,
         if_not_exists: bool = False,
         block_format: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> ColumnFamily:
         """Create a column family.
 
         Raises AlreadyExists for duplicate names unless ``if_not_exists``.
         ``block_format`` ("row" | "columnar") overrides the
-        ``REPRO_BLOCK_FORMAT`` default for the new table's SSTables;
-        ``shards`` overrides the ``REPRO_SHARDS`` consistent-hash layout.
+        ``REPRO_BLOCK_FORMAT`` default for the new table's SSTables.
         """
         lowered = name.lower()
         if lowered in self._tables:
@@ -64,7 +62,6 @@ class Keyspace:
             commit_log=self._commit_log,
             data_dir=table_dir,
             block_format=block_format,
-            shards=shards,
         )
         self._tables[lowered] = table
         return table

@@ -17,7 +17,6 @@ from repro.query.analyze import (
     annotate_explain,
     counter_totals,
     record_query,
-    shard_fanout,
     snapshot_counters,
 )
 from repro.query.batch import Batch, RowBatch, VectorBatch
@@ -42,13 +41,12 @@ from repro.query.plan import (
     Limit,
     MultiGet,
     OperatorStats,
-    PartialAggregate,
     Plan,
     PlanNode,
     PointLookup,
     Project,
     Sort,
-    count_partial,
+    count_rows,
 )
 from repro.query.planner import (
     ACCESS_INDEX,
@@ -93,7 +91,6 @@ __all__ = [
     "annotate_explain",
     "counter_totals",
     "record_query",
-    "shard_fanout",
     "snapshot_counters",
     "BoundPredicate",
     "COMPARISON_OPS",
@@ -107,7 +104,6 @@ __all__ = [
     "MultiGet",
     "OperatorStats",
     "PUSHABLE_OPS",
-    "PartialAggregate",
     "Placeholder",
     "Plan",
     "PlanCache",
@@ -131,7 +127,7 @@ __all__ = [
     "compile_value",
     "compile_value_list",
     "condition_desc",
-    "count_partial",
+    "count_rows",
     "describe_position",
     "evaluate_aggregate",
     "line_and_column",

@@ -8,19 +8,15 @@ seconds accrue per operator even when ``REPRO_TRACE`` is off — and the
 result rows are exactly what a plain execution would have produced.
 
 The report reuses the EXPLAIN vocabulary verbatim — same nodes, same
-ordering, same ``fanout shard=<i>`` rows — and appends the actual
-columns :data:`ACTUAL_COLUMNS` to every row.  Fanout rows carry the
-shard's gathered row count where the operator tracks it (sharded scans,
-hash builds, scatter aggregates); batched-read fanout is a worst-case
-rendering with no per-shard accounting, so those actuals stay blank
-rather than guessed.
+ordering — and appends the actual columns :data:`ACTUAL_COLUMNS` to
+every row.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.query.plan import Plan, _shard_count
+from repro.query.plan import Plan
 
 #: Actual-value columns appended to every EXPLAIN row, in render order.
 ACTUAL_COLUMNS = (
@@ -34,7 +30,6 @@ ACTUAL_COLUMNS = (
 
 
 def _snapshot_node(node) -> Dict[str, object]:
-    shard_rows = getattr(node, "shard_rows", None)
     return {
         "rows_out": node.rows_out,
         "seconds": node.seconds,
@@ -42,50 +37,29 @@ def _snapshot_node(node) -> Dict[str, object]:
         "blocks_cached": getattr(node, "blocks_cached", 0),
         "blocks_skipped": getattr(node, "blocks_skipped", 0),
         "rows_pruned": getattr(node, "rows_pruned", 0),
-        "shard_rows": dict(shard_rows) if shard_rows is not None else None,
     }
 
 
 def _annotate(plan: Plan, before: List[Dict], after: List[Dict]) -> List[Dict[str, object]]:
     """The EXPLAIN walk of :meth:`Plan.explain`, with actuals appended."""
-    report: List[Dict[str, object]] = []
-    step = 0
-    for node, b, a in zip(plan.root._postorder(), before, after):
-        fanout = node._explain_fanout()
-        for shard_id, fan_detail in enumerate(fanout):
-            step += 1
-            row: Dict[str, object] = {
-                "step": step,
-                "node": node.kind,
-                "table": node.table_name,
-                "key": node.key_desc,
-                "detail": fan_detail,
-            }
-            for column in ACTUAL_COLUMNS:
-                row[column] = None
-            if a["shard_rows"] is not None:
-                row["rows"] = (
-                    a["shard_rows"].get(shard_id, 0)
-                    - (b["shard_rows"] or {}).get(shard_id, 0)
-                )
-            report.append(row)
-        step += 1
-        report.append(
-            {
-                "step": step,
-                "node": node.kind,
-                "table": node.table_name,
-                "key": node.key_desc,
-                "detail": node.detail(),
-                "rows": a["rows_out"] - b["rows_out"],
-                "wall_ms": (a["seconds"] - b["seconds"]) * 1000.0,
-                "cpu_ms": (a["cpu_seconds"] - b["cpu_seconds"]) * 1000.0,
-                "cache_hits": a["blocks_cached"] - b["blocks_cached"],
-                "blocks_skipped": a["blocks_skipped"] - b["blocks_skipped"],
-                "rows_pruned": a["rows_pruned"] - b["rows_pruned"],
-            }
+    return [
+        {
+            "step": step,
+            "node": node.kind,
+            "table": node.table_name,
+            "key": node.key_desc,
+            "detail": node.detail(),
+            "rows": a["rows_out"] - b["rows_out"],
+            "wall_ms": (a["seconds"] - b["seconds"]) * 1000.0,
+            "cpu_ms": (a["cpu_seconds"] - b["cpu_seconds"]) * 1000.0,
+            "cache_hits": a["blocks_cached"] - b["blocks_cached"],
+            "blocks_skipped": a["blocks_skipped"] - b["blocks_skipped"],
+            "rows_pruned": a["rows_pruned"] - b["rows_pruned"],
+        }
+        for step, (node, b, a) in enumerate(
+            zip(plan.root._postorder(), before, after), 1
         )
-    return report
+    ]
 
 
 def snapshot_counters(plan: Plan) -> List[Dict[str, object]]:
@@ -94,16 +68,14 @@ def snapshot_counters(plan: Plan) -> List[Dict[str, object]]:
     return [_snapshot_node(node) for node in plan.root._postorder()]
 
 
-def _zero_like(snap: Dict[str, object]) -> Dict[str, object]:
-    return {
-        "rows_out": 0,
-        "seconds": 0.0,
-        "cpu_seconds": 0.0,
-        "blocks_cached": 0,
-        "blocks_skipped": 0,
-        "rows_pruned": 0,
-        "shard_rows": {} if snap["shard_rows"] is not None else None,
-    }
+_ZERO = {
+    "rows_out": 0,
+    "seconds": 0.0,
+    "cpu_seconds": 0.0,
+    "blocks_cached": 0,
+    "blocks_skipped": 0,
+    "rows_pruned": 0,
+}
 
 
 def annotate_explain(
@@ -114,7 +86,7 @@ def annotate_explain(
     freshly-built plan's cumulative counters) to the counters now."""
     after = snapshot_counters(plan)
     if before is None:
-        before = [_zero_like(snap) for snap in after]
+        before = [_ZERO] * len(after)
     return _annotate(plan, before, after)
 
 
@@ -159,7 +131,6 @@ def analyze_plan(
                               for b, a in zip(before, after)),
         "rows_pruned": sum(a["rows_pruned"] - b["rows_pruned"]
                            for b, a in zip(before, after)),
-        "shards": shard_fanout(plan),
     }
     return AnalyzedRun(report=report, result_rows=result_rows, totals=totals)
 
@@ -203,16 +174,6 @@ def counter_totals(plan: Plan) -> Dict[str, int]:
     }
 
 
-def shard_fanout(plan: Plan) -> int:
-    """Widest shard layout any operator in the plan touches (>= 1)."""
-    widest = 1
-    for node in plan.root._postorder():
-        for table in (getattr(node, "table", None), getattr(node, "build_table", None)):
-            if table is not None:
-                widest = max(widest, _shard_count(table))
-    return widest
-
-
 def record_query(
     log,
     text: str,
@@ -239,8 +200,7 @@ def record_query(
             text, dialect, seconds, rows=rows,
             cache_hits=totals["cache_hits"],
             blocks_skipped=totals["blocks_skipped"],
-            rows_pruned=totals["rows_pruned"],
-            shards=totals["shards"], epoch=epoch,
+            rows_pruned=totals["rows_pruned"], epoch=epoch,
         )
         return
     if isinstance(plan, AnalyzedStatement):
@@ -254,7 +214,7 @@ def record_query(
             cache_hits=totals["cache_hits"] - before["cache_hits"],
             blocks_skipped=totals["blocks_skipped"] - before["blocks_skipped"],
             rows_pruned=totals["rows_pruned"] - before["rows_pruned"],
-            shards=shard_fanout(plan), epoch=epoch,
+            epoch=epoch,
         )
         return
     log.record(text, dialect, seconds, rows=rows, epoch=epoch)

@@ -46,7 +46,7 @@ def gather(vector: Sequence, sel: Optional[List[int]]) -> Sequence:
 class Batch:
     """The shared half of both backings: selection, projection, exits."""
 
-    __slots__ = ("n", "sel", "names", "labels", "part")
+    __slots__ = ("n", "sel", "names", "labels")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -55,9 +55,6 @@ class Batch:
         # the keys they get (None = every column under its own name).
         self.names: Optional[Sequence[str]] = None
         self.labels: Optional[Sequence[str]] = None
-        # Which independent partition of a scan (its shard) the batch
-        # came from; an Aggregate folds each partition to its own state.
-        self.part: Optional[int] = None
 
     def count(self) -> int:
         """How many rows are still selected."""
@@ -98,7 +95,7 @@ class VectorBatch(Batch):
         # Spelled out, not super().__init__: one of these is built per
         # B-tree leaf page a scan visits.
         self.n = n
-        self.sel = self.names = self.labels = self.part = None
+        self.sel = self.names = self.labels = None
         self._column_of = column_of
         self._all_names = all_names
 
@@ -156,7 +153,7 @@ class RowBatch(Batch):
         # Spelled out, not super().__init__: one of these is built per
         # point read.
         self.n = len(rows)
-        self.sel = self.names = self.labels = self.part = None
+        self.sel = self.names = self.labels = None
         self._rows = rows
         self._decode = decode
 

@@ -5,7 +5,7 @@ storage object (a relational :class:`~repro.sqldb.table.Table` or a
 :class:`~repro.nosqldb.columnfamily.ColumnFamily` — the kernel only
 relies on the common duck type of two entry points:
 ``get_batches(keys, index=None)`` to fetch and
-``scan_batches(shard_id, pushed)`` to scan); inner nodes transform the
+``scan_batches(pushed)`` to scan); inner nodes transform the
 stream.  What flows between operators is the column
 :class:`~repro.query.batch.Batch`: every node implements
 ``batches(ctx)``, pulls its child's batches and
@@ -31,9 +31,6 @@ same vocabulary everywhere.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import groupby
-from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.query.batch import Batch, RowBatch
@@ -43,72 +40,10 @@ from repro.telemetry import cpu_clock, get_tracer, wall_clock
 _TRACER = get_tracer()
 
 
-def _shard_count(table) -> int:
-    """How many consistent-hash shards the storage object exposes."""
-    return getattr(table, "shard_count", 1)
-
-
-def _scatter(table, table_name: str, open_shard: Callable) -> List[Tuple]:
-    """``open_shard(shard_id) -> (bound, batches)`` for every shard of
-    ``table``, in ring order.
-
-    A lone shard is opened inline and its batch stream stays lazy, so a
-    ``Limit`` above the scan stops it early.  Several shards are each
-    drained on the table's scatter hook first — sharded storage objects
-    expose ``run_sharded(tasks)`` (backed by the ``REPRO_WORKERS`` pool;
-    the kernel duck-types it, the engines sit above it) — one
-    ``query.shard_scan`` span apiece, which ``Tracer.merged()`` folds
-    across worker roots.  A shard's task only walks its own block lists
-    and binds its own predicate (the pruning counters on a
-    :class:`~repro.query.pushdown.BoundPredicate` are mutable), so the
-    caller folds counters at the gather, never a worker.
-    """
-    shards = _shard_count(table)
-    if shards == 1:
-        return [open_shard(0)]
-
-    def drain(shard_id: int):
-        with _TRACER.span("query.shard_scan", table=table_name, shard=shard_id):
-            bound, stream = open_shard(shard_id)
-            return bound, list(stream)
-
-    tasks = [partial(drain, shard_id) for shard_id in range(shards)]
-    runner = getattr(table, "run_sharded", None)
-    if runner is None:
-        return [task() for task in tasks]
-    return runner(tasks)
-
-
-def _fanout(table) -> Tuple[str, ...]:
-    """EXPLAIN's per-shard rows for an operator scattering over ``table``
-    (none for a single shard, so unsharded EXPLAIN output is unchanged)."""
-    shards = _shard_count(table)
-    if shards <= 1:
-        return ()
-    return tuple(f"fanout shard={i}" for i in range(shards))
-
-
-class PartialAggregate(NamedTuple):
-    """A distributive aggregate as fold-to-state + merge-states.
-
-    ``fold(batches, params)`` reduces one partition of the input — a
-    shard's batches, or the whole stream when it is not partitioned — to
-    a small state object, reading column vectors; ``merge(states,
-    params)`` combines the states, in partition order, into the
-    aggregate's output rows.
-    """
-
-    fold: Callable
-    merge: Callable
-
-
-def count_partial() -> PartialAggregate:
-    """The COUNT(*) decomposition both dialects share: selected-row
-    counts per partition, summed at the gather — no column is read."""
-    return PartialAggregate(
-        fold=lambda batches, params: sum(batch.count() for batch in batches),
-        merge=lambda states, params: [{"count": sum(states)}],
-    )
+def count_rows(batches: Iterable[Batch], params: Sequence) -> List[Dict[str, object]]:
+    """The COUNT(*) aggregate both dialects share: the selected rows of
+    every batch, summed — no column is read."""
+    return [{"count": sum(batch.count() for batch in batches)}]
 
 
 class OperatorStats(NamedTuple):
@@ -219,42 +154,18 @@ class PlanNode:
         return ""
 
     def explain(self) -> List[Dict[str, object]]:
-        """One row per operator, numbered in execution (leaf-first) order.
-
-        Operators that scatter across shards additionally render one
-        ``fanout shard=<i>`` row per shard *before* their own row — the
-        same vocabulary in both dialects.  Single-shard layouts render
-        no fanout rows, so the historical EXPLAIN output is unchanged.
-        """
-        rows: List[Dict[str, object]] = []
-        step = 0
-        for node in self._postorder():
-            for fan_detail in node._explain_fanout():
-                step += 1
-                rows.append(
-                    {
-                        "step": step,
-                        "node": node.kind,
-                        "table": node.table_name,
-                        "key": node.key_desc,
-                        "detail": fan_detail,
-                    }
-                )
-            step += 1
-            rows.append(
-                {
-                    "step": step,
-                    "node": node.kind,
-                    "table": node.table_name,
-                    "key": node.key_desc,
-                    "detail": node.detail(),
-                }
-            )
-        return rows
-
-    def _explain_fanout(self) -> Tuple[str, ...]:
-        """Per-shard EXPLAIN rows this operator scatters into (default none)."""
-        return ()
+        """One row per operator, numbered in execution (leaf-first)
+        order — the same vocabulary in both dialects."""
+        return [
+            {
+                "step": step,
+                "node": node.kind,
+                "table": node.table_name,
+                "key": node.key_desc,
+                "detail": node.detail(),
+            }
+            for step, node in enumerate(self._postorder(), 1)
+        ]
 
     def operator_stats(self) -> List[OperatorStats]:
         return [
@@ -288,8 +199,6 @@ class PlanNode:
             if hasattr(node, "rows_pruned"):
                 node.rows_pruned = 0
                 node.blocks_skipped = 0
-            if hasattr(node, "shard_rows"):
-                node.shard_rows.clear()
 
     def _postorder(self) -> List["PlanNode"]:
         out: List[PlanNode] = []
@@ -396,15 +305,6 @@ class MultiGet(_KeyFetch):
             self.rows_out += batch.count()
         return fetched
 
-    def _explain_fanout(self) -> Tuple[str, ...]:
-        # Batched reads scatter-gather inside storage objects that route
-        # point reads through the ring (``scatter_reads``); the fanout
-        # rows surface that worst case — at runtime only the shards the
-        # key list actually hits are walked.
-        if not getattr(self.table, "scatter_reads", False):
-            return ()
-        return _fanout(self.table)
-
     def detail(self) -> str:
         return "primary key, batched"
 
@@ -456,8 +356,7 @@ class IndexScan(_Access):
 class FullScan(_Access):
     """Read every live row — the path of last resort.
 
-    The scan always iterates the table's shards through
-    ``scan_batches(shard_id, pushed)`` (see :func:`_scatter`).  With a
+    The scan iterates the table's ``scan_batches(pushed)``.  With a
     ``pushed`` predicate the storage layer filters during the scan:
     zone-mapped columnar blocks may be skipped unread, and the predicate
     narrows each batch's selection on column vectors (see
@@ -465,45 +364,29 @@ class FullScan(_Access):
     """
 
     kind = "FullScan"
-    __slots__ = ("pushed", "blocks_skipped", "rows_pruned", "shard_rows")
+    __slots__ = ("pushed", "blocks_skipped", "rows_pruned")
 
     def __init__(self, table, table_name: str, pushed=None) -> None:
         super().__init__(table, table_name, None)
         self.pushed = pushed
         self.blocks_skipped = 0
         self.rows_pruned = 0
-        # Cumulative rows emitted per shard id; EXPLAIN ANALYZE reads
-        # this to annotate the ``fanout shard=<i>`` rows with actuals.
-        self.shard_rows: Dict[int, int] = {}
 
     def batches(self, ctx: _Context) -> Iterator[Batch]:
-        table, pushed, params = self.table, self.pushed, ctx.params
-
-        def open_shard(shard_id: int):
-            bound = pushed.bind(params) if pushed is not None else None
-            return bound, table.scan_batches(shard_id, bound)
-
+        bound = self.pushed.bind(ctx.params) if self.pushed is not None else None
         self.calls += 1
-        for shard_id, (bound, stream) in enumerate(
-            _scatter(table, self._table_name, open_shard)
-        ):
-            emitted = 0
-            try:
-                for batch in stream:
-                    batch.part = shard_id
-                    emitted += batch.count()
-                    yield batch
-            finally:
-                # Also reached when a Limit above stops pulling: the
-                # counters then report what the scan actually did.
-                self.rows_out += emitted
-                self.shard_rows[shard_id] = self.shard_rows.get(shard_id, 0) + emitted
-                if bound is not None:
-                    self.blocks_skipped += bound.blocks_skipped
-                    self.rows_pruned += bound.rows_pruned
-
-    def _explain_fanout(self) -> Tuple[str, ...]:
-        return _fanout(self.table)
+        emitted = 0
+        try:
+            for batch in self.table.scan_batches(bound):
+                emitted += batch.count()
+                yield batch
+        finally:
+            # Also reached when a Limit above stops pulling: the
+            # counters then report what the scan actually did.
+            self.rows_out += emitted
+            if bound is not None:
+                self.blocks_skipped += bound.blocks_skipped
+                self.rows_pruned += bound.rows_pruned
 
     def detail(self) -> str:
         if self.pushed is not None:
@@ -597,8 +480,7 @@ class HashJoin(_Transform):
     The probe side is either ``probe_factory()`` — returning a
     ``probe(key) -> rows`` callable, a point/index lookup for
     eq_ref/index joins — or a declared ``build_table``/``build_key``:
-    the kernel then hashes that relation itself, one partial hash table
-    per shard (see :func:`_scatter`), merged in shard order.  ``key_of``
+    the kernel then hashes that relation itself.  ``key_of``
     extracts the join key from a left row; ``merge`` combines a left row
     with a matched right row.  A pipeline breaker: left rows are
     materialized, the joined rows leave as one row-backed batch.
@@ -606,7 +488,7 @@ class HashJoin(_Transform):
 
     kind = "HashJoin"
     __slots__ = ("probe_factory", "key_of", "merge", "_table_name", "_key_desc",
-                 "build_table", "build_key", "shard_rows")
+                 "build_table", "build_key")
 
     def __init__(self, child: PlanNode, key_of: Callable, merge: Callable,
                  table_name: str, detail: str,
@@ -621,8 +503,6 @@ class HashJoin(_Transform):
         self._key_desc = key_desc
         self.build_table = build_table
         self.build_key = build_key
-        # Cumulative build-side rows hashed per shard id (see FullScan).
-        self.shard_rows: Dict[int, int] = {}
 
     @property
     def table_name(self) -> Optional[str]:
@@ -637,25 +517,12 @@ class HashJoin(_Transform):
         if table is None:
             return self.probe_factory()
         build: Dict[object, List] = {}
-        opened = _scatter(
-            table, self._table_name,
-            lambda shard_id: (None, table.scan_batches(shard_id)),
-        )
-        for shard_id, (_, stream) in enumerate(opened):
-            built = 0
-            for batch in stream:
-                for row in batch.rows():
-                    key = row.get(key_column)
-                    if key is not None:
-                        build.setdefault(key, []).append(row)
-                        built += 1
-            self.shard_rows[shard_id] = self.shard_rows.get(shard_id, 0) + built
+        for batch in table.scan_batches():
+            for row in batch.rows():
+                key = row.get(key_column)
+                if key is not None:
+                    build.setdefault(key, []).append(row)
         return lambda key: build.get(key, ())
-
-    def _explain_fanout(self) -> Tuple[str, ...]:
-        if self.build_table is None:
-            return ()
-        return _fanout(self.build_table)
 
     def batches(self, ctx: _Context) -> Iterator[Batch]:
         incoming = self._input_rows(ctx)
@@ -675,29 +542,20 @@ class HashJoin(_Transform):
 class Aggregate(_Transform):
     """Fold the child's batches into aggregate output rows.
 
-    The :class:`PartialAggregate` carries the dialect's grouping and
-    labelling rules, compiled by the engine front-end.  Each partition
-    of the input (``Batch.part``: a scan's shard) folds to its own state
-    and ``merge`` combines them — the classic two-phase aggregate; an
-    unpartitioned stream is simply one state.  The fold reads column
-    vectors and selection counts, never rows.
+    ``finish(batches, params) -> rows`` carries the dialect's grouping
+    and labelling rules, compiled by the engine front-end; it reads
+    column vectors and selection counts, never rows.
     """
 
     kind = "Aggregate"
-    __slots__ = ("partial",)
+    __slots__ = ("finish",)
 
-    def __init__(self, child: PlanNode, partial: PartialAggregate, detail: str) -> None:
+    def __init__(self, child: PlanNode, finish: Callable, detail: str) -> None:
         super().__init__(child, detail)
-        self.partial = partial
+        self.finish = finish
 
     def batches(self, ctx: _Context) -> Iterator[Batch]:
-        fold, merge = self.partial
-        params = ctx.params
-        states = [
-            fold(part, params)
-            for _, part in groupby(self._counted(ctx), key=attrgetter("part"))
-        ]
-        out = merge(states, params)
+        out = self.finish(self._counted(ctx), ctx.params)
         self.rows_out += len(out)
         yield RowBatch(out)
 

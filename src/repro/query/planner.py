@@ -24,14 +24,6 @@ zero-argument *guards* (see :class:`repro.query.plan.Plan`) that
 revalidate table identity and index signatures on every hit, so DDL
 (DROP/CREATE TABLE, CREATE INDEX) invalidates stale plans instead of
 silently replaying them.
-
-Access selection is orthogonal to shard scatter: ``scan`` (and the
-aggregate/hash-build shapes above it) parallelises at *execution* time
-over however many shards the bound storage object exposes, so the
-planner needs no shard awareness and a cached plan stays valid across
-executions — a table's consistent-hash layout is fixed at construction,
-and the table-identity guard already evicts plans when the object is
-replaced.
 """
 
 from __future__ import annotations
@@ -109,20 +101,16 @@ def table_guard(resolve_table: Callable[[], object], table) -> Callable[[], bool
     ``resolve_table`` looks the table up by name the way the statement
     would today.  The guard holds while that lookup still yields the same
     object (DROP/recreate swaps it), with the same index signature
-    (CREATE INDEX changes the access paths) and the same shard count (a
-    fanout plan must not outlive its layout).  A lookup that raises —
+    (CREATE INDEX changes the access paths).  A lookup that raises —
     the table or its namespace is gone — counts as stale in
     :meth:`PlanCache.get`.
     """
     indexed = frozenset(table.indexed_columns)
-    shards = getattr(table, "shard_count", 1)
 
     def guard() -> bool:
-        current = resolve_table()
         return (
-            current is table
+            resolve_table() is table
             and frozenset(table.indexed_columns) == indexed
-            and getattr(current, "shard_count", 1) == shards
         )
 
     return guard

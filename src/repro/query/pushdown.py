@@ -5,7 +5,7 @@ A WHERE conjunct reaches execution as a :class:`PushedCondition` —
 storage-evaluable ones (:data:`PUSHABLE_OPS`) *into* ``FullScan`` /
 ``IndexScan`` as a :class:`PushedPredicate`; the access node hands a
 per-execution :class:`BoundPredicate` to the table's
-``scan_batches(shard_id, pushed)``.  The rest stay
+``scan_batches(pushed)``.  The rest stay
 :class:`~repro.query.plan.Filter` nodes.  Both are evaluated by the one
 evaluator here, :func:`select`: it reads a column of a
 :class:`~repro.query.batch.Batch` and narrows the batch's selection

@@ -109,7 +109,7 @@ class Session:
     A warm statement skips the parser and the planner entirely: one
     plan-cache lookup, one type check, then the compiled operator tree.
     Cached entries carry guards that revalidate the resolved tables
-    (identity, index signature, shard count) on every hit, so DDL
+    (identity, index signature) on every hit, so DDL
     invalidates them instead of silently replaying stale access paths.
     """
 

@@ -30,7 +30,6 @@ from repro.query import (
     Limit,
     MultiGet,
     PUSHABLE_OPS,
-    PartialAggregate,
     Plan,
     PointLookup,
     Project,
@@ -45,7 +44,7 @@ from repro.query import (
     compile_value,
     compile_value_list,
     condition_desc,
-    count_partial,
+    count_rows,
     evaluate_aggregate,
     null_safe_key,
     reject_repeated_columns,
@@ -170,7 +169,7 @@ class _SelectPlanBuilder:
         if stmt.count:
             # SELECT COUNT(*) counts the filtered set; ORDER BY/LIMIT are
             # ignored, as they always were on this fast path.
-            return self._finish(Aggregate(node, count_partial(), "count(*)"))
+            return self._finish(Aggregate(node, count_rows, "count(*)"))
         if stmt.aggregates:
             return self._finish(self._aggregate_tail(node))
 
@@ -337,7 +336,7 @@ class _SelectPlanBuilder:
         else:
             detail = "hash build"
             # Declaring the build side has the kernel hash the right
-            # table itself, scattered across its shards.
+            # table itself.
             build_table = right_table
 
         left_slot = self._slot(left_alias, left_name)
@@ -402,7 +401,7 @@ class _SelectPlanBuilder:
         if group_labels:
             detail += f" group by {', '.join(group_labels)}"
         node = Aggregate(
-            node, _aggregate_partial(group_slots, group_labels, aggregates), detail
+            node, _aggregate_finish(group_slots, group_labels, aggregates), detail
         )
 
         if stmt.order_by is not None:
@@ -617,57 +616,22 @@ class _Executor:
 
 
 # ----------------------------------------------------------------------
-# two-phase aggregation
+# aggregation
 # ----------------------------------------------------------------------
-def _partial_state(agg: ast.Aggregate, count: int, values: Optional[list]) -> object:
-    """One partition's state for one aggregate over one group of
-    ``count`` rows; ``values`` are its column's non-NULL values (NULLs
-    ignored, as in SQL)."""
-    if agg.column is None:  # COUNT(*)
-        return count
-    if agg.func == "count":
-        return len(values)
-    if agg.func == "avg":
-        return (sum(values), len(values)) if values else (None, 0)
-    # sum/min/max: None marks an all-NULL (or empty) partition
-    try:
-        return evaluate_aggregate(agg.func, values) if values else None
-    except ValueError:  # pragma: no cover - parsers only emit known funcs
-        raise ProgrammingError(f"unknown aggregate {agg.func!r}") from None
+def _aggregate_finish(group_slots, group_labels, aggregates) -> Callable:
+    """The ``finish(batches, params) -> rows`` of a GROUP BY / aggregate
+    tail.
 
-
-def _merge_partial(agg: ast.Aggregate, states: List[object]) -> object:
-    """Combine one aggregate's per-partition states into its final
-    value: the aggregate over the union of the partitions' rows."""
-    if agg.column is None or agg.func == "count":
-        return sum(states)
-    if agg.func == "avg":
-        count = sum(n for _, n in states)
-        if count == 0:
-            return None
-        return sum(total for total, n in states if n) / count
-    present = [state for state in states if state is not None]
-    if not present:
-        return None
-    if agg.func == "sum":
-        return sum(present)
-    return min(present) if agg.func == "min" else max(present)
-
-
-def _aggregate_partial(group_slots, group_labels, aggregates) -> PartialAggregate:
-    """The fold/merge form of a GROUP BY / aggregate tail.
-
-    ``fold`` reads the grouping and aggregate columns of each batch as
-    vectors — no row is built — and reduces a partition to
-    ``{group key: [state per aggregate]}``; ``merge`` combines the
-    partitions' states exactly (AVG is algebraic: its state is a
-    ``(sum, count)`` pair).  Groups come out in first-appearance order
-    of the stream — SQL guarantees no order without ORDER BY, and the
-    Sort node (when present) sits above the Aggregate either way.
+    It reads the grouping and aggregate columns of each batch as vectors
+    — no row is built — and gathers each group's row count and non-NULL
+    values per aggregate column (NULLs ignored, as in SQL).  Groups come
+    out in first-appearance order of the stream — SQL guarantees no
+    order without ORDER BY, and the Sort node (when present) sits above
+    the Aggregate either way.
     """
     value_slots = list(dict.fromkeys(slot for _, slot in aggregates if slot is not None))
 
-    def fold(batches, params):
+    def finish(batches, params):
         groups: Dict[tuple, list] = {}  # key -> [row count, values per value slot]
         for batch in batches:
             n = batch.count()
@@ -686,30 +650,21 @@ def _aggregate_partial(group_slots, group_labels, aggregates) -> PartialAggregat
                 for values, vector in zip(group[1], vectors):
                     if vector[position] is not None:
                         values.append(vector[position])
-        states = {}
+        if not group_slots and not groups:
+            groups[()] = [0, [[] for _ in value_slots]]  # zero rows still report
+        out_rows: List[Dict[str, object]] = []
         for key, (count, gathered) in groups.items():
             by_slot = dict(zip(value_slots, gathered))
-            states[key] = [
-                _partial_state(agg, count, by_slot.get(slot))
-                for agg, slot in aggregates
-            ]
-        return states
-
-    def merge(partitions, params):
-        merged: Dict[tuple, List[List[object]]] = {}
-        for groups in partitions:
-            for key, states in groups.items():
-                slots = merged.setdefault(key, [[] for _ in aggregates])
-                for index, state in enumerate(states):
-                    slots[index].append(state)
-        if not group_slots and not merged:
-            merged[()] = [[] for _ in aggregates]  # zero rows still report
-        out_rows: List[Dict[str, object]] = []
-        for key, slots in merged.items():
             row: Dict[str, object] = dict(zip(group_labels, key))
-            for (agg, _), states in zip(aggregates, slots):
-                row[agg.label] = _merge_partial(agg, states)
+            for agg, slot in aggregates:
+                if slot is None:  # COUNT(*)
+                    row[agg.label] = count
+                    continue
+                try:
+                    row[agg.label] = evaluate_aggregate(agg.func, by_slot[slot])
+                except ValueError:  # pragma: no cover - parsers only emit known funcs
+                    raise ProgrammingError(f"unknown aggregate {agg.func!r}") from None
             out_rows.append(row)
         return out_rows
 
-    return PartialAggregate(fold=fold, merge=merge)
+    return finish

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.workers import map_tasks
 from repro.query.batch import Batch, VectorBatch
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.sqldb.types import SQLType
@@ -84,17 +83,6 @@ class Table:
         self._binlog = binlog
         self._n_rows = 0
         self._dirty_bytes = 0
-        # Virtual shards: the clustered B-tree stays one physical tree
-        # (InnoDB has no per-shard files), but the table partitions its
-        # key space with the same consistent-hash ring the NoSQL engine
-        # uses, so the shared kernel can scatter FullScan/Aggregate/
-        # HashJoin-build work across both engines identically.  The
-        # sibling-engine ring is a runtime-only dependency, hence the
-        # function-level import (layering: sqldb and nosqldb are peers).
-        from repro.nosqldb.sharding import HashRing, resolve_shards
-
-        self.shard_count = resolve_shards()
-        self._ring = HashRing(self.shard_count)
         # Monotonic mutation counter; readers snapshot it to build
         # version-guarded caches (e.g. the MySQL-Min reconstruction
         # cache in repro.mapping.stored_query).
@@ -422,9 +410,9 @@ class Table:
                         encoded_rows.append(encoded)
         return [self._batch(encoded_rows)] if encoded_rows else []
 
-    def scan_batches(self, shard_id: int, pushed=None) -> Iterator[Batch]:
-        """The virtual shard's rows in key order, one column batch per
-        B-tree leaf page; with ``pushed`` (a bound predicate from
+    def scan_batches(self, pushed=None) -> Iterator[Batch]:
+        """Every row in key order, one column batch per B-tree leaf
+        page; with ``pushed`` (a bound predicate from
         :mod:`repro.query.pushdown`) each batch's selection is already
         narrowed to the rows satisfying it.
 
@@ -433,41 +421,19 @@ class Table:
         decodes nothing and a statement decodes the columns it names.
         The clustered B-tree has no zone maps: pushdown here is
         evaluating the predicate on the page's decoded columns, counted
-        once per page.  With several shards each one walks the shared
-        tree but keeps only the primary keys its ring slice owns, so N
-        scatter tasks together decode every value at most once; the
-        slices are disjoint and exhaustive.
+        once per page.
         """
-        shard_for = self._ring.shard_for if self.shard_count > 1 else None
-        for keys, values in self._clustered.leaves():
-            if shard_for is not None:
-                values = [
-                    encoded for pk, encoded in zip(keys, values)
-                    if shard_for(pk) == shard_id
-                ]
-                if not values:
-                    continue
+        for _, values in self._clustered.leaves():
             batch = self._batch(values)
             if pushed is not None:
                 pushed.narrow(batch)
             yield batch
 
-    def scan_shard(self, shard_id: int, pushed=None) -> Iterator[Dict[str, object]]:
+    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
         """:meth:`scan_batches` as rows — a view for checkers and tests;
         queries consume the batches."""
-        for batch in self.scan_batches(shard_id, pushed):
+        for batch in self.scan_batches(pushed):
             yield from batch.rows()
-
-    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
-        """Every row (key order at one shard); with ``pushed`` only the
-        rows satisfying it."""
-        for shard_id in range(self.shard_count):
-            yield from self.scan_shard(shard_id, pushed)
-
-    def run_sharded(self, tasks):
-        """Scatter hook the kernel duck-types: run per-shard tasks on the
-        ``REPRO_WORKERS`` pool, results in task (= shard) order."""
-        return map_tasks(tasks)
 
     def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
         """The rows whose indexed ``column`` equals ``value`` — a row

@@ -3,10 +3,10 @@
 A bundle freezes everything needed to diagnose a run offline: the
 metrics snapshot, merged span tree, slow-op log (with drop count), the
 query log and its fingerprint profiles, plan-cache entries, cube epoch
-rows, the shard layout, and every ``REPRO_*`` environment knob.
+rows, and every ``REPRO_*`` environment knob.
 
 The telemetry package is a leaf (REPRO005), so engine-side state
-(plan-cache entries, epoch rows, shard layout) arrives here already
+(plan-cache entries, epoch rows) arrives here already
 serialized by the CLI layer — this module only assembles, validates and
 reloads the artifact.
 """
@@ -26,14 +26,15 @@ from repro.telemetry.trace import Tracer
 BUNDLE_SCHEMA_VERSION = 1
 
 # Required top-level keys and their types; ``validate_bundle`` is a
-# stdlib-only structural check, not a full JSON-Schema validator.
+# stdlib-only structural check, not a full JSON-Schema validator.  Keys
+# beyond these are allowed, so version-1 bundles written before a
+# section was retired still load.
 _BUNDLE_SHAPE: Dict[str, type] = {
     "schema_version": int,
     "telemetry": dict,
     "query_log": dict,
     "plan_cache": list,
     "epochs": list,
-    "shards": dict,
     "env": dict,
 }
 
@@ -67,7 +68,6 @@ def build_bundle(
     query_log: Optional[QueryLog] = None,
     plan_cache: Sequence[Dict[str, Any]] = (),
     epochs: Sequence[Dict[str, Any]] = (),
-    shards: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a schema-versioned bundle from live telemetry state."""
     if query_log is None:
@@ -90,7 +90,6 @@ def build_bundle(
         "query_log": log_section,
         "plan_cache": list(plan_cache),
         "epochs": list(epochs),
-        "shards": dict(shards or {}),
         "env": collect_env(),
     }
 

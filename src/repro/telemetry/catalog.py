@@ -80,7 +80,6 @@ SPAN_NAMES = frozenset(
         "nosqldb.commitlog.replay",
         "nosqldb.compaction",
         "nosqldb.flush",
-        "query.shard_scan",
         "stored.cell_count",
         "stored.point_query",
     )

@@ -90,7 +90,6 @@ class QueryRecord(NamedTuple):
     cache_hits: int
     blocks_skipped: int
     rows_pruned: int
-    shards: int
     epoch: int
 
     def as_dict(self) -> Dict[str, Any]:
@@ -125,7 +124,6 @@ class QueryLog:
         cache_hits: int = 0,
         blocks_skipped: int = 0,
         rows_pruned: int = 0,
-        shards: int = 1,
         epoch: int = 0,
     ) -> None:
         """Append one record.  Callers gate on ``self.enabled`` *before*
@@ -139,7 +137,6 @@ class QueryLog:
             cache_hits=cache_hits,
             blocks_skipped=blocks_skipped,
             rows_pruned=rows_pruned,
-            shards=shards,
             epoch=epoch,
         )
         with self._lock:
@@ -174,7 +171,6 @@ class QueryLog:
                     "cache_hits": 0,
                     "blocks_skipped": 0,
                     "rows_pruned": 0,
-                    "shards": rec.shards,
                     "epoch": rec.epoch,
                 }
                 hists[rec.fingerprint] = HistogramChild(
@@ -186,7 +182,6 @@ class QueryLog:
             agg["cache_hits"] += rec.cache_hits
             agg["blocks_skipped"] += rec.blocks_skipped
             agg["rows_pruned"] += rec.rows_pruned
-            agg["shards"] = max(agg["shards"], rec.shards)
             agg["epoch"] = max(agg["epoch"], rec.epoch)
             hists[rec.fingerprint].observe(rec.seconds)
         out: List[Dict[str, Any]] = []
@@ -208,10 +203,13 @@ class QueryLog:
 
 
 def profiles_from_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Rebuild fingerprint profiles from serialized records (bundle replay)."""
+    """Rebuild fingerprint profiles from serialized records (bundle replay).
+
+    Keys a record does not know are ignored, so records written before a
+    field was retired still replay."""
     log = QueryLog(enabled=True, max_records=max(1, len(records)))
     for rec in records:
-        log._records.append(QueryRecord(**rec))
+        log._records.append(QueryRecord(*(rec[name] for name in QueryRecord._fields)))
     return log.profiles()
 
 

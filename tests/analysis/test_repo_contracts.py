@@ -9,6 +9,9 @@
   or probe a mapper's engine with ``hasattr``/``getattr`` on
   ``keyspace_name`` / ``database_name`` / ``epoch_table`` — such code
   reads ``mapper.mapping`` instead.
+* **One layout per table.** No hash ring, per-partition scan,
+  partial-aggregate merge or query worker pool is back under ``src/``
+  (the CI static-analysis grep checks the same names).
 * **Docs cite what exists.** Every repo path and every backticked
   ``repro.*`` name in ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``
   and ``docs/*.md`` resolves.
@@ -95,6 +98,24 @@ def test_schema_fork_detector_flags(source, expected):
 def test_schema_fork_detector_passes_mapping_reads():
     source = "m.mapping.epoch.name\nisinstance(m, CubeMapper)\ngetattr(m, 'session')\n"
     assert schema_fork_findings(Path("x.py"), source) == []
+
+
+# ----------------------------------------------------------------------
+# one layout per table
+# ----------------------------------------------------------------------
+SCATTER_GATHER_RE = re.compile(
+    r"HashRing|run_sharded|scan_shard|shard_count|REPRO_SHARDS|PartialAggregate|map_tasks"
+)
+
+
+def test_no_scatter_gather_path_under_src():
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {match.group(0)}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for match in SCATTER_GATHER_RE.finditer(line)
+    ]
+    assert not hits, "a partitioned execution path is back:\n" + "\n".join(hits)
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,12 @@ class TestColumnFamily:
         family._indexes["label"]._tree.insert(("zz", 999), None)
         assert "sstable.index-agreement" in rules_of(columnfamily_check(family))
 
+    def test_live_count_drift_flagged(self):
+        family = make_family()
+        family.flush()
+        family._n_live += 1
+        assert "sstable.live-count" in rules_of(columnfamily_check(family))
+
 
 class TestStats:
     def test_stats_match_structure(self):

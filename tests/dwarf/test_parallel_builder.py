@@ -131,6 +131,17 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers() == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("raw", ["two", "", "  ", "1.5"])
+def test_malformed_workers_env_falls_back_to_cpu_count(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_WORKERS", raw)
+    assert resolve_workers() == (os.cpu_count() or 1)
+    assert resolve_workers(2) == 2  # an explicit argument never reads the env
+    builder = ParallelDwarfBuilder(_schema())
+    assert builder.workers == (os.cpu_count() or 1)
+    rows = _rows(n=50)
+    assert builder.build(rows).total() == build_cube(rows, _schema()).total()
+
+
 def test_build_cube_parallel_convenience():
     schema = _schema()
     rows = _rows(n=150)

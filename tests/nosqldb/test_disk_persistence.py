@@ -57,6 +57,15 @@ class TestDiskSSTables:
         assert len(files) < 5  # compaction merged and deleted old files
         assert sum(1 for _ in table.scan()) == 5
 
+    def test_files_are_named_table_generation_data(self, disk_table):
+        root, table = disk_table
+        table.insert({"id": 1, "v": "x"})
+        table.flush()
+        table.insert({"id": 2, "v": "y"})
+        table.compact()
+        names = sorted(p.name for p in (root / "ks" / "cells").glob("*.db"))
+        assert names == ["cells-3-Data.db"]  # two flushes, then the compaction
+
     def test_truncate_deletes_files(self, disk_table):
         root, table = disk_table
         table.insert({"id": 1, "v": "x"})

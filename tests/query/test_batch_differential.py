@@ -7,7 +7,7 @@ projection/aggregation ran over row lists.  :func:`oracle_scan` and
 :func:`oracle_answer` keep exactly that — layer walk, LSM shadowing and
 pruning accounting included — in plain Python.  Hypothesis drives random
 insert / update-to-NULL / delete / flush / compact sequences against
-both engines, both block formats and 1 and 4 shards, and every
+both engines and both block formats, and every
 statement must return identical rows *in identical order*, the same
 ``COUNT(*)`` and the same ``rows emitted + rows pruned`` at the leaf.
 
@@ -42,7 +42,7 @@ from repro.query.pushdown import PUSHABLE_OPS
 from repro.sqldb.engine import SQLEngine
 from repro.storage.varint import encode_varint
 
-from tests.query.test_sharded_equivalence import env
+from tests.env import env
 
 GROUPS = ("g0", "g1", "g2")
 
@@ -57,43 +57,39 @@ def _passes(row, conditions):
 def oracle_scan(table, pushed):
     """Every live row satisfying ``pushed``, in scan order, plus the
     number of row versions the storage layer pruned — the old
-    ``scan_shard`` / ``scan_filtered`` / ``Table.scan`` generators."""
+    ``scan_filtered`` / ``Table.scan`` generators."""
     rows, pruned = [], 0
     if not isinstance(table, ColumnFamily):
-        for shard_id in range(table.shard_count):
-            for pk, encoded in table._clustered.items():
-                if table.shard_count > 1 and table._ring.shard_for(pk) != shard_id:
-                    continue
-                row = table.decode_row(encoded)
-                if _passes(row, pushed):
-                    rows.append(row)
-                else:
-                    pruned += 1
+        for _, encoded in table._clustered.items():
+            row = table.decode_row(encoded)
+            if _passes(row, pushed):
+                rows.append(row)
+            else:
+                pruned += 1
         return rows, pruned
-    for shard in table.shards:
-        seen, deleted = set(), set()
-        for memtable in (shard.memtable, *reversed(shard.pending)):
-            for key, encoded in memtable:
-                if key in seen or key in deleted:
-                    continue
-                seen.add(key)
-                row = table.decode_row(encoded)
-                if _passes(row, pushed):
-                    rows.append(row)
-                else:
-                    pruned += 1
-            deleted |= memtable.tombstones
-        for sstable in reversed(shard.sstables):
-            for key, encoded in sstable.items():
-                row = table.decode_row(encoded)
-                matched = _passes(row, pushed)
-                pruned += not matched  # counted before the shadow check
-                if key in seen or key in deleted:
-                    continue
-                seen.add(key)
-                if matched:
-                    rows.append(row)
-            deleted |= sstable.tombstones
+    seen, deleted = set(), set()
+    for memtable in (table._memtable, *reversed(table._pending)):
+        for key, encoded in memtable:
+            if key in seen or key in deleted:
+                continue
+            seen.add(key)
+            row = table.decode_row(encoded)
+            if _passes(row, pushed):
+                rows.append(row)
+            else:
+                pruned += 1
+        deleted |= memtable.tombstones
+    for sstable in reversed(table._sstables):
+        for key, encoded in sstable.items():
+            row = table.decode_row(encoded)
+            matched = _passes(row, pushed)
+            pruned += not matched  # counted before the shadow check
+            if key in seen or key in deleted:
+                continue
+            seen.add(key)
+            if matched:
+                rows.append(row)
+        deleted |= sstable.tombstones
     return rows, pruned
 
 
@@ -104,14 +100,13 @@ def oracle_get(table, key):
     if not isinstance(table, ColumnFamily):
         encoded = table._clustered.get(key)
         return table.decode_row(encoded) if encoded is not None else None
-    shard = table.shards[table.shard_for(key)]
-    for memtable in (shard.memtable, *reversed(shard.pending)):
+    for memtable in (table._memtable, *reversed(table._pending)):
         encoded = memtable.get(key)
         if encoded is not None:
             return table.decode_row(encoded)
         if memtable.is_deleted(key):
             return None
-    for sstable in reversed(shard.sstables):
+    for sstable in reversed(table._sstables):
         if sstable.is_deleted(key):
             return None
         for entry_key, encoded in sstable.items():
@@ -257,10 +252,10 @@ def refused_row(table, key, val):
                      cell("val", val, 2)))
 
 
-def build(ops, dialect, block_format, shards, row_cache_bytes=None, indexed=False):
+def build(ops, dialect, block_format, row_cache_bytes=None, indexed=False):
     """Apply ``ops`` through the storage API; returns (session, table)."""
     budgets = {} if row_cache_bytes is None else {"REPRO_ROW_CACHE_BYTES": row_cache_bytes}
-    with env(REPRO_BLOCK_FORMAT=block_format, REPRO_SHARDS=shards, **budgets):
+    with env(REPRO_BLOCK_FORMAT=block_format, **budgets):
         if dialect == "sql":
             session = SQLEngine().connect()
             session.execute("CREATE DATABASE d")
@@ -313,11 +308,10 @@ def build(ops, dialect, block_format, shards, row_cache_bytes=None, indexed=Fals
     specs=st.lists(spec_strategy, min_size=1, max_size=4),
     dialect=st.sampled_from(("sql", "cql")),
     block_format=st.sampled_from(("row", "columnar")),
-    shards=st.sampled_from((1, 4)),
 )
 @settings(max_examples=120, deadline=None)
-def test_batch_path_answers_like_the_row_path(ops, specs, dialect, block_format, shards):
-    session, table = build(ops, dialect, block_format, shards)
+def test_batch_path_answers_like_the_row_path(ops, specs, dialect, block_format):
+    session, table = build(ops, dialect, block_format)
     for spec in specs:
         if spec["shape"] == "group" and dialect == "cql":
             continue
@@ -333,7 +327,7 @@ def test_batch_path_answers_like_the_row_path(ops, specs, dialect, block_format,
                   or (spec["shape"] == "rows" and spec["order"] is not None
                       and spec["limit"] > 0))
         if drains:
-            leaf = session.execute("EXPLAIN ANALYZE " + text).rows[shards if shards > 1 else 0]
+            leaf = session.execute("EXPLAIN ANALYZE " + text).rows[0]
             assert leaf["node"] == "FullScan"
             assert leaf["rows"] + leaf["rows_pruned"] == examined, text
 
@@ -371,23 +365,19 @@ FETCH_LEAVES = {"point": "PointLookup", "in": "MultiGet", "index": "IndexScan"}
     specs=st.lists(fetch_spec_strategy, min_size=1, max_size=5),
     dialect=st.sampled_from(("sql", "cql")),
     block_format=st.sampled_from(("row", "columnar")),
-    shards=st.sampled_from((1, 4)),
     row_cache_bytes=st.sampled_from((0, 1 << 20)),
 )
 @settings(max_examples=150, deadline=None)
 def test_fetch_path_answers_like_the_row_path(
-    ops, specs, dialect, block_format, shards, row_cache_bytes
+    ops, specs, dialect, block_format, row_cache_bytes
 ):
-    session, table = build(ops, dialect, block_format, shards, row_cache_bytes, indexed=True)
+    session, table = build(ops, dialect, block_format, row_cache_bytes, indexed=True)
     for spec in specs:
         text = render(spec, dialect)
         expected, fetched = oracle_answer(table, spec, dialect)
         assert session.execute(text).rows == expected, text
         assert session.execute(text).rows == expected, text  # warm plan, warm row cache
-        leaf = next(
-            row for row in session.execute("EXPLAIN ANALYZE " + text).rows
-            if not row["detail"].startswith("fanout")
-        )
+        leaf = session.execute("EXPLAIN ANALYZE " + text).rows[0]
         assert leaf["node"] == FETCH_LEAVES[spec["access"][0]], text
         if spec["limit"] != 0:  # LIMIT 0 never pulls from the leaf
             assert leaf["rows"] + leaf["rows_pruned"] == fetched, text
@@ -407,15 +397,14 @@ def test_fetch_differential_reaches_a_refused_block_in_a_columnar_table():
     ]
     spec = {"access": ("in", [10, 3, 2, 9, 1, 3, 12, 0]), "where": [], "shape": "rows",
             "columns": (), "order": None, "limit": None}
-    for shards in (1, 4):
-        session, table = build(ops, "cql", "columnar", shards, 0, indexed=True)
-        stats = table.stats()
-        assert stats.fallback_blocks >= 1 and stats.columnar_blocks >= 1
-        assert stats.sstables >= 2 and stats.pending_memtables >= 1
-        expected, _ = oracle_answer(table, spec, "cql")
-        assert [row["id"] for row in expected] == [10, 3, 9, 1, 3, 0]
-        assert expected[1] == {"id": 3, "grp": None, "val": 5}
-        assert session.execute(render(spec, "cql")).rows == expected
+    session, table = build(ops, "cql", "columnar", 0, indexed=True)
+    stats = table.stats()
+    assert stats.fallback_blocks >= 1 and stats.columnar_blocks >= 1
+    assert stats.sstables >= 2 and stats.pending_memtables >= 1
+    expected, _ = oracle_answer(table, spec, "cql")
+    assert [row["id"] for row in expected] == [10, 3, 9, 1, 3, 0]
+    assert expected[1] == {"id": 3, "grp": None, "val": 5}
+    assert session.execute(render(spec, "cql")).rows == expected
 
 
 # ----------------------------------------------------------------------
@@ -428,11 +417,10 @@ BATCHES = [
 ]
 
 
-@pytest.mark.parametrize("shards", (1, 4))
 @pytest.mark.parametrize("block_format", ("row", "columnar"))
-def test_maintained_cube_reads_through_live_deltas(block_format, shards):
+def test_maintained_cube_reads_through_live_deltas(block_format):
     schema = CubeSchema("inc", ["d1", "d2", "d3"])
-    with env(REPRO_BLOCK_FORMAT=block_format, REPRO_SHARDS=shards):
+    with env(REPRO_BLOCK_FORMAT=block_format):
         mapper = NoSQLDwarfMapper()
         mapper.install()
         maintainer = CubeMaintainer.open(mapper, DwarfBuilder(schema).build(BATCHES[0]))
@@ -496,18 +484,17 @@ def typed_rows(columns, n, null_rate, seed):
     return rows
 
 
-def build_typed(columns, link_columns, indexed, rows, links, shards):
-    with env(REPRO_SHARDS=shards):
-        session = SQLEngine().connect()
-        session.execute("CREATE DATABASE d")
-        session.execute("USE d")
-        session.execute("CREATE TABLE t (" + ", ".join(
-            f"{c} {TYPED[c]}" + (" PRIMARY KEY" if c == "id" else "") for c in columns
-        ) + ")")
-        link_types = {"node_id": "INT", "cell_id": "INT", "w": "TEXT"}
-        session.execute("CREATE TABLE l (" + ", ".join(
-            f"{c} {link_types[c]}" for c in link_columns
-        ) + ", PRIMARY KEY (node_id, cell_id))")
+def build_typed(columns, link_columns, indexed, rows, links):
+    session = SQLEngine().connect()
+    session.execute("CREATE DATABASE d")
+    session.execute("USE d")
+    session.execute("CREATE TABLE t (" + ", ".join(
+        f"{c} {TYPED[c]}" + (" PRIMARY KEY" if c == "id" else "") for c in columns
+    ) + ")")
+    link_types = {"node_id": "INT", "cell_id": "INT", "w": "TEXT"}
+    session.execute("CREATE TABLE l (" + ", ".join(
+        f"{c} {link_types[c]}" for c in link_columns
+    ) + ", PRIMARY KEY (node_id, cell_id))")
     if indexed is not None:
         session.execute(f"CREATE INDEX t_idx ON t ({indexed})")
     database = session.engine.database("d")
@@ -677,11 +664,10 @@ TYPED_LEAVES = {"point": "PointLookup", "in": "MultiGet", "index": "IndexScan",
     n=st.integers(0, 150),  # up to three leaf pages
     null_rate=st.sampled_from((0.0, 0.3, 0.9)),
     seed=st.integers(0, 2 ** 16),
-    shards=st.sampled_from((1, 4)),
 )
 @settings(max_examples=100, deadline=None)
 def test_column_reads_answer_like_the_full_row_decode(
-    data, columns, link_columns, indexed, n, null_rate, seed, shards
+    data, columns, link_columns, indexed, n, null_rate, seed
 ):
     """Pages whose rows are read a column at a time answer every
     statement exactly as rows decoded whole did, rows in order."""
@@ -691,14 +677,11 @@ def test_column_reads_answer_like_the_full_row_decode(
                   st.one_of(st.none(), st.sampled_from(TEXTS))),
         max_size=40, unique_by=lambda link: link[:2],
     ))
-    session, t, l = build_typed(columns, link_columns, indexed, rows, links, shards)
+    session, t, l = build_typed(columns, link_columns, indexed, rows, links)
     for spec in data.draw(st.lists(typed_specs(columns, indexed), min_size=1, max_size=4)):
         text, params = render_typed(spec)
         expected = oracle_typed(t, l, spec)
         assert session.execute(text, params).rows == expected, text
         assert session.execute(text, params).rows == expected, text  # warm plan
-        leaf = next(
-            row for row in session.execute("EXPLAIN " + text, params).rows
-            if not row["detail"].startswith("fanout")
-        )
+        leaf = session.execute("EXPLAIN " + text, params).rows[0]
         assert leaf["node"] == TYPED_LEAVES.get(spec["kind"], "FullScan"), text

@@ -22,19 +22,15 @@ from repro.nosqldb.columnar import ColumnVectors
 from repro.nosqldb.engine import NoSQLEngine
 from repro.query import BoundPredicate, RowBatch, VectorBatch
 from repro.sqldb.engine import SQLEngine
-from repro.telemetry import get_tracer
-
-from tests.query.test_sharded_equivalence import env
 
 N_ROWS = 3000  # dozens of columnar blocks / B-tree leaf pages
 
 
-def build_cql(shards=1, rows=N_ROWS, layers=1):
-    with env(REPRO_SHARDS=shards):
-        session = NoSQLEngine().connect()
-        session.execute("CREATE KEYSPACE k")
-        session.execute("USE k")
-        session.execute("CREATE TABLE t (id int PRIMARY KEY, grp text, val int)")
+def build_cql(rows=N_ROWS, layers=1):
+    session = NoSQLEngine().connect()
+    session.execute("CREATE KEYSPACE k")
+    session.execute("USE k")
+    session.execute("CREATE TABLE t (id int PRIMARY KEY, grp text, val int)")
     table = session.engine.keyspace("k").table("t")
     step = rows // layers
     for i in range(rows):
@@ -45,12 +41,11 @@ def build_cql(shards=1, rows=N_ROWS, layers=1):
     return session, table
 
 
-def build_sql(shards=1, rows=N_ROWS):
-    with env(REPRO_SHARDS=shards):
-        session = SQLEngine().connect()
-        session.execute("CREATE DATABASE d")
-        session.execute("USE d")
-        session.execute("CREATE TABLE t (id INT PRIMARY KEY, grp VARCHAR(8), val INT)")
+def build_sql(rows=N_ROWS):
+    session = SQLEngine().connect()
+    session.execute("CREATE DATABASE d")
+    session.execute("USE d")
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, grp VARCHAR(8), val INT)")
     table = session.engine.database("d").table("t")
     table.insert_rows(
         {"id": i, "grp": f"g{i * 3 // rows}", "val": i % 50} for i in range(rows)
@@ -243,65 +238,28 @@ def test_sqldb_reports_pruned_rows_once_per_page(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the shard grid (what bench_parallel_query's CI job guarded)
+# a stored count beside a co-resident cube
 # ----------------------------------------------------------------------
-class TestShardGrid:
-    def _store_two_cubes(self, shards):
-        with env(REPRO_SHARDS=shards):
-            mapper = make_mapper("NoSQL-DWARF")
-        schema = CubeSchema("c", ["d1", "d2", "d3"])
-        other = DwarfBuilder(schema).build(
-            [(f"o{i % 11}", i % 13, f"x{i % 5}", 1) for i in range(900)]
-        )
-        cube = DwarfBuilder(schema).build(
-            [(f"m{i % 9}", i % 17, f"y{i % 7}", i) for i in range(900)]
-        )
-        mapper.store(other, probe_size=False)
-        schema_id = mapper.store(cube, probe_size=False)
-        for table in mapper.engine.keyspace(mapper.keyspace_name).tables:
-            table.compact()
-        return mapper, schema_id, cube
-
-    def test_answers_skips_and_spans_across_the_grid(self):
-        tracer = get_tracer()
-        was_enabled = tracer.enabled
-        answers = {}
-        try:
-            for shards, workers in ((1, 1), (2, 2), (4, 4)):
-                mapper, schema_id, cube = self._store_two_cubes(shards)
-                cells = mapper.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
-                skipped_before = [
-                    sum(t.blocks_skipped for t in shard.sstables) for shard in cells.shards
-                ]
-                tracer.enabled = True
-                tracer.reset()
-                with env(REPRO_WORKERS=workers):
-                    count = stored_cell_count(mapper, schema_id)
-                    merged = tracer.merged()
-                    scan = list(stored_select(mapper, schema_id, strategy="scan",
-                                              d1=Each(), d2=Each()))
-                tracer.enabled = was_enabled
-                assert count == cube.stats.cell_count
-                answers[shards] = (count, scan)
-                # zone maps refute the other cube's blocks on every shard
-                skipped = [
-                    sum(t.blocks_skipped for t in shard.sstables) - before
-                    for shard, before in zip(cells.shards, skipped_before)
-                ]
-                assert all(n > 0 for n in skipped), (shards, skipped)
-                # one query.shard_scan span per shard at every count above 1
-                spans = _count_spans(merged, "query.shard_scan")
-                assert spans == (shards if shards > 1 else 0), (shards, spans)
-        finally:
-            tracer.enabled = was_enabled
-            tracer.reset()
-        assert answers[1] == answers[2] == answers[4]
-
-
-def _count_spans(nodes, name):
-    total = 0
-    for node in nodes:
-        if node["name"] == name:
-            total += node["count"]
-        total += _count_spans(node.get("children", ()), name)
-    return total
+def test_stored_count_and_scan_skip_the_coresident_cube():
+    """What bench_parallel_query's CI job guarded, at the one layout:
+    the stored COUNT(*) and the scan select answer exactly, and zone
+    maps refute the other cube's blocks unread."""
+    mapper = make_mapper("NoSQL-DWARF")
+    schema = CubeSchema("c", ["d1", "d2", "d3"])
+    other = DwarfBuilder(schema).build(
+        [(f"o{i % 11}", i % 13, f"x{i % 5}", 1) for i in range(900)]
+    )
+    cube = DwarfBuilder(schema).build(
+        [(f"m{i % 9}", i % 17, f"y{i % 7}", i) for i in range(900)]
+    )
+    mapper.store(other, probe_size=False)
+    schema_id = mapper.store(cube, probe_size=False)
+    for table in mapper.engine.keyspace(mapper.keyspace_name).tables:
+        table.compact()
+    cells = mapper.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    skipped_before = cells.stats().blocks_skipped
+    assert stored_cell_count(mapper, schema_id) == cube.stats.cell_count
+    assert cells.stats().blocks_skipped > skipped_before
+    scan = list(stored_select(mapper, schema_id, strategy="scan", d1=Each(), d2=Each()))
+    assert scan == list(stored_select(mapper, schema_id, strategy="walk",
+                                      d1=Each(), d2=Each()))

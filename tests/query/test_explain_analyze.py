@@ -2,7 +2,7 @@
 with result rows byte-identical to a plain run.
 
 Hypothesis drives the same query shapes as the engine-equivalence suite
-through both engines, single- and multi-shard, and insists that the
+through both engines and insists that the
 analyzed run's ``result_rows`` equal the plain run's rows *exactly*
 (same engine, same plan — list equality, not multisets), that the
 annotated report is the plain EXPLAIN with the actual columns appended,
@@ -10,7 +10,6 @@ and that running under ANALYZE never perturbs a subsequent plain run.
 """
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.query import ACTUAL_COLUMNS
 from tests.query.test_engine_equivalence import (
@@ -19,7 +18,6 @@ from tests.query.test_engine_equivalence import (
     render,
     rows_strategy,
 )
-from tests.query.test_sharded_equivalence import env
 
 _EXPLAIN_KEYS = ("step", "node", "table", "key", "detail")
 
@@ -29,29 +27,24 @@ def vocabulary(report):
     return [{k: row[k] for k in _EXPLAIN_KEYS} for row in report]
 
 
-@given(
-    rows=rows_strategy,
-    query=query_strategy,
-    shards=st.sampled_from((1, 4)),
-)
+@given(rows=rows_strategy, query=query_strategy)
 @settings(max_examples=40, deadline=None)
-def test_analyzed_rows_byte_identical_both_engines(rows, query, shards):
-    with env(REPRO_SHARDS=shards):
-        sql, cql = build_sessions(rows, indexed=False)
-        sql_text, cql_text, _ = render(query)
-        for session, text in ((sql, sql_text), (cql, cql_text)):
-            plain = session.execute(text).rows
-            analyzed = session.execute(f"EXPLAIN ANALYZE {text}").analyzed
-            assert analyzed.result_rows == plain
-            assert analyzed.totals["rows"] == len(plain)
-            # the report is the EXPLAIN vocabulary plus actuals
-            assert vocabulary(analyzed.report) == session.execute(
-                f"EXPLAIN {text}"
-            ).rows
-            for row in analyzed.report:
-                assert set(ACTUAL_COLUMNS) <= set(row)
-            # analyzing must not perturb later plain executions
-            assert session.execute(text).rows == plain
+def test_analyzed_rows_byte_identical_both_engines(rows, query):
+    sql, cql = build_sessions(rows, indexed=False)
+    sql_text, cql_text, _ = render(query)
+    for session, text in ((sql, sql_text), (cql, cql_text)):
+        plain = session.execute(text).rows
+        analyzed = session.execute(f"EXPLAIN ANALYZE {text}").analyzed
+        assert analyzed.result_rows == plain
+        assert analyzed.totals["rows"] == len(plain)
+        # the report is the EXPLAIN vocabulary plus actuals
+        assert vocabulary(analyzed.report) == session.execute(
+            f"EXPLAIN {text}"
+        ).rows
+        for row in analyzed.report:
+            assert set(ACTUAL_COLUMNS) <= set(row)
+        # analyzing must not perturb later plain executions
+        assert session.execute(text).rows == plain
 
 
 @given(rows=rows_strategy, query=query_strategy)
@@ -82,16 +75,6 @@ def test_report_rows_are_the_result_rows():
         result = session.execute("EXPLAIN ANALYZE SELECT * FROM t WHERE id = 0")
         assert result.rows == result.analyzed.report
         assert result.analyzed.result_rows == [{"id": 0, "grp": "g0", "val": 1}]
-
-
-def test_sharded_fanout_rows_carry_per_shard_actuals():
-    with env(REPRO_SHARDS=4):
-        sql, _ = build_sessions([("g0", i) for i in range(8)], indexed=False)
-        analyzed = sql.execute("EXPLAIN ANALYZE SELECT id FROM t").analyzed
-        fanout = [r for r in analyzed.report if "fanout" in str(r["detail"])]
-        assert len(fanout) == 4
-        assert sum(r["rows"] for r in fanout) == 8
-        assert analyzed.totals["shards"] == 4
 
 
 def test_timing_accrues_even_with_tracing_off():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.telemetry import (
     BUNDLE_SCHEMA_VERSION,
     build_bundle,
@@ -12,7 +13,7 @@ from repro.telemetry import (
     from_bundle,
     validate_bundle,
 )
-from repro.telemetry.querylog import QueryLog
+from repro.telemetry.querylog import QueryLog, profiles_from_records
 
 
 @pytest.fixture
@@ -28,7 +29,6 @@ def bundle(registry, tracer):
         query_log=log,
         plan_cache=[{"key": ["d", "SELECT * FROM t"], "plan": []}],
         epochs=[{"id": 1, "epoch": 2}],
-        shards={"configured": 4},
     )
 
 
@@ -43,7 +43,8 @@ class TestBuild:
         assert bundle["query_log"]["records"]
         assert bundle["query_log"]["profiles"]
         assert bundle["plan_cache"] and bundle["epochs"]
-        assert bundle["shards"] == {"configured": 4}
+        assert isinstance(bundle["env"], dict)
+        assert "shards" not in bundle
 
     def test_empty_query_log_section_still_validates(self, registry, tracer):
         validate_bundle(build_bundle(registry=registry, tracer=tracer))
@@ -78,8 +79,7 @@ class TestValidation:
         with pytest.raises(ValueError) as excinfo:
             validate_bundle({"schema_version": 1})
         message = str(excinfo.value)
-        for key in ("telemetry", "query_log", "plan_cache", "epochs",
-                    "shards", "env"):
+        for key in ("telemetry", "query_log", "plan_cache", "epochs", "env"):
             assert key in message
 
     def test_non_dict_rejected(self):
@@ -94,3 +94,34 @@ class TestEnv:
         env = collect_env()
         assert env["REPRO_QUERY_LOG"] == "1"
         assert all(key.startswith("REPRO_") for key in env)
+
+
+def _legacy(bundle):
+    """``bundle`` as version 1 wrote it while tables had a partition
+    layout: a ``shards`` section, and a ``shards`` field on every query
+    record and profile."""
+    legacy = json.loads(bundle_to_json(bundle))
+    legacy["shards"] = {"configured": 4, "tables": {"dwarf_cell": 4}}
+    for section in ("records", "profiles"):
+        for entry in legacy["query_log"][section]:
+            entry["shards"] = 4
+    return legacy
+
+
+class TestLegacyBundle:
+    def test_validates_and_replays_its_records(self, bundle):
+        legacy = _legacy(bundle)
+        assert legacy["schema_version"] == 1
+        validate_bundle(legacy)  # must not raise
+        assert from_bundle(bundle_to_json(legacy)) == legacy
+        replayed = profiles_from_records(legacy["query_log"]["records"])
+        assert replayed == bundle["query_log"]["profiles"]
+
+    @pytest.mark.parametrize("command", ["stats", "top"])
+    def test_rerenders_offline(self, bundle, command, tmp_path, capsys):
+        path = tmp_path / "legacy.json"
+        path.write_text(bundle_to_json(_legacy(bundle)), encoding="utf-8")
+        assert main([command, "--bundle", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "debug bundle" in out
+        assert "SELECT * FROM T WHERE ID = ?" in out

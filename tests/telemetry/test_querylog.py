@@ -90,8 +90,7 @@ class TestProfiles:
     def test_round_trips_through_serialized_records(self):
         log = QueryLog(enabled=True)
         log.record("SELECT * FROM t WHERE id = 7", "sql", 0.01, rows=1,
-                   cache_hits=2, blocks_skipped=1, rows_pruned=3,
-                   shards=4, epoch=2)
+                   cache_hits=2, blocks_skipped=1, rows_pruned=3, epoch=2)
         log.record("stored:NoSQL-DWARF:point_query", "stored", 0.02, rows=1)
         assert profiles_from_records(log.as_dicts()) == log.profiles()
 
