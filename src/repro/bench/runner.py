@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.bench.datasets import DatasetBundle, load_dataset
@@ -47,7 +48,10 @@ def run_cell(schema_name: str, dataset_name: str, mapper=None) -> CellResult:
     The timed region covers the transformation traversal plus the bulk
     insert (the paper's "time taken to insert a DWARF cube"); the size
     probe runs after the clock stops, like the paper's separate
-    ``size_as_mb`` update.
+    ``size_as_mb`` update.  The garbage collector is paused over the
+    timed region, as the pytest benchmarks pause it: a full collection
+    scans every cached dataset, and whichever cell it happens to land in
+    pays tens of milliseconds that are harness noise, not insert cost.
     """
     bundle: DatasetBundle = load_dataset(dataset_name)
     owns_mapper = mapper is None
@@ -56,9 +60,16 @@ def run_cell(schema_name: str, dataset_name: str, mapper=None) -> CellResult:
     mapper.reset()
 
     with get_tracer().span("bench.cell", schema=schema_name, dataset=dataset_name):
-        started = wall_clock()
-        schema_id = mapper.store(bundle.cube, probe_size=False)
-        insert_ms = (wall_clock() - started) * 1000.0
+        gc.collect()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            started = wall_clock()
+            schema_id = mapper.store(bundle.cube, probe_size=False)
+            insert_ms = (wall_clock() - started) * 1000.0
+        finally:
+            if collecting:
+                gc.enable()
 
     mapper.probe_size(schema_id)
     # Report from the stored registry row: the exact byte count avoids the

@@ -3,12 +3,14 @@
 from repro.mapping.base import (
     ALL_KEY_TEXT,
     CellRecord,
+    CubeColumns,
     CubeMapper,
     MappingError,
     NodeRecord,
     StoredSchemaInfo,
     TransformedCube,
     assemble_cube,
+    cube_columns,
     decode_member,
     encode_member,
     rebuild_cube,
@@ -42,6 +44,7 @@ from repro.mapping.stored_query import (
 __all__ = [
     "ALL_KEY_TEXT",
     "CellRecord",
+    "CubeColumns",
     "CubeMaintainer",
     "CubeMapper",
     "DimensionTableStore",
@@ -59,6 +62,7 @@ __all__ = [
     "all_mappers",
     "assemble_cube",
     "compact_epoch",
+    "cube_columns",
     "decode_member",
     "encode_member",
     "make_mapper",

@@ -4,16 +4,17 @@ A :class:`CubeMapper` is one storage schema from the paper's evaluation
 (NoSQL-DWARF, NoSQL-Min, MySQL-DWARF, MySQL-Min), driven entirely by
 that schema's :class:`~repro.mapping.schema_mapping.SchemaMapping`
 declaration.  Every mapper is *bi-directional*: ``store`` walks the
-in-memory DWARF breadth-first (with the §4 lookup-table guard), emits
-one row per node/cell/edge and executes them in bulk; ``load`` reads the
-rows back and reassembles an identical, queryable
+in-memory DWARF breadth-first once (with the §4 lookup-table guard),
+emitting one column per node and cell role, and hands each table the
+columns its INSERT names as one batch; ``load`` reads the columns back
+and reassembles an identical, queryable
 :class:`~repro.dwarf.cube.DwarfCube`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -23,11 +24,11 @@ from repro.core.tuples import member_sort_key
 from repro.dwarf.cell import ALL, DwarfCell
 from repro.dwarf.cube import DwarfCube
 from repro.dwarf.node import DwarfNode
-from repro.dwarf.traversal import breadth_first
 from repro.mapping.lookup import LookupTable
 from repro.mapping.schema_mapping import SchemaMapping, Table
 from repro.query import (
     Aggregate,
+    Columns,
     FullScan,
     Plan,
     PushedCondition,
@@ -144,19 +145,34 @@ class CellRecord(NamedTuple):
 
 
 class TransformedCube(NamedTuple):
-    """The flat form every mapper stores: one record per node and cell."""
+    """The flat form as records: one per node and cell."""
 
     nodes: List[NodeRecord]
     cells: List[CellRecord]
     entry_node_id: int
 
 
-def transform_cube(
-    cube: DwarfCube,
-    first_node_id: int = 1,
-    first_cell_id: int = 1,
-) -> TransformedCube:
-    """Flatten a DWARF into node/cell records, BFS order (paper §4).
+class CubeColumns(NamedTuple):
+    """The flat form every mapper stores, one column per role.
+
+    ``nodes`` and ``cells`` map each :class:`NodeRecord` /
+    :class:`CellRecord` field to a sequence whose ``i``-th entry belongs
+    to the ``i``-th node / cell in breadth-first visit order — the ids
+    are positional, ``first id + i``.  ``children_cell_ids`` and
+    ``parent_cell_ids`` hold lists.  An id is one int object wherever it
+    appears, so every table storing it shares that object.
+    """
+
+    nodes: Dict[str, Sequence]
+    cells: Dict[str, Sequence]
+    entry_node_id: int
+
+
+def cube_columns(cube: DwarfCube, first_node_id: int = 1, first_cell_id: int = 1) -> CubeColumns:
+    """Flatten a DWARF into node and cell columns in one breadth-first
+    pass (paper §4): a node's id is assigned where a cell first points
+    at it (the lookup-table guard), its cells' ids when it is visited,
+    and each distinct member's key text is encoded once.
 
     Raises :class:`MappingError` for cubes whose aggregation states are
     not integers — the paper's column families type ``measure`` as
@@ -164,65 +180,107 @@ def transform_cube(
     measures but not AVG states.
     """
     with get_tracer().span("mapper.transform", schema=cube.schema.name):
+        root = cube.root
         node_table = LookupTable(first_node_id)
-        cell_table = LookupTable(first_cell_id)
-        nodes: Dict[int, NodeRecord] = {}
-        parent_cells: Dict[int, List[int]] = {}
-        cells: List[CellRecord] = []
-        dimensions = cube.schema.dimensions
-
-        root_id, _ = node_table.assign(cube.root)
-        for visit in breadth_first(cube.root):
-            if visit.cell is None:
-                node = visit.node
-                node_id = node_table.id_of(node)
-                child_ids = []
-                for cell in node.all_cells():
-                    cell_id, _ = cell_table.assign(cell)
-                    child_ids.append(cell_id)
-                nodes[node_id] = NodeRecord(
-                    node_id=node_id,
-                    level=node.level,
-                    is_root=node is cube.root,
-                    children_cell_ids=tuple(child_ids),
-                    parent_cell_ids=(),  # filled after the scan
-                )
-            else:
-                node, cell = visit.node, visit.cell
-                cell_id = cell_table.id_of(cell)
-                pointer_id: Optional[int] = None
-                if cell.node is not None:
-                    pointer_id, _ = node_table.assign(cell.node)
-                    parent_cells.setdefault(pointer_id, []).append(cell_id)
-                measure: Optional[int] = None
-                if cell.is_leaf:
-                    if not isinstance(cell.value, int) or isinstance(cell.value, bool):
+        node_ids = [node_table.assign(root)[0]]
+        cell_ids: List[int] = []
+        tables = [dimension.dimension_table for dimension in cube.schema.dimensions]
+        levels: List[int] = []
+        children: List[List[int]] = []
+        parents: List[List[int]] = [[]]  # per node, the cells pointing at it
+        keys: List[str] = []
+        measures: List[Optional[int]] = []
+        pointers: List[Optional[int]] = []
+        cell_levels: List[int] = []
+        owners: List[int] = []
+        # Member -> key text for str and int members, the bulk of every
+        # feed.  Other types are encoded each time: a dict would conflate
+        # True with 1 and -0.0 with 0.0.
+        texts: Dict[object, str] = {}
+        next_cell = first_cell_id
+        queue = [root]
+        for node_id, node in zip(node_ids, queue):  # both grow as the walk goes
+            cells = list(node.all_cells())
+            n_cells = len(cells)
+            ids = list(range(next_cell, next_cell + n_cells))
+            cell_ids += ids
+            level = node.level
+            levels.append(level)
+            children.append(ids)
+            cell_levels += [level] * n_cells
+            owners += [node_id] * n_cells
+            for cell_id, cell in zip(ids, cells):
+                key = cell.key
+                kind = type(key)
+                if kind is str or kind is int:
+                    text = texts.get(key)
+                    if text is None:
+                        text = texts[key] = encode_member(key)
+                else:
+                    text = encode_member(key)
+                keys.append(text)
+                child = cell.node
+                if child is None:
+                    value = cell.value
+                    if not isinstance(value, int) or isinstance(value, bool):
                         raise MappingError(
                             "storage schemas type measure as int (paper Table 1-C); "
-                            f"cannot store aggregation state {cell.value!r} — use an "
+                            f"cannot store aggregation state {value!r} — use an "
                             "integer-valued distributive aggregator"
                         )
-                    measure = cell.value
-                dimension = dimensions[node.level]
-                cells.append(
-                    CellRecord(
-                        cell_id=cell_id,
-                        key_text=encode_member(cell.key),
-                        measure=measure,
-                        parent_node_id=node_table.id_of(node),
-                        pointer_node_id=pointer_id,
-                        is_leaf=cell.is_leaf,
-                        is_root_cell=node is cube.root,
-                        dimension_table=dimension.dimension_table,
-                        level=node.level,
-                    )
-                )
+                    measures.append(value)
+                    pointers.append(None)
+                else:
+                    pointer, first_visit = node_table.assign(child)
+                    if first_visit:
+                        queue.append(child)
+                        node_ids.append(pointer)
+                        parents.append([cell_id])
+                    else:
+                        parents[pointer - first_node_id].append(cell_id)
+                    measures.append(None)
+                    pointers.append(pointer)
+            next_cell += n_cells
+        n_root_cells = len(children[0])
+        n_cells = len(cell_ids)
+        nodes = {
+            "node_id": node_ids,
+            "level": levels,
+            "is_root": [True] + [False] * (len(queue) - 1),
+            "children_cell_ids": children,
+            "parent_cell_ids": parents,
+        }
+        cells = {
+            "cell_id": cell_ids,
+            "key_text": keys,
+            "measure": measures,
+            "parent_node_id": owners,
+            "pointer_node_id": pointers,
+            "is_leaf": [pointer is None for pointer in pointers],
+            "is_root_cell": [True] * n_root_cells + [False] * (n_cells - n_root_cells),
+            "dimension_table": [tables[level] for level in cell_levels],
+            "level": cell_levels,
+        }
+        return CubeColumns(nodes, cells, node_ids[0])
 
-        node_records = [
-            record._replace(parent_cell_ids=tuple(parent_cells.get(record.node_id, ())))
-            for record in nodes.values()
-        ]
-        return TransformedCube(nodes=node_records, cells=cells, entry_node_id=root_id)
+
+def transform_cube(
+    cube: DwarfCube,
+    first_node_id: int = 1,
+    first_cell_id: int = 1,
+) -> TransformedCube:
+    """:func:`cube_columns` as node/cell records, BFS order (paper §4) —
+    the record view the oracle and checkers read; ``store`` writes the
+    columns.  Raises :class:`MappingError` as :func:`cube_columns` does."""
+    flat = cube_columns(cube, first_node_id, first_cell_id)
+    nodes = dict(flat.nodes)
+    nodes["children_cell_ids"] = map(tuple, nodes["children_cell_ids"])
+    nodes["parent_cell_ids"] = map(tuple, nodes["parent_cell_ids"])
+    return TransformedCube(
+        nodes=list(map(NodeRecord, *(nodes[field] for field in NodeRecord._fields))),
+        cells=list(map(CellRecord, *(flat.cells[field] for field in CellRecord._fields))),
+        entry_node_id=flat.entry_node_id,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -483,49 +541,45 @@ class CubeMapper:
 
     def store(self, cube: DwarfCube, is_cube: bool = False, probe_size: bool = True) -> int:
         """Persist ``cube`` — one registry row, then every other table's
-        record batch through ``execute_many``; returns the new id."""
+        column batch through ``execute_many``; returns the new id."""
         if not self._prepared:
             raise MappingError(f"{self.name}: call install() before store()")
         ids = self._next_ids()
-        transformed = transform_cube(
-            cube, first_node_id=ids["node"], first_cell_id=ids["cell"]
-        )
+        flat = cube_columns(cube, first_node_id=ids["node"], first_cell_id=ids["cell"])
         schema_id = ids["schema"]
         self.session.execute_prepared(
             self._prepared[self.mapping.registry.name],
-            self._registry_row(transformed, schema_id, is_cube),
+            self._registry_row(flat, schema_id, is_cube),
         )
-        for table, rows in self._record_rows(transformed, cube.schema, schema_id):
-            self.session.execute_many(self._prepared[table.name], rows)
-        self._entry_cache[schema_id] = transformed.entry_node_id
+        for table, batch in self._batches(flat, cube.schema, schema_id):
+            self.session.execute_many(self._prepared[table.name], batch)
+        self._entry_cache[schema_id] = flat.entry_node_id
         if probe_size:
             self.probe_size(schema_id)
         return schema_id
 
-    def _registry_row(self, transformed: TransformedCube, schema_id: int, is_cube: bool) -> tuple:
+    def _registry_row(self, flat: CubeColumns, schema_id: int, is_cube: bool) -> tuple:
         values = {
-            "id": schema_id, "node_count": len(transformed.nodes),
-            "cell_count": len(transformed.cells), "size_as_mb": 0,
-            "entry_node_id": transformed.entry_node_id, "is_cube": is_cube,
+            "id": schema_id, "node_count": len(flat.nodes["node_id"]),
+            "cell_count": len(flat.cells["cell_id"]), "size_as_mb": 0,
+            "entry_node_id": flat.entry_node_id, "is_cube": is_cube,
         }
         return tuple(values[column.role] for column in self.mapping.registry.written)
 
-    def _record_rows(self, transformed: TransformedCube, schema: CubeSchema, schema_id: int):
-        """``(table, rows)`` for every table but the registry, INSERT order."""
+    def _batches(self, flat: CubeColumns, schema: CubeSchema, schema_id: int):
+        """``(table, Columns)`` for every table but the registry, INSERT order."""
         mapping = self.mapping
         out = []
         if mapping.nodes is not None:
-            out.append((mapping.nodes, _rows(mapping.nodes, transformed.nodes, schema_id)))
-        out.append((mapping.cells, _rows(mapping.cells, transformed.cells, schema_id)))
+            out.append((mapping.nodes, _batch(mapping.nodes, flat.nodes, schema_id)))
+        out.append((mapping.cells, _batch(mapping.cells, flat.cells, schema_id)))
         for link in mapping.links:
-            # One row per edge: a leaf cell points at no node.
-            edges = _rows(link, transformed.cells, schema_id)
-            out.append((link, (row for row in edges if None not in row)))
+            out.append((link, _edges(_batch(link, flat.cells, schema_id))))
         dimensions = mapping.dimensions
-        out.append((dimensions, (
-            tuple(row[column.role] for column in dimensions.columns)
+        out.append((dimensions, Columns.of([
+            tuple(row[column.role] for column in dimensions.written)
             for row in schema_to_rows(schema, schema_id)
-        )))
+        ])))
         return out
 
     def probe_size(self, schema_id: int) -> int:
@@ -715,18 +769,31 @@ class CubeMapper:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _rows(table: Table, records, schema_id: int):
-    """``table``'s INSERT rows from transformation records: one iterator
-    per declared column, zipped.  A ``schema_id`` column holds the stored
-    cube's id; a ``set<...>`` column holds its id tuple as a set."""
-    columns = []
-    for column in table.columns:
+def _batch(table: Table, roles: Dict[str, Sequence], schema_id: int) -> Columns:
+    """``table``'s INSERT columns selected by role from a
+    :class:`CubeColumns` side: a ``schema_id`` column is the stored
+    cube's id throughout, a ``set<...>`` column holds each id group as a
+    set."""
+    n = len(next(iter(roles.values())))
+    values = []
+    for column in table.written:
         if column.role == "schema_id":
-            columns.append(repeat(schema_id))
-            continue
-        values = map(attrgetter(column.role), records)
-        columns.append(map(set, values) if column.type.startswith("set<") else values)
-    return zip(*columns)
+            values.append([schema_id] * n)
+        elif column.type.startswith("set<"):
+            values.append(list(map(set, roles[column.role])))
+        else:
+            values.append(roles[column.role])
+    return Columns(n, tuple(values))
+
+
+def _edges(batch: Columns) -> Columns:
+    """A link table's batch without the rows holding a None: one row per
+    edge, and a leaf cell points at no node."""
+    if not any(None in column for column in batch.values):
+        return batch
+    keep = [None not in row for row in batch.rows()]
+    values = tuple(list(compress(column, keep)) for column in batch.values)
+    return Columns(sum(keep), values)
 
 
 def cached_statement(mapper: CubeMapper, text: str):

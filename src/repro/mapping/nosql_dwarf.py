@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.dwarf.cube import DwarfCube
-from repro.mapping.base import CubeMapper, transform_cube
+from repro.mapping.base import CubeMapper, cube_columns
 from repro.mapping.schema_mapping import (
     CQL,
     SET,
@@ -78,14 +78,12 @@ class NoSQLDwarfMapper(CubeMapper):
         The bulk path uses prepared statements instead; this generator is
         the textual form used in tests and the raw-CQL ablation bench.
         """
-        transformed = transform_cube(cube)
+        flat = cube_columns(cube)
         mapping = self.mapping
-        yield _literal_insert(
-            mapping.registry, self._registry_row(transformed, schema_id, False)
-        )
-        for table, rows in self._record_rows(transformed, cube.schema, schema_id):
+        yield _literal_insert(mapping.registry, self._registry_row(flat, schema_id, False))
+        for table, batch in self._batches(flat, cube.schema, schema_id):
             if table is not mapping.dimensions:
-                for row in rows:
+                for row in batch.rows():
                     yield _literal_insert(table, row)
 
 

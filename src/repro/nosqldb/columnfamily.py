@@ -9,6 +9,8 @@ this is what the paper's ``size_as_mb`` probe reads (§4).
 
 from __future__ import annotations
 
+import operator
+from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.nosqldb.cache import (
@@ -51,6 +53,12 @@ _M_COMPACTIONS = _REGISTRY.counter(
 #: Memtable flush threshold, bytes.
 FLUSH_THRESHOLD = 8 * 1024 * 1024
 
+#: Rows a bulk write validates and encodes at a time, column by column:
+#: enough to pay the per-chunk setup back many times over, while a
+#: cube-sized batch holds one chunk of encoded cells at a time, not the
+#: whole batch's (peak RSS).
+ENCODE_CHUNK = 2048
+
 #: Number of SSTables that triggers a size-tiered compaction.
 COMPACTION_THRESHOLD = 4
 
@@ -85,6 +93,24 @@ def _overlaps(span, others) -> bool:
         other is not None and lo <= other[1] and other[0] <= hi
         for other in others
     )
+
+
+def _encode_cells(cql_type: CQLType, values: Sequence) -> Tuple[List, Optional[Exception]]:
+    """:meth:`CQLType.encode_column` of ``values`` up to the first value
+    that fails: the cells encoded before it, and its exception (None
+    when every value encoded) — the write loop still writes the rows
+    before it."""
+    try:
+        return cql_type.encode_column(values), None
+    except Exception:  # deferred to its row, raised once the rows before it are in
+        encode = cql_type.validate_encode
+        cells: List = []
+        for value in values:
+            try:
+                cells.append(None if value is None else encode(value))
+            except Exception as error:
+                return cells, error
+        return cells, None
 
 
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
@@ -337,77 +363,167 @@ class ColumnFamily:
     # write path
     # ------------------------------------------------------------------
     def insert(self, row: Dict[str, object]) -> None:
-        """Upsert one row (CQL INSERT semantics).
+        """Upsert one row (CQL INSERT semantics): a one-row
+        :meth:`insert_columns`.
 
-        Raises InvalidRequest for unknown columns or a missing primary key.
+        Raises InvalidRequest for unknown columns, a missing primary key
+        or an ill-typed value.
         """
         key = row.get(self.primary_key)
         if key is None:
             raise InvalidRequest(f"INSERT into {self.name!r} misses primary key")
         by_name = self._by_name
-        bound = []
+        columns = []
+        values = []
         for name, value in row.items():
             column = by_name.get(name)
             if column is None:
                 raise InvalidRequest(f"table {self.name!r} has no column {name!r}")
             if value is not None:
-                bound.append((column, value))
-        self.insert_bound_many(((key, bound),))
+                columns.append(column)
+                values.append((value,))
+        self.insert_columns(columns, values)
 
-    def insert_bound_many(self, items) -> int:
-        """The one row-write loop: many ``(key, bound)`` rows, each
-        ``bound`` a list of ``(Column, non-None value)`` pairs.
+    def insert_columns(self, columns: Sequence[Column], values: Sequence[Sequence]) -> int:
+        """The one write loop: upsert rows given column-wise —
+        ``values[j][i]`` is row ``i``'s value of ``columns[j]``, None
+        for no cell; one of the columns is the primary key.  This is what
+        a server executes after binding a prepared INSERT's parameters to
+        its column metadata.  Returns the count written.
 
-        This is what a server executes after binding parameters to a
-        prepared INSERT's column metadata.  Per row: one write-clock
-        tick, cell encoding, the commit-log record, index maintenance,
-        the memtable put and the flush check — in that order, so a
+        Per :data:`ENCODE_CHUNK` rows: each column is validated and
+        encoded over the chunk with its type resolved once, and each row
+        assembled with the next write-clock tick as its cells' timestamp;
+        then per row, in row order, index maintenance or the liveness
+        probe, the memtable put, the row-cache invalidation and the flush
+        check; then the chunk's commit-log records in one append.  A
         batch stores exactly the bytes the same rows written one at a
-        time would.  Returns the count written.
+        time would: cells in column order, the same timestamps, seal
+        points and commit-log records.
+
+        The liveness probe is skipped for a chunk that proves its keys
+        new (:meth:`_fresh`); a table with a secondary index reads every
+        key before writing it instead, to update the index.
+
+        Raises InvalidRequest for a missing primary key or an ill-typed
+        value in row ``k``: rows before ``k`` are written (row ``k``'s
+        clock tick too, for an ill-typed value), nothing after.
         """
-        commit_log = self._commit_log
+        key_at = next(
+            (j for j, column in enumerate(columns) if column.name == self.primary_key), None
+        )
+        if key_at is None:
+            raise InvalidRequest(f"INSERT into {self.name!r} misses primary key")
+        n = len(values[key_at])
+        for start in range(0, n, ENCODE_CHUNK):
+            stop = start + ENCODE_CHUNK
+            self._write_chunk(columns, [column[start:stop] for column in values], key_at)
+        return n
+
+    def _write_chunk(self, columns: Sequence[Column], chunk: List[Sequence], key_at: int) -> None:
+        """:meth:`insert_columns` over one chunk of rows."""
+        keys = chunk[key_at]
+        # Where the chunk stops: the first row whose key is missing or
+        # whose value fails its type (the earliest column wins a tie).
+        stop, error, ticked = len(keys), None, 0
+        if None in keys:
+            stop = keys.index(None)
+            error = InvalidRequest(f"INSERT into {self.name!r} misses primary key")
+        cells = []
+        for column, column_values in zip(columns, chunk):
+            encoded, failure = _encode_cells(column.cql_type, column_values[:stop])
+            cells.append(encoded)
+            if failure is not None:
+                stop, error, ticked = len(encoded), failure, 1
+        rows = self._encode_rows(columns, cells, stop)
+        keys = keys[:stop]
         indexes = self._indexes
+        # Each indexed column's positions in ``columns``, last first: of
+        # a column named twice, the last non-None value is the row's.
+        indexed_at = {
+            name: [j for j in reversed(range(len(columns))) if columns[j].name == name]
+            for name in indexes
+        }
+        counting = self._n_live is not None
+        fresh = counting and not indexes and self._fresh(keys)
         row_cache = self._row_cache
-        count = 0
-        for key, bound in items:
-            self._write_clock += 1
-            ts_bytes = self._write_clock.to_bytes(8, "little")
-            parts: List[bytes] = [encode_varint(len(bound))]
-            for column, value in bound:
-                parts.append(column._encoded_name)
-                parts.append(ts_bytes)
-                parts.append(column.cql_type.validate_encode(value))
-            encoded = b"".join(parts)
-            if commit_log is not None:
-                commit_log.append(self.name, key, encoded)
-            if indexes:
-                previous = self._read_encoded(key)
-                if previous is not None:
-                    old_row = self.decode_row(previous)
+        memtable = self._memtable
+        writes = self._n_writes
+        # Rows past their commit-log point: a row that fails during its
+        # index update, probe or put is logged, as a log-first write of
+        # that row alone would have logged it.
+        reached = 0
+        try:
+            for position, (key, encoded) in enumerate(zip(keys, rows)):
+                reached += 1
+                if indexes:
+                    previous = self._read_encoded(key)
+                    if previous is not None:
+                        old_row = self.decode_row(previous)
+                        for column_name, index in indexes.items():
+                            index.remove(old_row.get(column_name), key)
                     for column_name, index in indexes.items():
-                        index.remove(old_row.get(column_name), key)
-                new_values = {column.name: value for column, value in bound}
-                for column_name, index in indexes.items():
-                    index.add(new_values.get(column_name), key)
-                was_live = previous is not None
-            elif self._n_live is not None:
-                was_live = self._is_live(key)
-            else:
-                was_live = True  # counter dirty; the value is unused
-            memtable = self._memtable
-            memtable.put(key, encoded)
-            row_cache.invalidate(key)
-            if self._n_live is not None and not was_live:
-                self._n_live += 1
-            self._n_writes += 1
-            if memtable.approximate_bytes >= FLUSH_THRESHOLD:
-                self.seal_memtable()
-            count += 1
-        if count:
-            # One batched increment keeps the loop free of per-row
-            # metric calls.
-            self._m_writes.inc(count)
-        return count
+                        values = (chunk[at][position] for at in indexed_at[column_name])
+                        index.add(next((v for v in values if v is not None), None), key)
+                    was_live = previous is not None
+                else:
+                    was_live = counting and not fresh and self._is_live(key)
+                memtable.put(key, encoded)
+                row_cache.invalidate(key)
+                if counting and not was_live:
+                    self._n_live += 1
+                self._n_writes += 1
+                if memtable.approximate_bytes >= FLUSH_THRESHOLD:
+                    self.seal_memtable()
+                    memtable = self._memtable
+            reached += ticked  # the failing row ticked the clock, no more
+        finally:
+            self._write_clock += reached
+            logged = min(reached, stop)
+            if logged and self._commit_log is not None:
+                self._commit_log.append_many(self.name, keys[:logged], rows[:logged])
+            if self._n_writes > writes:
+                self._m_writes.inc(self._n_writes - writes)
+        if error is not None:
+            raise error
+
+    def _encode_rows(self, columns: Sequence[Column], cells: List[List], n: int) -> List[bytes]:
+        """The first ``n`` stored rows (Cassandra 2.x format, see
+        :meth:`encode_row`) from encoded cell columns: row ``i`` carries
+        the write clock's ``i + 1``-th next tick as every cell's
+        timestamp, and only its non-None cells."""
+        clock = self._write_clock + 1
+        stamps = [tick.to_bytes(8, "little") for tick in range(clock, clock + n)]
+        pieces = [
+            [b"" if cell is None else name + stamp + cell for stamp, cell in zip(stamps, column)]
+            for name, column in zip([c._encoded_name for c in columns], cells)
+        ]
+        width = len(columns)
+        if any(None in column for column in cells):
+            heads = [encode_varint(count) for count in range(width + 1)]
+            counts = [heads[width - row.count(None)] for row in zip(*cells)]
+        else:
+            counts = [encode_varint(width)] * n
+        return list(map(b"".join, zip(counts, *pieces)))
+
+    def _fresh(self, keys: Sequence) -> bool:
+        """Whether every one of ``keys`` provably has no row: they
+        strictly ascend and the first lies above every key any layer
+        holds a row or a tombstone for — O(layers) beside the one pass
+        over ``keys``.  Keys that do not compare prove nothing."""
+        if not keys:
+            return True
+        try:
+            if not all(map(operator.lt, keys, islice(keys, 1, None))):
+                return False
+            first = keys[0]
+            for layer in (self._memtable, *self._pending, *self._sstables):
+                span = layer.key_range()
+                if span is not None and not first > span[1]:
+                    return False
+        except TypeError:
+            return False
+        return True
 
     def update(self, key, assignments: Dict[str, object]) -> None:
         """CQL UPDATE: read-modify-write of non-key columns.

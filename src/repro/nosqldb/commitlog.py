@@ -1,7 +1,8 @@
 """The commit log: the durability half of Cassandra's write path.
 
-Every mutation is appended here, fully serialised, *before* it reaches a
-memtable.  After a crash the memtables are gone but the log survives;
+Every mutation is appended here, fully serialised, before the write that
+makes it returns — a bulk write appends a chunk's records in one go.
+After a crash the memtables are gone but the log survives;
 :meth:`CommitLog.replay` re-applies every mutation recorded since the
 last checkpoint.  SSTables are never in the log's scope — once a
 memtable flushes, :meth:`checkpoint` discards the covered segment.
@@ -38,15 +39,27 @@ class CommitLog:
         self._n_records = 0
 
     def append(self, table_name: str, key, encoded_row: bytes) -> None:
-        """Record one mutation (called before the memtable write)."""
-        before = len(self._buffer)
-        self._buffer += b"\x00" * RECORD_HEADER_BYTES
-        self._buffer += encode_text(table_name)
-        self._buffer += encode_key(key)
-        self._buffer += encode_bytes(encoded_row)
-        self._n_records += 1
-        _M_APPENDS.inc()
-        _M_APPEND_BYTES.inc(len(self._buffer) - before)
+        """Record one mutation."""
+        self.append_many(table_name, (key,), (encoded_row,))
+
+    def append_many(self, table_name: str, keys, encoded_rows) -> None:
+        """Record one mutation per ``(key, encoded row)`` pair in one
+        buffer write: each record is header, table name, key and row —
+        the same bytes one :meth:`append` per pair writes.
+
+        Raises TypeError for a key type the log cannot encode; nothing
+        of the batch is recorded then.
+        """
+        head = bytes(RECORD_HEADER_BYTES) + encode_text(table_name)
+        payload = b"".join([
+            head + encode_key(key) + encode_bytes(row)
+            for key, row in zip(keys, encoded_rows)
+        ])
+        count = len(encoded_rows)
+        self._buffer += payload
+        self._n_records += count
+        _M_APPENDS.inc(count)
+        _M_APPEND_BYTES.inc(len(payload))
 
     def records(self) -> Iterator[Tuple[str, object, bytes]]:
         """Decode every logged ``(table, key, encoded_row)`` mutation."""
@@ -71,8 +84,3 @@ class CommitLog:
     @property
     def size_bytes(self) -> int:
         return len(self._buffer)
-
-    # bytearray-compatible growth used by legacy callers
-    def __iadd__(self, raw: bytes) -> "CommitLog":  # pragma: no cover - compat
-        self._buffer += raw
-        return self

@@ -23,6 +23,7 @@ from repro.query import (
     ACCESS_MULTIGET,
     ACCESS_POINT,
     Aggregate,
+    Columns,
     Filter,
     FullScan,
     IndexScan,
@@ -78,13 +79,13 @@ def insert_template(
 ) -> Optional[InsertTemplate]:
     """Resolve a plain INSERT once, for :meth:`Session.execute_many`.
 
-    The column family and its ``(column, is_bind, index_or_constant)``
-    slots are resolved here, so bulk execution only binds parameters and
-    feeds :meth:`ColumnFamily.insert_bound_many`.  Returns ``None`` when
-    the statement cannot be planned ahead of execution (collection
-    literals with inner bind markers, non-INSERT statements, no
-    resolvable keyspace, no primary-key column) — those run through the
-    generic executor.
+    The column family and each value slot — a bind marker's index or a
+    constant — are resolved here, so bulk execution binds one column per
+    slot and feeds :meth:`ColumnFamily.insert_columns`.  Returns
+    ``None`` when the statement cannot be planned ahead of execution
+    (collection literals with inner bind markers, non-INSERT statements,
+    no resolvable keyspace, no primary-key column) — those run through
+    the generic executor.
     """
     if not isinstance(statement, ast.Insert):
         return None
@@ -94,37 +95,28 @@ def insert_template(
         return None
     table_name = statement.ref.table
     table = engine.keyspace(keyspace_name).table(table_name)
-    template = []
-    pk_slot = None
+    columns = []
+    slots = []  # (marker index, None) or (None, constant)
     for name, value in zip(statement.columns, statement.values):
         if isinstance(value, ast.SetLiteral):
             return None
-        column = table.column(name)
+        columns.append(table.column(name))
         is_bind = isinstance(value, ast.Placeholder)
-        slot = (column, is_bind, value.index if is_bind else value)
-        if name == table.primary_key:
-            pk_slot = slot
-        template.append(slot)
-    if pk_slot is None:
+        slots.append((value.index, None) if is_bind else (None, value))
+    if all(column.name != table.primary_key for column in columns):
         return None
-    _, pk_is_bind, pk_value = pk_slot
 
-    def bound_rows(rows):
-        for params in rows:
-            key = params[pk_value] if pk_is_bind else pk_value
-            if key is None:
-                raise InvalidRequest(f"INSERT into {table.name!r} misses primary key")
-            bound = []
-            for column, is_bind, value in template:
-                resolved = params[value] if is_bind else value
-                if resolved is not None:
-                    bound.append((column, resolved))
-            yield key, bound
+    def write(batch: Columns) -> int:
+        if not batch.n:
+            return 0
+        values = [
+            [constant] * batch.n if index is None else batch.values[index]
+            for index, constant in slots
+        ]
+        return table.insert_columns(columns, values)
 
     guard = table_guard(lambda: engine.keyspace(keyspace_name).table(table_name), table)
-    return InsertTemplate(
-        table, lambda rows: table.insert_bound_many(bound_rows(rows)), (guard,)
-    )
+    return InsertTemplate(table, write, (guard,))
 
 
 def _table_meta(table: ColumnFamily) -> TableMeta:

@@ -18,8 +18,9 @@ class Keyspace:
     """A named collection of column families.
 
     ``durable_writes`` enables the shared commit log: every mutation is
-    appended, fully serialised, before it reaches a memtable — which is
-    what makes crash recovery (:meth:`replay_commit_log`) possible.
+    appended, fully serialised, before the write that makes it returns —
+    which is what makes crash recovery (:meth:`replay_commit_log`)
+    possible.
     """
 
     def __init__(self, name: str, durable_writes: bool = True, data_dir=None) -> None:

@@ -13,22 +13,34 @@ from typing import Dict, Iterator, List, Optional, Tuple
 #: Per-entry bookkeeping overhead charged against the flush threshold.
 ENTRY_OVERHEAD = 32
 
+#: ``_lo`` / ``_hi`` once two keys failed to compare: :meth:`Memtable.key_range`
+#: then takes min/max over every key.
+_INCOMPARABLE = object()
+
 
 class Memtable:
-    """Sorted-on-demand map of primary key -> encoded row."""
+    """Sorted-on-demand map of primary key -> encoded row.
 
-    __slots__ = ("_rows", "_bytes", "_tombstones")
+    The lowest and highest key holding a row or a tombstone are kept as
+    keys arrive, so :meth:`key_range` costs O(1) — scans and the write
+    path's freshness proof ask it of every layer.  A memtable never
+    forgets a key (a delete leaves a tombstone), so the range only grows.
+    """
+
+    __slots__ = ("_rows", "_bytes", "_tombstones", "_lo", "_hi")
 
     def __init__(self) -> None:
         self._rows: Dict[object, bytes] = {}
         self._tombstones: set = set()
         self._bytes = 0
+        self._lo = self._hi = None  # None while empty
 
     def put(self, key, row: bytes) -> None:
         rows = self._rows
         previous = rows.get(key)
         if previous is None:
             self._bytes += ENTRY_OVERHEAD + len(row)
+            self._widen(key)
         else:
             self._bytes += len(row) - len(previous)
         rows[key] = row
@@ -40,6 +52,22 @@ class Memtable:
         if previous is not None:
             self._bytes -= len(previous)
         self._tombstones.add(key)
+        self._widen(key)
+
+    def _widen(self, key) -> None:
+        """Stretch the key range over ``key``."""
+        lo = self._lo
+        if lo is _INCOMPARABLE:
+            return
+        try:
+            if lo is None:
+                self._lo = self._hi = key
+            elif key > self._hi:
+                self._hi = key
+            elif key < lo:
+                self._lo = key
+        except TypeError:  # mixed key types: no order to keep
+            self._lo = self._hi = _INCOMPARABLE
 
     def get(self, key) -> Optional[bytes]:
         return self._rows.get(key)
@@ -64,11 +92,14 @@ class Memtable:
     def key_range(self) -> Optional[Tuple[object, object]]:
         """``(lowest, highest)`` key this memtable holds a row or a
         tombstone for, or None when it holds neither — what a scan
-        compares to decide whether LSM layers can shadow each other."""
-        if not self._rows and not self._tombstones:
-            return None
-        keys = [*self._rows, *self._tombstones]
-        return min(keys), max(keys)
+        compares to decide whether LSM layers can shadow each other, and
+        the write path to prove a batch's keys new.  Once two keys failed
+        to compare it is min/max over every key again, which may raise
+        TypeError."""
+        if self._lo is _INCOMPARABLE:
+            keys = [*self._rows, *self._tombstones]
+            return min(keys), max(keys)
+        return None if self._lo is None else (self._lo, self._hi)
 
     def sorted_items(self) -> List[Tuple[object, bytes]]:
         return sorted(self._rows.items(), key=lambda item: item[0])

@@ -10,7 +10,8 @@ Cassandra beating MySQL on the relationship-heavy DWARF structure.
 
 from __future__ import annotations
 
-from typing import Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from repro.nosqldb.errors import InvalidRequest
 from repro.storage.encoding import (
@@ -24,11 +25,18 @@ from repro.storage.encoding import (
 )
 from repro.storage.varint import decode_varint, encode_varint
 
+_NONE = type(None)
+
 
 class CQLType:
     """Base class: a named value domain with a byte codec."""
 
     name = "?"
+
+    #: The one Python type of every valid value, for a type whose equal
+    #: values encode alike (int, text, boolean); None for double (0.0
+    #: equals -0.0) and set (unhashable values).
+    value_type: Optional[type] = None
 
     def validate(self, value) -> None:
         raise NotImplementedError
@@ -40,6 +48,26 @@ class CQLType:
         """Validate then encode in one call (the write hot path)."""
         self.validate(value)
         return self.encode(value)
+
+    def encode_column(self, values: Sequence) -> List[Optional[bytes]]:
+        """:meth:`validate_encode` of each of ``values``, None kept as
+        None: one column of a bulk write, its type resolved once.  When
+        every value is of :attr:`value_type` they are valid as a whole,
+        and a value repeating down the column is encoded once.
+
+        Raises InvalidRequest for the first invalid value.
+        """
+        value_type = self.value_type
+        if value_type is not None and set(map(type, values)) <= {value_type, _NONE}:
+            encode = self.encode
+            distinct = set(values)
+            if None not in distinct and 2 * len(distinct) > len(values):
+                return list(map(encode, values))
+            encoded = {value: encode(value) for value in distinct if value is not None}
+            encoded[None] = None
+            return list(map(encoded.__getitem__, values))
+        encode = self.validate_encode
+        return [None if value is None else encode(value) for value in values]
 
     def decode(self, buffer, offset: int) -> Tuple[object, int]:
         raise NotImplementedError
@@ -62,14 +90,14 @@ class CQLType:
 
 class IntType(CQLType):
     name = "int"
+    value_type = int
 
     def validate(self, value) -> None:
         """Raises InvalidRequest for values that are not integers."""
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidRequest(f"expected int, got {value!r}")
 
-    def encode(self, value) -> bytes:
-        return encode_varint(value)
+    encode = staticmethod(encode_varint)
 
     def validate_encode(self, value) -> bytes:
         if type(value) is not int:
@@ -91,14 +119,14 @@ class BigIntType(IntType):
 
 class TextType(CQLType):
     name = "text"
+    value_type = str
 
     def validate(self, value) -> None:
         """Raises InvalidRequest for values that are not strings."""
         if not isinstance(value, str):
             raise InvalidRequest(f"expected text, got {value!r}")
 
-    def encode(self, value) -> bytes:
-        return encode_text(value)
+    encode = staticmethod(encode_text)
 
     def validate_encode(self, value) -> bytes:
         if type(value) is not str:
@@ -113,14 +141,14 @@ class TextType(CQLType):
 
 class BooleanType(CQLType):
     name = "boolean"
+    value_type = bool
 
     def validate(self, value) -> None:
         """Raises InvalidRequest for values that are not booleans."""
         if not isinstance(value, bool):
             raise InvalidRequest(f"expected boolean, got {value!r}")
 
-    def encode(self, value) -> bytes:
-        return encode_bool(value)
+    encode = staticmethod(encode_bool)
 
     def validate_encode(self, value) -> bytes:
         if type(value) is not bool:
@@ -168,9 +196,24 @@ class SetType(CQLType):
 
     def encode(self, value) -> bytes:
         items = sorted(value)
-        parts = [encode_varint(len(items))]
-        parts.extend(self.element.encode(item) for item in items)
-        return b"".join(parts)
+        return encode_varint(len(items)) + b"".join(map(self.element.encode, items))
+
+    def encode_column(self, values: Sequence) -> List[Optional[bytes]]:
+        """:meth:`CQLType.encode_column`: when every value is a set (or
+        None) of :attr:`element`'s ``value_type``, the whole column is
+        valid after one pass over the element types.
+
+        Raises InvalidRequest for the first invalid value.
+        """
+        value_type = self.element.value_type
+        if (
+            value_type is not None
+            and set(map(type, values)) <= {set, frozenset, _NONE}
+            and set(map(type, chain.from_iterable(filter(None, values)))) <= {value_type}
+        ):
+            encode = self.encode
+            return [None if value is None else encode(value) for value in values]
+        return super().encode_column(values)
 
     def decode(self, buffer, offset: int):
         count, offset = decode_varint(buffer, offset)

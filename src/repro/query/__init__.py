@@ -69,6 +69,7 @@ from repro.query.pushdown import (
 )
 from repro.query.result import ResultSet
 from repro.query.session import (
+    Columns,
     Dialect,
     InsertTemplate,
     PreparedStatement,
@@ -94,6 +95,7 @@ __all__ = [
     "snapshot_counters",
     "BoundPredicate",
     "COMPARISON_OPS",
+    "Columns",
     "Dialect",
     "Filter",
     "FullScan",

@@ -7,7 +7,8 @@ through the dialect's generic executor.  Bulk DML ("the DWARF cubes were
 inserted in bulk", paper §5) goes through :meth:`Session.execute_many`:
 a prepared INSERT resolves once to an :class:`InsertTemplate`, cached
 under the same ``(namespace, text)`` key and table guard as SELECT
-plans, and its rows stream into the engine's single bulk write loop.
+plans, and its parameters reach the engine's single bulk write loop as
+one :class:`Columns` batch — one sequence per bind marker.
 
 What differs between SQL and CQL is declared in a :class:`Dialect`
 value; the engine packages subclass :class:`Session` only to attach it
@@ -16,7 +17,8 @@ and to name the namespace attribute (``database`` / ``keyspace``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.query.analyze import (
     AnalyzedStatement,
@@ -72,11 +74,31 @@ class PreparedStatement:
         return f"{type(self).__name__}({self.text!r})"
 
 
+class Columns(NamedTuple):
+    """A column batch: ``n`` parameter rows held as one sequence per
+    bind marker — ``values[j][i]`` is row ``i``'s value for marker
+    ``j`` — the one shape :meth:`Session.execute_many` hands an engine."""
+
+    n: int
+    values: Tuple[Sequence, ...]
+
+    @classmethod
+    def of(cls, rows: Iterable[Sequence]) -> "Columns":
+        """Parameter rows transposed.  The batch is as wide as its
+        shortest row."""
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        return cls(len(rows), tuple(zip(*rows)))
+
+    def rows(self) -> Iterator[tuple]:
+        """The parameter rows again."""
+        return zip(*self.values) if self.values else repeat((), self.n)
+
+
 class InsertTemplate:
     """Plan-cache entry of a prepared INSERT.
 
-    ``write(rows)`` binds each parameter row against the column slots
-    resolved at plan time and streams them into ``table``'s bulk write
+    ``write(batch)`` binds a :class:`Columns` batch against the column
+    slots resolved at plan time and feeds it into ``table``'s bulk write
     loop, returning the count written.  ``guards`` revalidate ``table``
     on every cache hit, so DDL re-resolves the template instead of
     writing into a dropped table object.
@@ -84,7 +106,7 @@ class InsertTemplate:
 
     __slots__ = ("table", "write", "guards")
 
-    def __init__(self, table, write: Callable[[Iterable[Sequence]], int], guards) -> None:
+    def __init__(self, table, write: Callable[[Columns], int], guards) -> None:
         self.table = table
         self.write = write
         self.guards = guards
@@ -209,15 +231,19 @@ class Session:
         result.analyzed = analyzed
         return result
 
-    def execute_many(self, prepared: PreparedStatement, rows: Iterable[Sequence]) -> int:
+    def execute_many(self, prepared: PreparedStatement,
+                     rows: Union[Columns, Iterable[Sequence]]) -> int:
         """Run one prepared DML statement per parameter row; returns the count.
 
-        A plain INSERT streams through its cached :class:`InsertTemplate`;
-        any other statement runs the generic executor once per row.
-        Raises the dialect's request/integrity errors; rows written
-        before a failing one stay written.
+        ``rows`` is a :class:`Columns` batch, or parameter rows, which
+        are transposed into one.  A plain INSERT hands the batch to its
+        cached :class:`InsertTemplate`; any other statement runs the
+        generic executor once per row.  Raises the dialect's
+        request/integrity errors; rows written before a failing one stay
+        written.
         """
         t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
+        batch = rows if isinstance(rows, Columns) else Columns.of(rows)
         dialect = self.dialect
         key = (self.namespace, prepared.text)
         template = self.plan_cache.get(key)
@@ -228,11 +254,11 @@ class Session:
             if template is not None:
                 self.plan_cache.put(key, template)
         if template is not None:
-            count = template.write(rows)
+            count = template.write(batch)
             written = (template.table,)
         else:
             count = 0
-            for params in rows:
+            for params in batch.rows():
                 dialect.execute(self.engine, prepared.statement, params, self.namespace)
                 count += 1
             written = dialect.tables(self.engine, self.namespace)

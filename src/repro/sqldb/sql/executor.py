@@ -81,9 +81,9 @@ def insert_template(
 
     The table and its ``(column_name, is_bind, index_or_constant)`` slots
     are resolved here, so bulk execution only binds parameters and feeds
-    :meth:`Table.insert_rows`.  Returns ``None`` for anything but a
-    one-row INSERT with a resolvable database — those run through the
-    generic executor.
+    the batch's rows to :meth:`Table.insert_rows`.  Returns ``None`` for
+    anything but a one-row INSERT with a resolvable database — those run
+    through the generic executor.
     """
     if not isinstance(statement, ast.Insert) or len(statement.rows) != 1:
         return None
@@ -109,7 +109,7 @@ def insert_template(
 
     guard = table_guard(lambda: engine.database(database_name).table(table_name), table)
     return InsertTemplate(
-        table, lambda rows: table.insert_rows(dict_rows(rows)), (guard,)
+        table, lambda batch: table.insert_rows(dict_rows(batch.rows())), (guard,)
     )
 
 

@@ -12,6 +12,11 @@
 * **One layout per table.** No hash ring, per-partition scan,
   partial-aggregate merge or query worker pool is back under ``src/``
   (the CI static-analysis grep checks the same names).
+* **One write path.** A store reaches the NoSQL write loop as column
+  batches: no per-row bound-item loop (``insert_bound_many``) or
+  record-to-row adapter (``_record_rows``) is back under ``src/`` (the
+  CI grep checks the same names; ``tests/mapping/test_store_columns.py``
+  checks that no record is built while storing).
 * **Docs cite what exists.** Every repo path and every backticked
   ``repro.*`` name in ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``
   and ``docs/*.md`` resolves.
@@ -108,14 +113,29 @@ SCATTER_GATHER_RE = re.compile(
 )
 
 
-def test_no_scatter_gather_path_under_src():
-    hits = [
+def _src_hits(pattern):
+    return [
         f"{path.relative_to(ROOT)}:{number}: {match.group(0)}"
         for path in sorted((ROOT / "src").rglob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        for match in SCATTER_GATHER_RE.finditer(line)
+        for match in pattern.finditer(line)
     ]
+
+
+def test_no_scatter_gather_path_under_src():
+    hits = _src_hits(SCATTER_GATHER_RE)
     assert not hits, "a partitioned execution path is back:\n" + "\n".join(hits)
+
+
+# ----------------------------------------------------------------------
+# one write path: column batches from the mapper to the write loop
+# ----------------------------------------------------------------------
+ROW_WRITE_RE = re.compile(r"insert_bound_many|_record_rows")
+
+
+def test_no_row_write_path_under_src():
+    hits = _src_hits(ROW_WRITE_RE)
+    assert not hits, "a per-row write path is back beside the column batch:\n" + "\n".join(hits)
 
 
 # ----------------------------------------------------------------------

@@ -314,7 +314,7 @@ class TestRefusals:
         cf = wide_cf(BLOCK_FORMAT_COLUMNAR)
         big = cf.column("big")
         cf.insert({"id": 1, "big": 1})
-        cf.insert_bound_many([(2, [(cf.column("id"), 2), (big, 5), (big, 6)])])
+        cf.insert_columns([cf.column("id"), big, big], [[2], [5], [6]])
         cf.insert({"id": 3, "big": 3})
         cf.flush()
         assert cf.stats().fallback_blocks == 1

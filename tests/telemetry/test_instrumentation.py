@@ -136,7 +136,7 @@ class TestBlockFormatCounts:
         m = cf.column("m")
         cf.insert({"id": 1, "m": 1})
         cf.flush()
-        cf.insert_bound_many([(2, [(cf.column("id"), 2), (m, 5), (m, 6)])])
+        cf.insert_columns([cf.column("id"), m, m], [[2], [5], [6]])
         cf.flush()
         cf.compact()
 
