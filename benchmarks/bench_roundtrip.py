@@ -37,7 +37,8 @@ def test_reload_week_cube(benchmark, schema_name):
 
 def test_incremental_merge_vs_rebuild(benchmark):
     """The §7 future-work path: merging a delta cube beats a full rebuild."""
-    from repro.dwarf.builder import DwarfBuilder, merge_cubes
+    from repro.dwarf.builder import DwarfBuilder
+    from repro.dwarf.delta import merge_cubes
     from repro.smartcity.bikes import bikes_pipeline
 
     from benchmarks._timing import timed

@@ -26,7 +26,6 @@ from repro.analysis.violations import (
 _LAZY = {
     "dwarf_check": "repro.analysis.dwarf_check",
     "structural_signature": "repro.analysis.dwarf_check",
-    "check_build_equivalence": "repro.analysis.dwarf_check",
     "delta_check": "repro.analysis.delta_check",
     "btree_check": "repro.analysis.btree_check",
     "sstable_check": "repro.analysis.sstable_check",
@@ -64,7 +63,6 @@ __all__ = [
     "btree_check",
     "build_cfg",
     "build_import_graph",
-    "check_build_equivalence",
     "checks_enabled",
     "columnfamily_check",
     "delta_check",

@@ -19,9 +19,9 @@ Verifies the structural guarantees the construction algorithm promises
 * **ALL aggregates** — the ALL cell of every leaf-level node equals the
   aggregator's merge over its member cells, and every interior ALL
   sub-dwarf totals to the merge of its sibling sub-dwarfs' totals.
-* **Serial ↔ parallel equivalence** — :func:`check_build_equivalence`
-  compares two cubes' :func:`structural_signature`; the partitioned
-  builder must produce a DAG structurally identical to the serial scan.
+
+:func:`structural_signature` canonicalises a DAG so two cubes compare
+equal exactly when they are the same structure.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _check_all_aggregates(
 
 
 # ----------------------------------------------------------------------
-# structural signatures (serial <-> parallel equivalence)
+# structural signatures
 # ----------------------------------------------------------------------
 def structural_signature(cube: DwarfCube) -> Tuple:
     """A canonical, shape-and-sharing-sensitive signature of the DAG.
@@ -252,9 +252,9 @@ def structural_signature(cube: DwarfCube) -> Tuple:
     Nodes are numbered in first-visit DFS order; a re-encountered node
     contributes a ``("ref", id)`` marker instead of its expansion, so two
     cubes compare equal **iff** they have identical topology *including*
-    which sub-dwarfs are shared — the property the parallel partitioned
-    builder guarantees relative to the serial scan, and the property a
-    bi-directional mapper must preserve through storage.
+    which sub-dwarfs are shared — the property a delta merge guarantees
+    relative to a cold rebuild, and the property a bi-directional mapper
+    must preserve through storage.
     """
     ids: Dict[int, int] = {}
 
@@ -274,26 +274,3 @@ def structural_signature(cube: DwarfCube) -> Tuple:
 
     return signature(cube.root)
 
-
-def check_build_equivalence(
-    reference: DwarfCube, candidate: DwarfCube, label: str = "parallel"
-) -> CheckReport:
-    """Check that two builds of the same facts are structurally identical.
-
-    The serial↔parallel hook: build once with :class:`DwarfBuilder`, once
-    with :class:`~repro.dwarf.parallel.ParallelDwarfBuilder`, and demand
-    identical DAGs (same topology, sharing, values and tuple counts).
-    """
-    report = CheckReport("build_equivalence")
-    report.check(
-        reference.n_source_tuples == candidate.n_source_tuples,
-        _CHECKER, "dwarf.parallel-equivalence", label,
-        f"source tuple counts differ: {reference.n_source_tuples} vs "
-        f"{candidate.n_source_tuples}",
-    )
-    report.check(
-        structural_signature(reference) == structural_signature(candidate),
-        _CHECKER, "dwarf.parallel-equivalence", label,
-        "structural signatures differ: the two builds are not the same DAG",
-    )
-    return report

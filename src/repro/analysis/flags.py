@@ -18,9 +18,9 @@ def checks_enabled() -> bool:
     """True when runtime invariant checking is switched on.
 
     Controlled by the ``REPRO_CHECK`` environment variable, mirroring how
-    ``REPRO_SCALE`` and ``REPRO_WORKERS`` configure the harness: any value
-    other than empty/``0``/``false``/``no``/``off`` enables the
-    sanitizer-style hooks in the DWARF builders and both engine sessions.
+    ``REPRO_SCALE`` configures the harness: any value other than
+    empty/``0``/``false``/``no``/``off`` enables the sanitizer-style hooks
+    in the DWARF builder, the delta merge and both engine sessions.
     """
     return os.environ.get("REPRO_CHECK", "").strip().lower() not in _DISABLED
 

@@ -3,7 +3,7 @@
 In cube-hashing code (``dwarf/``, ``mapping/``, ``analysis/``), feeding
 ``.keys()``/``.values()``/``.items()`` into ``hash()`` or
 ``frozenset()`` without ``sorted()`` makes signatures depend on dict
-insertion order — exactly the bug the serial/parallel equivalence
+insertion order — exactly the bug the merge == rebuild signature
 checks exist to rule out.
 """
 

@@ -10,7 +10,7 @@ merge it into the standing cube.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.errors import PipelineError
 from repro.core.schema import CubeSchema
@@ -55,19 +55,12 @@ class CubeConstructionPipeline:
         lazily on first use.  ``None`` keeps cubes in memory only.
     coalesce:
         Suffix coalescing toggle, passed to the DWARF builder.
-    workers:
-        Construction worker count for the partitioned parallel builder.
-        ``None`` resolves via :func:`repro.dwarf.parallel.resolve_workers`
-        (``REPRO_WORKERS`` > CPU count); ``1`` pins the classic serial
-        scan.
     """
 
-    def __init__(self, etl, mapper=None, coalesce: bool = True,
-                 workers: Optional[int] = None) -> None:
+    def __init__(self, etl, mapper=None, coalesce: bool = True) -> None:
         self.etl = etl
         self.mapper = mapper
         self.coalesce = coalesce
-        self.workers = workers
         self._installed = False
         self.last_cube = None
 
@@ -78,15 +71,12 @@ class CubeConstructionPipeline:
     # ------------------------------------------------------------------
     def build(self, documents: Iterable):
         """Documents → in-memory DWARF cube (no storage)."""
-        from repro.dwarf.parallel import ParallelDwarfBuilder
+        from repro.dwarf.builder import DwarfBuilder
 
         facts = self.etl.extract(documents)
         if len(facts) == 0:
             raise PipelineError("no fact tuples extracted from the documents")
-        builder = ParallelDwarfBuilder(
-            self.schema, coalesce=self.coalesce, workers=self.workers
-        )
-        cube = builder.build(facts)
+        cube = DwarfBuilder(self.schema, coalesce=self.coalesce).build(facts)
         self.last_cube = cube
         return cube
 
@@ -118,7 +108,8 @@ class CubeConstructionPipeline:
         updates").  Returns the merged cube, which becomes the new
         standing cube.
         """
-        from repro.dwarf.builder import DwarfBuilder, merge_cubes
+        from repro.dwarf.builder import DwarfBuilder
+        from repro.dwarf.delta import merge_cubes
 
         if self.last_cube is None:
             return self.build(documents)

@@ -8,6 +8,7 @@ sortable collection of them bound to a :class:`~repro.core.schema.CubeSchema`.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.core.errors import TupleShapeError
@@ -74,14 +75,6 @@ class TupleSet:
         # set skip the O(n·d) re-verification.
         self._known_sorted = False
         self.extend(tuples)
-
-    @classmethod
-    def _from_sorted_facts(cls, schema: CubeSchema, facts: List[FactTuple]) -> "TupleSet":
-        """Internal: adopt pre-validated, pre-sorted facts without copying."""
-        clone = cls(schema)
-        clone._tuples = facts
-        clone._known_sorted = True
-        return clone
 
     # -- mutation ----------------------------------------------------------
     def append(self, item: Union[FactTuple, Sequence]) -> None:
@@ -159,6 +152,17 @@ def member_sort_key(key) -> Tuple[str, object]:
     if key != key:  # NaN is the only scalar that is unequal to itself
         return (type(key).__name__ + "~nan", 0)
     return (type(key).__name__, key)
+
+
+def canonical_member(member):
+    """``member``, or :data:`math.nan` when ``member`` is a NaN.
+
+    NaN is unequal to itself and hashes by identity, so two NaN objects
+    would be two dictionary keys: two cells for one member.  Construction,
+    the merge key union, reload and query entry all pass members through
+    this, so a dimension holds at most one NaN cell and a query finds it.
+    """
+    return math.nan if member != member else member
 
 
 def make_member_key_memo():

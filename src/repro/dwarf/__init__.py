@@ -6,13 +6,12 @@ tuples, plus the query primitives and the hierarchical extension the
 paper discusses.
 """
 
-from repro.dwarf.builder import DwarfBuilder, build_cube, merge_cubes
+from repro.dwarf.builder import DwarfBuilder, build_cube
 from repro.dwarf.cell import ALL, DwarfCell
 from repro.dwarf.cube import DwarfCube
-from repro.dwarf.delta import DeltaDwarfBuilder, merge_many
+from repro.dwarf.delta import DeltaDwarfBuilder, merge_cubes
 from repro.dwarf.hierarchy import DimensionHierarchy, drilldown, rollup
 from repro.dwarf.node import DwarfNode
-from repro.dwarf.parallel import ParallelDwarfBuilder, build_cube_parallel, resolve_workers
 from repro.dwarf.query import All, Constraint, Each, In, Member, Range, select, slice_cube
 from repro.dwarf.stats import CubeStats, compute_stats
 from repro.dwarf.subcube import extract_subcube
@@ -33,12 +32,10 @@ __all__ = [
     "Each",
     "In",
     "Member",
-    "ParallelDwarfBuilder",
     "Range",
     "Visit",
     "breadth_first",
     "build_cube",
-    "build_cube_parallel",
     "compute_stats",
     "drilldown",
     "export_cube_xml",
@@ -47,8 +44,6 @@ __all__ = [
     "iter_cells",
     "iter_nodes",
     "merge_cubes",
-    "merge_many",
-    "resolve_workers",
     "rollup",
     "select",
     "slice_cube",

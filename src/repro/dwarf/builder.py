@@ -22,26 +22,32 @@ compression comes from suffix coalescing.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.flags import checks_enabled
 from repro.core.errors import SchemaError, TupleShapeError
 from repro.core.schema import CubeSchema
-from repro.core.tuples import TupleSet, make_member_key_memo, member_sort_key
+from repro.core.tuples import (
+    TupleSet,
+    canonical_member,
+    make_member_key_memo,
+    member_sort_key,
+)
 from repro.dwarf.cell import ALL, DwarfCell
 from repro.dwarf.cube import DwarfCube
 from repro.dwarf.node import DwarfNode
 from repro.telemetry import get_registry, get_tracer, wall_clock
 
 _REGISTRY = get_registry()
-_M_BUILDS = _REGISTRY.counter("dwarf_builds_total", "DWARF cubes built", labels=("mode",))
+_M_BUILDS = _REGISTRY.counter("dwarf_builds_total", "DWARF cubes built")
 _M_MEMO_HITS = _REGISTRY.counter(
     "dwarf_merge_memo_hits_total", "suffix-coalesce merges served from the memo"
 )
 _M_MERGES = _REGISTRY.counter("dwarf_merges_total", "sub-dwarf merges performed")
 _H_BUILD_SECONDS = _REGISTRY.histogram(
-    "dwarf_build_seconds", "wall time of DwarfBuilder.build", labels=("mode",)
+    "dwarf_build_seconds", "wall time of DwarfBuilder.build"
 )
 
 #: Total order for dimension members of possibly mixed types (canonical
@@ -79,19 +85,13 @@ class DwarfBuilder:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def build(
-        self,
-        facts: Union[TupleSet, Iterable[Sequence]],
-        close_root: bool = True,
-    ) -> DwarfCube:
+    def build(self, facts: Union[TupleSet, Iterable[Sequence]]) -> DwarfCube:
         """Construct a DWARF cube from fact tuples.
 
         ``facts`` may be a :class:`TupleSet` or any iterable of flat
         ``(d1, ..., dn, measure)`` rows (the paper's Fig. 1 input format).
-
-        ``close_root=False`` leaves the root node open (no ALL cell): the
-        partitioned builder uses it to construct per-partition sub-dwarfs
-        whose roots are later stitched under one shared, then-closed root.
+        Every NaN member becomes :data:`math.nan`, so all NaN facts of a
+        dimension share one cell.
         """
         tuple_set = facts if isinstance(facts, TupleSet) else TupleSet(self.schema, facts)
         if tuple_set.schema.n_dimensions != self.schema.n_dimensions:
@@ -101,7 +101,6 @@ class DwarfBuilder:
             )
         t0 = wall_clock()
         tracer = get_tracer()
-        mode = "serial" if close_root else "open-root"
         with tracer.span("dwarf.build", schema=self.schema.name, tuples=len(tuple_set)):
             with tracer.span("dwarf.sort"):
                 ordered = tuple_set if tuple_set.is_sorted() else tuple_set.sorted()
@@ -122,7 +121,7 @@ class DwarfBuilder:
                         if divergence == n_dims:
                             # Identical dimension vector: fold the measure into the
                             # existing leaf cell.
-                            leaf = path[n_dims - 1].cell(keys[-1])
+                            leaf = path[n_dims - 1].cell(canonical_member(keys[-1]))
                             leaf.value = agg.merge(leaf.value, agg.lift(fact.measure))
                             continue
                         # Nodes strictly below the divergence point will never be
@@ -134,32 +133,28 @@ class DwarfBuilder:
                     # Open the new path below the divergence point.
                     for level in range(divergence, n_dims - 1):
                         child = DwarfNode(level + 1)
-                        path[level].add_cell(DwarfCell(keys[level], node=child))
+                        path[level].add_cell(
+                            DwarfCell(canonical_member(keys[level]), node=child)
+                        )
                         path[level + 1] = child
                     path[n_dims - 1].add_cell(
-                        DwarfCell(keys[-1], value=agg.lift(fact.measure))
+                        DwarfCell(canonical_member(keys[-1]), value=agg.lift(fact.measure))
                     )
                     prev = keys
 
                 if prev is not None:
-                    bottom = -1 if close_root else 0
-                    for level in range(n_dims - 1, bottom, -1):
+                    for level in range(n_dims - 1, -1, -1):
                         self._close(path[level])
             n_merges = len(self._merge_memo)
-            if close_root:
-                self._merge_memo.clear()
-            # else: the partitioned builder harvests the memo so the final
-            # root close can reuse intra-partition merges exactly as the
-            # serial scan's accumulated memo would.
+            self._merge_memo.clear()
             cube = DwarfCube(
                 self.schema, root, n_source_tuples=len(tuple_set), n_merges=n_merges
             )
-        _M_BUILDS.labels(mode).inc()
-        _H_BUILD_SECONDS.labels(mode).observe(wall_clock() - t0)
-        if close_root and checks_enabled():
+        _M_BUILDS.inc()
+        _H_BUILD_SECONDS.observe(wall_clock() - t0)
+        if checks_enabled():
             # REPRO_CHECK=1 sanitizer mode: a freshly closed cube must
-            # satisfy every structural invariant.  Open-root partition
-            # builds are checked by the parallel builder after stitching.
+            # satisfy every structural invariant.
             from repro.analysis.runner import runtime_check
 
             runtime_check(
@@ -174,9 +169,12 @@ class DwarfBuilder:
     # ------------------------------------------------------------------
     @staticmethod
     def _divergence(prev: Tuple, keys: Tuple) -> int:
-        """Index of the first dimension where two key vectors differ."""
+        """Index of the first dimension where two key vectors differ.
+
+        Two NaN members are the same member here, although ``NaN != NaN``.
+        """
         for index, (a, b) in enumerate(zip(prev, keys)):
-            if a != b:
+            if a != b and (a == a or b == b):
                 return index
         return len(keys)
 
@@ -225,12 +223,15 @@ class DwarfBuilder:
         # O(keys × nodes) dict lookups and dominated the construction
         # profile.  Input-node order is preserved per key, so aggregation
         # states merge in exactly the order the probing form produced.
+        # Every NaN key unions under math.nan (see canonical_member).
         key_of = self._member_key_memo
         if leaf_level:
             agg_merge = self._aggregator.merge
             states: Dict[object, object] = {}
             for node in nodes:
                 for key, cell in node._cells.items():
+                    if key != key:
+                        key = math.nan
                     if key in states:
                         states[key] = agg_merge(states[key], cell.value)
                     else:
@@ -241,6 +242,8 @@ class DwarfBuilder:
             sources_by_key: Dict[object, List[DwarfNode]] = {}
             for node in nodes:
                 for key, cell in node._cells.items():
+                    if key != key:
+                        key = math.nan
                     sources = sources_by_key.get(key)
                     if sources is None:
                         sources_by_key[key] = [cell.node]
@@ -287,25 +290,3 @@ def build_cube(
         else:
             raise SchemaError("build_cube needs a schema when facts is a plain iterable")
     return DwarfBuilder(schema, coalesce=coalesce).build(facts)
-
-
-def merge_cubes(left: DwarfCube, right: DwarfCube) -> DwarfCube:
-    """Merge two cubes sharing a schema into a new cube.
-
-    This is the incremental-maintenance primitive the paper's conclusion
-    points at: build a small delta cube from the latest stream window and
-    merge it into the standing cube, instead of rebuilding from scratch.
-    """
-    if left.schema != right.schema:
-        raise SchemaError(
-            f"cannot merge cubes with different schemas: "
-            f"{left.schema.name!r} vs {right.schema.name!r}"
-        )
-    builder = DwarfBuilder(left.schema, coalesce=True)
-    root = builder._merge((left.root, right.root))
-    return DwarfCube(
-        left.schema,
-        root,
-        n_source_tuples=left.n_source_tuples + right.n_source_tuples,
-        n_merges=len(builder._merge_memo),
-    )

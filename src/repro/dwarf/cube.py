@@ -6,6 +6,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import QueryError
 from repro.core.schema import CubeSchema
+from repro.core.tuples import canonical_member
 from repro.dwarf.cell import ALL, DwarfCell
 from repro.dwarf.node import DwarfNode
 
@@ -133,9 +134,9 @@ class DwarfCube:
         if isinstance(coordinates, Mapping):
             vector = [ALL] * n_dims
             for name, member in coordinates.items():
-                vector[self.schema.dimension_index(name)] = member
+                vector[self.schema.dimension_index(name)] = canonical_member(member)
             return tuple(vector)
-        vector = tuple(coordinates)
+        vector = tuple(map(canonical_member, coordinates))
         if len(vector) != n_dims:
             raise QueryError(
                 f"expected {n_dims} coordinates for schema "

@@ -2,10 +2,10 @@
 
 The paper's conclusion points at maintenance "without full recompute":
 build a small cube from the latest stream window and fold it into the
-standing cube.  PR 1's parallel builder proved the enabling property —
-a memo-seeded merge of independently built sub-dwarfs is structurally
-identical to a cold rebuild over the union of their inputs — and
-:class:`DeltaDwarfBuilder` turns that property into an append path:
+standing cube.  The enabling property is that a memo-seeded merge of
+independently built sub-dwarfs is structurally identical to a cold
+rebuild over the union of their inputs, and :class:`DeltaDwarfBuilder`
+turns that property into an append path:
 
 * :meth:`~DeltaDwarfBuilder.build_delta` constructs a *delta cube* from
   one micro-batch of facts (an ordinary coalesced build, small because
@@ -18,9 +18,9 @@ identical to a cold rebuild over the union of their inputs — and
 The merging builder is persistent: its merge memo survives across
 :meth:`~DeltaDwarfBuilder.merge` calls, so sub-dwarfs shared between the
 previous base and the new one (the overwhelming majority under append
-workloads) coalesce from the memo instead of being re-merged — the same
-seeding trick :class:`repro.dwarf.parallel.ParallelDwarfBuilder` uses to
-stitch partition roots.  ``reset_memo()`` bounds memory between merges.
+workloads) coalesce from the memo instead of being re-merged.
+``reset_memo()`` bounds memory between merges.  :func:`merge_cubes` is
+the one-call form.
 
 Because the multi-way merge takes its inputs as a *set* (the memo key is
 id-sorted and the per-key union is an unordered dict fold over
@@ -33,7 +33,7 @@ cold rebuild over the union of all source tuples — the invariant the
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from repro.core.errors import SchemaError
 from repro.core.schema import CubeSchema
@@ -42,7 +42,7 @@ from repro.dwarf.builder import DwarfBuilder
 from repro.dwarf.cube import DwarfCube
 from repro.telemetry import get_registry, get_tracer, wall_clock
 
-__all__ = ["DeltaDwarfBuilder", "merge_many"]
+__all__ = ["DeltaDwarfBuilder", "merge_cubes"]
 
 _REGISTRY = get_registry()
 _M_DELTA_BUILDS = _REGISTRY.counter(
@@ -191,16 +191,14 @@ class DeltaDwarfBuilder:
         return merged
 
 
-def merge_many(
-    base: DwarfCube,
-    deltas: Sequence[DwarfCube],
-    builder: Optional[DeltaDwarfBuilder] = None,
-) -> DwarfCube:
+def merge_cubes(base: DwarfCube, *deltas: DwarfCube) -> DwarfCube:
     """One-call convenience: fold ``deltas`` into ``base``.
 
-    Pass an existing :class:`DeltaDwarfBuilder` to reuse its persistent
-    fold memo; otherwise a transient one is created.
+    This is the incremental-maintenance primitive the paper's conclusion
+    points at: build a small delta cube from the latest stream window and
+    merge it into the standing cube instead of rebuilding from scratch.
+    The result is structurally identical to that rebuild.  Keep a
+    :class:`DeltaDwarfBuilder` instead to reuse its fold memo across
+    merges.
     """
-    if builder is None:
-        builder = DeltaDwarfBuilder(base.schema, coalesce=True)
-    return builder.merge(base, *deltas)
+    return DeltaDwarfBuilder(base.schema).merge(base, *deltas)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import QueryError
+from repro.core.tuples import canonical_member
 from repro.dwarf.cell import ALL
 from repro.dwarf.cube import DwarfCube
 from repro.dwarf.node import DwarfNode
@@ -47,7 +48,7 @@ class Member(Constraint):
     """Fix a dimension to exactly one member."""
 
     def __init__(self, key) -> None:
-        self.key = key
+        self.key = canonical_member(key)
 
     def matching_cells(self, node: DwarfNode):
         cell = node.cell(self.key)
@@ -61,7 +62,7 @@ class In(Constraint):
     """Restrict a dimension to a set of members (dice)."""
 
     def __init__(self, keys) -> None:
-        self.keys = frozenset(keys)
+        self.keys = frozenset(map(canonical_member, keys))
 
     def matching_cells(self, node: DwarfNode):
         return [cell for cell in node.cells() if cell.key in self.keys]

@@ -13,6 +13,7 @@ and reassembles an identical, queryable
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 from itertools import compress
 from operator import attrgetter, itemgetter
@@ -82,8 +83,7 @@ def encode_member(key) -> str:
         return f"i:{key}"
     if isinstance(key, float):
         # Non-finite floats get canonical spellings instead of repr() so
-        # the stored text is platform-independent: parallel workers that
-        # serialise partition boundaries must not corrupt keys.
+        # the stored text is platform-independent.
         if key != key:
             return "f:nan"
         if key == float("inf"):
@@ -107,7 +107,7 @@ def decode_member(text: str):
         return int(payload)
     if tag == "f":
         if payload == "nan":
-            return float("nan")
+            return math.nan  # the one NaN member: see canonical_member
         if payload == "inf":
             return float("inf")
         if payload == "-inf":

@@ -9,7 +9,7 @@ counters, which :meth:`~repro.nosqldb.columnfamily.ColumnFamily.stats`
 and ``repro.dwarf.stats.describe`` surface (docs/read_path.md).
 
 Budgets come from the environment, mirroring ``REPRO_SCALE`` /
-``REPRO_CHECK`` / ``REPRO_WORKERS``:
+``REPRO_CHECK``:
 
 * ``REPRO_BLOCK_CACHE_BYTES`` — decoded-block budget per column family
   (default :data:`DEFAULT_BLOCK_CACHE_BYTES`; ``0`` disables).

@@ -21,7 +21,6 @@ METRIC_NAMES = frozenset(
         "dwarf_delta_merges_total",
         "dwarf_merge_memo_hits_total",
         "dwarf_merges_total",
-        "dwarf_parallel_builds_total",
         "etl_documents_total",
         "etl_facts_total",
         "etl_inferred_schemas_total",
@@ -59,10 +58,6 @@ SPAN_NAMES = frozenset(
     (
         "bench.cell",
         "dwarf.build",
-        "dwarf.parallel.build_partitions",
-        "dwarf.parallel.partition",
-        "dwarf.parallel.sort",
-        "dwarf.parallel.stitch",
         "dwarf.scan",
         "dwarf.sort",
         "etl.extract",

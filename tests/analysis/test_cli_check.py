@@ -14,7 +14,7 @@ def test_check_invariants_day_exits_zero(capsys):
     assert main(["check", "--invariants", "Day"]) == 0
     out = capsys.readouterr().out
     assert "dwarf_check" in out
-    assert "build_equivalence" in out
+    assert "delta_check" in out
     assert "check: OK" in out
 
 

@@ -1,12 +1,7 @@
 """DWARF structural invariants: clean cubes pass, corrupted cubes are caught."""
 
-from repro.analysis.dwarf_check import (
-    check_build_equivalence,
-    dwarf_check,
-    structural_signature,
-)
+from repro.analysis.dwarf_check import dwarf_check, structural_signature
 from repro.dwarf.builder import DwarfBuilder
-from repro.dwarf.parallel import ParallelDwarfBuilder
 
 
 def rules_of(report):
@@ -53,20 +48,9 @@ class TestBuildEquivalence:
     def test_serial_rebuild_is_identical(self, sample_facts, sample_cube):
         rebuilt = DwarfBuilder(sample_facts.schema).build(sample_facts)
         assert structural_signature(rebuilt) == structural_signature(sample_cube)
-        report = check_build_equivalence(sample_cube, rebuilt, label="serial")
-        assert report.ok, "\n".join(report.format_lines())
-
-    def test_parallel_build_is_identical(self, bike_bundle):
-        _, facts, cube = bike_bundle
-        parallel = ParallelDwarfBuilder(
-            cube.schema, mode="thread", min_parallel_tuples=1
-        ).build(facts)
-        report = check_build_equivalence(cube, parallel)
-        assert report.ok, "\n".join(report.format_lines())
 
     def test_divergent_cubes_flagged(self, sample_facts, sample_cube):
         rows = [tuple(fact.keys) + (fact.measure,) for fact in sample_facts]
         rows[-1] = rows[-1][:-1] + (rows[-1][-1] + 1,)
         other = DwarfBuilder(sample_facts.schema).build(rows)
-        report = check_build_equivalence(sample_cube, other)
-        assert rules_of(report) == {"dwarf.parallel-equivalence"}
+        assert structural_signature(other) != structural_signature(sample_cube)

@@ -17,6 +17,10 @@
   record-to-row adapter (``_record_rows``) is back under ``src/`` (the
   CI grep checks the same names; ``tests/mapping/test_store_columns.py``
   checks that no record is built while storing).
+* **One DWARF construction path.** ``DwarfBuilder`` builds and
+  ``DeltaDwarfBuilder`` merges: no worker pool, ``REPRO_WORKERS``,
+  open-root build or second merge helper is back under ``src/`` (the CI
+  grep checks the same names).
 * **Docs cite what exists.** Every repo path and every backticked
   ``repro.*`` name in ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``
   and ``docs/*.md`` resolves.
@@ -136,6 +140,28 @@ ROW_WRITE_RE = re.compile(r"insert_bound_many|_record_rows")
 def test_no_row_write_path_under_src():
     hits = _src_hits(ROW_WRITE_RE)
     assert not hits, "a per-row write path is back beside the column batch:\n" + "\n".join(hits)
+
+
+# ----------------------------------------------------------------------
+# one DWARF construction path: DwarfBuilder builds, DeltaDwarfBuilder merges
+# ----------------------------------------------------------------------
+PARTITIONED_BUILD_RE = re.compile(
+    r"ThreadPoolExecutor|ProcessPoolExecutor|REPRO_WORKERS|resolve_workers"
+    r"|build_cube_parallel|close_root|merge_many|_from_sorted_facts|ParallelDwarfBuilder"
+)
+#: The one allowed hit: the benchmark harness still imports the old name.
+HARNESS_ALIAS = (SRC / "dwarf" / "parallel.py", "ParallelDwarfBuilder = DwarfBuilder")
+
+
+def test_one_dwarf_construction_path_under_src():
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if PARTITIONED_BUILD_RE.search(line)
+        and not (path == HARNESS_ALIAS[0] and line.startswith(HARNESS_ALIAS[1]))
+    ]
+    assert not hits, "a second build or merge path is back:\n" + "\n".join(hits)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.analysis.dwarf_check import dwarf_check, structural_signature
 from repro.core.errors import SchemaError
 from repro.core.schema import CubeSchema
 from repro.dwarf.builder import DwarfBuilder
-from repro.dwarf.delta import DeltaDwarfBuilder, merge_many
+from repro.dwarf.delta import DeltaDwarfBuilder, merge_cubes
 
 rows_strategy = st.lists(
     st.tuples(
@@ -121,11 +121,11 @@ def test_persistent_memo_seeds_follow_up_merges():
     assert builder.memo_size == 0
 
 
-def test_merge_many_convenience_matches_builder():
+def test_merge_cubes_convenience_matches_builder():
     schema = _schema()
     rows = [("a", 1, "x", 5), ("b", 2, "y", 7), ("c", 3, "z", 1)]
     builder = DeltaDwarfBuilder(schema)
     cubes = [builder.build_delta([row]) for row in rows]
-    via_helper = merge_many(cubes[0], cubes[1:])
+    via_helper = merge_cubes(*cubes)
     rebuild = DwarfBuilder(schema).build(rows)
     assert structural_signature(via_helper) == structural_signature(rebuild)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.errors import SchemaError
 from repro.core.schema import CubeSchema
-from repro.dwarf.builder import build_cube, merge_cubes
+from repro.analysis.dwarf_check import structural_signature
+from repro.dwarf import build_cube, merge_cubes
 
 from tests.conftest import SAMPLE_ROWS
 
@@ -17,6 +18,7 @@ class TestMerge:
         rebuilt = build_cube(SAMPLE_ROWS, sample_schema)
         assert sorted(merged.leaves()) == sorted(rebuilt.leaves())
         assert merged.total() == rebuilt.total()
+        assert structural_signature(merged) == structural_signature(rebuilt)
 
     def test_merge_aggregates_common_vectors(self, sample_schema):
         left = build_cube([("A", "B", "C", 1)], sample_schema)
@@ -64,3 +66,4 @@ class TestMerge:
         rebuilt = build_cube(rows, sample_schema)
         assert sorted(standing.leaves()) == sorted(rebuilt.leaves())
         assert standing.total() == rebuilt.total()
+        assert structural_signature(standing) == structural_signature(rebuilt)

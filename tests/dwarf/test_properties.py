@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.schema import CubeSchema
-from repro.dwarf.builder import DwarfBuilder, build_cube, merge_cubes
+from repro.dwarf.builder import DwarfBuilder, build_cube
+from repro.dwarf.delta import merge_cubes
 from repro.dwarf.cell import ALL
 
 from tests.conftest import brute_force_value

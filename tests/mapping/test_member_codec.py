@@ -1,9 +1,9 @@
 """Member key codec — exotic float round trips.
 
-Partition workers serialise first-dimension boundary members through
-``encode_member``/``decode_member``; non-finite floats must survive the
-trip (``f:inf``, ``f:-inf``, ``f:nan``) or stitched cubes would corrupt
-keys that the in-memory builder handles fine.
+Every stored cell key passes through ``encode_member``/``decode_member``;
+non-finite floats must survive the trip (``f:inf``, ``f:-inf``,
+``f:nan``) or reloaded cubes would corrupt keys that the in-memory
+builder handles fine.
 """
 
 import math

@@ -31,7 +31,7 @@ class TestLayerCoverage:
                          "mapper.transform", "stored.point_query"):
             assert expected in names, names
 
-        assert registry.value("dwarf_builds_total", "serial") == 1
+        assert registry.value("dwarf_builds_total") == 1
         assert registry.value("dwarf_merges_total") > 0
         assert registry.value("nosqldb_writes_total") > 0
         assert registry.value("nosqldb_commitlog_appends_total") > 0
