@@ -7,6 +7,5 @@ prepared statements.
 """
 
 from repro.nosqldb.cql.parser import parse
-from repro.nosqldb.cql.executor import execute
 
-__all__ = ["parse", "execute"]
+__all__ = ["parse"]

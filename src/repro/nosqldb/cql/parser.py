@@ -1,113 +1,50 @@
-"""Recursive-descent parser for the CQL subset."""
+"""The CQL grammar over the shared parser core.
+
+:class:`repro.query.syntax.Parser` owns the token plumbing and the
+clauses CQL shares with SQL.  This module adds what only CQL has: ``//``
+comments, ``{}`` set literals, ``BEGIN ... APPLY BATCH``, ``ALLOW
+FILTERING``, ``WITH COMPRESSION`` / ``DURABLE_WRITES``, ``set<...>``
+types, and UPDATE/DELETE that must name their row.
+"""
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from repro.nosqldb.cql import ast
-from repro.nosqldb.cql.lexer import Token, tokenize, unquote_string
 from repro.nosqldb.errors import CQLSyntaxError
-from repro.query import syntax_error_message
+from repro.query.syntax import Parser
 
 
-def parse(text: str) -> ast.Statement:
-    """Parse one CQL statement (a trailing ``;`` is allowed)."""
-    return _Parser(text).parse_statement()
+def unquote_string(text: str) -> str:
+    """Strip quotes and collapse doubled single quotes."""
+    return text[1:-1].replace("''", "'")
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.position = 0
-        self._n_placeholders = 0
-
-    # -- token plumbing ---------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.position]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.position]
-        if token.kind != "END":
-            self.position += 1
-        return token
-
-    def _error(self, message: str) -> CQLSyntaxError:
-        token = self._peek()
-        return CQLSyntaxError(
-            syntax_error_message(message, self.text, token.position, token.text)
-        )
-
-    def _accept_keyword(self, word: str) -> bool:
-        token = self._peek()
-        if token.kind == "IDENT" and token.text.upper() == word:
-            self._advance()
-            return True
-        return False
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
-            raise self._error(f"expected {word}")
-
-    def _accept_op(self, op: str) -> bool:
-        token = self._peek()
-        if token.kind == "OP" and token.text == op:
-            self._advance()
-            return True
-        return False
-
-    def _expect_op(self, op: str) -> None:
-        if not self._accept_op(op):
-            raise self._error(f"expected {op!r}")
-
-    def _identifier(self) -> str:
-        token = self._peek()
-        if token.kind != "IDENT":
-            raise self._error("expected an identifier")
-        self._advance()
-        return token.text
-
-    # -- entry point --------------------------------------------------------
-    def parse_statement(self) -> ast.Statement:
-        statement = self._statement()
-        self._accept_op(";")
-        if self._peek().kind != "END":
-            raise self._error("trailing input after statement")
-        return statement
-
-    def _statement(self) -> ast.Statement:
-        if self._accept_keyword("EXPLAIN"):
-            analyze = self._accept_keyword("ANALYZE")
-            self._expect_keyword("SELECT")
-            return ast.Explain(self._select(), analyze=analyze)
-        if self._accept_keyword("BEGIN"):
-            return self._batch()
-        if self._accept_keyword("CREATE"):
-            return self._create()
-        if self._accept_keyword("INSERT"):
-            return self._insert()
-        if self._accept_keyword("SELECT"):
-            return self._select()
-        if self._accept_keyword("UPDATE"):
-            return self._update()
-        if self._accept_keyword("DELETE"):
-            return self._delete()
-        if self._accept_keyword("TRUNCATE"):
-            return ast.Truncate(self._table_ref())
-        if self._accept_keyword("DROP"):
-            return self._drop()
-        if self._accept_keyword("USE"):
-            return ast.Use(self._identifier())
-        raise self._error("unknown statement")
+class CQLParser(Parser):
+    language = "CQL"
+    pattern = re.compile(
+        r"""
+        (?P<WS>\s+)
+      | (?P<COMMENT>--[^\n]*|//[^\n]*)
+      | (?P<STRING>'(?:[^']|'')*')
+      | (?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<OP><=|>=|!=|[(),.=<>*?{};\[\]:])
+        """,
+        re.VERBOSE,
+    )
+    error = CQLSyntaxError
+    unquote_string = staticmethod(unquote_string)
+    arity_message = "{columns} columns but {values} values"
+    statements = {**Parser.statements, "BEGIN": "_batch"}
 
     def _batch(self) -> ast.Batch:
         """``BEGIN BATCH`` followed by ;-separated mutations, ``APPLY BATCH``."""
         self._expect_keyword("BATCH")
         statements: List[ast.Statement] = []
-        while True:
-            if self._accept_keyword("APPLY"):
-                self._expect_keyword("BATCH")
-                break
+        while not self._accept_keyword("APPLY"):
             if self._accept_keyword("INSERT"):
                 statements.append(self._insert())
             elif self._accept_keyword("UPDATE"):
@@ -117,18 +54,12 @@ class _Parser:
             else:
                 raise self._error("batches may contain INSERT, UPDATE or DELETE")
             self._accept_op(";")
+        self._expect_keyword("BATCH")
         if not statements:
             raise self._error("empty batch")
         return ast.Batch(statements)
 
     # -- DDL -----------------------------------------------------------------
-    def _if_not_exists(self) -> bool:
-        if self._accept_keyword("IF"):
-            self._expect_keyword("NOT")
-            self._expect_keyword("EXISTS")
-            return True
-        return False
-
     def _create(self) -> ast.Statement:
         if self._accept_keyword("KEYSPACE"):
             if_not_exists = self._if_not_exists()
@@ -147,7 +78,7 @@ class _Parser:
 
     def _create_table(self) -> ast.CreateTable:
         if_not_exists = self._if_not_exists()
-        ref = self._table_ref()
+        source = self._table_ref()
         self._expect_op("(")
         columns: List[Tuple[str, str]] = []
         primary_key: Optional[str] = None
@@ -164,9 +95,8 @@ class _Parser:
                     self._expect_keyword("KEY")
                     primary_key = column
                 columns.append((column, type_text))
-            if self._accept_op(","):
-                continue
-            break
+            if not self._accept_op(","):
+                break
         self._expect_op(")")
         compression = True
         if self._accept_keyword("WITH"):
@@ -175,7 +105,7 @@ class _Parser:
             compression = self._boolean()
         if primary_key is None:
             raise self._error("CREATE TABLE needs a PRIMARY KEY")
-        return ast.CreateTable(ref, columns, primary_key, if_not_exists, compression)
+        return ast.CreateTable(source, columns, primary_key, if_not_exists, compression)
 
     def _type_text(self) -> str:
         base = self._identifier()
@@ -191,11 +121,11 @@ class _Parser:
         if not self._accept_keyword("ON"):
             name = self._identifier()
             self._expect_keyword("ON")
-        ref = self._table_ref()
+        source = self._table_ref()
         self._expect_op("(")
         column = self._identifier()
         self._expect_op(")")
-        return ast.CreateIndex(name, ref, column, if_not_exists)
+        return ast.CreateIndex(name, source, column, if_not_exists)
 
     def _drop(self) -> ast.Statement:
         if self._accept_keyword("TABLE"):
@@ -205,30 +135,6 @@ class _Parser:
         raise self._error("expected TABLE or KEYSPACE")
 
     # -- DML -----------------------------------------------------------------
-    def _table_ref(self) -> ast.TableRef:
-        first = self._identifier()
-        if self._accept_op("."):
-            return ast.TableRef(first, self._identifier())
-        return ast.TableRef(None, first)
-
-    def _insert(self) -> ast.Insert:
-        self._expect_keyword("INTO")
-        ref = self._table_ref()
-        self._expect_op("(")
-        columns = [self._identifier()]
-        while self._accept_op(","):
-            columns.append(self._identifier())
-        self._expect_op(")")
-        self._expect_keyword("VALUES")
-        self._expect_op("(")
-        values = [self._value()]
-        while self._accept_op(","):
-            values.append(self._value())
-        self._expect_op(")")
-        if len(columns) != len(values):
-            raise self._error(f"{len(columns)} columns but {len(values)} values")
-        return ast.Insert(ref, columns, values)
-
     def _select(self) -> ast.Select:
         count = False
         columns: List[str] = []
@@ -240,83 +146,32 @@ class _Parser:
             self._expect_op(")")
             count = True
         else:
-            columns.append(self._identifier())
-            while self._accept_op(","):
-                columns.append(self._identifier())
+            columns = self._comma_list(self._identifier)
         self._expect_keyword("FROM")
-        ref = self._table_ref()
+        source = self._source()
         where = self._where_clause()
-        order_by: Optional[str] = None
-        descending = False
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            order_by = self._identifier()
-            if self._accept_keyword("DESC"):
-                descending = True
-            else:
-                self._accept_keyword("ASC")
-        limit: Optional[int] = None
-        if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.kind != "NUMBER":
-                raise self._error("expected a LIMIT count")
-            self._advance()
-            limit = int(token.text)
+        order_by, descending = self._order_by()
+        limit = self._limit()
         allow_filtering = False
         if self._accept_keyword("ALLOW"):
             self._expect_keyword("FILTERING")
             allow_filtering = True
         return ast.Select(
-            ref, columns, where, limit, allow_filtering, count,
-            order_by=order_by, descending=descending,
+            source, columns, where, order_by, descending, limit, count,
+            allow_filtering=allow_filtering,
         )
 
     def _update(self) -> ast.Update:
-        ref = self._table_ref()
-        self._expect_keyword("SET")
-        assignments = [self._assignment()]
-        while self._accept_op(","):
-            assignments.append(self._assignment())
-        where = self._where_clause()
-        if not where:
+        statement = super()._update()
+        if not statement.where:
             raise self._error("UPDATE requires a WHERE clause")
-        return ast.Update(ref, assignments, where)
-
-    def _assignment(self) -> Tuple[str, object]:
-        column = self._identifier()
-        self._expect_op("=")
-        return column, self._value()
+        return statement
 
     def _delete(self) -> ast.Delete:
-        self._expect_keyword("FROM")
-        ref = self._table_ref()
-        where = self._where_clause()
-        if not where:
+        statement = super()._delete()
+        if not statement.where:
             raise self._error("DELETE requires a WHERE clause")
-        return ast.Delete(ref, where)
-
-    def _where_clause(self) -> List[ast.Condition]:
-        conditions: List[ast.Condition] = []
-        if not self._accept_keyword("WHERE"):
-            return conditions
-        conditions.append(self._condition())
-        while self._accept_keyword("AND"):
-            conditions.append(self._condition())
-        return conditions
-
-    def _condition(self) -> ast.Condition:
-        column = self._identifier()
-        if self._accept_keyword("IN"):
-            self._expect_op("(")
-            items = [self._value()]
-            while self._accept_op(","):
-                items.append(self._value())
-            self._expect_op(")")
-            return ast.Condition(column, "IN", items)
-        for op in ("<=", ">=", "=", "<", ">"):
-            if self._accept_op(op):
-                return ast.Condition(column, op, self._value())
-        raise self._error("expected a comparison operator")
+        return statement
 
     # -- literals --------------------------------------------------------------
     def _boolean(self) -> bool:
@@ -327,39 +182,15 @@ class _Parser:
         raise self._error("expected TRUE or FALSE")
 
     def _value(self):
-        token = self._peek()
-        if token.kind == "OP" and token.text == "?":
-            self._advance()
-            placeholder = ast.Placeholder(self._n_placeholders)
-            self._n_placeholders += 1
-            return placeholder
-        if token.kind == "NUMBER":
-            self._advance()
-            text = token.text
-            if "." in text or "e" in text or "E" in text:
-                return float(text)
-            return int(text)
-        if token.kind == "STRING":
-            self._advance()
-            return unquote_string(token.text)
-        if token.kind == "IDENT":
-            upper = token.text.upper()
-            if upper == "TRUE":
-                self._advance()
-                return True
-            if upper == "FALSE":
-                self._advance()
-                return False
-            if upper == "NULL":
-                self._advance()
-                return None
-        if token.kind == "OP" and token.text == "{":
-            self._advance()
-            items = []
-            if not self._accept_op("}"):
-                items.append(self._value())
-                while self._accept_op(","):
-                    items.append(self._value())
-                self._expect_op("}")
-            return ast.SetLiteral(items)
-        raise self._error("expected a literal value")
+        """A scalar literal, or a ``{a, b, ...}`` set literal."""
+        if not self._accept_op("{"):
+            return super()._value()
+        if self._accept_op("}"):
+            return ast.SetLiteral(())
+        items = self._comma_list(self._value)
+        self._expect_op("}")
+        return ast.SetLiteral(items)
+
+
+parse = CQLParser.parse
+tokenize = CQLParser.tokenize

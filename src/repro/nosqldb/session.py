@@ -11,13 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.flags import check_tables
-from repro.nosqldb.cql import ast
-from repro.nosqldb.cql.executor import (
-    ResultSet,
-    build_select_plan,
-    execute,
-    insert_template,
-)
+from repro.nosqldb.cql.executor import CQLExecutor
 from repro.nosqldb.cql.parser import parse
 from repro.query import Dialect, PreparedStatement, Session as _Session
 
@@ -31,12 +25,7 @@ def _tables(engine, keyspace: Optional[str]):
 CQL_DIALECT = Dialect(
     label="cql",
     parse=parse,
-    select=ast.Select,
-    explain=ast.Explain,
-    build_select_plan=build_select_plan,
-    execute=execute,
-    insert_template=insert_template,
-    result=ResultSet,
+    executor=CQLExecutor,
     tables=_tables,
     check=check_tables,
 )

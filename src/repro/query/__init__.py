@@ -3,10 +3,12 @@
 One plan/operator layer under both database engines: a common
 :class:`ResultSet`, the expression evaluator, volcano-style plan nodes
 exchanging column :class:`Batch` es with per-operator counters, the rule-based planner with its plan
-cache, and the dialect-parameterized client :class:`Session`.  Engine
-front-ends (``repro.sqldb``, ``repro.nosqldb``) compile
-their dialects down to this layer; this package must never import an
-engine (lint rule REPRO006).
+cache, the one statement front end (:mod:`repro.query.syntax`: tokenizer,
+parser core, shared statement nodes), and the dialect-parameterized
+client :class:`Session` with its generic :class:`Executor`.  The engines
+(``repro.sqldb``, ``repro.nosqldb``) add their grammar and binding on
+top of this layer; this package must never import an engine (lint rule
+REPRO006).
 """
 
 from repro.query.analyze import (
@@ -71,6 +73,7 @@ from repro.query.result import ResultSet
 from repro.query.session import (
     Columns,
     Dialect,
+    Executor,
     InsertTemplate,
     PreparedStatement,
     Session,
@@ -97,6 +100,7 @@ __all__ = [
     "COMPARISON_OPS",
     "Columns",
     "Dialect",
+    "Executor",
     "Filter",
     "FullScan",
     "HashJoin",

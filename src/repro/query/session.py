@@ -18,7 +18,9 @@ and to name the namespace attribute (``database`` / ``keyspace``).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.query.analyze import (
     AnalyzedStatement,
@@ -26,8 +28,11 @@ from repro.query.analyze import (
     counter_totals,
     record_query,
 )
+from repro.query.expr import compile_value
 from repro.query.plan import Plan
-from repro.query.planner import PlanCache
+from repro.query.planner import PlanCache, table_guard
+from repro.query.result import ResultSet
+from repro.query.syntax import Explain, Insert, Select, TableRef, Truncate, Use
 from repro.telemetry import get_query_log, wall_clock
 
 _QUERY_LOG = get_query_log()
@@ -40,20 +45,8 @@ class Dialect(NamedTuple):
     label: str
     #: ``parse(text) -> statement``.
     parse: Callable[[str], object]
-    #: The AST classes of SELECT and EXPLAIN statements.
-    select: type
-    explain: type
-    #: ``build_select_plan(engine, select, namespace) -> Plan``.
-    build_select_plan: Callable
-    #: The generic executor:
-    #: ``execute(engine, statement, params, namespace) -> (result, new_namespace)``.
-    execute: Callable
-    #: ``insert_template(engine, statement, namespace)`` -> an
-    #: :class:`InsertTemplate`, or None for statements only the generic
-    #: executor can run.
-    insert_template: Callable
-    #: The result class wrapping a plan's rows.
-    result: type
+    #: The engine's :class:`Executor` subclass.
+    executor: type
     #: ``tables(engine, namespace)`` -> the namespace's live tables
     #: (empty when it is unset or dropped).
     tables: Callable
@@ -125,6 +118,140 @@ def reject_repeated_columns(columns: Sequence[str], error: type) -> None:
         seen.add(name)
 
 
+class Executor:
+    """Runs one parsed statement against an engine: the generic half of
+    a dialect's binding to the kernel.
+
+    The base resolves bind markers and namespaces, dispatches on the
+    statement class and handles the statements both engines treat
+    alike: SELECT, EXPLAIN, USE, TRUNCATE and INSERT.  An engine
+    subclass sets the class attributes below, implements
+    :meth:`select_plan` and :meth:`_writer`, and adds its DDL and its
+    UPDATE/DELETE semantics to :attr:`handlers`.
+    """
+
+    #: The engine's request error (``ProgrammingError`` / ``InvalidRequest``).
+    error: type
+    #: The result class wrapping a plan's rows.
+    result: type = ResultSet
+    #: Error for a table named with no namespace while none is in use,
+    #: formatted with the table name.
+    no_namespace: str
+    #: Statement class -> the method running it.
+    handlers: Dict[type, str] = {
+        Select: "_select",
+        Explain: "_explain",
+        Use: "_use",
+        Truncate: "_truncate",
+        Insert: "_insert",
+    }
+
+    def __init__(self, engine, params: Sequence = (), namespace: Optional[str] = None) -> None:
+        self.engine = engine
+        self.params = tuple(params)
+        self.namespace = namespace
+
+    @staticmethod
+    def lookup(engine, name: str):
+        """The engine's namespace (database / keyspace) called ``name``;
+        raises the engine's error when there is none."""
+        raise NotImplementedError
+
+    def select_plan(self, statement: Select) -> Plan:
+        """Compile a SELECT into a kernel plan; all statement-shape
+        validation happens here."""
+        raise NotImplementedError
+
+    def _writer(self, table, columns: Sequence[str], values: Sequence):
+        """The ``write(Columns) -> count`` of a one-row INSERT's bulk
+        template, or None when only :meth:`run` can execute it."""
+        raise NotImplementedError
+
+    def run(self, statement) -> Tuple[object, Optional[str]]:
+        """Execute ``statement``; returns ``(result, new_namespace)``,
+        the namespace set only by USE."""
+        handler = self.handlers.get(type(statement))
+        if handler is None:
+            raise self.error(f"unsupported statement {type(statement).__name__}")
+        return getattr(self, handler)(statement)
+
+    def _done(self, rowcount: int = 0):
+        """What a statement that returns no rows hands back."""
+        return self.result(rowcount=rowcount)
+
+    # -- resolution -----------------------------------------------------------
+    def _resolve(self, value):
+        return compile_value(value, self.error)(self.params)
+
+    def _namespace(self, source: TableRef, missing: str):
+        """The namespace ``source`` names, else the one in use; raises
+        ``missing`` when neither is set."""
+        name = source.namespace or self.namespace
+        if name is None:
+            raise self.error(missing)
+        return self.lookup(self.engine, name)
+
+    def _table(self, source: TableRef):
+        return self._namespace(source, self.no_namespace.format(source.table)).table(source.table)
+
+    def _guarded(self, source: TableRef):
+        """``(table, guard)``: ``source`` resolved, plus a plan-cache
+        guard that re-resolves it on every hit."""
+        table = self._table(source)
+        engine, lookup = self.engine, self.lookup
+        name, table_name = source.namespace or self.namespace, source.table
+        return table, table_guard(lambda: lookup(engine, name).table(table_name), table)
+
+    # -- the statements both engines share -------------------------------------
+    def _select(self, statement: Select):
+        return self.result(self.select_plan(statement).run(self.params)), None
+
+    def _explain(self, statement: Explain):
+        """The plan, one row per operator.  EXPLAIN ANALYZE runs in
+        :meth:`Session._run_analyzed`, where its plan is cached."""
+        return self.result(self.select_plan(statement.select).explain()), None
+
+    def _use(self, statement: Use):
+        self.lookup(self.engine, statement.name)  # validates existence
+        return self._done(), statement.name
+
+    def _truncate(self, statement: Truncate):
+        self._table(statement.source).truncate()
+        return self._done(), None
+
+    def _insert(self, statement: Insert):
+        reject_repeated_columns(statement.columns, self.error)
+        table = self._table(statement.source)
+        count = 0
+        for values in statement.rows:
+            row = {}
+            for column, value in zip(statement.columns, values):
+                resolved = self._resolve(value)
+                if resolved is not None:  # NULL is stored as an absent value
+                    row[column] = resolved
+            table.insert(row)
+            count += 1
+        return self._done(count), None
+
+    def insert_template(self, statement) -> Optional[InsertTemplate]:
+        """Resolve a one-row INSERT once, for :meth:`Session.execute_many`.
+
+        The table and its value slots are resolved here, so bulk
+        execution only binds parameters.  Returns None for any other
+        statement, for an INSERT with no resolvable namespace, or when
+        the engine's :meth:`_writer` declines — those run through
+        :meth:`run`.
+        """
+        if not isinstance(statement, Insert) or len(statement.rows) != 1:
+            return None
+        reject_repeated_columns(statement.columns, self.error)
+        if (statement.source.namespace or self.namespace) is None:
+            return None
+        table, guard = self._guarded(statement.source)
+        write = self._writer(table, statement.columns, statement.rows[0])
+        return None if write is None else InsertTemplate(table, write, (guard,))
+
+
 class Session:
     """A connection to one engine with an optional current namespace.
 
@@ -157,7 +284,7 @@ class Session:
             return self._execute_logged(text, None, params)
         plan = self.plan_cache.get((self.namespace, text))
         if isinstance(plan, Plan):
-            return self.dialect.result(plan.run(params))
+            return self.dialect.executor.result(plan.run(params))
         return self._run_cold(plan, None, text, params)
 
     def execute_prepared(self, prepared: PreparedStatement, params: Sequence = ()):
@@ -170,7 +297,7 @@ class Session:
             return self._execute_logged(prepared.text, prepared.statement, params)
         plan = self.plan_cache.get((self.namespace, prepared.text))
         if isinstance(plan, Plan):
-            return self.dialect.result(plan.run(params))
+            return self.dialect.executor.result(plan.run(params))
         return self._run_cold(plan, prepared.statement, prepared.text, params)
 
     def _execute_logged(self, text: str, statement, params: Sequence):
@@ -184,7 +311,7 @@ class Session:
         plan = self.plan_cache.get(key)
         if isinstance(plan, Plan):
             before = counter_totals(plan)
-            result = self.dialect.result(plan.run(params))
+            result = self.dialect.executor.result(plan.run(params))
             record_query(_QUERY_LOG, text, label, wall_clock() - t0,
                          len(result), plan=plan, before=before)
             return result
@@ -204,30 +331,25 @@ class Session:
         executor."""
         if isinstance(entry, AnalyzedStatement):
             return self._run_analyzed(entry, params)
-        dialect = self.dialect
         if statement is None:
-            statement = dialect.parse(text)
-        kind = type(statement)
-        if kind is dialect.select:
-            plan = dialect.build_select_plan(self.engine, statement, self.namespace)
+            statement = self.dialect.parse(text)
+        executor = self.dialect.executor(self.engine, params, self.namespace)
+        if isinstance(statement, Select):
+            plan = executor.select_plan(statement)
             self.plan_cache.put((self.namespace, text), plan)
-            return dialect.result(plan.run(params))
-        if kind is dialect.explain and statement.analyze:
-            entry = AnalyzedStatement(
-                dialect.build_select_plan(self.engine, statement.select, self.namespace)
-            )
+            return executor.result(plan.run(params))
+        if isinstance(statement, Explain) and statement.analyze:
+            entry = AnalyzedStatement(executor.select_plan(statement.select))
             self.plan_cache.put((self.namespace, text), entry)
             return self._run_analyzed(entry, params)
-        result, new_namespace = dialect.execute(
-            self.engine, statement, params, self.namespace
-        )
+        result, new_namespace = executor.run(statement)
         if new_namespace is not None:
             self.namespace = new_namespace
         return result
 
     def _run_analyzed(self, entry: AnalyzedStatement, params: Sequence):
         analyzed = analyze_plan(entry.plan, params)
-        result = self.dialect.result(analyzed.report)
+        result = self.dialect.executor.result(analyzed.report)
         result.analyzed = analyzed
         return result
 
@@ -248,8 +370,8 @@ class Session:
         key = (self.namespace, prepared.text)
         template = self.plan_cache.get(key)
         if not isinstance(template, InsertTemplate):
-            template = dialect.insert_template(
-                self.engine, prepared.statement, self.namespace
+            template = dialect.executor(self.engine, (), self.namespace).insert_template(
+                prepared.statement
             )
             if template is not None:
                 self.plan_cache.put(key, template)
@@ -259,7 +381,7 @@ class Session:
         else:
             count = 0
             for params in batch.rows():
-                dialect.execute(self.engine, prepared.statement, params, self.namespace)
+                dialect.executor(self.engine, params, self.namespace).run(prepared.statement)
                 count += 1
             written = dialect.tables(self.engine, self.namespace)
         dialect.check(written, f"execute_many[{prepared.text}]")

@@ -12,13 +12,7 @@ from typing import Optional
 
 from repro.analysis.flags import check_tables
 from repro.query import Dialect, PreparedStatement, Session
-from repro.sqldb.sql import ast
-from repro.sqldb.sql.executor import (
-    SQLResult,
-    build_select_plan,
-    execute,
-    insert_template,
-)
+from repro.sqldb.sql.executor import SQLExecutor
 from repro.sqldb.sql.parser import parse
 
 SQLPreparedStatement = PreparedStatement
@@ -33,12 +27,7 @@ def _tables(engine, database: Optional[str]):
 SQL_DIALECT = Dialect(
     label="sql",
     parse=parse,
-    select=ast.Select,
-    explain=ast.Explain,
-    build_select_plan=build_select_plan,
-    execute=execute,
-    insert_template=insert_template,
-    result=SQLResult,
+    executor=SQLExecutor,
     tables=_tables,
     check=check_tables,
 )

@@ -6,6 +6,5 @@ UPDATE and DELETE — with positional ``?`` bind markers.
 """
 
 from repro.sqldb.sql.parser import parse
-from repro.sqldb.sql.executor import execute
 
-__all__ = ["parse", "execute"]
+__all__ = ["parse"]

@@ -1,10 +1,30 @@
-"""SQL abstract syntax tree (relational engine)."""
+"""SQL abstract syntax tree (relational engine).
+
+The statements both languages share (SELECT, INSERT, UPDATE, DELETE,
+TRUNCATE, DROP TABLE, USE, EXPLAIN) are :mod:`repro.query.syntax` nodes, re-exported
+here; this module adds SQL's column references, joins, aggregates and
+DDL.
+"""
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.query import Placeholder  # the bind-marker node both dialects share
+# The nodes and the bind marker both dialects share.
+from repro.query import Placeholder
+from repro.query.syntax import (
+    Condition,
+    Delete,
+    DropTable,
+    Explain,
+    Insert,
+    Select,
+    Statement,
+    TableRef,
+    Truncate,
+    Update,
+    Use,
+)
 
 
 class ColumnRef:
@@ -20,41 +40,12 @@ class ColumnRef:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-class Condition:
-    """``column OP value`` or ``column IS [NOT] NULL`` or ``column IN (...)``."""
-
-    __slots__ = ("column", "op", "value")
-
-    def __init__(self, column: ColumnRef, op: str, value) -> None:
-        self.column = column
-        self.op = op   # = != < > <= >= IN ISNULL NOTNULL
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"{self.column!r} {self.op} {self.value!r}"
-
-
-class TableSource:
-    """``[db.]table [AS alias]`` in a FROM/JOIN clause."""
-
-    __slots__ = ("database", "table", "alias")
-
-    def __init__(self, database: Optional[str], table: str, alias: Optional[str]) -> None:
-        self.database = database
-        self.table = table
-        self.alias = alias or table
-
-    def __repr__(self) -> str:
-        base = f"{self.database}.{self.table}" if self.database else self.table
-        return f"{base} AS {self.alias}" if self.alias != self.table else base
-
-
 class Join:
     """``JOIN source ON left = right`` (inner equi-join)."""
 
     __slots__ = ("source", "left", "right")
 
-    def __init__(self, source: TableSource, left: ColumnRef, right: ColumnRef) -> None:
+    def __init__(self, source: TableRef, left: ColumnRef, right: ColumnRef) -> None:
         self.source = source
         self.left = left
         self.right = right
@@ -74,10 +65,6 @@ class Aggregate:
         return self.label
 
 
-class Statement:
-    __slots__ = ()
-
-
 class CreateDatabase(Statement):
     __slots__ = ("name", "if_not_exists")
 
@@ -91,7 +78,7 @@ class CreateTable(Statement):
 
     def __init__(
         self,
-        source: TableSource,
+        source: TableRef,
         columns: List[Tuple[str, str, bool]],   # (name, type_text, not_null)
         primary_key: List[str],
         if_not_exists: bool,
@@ -105,17 +92,10 @@ class CreateTable(Statement):
 class CreateIndex(Statement):
     __slots__ = ("name", "source", "column")
 
-    def __init__(self, name: str, source: TableSource, column: str) -> None:
+    def __init__(self, name: str, source: TableRef, column: str) -> None:
         self.name = name
         self.source = source
         self.column = column
-
-
-class DropTable(Statement):
-    __slots__ = ("source",)
-
-    def __init__(self, source: TableSource) -> None:
-        self.source = source
 
 
 class DropDatabase(Statement):
@@ -123,93 +103,3 @@ class DropDatabase(Statement):
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-
-class Use(Statement):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
-class Insert(Statement):
-    __slots__ = ("source", "columns", "rows")
-
-    def __init__(self, source: TableSource, columns: List[str], rows: List[List]) -> None:
-        self.source = source
-        self.columns = columns
-        self.rows = rows      # multi-row VALUES
-
-
-class Select(Statement):
-    __slots__ = (
-        "source", "joins", "columns", "aggregates", "group_by", "where",
-        "order_by", "descending", "limit", "count",
-    )
-
-    def __init__(
-        self,
-        source: TableSource,
-        joins: List[Join],
-        columns: List[ColumnRef],        # empty means * (when no aggregates)
-        where: List[Condition],
-        order_by: Optional[ColumnRef],
-        descending: bool,
-        limit: Optional[int],
-        count: bool,
-        aggregates: Optional[List[Aggregate]] = None,
-        group_by: Optional[List[ColumnRef]] = None,
-    ) -> None:
-        self.source = source
-        self.joins = joins
-        self.columns = columns
-        self.aggregates = aggregates or []
-        self.group_by = group_by or []
-        self.where = where
-        self.order_by = order_by
-        self.descending = descending
-        self.limit = limit
-        self.count = count
-
-
-class Update(Statement):
-    __slots__ = ("source", "assignments", "where")
-
-    def __init__(
-        self,
-        source: TableSource,
-        assignments: List[Tuple[str, object]],
-        where: List[Condition],
-    ) -> None:
-        self.source = source
-        self.assignments = assignments
-        self.where = where
-
-
-class Delete(Statement):
-    __slots__ = ("source", "where")
-
-    def __init__(self, source: TableSource, where: List[Condition]) -> None:
-        self.source = source
-        self.where = where
-
-
-class Truncate(Statement):
-    __slots__ = ("source",)
-
-    def __init__(self, source: TableSource) -> None:
-        self.source = source
-
-
-class Explain(Statement):
-    """``EXPLAIN [ANALYZE] SELECT ...``: report the chosen access paths.
-
-    With ``analyze`` set the statement is also *executed* and every
-    operator row carries actual counters (see
-    :mod:`repro.query.analyze`)."""
-
-    __slots__ = ("select", "analyze")
-
-    def __init__(self, select: "Select", analyze: bool = False) -> None:
-        self.select = select
-        self.analyze = analyze

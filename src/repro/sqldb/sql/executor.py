@@ -13,7 +13,7 @@ without executing it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.query import (
     ACCESS_INDEX,
@@ -22,11 +22,11 @@ from repro.query import (
     ACCESS_POINT,
     Aggregate,
     BoundPredicate,
+    Executor,
     Filter,
     FullScan,
     HashJoin,
     IndexScan,
-    InsertTemplate,
     Limit,
     MultiGet,
     PUSHABLE_OPS,
@@ -38,7 +38,6 @@ from repro.query import (
     ResultSet,
     Sort,
     TableMeta,
-    analyze_plan,
     choose_access,
     choose_join_access,
     compile_value,
@@ -47,8 +46,6 @@ from repro.query import (
     count_rows,
     evaluate_aggregate,
     null_safe_key,
-    reject_repeated_columns,
-    table_guard,
 )
 from repro.sqldb.errors import ProgrammingError
 from repro.sqldb.sql import ast
@@ -65,54 +62,6 @@ class SQLResult(ResultSet):
         return f"SQLResult({len(self.rows)} rows, rowcount={self.rowcount})"
 
 
-def execute(
-    engine,
-    statement: ast.Statement,
-    params: Sequence = (),
-    current_database: Optional[str] = None,
-) -> Tuple[SQLResult, Optional[str]]:
-    return _Executor(engine, params, current_database).run(statement)
-
-
-def insert_template(
-    engine, statement: ast.Statement, current_database: Optional[str]
-) -> Optional[InsertTemplate]:
-    """Resolve a single-row INSERT once, for :meth:`SQLSession.execute_many`.
-
-    The table and its ``(column_name, is_bind, index_or_constant)`` slots
-    are resolved here, so bulk execution only binds parameters and feeds
-    the batch's rows to :meth:`Table.insert_rows`.  Returns ``None`` for
-    anything but a one-row INSERT with a resolvable database — those run
-    through the generic executor.
-    """
-    if not isinstance(statement, ast.Insert) or len(statement.rows) != 1:
-        return None
-    reject_repeated_columns(statement.columns, ProgrammingError)
-    database_name = statement.source.database or current_database
-    if database_name is None:
-        return None
-    table_name = statement.source.table
-    table = engine.database(database_name).table(table_name)
-    template = []
-    for column, value in zip(statement.columns, statement.rows[0]):
-        is_bind = isinstance(value, ast.Placeholder)
-        template.append((column, is_bind, value.index if is_bind else value))
-
-    def dict_rows(rows):
-        for params in rows:
-            row = {}
-            for column, is_bind, value in template:
-                resolved = params[value] if is_bind else value
-                if resolved is not None:
-                    row[column] = resolved
-            yield row
-
-    guard = table_guard(lambda: engine.database(database_name).table(table_name), table)
-    return InsertTemplate(
-        table, lambda batch: table.insert_rows(dict_rows(batch.rows())), (guard,)
-    )
-
-
 def _table_meta(table: Table, alias: str) -> TableMeta:
     return TableMeta(
         name=alias,
@@ -122,28 +71,133 @@ def _table_meta(table: Table, alias: str) -> TableMeta:
     )
 
 
-def build_select_plan(
-    engine, stmt: ast.Select, current_database: Optional[str]
-) -> Plan:
-    """Compile a SELECT statement into an executable kernel plan.
+class SQLExecutor(Executor):
+    """The relational engine's half of the SQL binding: its DDL, UPDATE
+    and DELETE by predicate, the SELECT plan builder and the bulk
+    INSERT writer."""
 
-    All statement-shape validation (unknown tables/columns, ambiguous
-    references, GROUP BY rules) happens here, at plan-build time; the
-    returned plan only binds parameters and runs.  Raises
-    :class:`ProgrammingError` exactly where per-execution interpretation
-    used to.
-    """
-    return _SelectPlanBuilder(engine, stmt, current_database).build()
+    error = ProgrammingError
+    result = SQLResult
+    no_namespace = "no database selected for table {!r}"
+
+    @staticmethod
+    def lookup(engine, name: str):
+        return engine.database(name)
+
+    def select_plan(self, stmt: ast.Select) -> Plan:
+        """Compile a SELECT statement into an executable kernel plan.
+
+        All statement-shape validation (unknown tables/columns, ambiguous
+        references, GROUP BY rules) happens here, at plan-build time; the
+        returned plan only binds parameters and runs.  Raises
+        :class:`ProgrammingError` exactly where per-execution
+        interpretation used to.
+        """
+        sources = [stmt.source] + [join.source for join in stmt.joins]
+        aliases = [source.alias for source in sources]
+        if len(set(aliases)) != len(aliases):
+            raise ProgrammingError(f"duplicate table alias in {aliases}")
+        tables: Dict[str, Table] = {}
+        guards: List[Callable[[], bool]] = []
+        for source in sources:
+            tables[source.alias], guard = self._guarded(source)
+            guards.append(guard)
+        return _SelectPlanBuilder(tables, stmt.source.alias, stmt).build(guards)
+
+    def _writer(self, table: Table, columns, values):
+        template = [
+            (column, True, value.index) if isinstance(value, ast.Placeholder)
+            else (column, False, value)
+            for column, value in zip(columns, values)
+        ]
+
+        def dict_rows(rows):
+            for params in rows:
+                row = {}
+                for column, is_bind, value in template:
+                    resolved = params[value] if is_bind else value
+                    if resolved is not None:
+                        row[column] = resolved
+                yield row
+
+        return lambda batch: table.insert_rows(dict_rows(batch.rows()))
+
+    # -- DDL ---------------------------------------------------------------------
+    def _create_database(self, stmt: ast.CreateDatabase):
+        self.engine.create_database(stmt.name, if_not_exists=stmt.if_not_exists)
+        return self._done(), None
+
+    def _create_table(self, stmt: ast.CreateTable):
+        database = self._namespace(stmt.source, "CREATE TABLE without a database")
+        columns = [
+            SQLColumn(name, parse_type(type_text), not_null)
+            for name, type_text, not_null in stmt.columns
+        ]
+        database.create_table(
+            stmt.source.table, columns, stmt.primary_key, if_not_exists=stmt.if_not_exists
+        )
+        return self._done(), None
+
+    def _create_index(self, stmt: ast.CreateIndex):
+        self._table(stmt.source).create_index(stmt.name, stmt.column)
+        return self._done(), None
+
+    def _drop_table(self, stmt: ast.DropTable):
+        self._namespace(stmt.source, "DROP TABLE without a database").drop_table(
+            stmt.source.table
+        )
+        return self._done(), None
+
+    def _drop_database(self, stmt: ast.DropDatabase):
+        self.engine.drop_database(stmt.name)
+        return self._done(), None
+
+    # -- UPDATE/DELETE: rows chosen by predicate ----------------------------------
+    def _predicate(self, table: Table, alias: str, where: List[ast.Condition]):
+        builder = _SelectPlanBuilder({alias: table}, alias)
+        params = self.params
+        return BoundPredicate(tuple(
+            (column, op, resolve(params))
+            for column, op, resolve, _ in map(builder._condition, where)
+        )).matches
+
+    def _update(self, stmt: ast.Update):
+        table = self._table(stmt.source)
+        assignments = {name: self._resolve(value) for name, value in stmt.assignments}
+        count = table.update_where(
+            self._predicate(table, stmt.source.alias, stmt.where), assignments
+        )
+        return self._done(count), None
+
+    def _delete(self, stmt: ast.Delete):
+        table = self._table(stmt.source)
+        count = table.delete_where(self._predicate(table, stmt.source.alias, stmt.where))
+        return self._done(count), None
+
+    handlers = {
+        **Executor.handlers,
+        ast.CreateDatabase: "_create_database",
+        ast.CreateTable: "_create_table",
+        ast.CreateIndex: "_create_index",
+        ast.DropTable: "_drop_table",
+        ast.DropDatabase: "_drop_database",
+        ast.Update: "_update",
+        ast.Delete: "_delete",
+    }
 
 
 class _SelectPlanBuilder:
-    def __init__(self, engine, stmt: ast.Select, current_database: Optional[str]) -> None:
-        self.engine = engine
+    """Compiles one SELECT over resolved tables (alias -> table).
+
+    Without a statement it still resolves WHERE conjuncts, which is all
+    UPDATE and DELETE need from it."""
+
+    def __init__(
+        self, tables: Dict[str, Table], base_alias: str, stmt: Optional[ast.Select] = None
+    ) -> None:
+        self.tables = tables
+        self.base_alias = base_alias
         self.stmt = stmt
-        self.current_database = current_database
-        self.tables: Dict[str, Table] = {}
-        self.guards: List[Callable[[], bool]] = []
-        self.base_alias = stmt.source.alias
 
     def _slot(self, alias: str, name: str) -> str:
         """The key a column has in the rows flowing through the plan:
@@ -151,15 +205,11 @@ class _SelectPlanBuilder:
         through untouched), joined tables' columns are qualified."""
         return name if alias == self.base_alias else f"{alias}.{name}"
 
-    def build(self) -> Plan:
-        stmt = self.stmt
-        sources = [stmt.source] + [join.source for join in stmt.joins]
-        aliases = [source.alias for source in sources]
-        if len(set(aliases)) != len(aliases):
-            raise ProgrammingError(f"duplicate table alias in {aliases}")
-        for source in sources:
-            self.tables[source.alias] = self._resolve_table(source)
+    def build(self, guards: List[Callable[[], bool]]) -> Plan:
+        return Plan(self._root(), guards=tuple(guards))
 
+    def _root(self):
+        stmt = self.stmt
         node, residual = self._base_access(self.base_alias, list(stmt.where))
         for join in stmt.joins:
             node = self._join(node, join)
@@ -169,9 +219,9 @@ class _SelectPlanBuilder:
         if stmt.count:
             # SELECT COUNT(*) counts the filtered set; ORDER BY/LIMIT are
             # ignored, as they always were on this fast path.
-            return self._finish(Aggregate(node, count_rows, "count(*)"))
+            return Aggregate(node, count_rows, "count(*)")
         if stmt.aggregates:
-            return self._finish(self._aggregate_tail(node))
+            return self._aggregate_tail(node)
 
         for ref in stmt.columns:  # validate even when no rows will match
             self._locate(ref)
@@ -186,23 +236,7 @@ class _SelectPlanBuilder:
         if stmt.limit is not None:
             node = Limit(node, stmt.limit)
         names, labels = self._projection()
-        node = Project(node, names, self._projection_desc(), labels)
-        return self._finish(node)
-
-    def _finish(self, node) -> Plan:
-        return Plan(node, guards=tuple(self.guards))
-
-    # -- source resolution --------------------------------------------------
-    def _resolve_table(self, source: ast.TableSource) -> Table:
-        database_name = source.database or self.current_database
-        if database_name is None:
-            raise ProgrammingError(f"no database selected for table {source.table!r}")
-        engine, table_name = self.engine, source.table
-        table = engine.database(database_name).table(table_name)
-        self.guards.append(
-            table_guard(lambda: engine.database(database_name).table(table_name), table)
-        )
-        return table
+        return Project(node, names, self._projection_desc(), labels)
 
     # -- access-path selection ----------------------------------------------
     def _base_access(self, alias: str, conditions: List[ast.Condition]):
@@ -475,144 +509,6 @@ class _SelectPlanBuilder:
         if len(owners) > 1:
             raise ProgrammingError(f"ambiguous column {ref.name!r} (in {owners})")
         return owners[0], ref.name
-
-
-class _Executor:
-    def __init__(self, engine, params: Sequence, current_database: Optional[str]) -> None:
-        self.engine = engine
-        self.params = tuple(params)
-        self.current_database = current_database
-
-    # -- helpers ------------------------------------------------------------
-    def _resolve(self, value):
-        return compile_value(value, ProgrammingError)(self.params)
-
-    def _table(self, source: ast.TableSource) -> Table:
-        database_name = source.database or self.current_database
-        if database_name is None:
-            raise ProgrammingError(f"no database selected for table {source.table!r}")
-        return self.engine.database(database_name).table(source.table)
-
-    # -- dispatch ---------------------------------------------------------------
-    def run(self, statement: ast.Statement):
-        handler = {
-            ast.CreateDatabase: self._create_database,
-            ast.CreateTable: self._create_table,
-            ast.CreateIndex: self._create_index,
-            ast.DropTable: self._drop_table,
-            ast.DropDatabase: self._drop_database,
-            ast.Use: self._use,
-            ast.Insert: self._insert,
-            ast.Select: self._select,
-            ast.Update: self._update,
-            ast.Delete: self._delete,
-            ast.Truncate: self._truncate,
-            ast.Explain: self._explain,
-        }.get(type(statement))
-        if handler is None:
-            raise ProgrammingError(f"unsupported statement {type(statement).__name__}")
-        return handler(statement)
-
-    # -- DDL ---------------------------------------------------------------------
-    def _create_database(self, stmt: ast.CreateDatabase):
-        self.engine.create_database(stmt.name, if_not_exists=stmt.if_not_exists)
-        return SQLResult(), None
-
-    def _create_table(self, stmt: ast.CreateTable):
-        database_name = stmt.source.database or self.current_database
-        if database_name is None:
-            raise ProgrammingError("CREATE TABLE without a database")
-        columns = [
-            SQLColumn(name, parse_type(type_text), not_null)
-            for name, type_text, not_null in stmt.columns
-        ]
-        self.engine.database(database_name).create_table(
-            stmt.source.table, columns, stmt.primary_key, if_not_exists=stmt.if_not_exists
-        )
-        return SQLResult(), None
-
-    def _create_index(self, stmt: ast.CreateIndex):
-        self._table(stmt.source).create_index(stmt.name, stmt.column)
-        return SQLResult(), None
-
-    def _drop_table(self, stmt: ast.DropTable):
-        database_name = stmt.source.database or self.current_database
-        if database_name is None:
-            raise ProgrammingError("DROP TABLE without a database")
-        self.engine.database(database_name).drop_table(stmt.source.table)
-        return SQLResult(), None
-
-    def _drop_database(self, stmt: ast.DropDatabase):
-        self.engine.drop_database(stmt.name)
-        return SQLResult(), None
-
-    def _use(self, stmt: ast.Use):
-        self.engine.database(stmt.name)  # validates existence
-        return SQLResult(), stmt.name
-
-    # -- DML ----------------------------------------------------------------------
-    def _insert(self, stmt: ast.Insert):
-        reject_repeated_columns(stmt.columns, ProgrammingError)
-        table = self._table(stmt.source)
-        count = 0
-        for values in stmt.rows:
-            row = {}
-            for column, value in zip(stmt.columns, values):
-                resolved = self._resolve(value)
-                if resolved is not None:
-                    row[column] = resolved
-            table.insert(row)
-            count += 1
-        return SQLResult(rowcount=count), None
-
-    # -- SELECT -----------------------------------------------------------------
-    def _select(self, stmt: ast.Select):
-        plan = build_select_plan(self.engine, stmt, self.current_database)
-        return SQLResult(plan.run(self.params)), None
-
-    # -- UPDATE/DELETE ------------------------------------------------------------
-    def _predicate(self, table: Table, alias: str, where: List[ast.Condition]):
-        builder = _SelectPlanBuilder.__new__(_SelectPlanBuilder)
-        builder.engine = self.engine
-        builder.stmt = None
-        builder.current_database = self.current_database
-        builder.tables = {alias: table}
-        builder.guards = []
-        builder.base_alias = alias
-        params = self.params
-        return BoundPredicate(tuple(
-            (column, op, resolve(params))
-            for column, op, resolve, _ in map(builder._condition, where)
-        )).matches
-
-    def _update(self, stmt: ast.Update):
-        table = self._table(stmt.source)
-        assignments = {name: self._resolve(value) for name, value in stmt.assignments}
-        count = table.update_where(
-            self._predicate(table, stmt.source.alias, stmt.where), assignments
-        )
-        return SQLResult(rowcount=count), None
-
-    def _delete(self, stmt: ast.Delete):
-        table = self._table(stmt.source)
-        count = table.delete_where(self._predicate(table, stmt.source.alias, stmt.where))
-        return SQLResult(rowcount=count), None
-
-    def _truncate(self, stmt: ast.Truncate):
-        self._table(stmt.source).truncate()
-        return SQLResult(), None
-
-    # -- EXPLAIN ------------------------------------------------------------------
-    def _explain(self, stmt: ast.Explain):
-        """Build the plan; one row per operator.  With ANALYZE the plan
-        is also executed and every row carries actual counters."""
-        plan = build_select_plan(self.engine, stmt.select, self.current_database)
-        if not stmt.analyze:
-            return SQLResult(plan.explain()), None
-        analyzed = analyze_plan(plan, self.params)
-        result = SQLResult(analyzed.report)
-        result.analyzed = analyzed
-        return result, None
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,21 @@
-"""Recursive-descent parser for the SQL subset."""
+"""The SQL grammar (MySQL-flavoured) over the shared parser core.
+
+:class:`repro.query.syntax.Parser` owns the token plumbing and the
+clauses SQL shares with CQL.  This module adds what only SQL has:
+backtick identifiers, ``#`` and ``/* */`` comments, ``<>``, ``IS [NOT]
+NULL``, qualified column references, table aliases, JOINs, multi-row
+VALUES, GROUP BY and aggregates, composite primary keys, ``NOT NULL``,
+``VARCHAR(n)`` and MySQL table options.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import re
+from typing import List, Tuple
 
-from repro.query import syntax_error_message
+from repro.query.syntax import Parser
 from repro.sqldb.errors import SQLSyntaxError
 from repro.sqldb.sql import ast
-from repro.sqldb.sql.lexer import Token, tokenize, unquote_string
 
 _RESERVED = {
     "SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
@@ -17,104 +25,37 @@ _RESERVED = {
     "GROUP", "SUM", "MIN", "MAX", "AVG",
 }
 
-
-def parse(text: str) -> ast.Statement:
-    """Parse one SQL statement (a trailing ``;`` is allowed)."""
-    return _Parser(text).parse_statement()
+_AGGREGATE_FUNCS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.position = 0
-        self._n_placeholders = 0
+def unquote_string(text: str) -> str:
+    quote = text[0]
+    body = text[1:-1]
+    if quote == "'":
+        body = body.replace("''", "'")
+    return body.replace("\\'", "'").replace('\\"', '"').replace("\\\\", "\\")
 
-    # -- token plumbing ------------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.position]
 
-    def _advance(self) -> Token:
-        token = self.tokens[self.position]
-        if token.kind != "END":
-            self.position += 1
-        return token
-
-    def _error(self, message: str) -> SQLSyntaxError:
-        token = self._peek()
-        return SQLSyntaxError(
-            syntax_error_message(message, self.text, token.position, token.text)
-        )
-
-    def _accept_keyword(self, word: str) -> bool:
-        token = self._peek()
-        if token.kind == "IDENT" and token.text.upper() == word:
-            self._advance()
-            return True
-        return False
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
-            raise self._error(f"expected {word}")
-
-    def _accept_op(self, op: str) -> bool:
-        token = self._peek()
-        if token.kind == "OP" and token.text == op:
-            self._advance()
-            return True
-        return False
-
-    def _expect_op(self, op: str) -> None:
-        if not self._accept_op(op):
-            raise self._error(f"expected {op!r}")
-
-    def _identifier(self) -> str:
-        token = self._peek()
-        if token.kind != "IDENT":
-            raise self._error("expected an identifier")
-        self._advance()
-        return token.text
-
-    # -- entry ------------------------------------------------------------------
-    def parse_statement(self) -> ast.Statement:
-        statement = self._statement()
-        self._accept_op(";")
-        if self._peek().kind != "END":
-            raise self._error("trailing input after statement")
-        return statement
-
-    def _statement(self) -> ast.Statement:
-        if self._accept_keyword("EXPLAIN"):
-            analyze = self._accept_keyword("ANALYZE")
-            self._expect_keyword("SELECT")
-            return ast.Explain(self._select(), analyze=analyze)
-        if self._accept_keyword("CREATE"):
-            return self._create()
-        if self._accept_keyword("INSERT"):
-            return self._insert()
-        if self._accept_keyword("SELECT"):
-            return self._select()
-        if self._accept_keyword("UPDATE"):
-            return self._update()
-        if self._accept_keyword("DELETE"):
-            return self._delete()
-        if self._accept_keyword("TRUNCATE"):
-            self._accept_keyword("TABLE")
-            return ast.Truncate(self._table_source())
-        if self._accept_keyword("DROP"):
-            return self._drop()
-        if self._accept_keyword("USE"):
-            return ast.Use(self._identifier())
-        raise self._error("unknown statement")
+class SQLParser(Parser):
+    language = "SQL"
+    pattern = re.compile(
+        r"""
+        (?P<WS>\s+)
+      | (?P<COMMENT>--[^\n]*|\#[^\n]*|/\*.*?\*/)
+      | (?P<STRING>'(?:[^'\\]|\\.|'')*'|"(?:[^"\\]|\\.)*")
+      | (?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      | (?P<QIDENT>`[^`]+`)
+      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<OP><=|>=|<>|!=|[(),.=<>*?;])
+        """,
+        re.VERBOSE | re.DOTALL,
+    )
+    error = SQLSyntaxError
+    unquote_string = staticmethod(unquote_string)
+    comparisons = ("<=", ">=", "<>", "!=", "=", "<", ">")
+    arity_message = "expected {columns} values, got {values}"
 
     # -- DDL ----------------------------------------------------------------------
-    def _if_not_exists(self) -> bool:
-        if self._accept_keyword("IF"):
-            self._expect_keyword("NOT")
-            self._expect_keyword("EXISTS")
-            return True
-        return False
-
     def _create(self) -> ast.Statement:
         if self._accept_keyword("DATABASE") or self._accept_keyword("SCHEMA"):
             if_not_exists = self._if_not_exists()
@@ -124,7 +65,7 @@ class _Parser:
         if self._accept_keyword("INDEX"):
             name = self._identifier()
             self._expect_keyword("ON")
-            source = self._table_source(allow_alias=False)
+            source = self._table_ref()
             self._expect_op("(")
             column = self._identifier()
             self._expect_op(")")
@@ -133,18 +74,14 @@ class _Parser:
 
     def _create_table(self) -> ast.CreateTable:
         if_not_exists = self._if_not_exists()
-        source = self._table_source(allow_alias=False)
+        source = self._table_ref()
         self._expect_op("(")
         columns: List[Tuple[str, str, bool]] = []
         primary_key: List[str] = []
         while True:
             if self._accept_keyword("PRIMARY"):
                 self._expect_keyword("KEY")
-                self._expect_op("(")
-                primary_key.append(self._identifier())
-                while self._accept_op(","):
-                    primary_key.append(self._identifier())
-                self._expect_op(")")
+                primary_key.extend(self._parenthesised(self._identifier))
             else:
                 name = self._identifier()
                 type_text = self._type_text()
@@ -160,9 +97,8 @@ class _Parser:
                         continue
                     break
                 columns.append((name, type_text, not_null))
-            if self._accept_op(","):
-                continue
-            break
+            if not self._accept_op(","):
+                break
         self._expect_op(")")
         # tolerate MySQL table options: ENGINE=INNODB etc.
         while self._peek().kind == "IDENT":
@@ -186,67 +122,41 @@ class _Parser:
 
     def _drop(self) -> ast.Statement:
         if self._accept_keyword("TABLE"):
-            return ast.DropTable(self._table_source(allow_alias=False))
+            return ast.DropTable(self._table_ref())
         if self._accept_keyword("DATABASE"):
             return ast.DropDatabase(self._identifier())
         raise self._error("expected TABLE or DATABASE")
 
-    # -- sources ---------------------------------------------------------------------
-    def _table_source(self, allow_alias: bool = True) -> ast.TableSource:
-        first = self._identifier()
-        database: Optional[str] = None
-        table = first
-        if self._accept_op("."):
-            database = first
-            table = self._identifier()
-        alias: Optional[str] = None
-        if allow_alias:
-            if self._accept_keyword("AS"):
-                alias = self._identifier()
-            else:
-                token = self._peek()
-                if token.kind == "IDENT" and token.text.upper() not in _RESERVED:
-                    alias = self._identifier()
-        return ast.TableSource(database, table, alias)
+    def _truncate(self) -> ast.Truncate:
+        self._accept_keyword("TABLE")
+        return super()._truncate()
 
-    def _column_ref(self) -> ast.ColumnRef:
+    # -- sources and columns ---------------------------------------------------------
+    def _source(self) -> ast.TableRef:
+        source = self._table_ref()
+        if self._accept_keyword("AS"):
+            source.alias = self._identifier()
+        else:
+            token = self._peek()
+            if token.kind == "IDENT" and token.text.upper() not in _RESERVED:
+                source.alias = self._identifier()
+        return source
+
+    def _column(self) -> ast.ColumnRef:
         first = self._identifier()
         if self._accept_op("."):
             return ast.ColumnRef(first, self._identifier())
         return ast.ColumnRef(None, first)
 
     # -- DML --------------------------------------------------------------------------
-    def _insert(self) -> ast.Insert:
-        self._expect_keyword("INTO")
-        source = self._table_source(allow_alias=False)
-        self._expect_op("(")
-        columns = [self._identifier()]
-        while self._accept_op(","):
-            columns.append(self._identifier())
-        self._expect_op(")")
-        self._expect_keyword("VALUES")
-        rows: List[List] = [self._value_tuple(len(columns))]
-        while self._accept_op(","):
-            rows.append(self._value_tuple(len(columns)))
-        return ast.Insert(source, columns, rows)
-
-    def _value_tuple(self, expected: int) -> List:
-        self._expect_op("(")
-        values = [self._value()]
-        while self._accept_op(","):
-            values.append(self._value())
-        self._expect_op(")")
-        if len(values) != expected:
-            raise self._error(f"expected {expected} values, got {len(values)}")
-        return values
+    def _value_rows(self, expected: int) -> List[List]:
+        return self._comma_list(lambda: self._value_tuple(expected))
 
     def _select(self) -> ast.Select:
         count = False
         columns: List[ast.ColumnRef] = []
         aggregates: List[ast.Aggregate] = []
-        if self._accept_op("*"):
-            pass
-        else:
+        if not self._accept_op("*"):
             self._select_item(columns, aggregates)
             while self._accept_op(","):
                 self._select_item(columns, aggregates)
@@ -260,54 +170,35 @@ class _Parser:
                 count = True
                 aggregates = []
         self._expect_keyword("FROM")
-        source = self._table_source()
+        source = self._source()
         joins: List[ast.Join] = []
         while True:
             if self._accept_keyword("INNER"):
                 self._expect_keyword("JOIN")
             elif not self._accept_keyword("JOIN"):
                 break
-            join_source = self._table_source()
+            join_source = self._source()
             self._expect_keyword("ON")
-            left = self._column_ref()
+            left = self._column()
             self._expect_op("=")
-            right = self._column_ref()
-            joins.append(ast.Join(join_source, left, right))
+            joins.append(ast.Join(join_source, left, self._column()))
         where = self._where_clause()
         group_by: List[ast.ColumnRef] = []
         if self._accept_keyword("GROUP"):
             self._expect_keyword("BY")
-            group_by.append(self._column_ref())
-            while self._accept_op(","):
-                group_by.append(self._column_ref())
-        order_by: Optional[ast.ColumnRef] = None
-        descending = False
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            order_by = self._column_ref()
-            if self._accept_keyword("DESC"):
-                descending = True
-            else:
-                self._accept_keyword("ASC")
-        limit: Optional[int] = None
-        if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.kind != "NUMBER":
-                raise self._error("expected a LIMIT count")
-            self._advance()
-            limit = int(token.text)
+            group_by = self._comma_list(self._column)
+        order_by, descending = self._order_by()
+        limit = self._limit()
         if group_by and not aggregates:
             raise self._error("GROUP BY requires at least one aggregate select item")
         return ast.Select(
-            source, joins, columns, where, order_by, descending, limit, count,
-            aggregates=aggregates, group_by=group_by,
+            source, columns, where, order_by, descending, limit, count,
+            joins=joins, aggregates=aggregates, group_by=group_by,
         )
 
-    _AGGREGATE_FUNCS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
-
-    def _select_item(self, columns: List[ast.ColumnRef], aggregates: List["ast.Aggregate"]) -> None:
+    def _select_item(self, columns: List[ast.ColumnRef], aggregates: List[ast.Aggregate]) -> None:
         token = self._peek()
-        if token.kind == "IDENT" and token.text.upper() in self._AGGREGATE_FUNCS:
+        if token.kind == "IDENT" and token.text.upper() in _AGGREGATE_FUNCS:
             after = self.tokens[self.position + 1]
             if after.kind == "OP" and after.text == "(":
                 func = token.text.lower()
@@ -318,86 +209,19 @@ class _Parser:
                         raise self._error(f"{func.upper()}(*) is not valid")
                     column = None
                 else:
-                    column = self._column_ref()
+                    column = self._column()
                 self._expect_op(")")
                 aggregates.append(ast.Aggregate(func, column))
                 return
-        columns.append(self._column_ref())
+        columns.append(self._column())
 
-    def _update(self) -> ast.Update:
-        source = self._table_source(allow_alias=False)
-        self._expect_keyword("SET")
-        assignments = [self._assignment()]
-        while self._accept_op(","):
-            assignments.append(self._assignment())
-        where = self._where_clause()
-        return ast.Update(source, assignments, where)
-
-    def _assignment(self) -> Tuple[str, object]:
-        column = self._identifier()
-        self._expect_op("=")
-        return column, self._value()
-
-    def _delete(self) -> ast.Delete:
-        self._expect_keyword("FROM")
-        source = self._table_source(allow_alias=False)
-        return ast.Delete(source, self._where_clause())
-
-    def _where_clause(self) -> List[ast.Condition]:
-        conditions: List[ast.Condition] = []
-        if not self._accept_keyword("WHERE"):
-            return conditions
-        conditions.append(self._condition())
-        while self._accept_keyword("AND"):
-            conditions.append(self._condition())
-        return conditions
-
-    def _condition(self) -> ast.Condition:
-        column = self._column_ref()
+    def _comparison(self, column: ast.ColumnRef) -> ast.Condition:
         if self._accept_keyword("IS"):
-            if self._accept_keyword("NOT"):
-                self._expect_keyword("NULL")
-                return ast.Condition(column, "NOTNULL", None)
+            negated = self._accept_keyword("NOT")
             self._expect_keyword("NULL")
-            return ast.Condition(column, "ISNULL", None)
-        if self._accept_keyword("IN"):
-            self._expect_op("(")
-            items = [self._value()]
-            while self._accept_op(","):
-                items.append(self._value())
-            self._expect_op(")")
-            return ast.Condition(column, "IN", items)
-        for op in ("<=", ">=", "<>", "!=", "=", "<", ">"):
-            if self._accept_op(op):
-                normalised = "!=" if op == "<>" else op
-                return ast.Condition(column, normalised, self._value())
-        raise self._error("expected a comparison operator")
+            return ast.Condition(column, "NOTNULL" if negated else "ISNULL", None)
+        return super()._comparison(column)
 
-    # -- literals -----------------------------------------------------------------------
-    def _value(self):
-        token = self._peek()
-        if token.kind == "OP" and token.text == "?":
-            self._advance()
-            placeholder = ast.Placeholder(self._n_placeholders)
-            self._n_placeholders += 1
-            return placeholder
-        if token.kind == "NUMBER":
-            self._advance()
-            if "." in token.text or "e" in token.text or "E" in token.text:
-                return float(token.text)
-            return int(token.text)
-        if token.kind == "STRING":
-            self._advance()
-            return unquote_string(token.text)
-        if token.kind == "IDENT":
-            upper = token.text.upper()
-            if upper == "TRUE":
-                self._advance()
-                return True
-            if upper == "FALSE":
-                self._advance()
-                return False
-            if upper == "NULL":
-                self._advance()
-                return None
-        raise self._error("expected a literal value")
+
+parse = SQLParser.parse
+tokenize = SQLParser.tokenize

@@ -10,17 +10,22 @@
   ``keyspace_name`` / ``database_name`` / ``epoch_table`` — such code
   reads ``mapper.mapping`` instead.
 * **One layout per table.** No hash ring, per-partition scan,
-  partial-aggregate merge or query worker pool is back under ``src/``
-  (the CI static-analysis grep checks the same names).
+  partial-aggregate merge or query worker pool is back under ``src/``.
 * **One write path.** A store reaches the NoSQL write loop as column
   batches: no per-row bound-item loop (``insert_bound_many``) or
-  record-to-row adapter (``_record_rows``) is back under ``src/`` (the
-  CI grep checks the same names; ``tests/mapping/test_store_columns.py``
-  checks that no record is built while storing).
+  record-to-row adapter (``_record_rows``) is back under ``src/``
+  (``tests/mapping/test_store_columns.py`` checks that no record is
+  built while storing).
 * **One DWARF construction path.** ``DwarfBuilder`` builds and
   ``DeltaDwarfBuilder`` merges: no worker pool, ``REPRO_WORKERS``,
-  open-root build or second merge helper is back under ``src/`` (the CI
-  grep checks the same names).
+  open-root build or second merge helper is back under ``src/``.
+* **One execution path.** Kernel operators execute batches only, and
+  leaves read storage through ``scan_batches`` / ``get_batches``: the
+  :data:`CONTRACTS` table lists the row paths that must not come back,
+  each with the paths where its pattern is allowed.
+* **One statement front end.** SQL and CQL share the tokenizer loop,
+  the parser core and the generic executor in ``repro.query``; the same
+  table keeps copies of them out of ``sqldb`` and ``nosqldb``.
 * **Docs cite what exists.** Every repo path and every backticked
   ``repro.*`` name in ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``
   and ``docs/*.md`` resolves.
@@ -32,6 +37,7 @@ import ast
 import importlib
 import re
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import pytest
 
@@ -162,6 +168,102 @@ def test_one_dwarf_construction_path_under_src():
         and not (path == HARNESS_ALIAS[0] and line.startswith(HARNESS_ALIAS[1]))
     ]
     assert not hits, "a second build or merge path is back:\n" + "\n".join(hits)
+
+
+# ----------------------------------------------------------------------
+# one execution path and one statement front end: (pattern, allowed paths)
+# ----------------------------------------------------------------------
+class Contract(NamedTuple):
+    #: What the pattern finding means.
+    breach: str
+    pattern: str
+    #: Paths (relative to the repo root) searched; a directory covers its tree.
+    scope: Tuple[str, ...] = ("src",)
+    #: Paths within ``scope`` where the pattern is allowed.
+    allowed: Tuple[str, ...] = ()
+    #: Hits tolerated outside ``allowed``.
+    max_hits: int = 0
+
+
+_EXECUTORS = ("src/repro/sqldb/sql/executor.py", "src/repro/nosqldb/cql/executor.py")
+
+CONTRACTS = [
+    # Kernel operators implement batches(ctx) and nothing else.
+    Contract("a row-list execute path beside batches(ctx)",
+             r"def _execute\b|def rows\(self, ctx", ("src/repro/query/plan.py",)),
+    Contract("a count-only scan entry point or a per-leaf row adapter",
+             r"count_shard|count_filtered|scan_filtered|count_only|wrap="),
+    # Leaves read storage through scan_batches / get_batches only.
+    Contract("a row-returning fetch in a kernel leaf",
+             r"\.get_many\(|\.get\(self\.key|\.lookup_indexed\(|\.lookup_pk_prefix\(",
+             ("src/repro/query/plan.py",)),
+    Contract("a block decoded back to rows", r"_decoded_block"),
+    Contract("rows rematerialized outside the codec, compaction and the checkers",
+             r"all_rows\(", allowed=("src/repro/nosqldb/columnar.py",
+                                     "src/repro/nosqldb/sstable.py", "src/repro/analysis")),
+    Contract("a second all_rows( in the SSTable beside compaction's items()",
+             r"all_rows\(", ("src/repro/nosqldb/sstable.py",), max_hits=1),
+    Contract("an sqldb leaf page handed up as a row batch",
+             r"RowBatch\(", ("src/repro/sqldb/table.py",)),
+    # SQL and CQL share one tokenizer, one parser core and one executor.
+    Contract("a second tokenizer loop",
+             r"lastgroup|def tokenize\b", allowed=("src/repro/query/syntax.py",)),
+    Contract("token plumbing or a shared clause copied into a dialect",
+             r"def (_peek|_advance|_error|_accept_keyword|_expect_keyword|_accept_op|_expect_op"
+             r"|_identifier|_comma_list|parse_statement|_statement|_if_not_exists|_where_clause"
+             r"|_order_by|_limit|_assignment|_explain|_use|_insert)\b",
+             ("src/repro/sqldb", "src/repro/nosqldb")),
+    Contract("statement dispatch or a shared statement copied into an engine executor",
+             r"def (run|_select|_explain|_use|_truncate|_insert)\b|type\(statement\)", _EXECUTORS),
+]
+
+
+def _under(path: str, prefixes) -> bool:
+    return any(path == prefix or path.startswith(prefix + "/") for prefix in prefixes)
+
+
+def contract_hits(contract: Contract, root: Path = ROOT):
+    pattern = re.compile(contract.pattern)
+    return [
+        f"{relative}:{number}: {line.strip()}"
+        for path in sorted((root / "src").rglob("*.py"))
+        for relative in [path.relative_to(root).as_posix()]
+        if _under(relative, contract.scope) and not _under(relative, contract.allowed)
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+
+
+@pytest.mark.parametrize("contract", CONTRACTS, ids=lambda c: c.breach)
+def test_source_contract(contract):
+    hits = contract_hits(contract)
+    assert len(hits) <= contract.max_hits, f"{contract.breach}:\n" + "\n".join(hits)
+
+
+def test_sqldb_batch_readers_decode_columns_not_rows():
+    """sqldb's scan_batches / get_batches decode a column at a time;
+    ``decode_row`` inside them is a leaf page handed up as whole rows."""
+    source = (SRC / "sqldb" / "table.py").read_text(encoding="utf-8")
+    readers = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in ("scan_batches", "get_batches")
+    ]
+    assert len(readers) == 2
+    offenders = [node.name for node in readers
+                 if "decode_row" in ast.get_source_segment(source, node)]
+    assert not offenders, f"decode_row in {offenders}"
+
+
+@pytest.mark.parametrize("source, breach", [
+    ("def tokenize(text):", "a second tokenizer loop"),
+    ("    def _where_clause(self):", "token plumbing or a shared clause copied into a dialect"),
+])
+def test_contract_table_catches_a_copy(tmp_path, source, breach):
+    contract = next(c for c in CONTRACTS if c.breach == breach)
+    copy = tmp_path / "src" / "repro" / "sqldb" / "sql" / "lexer.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text(source + "\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == ["src/repro/sqldb/sql/lexer.py:1: " + source.strip()]
 
 
 # ----------------------------------------------------------------------

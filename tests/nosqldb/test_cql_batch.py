@@ -53,7 +53,7 @@ class TestParsing:
             "INSERT INTO t (id, v) VALUES (?, ?); "
             "APPLY BATCH"
         )
-        indices = [v.index for s in stmt.statements for v in s.values]
+        indices = [v.index for s in stmt.statements for v in s.rows[0]]
         assert indices == [0, 1, 2, 3]
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.nosqldb.cql import ast
-from repro.nosqldb.cql.lexer import tokenize, unquote_string
-from repro.nosqldb.cql.parser import parse
+from repro.nosqldb.cql.parser import parse, tokenize, unquote_string
 from repro.nosqldb.errors import CQLSyntaxError
 
 
@@ -78,9 +77,9 @@ class TestInsert:
     def test_basic_insert(self):
         stmt = parse("INSERT INTO ks.cells (id, key) VALUES (3, 'Fenian St')")
         assert isinstance(stmt, ast.Insert)
-        assert stmt.ref.keyspace == "ks"
+        assert stmt.source.namespace == "ks"
         assert stmt.columns == ["id", "key"]
-        assert stmt.values == [3, "Fenian St"]
+        assert stmt.rows[0] == [3, "Fenian St"]
 
     def test_fig3_insert_parses(self):
         stmt = parse(
@@ -88,21 +87,21 @@ class TestInsert:
             "pointerNode,leaf, schema_id, dimension_table_name) "
             "VALUES (3,'Fenian St', 3,3,null,true,1,'Station');"
         )
-        assert stmt.values == [3, "Fenian St", 3, 3, None, True, 1, "Station"]
+        assert stmt.rows[0] == [3, "Fenian St", 3, 3, None, True, 1, "Station"]
 
     def test_set_literal(self):
         stmt = parse("INSERT INTO t (id, kids) VALUES (1, {4, 5, 6})")
-        assert isinstance(stmt.values[1], ast.SetLiteral)
-        assert stmt.values[1].items == (4, 5, 6)
+        assert isinstance(stmt.rows[0][1], ast.SetLiteral)
+        assert stmt.rows[0][1].items == (4, 5, 6)
 
     def test_empty_set_literal(self):
         stmt = parse("INSERT INTO t (id, kids) VALUES (1, {})")
-        assert stmt.values[1].items == ()
+        assert stmt.rows[0][1].items == ()
 
     def test_placeholders_numbered_in_order(self):
         stmt = parse("INSERT INTO t (a, b, c) VALUES (?, 5, ?)")
-        assert stmt.values[0].index == 0
-        assert stmt.values[2].index == 1
+        assert stmt.rows[0][0].index == 0
+        assert stmt.rows[0][2].index == 1
 
     def test_arity_mismatch(self):
         with pytest.raises(CQLSyntaxError):

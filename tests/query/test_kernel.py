@@ -118,7 +118,8 @@ class TestOperators:
 
     def test_every_operator_executes_batches_and_nothing_else(self):
         # One execution path (docs/query_kernel.md): no operator carries
-        # a row-list method beside batches(ctx).  CI greps for the same.
+        # a row-list method beside batches(ctx).  test_repo_contracts.py
+        # checks the source for the same.
         from repro.query import plan as plan_module
 
         operators = [
@@ -134,7 +135,7 @@ class TestOperators:
     def test_leaves_read_storage_through_batches_only(self):
         # Fetch beside scan (docs/query_kernel.md): no leaf asks storage
         # for rows, and storage has no row-returning block read left to
-        # ask.  CI greps for the same.
+        # ask.  test_repo_contracts.py checks the source for the same.
         import inspect
         import re
 

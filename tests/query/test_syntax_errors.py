@@ -7,10 +7,12 @@ mistake, and line/column arithmetic lives in exactly one place.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nosqldb.cql.parser import parse as parse_cql
 from repro.nosqldb.errors import CQLSyntaxError
 from repro.query import line_and_column, syntax_error_message
+from repro.query.syntax import Explain, Select, Statement
 from repro.sqldb.errors import SQLSyntaxError
 from repro.sqldb.sql.parser import parse as parse_sql
 
@@ -63,3 +65,64 @@ class TestDialectParity:
         assert sql == "cannot tokenise SQL at line 1 column 17 (near '%')"
         cql = failure_message(parse_cql, CQLSyntaxError, "SELECT * FROM t %")
         assert cql == "cannot tokenise CQL at line 1 column 17 (near '%')"
+
+    @pytest.mark.parametrize("count", ["2.5", "1e3", "-3"])
+    def test_limit_takes_a_non_negative_integer(self, count):
+        text = f"SELECT * FROM t LIMIT {count}"
+        sql = failure_message(parse_sql, SQLSyntaxError, text)
+        cql = failure_message(parse_cql, CQLSyntaxError, text)
+        assert sql == cql == (
+            f"LIMIT takes a non-negative integer at line 1 column 23 (near {count!r})"
+        )
+
+    def test_limit_zero_stays_valid(self):
+        assert parse_sql("SELECT * FROM t LIMIT 0").limit == 0
+        assert parse_cql("SELECT * FROM t LIMIT 0").limit == 0
+
+
+# ----------------------------------------------------------------------
+# parsers raise only their own error
+# ----------------------------------------------------------------------
+#: Keywords, operators and literals of both dialects, plus comments and
+#: characters neither tokenizer accepts.
+_KEYWORDS = (
+    "SELECT FROM WHERE AND IN IS NOT NULL TRUE FALSE ORDER BY ASC DESC LIMIT "
+    "INSERT INTO VALUES UPDATE SET DELETE TRUNCATE TABLE USE DROP CREATE "
+    "DATABASE SCHEMA KEYSPACE COLUMNFAMILY INDEX ON IF EXISTS PRIMARY KEY "
+    "EXPLAIN ANALYZE JOIN INNER AS GROUP COUNT SUM MIN MAX AVG VARCHAR INT "
+    "ENGINE BEGIN BATCH APPLY ALLOW FILTERING WITH COMPRESSION DURABLE_WRITES "
+    "set int text t u id x"
+).split()
+_OPERATORS = "<= >= <> != ( ) , . = < > * ? ; { } [ ] :".split()
+_LITERALS = [
+    "0", "7", "-3", "2.5", "1e3", "'s'", "'it''s'", '"d"', "`q t`",
+    "-- c\n", "# c\n", "/* c */", "// c\n", "%", "$",
+]
+_TOKEN = st.sampled_from(_KEYWORDS + _OPERATORS + _LITERALS)
+_STARTERS = st.sampled_from(
+    ["SELECT * FROM t", "SELECT id FROM t WHERE", "INSERT INTO t", "UPDATE t SET",
+     "DELETE FROM t", "CREATE TABLE t (", "BEGIN BATCH", "EXPLAIN SELECT", ""]
+)
+_TEXT = st.builds(
+    lambda start, tokens: " ".join([start] + tokens),
+    _STARTERS, st.lists(_TOKEN, max_size=12),
+)
+
+
+@pytest.mark.parametrize(
+    "parse, error", [(parse_sql, SQLSyntaxError), (parse_cql, CQLSyntaxError)], ids=["sql", "cql"]
+)
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT)
+@example(text="SELECT * FROM t LIMIT 2.5")
+@example(text="SELECT * FROM t LIMIT 1e3")
+@example(text="SELECT * FROM t LIMIT -3")
+def test_parsers_raise_only_their_own_error(parse, error, text):
+    try:
+        statement = parse(text)
+    except error:
+        return
+    assert isinstance(statement, Statement)
+    select = statement.select if isinstance(statement, Explain) else statement
+    if isinstance(select, Select):
+        assert select.limit is None or select.limit >= 0

@@ -4,8 +4,7 @@ import pytest
 
 from repro.sqldb.errors import SQLSyntaxError
 from repro.sqldb.sql import ast
-from repro.sqldb.sql.lexer import tokenize, unquote_string
-from repro.sqldb.sql.parser import parse
+from repro.sqldb.sql.parser import parse, tokenize, unquote_string
 
 
 class TestLexer:
@@ -113,7 +112,7 @@ class TestSelect:
 
     def test_qualified_database_table(self):
         stmt = parse("SELECT * FROM dwarf.CELL")
-        assert stmt.source.database == "dwarf"
+        assert stmt.source.namespace == "dwarf"
         assert stmt.source.table == "CELL"
 
 
