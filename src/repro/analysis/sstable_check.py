@@ -42,8 +42,8 @@ from repro.analysis.violations import CheckReport
 from repro.nosqldb.cache import NEGATIVE
 from repro.nosqldb.columnar import TAG_COLUMNAR, TAG_ROW
 from repro.nosqldb.columnfamily import ColumnFamily
-from repro.nosqldb.sstable import SSTable, _decode_key
-from repro.storage.btree import encode_key
+from repro.nosqldb.sstable import SSTable
+from repro.storage.btree import decode_key, encode_key
 from repro.storage.encoding import decode_bytes, encode_bytes
 from repro.storage.varint import decode_varint, encode_varint
 
@@ -158,7 +158,7 @@ def _row_block_entries(raw: bytes) -> Iterator[Tuple[object, bytes, bytes]]:
             raise ValueError(
                 f"entry length {entry_len} overruns the block at offset {start}"
             )
-        key, key_end = _decode_key(raw, offset)
+        key, key_end = decode_key(raw, offset)
         row, row_end = decode_bytes(raw, key_end)
         if row_end != entry_end:
             raise ValueError(

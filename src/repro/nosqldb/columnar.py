@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.nosqldb.errors import NoSQLError
@@ -62,7 +63,6 @@ from repro.storage.encoding import (
     decode_bytes_vector,
     decode_text,
     encode_bytes,
-    encode_bytes_vector,
     encode_text,
 )
 from repro.storage.varint import decode_varint, encode_varint
@@ -110,7 +110,7 @@ class BlockRefused(NoSQLError):
 class ChunkLayout(NamedTuple):
     """Where a columnar payload's column chunks are: the present
     columns' ``names`` in chunk order, and the payload offset each chunk
-    ``starts`` at.  :meth:`ColumnarCodec.encode_block` knows both as it
+    ``starts`` at.  :meth:`ColumnarCodec.encode_columns` knows both as it
     concatenates; like zone maps they are kept in memory beside the
     block, never serialized."""
 
@@ -162,25 +162,26 @@ class ColumnarCodec:
     ):
         """Transpose sorted entries (``encode_key`` bytes beside encoded
         rows) into one columnar payload; ``decoded`` is the build's
-        :meth:`zone_memo`.
+        :meth:`zone_memo`.  The row feeder: :meth:`encode_columns` over
+        :meth:`split_rows`, for rows that exist only as bytes."""
+        return self.encode_columns(encoded_keys, *self.split_rows(rows), decoded)
+
+    def split_rows(self, rows: Sequence[bytes]):
+        """Split encoded rows into ``(ts_cols, raw_cols, orders)``: per
+        schema column the timestamp and raw value slices of its cells in
+        row order, and per row its cells' schema positions in cell order.
 
         One pass over the row bytes: each cell's encoded name is looked
         up in the name table, its value is skipped with the type's
         ``span``, and the timestamp and raw value slices go straight
-        onto that column's vectors.  No name or value is decoded; only
-        zone entries decode, once per distinct value.
-
-        Returns ``(payload, zones, dict_chunks, plain_chunks, layout)``
-        where ``zones`` maps zone-eligible column names to their
-        ``(lo, hi, distinct)`` entries for this block and ``layout`` is
-        the block's :class:`ChunkLayout`.  Raises BlockRefused for a row
-        naming a column outside the schema or repeating one (the
-        directory could not list its cells exactly).
+        onto that column's vectors.  No name or value is decoded.  A row
+        naming a column outside the schema keeps none of its cells and
+        gets the order None, which :meth:`encode_columns` refuses.
         """
         n_columns = len(self.column_names)
         ts_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
         raw_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
-        orders: List[Tuple[int, ...]] = []
+        orders: List[Optional[Tuple[int, ...]]] = []
         lookup = self._cells.get
         for row in rows:
             count = row[0]
@@ -198,36 +199,66 @@ class ColumnarCodec:
                     length, name_end = decode_varint(row, offset)
                     name_end += length
                 cell = lookup(row[offset:name_end])
-                if cell is None:
-                    raise BlockRefused(
-                        f"cell for unknown column {row[offset:name_end]!r}"
-                    )
+                if cell is None:  # take back the row's cells split so far
+                    for index in order:
+                        ts_cols[index].pop()
+                        raw_cols[index].pop()
+                    order = None
+                    break
                 index, span = cell
                 value_at = name_end + 8
                 offset = span(row, value_at)
                 ts_cols[index].append(row[name_end:value_at])
                 raw_cols[index].append(row[value_at:offset])
                 order.append(index)
-            orders.append(tuple(order))
+            orders.append(order if order is None else tuple(order))
+        return ts_cols, raw_cols, orders
 
+    def encode_columns(
+        self,
+        encoded_keys: Sequence[bytes],
+        ts_cols: Sequence[Sequence[bytes]],
+        raw_cols: Sequence[Sequence[bytes]],
+        orders: Sequence[Optional[Tuple[int, ...]]],
+        decoded: List[Dict[bytes, object]],
+        typed: Optional[Sequence[Optional[Sequence]]] = None,
+    ):
+        """The one block emitter: a block given column-wise into one
+        columnar payload.  Per schema column, ``raw_cols`` holds its
+        cells' raw values in row order and ``ts_cols`` byte strings that
+        concatenate to their 8-byte timestamps; ``orders`` holds each
+        row's cell schema positions in cell order (None for a row the
+        directory cannot list).  ``decoded`` is the build's
+        :meth:`zone_memo`.  ``typed``, where given, holds per column the
+        values its raws encode, each exactly the type's ``value_type``
+        (None where unknown): zone entries then come from them, and
+        only the other columns decode their distinct raws.
+
+        Returns ``(payload, zones, dict_chunks, plain_chunks, layout)``
+        where ``zones`` maps zone-eligible column names to their
+        ``(lo, hi, distinct)`` entries for this block and ``layout`` is
+        the block's :class:`ChunkLayout`.  Raises BlockRefused for a row
+        naming a column outside the schema or repeating one (the
+        directory could not list its cells exactly).
+        """
+        n_columns = len(self.column_names)
         present = [index for index in range(n_columns) if raw_cols[index]]
         slot_bytes: List[bytes] = [b""] * n_columns
         for slot, index in enumerate(present):
             slot_bytes[index] = encode_varint(slot)
-        parts = [encode_varint(len(rows))]
         # Rows written by one statement share a cell order: build (and
         # vet) each distinct directory entry once.
-        directory: Dict[Tuple[int, ...], bytes] = {}
-        for key_bytes, order in zip(encoded_keys, orders):
-            entry = directory.get(order)
-            if entry is None:
-                if len(set(order)) != len(order):
-                    raise BlockRefused("row repeats a column")
-                entry = directory[order] = encode_varint(len(order)) + b"".join(
-                    [slot_bytes[index] for index in order]
-                )
-            parts.append(key_bytes)
-            parts.append(entry)
+        directory: Dict[Optional[Tuple[int, ...]], bytes] = dict.fromkeys(orders)
+        for order in directory:
+            if order is None:
+                raise BlockRefused("row names a column outside the schema")
+            if len(set(order)) != len(order):
+                raise BlockRefused("row repeats a column")
+            directory[order] = encode_varint(len(order)) + b"".join(
+                [slot_bytes[index] for index in order]
+            )
+        parts = [encode_varint(len(orders))]
+        parts.extend(chain.from_iterable(zip(encoded_keys, map(directory.__getitem__, orders))))
 
         parts.append(encode_varint(len(present)))
         # The directory and each chunk are joined on their own, so every
@@ -248,17 +279,23 @@ class ColumnarCodec:
             parts = [self._encoded_names[name], b"\x01" if use_dict else b"\x00"]
             parts.extend(ts_cols[index])
             if self._zoned[index]:
-                zone = self._zone_entry(name, distinct, decoded[index])
-                if zone is not None:
-                    zones[name] = zone
+                bound = typed[index] if typed is not None else None
+                if bound is not None:
+                    zones[name] = _zone_of(set(bound))
+                else:
+                    zone = self._zone_entry(name, distinct, decoded[index])
+                    if zone is not None:
+                        zones[name] = zone
             if use_dict:
                 dict_chunks += 1
-                parts.append(encode_bytes_vector(distinct))
+                # encode_bytes_vector(distinct), pieces joined once
+                parts.append(encode_varint(len(distinct)))
+                parts.extend(_length_prefixed(distinct))
                 for slot, raw in enumerate(distinct):
                     distinct[raw] = encode_varint(slot)
                 parts.extend(map(distinct.__getitem__, values))
             else:
-                parts.extend(map(encode_bytes, values))
+                parts.extend(_length_prefixed(values))
             piece = b"".join(parts)
             starts.append(position)
             position += len(piece)
@@ -287,8 +324,7 @@ class ColumnarCodec:
             if value != value:
                 return None  # NaN poisons ordering: no zone map
             values.append(value)
-        distinct = frozenset(values) if len(values) <= ZONE_DISTINCT_MAX else None
-        return (min(values), max(values), distinct)
+        return _zone_of(values)
 
     # -- block decode --------------------------------------------------
     def decode_block(
@@ -401,6 +437,27 @@ class ColumnarCodec:
         return vectors
 
 
+#: ``encode_varint(n)`` for the lengths most raw values have.
+_LENGTH_HEADS = [encode_varint(n) for n in range(8192)]
+
+
+def _length_prefixed(values: Sequence[bytes]):
+    """``map(encode_bytes, values)`` as pieces to join: each value's
+    varint length, then the value — no bytes object built per value."""
+    try:
+        heads = list(map(_LENGTH_HEADS.__getitem__, map(len, values)))
+    except IndexError:  # a value of 8 KiB or more
+        return map(encode_bytes, values)
+    return chain.from_iterable(zip(heads, values))
+
+
+def _zone_of(values) -> tuple:
+    """The ``(lo, hi, distinct)`` zone entry of a block column's
+    distinct non-NULL ``values`` (NaN-free)."""
+    distinct = frozenset(values) if len(values) <= ZONE_DISTINCT_MAX else None
+    return (min(values), max(values), distinct)
+
+
 class ColumnVectors:
     """One decoded columnar block: the form the block cache holds.
 
@@ -493,6 +550,16 @@ class ColumnVectors:
                 o = end
         self._chunks[col_index] = (raw_vec, rows_here, ts_offset, encoded_name)
         return o
+
+    def chunk_cells(self, col_index: int) -> tuple:
+        """Column ``col_index``'s chunk as stored — ``(rows, raw_vec,
+        stamps, encoded_name)``: the rows holding a cell, the raw value
+        vector (None at the other rows), their 8-byte timestamps as one
+        byte string, and the column's encoded name — what compaction
+        hands the emitter instead of rematerialized rows."""
+        raw_vec, rows_here, ts_offset, encoded_name = self._chunk(col_index)
+        stamps = self._payload[ts_offset:ts_offset + 8 * len(rows_here)]
+        return rows_here, raw_vec, stamps, encoded_name
 
     def _raw(self, name: str) -> Optional[List[Optional[bytes]]]:
         """The raw value vector of column ``name`` (None for a column

@@ -22,13 +22,14 @@ from repro.nosqldb.cache import (
     row_cache_budget,
 )
 from repro.nosqldb.columnar import (
+    BLOCK_FORMAT_COLUMNAR,
     BLOCK_FORMATS,
     ColumnarCodec,
     default_block_format,
 )
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
-from repro.nosqldb.memtable import Memtable
-from repro.nosqldb.sstable import SSTable, compact
+from repro.nosqldb.memtable import Memtable, Run
+from repro.nosqldb.sstable import SSTable, compact, run_feed
 from repro.nosqldb.types import CQLType, SetType
 from repro.query.batch import Batch, FetchedBatch, RowBatch
 from repro.storage.btree import BTree
@@ -48,6 +49,11 @@ _M_FLUSHED_ROWS = _REGISTRY.counter(
 )
 _M_COMPACTIONS = _REGISTRY.counter(
     "nosqldb_compactions_total", "size-tiered compactions run"
+)
+_M_FLUSHED_RUN_ROWS = _REGISTRY.counter(
+    "nosqldb_flushed_run_rows_total",
+    "flushed rows whose cells the write loop's encoded columns supplied (no row split)",
+    labels=("table",),
 )
 
 #: Memtable flush threshold, bytes.
@@ -114,12 +120,17 @@ def _encode_cells(cql_type: CQLType, values: Sequence) -> Tuple[List, Optional[E
 
 
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
-    """Record what a flush or compaction wrote: total blocks, how many
-    are columnar, and how many a columnar table had to store row-major."""
+    """Record what a flush or compaction wrote — total blocks, how many
+    are columnar, how many a columnar table had to store row-major — and
+    what it cost: encode, compress and write (spill) seconds, and the
+    rows whose cells came as columns or from re-splitting row bytes."""
     stats = [sstable.stats() for sstable in sstables]
     span.set("blocks", sum(s.blocks for s in stats))
     span.set("columnar_blocks", sum(s.columnar_blocks for s in stats))
     span.set("fallback_blocks", sum(s.fallback_blocks for s in stats))
+    costs = [sstable.build_cost for sstable in sstables]
+    for field in costs[0]._fields if costs else ():
+        span.set(field, sum(getattr(cost, field) for cost in costs))
 
 
 class Column:
@@ -214,6 +225,7 @@ class ColumnFamily:
         self.block_format = block_format or default_block_format()
         self._codec = ColumnarCodec([(c.name, c.cql_type) for c in columns])
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        self._positions: Dict[str, int] = {name: index for index, name in enumerate(names)}
         self._pk_index = names.index(primary_key)
         self._memtable = Memtable()
         # Memtables handed to the (simulated) background flusher: sealed,
@@ -403,7 +415,11 @@ class ColumnFamily:
 
         The liveness probe is skipped for a chunk that proves its keys
         new (:meth:`_fresh`); a table with a secondary index reads every
-        key before writing it instead, to update the index.
+        key before writing it instead, to update the index.  Such a
+        chunk, written whole, also leaves its encoded cell columns with
+        the memtable(s) it landed in as a :class:`Run`, which the flush
+        hands the SSTable emitter as they are; any other chunk drops the
+        runs of every memtable it touched.
 
         Raises InvalidRequest for a missing primary key or an ill-typed
         value in row ``k``: rows before ``k`` are written (row ``k``'s
@@ -446,8 +462,11 @@ class ColumnFamily:
         }
         counting = self._n_live is not None
         fresh = counting and not indexes and self._fresh(keys)
+        run = self._run(columns, chunk, cells, rows, keys) if fresh and error is None else None
         row_cache = self._row_cache
         memtable = self._memtable
+        # Each memtable the chunk lands in, with the first row it took.
+        landed = [(memtable, 0)]
         writes = self._n_writes
         # Rows past their commit-log point: a row that fails during its
         # index update, probe or put is logged, as a log-first write of
@@ -476,8 +495,18 @@ class ColumnFamily:
                 if memtable.approximate_bytes >= FLUSH_THRESHOLD:
                     self.seal_memtable()
                     memtable = self._memtable
+                    landed.append((memtable, position + 1))
             reached += ticked  # the failing row ticked the clock, no more
+        except BaseException:
+            run = None
+            raise
         finally:
+            ends = [start for _, start in landed[1:]] + [len(rows)]
+            for (target, start), end in zip(landed, ends):
+                if run is None:
+                    target.drop_runs()
+                elif end > start:
+                    target.add_run(run, start, end)
             self._write_clock += reached
             logged = min(reached, stop)
             if logged and self._commit_log is not None:
@@ -486,6 +515,21 @@ class ColumnFamily:
                 self._m_writes.inc(self._n_writes - writes)
         if error is not None:
             raise error
+
+    def _run(self, columns: Sequence[Column], chunk: List[Sequence], cells: List[List],
+             rows: List[bytes], keys: Sequence) -> Optional[Run]:
+        """The :class:`Run` of a proven-fresh chunk written whole, or
+        None unless its columns are this table's, each named once."""
+        positions = tuple(self._positions.get(column.name) for column in columns)
+        if None in positions or len(set(positions)) != len(positions):
+            return None
+        none = type(None)
+        typed = []
+        for column, values in zip(columns, chunk):
+            value_type = column.cql_type.value_type
+            exact = value_type is not None and set(map(type, values)) <= {value_type, none}
+            typed.append(values if exact else None)
+        return Run(keys, rows, positions, cells, self._write_clock + 1, typed)
 
     def _encode_rows(self, columns: Sequence[Column], cells: List[List], n: int) -> List[bytes]:
         """The first ``n`` stored rows (Cassandra 2.x format, see
@@ -540,6 +584,12 @@ class ColumnFamily:
         self.insert({k: v for k, v in current.items() if v is not None})
 
     def delete(self, key) -> None:
+        """CQL DELETE by primary key: a tombstone, logged first.
+
+        Raises InvalidRequest, before anything is logged, for a key the
+        primary key's type rejects (as an INSERT of it would).
+        """
+        self.columns[self._pk_index].cql_type.validate(key)
         if self._indexes:
             previous = self._read_encoded(key)
             if previous is not None:
@@ -593,11 +643,14 @@ class ColumnFamily:
             ) as span:
                 flushed_rows = 0
                 built = []
+                columnar = self.block_format == BLOCK_FORMAT_COLUMNAR
                 for memtable in pending:
                     flushed_rows += len(memtable)
+                    runs = memtable.column_runs() if columnar else None
                     built.append(
                         SSTable(
-                            memtable.sorted_items(),
+                            memtable.sorted_items() if runs is None
+                            else run_feed(runs, self._codec),
                             compressed=self.compression,
                             tombstones=memtable.tombstones,
                             path=self._next_data_path(),
@@ -606,9 +659,13 @@ class ColumnFamily:
                             codec=self._codec,
                         )
                     )
+                    memtable.drop_runs()  # built: release the cell columns
                 self._sstables.extend(built)
                 _M_FLUSHES.inc(len(pending))
                 _M_FLUSHED_ROWS.inc(flushed_rows)
+                _M_FLUSHED_RUN_ROWS.labels(self.name).inc(
+                    sum(sstable.build_cost.rows_from_columns for sstable in built)
+                )
                 span.set("rows", flushed_rows)
                 _set_block_counts(span, built)
                 pending.clear()
@@ -675,6 +732,7 @@ class ColumnFamily:
     def apply_replayed(self, key, encoded_row: bytes) -> None:
         """Re-apply one commit-log mutation (empty payload = tombstone)."""
         was_live = self._is_live(key) if self._n_live is not None else False
+        self._memtable.drop_runs()
         if encoded_row:
             self._memtable.put(key, encoded_row)
             if self._n_live is not None and not was_live:

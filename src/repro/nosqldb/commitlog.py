@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-from repro.storage.btree import encode_key
+from repro.storage.btree import decode_key, encode_key
 from repro.storage.encoding import decode_bytes, decode_text, encode_bytes, encode_text
-from repro.nosqldb.sstable import _decode_key
 from repro.telemetry import get_registry
 
 _REGISTRY = get_registry()
@@ -69,7 +68,7 @@ class CommitLog:
         while offset < end:
             offset += RECORD_HEADER_BYTES
             table_name, offset = decode_text(buffer, offset)
-            key, offset = _decode_key(buffer, offset)
+            key, offset = decode_key(buffer, offset)
             encoded_row, offset = decode_bytes(buffer, offset)
             yield table_name, key, encoded_row
 

@@ -8,7 +8,7 @@ freezes it into an SSTable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Per-entry bookkeeping overhead charged against the flush threshold.
 ENTRY_OVERHEAD = 32
@@ -18,6 +18,23 @@ ENTRY_OVERHEAD = 32
 _INCOMPARABLE = object()
 
 
+class Run(NamedTuple):
+    """One proven-fresh chunk of a bulk write, as the write loop built
+    it — references only, nothing copied.  Row ``i`` is ``keys[i]``
+    stored as ``rows[i]``; its cells are ``cells[j][i]`` (None: no cell)
+    for the statement columns at schema ``positions[j]``, all stamped
+    with write-clock tick ``tick + i``.  ``typed[j]`` is column ``j``'s
+    bound values where each is exactly its type's ``value_type``, else
+    None."""
+
+    keys: Sequence
+    rows: Sequence[bytes]
+    positions: Tuple[int, ...]
+    cells: Sequence[Sequence[Optional[bytes]]]
+    tick: int
+    typed: Sequence[Optional[Sequence]]
+
+
 class Memtable:
     """Sorted-on-demand map of primary key -> encoded row.
 
@@ -25,15 +42,22 @@ class Memtable:
     keys arrive, so :meth:`key_range` costs O(1) — scans and the write
     path's freshness proof ask it of every layer.  A memtable never
     forgets a key (a delete leaves a tombstone), so the range only grows.
+
+    Beside the rows, a memtable filled only by proven-fresh chunks keeps
+    those chunks' :class:`Run` slices, so a flush can take the encoded
+    cell columns as they are (:meth:`column_runs`).  Any other mutation
+    drops them for the memtable's life (:meth:`drop_runs`).
     """
 
-    __slots__ = ("_rows", "_bytes", "_tombstones", "_lo", "_hi")
+    __slots__ = ("_rows", "_bytes", "_tombstones", "_lo", "_hi", "_runs", "_run_rows")
 
     def __init__(self) -> None:
         self._rows: Dict[object, bytes] = {}
         self._tombstones: set = set()
         self._bytes = 0
         self._lo = self._hi = None  # None while empty
+        self._runs: Optional[List[Tuple[Run, int, int]]] = []
+        self._run_rows = 0
 
     def put(self, key, row: bytes) -> None:
         rows = self._rows
@@ -47,7 +71,28 @@ class Memtable:
         if self._tombstones:
             self._tombstones.discard(key)
 
+    def add_run(self, run: Run, start: int, stop: int) -> None:
+        """Record that rows ``start:stop`` of ``run`` — already put, in
+        key order, above every key put before them — landed here."""
+        if self._runs is not None:
+            self._runs.append((run, start, stop))
+            self._run_rows += stop - start
+
+    def drop_runs(self) -> None:
+        """Forget the runs: a mutation they do not describe happened (or
+        the flush that used them is done)."""
+        self._runs = None
+
+    def column_runs(self) -> Optional[List[Tuple[Run, int, int]]]:
+        """The runs, when they hold every row in key order and nothing
+        was deleted — else None, and a flush re-splits the rows."""
+        runs = self._runs
+        if runs and self._run_rows == len(self._rows) and not self._tombstones:
+            return runs
+        return None
+
     def delete(self, key) -> None:
+        self._runs = None
         previous = self._rows.pop(key, None)
         if previous is not None:
             self._bytes -= len(previous)

@@ -24,9 +24,11 @@ the keys a fetch names — no row is built for either.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
+import operator
 import zlib
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.flags import checks_enabled
 from repro.nosqldb.cache import BlockCache
@@ -44,7 +46,7 @@ from repro.query.batch import Batch, RowBatch, VectorBatch
 from repro.storage.btree import decode_key, encode_key
 from repro.storage.encoding import decode_bytes, encode_bytes
 from repro.storage.varint import decode_varint, encode_varint
-from repro.telemetry import get_registry
+from repro.telemetry import get_registry, wall_clock
 
 _REGISTRY = get_registry()
 _M_SSTABLES_WRITTEN = _REGISTRY.counter(
@@ -85,11 +87,6 @@ COMPRESSION_LEVEL = 1
 #: target ~1% false positives with ~10 bits/key).
 BLOOM_BITS_PER_KEY = 10
 BLOOM_HASHES = 3
-
-#: Backwards-compatible alias: the key decoder grew up here before the
-#: columnar codec needed it too and it moved next to ``encode_key``.
-_decode_key = decode_key
-
 
 class BloomFilter:
     """A plain Bloom filter over row keys.
@@ -169,6 +166,21 @@ class SSTableStats(NamedTuple):
         return self.dict_chunks / chunks if chunks else 0.0
 
 
+class BuildCost(NamedTuple):
+    """Where one SSTable build spent its time, and where its rows' cells
+    came from: ``encode_s`` cuts blocks and emits their payloads,
+    ``compress_s`` runs zlib, ``write_s`` spills blocks to the data file.
+    ``rows_from_columns`` counts rows whose cells reached the emitter as
+    columns (a flushed run, a compacted columnar block);
+    ``rows_resplit`` rows the codec split out of row bytes."""
+
+    encode_s: float = 0.0
+    compress_s: float = 0.0
+    write_s: float = 0.0
+    rows_from_columns: int = 0
+    rows_resplit: int = 0
+
+
 #: Process-wide SSTable id allocator: block-cache keys must survive the
 #: CPython id() recycling that follows garbage collection.
 _uid_counter = itertools.count(1)
@@ -183,7 +195,7 @@ class SSTable:
         "_handle", "_block_format", "_codec", "_zone_maps", "_layouts",
         "_block_rows",
         "_n_columnar", "_n_fallback", "_dict_chunks", "_plain_chunks",
-        "_blocks_skipped", "_key_range",
+        "_blocks_skipped", "_key_range", "_cost",
     )
 
     def __init__(
@@ -208,11 +220,18 @@ class SSTable:
         codec refuses is stored row-major, so a columnar table is always
         buildable).  Under ``REPRO_CHECK=1`` every columnar block is
         decoded and compared with its input rows before it is stored.
+
+        ``sorted_items`` are ``(key, encoded_row)`` entries in key order,
+        or a column feed (:func:`run_feed`, :func:`compact`) that hands
+        the emitter cells the write loop or an earlier build already
+        holds as columns.
         """
+        feed = sorted_items if isinstance(sorted_items, _CellFeed) else _RowFeed(sorted_items)
+        keys = feed.keys
         self.compressed = compressed
         self._block_keys: List[object] = []
         self._blocks: List[bytes] = []
-        self._n_rows = len(sorted_items)
+        self._n_rows = len(keys)
         self._index_bytes = 0
         self._tombstones = tombstones
         self._path = path
@@ -230,17 +249,24 @@ class SSTable:
         self._dict_chunks = 0
         self._plain_chunks = 0
         self._blocks_skipped = 0
-        self._bloom = BloomFilter(len(sorted_items))
-        self._bloom.add_all([key for key, _ in sorted_items])
+        self._bloom = BloomFilter(len(keys))
+        self._bloom.add_all(keys)
         edges = list(tombstones)
-        if sorted_items:
-            edges += (sorted_items[0][0], sorted_items[-1][0])
+        if keys:
+            edges += (keys[0], keys[-1])
         self._key_range = (min(edges), max(edges)) if edges else None
-        self._build(sorted_items)
+        self._cost = self._build(feed)
         if path is not None:
+            began = wall_clock()
             self._spill_to_disk()
+            self._cost = self._cost._replace(write_s=wall_clock() - began)
         _M_SSTABLES_WRITTEN.inc()
         _M_SSTABLE_ROWS.inc(self._n_rows)
+
+    @property
+    def build_cost(self) -> BuildCost:
+        """What building this table cost (:class:`BuildCost`)."""
+        return self._cost
 
     def _spill_to_disk(self) -> None:
         offset = 0
@@ -283,7 +309,7 @@ class SSTable:
                 pass
 
     # ------------------------------------------------------------------
-    def _build(self, sorted_items: Sequence[Tuple[object, bytes]]) -> None:
+    def _build(self, feed) -> BuildCost:
         # Block boundaries are budgeted on row-entry bytes for both
         # formats; columnar blocks get a COLUMNAR_BLOCK_FACTOR-times
         # larger budget (column chunks, dictionaries and zone maps only
@@ -297,13 +323,15 @@ class SSTable:
         if checked:
             # Lazy: the checkers import this module.
             from repro.analysis.sstable_check import check_sealed_block
-        for first_key, encoded_keys, rows in _cut_blocks(sorted_items, budget):
+        began = wall_clock()
+        compress_s = 0.0
+        for first_key, encoded_keys, start, stop in _cut_blocks(feed.keys, feed.lengths(), budget):
             tag = TAG_ROW
             payload = zones = layout = None
             if columnar:
                 try:
-                    payload, zones, dict_chunks, plain_chunks, layout = (
-                        codec.encode_block(encoded_keys, rows, decoded)
+                    payload, zones, dict_chunks, plain_chunks, layout = feed.encode(
+                        codec, encoded_keys, start, stop, decoded
                     )
                 except BlockRefused:
                     self._n_fallback += 1
@@ -315,18 +343,27 @@ class SSTable:
                     self._plain_chunks += plain_chunks
                     if checked:
                         check_sealed_block(
-                            codec, payload, layout, encoded_keys, rows,
+                            codec, payload, layout, encoded_keys, feed.rows(start, stop),
                             f"sstable/block[{len(self._blocks)}]",
                         ).raise_if_violations()
             if payload is None:
-                payload = _row_payload(encoded_keys, rows)
-            body = zlib.compress(payload, COMPRESSION_LEVEL) if self.compressed else payload
+                payload = _row_payload(encoded_keys, feed.rows(start, stop))
+            if self.compressed:
+                compress_began = wall_clock()
+                body = zlib.compress(payload, COMPRESSION_LEVEL)
+                compress_s += wall_clock() - compress_began
+            else:
+                body = payload
             self._block_keys.append(first_key)
             self._blocks.append(bytes((tag,)) + body)
             self._zone_maps.append(zones)
             self._layouts.append(layout)
-            self._block_rows.append(len(rows))
+            self._block_rows.append(stop - start)
             self._index_bytes += len(encoded_keys[0]) + 8  # key + offset
+        return BuildCost(
+            wall_clock() - began - compress_s, compress_s, 0.0,
+            feed.from_columns, feed.resplit,
+        )
 
     # ------------------------------------------------------------------
     def _block_payload(self, index: int) -> Tuple[int, bytes]:
@@ -351,21 +388,25 @@ class SSTable:
             cached = cache.get(self._uid, index)
             if cached is not None:
                 return cached
-        tag, payload = self._block_payload(index)
-        if tag == TAG_COLUMNAR:
-            obj = self._codec.decode_block(payload, self._layouts[index])
-            nbytes = obj.nbytes
-        else:
-            keys: List = []
-            rows: List[bytes] = []
-            for entry_key, row in _row_entries(payload):
-                keys.append(entry_key)
-                rows.append(row)
-            obj = (keys, rows)
-            nbytes = None  # BlockCache.put applies the row-block formula
+        obj = self._decode(index)
         if cache is not None:
+            # A row block's size is the cache's row-block formula.
+            nbytes = obj.nbytes if isinstance(obj, ColumnVectors) else None
             cache.put_entry(self._uid, index, obj, nbytes)
         return obj
+
+    def _decode(self, index: int):
+        """Block ``index`` decoded (see :meth:`_decoded_obj`), past the
+        block cache — what compaction reads its inputs with."""
+        tag, payload = self._block_payload(index)
+        if tag == TAG_COLUMNAR:
+            return self._codec.decode_block(payload, self._layouts[index])
+        keys: List = []
+        rows: List[bytes] = []
+        for entry_key, row in _row_entries(payload):
+            keys.append(entry_key)
+            rows.append(row)
+        return keys, rows
 
     def locate(self, keys: Iterable) -> Dict[object, object]:
         """Where this table holds each of ``keys``: bloom filter, sparse
@@ -411,8 +452,9 @@ class SSTable:
         return key in self._tombstones
 
     def items(self) -> Iterator[Tuple[object, bytes]]:
-        """Every ``(key, encoded row)`` entry in key order — compaction's
-        input, the one reader whose business is row-major bytes."""
+        """Every ``(key, encoded row)`` entry in key order — for the
+        checkers, whose business is row-major bytes (compaction merges
+        column chunks, see :func:`compact`)."""
         for index in range(len(self._block_keys)):
             block = self._decoded_obj(index)
             keys, rows = block.all_rows() if isinstance(block, ColumnVectors) else block
@@ -528,30 +570,36 @@ class SSTable:
         )
 
 
-def _cut_blocks(sorted_items, budget: int):
-    """Cut sorted entries into blocks of ``budget`` row-major entry
-    bytes, yielding ``(first_key, encoded_keys, rows)``.  A block's size
-    is counted from the entry lengths — the row-major bytes themselves
-    are only ever assembled by :func:`_row_payload`."""
+def _cut_blocks(keys: Sequence, lengths: Iterable[int], budget: int):
+    """Cut sorted entries — ``keys`` beside their encoded rows'
+    ``lengths`` — into blocks of ``budget`` row-major entry bytes,
+    yielding ``(first_key, encoded_keys, start, stop)`` per block of
+    entries ``start:stop``.  A block's size is counted from the entry
+    lengths — the row-major bytes themselves are only ever assembled by
+    :func:`_row_payload`."""
     encoded_keys: List[bytes] = []
-    rows: List[bytes] = []
     size = 0
-    first_key = None
-    for key, row in sorted_items:
-        if not rows:
-            first_key = key
-        key_bytes = encode_key(key)
-        entry_len = len(key_bytes) + len(encode_varint(len(row))) + len(row)
-        size += len(encode_varint(entry_len)) + entry_len
+    start = 0
+    for stop, (key, row_length) in enumerate(zip(keys, lengths), 1):
+        # encode_key, its int case (the engines' usual key) inlined
+        key_bytes = b"\x01" + encode_varint(key) if type(key) is int else encode_key(key)
+        # len(encode_varint(n)), inlined: zigzag doubles a length
+        entry_len = len(key_bytes) + row_length + (
+            1 if row_length < 64 else 2 if row_length < 8192
+            else len(encode_varint(row_length))
+        )
+        size += entry_len + (
+            1 if entry_len < 64 else 2 if entry_len < 8192
+            else len(encode_varint(entry_len))
+        )
         encoded_keys.append(key_bytes)
-        rows.append(row)
         if size >= budget:
-            yield first_key, encoded_keys, rows
+            yield keys[start], encoded_keys, start, stop
             encoded_keys = []
-            rows = []
             size = 0
-    if rows:
-        yield first_key, encoded_keys, rows
+            start = stop
+    if encoded_keys:
+        yield keys[start], encoded_keys, start, len(keys)
 
 
 def _row_payload(encoded_keys: Sequence[bytes], rows: Sequence[bytes]) -> bytes:
@@ -577,6 +625,311 @@ def _row_entries(payload: bytes) -> Iterator[Tuple[object, bytes]]:
         offset = entry_end
 
 
+# ----------------------------------------------------------------------
+# feeders: where a build's rows come from
+# ----------------------------------------------------------------------
+class _RowFeed:
+    """Rows that exist only as bytes: sorted ``(key, encoded_row)``
+    entries, which the codec's row split turns into columns
+    (:meth:`ColumnarCodec.encode_block`)."""
+
+    from_columns = 0
+
+    def __init__(self, items: Sequence[Tuple[object, bytes]]) -> None:
+        self._items = items
+        self.keys = [key for key, _ in items]
+        self.resplit = 0
+
+    def lengths(self) -> Iterator[int]:
+        return (len(row) for _, row in self._items)
+
+    def rows(self, start: int, stop: int) -> List[bytes]:
+        return [row for _, row in self._items[start:stop]]
+
+    def encode(self, codec: ColumnarCodec, encoded_keys, start: int, stop: int, decoded):
+        self.resplit += stop - start
+        return codec.encode_block(encoded_keys, self.rows(start, stop), decoded)
+
+
+class _View(NamedTuple):
+    """One row source of a :class:`_CellFeed` — a flushed run or a
+    compacted input block — as cells.  Per schema column ``cols`` holds
+    None (no cell) or ``(rows, raws, stamps, bound)``: the positions
+    holding a cell (None: every row), their raw values, their 8-byte
+    timestamps as one byte string, and their bound values when each is
+    exactly the type's ``value_type`` (else None).  ``orders`` holds
+    each row's cell schema positions (None for a row the directory
+    cannot list); both are None when the build writes row-major."""
+
+    lens: Sequence[int]
+    row: Callable[[int], bytes]
+    orders: Optional[Sequence[Optional[Tuple[int, ...]]]]
+    cols: Optional[Sequence[Optional[tuple]]]
+    resplit: bool
+
+
+class _CellFeed:
+    """Rows the emitter gets as columns: ``segments`` of consecutive
+    positions ``(source, i0, i1)`` in key order, each source turned into
+    a :class:`_View` by ``make_view`` on first touch and released after
+    its last segment, so a build holds the cells of a block or two, not
+    the table's."""
+
+    def __init__(self, keys: List, segments: List[tuple], make_view) -> None:
+        self.keys = keys
+        self._segments = segments
+        self._starts = list(itertools.accumulate(
+            [i1 - i0 for _, i0, i1 in segments], initial=0
+        ))
+        self._make_view = make_view
+        self._views: Dict[object, _View] = {}
+        self._last = {source: s for s, (source, _, _) in enumerate(segments)}
+        self._passed = 0  # segments wholly before the current block
+        self.from_columns = self.resplit = 0
+
+    def _view(self, source) -> _View:
+        view = self._views.get(source)
+        if view is None:
+            view = self._views[source] = self._make_view(source)
+        return view
+
+    def lengths(self) -> Iterator[int]:
+        for source, i0, i1 in self._segments:
+            yield from self._view(source).lens[i0:i1]
+
+    def _pieces(self, start: int, stop: int) -> List[Tuple[_View, int, int]]:
+        """Entries ``start:stop`` as ``(view, i0, i1)`` pieces; views
+        whose last segment ends at or before ``start`` are released."""
+        starts, segments = self._starts, self._segments
+        while self._passed < len(segments) and starts[self._passed + 1] <= start:
+            source = segments[self._passed][0]
+            if self._last[source] == self._passed:
+                self._views.pop(source, None)
+            self._passed += 1
+        pieces = []
+        s = self._passed
+        while s < len(segments) and starts[s] < stop:
+            source, i0, i1 = segments[s]
+            offset = starts[s] - i0
+            pieces.append((
+                self._view(source), max(i0, start - offset), min(i1, stop - offset)
+            ))
+            s += 1
+        return pieces
+
+    def rows(self, start: int, stop: int) -> List[bytes]:
+        return [
+            view.row(i)
+            for view, i0, i1 in self._pieces(start, stop)
+            for i in range(i0, i1)
+        ]
+
+    def encode(self, codec: ColumnarCodec, encoded_keys, start: int, stop: int, decoded):
+        pieces = self._pieces(start, stop)
+        for view, i0, i1 in pieces:
+            if view.resplit:
+                self.resplit += i1 - i0
+            else:
+                self.from_columns += i1 - i0
+        ts_cols, raw_cols, orders, typed = _gather(len(codec.column_names), pieces)
+        return codec.encode_columns(encoded_keys, ts_cols, raw_cols, orders, decoded, typed)
+
+
+def _gather(n_columns: int, pieces) -> tuple:
+    """One block's ``(ts_cols, raw_cols, orders, typed)`` for
+    :meth:`ColumnarCodec.encode_columns`, sliced out of its pieces'
+    column views: per column a bisect, a slice and an extend per piece,
+    nothing per cell."""
+    ts_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
+    raw_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
+    typed: List[Optional[List]] = [[] for _ in range(n_columns)]
+    orders: List = []
+    for view, i0, i1 in pieces:
+        orders += view.orders[i0:i1]
+        for index, col in enumerate(view.cols):
+            if col is None:
+                continue
+            here, raws, stamps, bound = col
+            if here is None:
+                k0, k1 = i0, i1
+            else:
+                k0 = bisect.bisect_left(here, i0)
+                k1 = bisect.bisect_left(here, i1, k0)
+                if k0 == k1:
+                    continue
+            raw_cols[index] += raws[k0:k1]
+            ts_cols[index].append(stamps[8 * k0:8 * k1])
+            if typed[index] is not None:
+                if bound is None:
+                    typed[index] = None
+                else:
+                    typed[index] += bound[k0:k1]
+    return ts_cols, raw_cols, orders, typed
+
+
+def run_feed(runs: Sequence[tuple], codec: ColumnarCodec) -> _CellFeed:
+    """The flush feeder of a memtable filled only by proven-fresh chunks:
+    its ``runs`` (``(run, a, b)`` — rows ``a:b`` of a
+    :class:`~repro.nosqldb.memtable.Run`) are already in key order, so
+    the run's encoded cell columns go to the emitter as they are, with
+    no sort and no row split."""
+    keys: List = []
+    for run, a, b in runs:
+        keys += run.keys[a:b]
+    n_columns = len(codec.column_names)
+    return _CellFeed(
+        keys,
+        [(index, a, b) for index, (_, a, b) in enumerate(runs)],
+        lambda index: _run_view(runs[index][0], n_columns),
+    )
+
+
+def _run_view(run, n_columns: int) -> _View:
+    """A run's cells: its cell columns as they are, timestamps generated
+    from its first tick (row ``i`` was stamped ``tick + i``)."""
+    n = len(run.keys)
+    stamps = b"".join([tick.to_bytes(8, "little") for tick in range(run.tick, run.tick + n)])
+    cols: List[Optional[tuple]] = [None] * n_columns
+    sparse = False
+    for position, cells, bound in zip(run.positions, run.cells, run.typed):
+        if None in cells:
+            sparse = True
+            here = [i for i, cell in enumerate(cells) if cell is not None]
+            cols[position] = (
+                here,
+                [cells[i] for i in here],
+                b"".join([stamps[8 * i:8 * i + 8] for i in here]),
+                None if bound is None else [bound[i] for i in here],
+            )
+        else:
+            cols[position] = (None, cells, stamps, bound)
+    if sparse:  # a row's cells are its non-None ones, in statement order
+        present = [[cell is not None for cell in cells] for cells in run.cells]
+        shapes: Dict[tuple, Tuple[int, ...]] = {}
+        orders = []
+        for flags in zip(*present):
+            order = shapes.get(flags)
+            if order is None:
+                order = shapes[flags] = tuple(itertools.compress(run.positions, flags))
+            orders.append(order)
+    else:
+        orders = [tuple(run.positions)] * n
+    return _View(list(map(len, run.rows)), run.rows.__getitem__, orders, cols, False)
+
+
+def _block_view(block, codec: Optional[ColumnarCodec]) -> _View:
+    """A compaction input block's rows as cells (``codec`` None: the
+    output is row-major, only lengths and rows are needed).  A columnar
+    block's cells are its chunks, each row's order translated from block
+    slots to schema positions; a row-major block's come from the row
+    split."""
+    if not isinstance(block, ColumnVectors):
+        _, rows = block
+        orders = cols = None
+        if codec is not None:
+            ts_cols, raw_cols, orders = codec.split_rows(rows)
+            heres: List[List[int]] = [[] for _ in raw_cols]
+            for i, order in enumerate(orders):
+                for index in order or ():
+                    heres[index].append(i)
+            cols = [
+                (here, raws, b"".join(stamps), None) if raws else None
+                for here, raws, stamps in zip(heres, raw_cols, ts_cols)
+            ]
+        return _View(list(map(len, rows)), rows.__getitem__, orders, cols, True)
+    n = len(block)
+    chunks = [block.chunk_cells(slot) for slot in range(len(block.names))]
+    # A row's length: varint cell count, then per cell its encoded name,
+    # its 8-byte timestamp and its raw value.
+    cell_heads = [len(name) + 8 for _, _, _, name in chunks]
+    heads: Dict[tuple, int] = {}
+    lens = []
+    for order in block.orders:
+        head = heads.get(order)
+        if head is None:
+            head = heads[order] = len(encode_varint(len(order))) + sum(
+                cell_heads[slot] for slot in order
+            )
+        lens.append(head)
+    for here, raw_vec, _, _ in chunks:
+        if len(here) == n:
+            lens = list(map(operator.add, lens, map(len, raw_vec)))
+        else:
+            for i in here:
+                lens[i] += len(raw_vec[i])
+    orders = cols = None
+    if codec is not None:
+        schema = {name: index for index, name in enumerate(codec.column_names)}
+        positions = [schema.get(name) for name in block.names]
+        orders = block.orders
+        if positions != list(range(len(positions))):
+            translated: Dict[tuple, Optional[Tuple[int, ...]]] = {}
+            orders = []
+            for order in block.orders:
+                moved = translated.get(order, False)
+                if moved is False:
+                    moved = translated[order] = (
+                        None if any(positions[slot] is None for slot in order)
+                        else tuple(positions[slot] for slot in order)
+                    )
+                orders.append(moved)
+        cols = [None] * len(codec.column_names)
+        for position, (here, raw_vec, stamps, _) in zip(positions, chunks):
+            if position is None:
+                continue  # its rows' orders are None: their blocks are refused
+            if len(here) == n:
+                cols[position] = (None, raw_vec, stamps, None)
+            else:
+                cols[position] = (here, [raw_vec[i] for i in here], stamps, None)
+    return _View(lens, block.materialize, orders, cols, False)
+
+
+def _merge_feed(tables: Sequence[SSTable], codec: Optional[ColumnarCodec]) -> _CellFeed:
+    """Compaction's feeder: the newest version of every key across
+    ``tables`` (oldest first), in key order, as segments of the input
+    blocks — a k-way merge over the blocks' key directories.  A key's
+    version is the newest table holding a row for it (a table's own
+    tombstone does not hide its row); a newer table's tombstone deletes
+    it."""
+    blocks = [
+        [table._decode(index) for index in range(len(table._block_keys))]
+        for table in tables
+    ]
+    deleted_by: Dict[object, int] = {}  # key -> newest table tombstoning it
+    for rank, table in enumerate(tables):
+        deleted_by.update(dict.fromkeys(table.tombstones, rank))
+
+    def stream(rank: int):
+        for number, block in enumerate(blocks[rank]):
+            block_keys = block.keys if isinstance(block, ColumnVectors) else block[0]
+            for i, key in enumerate(block_keys):
+                yield key, -rank, number, i  # a key's newest version first
+
+    keys: List = []
+    segments: List[list] = []
+    previous = last = object()
+    for key, newest, number, i in heapq.merge(*map(stream, range(len(blocks)))):
+        if key == previous:
+            continue  # an older version
+        previous = key
+        if deleted_by.get(key, -1) > -newest:
+            continue
+        keys.append(key)
+        source = (-newest, number)
+        if source == last and segments[-1][2] == i:
+            segments[-1][2] = i + 1
+        else:
+            segments.append([source, i, i + 1])
+            last = source
+
+    def make_view(source) -> _View:
+        rank, number = source
+        block, blocks[rank][number] = blocks[rank][number], None
+        return _block_view(block, codec)
+
+    return _CellFeed(keys, [tuple(segment) for segment in segments], make_view)
+
+
 def compact(
     tables: Sequence[SSTable],
     compressed: bool = True,
@@ -589,23 +942,18 @@ def compact(
 
     Tombstones are applied (deleted keys vanish) and then discarded — the
     result is a single clean run, like a Cassandra major compaction.  The
-    superseded tables' cached blocks are released (``delete_file``); the
-    merged table starts cold under ``block_cache``.  The merged table is
+    surviving rows reach the merged table as cells: a columnar input
+    block's chunks go to the emitter as they are, and only row-major
+    input blocks are split (and a row rematerialized only where a block
+    is written row-major, or under ``REPRO_CHECK=1``).  The superseded
+    tables' cached blocks are released (``delete_file``); the merged
+    table starts cold under ``block_cache``.  The merged table is
     written in ``block_format`` regardless of what the inputs stored, so
     compacting is also how row-major history migrates to columnar.
     """
-    merged = {}
-    deleted = set()
-    for table in tables:  # oldest first; later tables overwrite
-        deleted |= set(table.tombstones)
-        for key, row in table.items():
-            merged[key] = row
-            deleted.discard(key)
-    for key in deleted:
-        merged.pop(key, None)
-    items = sorted(merged.items(), key=lambda item: item[0])
+    columnar = block_format == BLOCK_FORMAT_COLUMNAR and codec is not None
     result = SSTable(
-        items,
+        _merge_feed(tables, codec if columnar else None),
         compressed=compressed,
         path=path,
         block_cache=block_cache,

@@ -42,6 +42,7 @@ METRIC_NAMES = frozenset(
         "nosqldb_commitlog_replayed_total",
         "nosqldb_compactions_total",
         "nosqldb_flushed_rows_total",
+        "nosqldb_flushed_run_rows_total",
         "nosqldb_memtable_flushes_total",
         "nosqldb_sstable_rows_written_total",
         "nosqldb_sstables_written_total",

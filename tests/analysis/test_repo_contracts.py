@@ -198,11 +198,17 @@ CONTRACTS = [
              r"\.get_many\(|\.get\(self\.key|\.lookup_indexed\(|\.lookup_pk_prefix\(",
              ("src/repro/query/plan.py",)),
     Contract("a block decoded back to rows", r"_decoded_block"),
-    Contract("rows rematerialized outside the codec, compaction and the checkers",
+    Contract("rows rematerialized outside the codec, SSTable.items() and the checkers",
              r"all_rows\(", allowed=("src/repro/nosqldb/columnar.py",
                                      "src/repro/nosqldb/sstable.py", "src/repro/analysis")),
-    Contract("a second all_rows( in the SSTable beside compaction's items()",
+    Contract("a second all_rows( in the SSTable beside items() for the checkers",
              r"all_rows\(", ("src/repro/nosqldb/sstable.py",), max_hits=1),
+    # Flush and compaction move columns: rows are split only where they
+    # exist as bytes alone, and compaction merges column chunks.
+    Contract("compaction rematerializing rows through an SSTable's items()",
+             r"\b(table|sstable|tables\[\w*\])\.items\(\)", ("src/repro/nosqldb",)),
+    Contract("a row split beside the codec's row feeder and compaction's row-major inputs",
+             r"split_rows\(", allowed=("src/repro/nosqldb/columnar.py",), max_hits=1),
     Contract("an sqldb leaf page handed up as a row batch",
              r"RowBatch\(", ("src/repro/sqldb/table.py",)),
     # SQL and CQL share one tokenizer, one parser core and one executor.

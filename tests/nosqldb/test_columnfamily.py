@@ -98,6 +98,24 @@ class TestWriteRead:
 
 
 class TestDelete:
+    @pytest.mark.parametrize("key", ["x", 1.5, True, None])
+    def test_a_key_of_the_wrong_type_is_refused_before_the_log(self, key):
+        from repro.nosqldb.commitlog import CommitLog
+
+        log = CommitLog()
+        cf = make_cf(commit_log=log)
+        cf.insert({"id": 1, "measure": 5})
+        cf.flush()
+        cf.insert({"id": 2, "measure": 6})
+        logged = list(log.records())
+        with pytest.raises(InvalidRequest, match="expected int, got"):
+            cf.delete(key)
+        assert list(log.records()) == logged
+        assert not cf._memtable.tombstones
+        cf.flush()
+        assert sorted(row["id"] for row in cf.scan()) == [1, 2]
+        assert len(cf) == 2
+
     def test_delete_from_memtable(self):
         cf = make_cf()
         cf.insert({"id": 1, "measure": 5})

@@ -142,6 +142,24 @@ class TestUpdateDelete:
         session.execute("DELETE FROM cells WHERE id = 1")
         assert session.execute("SELECT * FROM cells WHERE id = 1").one() is None
 
+    def test_delete_with_a_mistyped_key_is_refused(self, session):
+        fill(session, 3)
+        keyspace = session.engine.keyspace("ks")
+        table = keyspace.table("cells")
+        logged = list(keyspace._commit_log.records())
+        with pytest.raises(InvalidRequest, match="expected int, got 'x'"):
+            session.execute("DELETE FROM cells WHERE id = 'x'")
+        with pytest.raises(InvalidRequest, match="expected int, got 'x'"):
+            session.execute("INSERT INTO cells (id, key) VALUES ('x', 'k')")
+        assert list(keyspace._commit_log.records()) == logged
+        assert not table._memtable.tombstones
+        table.flush()  # a str tombstone among int keys wedged this
+        assert [row["id"] for row in session.execute("SELECT * FROM cells")] == [0, 1, 2]
+        keyspace.simulate_crash()
+        keyspace.replay_commit_log()  # nothing in the log re-poisons it
+        table.flush()
+        assert session.execute("SELECT COUNT(*) FROM cells").one()["count"] == 3
+
     def test_truncate(self, session):
         fill(session, 5)
         session.execute("TRUNCATE cells")

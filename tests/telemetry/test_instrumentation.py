@@ -122,7 +122,9 @@ class TestEtlSpans:
 
 class TestBlockFormatCounts:
     """Flush and compaction spans say what they wrote, including the
-    row-major blocks a columnar table fell back to."""
+    row-major blocks a columnar table fell back to, and what it cost:
+    encode, compress and write seconds, and where each row's cells came
+    from (the write loop's columns, or a re-split of its bytes)."""
 
     def test_flush_and_compaction_report_fallback_blocks(self, live_telemetry):
         from repro.nosqldb.columnfamily import Column, ColumnFamily
@@ -152,3 +154,50 @@ class TestBlockFormatCounts:
         assert registry.value("nosqldb_blocks_fallback_total") == 2
         assert cf.stats().fallback_blocks == 1
         assert cf.get(2)["m"] == 6
+
+        def sources(name):
+            return [
+                (span.attrs["rows_from_columns"], span.attrs["rows_resplit"])
+                for span in tracer.roots if span.name == name
+            ]
+
+        # the fresh one-row insert flushes from its run; the row naming
+        # m twice has no run and is re-split from its bytes
+        assert sources("nosqldb.flush") == [(1, 0), (0, 1)]
+        # compaction takes row 1 from its columnar chunks, row 2 from the
+        # split of its row-major block
+        assert sources("nosqldb.compaction") == [(1, 1)]
+        assert registry.value("nosqldb_flushed_run_rows_total", "t") == 1
+        for span in tracer.roots:
+            if span.name in ("nosqldb.flush", "nosqldb.compaction"):
+                assert all(span.attrs[key] >= 0 for key in ("encode_s", "compress_s", "write_s"))
+
+
+class TestFlushFromRuns:
+    """Storing a Week-shaped cube on NoSQL-DWARF writes every node and
+    cell row in proven-fresh chunks, so the flush takes all of them from
+    the write loop's encoded columns: none is re-split from row bytes."""
+
+    def test_week_cube_flushes_node_and_cell_rows_from_runs(self, live_telemetry):
+        from repro.dwarf.builder import build_cube
+        from repro.smartcity.bikes import BikeFeedGenerator, bikes_pipeline
+        from repro.smartcity.city import CityModel
+
+        registry, tracer = live_telemetry
+        documents = BikeFeedGenerator(CityModel(7), n_stations=12).generate_documents(
+            days=4, total_records=12 * 4 * 84
+        )
+        cube = build_cube(bikes_pipeline().extract(documents))
+        mapper = make_mapper("NoSQL-DWARF")
+        mapper.store(cube, probe_size=False)
+        tables = {
+            table.name: table
+            for table in mapper.session.dialect.tables(mapper.engine, mapper.session.namespace)
+        }
+        for table in tables.values():
+            table.flush()
+        for name in ("dwarf_node", "dwarf_cell"):
+            assert len(tables[name]) > 1000
+            assert registry.value("nosqldb_flushed_run_rows_total", name) == len(tables[name])
+        flushed = [span for span in tracer.roots if span.name == "nosqldb.flush"]
+        assert sum(span.attrs["rows_resplit"] for span in flushed) == 0
