@@ -6,8 +6,8 @@ registry, the nodes, the cells and the node↔cell relation, what each
 column stores, which columns are indexed, and which engine runs them.
 So each schema is written down once as a frozen :class:`SchemaMapping`,
 and the access code is derived from it — DDL, prepared INSERTs and
-store/load by :class:`~repro.mapping.base.CubeMapper`, the stored
-point-query descent by :mod:`repro.mapping.stored_query`, the
+store/load by :class:`~repro.mapping.base.CubeMapper`, the stored-query
+walk's cell reads by :mod:`repro.mapping.stored_query`, the
 declaration check by :mod:`repro.analysis.mapping_check`.
 
 A column's **role** names what it stores: a field of the flat

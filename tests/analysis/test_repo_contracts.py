@@ -26,6 +26,10 @@
 * **One statement front end.** SQL and CQL share the tokenizer loop,
   the parser core and the generic executor in ``repro.query``; the same
   table keeps copies of them out of ``sqldb`` and ``nosqldb``.
+* **One stored-query walk.** Point queries, ``stored_select`` and
+  ``stored_cell_count`` share one walk over a per-schema cell source on
+  all four schemas: the same table keeps a second walk and a
+  one-schema restriction out of ``repro.mapping``.
 * **Docs cite what exists.** Every repo path and every backticked
   ``repro.*`` name in ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``
   and ``docs/*.md`` resolves.
@@ -221,6 +225,10 @@ CONTRACTS = [
              ("src/repro/sqldb", "src/repro/nosqldb")),
     Contract("statement dispatch or a shared statement copied into an engine executor",
              r"def (run|_select|_explain|_use|_truncate|_insert)\b|type\(statement\)", _EXECUTORS),
+    # Point queries, stored_select and stored_cell_count share one walk.
+    Contract("a second stored-query walk or a one-schema stored query",
+             r"\b(_descend|_select_one|_select_plans|_select_kernels)\b"
+             r"|implemented for NoSQL-DWARF", ("src/repro/mapping",)),
 ]
 
 
@@ -270,6 +278,18 @@ def test_contract_table_catches_a_copy(tmp_path, source, breach):
     copy.parent.mkdir(parents=True)
     copy.write_text(source + "\n", encoding="utf-8")
     assert contract_hits(contract, tmp_path) == ["src/repro/sqldb/sql/lexer.py:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("source", [
+    "def _select_one(mapper, kernels, schema_id):",
+    '        raise MappingError(f"{what} is implemented for NoSQL-DWARF storage")',
+])
+def test_contract_table_catches_a_second_stored_query_walk(tmp_path, source):
+    contract = next(c for c in CONTRACTS if c.breach.startswith("a second stored-query walk"))
+    copy = tmp_path / "src" / "repro" / "mapping" / "stored_query.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text(source + "\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == ["src/repro/mapping/stored_query.py:1: " + source.strip()]
 
 
 # ----------------------------------------------------------------------

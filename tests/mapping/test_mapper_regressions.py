@@ -8,6 +8,9 @@
 * A cell row lost, repeated or orphaned in storage makes ``load`` fail
   with :class:`MappingError`; it used to reload silently as a different
   (or the same, with a stray row ignored) cube.
+* A non-leaf cell whose pointer is lost makes every stored query through
+  it fail with :class:`MappingError`, as ``load`` does; the walk used to
+  answer "no such fact" (None, or no rows).
 """
 
 import pytest
@@ -15,11 +18,12 @@ import pytest
 from repro.core.errors import QueryError
 from repro.core.schema import CubeSchema
 from repro.dwarf.builder import DwarfBuilder
+from repro.dwarf.query import Each
 from repro.dwarf.cell import ALL
-from repro.mapping.base import ALL_KEY_TEXT, MappingError
+from repro.mapping.base import ALL_KEY_TEXT, MappingError, encode_member
 from repro.mapping.incremental import CubeMaintainer
 from repro.mapping.registry import MAPPER_FACTORIES
-from repro.mapping.stored_query import stored_point_query
+from repro.mapping.stored_query import stored_point_query, stored_select
 
 
 def _installed(name):
@@ -137,3 +141,47 @@ def test_load_refuses_a_lost_or_extra_cell_row(name, damage):
         _insert_copy(mapper, row, ORPHAN_PARENT + 1, parent)
     with pytest.raises(MappingError, match=DAMAGE_ERRORS[damage]):
         mapper.load(schema_id)
+
+
+def _lose_pointer(mapper, schema_id, key):
+    """Corrupt the pointer of the non-leaf cell ``key`` of cube
+    ``schema_id``: null the cell's pointer column, or delete its
+    cell -> node link row where a link table holds the pointer."""
+    mapping, session = mapper.mapping, mapper.session
+    cells = mapping.cells
+    rows = session.execute(
+        f"SELECT * FROM {cells.name} WHERE {cells.column('schema_id')} = ?"
+        + mapping.backend.filtering, (schema_id,),
+    )
+    (cell_id,) = [row[cells.column("cell_id")] for row in rows
+                  if row[cells.column("key_text")] == encode_member(key)]
+    pointer = cells.column("pointer_node_id")
+    if pointer is not None:
+        session.execute(
+            f"UPDATE {cells.name} SET {pointer} = null WHERE {cells.column('cell_id')} = ?",
+            (cell_id,),
+        )
+    else:
+        link = mapping.link("pointer_node_id")
+        session.execute(f"DELETE FROM {link.name} WHERE {link.column('cell_id')} = ?", (cell_id,))
+
+
+@pytest.mark.parametrize("name", list(MAPPER_FACTORIES))
+def test_a_lost_pointer_is_an_error_not_a_missing_fact(name):
+    cube = DwarfBuilder(CubeSchema("p", ["d0", "d1"])).build(
+        [("x", 1, 5), ("x", 2, 3), ("y", 1, 2)]
+    )
+    mapper = _installed(name)
+    schema_id = mapper.store(cube)
+    assert stored_point_query(mapper, schema_id, ["x", ALL]) == 8
+    _lose_pointer(mapper, schema_id, "x")
+
+    with pytest.raises(MappingError, match="points at missing node None"):
+        mapper.load(schema_id)
+    with pytest.raises(MappingError, match="points at no node"):
+        stored_point_query(mapper, schema_id, ["x", ALL])
+    assert stored_point_query(mapper, schema_id, ["y", ALL]) == 2  # the rest still answers
+    strategies = ["walk"] + (["scan"] if mapper.mapping.cells.column("parent_node_id") else [])
+    for strategy in strategies:
+        with pytest.raises(MappingError, match="points at no node"):
+            list(stored_select(mapper, schema_id, strategy=strategy, d0=Each()))

@@ -8,10 +8,13 @@
 * **Pinned EXPLAIN** — ``explain_strategy(mapper)`` renders exactly the
   recorded step names and plan rows.
 * **Differential** — random 2-3-dimension cubes with str/int/float/bool
-  members survive ``load(store(c))`` structurally, and the stored point
-  walk answers ``cube.value`` on every member/ALL vector, both on a
-  plain stored cube and through a :class:`CubeMaintainer` with one live
-  delta overlay.
+  members survive ``load(store(c))`` structurally; the stored point
+  walk answers ``cube.value`` on every member/ALL vector, and
+  ``stored_select`` (walk, and scan where the cells carry their parent)
+  answers :func:`repro.dwarf.query.select` on random per-dimension
+  constraints, both on a plain stored cube and through a
+  :class:`CubeMaintainer` with one live delta overlay (against a cold
+  rebuild); ``stored_cell_count`` counts the stored cells.
 """
 
 from __future__ import annotations
@@ -27,9 +30,15 @@ from repro.analysis.dwarf_check import structural_signature
 from repro.core.schema import CubeSchema
 from repro.dwarf.builder import DwarfBuilder, build_cube
 from repro.dwarf.cell import ALL
+from repro.dwarf.query import All, Each, In, Member, Range, select
 from repro.mapping.incremental import CubeMaintainer
 from repro.mapping.registry import MAPPER_FACTORIES
-from repro.mapping.stored_query import explain_strategy, stored_point_query
+from repro.mapping.stored_query import (
+    explain_strategy,
+    stored_cell_count,
+    stored_point_query,
+    stored_select,
+)
 
 MAPPER_NAMES = list(MAPPER_FACTORIES)
 
@@ -115,9 +124,17 @@ def test_golden_storage_digest(name, cube_name, sample_cube):
     assert got == GOLDEN[(name, cube_name)]
 
 
-#: ``explain_strategy`` per schema, recorded before the four schemas
-#: became declarations: step -> ``(node, table, key, detail)`` per plan
-#: row, in step order.
+def _cube_steps(table, cube):
+    """The ``cube_scan`` and ``cube_count`` steps every schema ends with."""
+    scan = ("FullScan", table, None, f"full scan, pushed={cube} = ?0")
+    return [("cube_scan", [scan]), ("cube_count", [scan, ("Aggregate", None, None, "count(*)")])]
+
+
+#: ``explain_strategy`` per schema: step -> ``(node, table, key, detail)``
+#: per plan row, in step order.  Recorded before the four schemas became
+#: declarations; since the one stored-query walk, the key match reads
+#: ``IN ?1``, MySQL-Min's ``cells`` step is the kernel cube scan, and
+#: every schema lists ``cube_scan`` and ``cube_count``.
 PINNED_EXPLAIN = {
     "MySQL-DWARF": [
         ("children", [
@@ -126,19 +143,18 @@ PINNED_EXPLAIN = {
         ]),
         ("cells", [
             ("MultiGet", "CELL", "id", "primary key, batched"),
-            ("Filter", None, None, "cell_key = ?1"),
+            ("Filter", None, None, "cell_key IN ?1"),
         ]),
         ("pointer", [
             ("IndexScan", "CELL_CHILDREN", "cell_id", "pk-prefix"),
             ("Project", None, None, "node_id"),
         ]),
-    ],
+    ] + _cube_steps("CELL", "schema_id"),
     "MySQL-Min": [
         ("cells", [
             ("FullScan", "DWARF_CELL", None, "full scan, pushed=cubeid = ?0"),
-            ("Project", None, None, "*"),
         ]),
-    ],
+    ] + _cube_steps("DWARF_CELL", "cubeid"),
     "NoSQL-DWARF": [
         ("node", [
             ("PointLookup", "dwarf_node", "id", "primary key"),
@@ -146,16 +162,9 @@ PINNED_EXPLAIN = {
         ]),
         ("cells", [
             ("MultiGet", "dwarf_cell", "id", "primary key, batched"),
-            ("Filter", None, None, "key = ?1"),
+            ("Filter", None, None, "key IN ?1"),
         ]),
-        ("cube_scan", [
-            ("FullScan", "dwarf_cell", None, "full scan, pushed=schema_id = ?0"),
-        ]),
-        ("cube_count", [
-            ("FullScan", "dwarf_cell", None, "full scan, pushed=schema_id = ?0"),
-            ("Aggregate", None, None, "count(*)"),
-        ]),
-    ],
+    ] + _cube_steps("dwarf_cell", "schema_id"),
     "NoSQL-Min": [
         ("entry", [
             ("FullScan", "dwarf_cell", None,
@@ -163,9 +172,9 @@ PINNED_EXPLAIN = {
         ]),
         ("siblings", [
             ("IndexScan", "dwarf_cell", "parentNodeId",
-             "secondary-index, pushed=name = ?1"),
+             "secondary-index, pushed=name IN ?1"),
         ]),
-    ],
+    ] + _cube_steps("dwarf_cell", "cubeid"),
 }
 
 
@@ -184,25 +193,47 @@ def test_pinned_explain_strategy(name):
 # ----------------------------------------------------------------------
 # differential over random cubes
 # ----------------------------------------------------------------------
+_POOLS = {
+    "str": st.sampled_from(["a", "b", "c"]),
+    "int": st.integers(min_value=-3, max_value=3),
+    "float": st.sampled_from([0.5, -2.25, 10.0]),
+    "bool": st.booleans(),
+}
+#: A member of each kind that no drawn cube holds.
+_ABSENT = {"str": "zz", "int": 99, "float": 7.5, "bool": None}
+
+
+def _constraint(kind):
+    """One dimension's constraint over members of ``kind``, present or not."""
+    pool = _POOLS[kind]
+    if _ABSENT[kind] is not None:
+        pool = st.one_of(pool, st.just(_ABSENT[kind]))
+    return st.one_of(
+        st.just(All()), st.just(Each()), pool.map(Member),
+        st.lists(pool, max_size=3).map(In),
+        st.tuples(pool, pool).map(lambda bounds: Range(min(bounds), max(bounds))),
+    )
+
+
 @st.composite
 def _cubes(draw):
     n_dims = draw(st.integers(min_value=2, max_value=3))
     # One member type per dimension keeps the in-memory sort total.
     kinds = [draw(st.sampled_from(["str", "int", "float", "bool"])) for _ in range(n_dims)]
-    pools = {
-        "str": st.sampled_from(["a", "b", "c"]),
-        "int": st.integers(min_value=-3, max_value=3),
-        "float": st.sampled_from([0.5, -2.25, 10.0]),
-        "bool": st.booleans(),
-    }
     row = st.tuples(
-        *[pools[kind] for kind in kinds],
+        *[_POOLS[kind] for kind in kinds],
         st.integers(min_value=-50, max_value=50),
     )
     rows = draw(st.lists(row, min_size=1, max_size=12))
     delta = draw(st.lists(row, min_size=1, max_size=4))
     schema = CubeSchema("diff", [f"d{i}" for i in range(n_dims)])
-    return schema, rows, delta
+    specs = draw(st.lists(
+        st.tuples(*[_constraint(kind) for kind in kinds]).map(
+            lambda constraints: dict(zip(schema.dimension_names, constraints))
+        ),
+        min_size=1, max_size=3,
+    ))
+    return schema, rows, delta, specs
 
 
 def _vectors(cube):
@@ -219,7 +250,7 @@ def _vectors(cube):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_differential_roundtrip_and_point_walk(name, case):
-    schema, rows, delta = case
+    schema, rows, delta, specs = case
     cube = build_cube(rows, schema)
 
     mapper = _fresh(name)
@@ -227,6 +258,8 @@ def test_differential_roundtrip_and_point_walk(name, case):
     assert structural_signature(mapper.load(schema_id)) == structural_signature(cube)
     for vector in _vectors(cube):
         assert stored_point_query(mapper, schema_id, vector) == cube.value(vector)
+    _check_selects(mapper, schema_id, cube, specs)
+    assert stored_cell_count(mapper, schema_id) == cube.stats.cell_count
 
     maintained = _fresh(name)
     maintainer = CubeMaintainer.open(maintained, DwarfBuilder(schema).build(rows))
@@ -241,3 +274,19 @@ def test_differential_roundtrip_and_point_walk(name, case):
         assert stored_point_query(
             maintained, maintainer.logical_id, vector
         ) == reference.value(vector)
+    _check_selects(maintained, maintainer.logical_id, reference, specs)
+    # The overlay's count is of the stored cells: base plus delta.
+    assert stored_cell_count(maintained, maintainer.logical_id) == (
+        cube.stats.cell_count + DwarfBuilder(schema).build(delta).stats.cell_count
+    )
+
+
+def _check_selects(mapper, cube_id, expected_cube, specs):
+    strategies = ["walk"]
+    if mapper.mapping.cells.column("parent_node_id") is not None:
+        strategies.append("scan")
+    for spec in specs:
+        expected = list(select(expected_cube, spec))
+        for strategy in strategies:
+            got = list(stored_select(mapper, cube_id, spec, strategy=strategy))
+            assert got == expected, (strategy, spec)

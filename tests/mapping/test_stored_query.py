@@ -97,7 +97,7 @@ class TestPlanLayer:
             # The per-level name match is pushed into the storage layer:
             # no Filter operator remains, the IndexScan renders it.
             assert "IndexScan" in nodes and "Filter" not in nodes
-            assert any("pushed=name = ?1" in detail for detail in details)
+            assert any("pushed=name IN ?1" in detail for detail in details)
         else:  # MySQL-Min reconstructs from one filtered scan
             assert "FullScan" in nodes
 
@@ -107,6 +107,28 @@ class TestPlanLayer:
         before = mapper.session.plan_cache.stats().hits
         assert stored_point_query(mapper, schema_id, [ALL, ALL, ALL]) is not None
         assert mapper.session.plan_cache.stats().hits > before
+
+
+def test_warm_nosql_dwarf_walk_hits_the_block_cache(monkeypatch, sample_cube):
+    """With the row cache off, a warm pass of stored point queries over
+    flushed SSTables reads its blocks from the block cache."""
+    monkeypatch.setenv("REPRO_ROW_CACHE_BYTES", "0")  # read at table creation
+    mapper = NoSQLDwarfMapper()
+    mapper.install()
+    schema_id = mapper.store(sample_cube)
+    tables = mapper.engine.keyspace(mapper.keyspace_name).tables
+    for table in tables:
+        table.flush()
+    vectors = [["Ireland", ALL, ALL], [ALL, "Dublin", ALL], ["France", "Paris", "Rue Cler"]]
+
+    def query_pass():
+        before = sum(table.stats().block_cache.hits for table in tables)
+        answers = [stored_point_query(mapper, schema_id, vector) for vector in vectors]
+        assert answers == [sample_cube.value(vector) for vector in vectors]
+        return sum(table.stats().block_cache.hits for table in tables) - before
+
+    query_pass()  # cold: fills the cache
+    assert query_pass() > 0
 
 
 class TestAnalyzeStrategy:

@@ -1,10 +1,11 @@
-"""Declarative select against the stored NoSQL-DWARF cube."""
+"""Declarative select against a stored cube."""
 
 import pytest
 
 from repro.dwarf.builder import build_cube
 from repro.dwarf.query import Each, In, Member, Range, select
 from repro.mapping.base import MappingError
+from repro.mapping.mysql_dwarf import MySQLDwarfMapper
 from repro.mapping.mysql_min import MySQLMinMapper
 from repro.mapping.nosql_dwarf import NoSQLDwarfMapper
 from repro.mapping.stored_query import stored_select
@@ -59,12 +60,22 @@ class TestStoredSelect:
         result = dict(stored_select(mapper, schema_id, hour=Range(8, 9)))
         assert result == {(8,): 1, (9,): 2}
 
-    def test_rejects_other_mappers(self, sample_cube):
+    def test_answers_on_mysql_min(self, sample_cube):
         mapper = MySQLMinMapper()
         mapper.install()
-        mapper.store(sample_cube)
-        with pytest.raises(MappingError, match="NoSQL-DWARF"):
-            list(stored_select(mapper, 1))
+        schema_id = mapper.store(sample_cube)
+        for strategy in ("walk", "scan"):
+            assert dict(stored_select(mapper, schema_id, strategy=strategy, city=Each())) == (
+                dict(select(sample_cube, city=Each()))
+            )
+
+    def test_scan_needs_cells_that_carry_their_parent(self, sample_cube):
+        mapper = MySQLDwarfMapper()
+        mapper.install()
+        schema_id = mapper.store(sample_cube)
+        assert list(stored_select(mapper, schema_id)) == [((), sample_cube.total())]
+        with pytest.raises(MappingError, match="do not carry their parent node"):
+            list(stored_select(mapper, schema_id, strategy="scan"))
 
     def test_rejects_non_constraint(self, stored):
         mapper, schema_id, _ = stored

@@ -1,9 +1,12 @@
 """Instrumentation smoke: every layer emits spans/metrics when enabled,
-and the kernel's per-operator clock stays off when tracing is disabled."""
+and nothing is recorded — no span, metric, slow op or per-operator
+clock — when telemetry is disabled."""
 
 from repro.dwarf.builder import DwarfBuilder
-from repro.mapping.registry import make_mapper
-from repro.mapping.stored_query import stored_point_query
+from repro.dwarf.cell import ALL
+from repro.dwarf.query import Each
+from repro.mapping.registry import MAPPER_FACTORIES, make_mapper
+from repro.mapping.stored_query import stored_cell_count, stored_point_query, stored_select
 
 
 def span_names(merged, out=None):
@@ -101,6 +104,30 @@ class TestOperatorClock:
             assert run() > 0.0
         finally:
             tracer.enabled = was
+            tracer.reset()
+
+
+class TestDisabledPath:
+    def test_stored_queries_record_nothing_with_telemetry_off(self, sample_cube):
+        from repro.telemetry import get_registry, get_tracer, snapshot
+
+        registry, tracer = get_registry(), get_tracer()
+        was = registry.enabled, tracer.enabled
+        registry.enabled = tracer.enabled = False
+        registry.reset()
+        tracer.reset()
+        try:
+            for name in MAPPER_FACTORIES:
+                mapper = make_mapper(name)
+                schema_id = mapper.store(sample_cube, probe_size=False)
+                assert stored_point_query(mapper, schema_id, ["Ireland", ALL, ALL]) == 10
+                assert dict(stored_select(mapper, schema_id, city=Each()))
+                assert stored_cell_count(mapper, schema_id) == sample_cube.stats.cell_count
+            snap = snapshot(registry, tracer)
+            assert (snap["spans"], snap["metrics"], snap["slow_ops"]) == ([], [], [])
+        finally:
+            registry.enabled, tracer.enabled = was
+            registry.reset()
             tracer.reset()
 
 
