@@ -1,10 +1,12 @@
-"""Cross-layer invariant checkers and the repo-specific lint pass.
+"""Cross-layer invariant checkers.
 
 Sanitizer-style runtime checkers for every storage structure in the
 reproduction (DWARF cubes, B-trees, SSTables, column families, heap
-tables, bi-directional mappers), a :class:`CheckRunner` facade over
-them, plus an AST lint pass — all surfaced through ``repro check``
-and, at runtime, the ``REPRO_CHECK=1`` environment flag.
+tables, bi-directional mappers) and a :class:`CheckRunner` facade over
+them, surfaced through ``repro check`` and, at runtime, the
+``REPRO_CHECK=1`` environment flag.  The source rules (layering, raw
+clocks, lock discipline, catalogued telemetry names) are AST contracts
+in ``tests/analysis/test_repo_contracts.py``, not part of this package.
 
 Attribute access is lazy (PEP 562): the hot-path hooks import
 :func:`checks_enabled` from :mod:`repro.analysis.flags` at module load,
@@ -34,55 +36,23 @@ _LAZY = {
     "mapping_check": "repro.analysis.mapping_check",
     "CheckRunner": "repro.analysis.runner",
     "runtime_check": "repro.analysis.runner",
-    "run_lint": "repro.analysis.lint",
-    "lint_file": "repro.analysis.lint",
-    "build_cfg": "repro.analysis.cfg",
-    "functions_in": "repro.analysis.cfg",
-    "dominators": "repro.analysis.cfg",
-    "solve": "repro.analysis.dataflow",
-    "ReachingDefinitions": "repro.analysis.dataflow",
-    "LiveVariables": "repro.analysis.dataflow",
-    "build_import_graph": "repro.analysis.imports",
-    "layering_violations": "repro.analysis.imports",
-    "import_cycles": "repro.analysis.imports",
-    "load_baseline": "repro.analysis.baseline",
-    "apply_baseline": "repro.analysis.baseline",
-    "write_baseline": "repro.analysis.baseline",
-    "sarif_report": "repro.analysis.sarif",
-    "sarif_dumps": "repro.analysis.sarif",
 }
 
 __all__ = [
     "CheckReport",
     "CheckRunner",
     "InvariantViolationError",
-    "LiveVariables",
-    "ReachingDefinitions",
     "Violation",
-    "apply_baseline",
     "btree_check",
-    "build_cfg",
-    "build_import_graph",
     "checks_enabled",
     "columnfamily_check",
     "delta_check",
-    "dominators",
     "dwarf_check",
-    "functions_in",
     "heap_check",
-    "import_cycles",
-    "layering_violations",
-    "lint_file",
-    "load_baseline",
     "mapping_check",
-    "run_lint",
     "runtime_check",
-    "sarif_dumps",
-    "sarif_report",
-    "solve",
     "sstable_check",
     "structural_signature",
-    "write_baseline",
 ]
 
 

@@ -40,13 +40,11 @@ class Violation(NamedTuple):
     ----------
     checker:
         The checker family that found it (``dwarf``, ``btree``,
-        ``sstable``, ``heap``, ``mapping``, ``lint``).
+        ``sstable``, ``heap``, ``mapping``).
     rule:
-        Stable rule identifier, e.g. ``dwarf.all-aggregate`` or
-        ``REPRO002``.
+        Stable rule identifier, e.g. ``dwarf.all-aggregate``.
     location:
-        Where: ``path.py:42`` for lint, a structural path such as
-        ``node@L2[key='Dublin']`` for runtime checkers.
+        Where: a structural path such as ``node@L2[key='Dublin']``.
     message:
         Human-readable description of what is wrong.
     """

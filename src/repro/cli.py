@@ -18,9 +18,9 @@ Three commands cover the common workflows:
     background merges, compact — then prove the merged cube is
     signature-identical to a cold rebuild over the whole feed.
 ``check``
-    The static-analysis gate: the repo-specific AST lint pass and/or the
-    cross-layer invariant suite (build a dataset's cube, store it under
-    every schema, and run every structural checker over the results).
+    The cross-layer invariant suite: build a dataset's cube, store it
+    under every schema, and run every structural checker over the
+    results.
 ``stats``
     Run one instrumented workload (ETL -> build -> store -> stored
     queries) with telemetry force-enabled and print the merged span
@@ -111,48 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="leave tombstoned rows in place after the final merge",
     )
 
-    check = commands.add_parser("check", help="run the lint + invariant gate")
-    check.add_argument(
-        "--lint",
-        action="store_true",
-        help="run the AST lint pass over src/repro",
-    )
+    check = commands.add_parser("check", help="run the invariant suite")
     check.add_argument(
         "--invariants",
         nargs="?",
         const="Month",
-        default=None,
+        default="Day",
         metavar="DATASET",
-        help="run the invariant suite on DATASET (default Month when the "
-        "flag is given bare; plain `repro check` uses Day)",
-    )
-    check.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated lint rule ids to run (e.g. REPRO008,REPRO009);"
-        " default: all; unknown ids exit 2",
-    )
-    check.add_argument(
-        "--exclude-rules", default=None, metavar="IDS",
-        help="comma-separated lint rule ids to skip",
-    )
-    check.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="lint findings as text (default), a JSON report, or a "
-        "SARIF 2.1.0 document",
-    )
-    check.add_argument(
-        "--out", type=Path, default=None,
-        help="also write the --format payload to this file",
-    )
-    check.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="only fail on lint findings absent from this baseline file "
-        "(see analysis-baseline.json); stale entries are reported",
-    )
-    check.add_argument(
-        "--write-baseline", type=Path, default=None, metavar="FILE",
-        help="write the current lint findings to FILE as a new baseline "
-        "and exit 0",
+        help="run the invariant suite on DATASET, case-insensitive (default "
+        "Month when the flag is given bare; plain `repro check` uses Day)",
     )
 
     stats = commands.add_parser(
@@ -272,12 +239,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    datasets = [name.strip() for name in args.datasets.split(",") if name.strip()]
+    datasets = [_resolve_dataset(name.strip()) for name in args.datasets.split(",") if name.strip()]
     schemas = [name.strip() for name in args.schemas.split(",") if name.strip()]
-    for name in datasets:
-        if name not in DATASETS_BY_NAME:
-            print(f"unknown dataset {name!r}; choose from {DATASET_ORDER}", file=sys.stderr)
-            return 2
+    if None in datasets:
+        return 2
     for name in schemas:
         if name not in MAPPER_FACTORIES:
             print(f"unknown schema {name!r}; choose from {tuple(MAPPER_FACTORIES)}",
@@ -432,8 +397,7 @@ def _cmd_ingest(args) -> int:
     if first is None:
         print(f"dataset {dataset} has no documents", file=sys.stderr)
         return 2
-    # Not a file handle: CubeMaintainer.open() opens a maintenance epoch.
-    maintainer = CubeMaintainer.open(  # repro: noqa[REPRO009]
+    maintainer = CubeMaintainer.open(
         mapper, build_cube(pipeline.extract(first.documents))
     )
     n_documents, appends, merges = len(first), 0, 0
@@ -489,15 +453,6 @@ def _check_invariants(dataset: str) -> bool:
     from repro.analysis.runner import CheckRunner
     from repro.bench.datasets import load_dataset
     from repro.smartcity.bikes import bikes_pipeline
-    from repro.telemetry import enable_metrics
-
-    # The warm-query pass reads cache traffic straight from the live
-    # registry, so the gate always runs with metrics on.
-    enable_metrics(True)
-
-    if dataset not in DATASETS_BY_NAME:
-        print(f"unknown dataset {dataset!r}; choose from {DATASET_ORDER}", file=sys.stderr)
-        return False
 
     ok = True
     bundle = load_dataset(dataset)
@@ -838,99 +793,20 @@ def _cmd_debug_bundle(args) -> int:
     return 0 if ok else 1
 
 
-def _split_ids(raw: Optional[str]) -> Optional[list]:
-    if raw is None:
-        return None
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
-
-def _lint_payload(args, report, new_ids) -> Optional[str]:
-    """The ``--format`` payload for the lint report (None for text)."""
-    if args.format == "sarif":
-        from repro.analysis.sarif import sarif_dumps
-
-        return sarif_dumps(report, new_ids).rstrip("\n")
-    if args.format == "json":
-        violations = []
-        for violation in report.violations:
-            entry = dict(violation._asdict())
-            if new_ids is not None:
-                entry["new"] = id(violation) in new_ids
-            violations.append(entry)
-        return json.dumps(
-            {
-                "name": report.name,
-                "n_checks": report.n_checks,
-                "ok": report.ok,
-                "violations": violations,
-            },
-            indent=2,
-        )
-    return None
-
-
 def _cmd_check(args) -> int:
-    from repro.analysis.lint import run_lint
+    from repro.telemetry import enable_metrics, get_registry
 
-    # Plain `repro check` runs both passes; each flag narrows to one
-    # (giving both flags is the explicit spelling of the default).
-    run_lint_pass = args.lint or args.invariants is None
-    dataset = args.invariants
-    if dataset is None and not args.lint:
-        dataset = "Day"
-
-    ok = True
-    if run_lint_pass:
-        try:
-            report = run_lint(rules=_split_ids(args.rules),
-                              exclude_rules=_split_ids(args.exclude_rules))
-        except ValueError as exc:
-            print(f"check: {exc}", file=sys.stderr)
-            return 2
-        if args.write_baseline is not None:
-            from repro.analysis.baseline import write_baseline
-
-            write_baseline(args.write_baseline, report)
-            print(f"wrote baseline {args.write_baseline} "
-                  f"({len(report.violations)} finding(s))")
-        new_ids = None
-        if args.baseline is not None:
-            from repro.analysis.baseline import BaselineError, apply_baseline, load_baseline
-
-            try:
-                baseline = load_baseline(args.baseline)
-            except BaselineError as exc:
-                print(f"check: {exc}", file=sys.stderr)
-                return 2
-            result = apply_baseline(report, baseline)
-            new_ids = {id(v) for v in result.new}
-            ok &= not result.new
-            print(f"{report.summary()} "
-                  f"[baseline: {len(result.new)} new, "
-                  f"{len(result.known)} known, {len(result.stale)} stale]")
-            for violation in result.new:
-                print(f"  NEW {violation.format()}")
-            for entry in result.stale:
-                print(f"  stale baseline entry: [{entry['rule']}] "
-                      f"{entry['path']}: {entry['message']}")
-        else:
-            ok &= report.ok
-            if args.format == "text":
-                _print_report(report)
-        payload = _lint_payload(args, report, new_ids)
-        if payload is not None:
-            if args.out is not None:
-                args.out.write_text(payload + "\n", encoding="utf-8")
-                print(f"wrote {args.out}")
-            else:
-                print(payload)
-        elif args.out is not None:
-            args.out.write_text(
-                "\n".join([report.summary()] + report.format_lines()) + "\n",
-                encoding="utf-8")
-            print(f"wrote {args.out}")
+    dataset = _resolve_dataset(args.invariants)
+    ok = False
     if dataset is not None:
-        ok &= _check_invariants(dataset)
+        # The warm-query pass reads cache traffic straight from the live
+        # registry, so the suite runs with metrics on, then restores them.
+        was_enabled = get_registry().enabled
+        enable_metrics(True)
+        try:
+            ok = _check_invariants(dataset)
+        finally:
+            enable_metrics(was_enabled)
     print("check: OK" if ok else "check: FAILED")
     return 0 if ok else 1
 

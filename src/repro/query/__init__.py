@@ -7,8 +7,8 @@ cache, the one statement front end (:mod:`repro.query.syntax`: tokenizer,
 parser core, shared statement nodes), and the dialect-parameterized
 client :class:`Session` with its generic :class:`Executor`.  The engines
 (``repro.sqldb``, ``repro.nosqldb``) add their grammar and binding on
-top of this layer; this package must never import an engine (lint rule
-REPRO006).
+top of this layer; this package must never import an engine (source
+contract REPRO006).
 """
 
 from repro.query.analyze import (

@@ -19,7 +19,7 @@ Engine front-ends compile their dialect's AST into what each node
 carries — key resolvers take the bind-parameter tuple, conditions are
 declarative ``(column, op, resolve)`` triples, projections are column
 lists — so the kernel never sees an AST and never imports an engine
-(lint rule REPRO006 enforces that direction).
+(source contract REPRO006 enforces that direction).
 
 Every node keeps cumulative counters (``calls``, ``rows_in``,
 ``rows_out``, plus ``keys_batched`` and ``blocks_cached`` on batched

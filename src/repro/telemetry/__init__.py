@@ -2,7 +2,7 @@
 
 This package is a stdlib-only leaf: it imports nothing from the rest of
 ``repro``, so every layer (storage, engines, kernel, mappers, ETL) may
-report into it without violating the layering rules (REPRO005/REPRO006).
+report into it without violating the layering rules (REPRO006/REPRO012).
 
 Gating
 ------
@@ -79,7 +79,7 @@ from repro.telemetry.catalog import METRIC_NAMES, SPAN_NAMES
 
 #: The one sanctioned monotonic clock.  Instrumented code outside this
 #: package must use ``wall_clock()`` instead of ``time.perf_counter()``
-#: directly (lint rule REPRO007 enforces this).
+#: directly (source contract REPRO007 enforces this).
 wall_clock = time.perf_counter
 
 #: CPU-time companion to ``wall_clock``; EXPLAIN ANALYZE uses both to

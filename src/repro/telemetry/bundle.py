@@ -5,7 +5,7 @@ metrics snapshot, merged span tree, slow-op log (with drop count), the
 query log and its fingerprint profiles, plan-cache entries, cube epoch
 rows, and every ``REPRO_*`` environment knob.
 
-The telemetry package is a leaf (REPRO005), so engine-side state
+The telemetry package is a leaf (REPRO012), so engine-side state
 (plan-cache entries, epoch rows) arrives here already
 serialized by the CLI layer — this module only assembles, validates and
 reloads the artifact.

@@ -1,10 +1,11 @@
 """Central catalog of every metric and span name used in instrumentation.
 
-Lint rule REPRO014 checks that any literal name passed to
-``registry.counter/gauge/histogram`` or ``tracer.span`` appears here, so
-a typo'd name fails lint instead of silently creating a new series.
+Source contract REPRO014 (a tier-1 test) checks that any literal name
+passed to ``registry.counter/gauge/histogram`` or ``tracer.span`` appears
+here, so a typo'd name fails the suite instead of silently creating a
+new series.
 
-Keep the tuples sorted; the frozensets are what the rule consults.
+Keep the tuples sorted; the frozensets are what the contract consults.
 """
 
 from __future__ import annotations

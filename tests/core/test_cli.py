@@ -80,6 +80,18 @@ class TestBench:
         assert main(["bench", "--datasets", "Year"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
 
+    def test_dataset_names_are_case_insensitive(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def run_matrix(datasets, schemas):
+            raise Stop(datasets)
+
+        monkeypatch.setattr("repro.cli.run_matrix", run_matrix)
+        with pytest.raises(Stop) as stopped:
+            main(["bench", "--datasets", "day,WEEK", "--schemas", "NoSQL-DWARF"])
+        assert stopped.value.args == (["Day", "Week"],)
+
     def test_unknown_schema(self, capsys):
         assert main(["bench", "--schemas", "Mongo"]) == 2
         assert "unknown schema" in capsys.readouterr().err

@@ -133,29 +133,14 @@ class TestOperators:
             assert not hasattr(cls, "_execute") and not hasattr(cls, "rows"), cls
 
     def test_leaves_read_storage_through_batches_only(self):
-        # Fetch beside scan (docs/query_kernel.md): no leaf asks storage
-        # for rows, and storage has no row-returning block read left to
-        # ask.  test_repo_contracts.py checks the source for the same.
-        import inspect
-        import re
-
+        # Fetch beside scan (docs/query_kernel.md): storage has no
+        # row-returning block read left for a leaf to ask.  The source
+        # side (no leaf fetches rows, sqldb hands up columns, never
+        # decoded rows) is checked once, in test_repo_contracts.py.
         from repro.nosqldb.sstable import SSTable
-        from repro.query import plan as plan_module
-        from repro.sqldb import table as table_module
-        from repro.sqldb.table import Table
 
-        source = inspect.getsource(plan_module)
-        assert not re.search(
-            r"\.get_many\(|\.get\(self\.key|\.lookup_indexed\(|\.lookup_pk_prefix\(", source
-        )
-        assert set(re.findall(r"\.table\.(\w+)\(", source)) <= {"get_batches", "scan_batches"}
         for name in ("get", "get_many", "_decoded_block"):
             assert not hasattr(SSTable, name), name
-        # A B-tree leaf page or fetched row set leaves sqldb as columns
-        # read one at a time, never as rows decoded whole.
-        assert "RowBatch(" not in inspect.getsource(table_module)
-        for method in (Table.scan_batches, Table.get_batches):
-            assert "decode_row" not in inspect.getsource(method), method
 
     def test_describe_dispatches_plans_and_nodes(self):
         scan = FullScan(FakeTable(ROWS), "t")
