@@ -7,13 +7,13 @@ SSTable invariants (DESIGN.md "NoSQL engine", paper §5 storage model):
   not overlap (the binary-searched point read depends on all three).
 * **Bloom no-false-negative** — every stored key answers
   ``might_contain() == True``; a false negative silently loses rows.
-* **Codec/compression round-trip** — each row-major block decompresses,
-  decodes entry-by-entry, and re-encodes to the exact stored bytes.
-* **Columnar round-trip** — each columnar block decodes into column
-  vectors, rematerializes every row byte-identically, re-encodes to the
-  exact stored payload, and its in-memory zone maps match a fresh
-  recomputation from the stored values (rule
-  ``sstable.columnar-roundtrip``; see docs/columnar_blocks.md).
+* **Columnar round-trip** — each block carries the columnar ``'C'`` tag,
+  decompresses, decodes into column vectors, rematerializes every row
+  byte-identically, re-encodes to the exact stored payload, and its
+  in-memory zone maps and chunk layout match a fresh recomputation from
+  the stored values (rule ``sstable.columnar-roundtrip``; see
+  docs/columnar_blocks.md).  A block that fails to decompress or decode,
+  or carries another tag, is an ``sstable.corrupt-block``.
 * **Row accounting** — entry count matches ``len(table)``; tombstoned
   keys never coexist with a live row in the same table.
 
@@ -40,12 +40,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.analysis.btree_check import btree_check
 from repro.analysis.violations import CheckReport
 from repro.nosqldb.cache import NEGATIVE
-from repro.nosqldb.columnar import TAG_COLUMNAR, TAG_ROW
 from repro.nosqldb.columnfamily import ColumnFamily
 from repro.nosqldb.sstable import SSTable
-from repro.storage.btree import decode_key, encode_key
-from repro.storage.encoding import decode_bytes, encode_bytes
-from repro.storage.varint import decode_varint, encode_varint
+from repro.storage.btree import encode_key
 
 _CHECKER = "sstable"
 
@@ -81,13 +78,7 @@ def sstable_check(table: SSTable, name: str = "sstable") -> CheckReport:
     for index in range(len(block_keys)):
         location = f"{name}/block[{index}]"
         try:
-            tag, payload = table._block_payload(index)
-            if tag == TAG_COLUMNAR:
-                entries = _check_columnar_block(report, table, payload, index, location)
-            elif tag == TAG_ROW:
-                entries = list(_row_block_entries(payload))
-            else:
-                raise ValueError(f"unknown block format tag 0x{tag:02x}")
+            entries = _check_columnar_block(report, table, index, location)
         except Exception as exc:  # corrupt bytes surface as a violation
             report.add(
                 _CHECKER, "sstable.corrupt-block", location,
@@ -98,7 +89,7 @@ def sstable_check(table: SSTable, name: str = "sstable") -> CheckReport:
             bool(entries), _CHECKER, "sstable.empty-block", location,
             "sealed block holds no entries",
         )
-        for position, (key, row, raw_entry) in enumerate(entries):
+        for position, key in enumerate(entries):
             n_rows += 1
             if position == 0:
                 report.check(
@@ -120,13 +111,6 @@ def sstable_check(table: SSTable, name: str = "sstable") -> CheckReport:
                         f"uncomparable row key {key!r}",
                     )
             previous_key = key
-            if raw_entry is not None:  # row-major entries carry stored bytes
-                expected = encode_key(key) + encode_bytes(row)
-                report.check(
-                    raw_entry == encode_varint(len(expected)) + expected,
-                    _CHECKER, "sstable.codec-roundtrip", location,
-                    f"entry for key {key!r} does not re-encode to its stored bytes",
-                )
             report.check(
                 table._bloom.might_contain(key), _CHECKER,
                 "sstable.bloom-false-negative", location,
@@ -146,49 +130,22 @@ def sstable_check(table: SSTable, name: str = "sstable") -> CheckReport:
     return report
 
 
-def _row_block_entries(raw: bytes) -> Iterator[Tuple[object, bytes, bytes]]:
-    """Decode a row-major block payload, yielding ``(key, row, raw_entry)``."""
-    offset = 0
-    end = len(raw)
-    while offset < end:
-        start = offset
-        entry_len, offset = decode_varint(raw, offset)
-        entry_end = offset + entry_len
-        if entry_end > end:
-            raise ValueError(
-                f"entry length {entry_len} overruns the block at offset {start}"
-            )
-        key, key_end = decode_key(raw, offset)
-        row, row_end = decode_bytes(raw, key_end)
-        if row_end != entry_end:
-            raise ValueError(
-                f"entry for key {key!r} decodes {row_end - offset} bytes, "
-                f"header promised {entry_len}"
-            )
-        yield key, row, bytes(raw[start:entry_end])
-        offset = entry_end
-
-
 def _check_columnar_block(
-    report: CheckReport, table: SSTable, payload: bytes, index: int, location: str
-) -> List[Tuple[object, bytes, None]]:
-    """Verify one columnar block and return its ``(key, row, None)`` entries.
+    report: CheckReport, table: SSTable, index: int, location: str
+) -> List[object]:
+    """Verify one block and return its keys.
 
     The round-trip is exact both ways: decode -> rematerialize rows ->
     re-encode must reproduce the stored payload byte-for-byte (the
     encoder is deterministic), and the table's in-memory zone maps and
     chunk layout must equal a fresh recomputation from the stored
     values.  The payload is decoded *without* the table's layout, so a
-    wrong one cannot vouch for itself.  Raises when the payload cannot
-    be decoded at all (reported as a corrupt block by the caller).
+    wrong one cannot vouch for itself.  Raises when the block carries
+    another format tag or its payload cannot be decoded at all (reported
+    as a corrupt block by the caller).
     """
     codec = table._codec
-    if codec is None:
-        report.add(
-            _CHECKER, "sstable.columnar-roundtrip", location,
-            "columnar block in a table with no codec (unreadable by scans)",
-        )
-        return []
+    payload = table._block_payload(index)
     vectors = codec.decode_block(payload)
     keys, rows = vectors.all_rows()
     reencoded, zones, _, _, layout = codec.encode_block(
@@ -210,7 +167,7 @@ def _check_columnar_block(
         "in-memory chunk layout differs from a recomputation over the "
         "stored values (reads would parse column chunks at the wrong offsets)",
     )
-    return [(key, row, None) for key, row in zip(keys, rows)]
+    return keys
 
 
 def check_sealed_block(

@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -508,16 +509,15 @@ def _operator_stat_lines(mapper):
 
 
 def _storage_stat_lines(mapper):
-    """Per-column-family block-format stats for NoSQL-backed mappers."""
+    """Per-column-family SSTable block stats for NoSQL-backed mappers."""
     lines = []
     if mapper.mapping.backend is not CQL:
         return lines
     for table in mapper.space().tables:
         stats = table.stats()
         lines.append(
-            f"  {table.name}: block_format={stats.block_format} "
-            f"sstables={stats.sstables} columnar_blocks={stats.columnar_blocks} "
-            f"fallback_blocks={stats.fallback_blocks} "
+            f"  {table.name}: sstables={stats.sstables} "
+            f"columnar_blocks={stats.columnar_blocks} "
             f"blocks_skipped={stats.blocks_skipped} "
             f"dict_hit_ratio={stats.dict_hit_ratio:.2f}"
         )
@@ -794,21 +794,34 @@ def _cmd_debug_bundle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.telemetry import enable_metrics, get_registry
+    from repro.telemetry import enable_metrics
 
     dataset = _resolve_dataset(args.invariants)
     ok = False
     if dataset is not None:
         # The warm-query pass reads cache traffic straight from the live
-        # registry, so the suite runs with metrics on, then restores them.
-        was_enabled = get_registry().enabled
+        # registry, so the suite runs with metrics on.
         enable_metrics(True)
-        try:
-            ok = _check_invariants(dataset)
-        finally:
-            enable_metrics(was_enabled)
+        ok = _check_invariants(dataset)
     print("check: OK" if ok else "check: FAILED")
     return 0 if ok else 1
+
+
+@contextmanager
+def _telemetry_restored():
+    """Put the process-wide metrics, tracing and query-log switches back
+    as they were on exit.  ``check``, ``ingest`` and the workload behind
+    ``stats``, ``top`` and ``debug-bundle`` switch them on for their
+    run; an in-process caller of :func:`main` must not inherit that."""
+    from repro.telemetry import get_query_log, get_registry, get_tracer
+
+    switches = (get_registry(), get_tracer(), get_query_log())
+    was = [switch.enabled for switch in switches]
+    try:
+        yield
+    finally:
+        for switch, enabled in zip(switches, was):
+            switch.enabled = enabled
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -823,7 +836,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "top": _cmd_top,
         "debug-bundle": _cmd_debug_bundle,
     }[args.command]
-    return handler(args)
+    with _telemetry_restored():  # restored once the command has rendered its output
+        return handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

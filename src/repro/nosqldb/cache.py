@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.telemetry import get_registry
 
@@ -216,10 +216,8 @@ class _LRUBytes:
 class BlockCache(_LRUBytes):
     """Decoded SSTable blocks, keyed by ``(table_uid, block_index)``.
 
-    The cached value is the block decoded *once*: row-major blocks as
-    parallel sorted lists ``(keys, rows)`` so point reads bisect instead
-    of rescanning, columnar blocks as
-    :class:`~repro.nosqldb.columnar.ColumnVectors` so one decode serves
+    The cached value is the block decoded *once*, as
+    :class:`~repro.nosqldb.columnar.ColumnVectors`, so one decode serves
     vectorized predicate evaluation, lazy typed-column decode *and*
     byte-exact row rematerialization.  SSTables are immutable, so
     entries never go stale — invalidation exists only to release the
@@ -231,20 +229,9 @@ class BlockCache(_LRUBytes):
     def get(self, table_uid: int, index: int):
         return self._get((table_uid, index))
 
-    def put(
-        self, table_uid: int, index: int, keys: List, rows: List[bytes]
-    ) -> None:
-        nbytes = sum(len(row) for row in rows) + ENTRY_OVERHEAD * len(keys)
-        self._put((table_uid, index), (keys, rows), nbytes)
-
-    def put_entry(self, table_uid: int, index: int, value, nbytes=None) -> None:
-        """Cache a decoded block of either shape.  ``nbytes`` is the
-        charge for non-tuple values (e.g. ``ColumnVectors.nbytes``);
-        ``(keys, rows)`` tuples may pass None to use the row formula."""
-        if nbytes is None:
-            keys, rows = value
-            nbytes = sum(len(row) for row in rows) + ENTRY_OVERHEAD * len(keys)
-        self._put((table_uid, index), value, nbytes)
+    def put(self, table_uid: int, index: int, block) -> None:
+        """Cache a decoded block, charged its ``nbytes``."""
+        self._put((table_uid, index), block, block.nbytes)
 
     def drop_table(self, table_uid: int) -> None:
         """Release every block of one (superseded) SSTable."""

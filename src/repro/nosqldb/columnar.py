@@ -1,18 +1,16 @@
 """Column-major SSTable block codec with zone maps and dictionaries.
 
-Row-major blocks store each row as one contiguous cell list; a scan
-that needs two of eight columns still decodes (and hashes, via the
-row-decode memo) every cell of every row.  This module implements the
-columnar alternative sketched in *Columnar Formats for Schemaless
-LSM-based Document Stores*: within one block, cell values are
-regrouped into per-column vectors so a pushed-down predicate touches
-only the vectors it reads, whole blocks are skipped via per-column
-zone maps, and a read hands the block upward as a column batch — a scan
-the whole block (:meth:`SSTable.scan_batches`), a fetch the block with
-the positions of its keys selected (:meth:`SSTable.locate`) — so rows
-are built from the typed vectors once, at the end of the statement, for
-the columns it returns, and only the chunks of the columns a read
-touches are ever parsed.
+Every SSTable block is stored in the layout of this module, the one
+sketched in *Columnar Formats for Schemaless LSM-based Document
+Stores*: within one block, cell values are grouped into per-column
+vectors so a pushed-down predicate touches only the vectors it reads,
+whole blocks are skipped via per-column zone maps, and a read hands the
+block upward as a column batch — a scan the whole block
+(:meth:`SSTable.scan_batches`), a fetch the block with the positions of
+its keys selected (:meth:`SSTable.locate`) — so rows are built from the
+typed vectors once, at the end of the statement, for the columns it
+returns, and only the chunks of the columns a read touches are ever
+parsed.
 
 The layout is exact — no information is dropped.  A columnar block
 records, per row, the original cell *order* (Cassandra writes cells in
@@ -20,7 +18,8 @@ statement order, not schema order) and, per cell, the raw value bytes
 and raw 8-byte timestamp.  :meth:`ColumnVectors.materialize` therefore
 reproduces the original encoded row byte-for-byte, which the
 ``sstable.columnar-roundtrip`` invariant and the row-cache agreement
-checker both rely on.
+checker both rely on.  The write loop only ever stores rows whose cells
+name distinct schema columns, so every row fits the directory.
 
 Block payload layout (before the 1-byte format tag and compression)::
 
@@ -51,12 +50,10 @@ before it.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.nosqldb.errors import NoSQLError
 from repro.nosqldb.types import CQLType, SetType
 from repro.storage.btree import decode_key
 from repro.storage.encoding import (
@@ -67,15 +64,9 @@ from repro.storage.encoding import (
 )
 from repro.storage.varint import decode_varint, encode_varint
 
-BLOCK_FORMAT_ROW = "row"
-BLOCK_FORMAT_COLUMNAR = "columnar"
-BLOCK_FORMATS = (BLOCK_FORMAT_ROW, BLOCK_FORMAT_COLUMNAR)
-
-#: First byte of every stored block: the format tag ('R' / 'C').  The
-#: tag sits *outside* compression so readers can branch before paying
-#: zlib, and so mixed-format tables (e.g. mid-migration compactions)
-#: stay readable forever.
-TAG_ROW = 0x52
+#: First byte of every stored block: the format tag ('C').  The tag
+#: sits *outside* compression, so a reader rejects a block of any other
+#: tag before paying zlib.
 TAG_COLUMNAR = 0x43
 
 #: Dictionary-encode a column chunk only when it is populated enough
@@ -89,22 +80,8 @@ DICT_MAX_RATIO = 2
 #: exact membership prunes equality/IN predicates that min/max ranges
 #: cannot (dense key domains make lo<=v<=hi nearly always true).  Sized
 #: to stay useful at columnar block granularity (tens of rows per
-#: block — see ``COLUMNAR_BLOCK_FACTOR`` in the sstable module).
+#: block — see ``BLOCK_BYTES`` in the sstable module).
 ZONE_DISTINCT_MAX = 64
-
-
-def default_block_format() -> str:
-    """Block format from ``REPRO_BLOCK_FORMAT``, default columnar."""
-    raw = os.environ.get("REPRO_BLOCK_FORMAT", "").strip().lower()
-    if raw in BLOCK_FORMATS:
-        return raw
-    return BLOCK_FORMAT_COLUMNAR
-
-
-class BlockRefused(NoSQLError):
-    """A row the columnar layout cannot hold exactly: a cell for a
-    column outside the schema, or one column repeated within a row.
-    The SSTable builder stores that block row-major instead."""
 
 
 class ChunkLayout(NamedTuple):
@@ -174,14 +151,14 @@ class ColumnarCodec:
         One pass over the row bytes: each cell's encoded name is looked
         up in the name table, its value is skipped with the type's
         ``span``, and the timestamp and raw value slices go straight
-        onto that column's vectors.  No name or value is decoded.  A row
-        naming a column outside the schema keeps none of its cells and
-        gets the order None, which :meth:`encode_columns` refuses.
+        onto that column's vectors.  No name or value is decoded.  A
+        cell naming a column outside the schema is an internal error: the
+        write loop stores no such row.
         """
         n_columns = len(self.column_names)
         ts_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
         raw_cols: List[List[bytes]] = [[] for _ in range(n_columns)]
-        orders: List[Optional[Tuple[int, ...]]] = []
+        orders: List[Tuple[int, ...]] = []
         lookup = self._cells.get
         for row in rows:
             count = row[0]
@@ -199,19 +176,16 @@ class ColumnarCodec:
                     length, name_end = decode_varint(row, offset)
                     name_end += length
                 cell = lookup(row[offset:name_end])
-                if cell is None:  # take back the row's cells split so far
-                    for index in order:
-                        ts_cols[index].pop()
-                        raw_cols[index].pop()
-                    order = None
-                    break
+                if cell is None:
+                    raise ValueError(f"stored row names a column outside the schema: "
+                                     f"{bytes(row[offset:name_end])!r}")
                 index, span = cell
                 value_at = name_end + 8
                 offset = span(row, value_at)
                 ts_cols[index].append(row[name_end:value_at])
                 raw_cols[index].append(row[value_at:offset])
                 order.append(index)
-            orders.append(order if order is None else tuple(order))
+            orders.append(tuple(order))
         return ts_cols, raw_cols, orders
 
     def encode_columns(
@@ -219,7 +193,7 @@ class ColumnarCodec:
         encoded_keys: Sequence[bytes],
         ts_cols: Sequence[Sequence[bytes]],
         raw_cols: Sequence[Sequence[bytes]],
-        orders: Sequence[Optional[Tuple[int, ...]]],
+        orders: Sequence[Tuple[int, ...]],
         decoded: List[Dict[bytes, object]],
         typed: Optional[Sequence[Optional[Sequence]]] = None,
     ):
@@ -227,8 +201,7 @@ class ColumnarCodec:
         columnar payload.  Per schema column, ``raw_cols`` holds its
         cells' raw values in row order and ``ts_cols`` byte strings that
         concatenate to their 8-byte timestamps; ``orders`` holds each
-        row's cell schema positions in cell order (None for a row the
-        directory cannot list).  ``decoded`` is the build's
+        row's cell schema positions in cell order.  ``decoded`` is the build's
         :meth:`zone_memo`.  ``typed``, where given, holds per column the
         values its raws encode, each exactly the type's ``value_type``
         (None where unknown): zone entries then come from them, and
@@ -237,9 +210,9 @@ class ColumnarCodec:
         Returns ``(payload, zones, dict_chunks, plain_chunks, layout)``
         where ``zones`` maps zone-eligible column names to their
         ``(lo, hi, distinct)`` entries for this block and ``layout`` is
-        the block's :class:`ChunkLayout`.  Raises BlockRefused for a row
-        naming a column outside the schema or repeating one (the
-        directory could not list its cells exactly).
+        the block's :class:`ChunkLayout`.  A row repeating a column is
+        an internal error (the directory could not list its cells
+        exactly, and the write loop stores no such row).
         """
         n_columns = len(self.column_names)
         present = [index for index in range(n_columns) if raw_cols[index]]
@@ -248,12 +221,10 @@ class ColumnarCodec:
             slot_bytes[index] = encode_varint(slot)
         # Rows written by one statement share a cell order: build (and
         # vet) each distinct directory entry once.
-        directory: Dict[Optional[Tuple[int, ...]], bytes] = dict.fromkeys(orders)
+        directory: Dict[Tuple[int, ...], bytes] = dict.fromkeys(orders)
         for order in directory:
-            if order is None:
-                raise BlockRefused("row names a column outside the schema")
             if len(set(order)) != len(order):
-                raise BlockRefused("row repeats a column")
+                raise ValueError(f"stored row repeats a column: cell order {order}")
             directory[order] = encode_varint(len(order)) + b"".join(
                 [slot_bytes[index] for index in order]
             )
@@ -634,5 +605,5 @@ class ColumnVectors:
     def all_rows(self) -> Tuple[List, List[bytes]]:
         """The block in classic ``(keys, rows)`` form — every row
         rematerialized, for the callers whose business is encoded bytes
-        (compaction, the round-trip checkers).  Nothing is kept."""
+        (the round-trip checkers).  Nothing is kept."""
         return self.keys, [self.materialize(i) for i in range(len(self.keys))]

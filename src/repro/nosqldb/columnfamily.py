@@ -21,17 +21,13 @@ from repro.nosqldb.cache import (
     block_cache_budget,
     row_cache_budget,
 )
-from repro.nosqldb.columnar import (
-    BLOCK_FORMAT_COLUMNAR,
-    BLOCK_FORMATS,
-    ColumnarCodec,
-    default_block_format,
-)
+from repro.nosqldb.columnar import ColumnarCodec
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
 from repro.nosqldb.memtable import Memtable, Run
 from repro.nosqldb.sstable import SSTable, compact, run_feed
 from repro.nosqldb.types import CQLType, SetType
 from repro.query.batch import Batch, FetchedBatch, RowBatch
+from repro.query.session import reject_repeated_columns
 from repro.storage.btree import BTree
 from repro.storage.encoding import decode_text, encode_text
 from repro.storage.varint import decode_varint, encode_varint
@@ -84,11 +80,9 @@ class ColumnFamilyStats(NamedTuple):
     n_writes: int
     row_cache: CacheStats
     block_cache: CacheStats
-    block_format: str = "row"   # what newly flushed blocks are written as
-    columnar_blocks: int = 0    # columnar blocks across all SSTables
+    columnar_blocks: int = 0    # blocks across all SSTables (all columnar)
     blocks_skipped: int = 0     # lifetime zone-map block skips
     dict_hit_ratio: float = 0.0  # dictionary-encoded share of column chunks
-    fallback_blocks: int = 0    # row-major blocks a columnar table had to write
 
 
 def _overlaps(span, others) -> bool:
@@ -120,14 +114,10 @@ def _encode_cells(cql_type: CQLType, values: Sequence) -> Tuple[List, Optional[E
 
 
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
-    """Record what a flush or compaction wrote — total blocks, how many
-    are columnar, how many a columnar table had to store row-major — and
-    what it cost: encode, compress and write (spill) seconds, and the
-    rows whose cells came as columns or from re-splitting row bytes."""
-    stats = [sstable.stats() for sstable in sstables]
-    span.set("blocks", sum(s.blocks for s in stats))
-    span.set("columnar_blocks", sum(s.columnar_blocks for s in stats))
-    span.set("fallback_blocks", sum(s.fallback_blocks for s in stats))
+    """Record what a flush or compaction wrote — its blocks — and what it
+    cost: encode, compress and write (spill) seconds, and the rows whose
+    cells came as columns or from re-splitting row bytes."""
+    span.set("blocks", sum(sstable.stats().blocks for sstable in sstables))
     costs = [sstable.build_cost for sstable in sstables]
     for field in costs[0]._fields if costs else ():
         span.set(field, sum(getattr(cost, field) for cost in costs))
@@ -203,26 +193,18 @@ class ColumnFamily:
         data_dir=None,
         block_cache_bytes: Optional[int] = None,
         row_cache_bytes: Optional[int] = None,
-        block_format: Optional[str] = None,
     ) -> None:
         """``block_cache_bytes`` / ``row_cache_bytes`` override the
-        environment-configured cache budgets (0 disables a cache);
-        ``block_format`` ("row" | "columnar") overrides the
-        ``REPRO_BLOCK_FORMAT`` default for newly written SSTable blocks."""
+        environment-configured cache budgets (0 disables a cache)."""
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise InvalidRequest(f"duplicate column in {name!r}")
         if primary_key not in names:
             raise InvalidRequest(f"primary key {primary_key!r} is not a column of {name!r}")
-        if block_format is not None and block_format not in BLOCK_FORMATS:
-            raise InvalidRequest(
-                f"unknown block_format {block_format!r}; expected one of {BLOCK_FORMATS}"
-            )
         self.name = name
         self.columns: Tuple[Column, ...] = tuple(columns)
         self.primary_key = primary_key
         self.compression = compression
-        self.block_format = block_format or default_block_format()
         self._codec = ColumnarCodec([(c.name, c.cql_type) for c in columns])
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
         self._positions: Dict[str, int] = {name: index for index, name in enumerate(names)}
@@ -384,13 +366,10 @@ class ColumnFamily:
         key = row.get(self.primary_key)
         if key is None:
             raise InvalidRequest(f"INSERT into {self.name!r} misses primary key")
-        by_name = self._by_name
         columns = []
         values = []
         for name, value in row.items():
-            column = by_name.get(name)
-            if column is None:
-                raise InvalidRequest(f"table {self.name!r} has no column {name!r}")
+            column = self.column(name)
             if value is not None:
                 columns.append(column)
                 values.append((value,))
@@ -421,10 +400,15 @@ class ColumnFamily:
         hands the SSTable emitter as they are; any other chunk drops the
         runs of every memtable it touched.
 
-        Raises InvalidRequest for a missing primary key or an ill-typed
-        value in row ``k``: rows before ``k`` are written (row ``k``'s
-        clock tick too, for an ill-typed value), nothing after.
+        Raises InvalidRequest, before anything is written, for a column
+        this table does not have or one named twice — each column is
+        resolved by name to this table's own.  Raises InvalidRequest for
+        a missing primary key or an ill-typed value in row ``k``: rows
+        before ``k`` are written (row ``k``'s clock tick too, for an
+        ill-typed value), nothing after.
         """
+        columns = [self.column(column.name) for column in columns]
+        reject_repeated_columns([column.name for column in columns], InvalidRequest)
         key_at = next(
             (j for j, column in enumerate(columns) if column.name == self.primary_key), None
         )
@@ -454,12 +438,9 @@ class ColumnFamily:
         rows = self._encode_rows(columns, cells, stop)
         keys = keys[:stop]
         indexes = self._indexes
-        # Each indexed column's positions in ``columns``, last first: of
-        # a column named twice, the last non-None value is the row's.
-        indexed_at = {
-            name: [j for j in reversed(range(len(columns))) if columns[j].name == name]
-            for name in indexes
-        }
+        # Each indexed column's position in ``columns`` (None: not written).
+        written = {column.name: j for j, column in enumerate(columns)}
+        indexed_at = {name: written.get(name) for name in indexes}
         counting = self._n_live is not None
         fresh = counting and not indexes and self._fresh(keys)
         run = self._run(columns, chunk, cells, rows, keys) if fresh and error is None else None
@@ -482,8 +463,8 @@ class ColumnFamily:
                         for column_name, index in indexes.items():
                             index.remove(old_row.get(column_name), key)
                     for column_name, index in indexes.items():
-                        values = (chunk[at][position] for at in indexed_at[column_name])
-                        index.add(next((v for v in values if v is not None), None), key)
+                        at = indexed_at[column_name]
+                        index.add(None if at is None else chunk[at][position], key)
                     was_live = previous is not None
                 else:
                     was_live = counting and not fresh and self._is_live(key)
@@ -517,12 +498,9 @@ class ColumnFamily:
             raise error
 
     def _run(self, columns: Sequence[Column], chunk: List[Sequence], cells: List[List],
-             rows: List[bytes], keys: Sequence) -> Optional[Run]:
-        """The :class:`Run` of a proven-fresh chunk written whole, or
-        None unless its columns are this table's, each named once."""
-        positions = tuple(self._positions.get(column.name) for column in columns)
-        if None in positions or len(set(positions)) != len(positions):
-            return None
+             rows: List[bytes], keys: Sequence) -> Run:
+        """The :class:`Run` of a proven-fresh chunk written whole."""
+        positions = tuple(self._positions[column.name] for column in columns)
         none = type(None)
         typed = []
         for column, values in zip(columns, chunk):
@@ -643,20 +621,18 @@ class ColumnFamily:
             ) as span:
                 flushed_rows = 0
                 built = []
-                columnar = self.block_format == BLOCK_FORMAT_COLUMNAR
                 for memtable in pending:
                     flushed_rows += len(memtable)
-                    runs = memtable.column_runs() if columnar else None
+                    runs = memtable.column_runs()
                     built.append(
                         SSTable(
                             memtable.sorted_items() if runs is None
                             else run_feed(runs, self._codec),
+                            self._codec,
                             compressed=self.compression,
                             tombstones=memtable.tombstones,
                             path=self._next_data_path(),
                             block_cache=self._block_cache,
-                            block_format=self.block_format,
-                            codec=self._codec,
                         )
                     )
                     memtable.drop_runs()  # built: release the cell columns
@@ -681,11 +657,10 @@ class ColumnFamily:
             self._sstables = [
                 compact(
                     self._sstables,
+                    self._codec,
                     compressed=self.compression,
                     path=self._next_data_path(),
                     block_cache=self._block_cache,
-                    block_format=self.block_format,
-                    codec=self._codec,
                 )
             ]
             _M_COMPACTIONS.inc()
@@ -774,7 +749,7 @@ class ColumnFamily:
 
     def _read_encoded_uncached(self, key) -> Optional[bytes]:
         """The stored row bytes of ``key`` straight from the layers (a
-        row found in a columnar block is rematerialized)."""
+        row found in an SSTable block is rematerialized)."""
         hit = self._locate((key,))[key]
         return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
 
@@ -806,9 +781,8 @@ class ColumnFamily:
         sealed memtables (searched in place: a read never forces the
         flusher's work) → SSTables, newest first, each SSTable decoding
         a touched block once (:meth:`SSTable.locate`).  Every key maps
-        to its encoded row (memtables, row-format blocks), to
-        ``(ColumnVectors, position)`` (columnar blocks) or to None
-        (deleted or absent)."""
+        to its encoded row (memtables), to ``(ColumnVectors, position)``
+        (SSTable blocks) or to None (deleted or absent)."""
         resolved: Dict[object, object] = {}
         unresolved = list(keys)
         for memtable in (self._memtable, *reversed(self._pending)):
@@ -848,13 +822,13 @@ class ColumnFamily:
         Keys are answered from the row cache where it has them; the
         rest resolve in one batched walk (:meth:`_locate`), and the row
         cache is then written with the encoded bytes of the fetched rows
-        (rematerialized for those found in columnar blocks) and negative
+        (rematerialized for those found in SSTable blocks) and negative
         entries for absent keys.
 
-        A key found in a columnar block leaves as a position in a
+        A key found in an SSTable block leaves as a position in a
         :class:`~repro.query.batch.FetchedBatch` over the cached
-        vectors; rows that exist as encoded bytes (memtables, row-format
-        blocks, row-cache hits) leave in lazily decoded
+        vectors; rows that exist as encoded bytes (memtables, row-cache
+        hits) leave in lazily decoded
         :class:`~repro.query.batch.RowBatch`es.  Consecutive keys from
         one source share a batch.
 
@@ -881,7 +855,7 @@ class ColumnFamily:
     def _resolve_missed(self, keys: Sequence, hits: List) -> bool:
         """Fill in ``hits`` (per requested key: its row-cache answer, or
         None where uncached) from storage, and the row cache with what
-        was found.  True when a key was found in a columnar block — its
+        was found.  True when a key was found in an SSTable block — its
         ``hits`` entry is then ``(ColumnVectors, position)``."""
         missed: Dict[object, List[int]] = {}
         for position, hit in enumerate(hits):
@@ -905,7 +879,7 @@ class ColumnFamily:
     def _fetched_batches(self, hits: List) -> List[Batch]:
         """Per-key fetch results, in order, as batches: a run of encoded
         rows becomes one ``RowBatch``; a run of ascending positions in
-        one columnar block becomes one ``FetchedBatch``."""
+        one SSTable block becomes one ``FetchedBatch``."""
         runs: List[Tuple[object, List]] = []
         source = run = None
         for hit in hits:
@@ -981,7 +955,7 @@ class ColumnFamily:
             shadow = seen if _overlaps(span, ranges[:position]) else None
             record = seen if _overlaps(span, ranges[position + 1:]) else None
             if isinstance(layer, SSTable):
-                yield from layer.scan_batches(pushed, self.decode_row, shadow, record)
+                yield from layer.scan_batches(pushed, shadow, record)
             else:
                 if shadow:
                     live = [row for key, row in layer if key not in shadow]
@@ -1039,14 +1013,12 @@ class ColumnFamily:
     def stats(self) -> ColumnFamilyStats:
         """A read-only structural + cache snapshot (no block reads)."""
         columnar_blocks = 0
-        fallback_blocks = 0
         blocks_skipped = 0
         dict_chunks = 0
         plain_chunks = 0
         for sstable in self._sstables:
             table_stats = sstable.stats()
-            columnar_blocks += table_stats.columnar_blocks
-            fallback_blocks += table_stats.fallback_blocks
+            columnar_blocks += table_stats.blocks
             blocks_skipped += table_stats.blocks_skipped
             dict_chunks += table_stats.dict_chunks
             plain_chunks += table_stats.plain_chunks
@@ -1060,11 +1032,9 @@ class ColumnFamily:
             n_writes=self._n_writes,
             row_cache=self._row_cache.stats(),
             block_cache=self._block_cache.stats(),
-            block_format=self.block_format,
             columnar_blocks=columnar_blocks,
             blocks_skipped=blocks_skipped,
             dict_hit_ratio=dict_chunks / chunks if chunks else 0.0,
-            fallback_blocks=fallback_blocks,
         )
 
     def __repr__(self) -> str:

@@ -23,3 +23,8 @@ class InvalidRequest(NoSQLError):
 
 class AlreadyExists(NoSQLError):
     """CREATE of a keyspace/table/index that already exists."""
+
+
+class CorruptBlock(NoSQLError):
+    """A stored SSTable block carries a format tag other than the
+    columnar ``'C'``: its bytes are not a block this engine wrote."""

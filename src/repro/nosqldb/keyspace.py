@@ -38,13 +38,10 @@ class Keyspace:
         primary_key: str,
         compression: bool = True,
         if_not_exists: bool = False,
-        block_format: Optional[str] = None,
     ) -> ColumnFamily:
         """Create a column family.
 
         Raises AlreadyExists for duplicate names unless ``if_not_exists``.
-        ``block_format`` ("row" | "columnar") overrides the
-        ``REPRO_BLOCK_FORMAT`` default for the new table's SSTables.
         """
         lowered = name.lower()
         if lowered in self._tables:
@@ -62,7 +59,6 @@ class Keyspace:
             compression=compression,
             commit_log=self._commit_log,
             data_dir=table_dir,
-            block_format=block_format,
         )
         self._tables[lowered] = table
         return table

@@ -1,17 +1,16 @@
 """SSTables: immutable, sorted, block-compressed row files.
 
 A flush turns a memtable into one SSTable: rows sorted by primary key,
-grouped into blocks of ~4 KiB, each block zlib-compressed (Cassandra
-compresses SSTables by default — this is the mechanism behind the NoSQL
-schemas' competitive sizes in Table 4).  A sparse index keeps the first
+grouped into blocks of ~8 KiB of row bytes, each block zlib-compressed
+(Cassandra compresses SSTables by default — this is the mechanism behind
+the NoSQL schemas' competitive sizes in Table 4).  A sparse index keeps the first
 key of every block for binary-searched point reads.
 
-Every stored block starts with a one-byte format tag: ``'R'`` for the
-classic row-major entry list, ``'C'`` for the column-major layout of
-:mod:`repro.nosqldb.columnar`.  Both formats stay readable forever; a
-table's ``block_format`` only chooses what *new* blocks are written, so
-compaction naturally rewrites row-major runs into columnar ones.
-Columnar blocks additionally carry in-memory per-column zone maps that
+Every stored block is in the column-major layout of
+:mod:`repro.nosqldb.columnar` and starts with its one-byte format tag,
+``'C'``; a block with any other tag is rejected on read
+(:class:`~repro.nosqldb.errors.CorruptBlock`).  Beside each block the
+table keeps in-memory per-column zone maps that
 :meth:`SSTable.scan_batches` uses to skip whole blocks under a
 pushed-down predicate (see :mod:`repro.query.pushdown`), and the chunk
 layout that lets a read parse only the column chunks it touches.
@@ -32,20 +31,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from repro.analysis.flags import checks_enabled
 from repro.nosqldb.cache import BlockCache
-from repro.nosqldb.columnar import (
-    BLOCK_FORMAT_COLUMNAR,
-    BLOCK_FORMAT_ROW,
-    TAG_COLUMNAR,
-    TAG_ROW,
-    BlockRefused,
-    ChunkLayout,
-    ColumnVectors,
-    ColumnarCodec,
-)
-from repro.query.batch import Batch, RowBatch, VectorBatch
-from repro.storage.btree import decode_key, encode_key
-from repro.storage.encoding import decode_bytes, encode_bytes
-from repro.storage.varint import decode_varint, encode_varint
+from repro.nosqldb.columnar import TAG_COLUMNAR, ChunkLayout, ColumnVectors, ColumnarCodec
+from repro.nosqldb.errors import CorruptBlock
+from repro.query.batch import Batch, VectorBatch
+from repro.storage.btree import encode_key
+from repro.storage.varint import encode_varint
 from repro.telemetry import get_registry, wall_clock
 
 _REGISTRY = get_registry()
@@ -59,22 +49,15 @@ _M_BLOCKS_SKIPPED = _REGISTRY.counter(
     "nosqldb_blocks_skipped_total",
     "SSTable blocks skipped via zone maps under pushed-down predicates",
 )
-_M_BLOCKS_FALLBACK = _REGISTRY.counter(
-    "nosqldb_blocks_fallback_total",
-    "row-major blocks written by a columnar table (rows the codec refused)",
-)
 
-#: Uncompressed block size target, bytes.  Small chunks with zlib level 1
-#: approximate the compression ratio of Cassandra's default LZ4 chunk
-#: compressor on row data (~3:1 on these feeds); see DESIGN.md.
-BLOCK_BYTES = 1024
-
-#: Columnar blocks budget this many times more row bytes per block than
-#: row-major ones (Parquet-style: column groups only amortize their
-#: per-block directory/chunk overhead — and give dictionaries and zone
-#: maps enough rows to bite — when a block holds tens of rows, not a
-#: row-store page's handful).
-COLUMNAR_BLOCK_FACTOR = 8
+#: Block size target: the row-major entry bytes (key plus encoded row,
+#: each length-prefixed) one block's rows would take.  8 KiB is a 1 KiB
+#: row-store page times eight, Parquet-style: column groups only
+#: amortize their per-block directory/chunk overhead — and give
+#: dictionaries and zone maps enough rows to bite — when a block holds
+#: tens of rows; zlib level 1 over such chunks approximates Cassandra's
+#: default LZ4 chunk compressor on these feeds (see DESIGN.md).
+BLOCK_BYTES = 8 * 1024
 
 #: Fixed per-SSTable footer/metadata charge (stats, bloom filter stub).
 SSTABLE_OVERHEAD = 96
@@ -82,6 +65,9 @@ SSTABLE_OVERHEAD = 96
 #: zlib level used for block compression.  Level 1 approximates the
 #: throughput/ratio trade-off of Cassandra's default LZ4 chunk compressor.
 COMPRESSION_LEVEL = 1
+
+#: The format tag every stored block starts with.
+_TAG = bytes((TAG_COLUMNAR,))
 
 #: Bloom filter sizing: bits per key and hash count (Cassandra defaults
 #: target ~1% false positives with ~10 bits/key).
@@ -148,12 +134,9 @@ class SSTableStats(NamedTuple):
     index_bytes: int         # sparse block index
     bloom_bytes: int
     size_bytes: int          # data + index + bloom + fixed overhead
-    block_format: str = BLOCK_FORMAT_ROW   # what new blocks are written as
-    columnar_blocks: int = 0               # blocks actually stored columnar
     dict_chunks: int = 0                   # dictionary-encoded column chunks
     plain_chunks: int = 0                  # plain column chunks
     blocks_skipped: int = 0                # lifetime zone-map block skips
-    fallback_blocks: int = 0               # row-major blocks of a columnar table
 
     @property
     def rows_per_block(self) -> float:
@@ -171,7 +154,7 @@ class BuildCost(NamedTuple):
     came from: ``encode_s`` cuts blocks and emits their payloads,
     ``compress_s`` runs zlib, ``write_s`` spills blocks to the data file.
     ``rows_from_columns`` counts rows whose cells reached the emitter as
-    columns (a flushed run, a compacted columnar block);
+    columns (a flushed run, a compacted block);
     ``rows_resplit`` rows the codec split out of row bytes."""
 
     encode_s: float = 0.0
@@ -192,34 +175,30 @@ class SSTable:
     __slots__ = (
         "_block_keys", "_blocks", "_index_bytes", "_n_rows", "compressed",
         "_tombstones", "_bloom", "_path", "_offsets", "_uid", "_block_cache",
-        "_handle", "_block_format", "_codec", "_zone_maps", "_layouts",
-        "_block_rows",
-        "_n_columnar", "_n_fallback", "_dict_chunks", "_plain_chunks",
-        "_blocks_skipped", "_key_range", "_cost",
+        "_handle", "_codec", "_zone_maps", "_layouts", "_block_rows",
+        "_dict_chunks", "_plain_chunks", "_blocks_skipped", "_key_range", "_cost",
     )
 
     def __init__(
         self,
         sorted_items: Sequence[Tuple[object, bytes]],
+        codec: ColumnarCodec,
         compressed: bool = True,
         tombstones: frozenset = frozenset(),
         path=None,
         block_cache: Optional[BlockCache] = None,
-        block_format: str = BLOCK_FORMAT_ROW,
-        codec: Optional[ColumnarCodec] = None,
     ) -> None:
         """Build an SSTable; with ``path`` the data blocks live on disk.
 
-        ``path`` is the data file to write (parent directory must
-        exist); block reads then really hit the filesystem.
-        ``block_cache`` (usually the owning column family's) memoises
-        decoded blocks so repeated reads skip decompression; without one
-        every read decodes its block from scratch.  ``block_format``
-        selects the layout of newly written blocks; columnar needs a
-        :class:`~repro.nosqldb.columnar.ColumnarCodec` (a block the
-        codec refuses is stored row-major, so a columnar table is always
-        buildable).  Under ``REPRO_CHECK=1`` every columnar block is
-        decoded and compared with its input rows before it is stored.
+        ``codec`` is the owning column family's
+        :class:`~repro.nosqldb.columnar.ColumnarCodec`, which writes and
+        reads every block.  ``path`` is the data file to write (parent
+        directory must exist); block reads then really hit the
+        filesystem.  ``block_cache`` (usually the owning column
+        family's) memoises decoded blocks so repeated reads skip
+        decompression; without one every read decodes its block from
+        scratch.  Under ``REPRO_CHECK=1`` every block is decoded and
+        compared with its input rows before it is stored.
 
         ``sorted_items`` are ``(key, encoded_row)`` entries in key order,
         or a column feed (:func:`run_feed`, :func:`compact`) that hands
@@ -239,13 +218,10 @@ class SSTable:
         self._uid = next(_uid_counter)
         self._block_cache = block_cache
         self._handle = None
-        self._block_format = block_format
         self._codec = codec
-        self._zone_maps: List[Optional[Dict[str, tuple]]] = []
-        self._layouts: List[Optional[ChunkLayout]] = []
+        self._zone_maps: List[Dict[str, tuple]] = []
+        self._layouts: List[ChunkLayout] = []
         self._block_rows: List[int] = []
-        self._n_columnar = 0
-        self._n_fallback = 0
         self._dict_chunks = 0
         self._plain_chunks = 0
         self._blocks_skipped = 0
@@ -310,44 +286,25 @@ class SSTable:
 
     # ------------------------------------------------------------------
     def _build(self, feed) -> BuildCost:
-        # Block boundaries are budgeted on row-entry bytes for both
-        # formats; columnar blocks get a COLUMNAR_BLOCK_FACTOR-times
-        # larger budget (column chunks, dictionaries and zone maps only
-        # pay off across tens of rows).  Scans visit rows in the same
-        # order either way — only the block grouping differs.
         codec = self._codec
-        columnar = self._block_format == BLOCK_FORMAT_COLUMNAR and codec is not None
-        budget = BLOCK_BYTES * COLUMNAR_BLOCK_FACTOR if columnar else BLOCK_BYTES
-        decoded = codec.zone_memo() if columnar else None
-        checked = columnar and checks_enabled()
+        decoded = codec.zone_memo()
+        checked = checks_enabled()
         if checked:
             # Lazy: the checkers import this module.
             from repro.analysis.sstable_check import check_sealed_block
         began = wall_clock()
         compress_s = 0.0
-        for first_key, encoded_keys, start, stop in _cut_blocks(feed.keys, feed.lengths(), budget):
-            tag = TAG_ROW
-            payload = zones = layout = None
-            if columnar:
-                try:
-                    payload, zones, dict_chunks, plain_chunks, layout = feed.encode(
-                        codec, encoded_keys, start, stop, decoded
-                    )
-                except BlockRefused:
-                    self._n_fallback += 1
-                    _M_BLOCKS_FALLBACK.inc()
-                else:
-                    tag = TAG_COLUMNAR
-                    self._n_columnar += 1
-                    self._dict_chunks += dict_chunks
-                    self._plain_chunks += plain_chunks
-                    if checked:
-                        check_sealed_block(
-                            codec, payload, layout, encoded_keys, feed.rows(start, stop),
-                            f"sstable/block[{len(self._blocks)}]",
-                        ).raise_if_violations()
-            if payload is None:
-                payload = _row_payload(encoded_keys, feed.rows(start, stop))
+        for first_key, encoded_keys, start, stop in _cut_blocks(feed.keys, feed.lengths()):
+            payload, zones, dict_chunks, plain_chunks, layout = feed.encode(
+                codec, encoded_keys, start, stop, decoded
+            )
+            self._dict_chunks += dict_chunks
+            self._plain_chunks += plain_chunks
+            if checked:
+                check_sealed_block(
+                    codec, payload, layout, encoded_keys, feed.rows(start, stop),
+                    f"sstable/block[{len(self._blocks)}]",
+                ).raise_if_violations()
             if self.compressed:
                 compress_began = wall_clock()
                 body = zlib.compress(payload, COMPRESSION_LEVEL)
@@ -355,7 +312,7 @@ class SSTable:
             else:
                 body = payload
             self._block_keys.append(first_key)
-            self._blocks.append(bytes((tag,)) + body)
+            self._blocks.append(_TAG + body)
             self._zone_maps.append(zones)
             self._layouts.append(layout)
             self._block_rows.append(stop - start)
@@ -366,23 +323,24 @@ class SSTable:
         )
 
     # ------------------------------------------------------------------
-    def _block_payload(self, index: int) -> Tuple[int, bytes]:
-        """Stored block ``index`` as ``(format_tag, uncompressed payload)``."""
+    def _block_payload(self, index: int) -> bytes:
+        """Stored block ``index``'s uncompressed payload.  Raises
+        CorruptBlock when its format tag is not ``'C'``."""
         data = self._block_data(index)
-        tag = data[0]
+        if data[0] != TAG_COLUMNAR:
+            raise CorruptBlock(
+                f"SSTable block {index} has format tag 0x{data[0]:02x}, "
+                f"not the columnar 0x{TAG_COLUMNAR:02x}"
+            )
         payload = data[1:]
         if self.compressed:
             payload = zlib.decompress(payload)
-        return tag, payload
+        return payload
 
-    def _decoded_obj(self, index: int):
-        """Block ``index`` in decoded form, through the block cache.
-
-        Row-major blocks decode to ``(keys, rows)`` lists; columnar
-        blocks decode to :class:`ColumnVectors` (the key directory, plus
-        column chunks parsed as reads touch them), cached as such so one
-        decode serves scans and fetches alike.
-        """
+    def _decoded_obj(self, index: int) -> ColumnVectors:
+        """Block ``index`` as :class:`ColumnVectors` (the key directory,
+        plus column chunks parsed as reads touch them), through the block
+        cache, so one decode serves scans and fetches alike."""
         cache = self._block_cache
         if cache is not None:
             cached = cache.get(self._uid, index)
@@ -390,31 +348,20 @@ class SSTable:
                 return cached
         obj = self._decode(index)
         if cache is not None:
-            # A row block's size is the cache's row-block formula.
-            nbytes = obj.nbytes if isinstance(obj, ColumnVectors) else None
-            cache.put_entry(self._uid, index, obj, nbytes)
+            cache.put(self._uid, index, obj)
         return obj
 
-    def _decode(self, index: int):
+    def _decode(self, index: int) -> ColumnVectors:
         """Block ``index`` decoded (see :meth:`_decoded_obj`), past the
         block cache — what compaction reads its inputs with."""
-        tag, payload = self._block_payload(index)
-        if tag == TAG_COLUMNAR:
-            return self._codec.decode_block(payload, self._layouts[index])
-        keys: List = []
-        rows: List[bytes] = []
-        for entry_key, row in _row_entries(payload):
-            keys.append(entry_key)
-            rows.append(row)
-        return keys, rows
+        return self._codec.decode_block(self._block_payload(index), self._layouts[index])
 
     def locate(self, keys: Iterable) -> Dict[object, object]:
         """Where this table holds each of ``keys``: bloom filter, sparse
         index, then a bisect on the block's sorted keys — one block
         decode per touched block, no row built.
 
-        A key in a columnar block maps to ``(ColumnVectors, position)``,
-        a key in a row-format block to its encoded row.  Tombstoned and
+        A key maps to ``(ColumnVectors, position)``.  Tombstoned and
         absent keys are simply missing from the result (call
         :meth:`is_deleted` to tell the two apart).
         """
@@ -433,13 +380,12 @@ class SSTable:
                 by_block.setdefault(index, []).append(key)
         for index, wanted in by_block.items():
             block = self._decoded_obj(index)
-            columnar = isinstance(block, ColumnVectors)
-            entry_keys = block.keys if columnar else block[0]
+            entry_keys = block.keys
             n_entries = len(entry_keys)
             for key in wanted:
                 position = bisect.bisect_left(entry_keys, key)
                 if position < n_entries and entry_keys[position] == key:
-                    found[key] = (block, position) if columnar else block[1][position]
+                    found[key] = (block, position)
         return found
 
     def __contains__(self, key) -> bool:
@@ -453,12 +399,10 @@ class SSTable:
 
     def items(self) -> Iterator[Tuple[object, bytes]]:
         """Every ``(key, encoded row)`` entry in key order — for the
-        checkers, whose business is row-major bytes (compaction merges
+        checkers, whose business is encoded row bytes (compaction merges
         column chunks, see :func:`compact`)."""
         for index in range(len(self._block_keys)):
-            block = self._decoded_obj(index)
-            keys, rows = block.all_rows() if isinstance(block, ColumnVectors) else block
-            yield from zip(keys, rows)
+            yield from zip(*self._decoded_obj(index).all_rows())
 
     def key_range(self) -> Optional[Tuple[object, object]]:
         """``(lowest, highest)`` key this table holds a row or a
@@ -467,44 +411,36 @@ class SSTable:
         return self._key_range
 
     def scan_batches(
-        self, bound, decode_row, shadow: Optional[set] = None,
-        record: Optional[set] = None,
+        self, bound, shadow: Optional[set] = None, record: Optional[set] = None,
     ) -> Iterator[Batch]:
         """This table's live rows as one column batch per block, under an
         optional pushed predicate (duck-typed
         :class:`~repro.query.pushdown.BoundPredicate`) — no row is built.
 
         Per block: the zone check, then the predicate narrows the
-        batch's selection on column vectors (row-major entries decode
-        lazily through ``decode_row``), then LSM shadowing narrows it by
-        key.  ``shadow`` holds the keys newer layers of the scan carry
-        (rows and tombstones), or is None when no newer layer overlaps
+        batch's selection on column vectors, then LSM shadowing narrows
+        it by key.  ``shadow`` holds the keys newer layers of the scan
+        carry (rows and tombstones), or is None when no newer layer overlaps
         this table's key range; ``record`` is the set this table's keys
         must be added to because an *older* layer overlaps it (None
         otherwise).  A block whose zone maps refute the predicate is
         skipped without being read — unless its keys must be recorded:
         a newer predicate-failing version still hides the older one.
         """
-        names = self._codec.column_names if self._codec is not None else ()
+        names = self._codec.column_names
         for index in range(len(self._block_keys)):
-            zones = self._zone_maps[index]
-            if bound is not None and zones is not None and not bound.block_may_match(zones):
+            if bound is not None and not bound.block_may_match(self._zone_maps[index]):
                 bound.note_pruned(self._block_rows[index])
                 if record is None:
                     self._blocks_skipped += 1
                     _M_BLOCKS_SKIPPED.inc()
                     bound.note_skipped(1)
                 else:
-                    obj = self._decoded_obj(index)
-                    record.update(obj.keys if isinstance(obj, ColumnVectors) else obj[0])
+                    record.update(self._decoded_obj(index).keys)
                 continue
             obj = self._decoded_obj(index)
-            if isinstance(obj, ColumnVectors):
-                keys = obj.keys
-                batch: Batch = VectorBatch(len(keys), obj.typed, names)
-            else:
-                keys, rows = obj
-                batch = RowBatch(rows, decode_row)
+            keys = obj.keys
+            batch = VectorBatch(len(keys), obj.typed, names)
             if bound is not None:
                 bound.narrow(batch)
             if shadow and not shadow.isdisjoint(keys):
@@ -531,10 +467,6 @@ class SSTable:
         return self._tombstones
 
     @property
-    def block_format(self) -> str:
-        return self._block_format
-
-    @property
     def blocks_skipped(self) -> int:
         return self._blocks_skipped
 
@@ -554,29 +486,26 @@ class SSTable:
             index_bytes=self._index_bytes,
             bloom_bytes=self._bloom.size_bytes,
             size_bytes=data + self._index_bytes + self._bloom.size_bytes + SSTABLE_OVERHEAD,
-            block_format=self._block_format,
-            columnar_blocks=self._n_columnar,
             dict_chunks=self._dict_chunks,
             plain_chunks=self._plain_chunks,
             blocks_skipped=self._blocks_skipped,
-            fallback_blocks=self._n_fallback,
         )
 
     def __repr__(self) -> str:
         where = "disk" if self._path is not None else "memory"
         return (
             f"SSTable(rows={self._n_rows}, blocks={len(self._block_keys)}, "
-            f"format={self._block_format}, compressed={self.compressed}, {where})"
+            f"compressed={self.compressed}, {where})"
         )
 
 
-def _cut_blocks(keys: Sequence, lengths: Iterable[int], budget: int):
+def _cut_blocks(keys: Sequence, lengths: Iterable[int]):
     """Cut sorted entries — ``keys`` beside their encoded rows'
-    ``lengths`` — into blocks of ``budget`` row-major entry bytes,
-    yielding ``(first_key, encoded_keys, start, stop)`` per block of
-    entries ``start:stop``.  A block's size is counted from the entry
-    lengths — the row-major bytes themselves are only ever assembled by
-    :func:`_row_payload`."""
+    ``lengths`` — into blocks of :data:`BLOCK_BYTES` row-major entry
+    bytes, yielding ``(first_key, encoded_keys, start, stop)`` per block
+    of entries ``start:stop``.  A block's size is counted from the entry
+    lengths; no row-major entry is ever assembled."""
+    budget = BLOCK_BYTES
     encoded_keys: List[bytes] = []
     size = 0
     start = 0
@@ -600,29 +529,6 @@ def _cut_blocks(keys: Sequence, lengths: Iterable[int], budget: int):
             start = stop
     if encoded_keys:
         yield keys[start], encoded_keys, start, len(keys)
-
-
-def _row_payload(encoded_keys: Sequence[bytes], rows: Sequence[bytes]) -> bytes:
-    """The row-major block payload: length-prefixed ``key · row`` entries."""
-    parts = []
-    for key_bytes, row in zip(encoded_keys, rows):
-        entry = key_bytes + encode_bytes(row)
-        parts.append(encode_varint(len(entry)))
-        parts.append(entry)
-    return b"".join(parts)
-
-
-def _row_entries(payload: bytes) -> Iterator[Tuple[object, bytes]]:
-    """Decode a row-major block payload (tag stripped, decompressed)."""
-    offset = 0
-    end = len(payload)
-    while offset < end:
-        entry_len, offset = decode_varint(payload, offset)
-        entry_end = offset + entry_len
-        key, key_end = decode_key(payload, offset)
-        row, _ = decode_bytes(payload, key_end)
-        yield key, row
-        offset = entry_end
 
 
 # ----------------------------------------------------------------------
@@ -658,14 +564,12 @@ class _View(NamedTuple):
     holding a cell (None: every row), their raw values, their 8-byte
     timestamps as one byte string, and their bound values when each is
     exactly the type's ``value_type`` (else None).  ``orders`` holds
-    each row's cell schema positions (None for a row the directory
-    cannot list); both are None when the build writes row-major."""
+    each row's cell schema positions."""
 
     lens: Sequence[int]
     row: Callable[[int], bytes]
-    orders: Optional[Sequence[Optional[Tuple[int, ...]]]]
-    cols: Optional[Sequence[Optional[tuple]]]
-    resplit: bool
+    orders: Sequence[Tuple[int, ...]]
+    cols: Sequence[Optional[tuple]]
 
 
 class _CellFeed:
@@ -685,7 +589,8 @@ class _CellFeed:
         self._views: Dict[object, _View] = {}
         self._last = {source: s for s, (source, _, _) in enumerate(segments)}
         self._passed = 0  # segments wholly before the current block
-        self.from_columns = self.resplit = 0
+        self.from_columns = 0
+        self.resplit = 0  # every row comes as cells
 
     def _view(self, source) -> _View:
         view = self._views.get(source)
@@ -726,11 +631,7 @@ class _CellFeed:
 
     def encode(self, codec: ColumnarCodec, encoded_keys, start: int, stop: int, decoded):
         pieces = self._pieces(start, stop)
-        for view, i0, i1 in pieces:
-            if view.resplit:
-                self.resplit += i1 - i0
-            else:
-                self.from_columns += i1 - i0
+        self.from_columns += stop - start
         ts_cols, raw_cols, orders, typed = _gather(len(codec.column_names), pieces)
         return codec.encode_columns(encoded_keys, ts_cols, raw_cols, orders, decoded, typed)
 
@@ -814,29 +715,12 @@ def _run_view(run, n_columns: int) -> _View:
             orders.append(order)
     else:
         orders = [tuple(run.positions)] * n
-    return _View(list(map(len, run.rows)), run.rows.__getitem__, orders, cols, False)
+    return _View(list(map(len, run.rows)), run.rows.__getitem__, orders, cols)
 
 
-def _block_view(block, codec: Optional[ColumnarCodec]) -> _View:
-    """A compaction input block's rows as cells (``codec`` None: the
-    output is row-major, only lengths and rows are needed).  A columnar
-    block's cells are its chunks, each row's order translated from block
-    slots to schema positions; a row-major block's come from the row
-    split."""
-    if not isinstance(block, ColumnVectors):
-        _, rows = block
-        orders = cols = None
-        if codec is not None:
-            ts_cols, raw_cols, orders = codec.split_rows(rows)
-            heres: List[List[int]] = [[] for _ in raw_cols]
-            for i, order in enumerate(orders):
-                for index in order or ():
-                    heres[index].append(i)
-            cols = [
-                (here, raws, b"".join(stamps), None) if raws else None
-                for here, raws, stamps in zip(heres, raw_cols, ts_cols)
-            ]
-        return _View(list(map(len, rows)), rows.__getitem__, orders, cols, True)
+def _block_view(block: ColumnVectors, codec: ColumnarCodec) -> _View:
+    """A compaction input block's rows as cells: its chunks, each row's
+    order translated from block slots to schema positions."""
     n = len(block)
     chunks = [block.chunk_cells(slot) for slot in range(len(block.names))]
     # A row's length: varint cell count, then per cell its encoded name,
@@ -857,34 +741,27 @@ def _block_view(block, codec: Optional[ColumnarCodec]) -> _View:
         else:
             for i in here:
                 lens[i] += len(raw_vec[i])
-    orders = cols = None
-    if codec is not None:
-        schema = {name: index for index, name in enumerate(codec.column_names)}
-        positions = [schema.get(name) for name in block.names]
-        orders = block.orders
-        if positions != list(range(len(positions))):
-            translated: Dict[tuple, Optional[Tuple[int, ...]]] = {}
-            orders = []
-            for order in block.orders:
-                moved = translated.get(order, False)
-                if moved is False:
-                    moved = translated[order] = (
-                        None if any(positions[slot] is None for slot in order)
-                        else tuple(positions[slot] for slot in order)
-                    )
-                orders.append(moved)
-        cols = [None] * len(codec.column_names)
-        for position, (here, raw_vec, stamps, _) in zip(positions, chunks):
-            if position is None:
-                continue  # its rows' orders are None: their blocks are refused
-            if len(here) == n:
-                cols[position] = (None, raw_vec, stamps, None)
-            else:
-                cols[position] = (here, [raw_vec[i] for i in here], stamps, None)
-    return _View(lens, block.materialize, orders, cols, False)
+    schema = {name: index for index, name in enumerate(codec.column_names)}
+    positions = [schema[name] for name in block.names]
+    orders = block.orders
+    if positions != list(range(len(positions))):
+        translated: Dict[tuple, Tuple[int, ...]] = {}
+        orders = []
+        for order in block.orders:
+            moved = translated.get(order)
+            if moved is None:
+                moved = translated[order] = tuple(positions[slot] for slot in order)
+            orders.append(moved)
+    cols: List[Optional[tuple]] = [None] * len(codec.column_names)
+    for position, (here, raw_vec, stamps, _) in zip(positions, chunks):
+        if len(here) == n:
+            cols[position] = (None, raw_vec, stamps, None)
+        else:
+            cols[position] = (here, [raw_vec[i] for i in here], stamps, None)
+    return _View(lens, block.materialize, orders, cols)
 
 
-def _merge_feed(tables: Sequence[SSTable], codec: Optional[ColumnarCodec]) -> _CellFeed:
+def _merge_feed(tables: Sequence[SSTable], codec: ColumnarCodec) -> _CellFeed:
     """Compaction's feeder: the newest version of every key across
     ``tables`` (oldest first), in key order, as segments of the input
     blocks — a k-way merge over the blocks' key directories.  A key's
@@ -901,8 +778,7 @@ def _merge_feed(tables: Sequence[SSTable], codec: Optional[ColumnarCodec]) -> _C
 
     def stream(rank: int):
         for number, block in enumerate(blocks[rank]):
-            block_keys = block.keys if isinstance(block, ColumnVectors) else block[0]
-            for i, key in enumerate(block_keys):
+            for i, key in enumerate(block.keys):
                 yield key, -rank, number, i  # a key's newest version first
 
     keys: List = []
@@ -932,33 +808,27 @@ def _merge_feed(tables: Sequence[SSTable], codec: Optional[ColumnarCodec]) -> _C
 
 def compact(
     tables: Sequence[SSTable],
+    codec: ColumnarCodec,
     compressed: bool = True,
     path=None,
     block_cache: Optional[BlockCache] = None,
-    block_format: str = BLOCK_FORMAT_ROW,
-    codec: Optional[ColumnarCodec] = None,
 ) -> SSTable:
     """Size-tiered compaction: merge runs newest-last wins, drop shadowed rows.
 
     Tombstones are applied (deleted keys vanish) and then discarded — the
     result is a single clean run, like a Cassandra major compaction.  The
-    surviving rows reach the merged table as cells: a columnar input
-    block's chunks go to the emitter as they are, and only row-major
-    input blocks are split (and a row rematerialized only where a block
-    is written row-major, or under ``REPRO_CHECK=1``).  The superseded
-    tables' cached blocks are released (``delete_file``); the merged
-    table starts cold under ``block_cache``.  The merged table is
-    written in ``block_format`` regardless of what the inputs stored, so
-    compacting is also how row-major history migrates to columnar.
+    surviving rows reach the merged table as cells: the input blocks'
+    chunks go to the emitter as they are (a row is rematerialized only
+    under ``REPRO_CHECK=1``).  The superseded tables' cached blocks are
+    released (``delete_file``); the merged table starts cold under
+    ``block_cache``.
     """
-    columnar = block_format == BLOCK_FORMAT_COLUMNAR and codec is not None
     result = SSTable(
-        _merge_feed(tables, codec if columnar else None),
+        _merge_feed(tables, codec),
+        codec,
         compressed=compressed,
         path=path,
         block_cache=block_cache,
-        block_format=block_format,
-        codec=codec,
     )
     for table in tables:
         table.delete_file()

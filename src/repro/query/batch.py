@@ -21,7 +21,7 @@ Two backings share the contract:
   positions, whose columns are decoded at the selected positions only.
 * :class:`RowBatch` — rows that already exist as dicts (operator
   outputs) or as encoded bytes that decode on first column access
-  (memtables, row-format blocks, row-cache hits), so ``COUNT(*)`` over
+  (memtables, row-cache hits), so ``COUNT(*)`` over
   them decodes nothing.
 
 ``column(name)`` is addressed by position (index it with ``sel``);

@@ -18,8 +18,7 @@ A storage layer exploits a bound predicate in decreasing strength:
    cannot contribute and the reader never even decodes it;
 2. **vector evaluation** — :meth:`BoundPredicate.narrow` evaluates the
    conditions on the batch's needed columns only (typed vectors of a
-   columnar block; decoded rows of a memtable, a row-format block or a
-   B-tree leaf) and counts what it pruned once per batch.
+   columnar block; decoded rows of a memtable or a B-tree leaf) and counts what it pruned once per batch.
 
 Semantics are those of :func:`~repro.query.expr.compare` applied per
 row: conditions in order, a later condition only evaluated where the

@@ -32,7 +32,6 @@ METRIC_NAMES = frozenset(
         "mapper_delta_stores_total",
         "mapper_epoch_flips_total",
         "mapper_stored_queries_total",
-        "nosqldb_blocks_fallback_total",
         "nosqldb_blocks_skipped_total",
         "nosqldb_cache_evictions_total",
         "nosqldb_cache_hits_total",

@@ -236,12 +236,18 @@ CONTRACTS = [
                                      "src/repro/nosqldb/sstable.py", "src/repro/analysis")),
     Contract("a second all_rows( in the SSTable beside items() for the checkers",
              r"all_rows\(", ("src/repro/nosqldb/sstable.py",), max_hits=1),
-    # Flush and compaction move columns: rows are split only where they
-    # exist as bytes alone, and compaction merges column chunks.
+    # Flush and compaction move columns: rows are split only by the
+    # codec's row feeder, where they exist as bytes alone, and compaction
+    # merges column chunks.
     Contract("compaction rematerializing rows through an SSTable's items()",
              r"\b(table|sstable|tables\[\w*\])\.items\(\)", ("src/repro/nosqldb",)),
-    Contract("a row split beside the codec's row feeder and compaction's row-major inputs",
-             r"split_rows\(", allowed=("src/repro/nosqldb/columnar.py",), max_hits=1),
+    Contract("a row split beside the codec's row feeder anywhere under src",
+             r"split_rows\(", allowed=("src/repro/nosqldb/columnar.py",)),
+    # Every SSTable block is columnar: no second layout, no fallback for
+    # rows the codec cannot hold, no option or knob choosing a format.
+    Contract("a second SSTable block format or a format knob",
+             r"TAG_ROW|_row_payload|_row_entries|BlockRefused|REPRO_BLOCK_FORMAT|block_format"
+             r"|fallback_blocks", ("src/repro",)),
     Contract("an sqldb leaf page handed up as a row batch",
              r"RowBatch\(", ("src/repro/sqldb/table.py",)),
     # SQL and CQL share one tokenizer, one parser core and one executor.
@@ -319,6 +325,22 @@ def test_contract_table_catches_a_second_stored_query_walk(tmp_path, source):
     copy.parent.mkdir(parents=True)
     copy.write_text(source + "\n", encoding="utf-8")
     assert contract_hits(contract, tmp_path) == ["src/repro/mapping/stored_query.py:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("source", [
+    "TAG_ROW = 0x52",
+    "                payload = _row_payload(encoded_keys, feed.rows(start, stop))",
+    "            except BlockRefused:",
+    '    raw = os.environ.get("REPRO_BLOCK_FORMAT", "")',
+    "        block_format: Optional[str] = None,",
+    "    fallback_blocks: int = 0",
+])
+def test_contract_table_catches_a_second_block_format(tmp_path, source):
+    contract = next(c for c in CONTRACTS if c.breach.startswith("a second SSTable block format"))
+    copy = tmp_path / "src" / "repro" / "nosqldb" / "sstable.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text(source + "\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == ["src/repro/nosqldb/sstable.py:1: " + source.strip()]
 
 
 # ----------------------------------------------------------------------

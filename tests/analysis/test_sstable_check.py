@@ -8,7 +8,12 @@ from repro.nosqldb.types import parse_type
 
 
 def make_sstable(n=200, compressed=True, **kwargs) -> SSTable:
-    return SSTable([(i, b"row%d" % i) for i in range(n)], compressed=compressed, **kwargs)
+    family = make_family(0)
+    items = [
+        (i, family.encode_row({"id": i, "label": f"row{i}-" + "x" * 60, "measure": i}, i))
+        for i in range(n)
+    ]
+    return SSTable(items, family._codec, compressed=compressed, **kwargs)
 
 
 def make_family(n=50, commit_log=None) -> ColumnFamily:
@@ -58,6 +63,15 @@ class TestCorruption:
         table = make_sstable(compressed=False)
         table._blocks[0] = table._blocks[0][:-3]
         assert "sstable.corrupt-block" in rules_of(sstable_check(table))
+
+    def test_unknown_format_tag_flagged(self):
+        # A tag other than the columnar 'C' is not a block this engine
+        # wrote: reported, never parsed as some other layout.
+        table = make_sstable()
+        table._blocks[1] = b"R" + table._blocks[1][1:]
+        report = sstable_check(table)
+        assert "sstable.corrupt-block" in rules_of(report)
+        assert any("format tag 0x52" in v.message for v in report.violations)
 
     def test_wrong_row_count_flagged(self):
         table = make_sstable()

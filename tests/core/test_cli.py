@@ -7,20 +7,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-@pytest.fixture
-def telemetry_restored():
-    """Restore the global telemetry switches after CLI commands flip them."""
-    from repro.telemetry import get_query_log, get_registry, get_tracer
-
-    reg, trc, qlog = get_registry(), get_tracer(), get_query_log()
-    was = (reg.enabled, trc.enabled, qlog.enabled)
-    yield
-    reg.enabled, trc.enabled, qlog.enabled = was
-    reg.reset()
-    trc.reset()
-    qlog.reset()
-
-
 class TestGenerate:
     def test_writes_documents(self, tmp_path, capsys):
         code = main([
@@ -98,8 +84,7 @@ class TestBench:
 
 
 class TestStats:
-    def test_text_report_covers_every_layer(self, capsys, monkeypatch,
-                                            telemetry_restored):
+    def test_text_report_covers_every_layer(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.002")
         code = main(["stats", "--dataset", "day"])  # case-insensitive name
         assert code == 0
@@ -109,7 +94,7 @@ class TestStats:
                        "nosqldb_writes_total", "PointLookup"):
             assert marker in out, marker
 
-    def test_json_round_trips(self, capsys, monkeypatch, telemetry_restored):
+    def test_json_round_trips(self, capsys, monkeypatch):
         from repro.telemetry import from_json
 
         monkeypatch.setenv("REPRO_SCALE", "0.002")
@@ -117,8 +102,7 @@ class TestStats:
         snap = from_json(capsys.readouterr().out)
         assert snap["spans"] and snap["metrics"]
 
-    def test_prom_format_and_out_file(self, tmp_path, monkeypatch,
-                                      telemetry_restored):
+    def test_prom_format_and_out_file(self, tmp_path, monkeypatch):
         from repro.telemetry import from_prometheus
 
         monkeypatch.setenv("REPRO_SCALE", "0.002")
@@ -129,9 +113,25 @@ class TestStats:
         metrics = from_prometheus(out.read_text())
         assert any(m["name"] == "dwarf_builds_total" for m in metrics)
 
-    def test_unknown_dataset(self, capsys, telemetry_restored):
+    def test_unknown_dataset(self, capsys):
         assert main(["stats", "--dataset", "Year"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
+
+
+def test_commands_leave_the_telemetry_switches_as_they_found_them(capsys, monkeypatch):
+    """``ingest`` and ``stats`` switch metrics, tracing and the query log
+    on for their run; an in-process caller gets its own switches back."""
+    from repro.telemetry import get_query_log, get_registry, get_tracer
+
+    monkeypatch.setenv("REPRO_SCALE", "0.002")
+    switches = (get_registry(), get_tracer(), get_query_log())
+    for switch in switches:
+        monkeypatch.setattr(switch, "enabled", False)
+    assert main(["ingest", "--dataset", "day"]) == 0
+    assert [switch.enabled for switch in switches] == [False, False, False]
+    assert main(["stats", "--dataset", "day", "--format", "json"]) == 0
+    assert [switch.enabled for switch in switches] == [False, False, False]
+    assert "ingest: OK" in capsys.readouterr().out
 
 
 class TestHelpSync:

@@ -83,3 +83,35 @@ class TestStoredSelect:
 
         with pytest.raises(QueryError):
             list(stored_select(mapper, schema_id, city="Dublin"))
+
+
+def test_cold_filtered_scan_skips_blocks_and_answers_like_the_cube():
+    """A filtered scan-strategy select over freshly flushed columnar
+    blocks, block cache empty: zone maps refute the co-resident cube's
+    blocks unread, and every answer equals the in-memory select."""
+    from repro.core.schema import CubeSchema
+    from repro.dwarf.builder import DwarfBuilder
+
+    schema = CubeSchema("c", ["d1", "d2", "d3"])
+    other = DwarfBuilder(schema).build(
+        [(f"o{i % 11}", i % 13, f"x{i % 5}", 1) for i in range(600)]
+    )
+    cube = DwarfBuilder(schema).build(
+        [(f"m{i % 9}", i % 17, f"y{i % 7}", i) for i in range(600)]
+    )
+    mapper = NoSQLDwarfMapper()
+    mapper.install()
+    mapper.store(other, probe_size=False)
+    schema_id = mapper.store(cube, probe_size=False)
+    tables = mapper.engine.keyspace(mapper.keyspace_name).tables
+    for table in tables:
+        table.flush()
+        table._block_cache.clear()
+    cells = mapper.engine.keyspace(mapper.keyspace_name).table("dwarf_cell")
+    assert cells.stats().columnar_blocks > 0
+    skipped = cells.stats().blocks_skipped
+    for spec in ({"d1": Member("m3")}, {"d1": In(["m1", "m4"]), "d2": Member(4)},
+                 {"d1": Member("m2"), "d2": Each()}):
+        got = list(stored_select(mapper, schema_id, strategy="scan", **spec))
+        assert got == list(select(cube, **spec)), spec
+    assert cells.stats().blocks_skipped > skipped

@@ -1,36 +1,28 @@
 """Columnar SSTable blocks: round-trip identity, zone-map skipping,
-dictionary encoding, mixed-format compaction (docs/columnar_blocks.md).
+dictionary encoding, compaction under the checkers
+(docs/columnar_blocks.md).
 
 The columnar layout must be *invisible* except for performance: every
 read path — point get, multi-get, scan, compaction input — produces the
-same answers, and the same bytes, whichever ``block_format`` the table
-was built with.
+same answers, and the same bytes, as the memtable's encoded rows the
+blocks were flushed from.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.sstable_check import columnfamily_check, sstable_check
-from repro.nosqldb.columnar import (
-    BLOCK_FORMAT_COLUMNAR,
-    BLOCK_FORMAT_ROW,
-    TAG_COLUMNAR,
-    TAG_ROW,
-    ColumnarCodec,
-    ColumnVectors,
-    default_block_format,
-)
+from repro.analysis.sstable_check import columnfamily_check
+from repro.nosqldb.columnar import TAG_COLUMNAR, ColumnarCodec, ColumnVectors
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.engine import NoSQLEngine
-from repro.nosqldb.errors import InvalidRequest
-from repro.nosqldb.sstable import SSTable, compact
+from repro.nosqldb.sstable import SSTable
 from repro.nosqldb.types import parse_type
 from repro.query.pushdown import PushedCondition, PushedPredicate
 from repro.storage.btree import encode_key
 
 
-def make_cf(block_format, **kwargs) -> ColumnFamily:
+def make_cf(**kwargs) -> ColumnFamily:
     return ColumnFamily(
         "t",
         [
@@ -39,7 +31,6 @@ def make_cf(block_format, **kwargs) -> ColumnFamily:
             Column("m", parse_type("int")),
         ],
         "id",
-        block_format=block_format,
         **kwargs,
     )
 
@@ -57,7 +48,8 @@ def bound_eq(column, value):
 
 
 # ----------------------------------------------------------------------
-# property: both formats are byte-identical through every read path
+# property: memtable rows and columnar blocks are byte-identical through
+# every read path
 # ----------------------------------------------------------------------
 rows_strategy = st.lists(
     st.tuples(
@@ -73,40 +65,35 @@ rows_strategy = st.lists(
 @given(rows=rows_strategy)
 @settings(max_examples=60, deadline=None)
 def test_formats_agree_byte_for_byte(rows):
-    row_cf = make_cf(BLOCK_FORMAT_ROW)
-    col_cf = make_cf(BLOCK_FORMAT_COLUMNAR)
-    for cf in (row_cf, col_cf):
-        for id_, name, m in rows:
-            cf.insert({"id": id_, "name": name, "m": m})
-        cf.flush()
-    row_t, col_t = row_cf._sstables[0], col_cf._sstables[0]
-    assert row_t.block_format == BLOCK_FORMAT_ROW
-    assert col_t.block_format == BLOCK_FORMAT_COLUMNAR
-    # identical encoded items; columnar groups rows into larger blocks
-    # (COLUMNAR_BLOCK_FACTOR) so it never has more of them
-    assert list(row_t.items()) == list(col_t.items())
-    assert len(col_t._block_keys) <= len(row_t._block_keys)
-    assert col_t._block_keys[0] == row_t._block_keys[0]
-    # identical decoded reads
-    assert list(row_cf.scan()) == list(col_cf.scan())
-    for id_, _, _ in rows:
-        assert row_cf.get(id_) == col_cf.get(id_)
-    # the columnar table really holds columnar blocks
-    assert col_t.stats().columnar_blocks == len(col_t._blocks)
+    """The memtable's row-major bytes against the columnar blocks they
+    are flushed into: the same entries, the same decoded reads."""
+    cf = make_cf()
+    for id_, name, m in rows:
+        cf.insert({"id": id_, "name": name, "m": m})
+    memtable_items = cf._memtable.sorted_items()
+    scanned = sorted(cf.scan(), key=lambda row: row["id"])  # the table scans in key order
+    fetched = [cf.get(id_) for id_, _, _ in rows]
+    cf.flush()
+    (table,) = cf._sstables
+    assert list(table.items()) == memtable_items
+    assert table._block_keys[0] == memtable_items[0][0]
+    assert list(cf.scan()) == scanned
+    assert [cf.get(id_) for id_, _, _ in rows] == fetched
+    assert all(table._block_data(i)[0] == TAG_COLUMNAR for i in range(len(table._blocks)))
 
 
 @given(rows=rows_strategy)
 @settings(max_examples=40, deadline=None)
 def test_codec_block_roundtrip_is_exact(rows):
-    cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+    cf = make_cf()
     for id_, name, m in rows:
         cf.insert({"id": id_, "name": name, "m": m})
     cf.flush()
     table = cf._sstables[0]
     codec = cf._codec
     for index in range(len(table._blocks)):
-        tag, payload = table._block_payload(index)
-        assert tag == TAG_COLUMNAR
+        assert table._block_data(index)[0] == TAG_COLUMNAR
+        payload = table._block_payload(index)
         vectors = codec.decode_block(payload)
         keys, encoded_rows = vectors.all_rows()
         # decode -> rematerialize -> re-encode reproduces the payload
@@ -126,7 +113,7 @@ def test_codec_block_roundtrip_is_exact(rows):
 # ----------------------------------------------------------------------
 class TestZoneMaps:
     def test_scan_skips_refuted_blocks(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         # sorted key order puts all 'z' names in the trailing blocks
         # (enough rows for several columnar-sized blocks)
         for i in range(2000):
@@ -135,7 +122,7 @@ class TestZoneMaps:
         table = cf._sstables[0]
         before = table.blocks_skipped
         bound = bound_eq("name", "z")
-        batches = list(table.scan_batches(bound, cf.decode_row))
+        batches = list(table.scan_batches(bound))
         rows = [row for batch in batches for row in batch.rows()]
         assert {row["name"] for row in rows} == {"z"}
         assert len(rows) == 1000
@@ -144,11 +131,11 @@ class TestZoneMaps:
         assert sum(batch.count() for batch in batches) + bound.rows_pruned == 2000
 
     def test_scan_batches_expose_vectors_without_building_rows(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         fill(cf, 60)
         cf.flush()
         table = cf._sstables[0]
-        (batch,) = table.scan_batches(bound_eq("name", "b"), cf.decode_row)
+        (batch,) = table.scan_batches(bound_eq("name", "b"))
         assert batch.n == 60 and batch.sel == list(range(1, 60, 3))
         # columns are addressed by position; values() applies the selection
         assert batch.column("m") == list(range(60))
@@ -157,39 +144,38 @@ class TestZoneMaps:
         assert batch.rows(("id", "m"))[:2] == [{"id": 1, "m": 1}, {"id": 4, "m": 4}]
         assert batch.rows()[0] == {"id": 1, "name": "b", "m": 1}
         # an unpushed scan selects everything and still builds no row
-        (whole,) = table.scan_batches(None, cf.decode_row)
+        (whole,) = table.scan_batches(None)
         assert whole.sel is None and whole.count() == 60
 
     def test_recording_layer_may_not_skip_refuted_blocks(self):
         # ``record`` (an older layer overlaps) forces a zone-refuted
         # block to be read for its keys; without it the block is skipped.
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         fill(cf, 30)
         cf.flush()
         table = cf._sstables[0]
         seen = set()
         bound = bound_eq("m", -1)
-        assert list(table.scan_batches(bound, cf.decode_row, None, seen)) == []
+        assert list(table.scan_batches(bound, None, seen)) == []
         assert seen == set(range(30)) and bound.blocks_skipped == 0
         assert bound.rows_pruned == 30
         bound = bound_eq("m", -1)
-        assert list(table.scan_batches(bound, cf.decode_row)) == []
+        assert list(table.scan_batches(bound)) == []
         assert bound.blocks_skipped == 1 and bound.rows_pruned == 30
 
     def test_zone_skip_counts_surface_in_stats(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         fill(cf, 120)
         cf.flush()
         list(cf.scan(pushed=bound_eq("m", -1)))  # refutes every block
         stats = cf.stats()
-        assert stats.block_format == BLOCK_FORMAT_COLUMNAR
         assert stats.columnar_blocks > 0
         assert stats.blocks_skipped > 0
 
     def test_pruned_rows_still_shadow_older_layers(self):
         # A newer layer's non-matching row must hide the older layer's
         # matching one — zone skips may only drop oldest-layer blocks.
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         cf.insert({"id": 1, "name": "old", "m": 1})
         cf.flush()
         cf.insert({"id": 1, "name": "new", "m": 1})
@@ -204,7 +190,7 @@ class TestZoneMaps:
         # Two stored cubes occupy disjoint id ranges: neither layer can
         # shadow the other, so no key is checked or recorded and the
         # *newer* layer may skip its zone-refuted blocks too.
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         for i in range(40):
             cf.insert({"id": i, "name": "old", "m": i})
         cf.flush()
@@ -216,9 +202,9 @@ class TestZoneMaps:
         calls = []
         original = SSTable.scan_batches
 
-        def spy(self, bound, decode_row, shadow=None, record=None):
+        def spy(self, bound, shadow=None, record=None):
             calls.append((shadow, record))
-            return original(self, bound, decode_row, shadow, record)
+            return original(self, bound, shadow, record)
 
         monkeypatch.setattr(SSTable, "scan_batches", spy)
         bound = bound_eq("name", "old")
@@ -236,7 +222,7 @@ class TestZoneMaps:
         assert oldest[0] is not None and oldest[1] is None   # checks only
 
     def test_tombstones_widen_a_layers_key_range(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         fill(cf, 10)
         cf.flush()
         cf.insert({"id": 50, "name": "x", "m": 50})
@@ -247,7 +233,7 @@ class TestZoneMaps:
         assert len(list(cf.scan(pushed=bound_eq("m", 3)))) == 0
 
     def test_all_null_column_is_skippable(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         for i in range(40):
             cf.insert({"id": i, "name": None, "m": i})
         cf.flush()
@@ -258,7 +244,7 @@ class TestZoneMaps:
 
 class TestDictionaries:
     def test_low_cardinality_column_dictionary_encodes(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         fill(cf, 120, names=("x", "y"))
         cf.flush()
         stats = cf._sstables[0].stats()
@@ -266,7 +252,7 @@ class TestDictionaries:
         assert 0.0 < stats.dict_hit_ratio <= 1.0
 
     def test_unique_column_stays_plain(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         for i in range(60):
             cf.insert({"id": i, "name": f"unique-{i}", "m": i})
         cf.flush()
@@ -310,7 +296,6 @@ class TestFetch:
         return calls
 
     def session(self, monkeypatch, spy, row_cache_bytes):
-        monkeypatch.setenv("REPRO_BLOCK_FORMAT", "columnar")
         monkeypatch.setenv("REPRO_ROW_CACHE_BYTES", str(row_cache_bytes))
         session = NoSQLEngine().connect()
         session.execute("CREATE KEYSPACE k")
@@ -375,91 +360,23 @@ class TestFetch:
 
 
 # ----------------------------------------------------------------------
-# format plumbing and compaction
+# compaction
 # ----------------------------------------------------------------------
-class TestFormatSelection:
-    def test_invalid_format_rejected(self):
-        with pytest.raises(InvalidRequest, match="block_format"):
-            make_cf("parquet")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_FORMAT", "row")
-        assert default_block_format() == BLOCK_FORMAT_ROW
-        assert make_cf(None).block_format == BLOCK_FORMAT_ROW
-        monkeypatch.setenv("REPRO_BLOCK_FORMAT", "columnar")
-        assert default_block_format() == BLOCK_FORMAT_COLUMNAR
-
-    def test_row_format_keeps_row_tags(self):
-        cf = make_cf(BLOCK_FORMAT_ROW)
-        fill(cf)
-        cf.flush()
-        table = cf._sstables[0]
-        assert all(
-            table._block_payload(i)[0] == TAG_ROW for i in range(len(table._blocks))
-        )
-
-
 class TestMixedCompaction:
+    """Flushed tables of overlapping keys compacted, checkers armed."""
+
     @pytest.fixture(autouse=True)
     def _armed(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
 
-    def test_compaction_rewrites_row_inputs_to_columnar(self):
-        codec = ColumnarCodec(
-            [("id", parse_type("int")), ("m", parse_type("int"))]
-        )
-        # one row-major and one columnar input, overlapping keys
-        def encode(i, m):
-            from repro.storage.encoding import encode_text
-            from repro.storage.varint import encode_varint
-            cell = codec._types["m"].encode(m)
-            return encode_varint(1) + encode_text("m") + b"\x00" * 8 + cell
-
-        old = SSTable(
-            [(i, encode(i, i)) for i in range(40)],
-            block_format=BLOCK_FORMAT_ROW, codec=codec,
-        )
-        new = SSTable(
-            [(i, encode(i, i * 10)) for i in range(20, 60)],
-            block_format=BLOCK_FORMAT_COLUMNAR, codec=codec,
-        )
-        merged = compact(
-            [old, new], block_format=BLOCK_FORMAT_COLUMNAR, codec=codec
-        )
-        assert merged.block_format == BLOCK_FORMAT_COLUMNAR
-        assert len(merged) == 60
-        # newest layer wins on overlap, all blocks columnar
-        items = dict(merged.items())
-        assert items[30] == encode(30, 300)
-        assert items[5] == encode(5, 5)
-        report = sstable_check(merged)
-        assert report.ok, report.format_lines()
-
     def test_family_compaction_under_checkers(self):
-        cf = make_cf(BLOCK_FORMAT_COLUMNAR)
+        cf = make_cf()
         # force enough flushes to trigger compaction (threshold 4)
         for round_ in range(5):
             for i in range(30):
                 cf.insert({"id": i, "name": f"r{round_}", "m": round_ * 100 + i})
             cf.flush()
         assert len(cf._sstables) < 5  # compaction ran
-        assert all(t.block_format == BLOCK_FORMAT_COLUMNAR for t in cf._sstables)
         assert {r["name"] for r in cf.scan()} == {"r4"}
-        report = columnfamily_check(cf)
-        assert report.ok, report.format_lines()
-
-    def test_migration_row_to_columnar_via_compaction(self):
-        # a table created row-major, later switched: compaction rewrites
-        cf = make_cf(BLOCK_FORMAT_ROW)
-        fill(cf, 50)
-        cf.flush()
-        assert cf._sstables[0].block_format == BLOCK_FORMAT_ROW
-        cf.block_format = BLOCK_FORMAT_COLUMNAR
-        for round_ in range(4):
-            for i in range(50, 60):
-                cf.insert({"id": i, "name": "x", "m": round_})
-            cf.flush()
-        assert any(t.block_format == BLOCK_FORMAT_COLUMNAR for t in cf._sstables)
-        assert len(list(cf.scan())) == 60
         report = columnfamily_check(cf)
         assert report.ok, report.format_lines()

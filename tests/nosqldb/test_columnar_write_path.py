@@ -15,16 +15,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.nosqldb.columnar import (
-    BLOCK_FORMAT_COLUMNAR,
-    BLOCK_FORMAT_ROW,
-    DICT_MAX_RATIO,
-    DICT_MIN_ROWS,
-    TAG_COLUMNAR,
-    TAG_ROW,
-    ZONE_DISTINCT_MAX,
-)
+from repro.nosqldb.columnar import DICT_MAX_RATIO, DICT_MIN_ROWS, TAG_COLUMNAR, ZONE_DISTINCT_MAX
 from repro.nosqldb.columnfamily import Column, ColumnFamily
+from repro.nosqldb.engine import NoSQLEngine
+from repro.nosqldb.errors import InvalidRequest
 from repro.nosqldb.sstable import COMPRESSION_LEVEL, SSTable, compact
 from repro.nosqldb.types import SetType, parse_type
 from repro.storage.btree import encode_key
@@ -46,13 +40,12 @@ WIDE = (
 )
 
 
-def wide_cf(block_format, compression=True) -> ColumnFamily:
+def wide_cf(compression=True) -> ColumnFamily:
     return ColumnFamily(
         "w",
         [Column(name, parse_type(spec)) for name, spec in WIDE],
         "id",
         compression=compression,
-        block_format=block_format,
     )
 
 
@@ -88,17 +81,17 @@ def stored_digest(table) -> str:
     digest = hashlib.sha256()
     for index in range(len(table._block_keys)):
         stored = table._block_data(index)
-        tag, payload = table._block_payload(index)
+        payload = table._block_payload(index)
         if table.compressed:
             assert stored[1:] == zlib.compress(payload, COMPRESSION_LEVEL)
         else:
             assert stored[1:] == payload
-        digest.update(bytes((tag,)) + payload)
+        digest.update(stored[:1] + payload)
     return digest.hexdigest()
 
 
-def flushed(block_format, compression, rows):
-    cf = wide_cf(block_format, compression)
+def flushed(compression, rows):
+    cf = wide_cf(compression)
     for row in rows:
         cf.insert(row)
     cf.flush()
@@ -107,7 +100,7 @@ def flushed(block_format, compression, rows):
 
 
 def memtable_items(rows):
-    cf = wide_cf(BLOCK_FORMAT_ROW)
+    cf = wide_cf()
     for row in rows:
         cf.insert(row)
     return cf._codec, cf._memtable.sorted_items()
@@ -124,30 +117,29 @@ GOLDEN_COMPACTED = "637768a2f2c6d92cd9b379a153756de36fc09935034ac20b0dcd2eb87760
 class TestGoldenDigests:
     @pytest.mark.parametrize("compression", [True, False])
     def test_one_row(self, compression):
-        _, table = flushed(BLOCK_FORMAT_COLUMNAR, compression, fixed_rows(7, 8))
-        assert table.stats().columnar_blocks == 1
+        _, table = flushed(compression, fixed_rows(7, 8))
+        assert table.stats().blocks == 1
         assert stored_digest(table) == GOLDEN_ONE_ROW
 
     @pytest.mark.parametrize("compression", [True, False])
     def test_columnar_sstable(self, compression):
-        _, table = flushed(BLOCK_FORMAT_COLUMNAR, compression, fixed_rows(0, 700))
+        _, table = flushed(compression, fixed_rows(0, 700))
         stats = table.stats()
-        assert stats.blocks > 4 and stats.columnar_blocks == stats.blocks
+        assert stats.blocks > 4
         assert (stats.dict_chunks, stats.plain_chunks) == (12, 42)
         # zone maps are not stored: pin the one the NaN row (id 413) poisons
         assert [i for i, z in enumerate(table._zone_maps) if "score" not in z] == [4]
         assert stored_digest(table) == GOLDEN_TABLE
 
     def test_compaction_over_mixed_format_inputs(self):
+        # Recorded when one input was row-major: the merged table is
+        # re-emitted from cells, so columnar inputs store the same bytes.
         codec, old_items = memtable_items(fixed_rows(0, 400))
         _, new_items = memtable_items(fixed_rows(250, 700))
-        old = SSTable(old_items, block_format=BLOCK_FORMAT_ROW, codec=codec)
-        new = SSTable(new_items, block_format=BLOCK_FORMAT_COLUMNAR, codec=codec)
-        assert old._block_payload(0)[0] == TAG_ROW
-        assert new._block_payload(0)[0] == TAG_COLUMNAR
-        merged = compact(
-            [old, new], block_format=BLOCK_FORMAT_COLUMNAR, codec=codec
-        )
+        old = SSTable(old_items, codec)
+        new = SSTable(new_items, codec)
+        assert old._block_data(0)[0] == new._block_data(0)[0] == TAG_COLUMNAR
+        merged = compact([old, new], codec)
         assert len(merged) == 700
         assert stored_digest(merged) == GOLDEN_COMPACTED
 
@@ -279,7 +271,7 @@ def test_encoder_matches_decode_and_regroup_oracle(rows):
 
 
 # ----------------------------------------------------------------------
-# what the codec refuses, and what it must not hide
+# what the write loop rejects, and what the codec must not hide
 # ----------------------------------------------------------------------
 def cell(name, raw_value, ts=b"\x07" * 8):
     return encode_text(name) + ts + raw_value
@@ -290,36 +282,63 @@ def row_of(*cells):
 
 
 class TestRefusals:
+    """A row holds one cell per schema column: the write loop rejects
+    anything else before it writes a byte, so every block the codec
+    emits lists its rows exactly."""
+
     @pytest.fixture(autouse=True)
     def _armed(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
 
-    def columnar_table(self, items):
-        codec = wide_cf(BLOCK_FORMAT_COLUMNAR)._codec
-        return SSTable(items, block_format=BLOCK_FORMAT_COLUMNAR, codec=codec)
+    def session(self):
+        session = NoSQLEngine().connect()
+        session.execute("CREATE KEYSPACE k")
+        session.execute("USE k")
+        session.execute(
+            "CREATE TABLE w (id int PRIMARY KEY, name text, big bigint, "
+            "flag boolean, score double, kids set<int>)"
+        )
+        cf = session.engine.keyspace("k").table("w")
+        cf.insert({"id": 1, "big": 1})
+        cf.insert({"id": 3, "big": 3})
+        return session, cf
 
-    def test_unknown_column_yields_a_readable_row_major_block(self):
-        good = row_of(cell("big", encode_varint(9)))
-        alien = row_of(cell("big", encode_varint(1)), cell("zz", b"\x00"))
-        table = self.columnar_table([(1, good), (2, alien), (3, good)])
-        assert table._block_payload(0)[0] == TAG_ROW
-        stats = table.stats()
-        assert (stats.blocks, stats.columnar_blocks, stats.fallback_blocks) == (1, 0, 1)
-        assert table._zone_maps == [None]
-        assert list(table.items()) == [(1, good), (2, alien), (3, good)]
-        assert table.locate((2,)).get(2) == alien
+    def rejected(self, cf, columns, values, match):
+        """``insert_columns`` raises InvalidRequest and leaves the write
+        clock, the commit log, the memtable and the row count as they
+        were."""
+        log = cf._commit_log
+
+        def state():
+            return (cf._write_clock, list(log.records()), cf._memtable.sorted_items(),
+                    len(cf), cf.n_writes)
+
+        before = state()
+        with pytest.raises(InvalidRequest, match=match):
+            cf.insert_columns(columns, values)
+        assert state() == before
 
     def test_repeated_column_row_stays_readable(self):
-        # the shape an old commit log can still replay: two cells, one column
-        cf = wide_cf(BLOCK_FORMAT_COLUMNAR)
+        session, cf = self.session()
         big = cf.column("big")
-        cf.insert({"id": 1, "big": 1})
-        cf.insert_columns([cf.column("id"), big, big], [[2], [5], [6]])
-        cf.insert({"id": 3, "big": 3})
+        self.rejected(cf, [cf.column("id"), big, big], [[2], [5], [6]],
+                      "'big' more than once")
         cf.flush()
-        assert cf.stats().fallback_blocks == 1
-        assert cf.get(2)["big"] == 6
-        assert [row["id"] for row in cf.scan()] == [1, 2, 3]
+        assert [row["id"] for row in session.execute("SELECT * FROM w").rows] == [1, 3]
+
+    def test_unknown_column_is_rejected_before_anything_is_written(self):
+        session, cf = self.session()
+        session.execute("CREATE TABLE other (id int PRIMARY KEY, zz int)")
+        foreign = session.engine.keyspace("k").table("other").column("zz")
+        for stranger in (foreign, Column("zz", parse_type("int"))):
+            self.rejected(cf, [cf.column("id"), stranger], [[2], [7]], "no column 'zz'")
+        cf.flush()
+        assert [row["id"] for row in session.execute("SELECT * FROM w").rows] == [1, 3]
+        # Such bytes reaching the codec anyway are an internal error,
+        # never a block in some other layout.
+        alien = row_of(cell("big", encode_varint(1)), cell("zz", b"\x00"))
+        with pytest.raises(ValueError, match="outside the schema"):
+            SSTable([(1, alien)], cf._codec)
 
     def test_encoder_fault_is_not_swallowed(self, monkeypatch):
         from repro.nosqldb.columnar import ColumnarCodec
@@ -329,7 +348,7 @@ class TestRefusals:
 
         monkeypatch.setattr(ColumnarCodec, "encode_block", broken)
         with pytest.raises(RuntimeError, match="encoder bug"):
-            self.columnar_table([(1, row_of(cell("big", encode_varint(9))))])
+            SSTable([(1, row_of(cell("big", encode_varint(9))))], wide_cf()._codec)
 
 
 class TestSanitizerHook:
@@ -349,10 +368,10 @@ class TestSanitizerHook:
         codec, items = self.lossy_codec(monkeypatch)
         monkeypatch.setenv("REPRO_CHECK", "1")
         with pytest.raises(InvariantViolationError, match="sstable.columnar-roundtrip"):
-            SSTable(items, block_format=BLOCK_FORMAT_COLUMNAR, codec=codec)
+            SSTable(items, codec)
 
     def test_unarmed_build_does_not_look(self, monkeypatch):
         codec, items = self.lossy_codec(monkeypatch)
         monkeypatch.delenv("REPRO_CHECK", raising=False)
-        table = SSTable(items, block_format=BLOCK_FORMAT_COLUMNAR, codec=codec)
-        assert table.stats().columnar_blocks == 1
+        table = SSTable(items, codec)
+        assert table.stats().blocks == 1

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.nosqldb import columnfamily
-from repro.nosqldb.columnar import BLOCK_FORMAT_COLUMNAR, BLOCK_FORMAT_ROW, ColumnarCodec
+from repro.nosqldb.columnar import ColumnarCodec
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.errors import InvalidRequest
 from repro.nosqldb.sstable import SSTable, _block_view, compact, run_feed
@@ -45,11 +45,8 @@ class Sub(int):
     must come from decoding, never from the bound value."""
 
 
-def wide_cf(block_format=BLOCK_FORMAT_COLUMNAR) -> ColumnFamily:
-    return ColumnFamily(
-        "w", [Column(name, parse_type(spec)) for name, spec in WIDE], "id",
-        block_format=block_format,
-    )
+def wide_cf() -> ColumnFamily:
+    return ColumnFamily("w", [Column(name, parse_type(spec)) for name, spec in WIDE], "id")
 
 
 def typed(value):
@@ -74,10 +71,7 @@ def signature(table: SSTable):
 
 def row_path(memtable, codec) -> SSTable:
     """What a flush of ``memtable`` stored before runs existed."""
-    return SSTable(
-        memtable.sorted_items(), tombstones=memtable.tombstones,
-        block_format=BLOCK_FORMAT_COLUMNAR, codec=codec,
-    )
+    return SSTable(memtable.sorted_items(), codec, tombstones=memtable.tombstones)
 
 
 def flush_against_row_path(cf: ColumnFamily):
@@ -90,10 +84,7 @@ def flush_against_row_path(cf: ColumnFamily):
     had_runs = [m.column_runs() is not None for m in memtables]
     for memtable, runs in zip(memtables, had_runs):
         if runs:  # the feeder on its own, beside the family's flush
-            direct = SSTable(
-                run_feed(memtable.column_runs(), cf._codec),
-                block_format=BLOCK_FORMAT_COLUMNAR, codec=cf._codec,
-            )
+            direct = SSTable(run_feed(memtable.column_runs(), cf._codec), cf._codec)
             assert signature(direct) == signature(row_path(memtable, cf._codec))
     before = len(cf._sstables)
     with mock.patch.object(columnfamily, "COMPACTION_THRESHOLD", 10**6):
@@ -166,12 +157,13 @@ def apply(cf, step, top, gap):
     if kind == "unproven":  # descending: proves nothing
         write_column_wise(cf, order, rows[::-1])
         return keys[-1]
-    if kind == "repeat":  # a column named twice: no run, BlockRefused at flush
-        cf.insert_columns(
-            [cf.column("id"), cf.column("big"), cf.column("big")],
-            [[keys[0]], [1], [2]],
-        )
-        return keys[0]
+    if kind == "repeat":  # a column named twice: rejected, nothing written
+        with pytest.raises(InvalidRequest, match="more than once"):
+            cf.insert_columns(
+                [cf.column("id"), cf.column("big"), cf.column("big")],
+                [[keys[0]], [1], [2]],
+            )
+        return top
     if kind == "bad":  # an ill-typed value in the middle: the rows before it land
         rows[len(rows) // 2]["big"] = "x"
         with pytest.raises(InvalidRequest):
@@ -262,7 +254,7 @@ def test_an_int_subclass_value_zones_from_decoding():
 
 
 @pytest.mark.parametrize("mutation", [
-    "overwrite", "delete", "replay", "failing-row", "unproven", "repeated-column", "raised",
+    "overwrite", "delete", "replay", "failing-row", "unproven", "raised",
 ])
 def test_a_mutation_outside_a_fresh_chunk_drops_the_runs(mutation):
     cf = wide_cf()
@@ -281,9 +273,6 @@ def test_a_mutation_outside_a_fresh_chunk_drops_the_runs(mutation):
             write_column_wise(cf, ["id", "big"], rows)
     elif mutation == "unproven":
         write_column_wise(cf, ["id", "big"], fresh_rows(100, 4)[::-1])
-    elif mutation == "repeated-column":
-        cf.insert_columns([cf.column("id"), cf.column("big"), cf.column("big")],
-                          [[100], [1], [2]])
     else:  # a fault inside the write loop, after the chunk proved fresh
         real_put = columnfamily.Memtable.put
 
@@ -309,17 +298,10 @@ def test_a_seal_cuts_a_chunk_into_two_runs():
         assert flush_against_row_path(cf) == len(cf._sstables)
 
 
-def test_row_format_tables_flush_as_today():
-    cf = wide_cf(BLOCK_FORMAT_ROW)
-    write_column_wise(cf, ["id", *VALUE_COLUMNS], fresh_rows(1, 30))
-    cf.flush()
-    assert cf._sstables[0].build_cost.rows_from_columns == 0
-
-
 # ----------------------------------------------------------------------
 # compaction: the frozen oracle
 # ----------------------------------------------------------------------
-def frozen_compact(tables, compressed=True, block_format=BLOCK_FORMAT_ROW, codec=None):
+def frozen_compact(tables, codec, compressed=True):
     """``compact`` before it merged column chunks: every row
     rematerialized through ``items()`` into a dict, then sorted."""
     merged = {}
@@ -332,18 +314,17 @@ def frozen_compact(tables, compressed=True, block_format=BLOCK_FORMAT_ROW, codec
     for key in deleted:
         merged.pop(key, None)
     items = sorted(merged.items(), key=lambda item: item[0])
-    return SSTable(items, compressed=compressed, block_format=block_format, codec=codec)
+    return SSTable(items, codec, compressed=compressed)
 
 
-def built_table(codec, rows_by_key, tombstones, block_format):
+def built_table(codec, rows_by_key, tombstones):
     cf = wide_cf()
     items = []
     for key in sorted(rows_by_key):
         order, row = rows_by_key[key]
         items.append((key, cf.encode_row(row, 1000 + key) if order is None else _ordered(
             cf, order, row, 2000 + key)))
-    return SSTable(items, tombstones=frozenset(tombstones), block_format=block_format,
-                   codec=codec)
+    return SSTable(items, codec, tombstones=frozenset(tombstones))
 
 
 def _ordered(cf, order, row, tick):
@@ -363,23 +344,20 @@ input_table = st.tuples(
         max_size=60,
     ),
     st.frozensets(st.integers(0, 150), max_size=8),
-    st.sampled_from([BLOCK_FORMAT_ROW, BLOCK_FORMAT_COLUMNAR]),
 )
 
 
-@given(inputs=st.lists(input_table, min_size=1, max_size=4),
-       out_format=st.sampled_from([BLOCK_FORMAT_COLUMNAR, BLOCK_FORMAT_COLUMNAR,
-                                   BLOCK_FORMAT_ROW]))
+@given(inputs=st.lists(input_table, min_size=1, max_size=4))
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compaction_matches_the_frozen_oracle(inputs, out_format):
+def test_compaction_matches_the_frozen_oracle(inputs):
     codec = wide_cf()._codec
     tables = []
-    for rows, tombstones, block_format in inputs:
+    for rows, tombstones in inputs:
         rows = {key: (order, {**row, "id": key}) for key, (order, row) in rows.items()}
-        tables.append(built_table(codec, rows, tombstones, block_format))
+        tables.append(built_table(codec, rows, tombstones))
     with env(REPRO_CHECK="1"):
-        expected = frozen_compact(tables, block_format=out_format, codec=codec)
-        merged = compact(tables, block_format=out_format, codec=codec)
+        expected = frozen_compact(tables, codec)
+        merged = compact(tables, codec)
     assert signature(merged) == signature(expected)
     assert list(merged.items()) == list(expected.items())
 
@@ -396,28 +374,10 @@ def test_compaction_of_disjoint_and_overlapping_family_tables():
         cf.delete(700)
         cf.flush()
     tables = list(cf._sstables)
-    expected = frozen_compact(tables, block_format=BLOCK_FORMAT_COLUMNAR, codec=cf._codec)
-    merged = compact(tables, block_format=BLOCK_FORMAT_COLUMNAR, codec=cf._codec)
+    expected = frozen_compact(tables, cf._codec)
+    merged = compact(tables, cf._codec)
     assert signature(merged) == signature(expected)
     assert merged.build_cost.rows_from_columns == len(merged) == 498
-
-
-def test_compaction_keeps_refused_rows_row_major():
-    """An input row naming a column outside the schema, or one column
-    twice, refuses the output block it lands in, exactly as before."""
-    codec = wide_cf()._codec
-    big = encode_text("big") + b"\x07" * 8
-    good = encode_varint(1) + big + encode_varint(9)
-    alien = encode_varint(2) + big + encode_varint(1) + encode_text("zz") + b"\x07" * 8 + b"\x00"
-    twice = encode_varint(2) + big + encode_varint(1) + big + encode_varint(2)
-    old = SSTable([(1, good), (2, alien), (3, good)], block_format=BLOCK_FORMAT_ROW, codec=codec)
-    new = SSTable([(i, good) for i in range(3, 1500)] + [(1500, twice)],
-                  block_format=BLOCK_FORMAT_ROW, codec=codec)
-    with env(REPRO_CHECK="1"):
-        expected = frozen_compact([old, new], block_format=BLOCK_FORMAT_COLUMNAR, codec=codec)
-        merged = compact([old, new], block_format=BLOCK_FORMAT_COLUMNAR, codec=codec)
-    assert signature(merged) == signature(expected)
-    assert 0 < merged.stats().fallback_blocks < merged.stats().blocks
 
 
 def test_cell_lengths_are_the_materialized_lengths():

@@ -7,8 +7,7 @@ projection/aggregation ran over row lists.  :func:`oracle_scan` and
 :func:`oracle_answer` keep exactly that — layer walk, LSM shadowing and
 pruning accounting included — in plain Python.  Hypothesis drives random
 insert / update-to-NULL / delete / flush / compact sequences against
-both engines and both block formats, and every
-statement must return identical rows *in identical order*, the same
+both engines, and every statement must return identical rows *in identical order*, the same
 ``COUNT(*)`` and the same ``rows emitted + rows pruned`` at the leaf.
 
 Fetches get the same treatment: before ``get_batches``, a point,
@@ -17,13 +16,12 @@ and decoded it (``SSTable.get`` -> ``decode_row``); :func:`oracle_get`
 keeps that walk.  ``WHERE pk = ?``, ``WHERE pk IN (...)`` (unsorted,
 duplicated, absent, tombstoned and shadowed keys) and secondary-index
 probes with pushed residuals run over rows spread across the active
-memtable, sealed memtables and several SSTables — one of them holding a
-block the columnar codec refused — with the row cache on and off.
+memtable, sealed memtables and several SSTables, with the row cache on
+and off.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +38,6 @@ from repro.nosqldb.engine import NoSQLEngine
 from repro.query.expr import compare, evaluate_aggregate, null_safe_key
 from repro.query.pushdown import PUSHABLE_OPS
 from repro.sqldb.engine import SQLEngine
-from repro.storage.varint import encode_varint
 
 from tests.env import env
 
@@ -241,21 +238,10 @@ ops_strategy = st.lists(
 )
 
 
-def refused_row(table, key, val):
-    """An encoded row no columnar block can hold — ``val`` written twice,
-    the stale cell first — which decodes like ``{id: key, val: val}``."""
-    def cell(name, value, ts):
-        column = table.column(name)
-        return column._encoded_name + ts.to_bytes(8, "little") + column.cql_type.encode(value)
-
-    return b"".join((encode_varint(3), cell("id", key, 1), cell("val", val + 1, 1),
-                     cell("val", val, 2)))
-
-
-def build(ops, dialect, block_format, row_cache_bytes=None, indexed=False):
+def build(ops, dialect, row_cache_bytes=None, indexed=False):
     """Apply ``ops`` through the storage API; returns (session, table)."""
     budgets = {} if row_cache_bytes is None else {"REPRO_ROW_CACHE_BYTES": row_cache_bytes}
-    with env(REPRO_BLOCK_FORMAT=block_format, **budgets):
+    with env(**budgets):
         if dialect == "sql":
             session = SQLEngine().connect()
             session.execute("CREATE DATABASE d")
@@ -294,12 +280,6 @@ def build(ops, dialect, block_format, row_cache_bytes=None, indexed=False):
                 table.delete(op[1])
         elif kind in ("flush", "compact", "seal_memtable") and dialect == "cql":
             getattr(table, kind)()
-        elif kind == "refused" and dialect == "cql":
-            # Straight into the memtable, the way commit-log replay
-            # writes: the block it is flushed into falls back to rows.
-            live.add(op[1])
-            table.apply_replayed(op[1], refused_row(table, op[1], op[2]))
-            table.rebuild_indexes()
     return session, table
 
 
@@ -307,11 +287,10 @@ def build(ops, dialect, block_format, row_cache_bytes=None, indexed=False):
     ops=ops_strategy,
     specs=st.lists(spec_strategy, min_size=1, max_size=4),
     dialect=st.sampled_from(("sql", "cql")),
-    block_format=st.sampled_from(("row", "columnar")),
 )
 @settings(max_examples=120, deadline=None)
-def test_batch_path_answers_like_the_row_path(ops, specs, dialect, block_format):
-    session, table = build(ops, dialect, block_format)
+def test_batch_path_answers_like_the_row_path(ops, specs, dialect):
+    session, table = build(ops, dialect)
     for spec in specs:
         if spec["shape"] == "group" and dialect == "cql":
             continue
@@ -339,7 +318,6 @@ fetch_ops_strategy = st.lists(
     st.one_of(
         ops_strategy.wrapped_strategy.element_strategy,
         st.tuples(st.just("seal_memtable")),
-        st.tuples(st.just("refused"), st.integers(0, 14), st.integers(0, 5)),
     ),
     max_size=40,
 )
@@ -364,14 +342,11 @@ FETCH_LEAVES = {"point": "PointLookup", "in": "MultiGet", "index": "IndexScan"}
     ops=fetch_ops_strategy,
     specs=st.lists(fetch_spec_strategy, min_size=1, max_size=5),
     dialect=st.sampled_from(("sql", "cql")),
-    block_format=st.sampled_from(("row", "columnar")),
     row_cache_bytes=st.sampled_from((0, 1 << 20)),
 )
 @settings(max_examples=150, deadline=None)
-def test_fetch_path_answers_like_the_row_path(
-    ops, specs, dialect, block_format, row_cache_bytes
-):
-    session, table = build(ops, dialect, block_format, row_cache_bytes, indexed=True)
+def test_fetch_path_answers_like_the_row_path(ops, specs, dialect, row_cache_bytes):
+    session, table = build(ops, dialect, row_cache_bytes, indexed=True)
     for spec in specs:
         text = render(spec, dialect)
         expected, fetched = oracle_answer(table, spec, dialect)
@@ -381,30 +356,6 @@ def test_fetch_path_answers_like_the_row_path(
         assert leaf["node"] == FETCH_LEAVES[spec["access"][0]], text
         if spec["limit"] != 0:  # LIMIT 0 never pulls from the leaf
             assert leaf["rows"] + leaf["rows_pruned"] == fetched, text
-
-
-def test_fetch_differential_reaches_a_refused_block_in_a_columnar_table():
-    """The hand-picked case the property above must keep finding: one
-    multi-get over the active memtable, a sealed memtable, a columnar
-    block, a row-format fallback block, a tombstone and a shadowed row."""
-    ops = [
-        *(("insert", key, GROUPS[key % 3], key % 4) for key in range(8)),
-        ("refused", 3, 5),
-        ("flush",),                                # columnar + refused blocks
-        ("insert", 1, "g2", None), ("delete", 2), ("flush",),   # shadows, tombstone
-        ("insert", 9, "g0", 1), ("seal_memtable",),
-        ("insert", 10, "g1", 2),
-    ]
-    spec = {"access": ("in", [10, 3, 2, 9, 1, 3, 12, 0]), "where": [], "shape": "rows",
-            "columns": (), "order": None, "limit": None}
-    session, table = build(ops, "cql", "columnar", 0, indexed=True)
-    stats = table.stats()
-    assert stats.fallback_blocks >= 1 and stats.columnar_blocks >= 1
-    assert stats.sstables >= 2 and stats.pending_memtables >= 1
-    expected, _ = oracle_answer(table, spec, "cql")
-    assert [row["id"] for row in expected] == [10, 3, 9, 1, 3, 0]
-    assert expected[1] == {"id": 3, "grp": None, "val": 5}
-    assert session.execute(render(spec, "cql")).rows == expected
 
 
 # ----------------------------------------------------------------------
@@ -417,32 +368,30 @@ BATCHES = [
 ]
 
 
-@pytest.mark.parametrize("block_format", ("row", "columnar"))
-def test_maintained_cube_reads_through_live_deltas(block_format):
+def test_maintained_cube_reads_through_live_deltas():
     schema = CubeSchema("inc", ["d1", "d2", "d3"])
-    with env(REPRO_BLOCK_FORMAT=block_format):
-        mapper = NoSQLDwarfMapper()
-        mapper.install()
-        maintainer = CubeMaintainer.open(mapper, DwarfBuilder(schema).build(BATCHES[0]))
-        for table in mapper.engine.keyspace(mapper.keyspace_name).tables:
-            table.flush()  # base on disk, deltas below stay in memtables
-        maintainer.append(BATCHES[1])
-        maintainer.append(BATCHES[2])
-        view = maintainer.view()
-        assert len(view.cube_ids) == 3  # base + two live deltas
-        merged = DwarfBuilder(schema).build([row for batch in BATCHES for row in batch])
-        for constraints in ({"d1": Each()}, {"d1": Each(), "d2": Member(2)},
-                            {"d2": Each(), "d3": Each()}):
-            expected = list(memory_select(merged, **constraints))
-            for strategy in ("scan", "walk"):
-                got = list(stored_select(mapper, maintainer.logical_id,
-                                         strategy=strategy, **constraints))
-                assert got == expected, (strategy, constraints)
-        # mapper.load rides the same scan: each physical cube reloads exactly
-        for physical_id, rows in zip(view.cube_ids, BATCHES):
-            assert structural_signature(mapper.load(physical_id)) == (
-                structural_signature(DwarfBuilder(schema).build(rows))
-            )
+    mapper = NoSQLDwarfMapper()
+    mapper.install()
+    maintainer = CubeMaintainer.open(mapper, DwarfBuilder(schema).build(BATCHES[0]))
+    for table in mapper.engine.keyspace(mapper.keyspace_name).tables:
+        table.flush()  # base on disk, deltas below stay in memtables
+    maintainer.append(BATCHES[1])
+    maintainer.append(BATCHES[2])
+    view = maintainer.view()
+    assert len(view.cube_ids) == 3  # base + two live deltas
+    merged = DwarfBuilder(schema).build([row for batch in BATCHES for row in batch])
+    for constraints in ({"d1": Each()}, {"d1": Each(), "d2": Member(2)},
+                        {"d2": Each(), "d3": Each()}):
+        expected = list(memory_select(merged, **constraints))
+        for strategy in ("scan", "walk"):
+            got = list(stored_select(mapper, maintainer.logical_id,
+                                     strategy=strategy, **constraints))
+            assert got == expected, (strategy, constraints)
+    # mapper.load rides the same scan: each physical cube reloads exactly
+    for physical_id, rows in zip(view.cube_ids, BATCHES):
+        assert structural_signature(mapper.load(physical_id)) == (
+            structural_signature(DwarfBuilder(schema).build(rows))
+        )
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A pushed predicate must be a pure relocation of work — never a change in
 semantics.  Every query here runs twice: once through the planner (which
 pushes eligible conditions into the access leaf) and once against a
-reference computed row-wise; on the NoSQL side additionally across both
-block formats, where the answers must agree byte-for-byte.
+reference computed row-wise; on the NoSQL side additionally over the
+memtable's encoded rows and over the columnar blocks they flush into,
+where the answers must agree byte-for-byte.
 """
 
 import hypothesis.strategies as st
@@ -16,19 +17,18 @@ from repro.query.pushdown import PUSHABLE_OPS
 from repro.sqldb.engine import SQLEngine
 
 
-def nosql_session(block_format):
+def nosql_session(flushed=True):
     s = NoSQLEngine().connect()
     s.execute("CREATE KEYSPACE ks")
     s.execute("USE ks")
     s.execute("CREATE TABLE cells (id int PRIMARY KEY, name text, m int)")
-    table = s.engine.keyspace("ks").table("cells")
-    table.block_format = block_format  # set before the first flush
     for i in range(150):
         s.execute(
             "INSERT INTO cells (id, name, m) VALUES (?, ?, ?)",
             (i, f"n{i % 4}", i),
         )
-    table.flush()
+    if flushed:
+        s.engine.keyspace("ks").table("cells").flush()
     return s
 
 
@@ -58,10 +58,10 @@ QUERIES = [
 
 
 class TestNoSQLAnswers:
-    @pytest.mark.parametrize("block_format", ["row", "columnar"])
+    @pytest.mark.parametrize("layer", ["memtable", "sstable"])
     @pytest.mark.parametrize("where,params,ref", QUERIES)
-    def test_pushed_scan_matches_reference(self, block_format, where, params, ref):
-        s = nosql_session(block_format)
+    def test_pushed_scan_matches_reference(self, layer, where, params, ref):
+        s = nosql_session(flushed=layer == "sstable")
         rows = s.execute(
             f"SELECT * FROM cells WHERE {where} ALLOW FILTERING", params
         ).rows
@@ -69,13 +69,17 @@ class TestNoSQLAnswers:
         assert sorted(rows, key=lambda r: r["id"]) == expected
 
     def test_formats_agree_exactly(self):
-        row_s, col_s = nosql_session("row"), nosql_session("columnar")
-        for where, params, _ in QUERIES:
+        """Pushed scans over the memtable's encoded rows and over the
+        columnar blocks they flush into, against the unpushed scan."""
+        row_s, col_s = nosql_session(flushed=False), nosql_session()
+        unpushed = col_s.execute("SELECT * FROM cells").rows
+        for where, params, ref in QUERIES:
             q = f"SELECT * FROM cells WHERE {where} ALLOW FILTERING"
-            assert row_s.execute(q, params).rows == col_s.execute(q, params).rows
+            expected = [row for row in unpushed if ref(row)]
+            assert row_s.execute(q, params).rows == col_s.execute(q, params).rows == expected
 
     def test_index_scan_pushdown_matches_reference(self):
-        s = nosql_session("columnar")
+        s = nosql_session()
         s.execute("CREATE INDEX ON cells (name)")
         rows = s.execute(
             "SELECT * FROM cells WHERE name = ? AND m < ?", ("n3", 50)
@@ -84,7 +88,7 @@ class TestNoSQLAnswers:
         assert sorted(rows, key=lambda r: r["id"]) == expected
 
     def test_pushdown_sees_unflushed_writes(self):
-        s = nosql_session("columnar")
+        s = nosql_session()
         s.execute("INSERT INTO cells (id, name, m) VALUES (999, 'n1', -5)")
         rows = s.execute(
             "SELECT * FROM cells WHERE m < ? ALLOW FILTERING", (0,)
@@ -142,7 +146,7 @@ class TestSQLAnswers:
 
 class TestExplain:
     def test_fully_absorbed_filter_disappears_cql(self):
-        s = nosql_session("columnar")
+        s = nosql_session()
         plan = s.execute(
             "EXPLAIN SELECT * FROM cells WHERE name = ? ALLOW FILTERING", ("n1",)
         ).rows
@@ -158,7 +162,7 @@ class TestExplain:
         assert plan[0]["detail"] == "full scan, pushed=name = ?0"
 
     def test_vocabulary_identical_across_engines(self):
-        nosql = nosql_session("columnar").execute(
+        nosql = nosql_session().execute(
             "EXPLAIN SELECT * FROM cells WHERE m < ? ALLOW FILTERING", (5,)
         ).rows
         sql = sql_session().execute(
@@ -167,7 +171,7 @@ class TestExplain:
         assert nosql[0]["detail"] == sql[0]["detail"] == "full scan, pushed=m < ?0"
 
     def test_counters_reach_operator_stats(self):
-        s = nosql_session("columnar")
+        s = nosql_session()
         query = "SELECT * FROM cells WHERE m < ? ALLOW FILTERING"
         s.execute(query, (10,))
         key = next(k for k, _ in s.plan_cache.entries() if query in str(k))

@@ -2,6 +2,8 @@
 and nothing is recorded — no span, metric, slow op or per-operator
 clock — when telemetry is disabled."""
 
+import pytest
+
 from repro.dwarf.builder import DwarfBuilder
 from repro.dwarf.cell import ALL
 from repro.dwarf.query import Each
@@ -148,57 +150,49 @@ class TestEtlSpans:
 
 
 class TestBlockFormatCounts:
-    """Flush and compaction spans say what they wrote, including the
-    row-major blocks a columnar table fell back to, and what it cost:
+    """Flush and compaction spans say what they wrote and what it cost:
     encode, compress and write seconds, and where each row's cells came
     from (the write loop's columns, or a re-split of its bytes)."""
 
-    def test_flush_and_compaction_report_fallback_blocks(self, live_telemetry):
+    def test_flush_and_compaction_report_blocks_and_cell_sources(self, live_telemetry):
         from repro.nosqldb.columnfamily import Column, ColumnFamily
+        from repro.nosqldb.errors import InvalidRequest
         from repro.nosqldb.types import parse_type
 
         registry, tracer = live_telemetry
         cf = ColumnFamily(
-            "t", [Column("id", parse_type("int")), Column("m", parse_type("int"))],
-            "id", block_format="columnar",
+            "t", [Column("id", parse_type("int")), Column("m", parse_type("int"))], "id",
         )
         m = cf.column("m")
         cf.insert({"id": 1, "m": 1})
         cf.flush()
-        cf.insert_columns([cf.column("id"), m, m], [[2], [5], [6]])
+        # a row naming m twice is rejected, nothing written; a replayed
+        # row has no run
+        with pytest.raises(InvalidRequest, match="more than once"):
+            cf.insert_columns([cf.column("id"), m, m], [[2], [5], [6]])
+        cf.apply_replayed(2, cf.encode_row({"id": 2, "m": 6}, 9))
         cf.flush()
         cf.compact()
 
-        def counts(name):
+        def attrs(name, *keys):
             return [
-                tuple(span.attrs[key] for key in ("blocks", "columnar_blocks", "fallback_blocks"))
+                tuple(span.attrs[key] for key in keys)
                 for span in tracer.roots if span.name == name
             ]
 
-        assert counts("nosqldb.flush") == [(1, 1, 0), (1, 0, 1)]
-        # compaction re-encodes both rows into one block: refused again
-        assert counts("nosqldb.compaction") == [(1, 0, 1)]
-        assert registry.value("nosqldb_blocks_fallback_total") == 2
-        assert cf.stats().fallback_blocks == 1
+        assert attrs("nosqldb.flush", "blocks") == [(1,), (1,)]
+        assert attrs("nosqldb.compaction", "blocks") == [(1,)]
+        assert cf.stats().columnar_blocks == 1
         assert cf.get(2)["m"] == 6
-
-        def sources(name):
-            return [
-                (span.attrs["rows_from_columns"], span.attrs["rows_resplit"])
-                for span in tracer.roots if span.name == name
-            ]
-
-        # the fresh one-row insert flushes from its run; the row naming
-        # m twice has no run and is re-split from its bytes
-        assert sources("nosqldb.flush") == [(1, 0), (0, 1)]
-        # compaction takes row 1 from its columnar chunks, row 2 from the
-        # split of its row-major block
-        assert sources("nosqldb.compaction") == [(1, 1)]
+        # the fresh one-row insert flushes from its run; the replayed row
+        # is re-split from its bytes
+        assert attrs("nosqldb.flush", "rows_from_columns", "rows_resplit") == [(1, 0), (0, 1)]
+        # compaction takes both rows from their blocks' column chunks
+        assert attrs("nosqldb.compaction", "rows_from_columns", "rows_resplit") == [(2, 0)]
         assert registry.value("nosqldb_flushed_run_rows_total", "t") == 1
         for span in tracer.roots:
             if span.name in ("nosqldb.flush", "nosqldb.compaction"):
                 assert all(span.attrs[key] >= 0 for key in ("encode_s", "compress_s", "write_s"))
-
 
 class TestFlushFromRuns:
     """Storing a Week-shaped cube on NoSQL-DWARF writes every node and
