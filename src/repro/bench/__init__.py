@@ -10,7 +10,7 @@ from repro.bench.datasets import (
     load_dataset,
     scaled_tuples,
 )
-from repro.bench.reporting import format_table, paper_vs_measured, shape_check
+from repro.bench.reporting import format_table
 from repro.bench.runner import (
     DATASET_ORDER,
     PAPER_TABLE4_MB,
@@ -33,9 +33,7 @@ __all__ = [
     "current_scale",
     "format_table",
     "load_dataset",
-    "paper_vs_measured",
     "run_cell",
     "run_matrix",
     "scaled_tuples",
-    "shape_check",
 ]

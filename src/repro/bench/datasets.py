@@ -90,8 +90,8 @@ def load_dataset(
 ) -> DatasetBundle:
     """Generate documents, extract facts and build the cube for one period.
 
-    Results are cached per (name, scale) so the Table 4 and Table 5
-    benches reuse the same cubes.
+    Results are cached per (name, scale) so every schema's Table 4/5
+    cell stores the same cube.
     """
     spec = DATASETS_BY_NAME[name]
     scale = current_scale() if scale is None else scale

@@ -1,13 +1,13 @@
 """Paper-versus-measured reporting for the benchmark harness.
 
-Each bench regenerates one table of the paper and prints it in the
-paper's layout (schemas as rows, datasets as columns) next to the
-published values, so the shape comparison is immediate.
+``repro bench`` prints Tables 4 and 5 in the paper's layout (schemas
+as rows, datasets as columns) with the published values beside this
+run's, so the shape comparison is immediate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 def format_table(
@@ -37,39 +37,3 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.2f}" if value < 100 else f"{value:.0f}"
     return str(value)
-
-
-def paper_vs_measured(
-    title: str,
-    columns: Sequence[str],
-    paper_rows: Dict[str, Sequence[object]],
-    measured_rows: Dict[str, Sequence[object]],
-    note: str = "",
-) -> str:
-    """Two stacked tables: the paper's numbers, then this run's."""
-    parts = [
-        format_table(f"{title} — paper", columns, paper_rows),
-        "",
-        format_table(f"{title} — measured (this run)", columns, measured_rows, note),
-    ]
-    return "\n".join(parts)
-
-
-def shape_check(
-    measured: Dict[str, float],
-    expected_order: List[str],
-    tolerance: float = 0.0,
-) -> List[str]:
-    """Verify an ordering like ``["NoSQL-DWARF", "MySQL-Min", ...]`` holds.
-
-    Returns a list of violations (empty when the shape matches).
-    ``tolerance`` allows a fractional slack before flagging an inversion.
-    """
-    violations = []
-    for earlier, later in zip(expected_order, expected_order[1:]):
-        lo, hi = measured[earlier], measured[later]
-        if lo > hi * (1.0 + tolerance):
-            violations.append(
-                f"{earlier} ({lo:.1f}) should not exceed {later} ({hi:.1f})"
-            )
-    return violations

@@ -49,9 +49,9 @@ def run_cell(schema_name: str, dataset_name: str, mapper=None) -> CellResult:
     insert (the paper's "time taken to insert a DWARF cube"); the size
     probe runs after the clock stops, like the paper's separate
     ``size_as_mb`` update.  The garbage collector is paused over the
-    timed region, as the pytest benchmarks pause it: a full collection
-    scans every cached dataset, and whichever cell it happens to land in
-    pays tens of milliseconds that are harness noise, not insert cost.
+    timed region: a full collection scans every cached dataset, and
+    whichever cell it happens to land in pays tens of milliseconds that
+    are harness noise, not insert cost.
     """
     bundle: DatasetBundle = load_dataset(dataset_name)
     owns_mapper = mapper is None

@@ -480,9 +480,6 @@ class CubeMapper:
     #: instead of serving rows from a superseded physical cube.
     cube_epoch = 0
 
-    #: Appended to every CREATE TABLE (NoSQL-DWARF's compression switch).
-    table_options = ""
-
     def __init__(self, engine, namespace: str) -> None:
         self.engine = engine
         self.namespace = namespace
@@ -525,7 +522,7 @@ class CubeMapper:
         )
         session.execute(f"USE {self.namespace}")
         for table in mapping.tables:
-            session.execute(table.ddl() + self.table_options)
+            session.execute(table.ddl())
         for table in mapping.tables:
             for column in table.indexes:
                 session.execute(f"CREATE INDEX IF NOT EXISTS ON {table.name} ({column})")

@@ -65,18 +65,15 @@ class NoSQLDwarfMapper(CubeMapper):
         self,
         engine: Optional[NoSQLEngine] = None,
         keyspace: str = DEFAULT_KEYSPACE,
-        compression: bool = True,
     ) -> None:
         super().__init__(engine or NoSQLEngine(), keyspace)
         self.keyspace_name = keyspace
-        self.compression = compression
-        self.table_options = "" if compression else " WITH COMPRESSION = false"
 
     def statements(self, cube: DwarfCube, schema_id: int = 1) -> Iterator[str]:
         """Literal CQL INSERTs for ``cube`` (the Fig. 3 transformation).
 
         The bulk path uses prepared statements instead; this generator is
-        the textual form used in tests and the raw-CQL ablation bench.
+        the textual form the Fig. 3 tests parse and execute.
         """
         flat = cube_columns(cube)
         mapping = self.mapping

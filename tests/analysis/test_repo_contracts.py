@@ -30,6 +30,9 @@
   ``stored_cell_count`` share one walk over a per-schema cell source on
   all four schemas: the same table keeps a second walk and a
   one-schema restriction out of ``repro.mapping``.
+* **One benchmark ruler.** ``repro bench`` regenerates Tables 4/5 and
+  ``benchmarks/e2e`` measures performance: the same table keeps
+  per-table pytest scripts, their timing helper and fixture out.
 * **Source rules.** REPRO006 (the kernel imports only itself and
   telemetry), REPRO007 (no raw ``perf_counter``), REPRO008 (lock
   discipline), REPRO012 (import layers, path bans and no top-level
@@ -214,6 +217,8 @@ class Contract(NamedTuple):
     allowed: Tuple[str, ...] = ()
     #: Hits tolerated outside ``allowed``.
     max_hits: int = 0
+    #: A file within ``scope`` whose repo-relative path matches this is a hit.
+    banned_paths: str = ""
 
 
 _EXECUTORS = ("src/repro/sqldb/sql/executor.py", "src/repro/nosqldb/cql/executor.py")
@@ -264,6 +269,13 @@ CONTRACTS = [
     Contract("a second stored-query walk or a one-schema stored query",
              r"\b(_descend|_select_one|_select_plans|_select_kernels)\b"
              r"|implemented for NoSQL-DWARF", ("src/repro/mapping",)),
+    # Tables 4/5 come from `repro bench` and performance from benchmarks/e2e.
+    Contract("a second benchmark ruler",
+             r"pytest[-_]benchmark|\bbenchmark\.(pedantic|stats)\b|def test_\w*\(.*\bbenchmark\b",
+             ("src", "tests", "benchmarks", "pyproject.toml", "setup.py", "src/repro.egg-info/requires.txt",
+              ".github/workflows/ci.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md"),
+             allowed=("tests/analysis/test_repo_contracts.py",),
+             banned_paths=r"benchmarks/(bench_\w*|_timing|conftest)\.py"),
 ]
 
 
@@ -271,16 +283,29 @@ def _under(path: str, prefixes) -> bool:
     return any(path == prefix or path.startswith(prefix + "/") for prefix in prefixes)
 
 
+def _scoped_files(root: Path, scope):
+    """The ``.py`` files under each directory of ``scope``, and each file it names."""
+    for prefix in scope:
+        path = root / prefix
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        elif path.is_file():
+            yield path
+
+
 def contract_hits(contract: Contract, root: Path = ROOT):
     pattern = re.compile(contract.pattern)
-    return [
-        f"{relative}:{number}: {line.strip()}"
-        for path in sorted((root / "src").rglob("*.py"))
-        for relative in [path.relative_to(root).as_posix()]
-        if _under(relative, contract.scope) and not _under(relative, contract.allowed)
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if pattern.search(line)
-    ]
+    hits = []
+    for path in _scoped_files(root, contract.scope):
+        relative = path.relative_to(root).as_posix()
+        if _under(relative, contract.allowed):
+            continue
+        if contract.banned_paths and re.fullmatch(contract.banned_paths, relative):
+            hits.append(relative)
+        hits += [f"{relative}:{number}: {line.strip()}"
+                 for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if pattern.search(line)]
+    return hits
 
 
 @pytest.mark.parametrize("contract", CONTRACTS, ids=lambda c: c.breach)
@@ -343,6 +368,29 @@ def test_contract_table_catches_a_second_block_format(tmp_path, source):
     assert contract_hits(contract, tmp_path) == ["src/repro/nosqldb/sstable.py:1: " + source.strip()]
 
 
+def test_contract_table_catches_a_second_benchmark_ruler(tmp_path):
+    contract = next(c for c in CONTRACTS if c.breach == "a second benchmark ruler")
+    planted = {
+        "benchmarks/bench_table4_storage_size.py": "def test_table4_shape(benchmark):",
+        "benchmarks/_timing.py": "",
+        "benchmarks/conftest.py": "",
+        "benchmarks/e2e/_timing.py": "",
+        "tests/core/test_insert.py": "    benchmark.pedantic(run, rounds=1, iterations=1)",
+        "pyproject.toml": 'test = ["pytest", "pytest_benchmark", "hypothesis"]',
+    }
+    for relative, source in planted.items():
+        (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / relative).write_text(source + "\n", encoding="utf-8")
+    assert sorted(contract_hits(contract, tmp_path)) == sorted([
+        "benchmarks/_timing.py",
+        "benchmarks/bench_table4_storage_size.py",
+        "benchmarks/bench_table4_storage_size.py:1: def test_table4_shape(benchmark):",
+        "benchmarks/conftest.py",
+        "tests/core/test_insert.py:1: benchmark.pedantic(run, rounds=1, iterations=1)",
+        'pyproject.toml:1: test = ["pytest", "pytest_benchmark", "hypothesis"]',
+    ])
+
+
 # ----------------------------------------------------------------------
 # source rules, labelled by their REPRO ids
 # ----------------------------------------------------------------------
@@ -402,10 +450,10 @@ class ImportBan(NamedTuple):
 
 
 def raw_clock_findings(relative: str, tree: ast.Module):
-    """REPRO007: ``perf_counter`` only in the telemetry package and the benchmark timing helper."""
-    if _under(relative, ("src/repro/telemetry", "benchmarks/_timing.py")):
+    """REPRO007: ``perf_counter`` only in the telemetry package."""
+    if _under(relative, ("src/repro/telemetry",)):
         return []
-    return [(node.lineno, "raw perf_counter; time through repro.telemetry or benchmarks/_timing.py")
+    return [(node.lineno, "raw perf_counter; time through repro.telemetry.wall_clock or a span")
             for node in walked(tree)
             if "perf_counter" in (getattr(node, "id", None), getattr(node, "attr", None))
             or isinstance(node, ast.ImportFrom) and any(alias.name == "perf_counter" for alias in node.names)]
@@ -492,7 +540,7 @@ def telemetry_name_findings(relative: str, tree: ast.Module):
 FILE_RULES = {
     "REPRO006 the query kernel imports a repro package other than itself and telemetry":
         ImportBan(("src/repro/query",), ("repro",), ("repro.query", "repro.telemetry")),
-    "REPRO007 a raw perf_counter outside the telemetry package and benchmarks/_timing.py": raw_clock_findings,
+    "REPRO007 a raw perf_counter outside the telemetry package": raw_clock_findings,
     "REPRO008 a lock-guarded field written outside its lock": lock_findings,
     "REPRO012 a statement front end imports the mapping layer":
         ImportBan(("src/repro/sqldb/sql", "src/repro/nosqldb/cql"), ("repro.mapping",)),
@@ -607,7 +655,7 @@ PLANTED = {
         ("REPRO006", "src/repro/query/plan.py", "def f():\n    from repro.sqldb.table import Table\n", 2),
     "REPRO006-package-import": ("REPRO006", "src/repro/query/plan.py", "from repro import core\n", 1),
     "REPRO007-call": ("REPRO007", "src/repro/etl/stream.py", "import time\nstart = time.perf_counter()\n", 2),
-    "REPRO007-import": ("REPRO007", "benchmarks/bench_x.py", "from time import perf_counter as clock\n", 1),
+    "REPRO007-import": ("REPRO007", "benchmarks/e2e/run.py", "from time import perf_counter as clock\n", 1),
     "REPRO008-write-after-with": ("REPRO008", "src/repro/x.py", LOCKED_CLASS + "\n    def racy(self):\n"
                                   "        with self._lock:\n            pass\n        self.n += 1\n", 19),
     "REPRO008-unguarded-method": ("REPRO008", "src/repro/x.py",
@@ -617,7 +665,7 @@ PLANTED = {
                                            "def f():\n    import repro.mapping.base\n", 2),
     "REPRO012-storage-imports-etl":
         ("REPRO012 storage", "src/repro/storage/codec.py", "from repro.etl import pipeline\n", 1),
-    "REPRO014-span": ("REPRO014", "benchmarks/bench_x.py", "tracer.span('dwarf.biuld')\n", 1),
+    "REPRO014-span": ("REPRO014", "benchmarks/e2e/workloads.py", "tracer.span('dwarf.biuld')\n", 1),
     "REPRO014-counter":
         ("REPRO014", "src/repro/dwarf/builder.py", "registry.counter('dwarf_typo_total', 'help')\n", 1),
 }

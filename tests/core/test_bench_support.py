@@ -11,7 +11,7 @@ from repro.bench.datasets import (
     scaled_days,
     scaled_tuples,
 )
-from repro.bench.reporting import format_table, paper_vs_measured, shape_check
+from repro.bench.reporting import format_table
 from repro.bench.runner import (
     DATASET_ORDER,
     PAPER_TABLE4_MB,
@@ -31,6 +31,10 @@ class TestDatasets:
         assert scaled_tuples(spec, scale=1.0) == 60_102
         assert scaled_tuples(spec, scale=0.5) == 30_051
         assert scaled_tuples(spec, scale=1e-9) == 1
+        # EXPERIMENTS.md Table 2 at the default 1/16 scale, growing with the period.
+        counts = [scaled_tuples(spec, scale=1 / 16) for spec in DATASETS]
+        assert counts == [460, 3_756, 7_433, 24_797, 73_834]
+        assert counts == sorted(counts)
 
     def test_scaled_days_keeps_density(self):
         spec = DATASETS_BY_NAME["SMonth"]
@@ -59,6 +63,8 @@ class TestDatasets:
         bundle = load_dataset("Week")
         assert bundle.cube.n_source_tuples == bundle.n_tuples
         assert bundle.spec.name == "Week"
+        # Document density near the paper's ~300 B/record (Table 2: 2.1 MB / 7,358).
+        assert 200 <= bundle.documents.size_bytes / bundle.n_tuples <= 500
         clear_cache()
 
 
@@ -90,23 +96,3 @@ class TestReporting:
         assert "row1" in text and "2.50" in text
         assert "-" in lines[-2]  # None rendered as dash
         assert lines[-1] == "n"
-
-    def test_paper_vs_measured_layout(self):
-        text = paper_vs_measured(
-            "T", ["a"], {"x (paper)": [1]}, {"x (measured)": [2]}
-        )
-        assert "T — paper" in text and "T — measured (this run)" in text
-
-    def test_shape_check_passes(self):
-        measured = {"fast": 1.0, "mid": 2.0, "slow": 9.0}
-        assert shape_check(measured, ["fast", "mid", "slow"]) == []
-
-    def test_shape_check_flags_inversion(self):
-        measured = {"fast": 3.0, "slow": 1.0}
-        violations = shape_check(measured, ["fast", "slow"])
-        assert len(violations) == 1
-        assert "fast" in violations[0]
-
-    def test_shape_check_tolerance(self):
-        measured = {"fast": 1.05, "slow": 1.0}
-        assert shape_check(measured, ["fast", "slow"], tolerance=0.1) == []

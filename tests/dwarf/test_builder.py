@@ -83,6 +83,14 @@ class TestSuffixCoalescing:
         assert c_stats.shared_node_count > 0
         assert e_stats.shared_node_count == 0
 
+    def test_coalescing_more_than_halves_a_bike_cube(self, bike_bundle):
+        """On feed data, private views cost over twice the nodes and cells."""
+        _, facts, coalesced = bike_bundle
+        exploded = DwarfBuilder(facts.schema, coalesce=False).build(facts)
+        assert exploded.total() == coalesced.total()
+        assert exploded.stats.node_count > 2 * coalesced.stats.node_count
+        assert exploded.stats.cell_count > 2 * coalesced.stats.cell_count
+
     def test_no_coalesce_cube_answers_identically(self, sample_facts):
         coalesced = DwarfBuilder(sample_facts.schema, coalesce=True).build(sample_facts)
         exploded = DwarfBuilder(sample_facts.schema, coalesce=False).build(sample_facts)

@@ -20,27 +20,45 @@ def reference_cube(feed):
     return CubeConstructionPipeline(bikes_pipeline()).build(feed)
 
 
+@pytest.fixture(scope="module")
+def stored(feed):
+    """Per schema: the pipeline that stored the feed's cube, its id and
+    the stored bytes (Table 4's quantity)."""
+    stored = {}
+    for mapper in all_mappers():
+        pipeline = CubeConstructionPipeline(bikes_pipeline(), mapper)
+        schema_id = pipeline.run(feed).schema_id
+        stored[mapper.name] = (pipeline, schema_id, mapper.size_bytes())
+    return stored
+
+
+@pytest.fixture(scope="module")
+def sizes(stored):
+    return {name: size for name, (_, _, size) in stored.items()}
+
+
 class TestFourSchemasAgree:
-    def test_all_mappers_store_and_agree(self, feed, reference_cube):
+    def test_all_mappers_store_and_agree(self, stored, reference_cube):
         """The same cube through all four schemas answers identically."""
         totals = {}
-        for mapper in all_mappers():
-            pipeline = CubeConstructionPipeline(bikes_pipeline(), mapper)
-            report = pipeline.run(feed)
-            rebuilt = pipeline.reload(report.schema_id)
-            totals[mapper.name] = rebuilt.total()
+        for name, (pipeline, schema_id, _) in stored.items():
+            rebuilt = pipeline.reload(schema_id)
+            totals[name] = rebuilt.total()
             assert sorted(rebuilt.leaves()) == sorted(reference_cube.leaves())
         assert len(set(totals.values())) == 1
 
-    def test_sizes_ordered_like_table4(self, feed):
-        """MySQL-DWARF must be the largest store (Table 4's robust shape)."""
-        sizes = {}
-        for mapper in all_mappers():
-            pipeline = CubeConstructionPipeline(bikes_pipeline(), mapper)
-            pipeline.run(feed)
-            sizes[mapper.name] = mapper.size_bytes()
-        assert sizes["MySQL-DWARF"] == max(sizes.values())
-        assert sizes["NoSQL-Min"] > sizes["NoSQL-DWARF"]
+    def test_sizes_ordered_like_table4(self, sizes):
+        """MySQL-DWARF is the largest store (its link-table rows), and
+        NoSQL-Min outgrows NoSQL-DWARF (its two secondary indexes)."""
+        assert sizes["MySQL-DWARF"] == max(sizes.values()), sizes
+        assert sizes["NoSQL-Min"] > sizes["NoSQL-DWARF"], sizes
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "EXPERIMENTS.md known deviation 2: columnar SSTable blocks shrank "
+        "NoSQL-DWARF, so MySQL-Min reads ~2.4x it, not the paper's near tie"))
+    def test_mysql_min_near_nosql_dwarf_like_table4(self, sizes):
+        """The paper has MySQL-Min and NoSQL-DWARF within a few percent."""
+        assert 0.65 <= sizes["MySQL-Min"] / sizes["NoSQL-DWARF"] <= 1.35, sizes
 
 
 class TestAnalyticalQueries:
