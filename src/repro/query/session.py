@@ -222,6 +222,8 @@ class Executor:
     def _insert(self, statement: Insert):
         reject_repeated_columns(statement.columns, self.error)
         table = self._table(statement.source)
+        for column in statement.columns:
+            table.column(column)  # a name the table lacks fails, NULL or not
         count = 0
         for values in statement.rows:
             row = {}

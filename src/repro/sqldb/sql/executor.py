@@ -105,22 +105,25 @@ class SQLExecutor(Executor):
         return _SelectPlanBuilder(tables, stmt.source.alias, stmt).build(guards)
 
     def _writer(self, table: Table, columns, values):
-        template = [
-            (column, True, value.index) if isinstance(value, ast.Placeholder)
-            else (column, False, value)
-            for column, value in zip(columns, values)
+        """Feeds :meth:`Table.insert_columns` the batch's columns as they
+        are, a constant slot as a constant column.  Raises
+        ProgrammingError for a column the table lacks."""
+        for name in columns:
+            table.column(name)
+        slots = [  # (marker index, None) or (None, constant)
+            (value.index, None) if isinstance(value, ast.Placeholder) else (None, value)
+            for value in values
         ]
 
-        def dict_rows(rows):
-            for params in rows:
-                row = {}
-                for column, is_bind, value in template:
-                    resolved = params[value] if is_bind else value
-                    if resolved is not None:
-                        row[column] = resolved
-                yield row
+        def write(batch) -> int:
+            if not batch.n:
+                return 0
+            return table.insert_columns(columns, [
+                [constant] * batch.n if index is None else batch.values[index]
+                for index, constant in slots
+            ])
 
-        return lambda batch: table.insert_rows(dict_rows(batch.rows()))
+        return write
 
     # -- DDL ---------------------------------------------------------------------
     def _create_database(self, stmt: ast.CreateDatabase):

@@ -13,9 +13,11 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.query.batch import Batch, VectorBatch
+from repro.query.session import reject_repeated_columns
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.sqldb.types import SQLType
 from repro.storage.btree import BTree
+from repro.telemetry import get_registry
 
 #: InnoDB record overhead: 5 B record header + 6 B DB_TRX_ID + 7 B DB_ROLL_PTR.
 ROW_HEADER_BYTES = 18
@@ -30,11 +32,37 @@ _REDO_HEADER = b"\x00" * REDO_HEADER_BYTES
 #: Insert undo record: type + table id + primary key reference.
 _UNDO_RECORD = b"\x00" * 20
 
+#: What lies between two rows' images in the redo log.
+_REDO_SEPARATOR = _UNDO_RECORD + _REDO_HEADER
+
 #: Row-based binary log event header (timestamp, server id, event size, ...).
 _BINLOG_HEADER = b"\x00" * 19
 
 #: Dirty-page volume that triggers a buffer-pool flush during bulk loads.
 DIRTY_FLUSH_BYTES = 2 * 1024 * 1024
+
+_REGISTRY = get_registry()
+_M_ROWS = _REGISTRY.counter(
+    "sqldb_rows_written_total", "rows inserted", labels=("table",)
+)
+_M_REDO_BYTES = _REGISTRY.counter(
+    "sqldb_redo_bytes_total", "redo and undo log bytes appended by inserts", labels=("table",)
+)
+_M_BINLOG_BYTES = _REGISTRY.counter(
+    "sqldb_binlog_bytes_total", "binary log bytes appended by inserts", labels=("table",)
+)
+_M_INDEX_ENTRIES = _REGISTRY.counter(
+    "sqldb_index_entries_total", "secondary-index entries written by inserts",
+    labels=("table",),
+)
+
+
+def _first_none(values: Sequence, stop: int) -> int:
+    """Position of the first None among ``values[:stop]``, else ``stop``."""
+    try:
+        return values.index(None, 0, stop)
+    except ValueError:
+        return stop
 
 
 class SQLColumn:
@@ -81,6 +109,10 @@ class Table:
         self._index_names: Dict[str, str] = {}
         self._redo_log = redo_log
         self._binlog = binlog
+        self._m_rows = _M_ROWS.labels(name)
+        self._m_redo_bytes = _M_REDO_BYTES.labels(name)
+        self._m_binlog_bytes = _M_BINLOG_BYTES.labels(name)
+        self._m_index_entries = _M_INDEX_ENTRIES.labels(name)
         self._n_rows = 0
         self._dirty_bytes = 0
         # Monotonic mutation counter; readers snapshot it to build
@@ -222,86 +254,162 @@ class Table:
     # mutation
     # ------------------------------------------------------------------
     def insert(self, row: Dict[str, object]) -> None:
-        """Insert one row.
+        """Insert one row: a one-row :meth:`insert_columns`.
 
         Raises ProgrammingError for unknown columns and IntegrityError for
         NOT NULL or duplicate-primary-key violations.
         """
-        self.insert_rows((row,))
+        names = list(row) or [self.primary_key[0]]  # an empty row: a NULL key
+        self.insert_columns(names, [(row.get(name),) for name in names])
 
-    def insert_rows(self, rows) -> int:
-        """The one row-write loop: many row dicts; returns the count.
+    def insert_columns(self, names: Sequence[str], columns: Sequence[Sequence]) -> int:
+        """The one write loop: rows given column-wise — ``columns[j][i]``
+        is row ``i``'s value of column ``names[j]``, None for NULL, and a
+        column ``names`` leaves out is NULL.  Returns the count written.
 
-        Per row: validation, encoding, the redo/undo and binlog records,
-        the clustered and secondary index inserts and the dirty-page
-        flush check — in that order, so a batch stores exactly the bytes
-        the same rows inserted one at a time would.  Rows before a
-        failing one stay written.
+        Each column is checked and encoded whole, its type resolved once
+        (:meth:`SQLType.encode_column`), NOT NULL with one membership
+        test, and each row assembled from the cells as :meth:`encode_row`
+        builds it.  Then per row, in row order: the clustered insert,
+        whose one descent refuses a duplicate key; the secondary-index
+        entries; the dirty-page flush check.  The redo/undo and binlog
+        images of the rows written follow in one append each.  A batch
+        stores exactly the bytes the same rows inserted one at a time
+        would.
 
-        Raises ProgrammingError for unknown columns and IntegrityError for
-        NOT NULL or duplicate-primary-key violations.
+        Raises ProgrammingError, before anything is written, for a name
+        the table lacks or one named twice.  For row ``k``'s ill-typed or
+        out-of-range value (ProgrammingError), NULL into NOT NULL, NULL
+        key or duplicate key (IntegrityError) it raises what inserting
+        row ``k`` alone would, checked in that order (columns in table
+        order); rows before ``k`` are written, nothing after.
         """
-        by_name = self._by_name
-        columns = self.columns
+        reject_repeated_columns(names, ProgrammingError)
+        given = {self.column(name).name: values for name, values in zip(names, columns)}
+        n = len(columns[0]) if columns else 0
         primary_key = self.primary_key
+        # The first row that fails a check, and its error.
+        stop, error = n, None
+        # Bits of the columns present in every row before ``stop``, and
+        # (bit, values) of those NULL in some; each present column's cells.
+        fixed, varying, cells = 0, [], []
+        for index, column in enumerate(self.columns):
+            values = given.get(column.name)
+            if values is None or not stop:
+                if column.not_null and column.name not in primary_key and stop:
+                    stop, error = 0, IntegrityError(f"column {column.name!r} is NOT NULL")
+                continue
+            if stop < len(values):
+                values = values[:stop]
+            null_at = None
+            if None in values and column.not_null and column.name not in primary_key:
+                null_at = values.index(None)
+                values = values[:null_at]
+            encoded, failure = column.sql_type.encode_column(values)
+            if failure is not None:
+                stop, error = len(encoded), failure
+            elif null_at is not None:
+                stop, error = null_at, IntegrityError(f"column {column.name!r} is NOT NULL")
+            if None in values:
+                varying.append((1 << index, values))
+            else:
+                fixed |= 1 << index
+            cells.append(encoded)
+        for name in primary_key:
+            values = given.get(name)
+            null_at = 0 if values is None else _first_none(values, stop)
+            if null_at < stop:
+                stop, error = null_at, IntegrityError(f"primary key column {name!r} cannot be NULL")
+        rows = self._assemble(stop, fixed, varying, cells)
+        if len(primary_key) == 1:
+            keys = given[primary_key[0]] if stop else ()
+        else:
+            keys = list(zip(*(given[name] for name in primary_key))) if stop else ()
+        written = self._write(keys, rows, given)
+        if error is not None:
+            raise error
+        return written
+
+    def _assemble(self, n: int, fixed: int, varying, cells) -> List[bytes]:
+        """The first ``n`` encoded rows: each is its null bitmap, then
+        its cells in column order."""
+        width = (len(self.columns) + 7) // 8
+        if varying:
+            masks = [fixed] * n
+            for bit, values in varying:
+                masks = [
+                    mask if value is None else mask | bit
+                    for mask, value in zip(masks, values)
+                ]
+            bitmap_of = {mask: mask.to_bytes(width, "little") for mask in set(masks)}
+            bitmaps = list(map(bitmap_of.__getitem__, masks))
+        else:
+            bitmaps = [fixed.to_bytes(width, "little")] * n
+        return list(map(b"".join, zip(bitmaps, *cells)))
+
+    def _write(self, keys: Sequence, rows: List[bytes], given: Dict[str, Sequence]) -> int:
+        """Store ``rows`` under ``keys`` in order, up to the first
+        duplicate key, which raises IntegrityError; returns the count."""
         clustered = self._clustered
+        insert_new = clustered.insert_new
         secondary = self._secondary
+        indexed = [(tree, given[name]) for name, tree in secondary.items() if name in given]
+        dirty = self._dirty_bytes
+        written = entries = 0
+        try:
+            for key, encoded in zip(keys, rows):
+                if not insert_new(key, encoded):
+                    raise IntegrityError(
+                        f"duplicate primary key {key!r} in table {self.name!r}"
+                    )
+                for tree, values in indexed:
+                    value = values[written]
+                    if value is not None:
+                        tree.insert((value, key))
+                        entries += 1
+                written += 1
+                # InnoDB flushes dirty buffer-pool pages continuously
+                # under bulk load; clients share that I/O cost.
+                dirty += len(encoded) + ROW_HEADER_BYTES
+                if dirty >= DIRTY_FLUSH_BYTES:
+                    clustered.flush()
+                    for tree in secondary.values():
+                        tree.flush()
+                    dirty = 0
+        finally:
+            self._dirty_bytes = dirty
+            self._n_rows += written
+            self._version += written
+            if written:
+                self._log(rows[:written] if written < len(rows) else rows, entries)
+        return written
+
+    def _log(self, rows: List[bytes], entries: int) -> None:
+        """Append the redo/undo and binlog images of ``rows`` and count
+        the batch's work."""
+        payload = sum(map(len, rows))
         redo_log = self._redo_log
+        if redo_log is not None:
+            # InnoDB writes each mutation to the redo log before touching
+            # the page, and builds an undo record for transaction rollback.
+            redo_log += _REDO_HEADER
+            redo_log += _REDO_SEPARATOR.join(rows)
+            redo_log += _UNDO_RECORD
+            self._m_redo_bytes.inc(payload + len(rows) * len(_REDO_SEPARATOR))
         binlog = self._binlog
-        encode_row = self.encode_row
-        pk_of = self._pk_of
-        count = 0
-        for row in rows:
-            for name in row:
-                if name not in by_name:
-                    raise ProgrammingError(f"table {self.name!r} has no column {name!r}")
-            for column in columns:
-                value = row.get(column.name)
-                if value is None:
-                    if column.not_null and column.name not in primary_key:
-                        raise IntegrityError(f"column {column.name!r} is NOT NULL")
-                    continue
-                column.sql_type.validate(value)
-            key = pk_of(row)
-            if key in clustered:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-            encoded = encode_row(row)
-            if redo_log is not None:
-                # InnoDB writes each mutation to the redo log before
-                # touching the page, and builds an undo record for
-                # transaction rollback.
-                redo_log += _REDO_HEADER
-                redo_log += encoded
-                redo_log += _UNDO_RECORD
-            if binlog is not None:
-                # Row-based replication log (on by default in production MySQL).
-                binlog += _BINLOG_HEADER
-                binlog += encoded
-            clustered.insert(key, encoded)
-            for column_name, tree in secondary.items():
-                value = row.get(column_name)
-                if value is not None:
-                    tree.insert((value, key))
-            self._n_rows += 1
-            self._version += 1
-            # InnoDB flushes dirty buffer-pool pages continuously under
-            # bulk load; clients share that I/O cost.
-            self._dirty_bytes += len(encoded) + ROW_HEADER_BYTES
-            if self._dirty_bytes >= DIRTY_FLUSH_BYTES:
-                clustered.flush()
-                for tree in secondary.values():
-                    tree.flush()
-                self._dirty_bytes = 0
-            count += 1
-        return count
+        if binlog is not None:
+            # Row-based replication log (on by default in production MySQL).
+            binlog += _BINLOG_HEADER
+            binlog += _BINLOG_HEADER.join(rows)
+            self._m_binlog_bytes.inc(payload + len(rows) * len(_BINLOG_HEADER))
+        self._m_rows.inc(len(rows))
+        self._m_index_entries.inc(entries)
 
     def update_where(self, predicate, assignments: Dict[str, object]) -> int:
         """Update all rows matching ``predicate(row)``; returns the count.
 
         Every assignment is checked before any row or index is touched,
-        with the rules :meth:`insert_rows` applies.  Raises
+        with the rules :meth:`insert_columns` applies.  Raises
         ProgrammingError for unknown, primary-key or ill-typed
         assignments and IntegrityError for NULL into a NOT NULL column.
         """

@@ -10,7 +10,7 @@ Cassandra schemas (Table 4).
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sqldb.errors import ProgrammingError
 from repro.storage.encoding import decode_text, encode_text, text_span
@@ -24,12 +24,51 @@ class SQLType:
     name = "?"
     #: Stored bytes of every value, or None for a length-prefixed type.
     width: Optional[int] = None
+    #: Value types :meth:`encode_valid` checks as a whole column.
+    column_types: frozenset = frozenset()
 
     def validate(self, value) -> None:
         raise NotImplementedError
 
     def encode(self, value) -> bytes:
         raise NotImplementedError
+
+    def encode_column(self, values: Sequence) -> Tuple[List[bytes], Optional[Exception]]:
+        """:meth:`validate` then :meth:`encode` of each of ``values``, a
+        None (NULL, which stores nothing) as ``b""``: one column of a
+        bulk write, its type resolved once.  Returns the cells before the
+        first value that fails and that value's error, None when every
+        value encoded.
+
+        When every present value is of :attr:`column_types`, one check
+        over them all (:meth:`encode_valid`) stands in for validating
+        each.
+        """
+        present = values if None not in values else [v for v in values if v is not None]
+        if set(map(type, present)) <= self.column_types:
+            cells = self.encode_valid(values, present)
+            if cells is not None:
+                return cells, None
+        validate, encode = self.validate, self.encode
+        cells = []
+        for value in values:
+            if value is None:
+                cells.append(b"")
+                continue
+            try:
+                validate(value)
+                cells.append(encode(value))
+            except (ProgrammingError, ValueError) as error:
+                return cells, error
+        return cells, None
+
+    def encode_valid(self, values: Sequence, present: Sequence) -> Optional[List[bytes]]:
+        """The cells of ``values``, whose non-None values ``present`` are
+        all of :attr:`column_types`; None when one of them is invalid."""
+        encode = self.encode
+        if present is values:
+            return list(map(encode, values))
+        return [b"" if value is None else encode(value) for value in values]
 
     def decode(self, buffer, offset: int) -> Tuple[object, int]:
         raise NotImplementedError
@@ -53,6 +92,7 @@ class SQLType:
 class IntType(SQLType):
     name = "int"
     width = 4
+    column_types = frozenset((int,))
     _range = (-(2 ** 31), 2 ** 31 - 1)
 
     def validate(self, value) -> None:
@@ -62,6 +102,13 @@ class IntType(SQLType):
         lo, hi = self._range
         if not lo <= value <= hi:
             raise ProgrammingError(f"{value} out of range for {self.name.upper()}")
+
+    def encode_valid(self, values, present):
+        """One ``min``/``max`` range check for the whole column."""
+        lo, hi = self._range
+        if present and not (lo <= min(present) and max(present) <= hi):
+            return None
+        return super().encode_valid(values, present)
 
     def encode(self, value) -> bytes:
         return _INT4.pack(value)
@@ -87,6 +134,7 @@ class BooleanType(SQLType):
 
     name = "boolean"
     width = 1
+    column_types = frozenset((bool, int))
 
     def validate(self, value) -> None:
         """Raises ProgrammingError for values that are not bool/int."""
@@ -101,6 +149,8 @@ class BooleanType(SQLType):
 
 
 class VarCharType(SQLType):
+    column_types = frozenset((str,))
+
     def __init__(self, max_length: int = 255) -> None:
         self.max_length = max_length
         self.name = f"varchar({max_length})"
@@ -117,6 +167,18 @@ class VarCharType(SQLType):
     def encode(self, value) -> bytes:
         return encode_text(value)
 
+    def encode_valid(self, values, present):
+        """Each distinct string is length-checked and encoded once."""
+        distinct = set(present)
+        if distinct and max(map(len, distinct)) > self.max_length:
+            return None
+        try:
+            encoded = dict(zip(distinct, map(encode_text, distinct)))
+        except UnicodeEncodeError:  # a lone surrogate: failed value by value
+            return None
+        encoded[None] = b""
+        return list(map(encoded.__getitem__, values))
+
     def decode(self, buffer, offset: int):
         return decode_text(buffer, offset)
 
@@ -132,11 +194,17 @@ class TextType(VarCharType):
 class DoubleType(SQLType):
     name = "double"
     width = 8
+    column_types = frozenset((float,))
 
     def validate(self, value) -> None:
-        """Raises ProgrammingError for values that are not int/float."""
+        """Raises ProgrammingError for values that are not int/float and
+        for an int too large for a double."""
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ProgrammingError(f"expected DOUBLE, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ProgrammingError(f"{value} out of range for DOUBLE") from None
 
     def encode(self, value) -> bytes:
         return _FLOAT8.pack(float(value))

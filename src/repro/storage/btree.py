@@ -12,12 +12,14 @@ Used as:
   effect behind the paper's NoSQL-Min insertion times (Table 5).
 
 Keys must be mutually comparable (the engines compose homogeneous key
-tuples).  Keys are unique; writing an existing key overwrites its value.
+tuples).  Keys are unique: :meth:`BTree.insert` overwrites an existing
+key's value, :meth:`BTree.insert_new` refuses it in the same descent.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.storage.encoding import (
@@ -46,6 +48,9 @@ DEFAULT_PAGE_CAPACITY = 64
 
 #: Fixed per-page header: page id, type tag, entry count, next-page pointer.
 PAGE_HEADER_BYTES = 16
+
+_INT = frozenset((int,))
+_TUPLE = frozenset((tuple,))
 
 
 def encode_key(key) -> bytes:
@@ -120,11 +125,27 @@ class _Leaf:
         self.dirty = True
 
     def encode(self) -> bytes:
-        parts = [encode_varint(len(self.keys))]
-        for key, value in zip(self.keys, self.values):
-            parts.append(encode_key(key))
-            parts.append(encode_bytes(value) if value is not None else b"\x00")
-        self.encoded = b"".join(parts)
+        """The page image: entry count, then each key's
+        :func:`encode_key` bytes and its value.  A page of ``int`` keys,
+        or of non-empty tuples of ``int``, has its keys encoded without
+        the recursive tag dispatch, to the same bytes."""
+        keys, values = self.keys, self.values
+        kinds = set(map(type, keys))
+        if kinds == _INT:
+            encoded_keys = [b"\x01" + item for item in map(encode_varint, keys)]
+        elif kinds == _TUPLE and all(keys) and set(map(type, chain.from_iterable(keys))) == _INT:
+            encoded_keys = [
+                b"\x05" + encode_varint(len(key)) + b"\x01" + b"\x01".join(map(encode_varint, key))
+                for key in keys
+            ]
+        else:
+            encoded_keys = list(map(encode_key, keys))
+        encoded_values = [
+            b"\x00" if value is None else encode_varint(len(value)) + value for value in values
+        ]
+        self.encoded = encode_varint(len(keys)) + b"".join(
+            chain.from_iterable(zip(encoded_keys, encoded_values))
+        )
         self.dirty = False
         return self.encoded
 
@@ -193,45 +214,59 @@ class BTree:
     # ------------------------------------------------------------------
     def insert(self, key, value: Optional[bytes] = None) -> None:
         """Insert or overwrite ``key``; ``value`` is an opaque payload."""
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            separator, right = split
-            new_root = _Internal()
-            new_root.keys = [separator]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._n_internal += 1
-            _M_PAGES_INTERNAL.inc()
+        self._put(key, value, True)
 
-    def _insert(self, node, key, value):
-        if isinstance(node, _Leaf):
-            index = bisect.bisect_left(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
-            else:
-                node.keys.insert(index, key)
-                node.values.insert(index, value)
-                self._n_entries += 1
+    def insert_new(self, key, value: Optional[bytes] = None) -> bool:
+        """Insert ``key`` unless it is present; returns False, with every
+        page left untouched, when it is."""
+        return self._put(key, value, False)
+
+    def _put(self, key, value, overwrite: bool) -> bool:
+        """The one insert descent: root to leaf once, remembering the
+        path, then the leaf insert and any splits carried back up it.
+        Returns True when ``key`` was new; an existing key is overwritten
+        when ``overwrite`` is set and left untouched otherwise."""
+        node = self._root
+        path = []
+        while type(node) is _Internal:
+            index = bisect.bisect_right(node.keys, key)
+            path.append((node, index))
+            node = node.children[index]
+        keys = node.keys
+        index = bisect.bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            if not overwrite:
+                return False
+            node.values[index] = value
             node.dirty = True
-            if len(node.keys) > self._capacity:
-                split = self._split_leaf(node)
-            else:
-                split = None
             if self._write_through:
                 node.encode()
-                if split is not None:
-                    split[1].encode()
-            return split
-        index = bisect.bisect_right(node.keys, key)
-        split = self._insert(node.children[index], key, value)
-        if split is None:
-            return None
-        separator, right = split
-        node.keys.insert(index, separator)
-        node.children.insert(index + 1, right)
-        if len(node.children) > self._capacity:
-            return self._split_internal(node)
-        return None
+            return False
+        keys.insert(index, key)
+        node.values.insert(index, value)
+        self._n_entries += 1
+        node.dirty = True
+        if len(keys) <= self._capacity:
+            if self._write_through:
+                node.encode()
+            return True
+        separator, right = self._split_leaf(node)
+        if self._write_through:
+            node.encode()
+            right.encode()
+        for parent, index in reversed(path):
+            parent.keys.insert(index, separator)
+            parent.children.insert(index + 1, right)
+            if len(parent.children) <= self._capacity:
+                return True
+            separator, right = self._split_internal(parent)
+        new_root = _Internal()
+        new_root.keys = [separator]
+        new_root.children = [self._root, right]
+        self._root = new_root
+        self._n_internal += 1
+        _M_PAGES_INTERNAL.inc()
+        return True
 
     def _split_leaf(self, leaf: _Leaf) -> Tuple[object, _Leaf]:
         middle = len(leaf.keys) // 2

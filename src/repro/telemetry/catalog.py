@@ -51,6 +51,10 @@ METRIC_NAMES = frozenset(
         "query_plan_cache_invalidations_total",
         "query_plan_cache_misses_total",
         "query_pushdown_rows_pruned_total",
+        "sqldb_binlog_bytes_total",
+        "sqldb_index_entries_total",
+        "sqldb_redo_bytes_total",
+        "sqldb_rows_written_total",
         "telemetry_slow_ops_dropped_total",
     )
 )

@@ -15,7 +15,9 @@
   batches: no per-row bound-item loop (``insert_bound_many``) or
   record-to-row adapter (``_record_rows``) is back under ``src/``
   (``tests/mapping/test_store_columns.py`` checks that no record is
-  built while storing).
+  built while storing).  The SQL write loop takes columns too: a
+  :data:`CONTRACTS` row keeps ``insert_rows`` and the ``dict_rows``
+  transpose out of ``src/``.
 * **One DWARF construction path.** ``DwarfBuilder`` builds and
   ``DeltaDwarfBuilder`` merges: no worker pool, ``REPRO_WORKERS``,
   open-root build or second merge helper is back under ``src/``.
@@ -255,6 +257,9 @@ CONTRACTS = [
              r"|fallback_blocks", ("src/repro",)),
     Contract("an sqldb leaf page handed up as a row batch",
              r"RowBatch\(", ("src/repro/sqldb/table.py",)),
+    # The SQL write loop moves columns: no row-dict transpose, no second loop.
+    Contract("a second SQL write loop or a row-dict transpose beside insert_columns",
+             r"insert_rows\(|dict_rows"),
     # SQL and CQL share one tokenizer, one parser core and one executor.
     Contract("a second tokenizer loop",
              r"lastgroup|def tokenize\b", allowed=("src/repro/query/syntax.py",)),
@@ -366,6 +371,19 @@ def test_contract_table_catches_a_second_block_format(tmp_path, source):
     copy.parent.mkdir(parents=True)
     copy.write_text(source + "\n", encoding="utf-8")
     assert contract_hits(contract, tmp_path) == ["src/repro/nosqldb/sstable.py:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("src/repro/sqldb/table.py", "    def insert_rows(self, rows) -> int:"),
+    ("src/repro/sqldb/sql/executor.py",
+     "        return lambda batch: table.insert_rows(dict_rows(batch.rows()))"),
+])
+def test_contract_table_catches_a_second_sql_write_loop(tmp_path, relative, source):
+    contract = next(c for c in CONTRACTS if c.breach.startswith("a second SQL write loop"))
+    copy = tmp_path / relative
+    copy.parent.mkdir(parents=True)
+    copy.write_text(source + "\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
 
 
 def test_contract_table_catches_a_second_benchmark_ruler(tmp_path):

@@ -448,11 +448,10 @@ def build_typed(columns, link_columns, indexed, rows, links):
         session.execute(f"CREATE INDEX t_idx ON t ({indexed})")
     database = session.engine.database("d")
     t, l = database.table("t"), database.table("l")
-    t.insert_rows(rows)
-    l.insert_rows(
-        {k: v for k, v in zip(("node_id", "cell_id", "w"), link) if v is not None}
-        for link in links
-    )
+    for row in rows:
+        t.insert(row)
+    for link in links:
+        l.insert({k: v for k, v in zip(("node_id", "cell_id", "w"), link) if v is not None})
     return session, t, l
 
 

@@ -47,9 +47,10 @@ def build_sql(rows=N_ROWS):
     session.execute("USE d")
     session.execute("CREATE TABLE t (id INT PRIMARY KEY, grp VARCHAR(8), val INT)")
     table = session.engine.database("d").table("t")
-    table.insert_rows(
-        {"id": i, "grp": f"g{i * 3 // rows}", "val": i % 50} for i in range(rows)
-    )
+    ids = range(rows)
+    table.insert_columns(("id", "grp", "val"), (
+        list(ids), [f"g{i * 3 // rows}" for i in ids], [i % 50 for i in ids],
+    ))
     return session, table
 
 

@@ -15,7 +15,7 @@ from repro.nosqldb.engine import NoSQLEngine
 from repro.nosqldb.errors import InvalidRequest
 from repro.query import Dialect, InsertTemplate, Session
 from repro.sqldb.engine import SQLEngine
-from repro.sqldb.errors import IntegrityError
+from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.telemetry import get_query_log
 
 _INSERT = "INSERT INTO readings (id, station, level) VALUES (?, ?, ?)"
@@ -192,6 +192,17 @@ class TestOneWritePath:
         )
         assert dialect.stored_bytes(bulk_engine, tmp_path / "bulk") == \
             dialect.stored_bytes(single_engine, tmp_path / "single")
+
+    def test_a_null_into_a_column_the_table_lacks_is_refused(self, session, dialect):
+        """Template and generic path resolve every INSERT column before
+        writing, whatever value it carries."""
+        text = "INSERT INTO readings (id, bogus) VALUES (?, ?)"
+        error = (ProgrammingError, InvalidRequest)
+        with pytest.raises(error, match="table 'readings' has no column 'bogus'"):
+            session.execute_many(session.prepare(text), [(1, None), (2, None)])
+        with pytest.raises(error, match="table 'readings' has no column 'bogus'"):
+            session.execute("INSERT INTO readings (id, bogus) VALUES (3, NULL)")
+        assert _ids(session) == []
 
     def test_none_parameters_are_skipped(self, session):
         session.execute_many(session.prepare(_INSERT), [(1, None, None)])

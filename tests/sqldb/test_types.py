@@ -65,6 +65,27 @@ class TestDouble:
         t = DoubleType()
         assert t.decode(t.encode(1.5), 0)[0] == 1.5
 
+    def test_int_beyond_a_double_is_out_of_range(self):
+        with pytest.raises(ProgrammingError, match="out of range for DOUBLE"):
+            DoubleType().validate(2 ** 1100)
+        DoubleType().validate(2 ** 1000)
+
+
+@pytest.mark.parametrize("sql_type, good, bad", [
+    (IntType(), [1, None, 2 ** 31 - 1], 2 ** 31),
+    (BigIntType(), [-(2 ** 63), 5], True),
+    (BooleanType(), [True, 0, None], "t"),
+    (VarCharType(3), ["ab", "ab", None, "abc"], "abcd"),
+    (DoubleType(), [0.5, 3, None], "x"),
+])
+def test_encode_column_stops_at_the_first_bad_value(sql_type, good, bad):
+    """Cells are each value's own encoding (NULL stores nothing), up to
+    the first value :meth:`validate` refuses, and that refusal."""
+    cells = [b"" if value is None else sql_type.encode(value) for value in good]
+    assert sql_type.encode_column(good) == (cells, None)
+    encoded, error = sql_type.encode_column(good + [bad] + good)
+    assert encoded == cells and isinstance(error, ProgrammingError)
+
 
 class TestParseType:
     @pytest.mark.parametrize(
