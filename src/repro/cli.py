@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three commands cover the common workflows:
+Six commands cover the common workflows:
 
 ``generate``
     Write synthetic bike-feed documents (XML or JSON) to a directory —
@@ -23,24 +23,19 @@ Three commands cover the common workflows:
     results.
 ``stats``
     Run one instrumented workload (ETL -> build -> store -> stored
-    queries) with telemetry force-enabled and print the merged span
-    tree, the metrics table, per-operator timings, the query-history
-    profiles, and any slow ops — or the same snapshot as JSON /
-    Prometheus text via ``--format``.  ``--bundle FILE`` re-renders a
-    saved debug bundle offline instead of running a workload.
-``top``
-    Run the same workload (or read a saved bundle) and print the top
-    query fingerprints ranked by total time or p99 latency.
-``debug-bundle``
-    Run the workload and write a flight-recorder JSON artifact: metrics
-    snapshot, merged span tree, slow-op log, query history, plan-cache
-    entries, cube epoch rows and every ``REPRO_*`` knob.
+    queries) with telemetry force-enabled, snapshot it as a debug
+    bundle, and print the bundle's report: the merged span tree,
+    per-operator counters, storage stats, the metrics table, the
+    query-history profiles and the slow ops.  ``--format json|prom``
+    prints the bundle itself or its metrics as Prometheus text;
+    ``--out FILE`` writes the bundle; ``--bundle FILE`` renders a saved
+    bundle offline, through the same report, instead of running a
+    workload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -124,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     stats = commands.add_parser(
-        "stats", help="run an instrumented workload and print its telemetry"
+        "stats", help="run an instrumented workload and print its debug bundle"
     )
     stats.add_argument(
         "--dataset", default="Month",
@@ -136,61 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--format", choices=("text", "json", "prom"), default="text",
-        help="text report, JSON snapshot, or Prometheus exposition",
+        help="text report, the bundle as JSON, or its metrics as "
+        "Prometheus exposition",
     )
     stats.add_argument(
         "--out", type=Path, default=None,
-        help="also write the --format payload to this file",
+        help="also write the debug bundle (JSON) to this file",
     )
     stats.add_argument(
         "--bundle", type=Path, default=None, metavar="FILE",
-        help="re-render a saved debug bundle offline instead of "
-        "running a workload",
-    )
-
-    top = commands.add_parser(
-        "top", help="rank query fingerprints by total time or p99 latency"
-    )
-    top.add_argument(
-        "--dataset", default="Month",
-        help="dataset name, case-insensitive (default Month)",
-    )
-    top.add_argument(
-        "--schema", choices=tuple(MAPPER_FACTORIES), default="NoSQL-DWARF",
-        help="storage schema for the workload",
-    )
-    top.add_argument(
-        "--by", choices=("total", "p99"), default="total",
-        help="ranking key: total wall time (default) or p99 latency",
-    )
-    top.add_argument(
-        "--limit", type=int, default=10, metavar="N",
-        help="show at most N fingerprints (default 10)",
-    )
-    top.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="text table (default) or the ranked profiles as JSON",
-    )
-    top.add_argument(
-        "--bundle", type=Path, default=None, metavar="FILE",
-        help="rank a saved debug bundle's query history instead of "
-        "running a workload",
-    )
-
-    debug_bundle = commands.add_parser(
-        "debug-bundle", help="write a flight-recorder JSON debug bundle"
-    )
-    debug_bundle.add_argument(
-        "--dataset", default="Month",
-        help="dataset name, case-insensitive (default Month)",
-    )
-    debug_bundle.add_argument(
-        "--schema", choices=tuple(MAPPER_FACTORIES), default="NoSQL-DWARF",
-        help="storage schema for the workload",
-    )
-    debug_bundle.add_argument(
-        "--out", type=Path, required=True,
-        help="path for the bundle JSON artifact",
+        help="render a saved debug bundle offline instead of running a "
+        "workload",
     )
     return parser
 
@@ -371,9 +322,7 @@ def _cmd_ingest(args) -> int:
         enable_query_log,
         enable_tracing,
         get_query_log,
-        get_registry,
         get_tracer,
-        snapshot,
     )
 
     dataset = _resolve_dataset(args.dataset)
@@ -383,7 +332,7 @@ def _cmd_ingest(args) -> int:
     enable_metrics(True)
     enable_tracing(True)
     enable_query_log(True)
-    registry, tracer = get_registry(), get_tracer()
+    tracer = get_tracer()
     tracer.reset()
     get_query_log().reset()
 
@@ -423,7 +372,7 @@ def _cmd_ingest(args) -> int:
     view = maintainer.view()
     merged = mapper.load(view.base_id)
     signatures_match = structural_signature(merged) == structural_signature(bundle.cube)
-    ingest_spans = _count_ingest_spans(snapshot(registry, tracer)["spans"])
+    ingest_spans = _count_ingest_spans(tracer.merged())
 
     print(
         f"dataset {dataset}: {n_documents} documents tailed in "
@@ -480,132 +429,39 @@ def _check_invariants(dataset: str) -> bool:
     return ok
 
 
-def _operator_stat_lines(mapper):
-    """Per-operator counters from every plan the session has cached."""
-    lines = []
-    cache = getattr(getattr(mapper, "session", None), "plan_cache", None)
-    if cache is None:
-        return lines
-    for _key, plan in cache.entries():
+def _operator_rows(mapper):
+    """Counters of every operator that ran in a plan the session has cached."""
+    rows = []
+    for _key, plan in mapper.session.plan_cache.entries():
         stats = getattr(plan, "operator_stats", None)
-        if stats is None:
-            continue
-        for op in stats():
-            if not op.calls:
-                continue
-            where = f" on {op.table}" if op.table else ""
-            detail = f" [{op.detail}]" if op.detail else ""
-            pushed = ""
-            if op.blocks_skipped or op.rows_pruned:
-                pushed = (
-                    f" blocks_skipped={op.blocks_skipped}"
-                    f" rows_pruned={op.rows_pruned}"
-                )
-            lines.append(
-                f"  {op.node}{where}{detail}: calls={op.calls} "
-                f"rows_out={op.rows_out} wall={op.seconds * 1000:.3f}ms{pushed}"
-            )
-    return lines
+        if stats is not None:
+            rows += [op._asdict() for op in stats() if op.calls]
+    return rows
 
 
-def _storage_stat_lines(mapper):
+def _storage_rows(mapper):
     """Per-column-family SSTable block stats for NoSQL-backed mappers."""
-    lines = []
     if mapper.mapping.backend is not CQL:
-        return lines
+        return []
+    rows = []
     for table in mapper.space().tables:
         stats = table.stats()
-        lines.append(
-            f"  {table.name}: sstables={stats.sstables} "
-            f"columnar_blocks={stats.columnar_blocks} "
-            f"blocks_skipped={stats.blocks_skipped} "
-            f"dict_hit_ratio={stats.dict_hit_ratio:.2f}"
+        rows.append(
+            {
+                "table": table.name,
+                "sstables": stats.sstables,
+                "columnar_blocks": stats.columnar_blocks,
+                "blocks_skipped": stats.blocks_skipped,
+                "dict_hit_ratio": stats.dict_hit_ratio,
+            }
         )
-    return lines
-
-
-def _resolve_dataset(raw: str) -> Optional[str]:
-    """Canonical dataset name (case-insensitive), or None after an error."""
-    lookup = {name.lower(): name for name in DATASETS_BY_NAME}
-    dataset = lookup.get(raw.lower())
-    if dataset is None:
-        print(f"unknown dataset {raw!r}; choose from {DATASET_ORDER}",
-              file=sys.stderr)
-    return dataset
-
-
-def _run_workload(dataset: str, schema: str):
-    """The instrumented observability workload shared by ``stats``,
-    ``top`` and ``debug-bundle``: ETL -> build -> store -> reload ->
-    stored queries x2, with metrics, tracing and the query log
-    force-enabled (and reset, so the report covers exactly this run).
-
-    Returns ``(bundle, mapper, n_queries, ok)`` where ``ok`` means the
-    reloaded cube and every stored answer matched the in-memory cube,
-    cold and warm.
-    """
-    from repro.analysis.dwarf_check import structural_signature
-    from repro.bench.datasets import clear_cache, load_dataset
-    from repro.dwarf.cell import ALL
-    from repro.mapping.stored_query import stored_point_query
-    from repro.telemetry import (
-        enable_metrics,
-        enable_query_log,
-        enable_tracing,
-        get_query_log,
-        get_registry,
-        get_tracer,
-    )
-
-    enable_metrics(True)
-    enable_tracing(True)
-    enable_query_log(True)
-    registry, tracer = get_registry(), get_tracer()
-    registry.reset()
-    tracer.reset()
-    get_query_log().reset()
-    clear_cache()  # force a real ETL + build pass under the tracer
-
-    bundle = load_dataset(dataset)
-    mapper = make_mapper(schema)
-    with tracer.span("mapper.store", schema=mapper.name):
-        schema_id = mapper.store(bundle.cube, probe_size=False)
-    reloaded = mapper.load(schema_id)  # its span splits storage read from mapper.rebuild
-
-    names = [d.name for d in bundle.cube.schema.dimensions]
-    vectors = _sample_query_vectors(bundle.cube)
-    expected = [
-        bundle.cube.value(**{n: m for n, m in zip(names, v) if m is not ALL})
-        for v in vectors
-    ]
-    cold = [stored_point_query(mapper, schema_id, v) for v in vectors]
-    warm = [stored_point_query(mapper, schema_id, v) for v in vectors]
-    ok = cold == expected and warm == expected and (
-        structural_signature(reloaded) == structural_signature(bundle.cube)
-    )
-    return bundle, mapper, len(vectors), ok
-
-
-def _query_log_lines(profiles, limit: int = 10):
-    """Text lines for the top fingerprint profiles, total-time order."""
-    lines = []
-    for p in profiles[:limit]:
-        lines.append(
-            f"  {p['dialect']:<6} n={p['count']:<4} "
-            f"total={p['total_s'] * 1000:8.1f}ms "
-            f"p50={p['p50_s'] * 1000:7.2f}ms p99={p['p99_s'] * 1000:7.2f}ms "
-            f"rows={p['rows']:<6} {p['fingerprint'][:72]}"
-        )
-    return lines
+    return rows
 
 
 def _plan_cache_rows(mapper):
-    """Serialized plan-cache entries (key + EXPLAIN rows) for the bundle."""
+    """Serialized plan-cache entries (key + EXPLAIN rows)."""
     rows = []
-    cache = getattr(getattr(mapper, "session", None), "plan_cache", None)
-    if cache is None:
-        return rows
-    for key, entry in cache.entries():
+    for key, entry in mapper.session.plan_cache.entries():
         # AnalyzedStatement wraps its SELECT plan; INSERT templates have
         # no EXPLAIN rendering.
         plan = getattr(entry, "plan", entry)
@@ -620,177 +476,124 @@ def _plan_cache_rows(mapper):
 
 
 def _epoch_rows(mapper):
-    """Every row of the mapper's cube-epoch table (empty when absent)."""
-    try:
-        result = mapper.session.execute(f"SELECT * FROM {mapper.mapping.epochs.name}")
-    except Exception:  # epoch table never installed
+    """Every row of the mapper's cube-epoch table (empty when it was
+    never installed)."""
+    epochs = mapper.mapping.epochs.name
+    if not mapper.space().has_table(epochs):
         return []
-    return [dict(row) for row in result] if result is not None else []
+    return [dict(row) for row in mapper.session.execute(f"SELECT * FROM {epochs}")]
 
 
-def _collect_bundle(mapper):
-    """Assemble a validated debug bundle from the live telemetry state."""
+def _resolve_dataset(raw: str) -> Optional[str]:
+    """Canonical dataset name (case-insensitive), or None after an error."""
+    lookup = {name.lower(): name for name in DATASETS_BY_NAME}
+    dataset = lookup.get(raw.lower())
+    if dataset is None:
+        print(f"unknown dataset {raw!r}; choose from {DATASET_ORDER}",
+              file=sys.stderr)
+    return dataset
+
+
+def _run_workload(dataset: str, schema: str):
+    """The instrumented observability workload behind ``stats``: ETL ->
+    build -> store -> reload -> stored queries x2, with metrics, tracing
+    and the query log force-enabled (and reset, so the snapshot covers
+    exactly this run).
+
+    Returns the run's debug bundle as its JSON reloads, so a live report
+    and an offline one render the same values.  The run header's
+    ``answers_agree`` means the reloaded cube and every stored answer
+    matched the in-memory cube, cold and warm.
+    """
+    from repro.analysis.dwarf_check import structural_signature
+    from repro.bench.datasets import clear_cache, load_dataset
+    from repro.dwarf.cell import ALL
+    from repro.mapping.stored_query import stored_point_query
     from repro.telemetry import (
         build_bundle,
+        bundle_to_json,
+        enable_metrics,
+        enable_query_log,
+        enable_tracing,
+        from_bundle,
         get_query_log,
         get_registry,
         get_tracer,
-        validate_bundle,
     )
 
+    enable_metrics(True)
+    enable_tracing(True)
+    enable_query_log(True)
+    registry, tracer = get_registry(), get_tracer()
+    registry.reset()
+    tracer.reset()
+    get_query_log().reset()
+    clear_cache()  # force a real ETL + build pass under the tracer
+
+    data = load_dataset(dataset)
+    mapper = make_mapper(schema)
+    with tracer.span("mapper.store", schema=mapper.name):
+        schema_id = mapper.store(data.cube, probe_size=False)
+    reloaded = mapper.load(schema_id)  # its span splits storage read from mapper.rebuild
+
+    names = [d.name for d in data.cube.schema.dimensions]
+    vectors = _sample_query_vectors(data.cube)
+    expected = [
+        data.cube.value(**{n: m for n, m in zip(names, v) if m is not ALL})
+        for v in vectors
+    ]
+    cold = [stored_point_query(mapper, schema_id, v) for v in vectors]
+    warm = [stored_point_query(mapper, schema_id, v) for v in vectors]
+    ok = cold == expected and warm == expected and (
+        structural_signature(reloaded) == structural_signature(data.cube)
+    )
+    run = {
+        "dataset": dataset,
+        "tuples": data.n_tuples,
+        "scale": current_scale(),
+        "schema": mapper.name,
+        "queries": len(vectors),
+        "answers_agree": ok,
+    }
+    epochs = _epoch_rows(mapper)  # first: its SELECT lands in the plan cache
     bundle = build_bundle(
-        registry=get_registry(),
-        tracer=get_tracer(),
+        run,
+        registry=registry,
+        tracer=tracer,
         query_log=get_query_log(),
+        operators=_operator_rows(mapper),
+        storage=_storage_rows(mapper),
         plan_cache=_plan_cache_rows(mapper),
-        epochs=_epoch_rows(mapper),
+        epochs=epochs,
     )
-    validate_bundle(bundle)
-    return bundle
-
-
-def _load_bundle(path: Path):
-    """Read + validate a bundle file; None (after an error) on failure."""
-    from repro.telemetry import from_bundle
-
-    try:
-        return from_bundle(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"cannot load debug bundle {path}: {exc}", file=sys.stderr)
-        return None
+    return from_bundle(bundle_to_json(bundle))
 
 
 def _cmd_stats(args) -> int:
-    from repro.telemetry import (
-        get_query_log,
-        get_registry,
-        get_tracer,
-        render_metrics_table,
-        render_span_tree,
-        snapshot,
-        to_json,
-        to_prometheus,
-    )
+    from repro.telemetry import bundle_to_json, from_bundle, render_bundle, to_prometheus
 
     if args.bundle is not None:
-        # Offline re-render: no workload, no engines — just the artifact.
-        bundle = _load_bundle(args.bundle)
-        if bundle is None:
+        try:
+            bundle = from_bundle(args.bundle.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            print(f"cannot load debug bundle {args.bundle}: {exc}", file=sys.stderr)
             return 2
-        snap = bundle["telemetry"]
-        profiles = bundle["query_log"]["profiles"]
-        mapper = None
-        ok = True
-        header = (
-            f"debug bundle {args.bundle} "
-            f"(schema_version {bundle['schema_version']}, "
-            f"{len(bundle['query_log']['records'])} query record(s)), "
-            "offline re-render"
-        )
     else:
         dataset = _resolve_dataset(args.dataset)
         if dataset is None:
             return 2
-        data, mapper, n_queries, ok = _run_workload(dataset, args.schema)
-        snap = snapshot(get_registry(), get_tracer())
-        profiles = get_query_log().profiles()
-        header = (
-            f"dataset {dataset}: {data.n_tuples} tuples "
-            f"(REPRO_SCALE={current_scale():g}), schema {mapper.name}, "
-            f"one reload, {n_queries} stored queries x2, "
-            f"{'answers agree' if ok else 'ANSWERS DIVERGE'}"
-        )
-
-    if args.format == "json":
-        payload = to_json(snap)
-    elif args.format == "prom":
-        payload = to_prometheus(snap)
-    else:
-        sections = [
-            header,
-            "",
-            "spans",
-            render_span_tree(snap["spans"]) or "  (none)",
-            "",
-            "operators",
-        ]
-        sections.extend(
-            (_operator_stat_lines(mapper) if mapper is not None else [])
-            or ["  (none)"]
-        )
-        storage = _storage_stat_lines(mapper) if mapper is not None else []
-        if storage:
-            sections += ["", "storage"] + storage
-        sections += ["", "metrics", render_metrics_table(snap)]
-        sections += ["", "query log"]
-        sections.extend(_query_log_lines(profiles) or ["  (none)"])
-        dropped = snap.get("slow_ops_dropped", 0)
-        sections += ["", f"slow ops ({dropped} dropped)"]
-        if snap["slow_ops"]:
-            sections.extend(
-                f"  {op['name']}: {op['wall_ms']:.1f} ms {op.get('attrs', {})}"
-                for op in snap["slow_ops"]
-            )
-        else:
-            sections.append("  (none)")
-        payload = "\n".join(sections)
+        bundle = _run_workload(dataset, args.schema)
 
     if args.out is not None:
-        args.out.write_text(payload + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
-    if args.format != "text" or args.out is None:
-        print(payload)
-    return 0 if ok else 1
-
-
-def _cmd_top(args) -> int:
-    from repro.telemetry import get_query_log
-
-    if args.bundle is not None:
-        bundle = _load_bundle(args.bundle)
-        if bundle is None:
-            return 2
-        profiles = bundle["query_log"]["profiles"]
-        source = f"debug bundle {args.bundle}"
-        ok = True
-    else:
-        dataset = _resolve_dataset(args.dataset)
-        if dataset is None:
-            return 2
-        _, _, _, ok = _run_workload(dataset, args.schema)
-        profiles = get_query_log().profiles()
-        source = f"dataset {dataset} ({args.schema})"
-
-    key = "total_s" if args.by == "total" else "p99_s"
-    ranked = sorted(profiles, key=lambda p: p[key], reverse=True)[: args.limit]
+        args.out.write_text(bundle_to_json(bundle) + "\n", encoding="utf-8")
+        print(f"wrote {args.out}", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(ranked, indent=2))
+        print(bundle_to_json(bundle))
+    elif args.format == "prom":
+        print(to_prometheus(bundle["telemetry"]), end="")
     else:
-        print(
-            f"top {len(ranked)} of {len(profiles)} fingerprint(s) "
-            f"by {args.by}, {source}"
-        )
-        for line in _query_log_lines(ranked, limit=len(ranked)):
-            print(line)
-    return 0 if ok else 1
-
-
-def _cmd_debug_bundle(args) -> int:
-    from repro.telemetry import bundle_to_json
-
-    dataset = _resolve_dataset(args.dataset)
-    if dataset is None:
-        return 2
-    _, mapper, _, ok = _run_workload(dataset, args.schema)
-    bundle = _collect_bundle(mapper)
-    args.out.write_text(bundle_to_json(bundle) + "\n", encoding="utf-8")
-    print(
-        f"wrote {args.out} (schema_version {bundle['schema_version']}, "
-        f"{len(bundle['query_log']['records'])} query record(s), "
-        f"{len(bundle['plan_cache'])} cached plan(s), "
-        f"{len(bundle['epochs'])} epoch row(s))"
-    )
-    return 0 if ok else 1
+        print(render_bundle(bundle))
+    return 0 if bundle["run"]["answers_agree"] else 1
 
 
 def _cmd_check(args) -> int:
@@ -810,9 +613,10 @@ def _cmd_check(args) -> int:
 @contextmanager
 def _telemetry_restored():
     """Put the process-wide metrics, tracing and query-log switches back
-    as they were on exit.  ``check``, ``ingest`` and the workload behind
-    ``stats``, ``top`` and ``debug-bundle`` switch them on for their
-    run; an in-process caller of :func:`main` must not inherit that."""
+    as they were on exit, and clear what the command recorded once it
+    has rendered.  ``check``, ``ingest`` and ``stats`` switch them on
+    for their run; an in-process caller of :func:`main` must inherit
+    neither the switches nor the records."""
     from repro.telemetry import get_query_log, get_registry, get_tracer
 
     switches = (get_registry(), get_tracer(), get_query_log())
@@ -822,6 +626,7 @@ def _telemetry_restored():
     finally:
         for switch, enabled in zip(switches, was):
             switch.enabled = enabled
+            switch.reset()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -833,8 +638,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ingest": _cmd_ingest,
         "check": _cmd_check,
         "stats": _cmd_stats,
-        "top": _cmd_top,
-        "debug-bundle": _cmd_debug_bundle,
     }[args.command]
     with _telemetry_restored():  # restored once the command has rendered its output
         return handler(args)

@@ -3,16 +3,8 @@
 The ``DWARF_Schema`` column family (paper Table 1-A) records ``node_count``,
 ``cell_count`` and ``size_as_mb`` per schema; these are obtained "by
 scanning the DWARF structure in-memory" (paper §4).  This module performs
-that scan.
-
-The storage structures the cube lands in report themselves the same way:
-:meth:`repro.storage.btree.BTree.stats`,
-:meth:`repro.nosqldb.sstable.SSTable.stats` and
-:meth:`repro.nosqldb.columnfamily.ColumnFamily.stats` are re-exported
-here (as :class:`BTreeStats` / :class:`SSTableStats` /
-:class:`ColumnFamilyStats`, the latter carrying the read-path
-:class:`CacheStats` counters), and :func:`describe` dispatches a cube,
-tree or table to the right summary.
+that scan.  The storage structures the cube lands in report themselves
+through their own ``stats()`` methods.
 """
 
 from __future__ import annotations
@@ -20,20 +12,8 @@ from __future__ import annotations
 from typing import Dict, NamedTuple
 
 from repro.dwarf.traversal import breadth_first
-from repro.nosqldb.cache import CacheStats
-from repro.nosqldb.columnfamily import ColumnFamilyStats
-from repro.nosqldb.sstable import SSTableStats
-from repro.storage.btree import BTreeStats
 
-__all__ = [
-    "BTreeStats",
-    "CacheStats",
-    "ColumnFamilyStats",
-    "CubeStats",
-    "SSTableStats",
-    "compute_stats",
-    "describe",
-]
+__all__ = ["CubeStats", "compute_stats"]
 
 
 class CubeStats(NamedTuple):
@@ -97,54 +77,3 @@ def compute_stats(cube) -> CubeStats:
         cells_per_level=cells_per_level,
     )
 
-
-def describe(target):
-    """One-stop stats: cube → :class:`CubeStats`, storage structure → its own.
-
-    Accepts a :class:`~repro.dwarf.cube.DwarfCube` (traversed via
-    :func:`compute_stats`), a query-kernel :class:`~repro.query.Plan` or
-    operator node (per-operator execution counters via
-    ``operator_stats()``), a telemetry
-    :class:`~repro.telemetry.MetricsRegistry` or
-    :class:`~repro.telemetry.Tracer` (rendered to their table / span-tree
-    text), a merged span forest (the list
-    :meth:`~repro.telemetry.Tracer.merged` returns, rendered the same
-    way), or anything exposing a ``stats()`` method —
-    :class:`~repro.storage.btree.BTree`,
-    :class:`~repro.nosqldb.sstable.SSTable`,
-    :class:`~repro.nosqldb.columnfamily.ColumnFamily` and
-    :class:`~repro.query.PlanCache` today.
-
-    Raises TypeError for objects with none of those shapes, naming every
-    accepted one.
-    """
-    from repro.dwarf.cube import DwarfCube
-    from repro.query import Plan, PlanNode
-    from repro.telemetry import (
-        MetricsRegistry,
-        Tracer,
-        render_metrics_table,
-        render_span_tree,
-        snapshot,
-    )
-
-    if isinstance(target, DwarfCube):
-        return compute_stats(target)
-    if isinstance(target, (Plan, PlanNode)):
-        return target.operator_stats()
-    if isinstance(target, MetricsRegistry):
-        return render_metrics_table(snapshot(registry=target, tracer=None))
-    if isinstance(target, Tracer):
-        return render_span_tree(target.merged())
-    if isinstance(target, list) and all(
-        isinstance(item, dict) and "name" in item for item in target
-    ):
-        return render_span_tree(target)
-    stats = getattr(target, "stats", None)
-    if callable(stats):
-        return stats()
-    raise TypeError(
-        f"no stats available for {type(target).__name__}; describe() accepts "
-        "a DwarfCube, a query Plan/PlanNode, a telemetry MetricsRegistry/"
-        "Tracer, a merged span list, or any object with a stats() method"
-    )

@@ -6,7 +6,7 @@ pays zlib/LZ4 at most once per block, and the optional *row* cache holds
 whole rows so a hot key skips the storage walk entirely.  This module
 reproduces both as byte-budgeted LRU caches with hit/miss/eviction
 counters, which :meth:`~repro.nosqldb.columnfamily.ColumnFamily.stats`
-and ``repro.dwarf.stats.describe`` surface (docs/read_path.md).
+surfaces (docs/read_path.md).
 
 Budgets come from the environment, mirroring ``REPRO_SCALE`` /
 ``REPRO_CHECK``:

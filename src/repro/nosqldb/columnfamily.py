@@ -25,7 +25,7 @@ from repro.nosqldb.columnar import ColumnarCodec
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
 from repro.nosqldb.memtable import Memtable, Run
 from repro.nosqldb.sstable import SSTable, compact, run_feed
-from repro.nosqldb.types import CQLType, SetType
+from repro.nosqldb.types import CQLType, DoubleType, SetType
 from repro.query.batch import Batch, FetchedBatch, RowBatch
 from repro.query.session import reject_repeated_columns
 from repro.storage.btree import BTree
@@ -108,6 +108,8 @@ def _encode_cells(cql_type: CQLType, values: Sequence) -> Tuple[List, Optional[E
         for value in values:
             try:
                 cells.append(None if value is None else encode(value))
+            except UnicodeEncodeError:  # a lone surrogate
+                return cells, InvalidRequest(f"{cql_type.name} value {value!r} is not valid UTF-8")
             except Exception as error:
                 return cells, error
         return cells, None
@@ -209,6 +211,8 @@ class ColumnFamily:
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
         self._positions: Dict[str, int] = {name: index for index, name in enumerate(names)}
         self._pk_index = names.index(primary_key)
+        # A double key: NaN equals no key, itself included.
+        self._nan_key = isinstance(self.columns[self._pk_index].cql_type, DoubleType)
         self._memtable = Memtable()
         # Memtables handed to the (simulated) background flusher: sealed,
         # not yet built into SSTables.  Clients don't wait for flushes —
@@ -403,9 +407,9 @@ class ColumnFamily:
         Raises InvalidRequest, before anything is written, for a column
         this table does not have or one named twice — each column is
         resolved by name to this table's own.  Raises InvalidRequest for
-        a missing primary key or an ill-typed value in row ``k``: rows
-        before ``k`` are written (row ``k``'s clock tick too, for an
-        ill-typed value), nothing after.
+        a missing or NaN primary key or an ill-typed or unencodable value
+        in row ``k``: rows before ``k`` are written (row ``k``'s clock
+        tick too, for a value that fails its column), nothing after.
         """
         columns = [self.column(column.name) for column in columns]
         reject_repeated_columns([column.name for column in columns], InvalidRequest)
@@ -429,6 +433,10 @@ class ColumnFamily:
         if None in keys:
             stop = keys.index(None)
             error = InvalidRequest(f"INSERT into {self.name!r} misses primary key")
+        if self._nan_key:
+            nan_at = next((i for i, key in zip(range(stop), keys) if key != key), stop)
+            if nan_at < stop:
+                stop, error = nan_at, InvalidRequest(f"primary key of {self.name!r} cannot be NaN")
         cells = []
         for column, column_values in zip(columns, chunk):
             encoded, failure = _encode_cells(column.cql_type, column_values[:stop])

@@ -23,8 +23,8 @@ lists — so the kernel never sees an AST and never imports an engine
 
 Every node keeps cumulative counters (``calls``, ``rows_in``,
 ``rows_out``, plus ``keys_batched`` and ``blocks_cached`` on batched
-leaves) surfaced through :meth:`Plan.operator_stats` and
-:func:`repro.dwarf.stats.describe`.  ``EXPLAIN`` in either dialect is
+leaves) surfaced through :meth:`Plan.operator_stats` and the
+``operators`` section of ``repro stats``.  ``EXPLAIN`` in either dialect is
 :meth:`Plan.explain`: one row per operator in execution order, with the
 same vocabulary everywhere.
 """

@@ -165,7 +165,12 @@ class VarCharType(SQLType):
             )
 
     def encode(self, value) -> bytes:
-        return encode_text(value)
+        """Raises ProgrammingError for a string UTF-8 cannot encode (a
+        lone surrogate)."""
+        try:
+            return encode_text(value)
+        except UnicodeEncodeError:
+            raise ProgrammingError(f"{self.name.upper()} value {value!r} is not valid UTF-8") from None
 
     def encode_valid(self, values, present):
         """Each distinct string is length-checked and encoded once."""

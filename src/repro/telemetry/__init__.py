@@ -1,4 +1,4 @@
-"""Process-wide telemetry: metrics registry, hierarchical tracer, slow-op log.
+"""Process-wide telemetry: metrics registry, hierarchical tracer, query log.
 
 This package is a stdlib-only leaf: it imports nothing from the rest of
 ``repro``, so every layer (storage, engines, kernel, mappers, ETL) may
@@ -6,27 +6,24 @@ report into it without violating the layering rules (REPRO006/REPRO012).
 
 Gating
 ------
-Two env vars control runtime cost (see :mod:`repro.telemetry.metrics` /
-:mod:`repro.telemetry.trace`):
+Three env vars control runtime cost (see :mod:`repro.telemetry.metrics`,
+:mod:`repro.telemetry.trace` and :mod:`repro.telemetry.querylog`):
 
 ``REPRO_METRICS``
     Enables counter/gauge/histogram recording.  Disabled (the default),
     every ``inc``/``set``/``observe`` is a single attribute check.
 ``REPRO_TRACE``
-    Enables span recording (and the slow-op log).  Disabled,
-    ``tracer.span(...)`` returns a shared no-op context manager.
-``REPRO_SLOW_MS``
-    Wall-time threshold (milliseconds) above which a finished span is
-    also recorded in the slow-op log.  Default 100.
+    Enables span recording.  Disabled, ``tracer.span(...)`` returns a
+    shared no-op context manager.  The slow-op log is a view over the
+    recorded spans, taken when a snapshot is.
 ``REPRO_QUERY_LOG``
-    Enables the per-statement query history (:mod:`repro.telemetry.querylog`).
+    Enables the per-statement query history (the newest 4096 records).
     Disabled (the default), instrumented call sites pay one attribute
     check per statement and allocate nothing.
-``REPRO_QUERY_LOG_MAX``
-    Ring-buffer capacity of the query history.  Default 4096.
 
-Both gates can be flipped at runtime with :func:`enable_metrics` /
-:func:`enable_tracing` (used by ``repro stats`` and the tests); the
+The gates can be flipped at runtime with :func:`enable_metrics` /
+:func:`enable_tracing` / :func:`enable_query_log` (used by
+``repro stats`` and the tests); the
 singletons returned by :func:`get_registry` / :func:`get_tracer` are
 mutated in place, never replaced, so references cached at import time in
 hot paths stay valid.
@@ -52,12 +49,9 @@ from repro.telemetry.trace import (
     get_tracer,
 )
 from repro.telemetry.export import (
-    from_json,
-    from_prometheus,
     render_metrics_table,
     render_span_tree,
     snapshot,
-    to_json,
     to_prometheus,
 )
 from repro.telemetry.querylog import (
@@ -73,6 +67,7 @@ from repro.telemetry.bundle import (
     bundle_to_json,
     collect_env,
     from_bundle,
+    render_bundle,
     validate_bundle,
 )
 from repro.telemetry.catalog import METRIC_NAMES, SPAN_NAMES
@@ -108,15 +103,13 @@ __all__ = [
     "enable_tracing",
     "fingerprint",
     "from_bundle",
-    "from_json",
-    "from_prometheus",
     "get_query_log",
     "get_registry",
     "get_tracer",
+    "render_bundle",
     "render_metrics_table",
     "render_span_tree",
     "snapshot",
-    "to_json",
     "to_prometheus",
     "validate_bundle",
     "wall_clock",

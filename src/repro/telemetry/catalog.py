@@ -55,7 +55,6 @@ METRIC_NAMES = frozenset(
         "sqldb_index_entries_total",
         "sqldb_redo_bytes_total",
         "sqldb_rows_written_total",
-        "telemetry_slow_ops_dropped_total",
     )
 )
 

@@ -1,23 +1,18 @@
-"""Snapshot assembly and exporters (JSON, Prometheus text, terminal render).
+"""Snapshot assembly and exporters (Prometheus text, terminal render).
 
 A *snapshot* is a plain dict: ``{"metrics": [...], "spans": [...],
-"slow_ops": [...]}``.  ``to_json``/``from_json`` round-trip the whole
-snapshot; ``to_prometheus``/``from_prometheus`` round-trip the metrics
-section only (spans have no Prometheus representation).
+"spans_dropped": n, "slow_ops": [...], "slow_ops_dropped": n}`` — the
+``telemetry`` section of a debug bundle (:mod:`repro.telemetry.bundle`),
+which is what gets written as JSON.  ``to_prometheus`` renders the
+metrics section in the Prometheus text format (spans have no Prometheus
+representation).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramChild,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import HistogramChild, MetricsRegistry
 from repro.telemetry.trace import Tracer
 
 
@@ -37,6 +32,7 @@ def snapshot(
     out: Dict[str, Any] = {
         "metrics": [],
         "spans": [],
+        "spans_dropped": 0,
         "slow_ops": [],
         "slow_ops_dropped": 0,
     }
@@ -76,24 +72,9 @@ def snapshot(
                 )
     if tracer is not None:
         out["spans"] = tracer.merged()
-        out["slow_ops"] = list(tracer.slow_ops)
-        out["slow_ops_dropped"] = tracer.slow_ops_dropped
+        out["spans_dropped"] = tracer.spans_dropped
+        out["slow_ops"], out["slow_ops_dropped"] = tracer.slow_ops_view()
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-def to_json(snap: Dict[str, Any], indent: int = 2) -> str:
-    return json.dumps(snap, indent=indent, sort_keys=False)
-
-
-def from_json(text: str) -> Dict[str, Any]:
-    snap = json.loads(text)
-    for key in ("metrics", "spans", "slow_ops"):
-        snap.setdefault(key, [])
-    snap.setdefault("slow_ops_dropped", 0)
-    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -149,134 +130,6 @@ def to_prometheus(snap: Dict[str, Any]) -> str:
                     f"{name}{_fmt_labels(labels)} {_fmt_value(sample['value'])}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _parse_labels(text: str) -> Dict[str, str]:
-    labels: Dict[str, str] = {}
-    i = 0
-    while i < len(text):
-        eq = text.index("=", i)
-        key = text[i:eq].strip().lstrip(",").strip()
-        assert text[eq + 1] == '"', f"malformed label set {text!r}"
-        j = eq + 2
-        value_chars = []
-        while text[j] != '"':
-            ch = text[j]
-            if ch == "\\":
-                j += 1
-                ch = {"n": "\n"}.get(text[j], text[j])
-            value_chars.append(ch)
-            j += 1
-        labels[key] = "".join(value_chars)
-        i = j + 1
-    return labels
-
-
-def _split_sample_line(line: str):
-    if "{" in line:
-        name = line[: line.index("{")]
-        rest = line[line.index("{") + 1 :]
-        label_text, _, value_text = rest.rpartition("}")
-        labels = _parse_labels(label_text)
-    else:
-        name, _, value_text = line.partition(" ")
-        labels = {}
-    return name, labels, float(value_text.strip())
-
-
-def from_prometheus(text: str) -> List[Dict[str, Any]]:
-    """Parse Prometheus text back into the snapshot's ``metrics`` list.
-
-    Inverse of :func:`to_prometheus` for output produced by it (it is
-    not a general scrape parser): ``from_prometheus(to_prometheus(s))``
-    equals ``s["metrics"]``.
-    """
-    families: List[Dict[str, Any]] = []
-    by_name: Dict[str, Dict[str, Any]] = {}
-    helps: Dict[str, str] = {}
-    hist_samples: Dict[str, Dict[tuple, Dict[str, Any]]] = {}
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_text = rest.partition(" ")
-            helps[name] = help_text
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            family = {
-                "name": name,
-                "type": kind.strip(),
-                "help": helps.get(name, ""),
-                "labels": [],
-                "samples": [],
-            }
-            families.append(family)
-            by_name[name] = family
-            if kind.strip() == "histogram":
-                hist_samples[name] = {}
-            continue
-        if line.startswith("#"):
-            continue
-
-        sample_name, labels, value = _split_sample_line(line)
-        # Histogram series carry _bucket/_sum/_count suffixes.
-        base = None
-        for suffix in ("_bucket", "_sum", "_count"):
-            candidate = sample_name[: -len(suffix)] if sample_name.endswith(suffix) else None
-            if candidate in hist_samples:
-                base = candidate
-                break
-        if base is not None:
-            bare = {k: v for k, v in labels.items() if k != "le"}
-            key = tuple(sorted(bare.items()))
-            cell = hist_samples[base].setdefault(
-                key, {"labels": bare, "buckets": {}, "inf": 0, "sum": 0.0, "count": 0}
-            )
-            if sample_name.endswith("_bucket"):
-                cell["buckets"][labels["le"]] = int(value)
-            elif sample_name.endswith("_sum"):
-                cell["sum"] = value
-            else:
-                cell["count"] = int(value)
-            continue
-
-        family = by_name.get(sample_name)
-        if family is None:
-            family = {
-                "name": sample_name,
-                "type": "untyped",
-                "help": "",
-                "labels": [],
-                "samples": [],
-            }
-            families.append(family)
-            by_name[sample_name] = family
-        family["samples"].append({"labels": labels, "value": value})
-        if labels and not family["labels"]:
-            family["labels"] = list(labels)
-
-    # De-cumulate histogram buckets and strip the +Inf series back out.
-    for name, cells in hist_samples.items():
-        family = by_name[name]
-        for cell in cells.values():
-            inf_cumulative = cell["buckets"].pop("+Inf", cell["count"])
-            bounds = sorted(cell["buckets"], key=float)
-            previous = 0
-            decumulated = {}
-            for bound in bounds:
-                decumulated[bound] = cell["buckets"][bound] - previous
-                previous = cell["buckets"][bound]
-            cell["inf"] = inf_cumulative - previous
-            cell["buckets"] = decumulated
-            family["samples"].append(cell)
-            if cell["labels"] and not family["labels"]:
-                family["labels"] = list(cell["labels"])
-    return families
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.telemetry.metrics import (
 
 _DISABLED = ("", "0", "false", "no", "off")
 
-#: Default ring-buffer capacity (records, not fingerprints).
+#: Ring-buffer capacity (records, not fingerprints).
 DEFAULT_MAX_RECORDS = 4096
 
 # Literal masking: single-quoted strings first (so digits inside them
@@ -42,16 +42,6 @@ _WS_RE = re.compile(r"\s+")
 
 def _env_enabled(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() not in _DISABLED
-
-
-def _env_max_records() -> int:
-    raw = os.environ.get("REPRO_QUERY_LOG_MAX", "").strip()
-    if not raw:
-        return DEFAULT_MAX_RECORDS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_MAX_RECORDS
 
 
 def fingerprint(statement: str) -> str:
@@ -105,7 +95,7 @@ class QueryLog:
         max_records: Optional[int] = None,
     ) -> None:
         self.enabled = _env_enabled("REPRO_QUERY_LOG") if enabled is None else enabled
-        self.max_records = _env_max_records() if max_records is None else max_records
+        self.max_records = DEFAULT_MAX_RECORDS if max_records is None else max_records
         self._lock = threading.Lock()
         self._records: deque = deque(maxlen=self.max_records)
         self.dropped = 0
@@ -153,8 +143,8 @@ class QueryLog:
         """Per-fingerprint aggregates with count/total/p50/p99.
 
         Quantiles come from a :class:`HistogramChild` per fingerprint
-        (same fixed buckets as every latency metric), so ``repro top``
-        ranks by exactly the semantics of ``Histogram.quantile``.
+        (same fixed buckets as every latency metric), so the p50/p99
+        ``repro stats`` prints follow the semantics of ``Histogram.quantile``.
         """
         registry = MetricsRegistry(enabled=True)
         hists: Dict[str, HistogramChild] = {}
@@ -200,17 +190,6 @@ class QueryLog:
         with self._lock:
             self._records.clear()
             self.dropped = 0
-
-
-def profiles_from_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Rebuild fingerprint profiles from serialized records (bundle replay).
-
-    Keys a record does not know are ignored, so records written before a
-    field was retired still replay."""
-    log = QueryLog(enabled=True, max_records=max(1, len(records)))
-    for rec in records:
-        log._records.append(QueryRecord(*(rec[name] for name in QueryRecord._fields)))
-    return log.profiles()
 
 
 _QUERY_LOG = QueryLog()

@@ -1,9 +1,10 @@
-"""Hierarchical tracing: nested spans with wall/CPU time, plus a slow-op log.
+"""Hierarchical tracing: nested spans with wall/CPU time.
 
 A span measures one named phase (``dwarf.build``, ``nosqldb.flush``, ...)
 and nests under whatever span is open on the *same thread* — each thread
 keeps its own stack, so worker-pool spans become independent roots that
-:meth:`Tracer.merged` folds together by name path afterwards.
+:meth:`Tracer.merged` folds together by name path afterwards.  The
+slow-op log is a view over the same forest (:meth:`Tracer.slow_ops_view`).
 
 When tracing is disabled (the default), :meth:`Tracer.span` returns a
 shared no-op context manager after a single attribute check.
@@ -16,40 +17,22 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.telemetry.metrics import get_registry
-
 _DISABLED = ("", "0", "false", "no", "off")
 
-# Slow-op entries discarded past MAX_SLOW_OPS (oldest-first truncation).
-# The tracer also keeps its own always-on ``slow_ops_dropped`` count so
-# the loss is visible even when metrics are gated off.
-_M_SLOW_OPS_DROPPED = get_registry().counter(
-    "telemetry_slow_ops_dropped_total",
-    "slow-op log entries discarded by the retention cap",
-)
-
 #: Hard cap on recorded spans per tracer; past it new spans become no-ops
-#: (a runaway per-row span cannot exhaust memory).
+#: (a runaway per-row span cannot exhaust memory), counted in
+#: :attr:`Tracer.spans_dropped`.
 MAX_SPANS = 100_000
 
-#: Cap on retained slow-op entries (oldest dropped first).
-MAX_SLOW_OPS = 200
+#: A finished span at least this slow (wall milliseconds) is a slow op.
+SLOW_OP_MS = 100.0
 
-DEFAULT_SLOW_MS = 100.0
+#: Cap on listed slow ops (the earliest finished are left out, and counted).
+MAX_SLOW_OPS = 200
 
 
 def _env_enabled(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() not in _DISABLED
-
-
-def _env_slow_ms() -> float:
-    raw = os.environ.get("REPRO_SLOW_MS", "").strip()
-    if not raw:
-        return DEFAULT_SLOW_MS
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_SLOW_MS
 
 
 class Span:
@@ -130,13 +113,12 @@ class Tracer:
 
     def __init__(self, enabled: Optional[bool] = None) -> None:
         self.enabled = _env_enabled("REPRO_TRACE") if enabled is None else enabled
-        self.slow_ms = _env_slow_ms()
         self._local = threading.local()
         self._lock = threading.Lock()
         self.roots: List[Span] = []
-        self.slow_ops: List[Dict[str, Any]] = []
-        self.slow_ops_dropped = 0
         self._n_spans = 0
+        #: Spans refused past :data:`MAX_SPANS`.
+        self.spans_dropped = 0
 
     # -- recording ------------------------------------------------------
     def span(self, __name: str, **attrs: Any):
@@ -150,6 +132,7 @@ class Tracer:
             return _NOOP_SPAN
         with self._lock:
             if self._n_spans >= MAX_SPANS:
+                self.spans_dropped += 1
                 return _NOOP_SPAN
             self._n_spans += 1
         span = Span(self, name, attrs)
@@ -168,26 +151,9 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         # Pop down to (and including) the finished span; tolerate spans
         # closed out of order rather than corrupting the stack.
-        if stack:
-            while stack:
-                top = stack.pop()
-                if top is span:
-                    break
-        if span.wall_s * 1000.0 >= self.slow_ms:
-            with self._lock:
-                self.slow_ops.append(
-                    {
-                        "name": span.name,
-                        "wall_ms": span.wall_s * 1000.0,
-                        "cpu_ms": span.cpu_s * 1000.0,
-                        "attrs": dict(span.attrs),
-                    }
-                )
-                overflow = len(self.slow_ops) - MAX_SLOW_OPS
-                if overflow > 0:
-                    del self.slow_ops[:overflow]
-                    self.slow_ops_dropped += overflow
-                    _M_SLOW_OPS_DROPPED.inc(overflow)
+        while stack:
+            if stack.pop() is span:
+                break
 
     # -- inspection -----------------------------------------------------
     def span_count(self) -> int:
@@ -244,12 +210,36 @@ class Tracer:
 
         return strip(merged, order)
 
+    def slow_ops_view(self) -> Tuple[List[Dict[str, Any]], int]:
+        """The slow-op log: every finished span of at least
+        :data:`SLOW_OP_MS` wall time, children before their parent, the
+        last :data:`MAX_SLOW_OPS` kept; and how many were left out."""
+        with self._lock:
+            roots = list(self.roots)
+        ops: List[Dict[str, Any]] = []
+
+        def visit(spans: List[Span]) -> None:
+            for span in spans:
+                visit(span.children)
+                if span.wall_s * 1000.0 >= SLOW_OP_MS:
+                    ops.append(
+                        {
+                            "name": span.name,
+                            "wall_ms": span.wall_s * 1000.0,
+                            "cpu_ms": span.cpu_s * 1000.0,
+                            "attrs": dict(span.attrs),
+                        }
+                    )
+
+        visit(roots)
+        dropped = max(0, len(ops) - MAX_SLOW_OPS)
+        return ops[dropped:], dropped
+
     def reset(self) -> None:
         with self._lock:
             self.roots.clear()
-            self.slow_ops.clear()
-            self.slow_ops_dropped = 0
             self._n_spans = 0
+            self.spans_dropped = 0
         self._local = threading.local()
 
 

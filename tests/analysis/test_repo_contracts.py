@@ -35,6 +35,9 @@
 * **One benchmark ruler.** ``repro bench`` regenerates Tables 4/5 and
   ``benchmarks/e2e`` measures performance: the same table keeps
   per-table pytest scripts, their timing helper and fixture out.
+* **One observability snapshot.** ``repro stats`` renders the debug
+  bundle, live or offline: the same table keeps the retired subcommands,
+  parsers, dispatcher and knobs out of ``src/``.
 * **Source rules.** REPRO006 (the kernel imports only itself and
   telemetry), REPRO007 (no raw ``perf_counter``), REPRO008 (lock
   discipline), REPRO012 (import layers, path bans and no top-level
@@ -43,7 +46,8 @@
   each with a planted-violation self-test.
 * **Docs cite what exists.** Every repo path and every backticked
   ``repro.*`` name in ``DESIGN.md``, ``README.md``, ``EXPERIMENTS.md``
-  and ``docs/*.md`` resolves.
+  and ``docs/*.md`` resolves, and ``docs/observability.md`` names every
+  catalogued metric and span and no uncatalogued metric.
 """
 
 from __future__ import annotations
@@ -281,6 +285,10 @@ CONTRACTS = [
               ".github/workflows/ci.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md"),
              allowed=("tests/analysis/test_repo_contracts.py",),
              banned_paths=r"benchmarks/(bench_\w*|_timing|conftest)\.py"),
+    # `repro stats` renders the debug bundle; the slow-op log is a view.
+    Contract("a retired observability surface, parser or knob",
+             r"from_prometheus|from_json|profiles_from_records|REPRO_SLOW_MS|REPRO_QUERY_LOG_MAX"
+             r"|telemetry_slow_ops_dropped_total|^def describe\b|_cmd_top|_cmd_debug_bundle"),
 ]
 
 
@@ -383,6 +391,25 @@ def test_contract_table_catches_a_second_sql_write_loop(tmp_path, relative, sour
     copy = tmp_path / relative
     copy.parent.mkdir(parents=True)
     copy.write_text(source + "\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("src/repro/telemetry/export.py", "def from_prometheus(text: str) -> List[Dict[str, Any]]:"),
+    ("src/repro/telemetry/export.py", "def from_json(text: str) -> Dict[str, Any]:"),
+    ("src/repro/telemetry/querylog.py", "def profiles_from_records(records):"),
+    ("src/repro/telemetry/trace.py", '    raw = os.environ.get("REPRO_SLOW_MS", "").strip()'),
+    ("src/repro/telemetry/querylog.py", '    raw = os.environ.get("REPRO_QUERY_LOG_MAX", "")'),
+    ("src/repro/telemetry/catalog.py", '        "telemetry_slow_ops_dropped_total",'),
+    ("src/repro/dwarf/stats.py", "def describe(target):"),
+    ("src/repro/cli.py", "def _cmd_top(args) -> int:"),
+    ("src/repro/cli.py", '        "debug-bundle": _cmd_debug_bundle,'),
+])
+def test_contract_table_catches_a_retired_observability_surface(tmp_path, relative, source):
+    contract = next(c for c in CONTRACTS if c.breach.startswith("a retired observability"))
+    copy = tmp_path / relative
+    copy.parent.mkdir(parents=True)
+    copy.write_text(source + "\n    def describe(self) -> str:\n", encoding="utf-8")
     assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
 
 
@@ -785,3 +812,37 @@ def test_doc_repro_names_resolve():
     broken = [f"{where}: {name}" for where, name in _citations(NAME_RE)
               if not _resolves(name)]
     assert not broken, "docs cite missing names:\n" + "\n".join(broken)
+
+
+#: A metric name as docs/observability.md writes one: backticked, with
+#: optional label braces.
+DOC_METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*_(?:total|seconds))(?:\{[^}`]*\})?`")
+
+
+def catalog_doc_findings(metric_names, span_names, text: str):
+    """Catalogued metrics and spans the page does not name, and metric
+    names the page documents that the catalog lacks."""
+    def named(name):
+        return re.search(rf"(?<![\w.]){re.escape(name)}(?!\w|\.\w)", text)
+
+    missing = [f"not documented: {name}"
+               for name in sorted(metric_names | span_names) if not named(name)]
+    return missing + [f"not catalogued: {name}"
+                      for name in sorted(set(DOC_METRIC_RE.findall(text)) - metric_names)]
+
+
+def test_observability_doc_matches_the_catalog():
+    text = (ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    findings = catalog_doc_findings(METRIC_NAMES, SPAN_NAMES, text)
+    assert not findings, "docs/observability.md vs repro.telemetry.catalog:\n" + "\n".join(findings)
+
+
+def test_catalog_doc_check_catches_planted_drift():
+    text = ("`etl_facts_total`, `etl_typo_total{table}` and\n"
+            "```\nnosqldb.commitlog.replay   keyspace\n```\n")
+    assert catalog_doc_findings(
+        frozenset({"etl_facts_total", "ingest_batches_total"}),
+        frozenset({"nosqldb.commitlog", "nosqldb.commitlog.replay"}),
+        text,
+    ) == ["not documented: ingest_batches_total", "not documented: nosqldb.commitlog",
+          "not catalogued: etl_typo_total"]

@@ -95,22 +95,26 @@ class TestStats:
             assert marker in out, marker
 
     def test_json_round_trips(self, capsys, monkeypatch):
-        from repro.telemetry import from_json
+        """``--format json`` prints the debug bundle itself."""
+        from repro.telemetry import from_bundle
 
         monkeypatch.setenv("REPRO_SCALE", "0.002")
         assert main(["stats", "--dataset", "Day", "--format", "json"]) == 0
-        snap = from_json(capsys.readouterr().out)
-        assert snap["spans"] and snap["metrics"]
+        bundle = from_bundle(capsys.readouterr().out)
+        assert bundle["telemetry"]["spans"] and bundle["telemetry"]["metrics"]
+        assert bundle["operators"] and bundle["storage"]
 
-    def test_prom_format_and_out_file(self, tmp_path, monkeypatch):
-        from repro.telemetry import from_prometheus
+    def test_prom_format_and_out_file(self, tmp_path, capsys, monkeypatch):
+        """``--format prom`` prints the metrics; ``--out`` writes the bundle."""
+        from repro.telemetry import from_bundle
 
         monkeypatch.setenv("REPRO_SCALE", "0.002")
-        out = tmp_path / "metrics.prom"
+        out = tmp_path / "bundle.json"
         code = main(["stats", "--dataset", "Day", "--format", "prom",
                      "--out", str(out)])
         assert code == 0
-        metrics = from_prometheus(out.read_text())
+        assert "# TYPE dwarf_builds_total counter" in capsys.readouterr().out
+        metrics = from_bundle(out.read_text())["telemetry"]["metrics"]
         assert any(m["name"] == "dwarf_builds_total" for m in metrics)
 
     def test_unknown_dataset(self, capsys):
@@ -120,17 +124,20 @@ class TestStats:
 
 def test_commands_leave_the_telemetry_switches_as_they_found_them(capsys, monkeypatch):
     """``ingest`` and ``stats`` switch metrics, tracing and the query log
-    on for their run; an in-process caller gets its own switches back."""
-    from repro.telemetry import get_query_log, get_registry, get_tracer
+    on for their run; an in-process caller gets its own switches back,
+    and none of the records the command made."""
+    from repro.telemetry import get_query_log, get_registry, get_tracer, snapshot
 
     monkeypatch.setenv("REPRO_SCALE", "0.002")
-    switches = (get_registry(), get_tracer(), get_query_log())
+    registry, tracer, log = switches = (get_registry(), get_tracer(), get_query_log())
     for switch in switches:
         monkeypatch.setattr(switch, "enabled", False)
-    assert main(["ingest", "--dataset", "day"]) == 0
-    assert [switch.enabled for switch in switches] == [False, False, False]
-    assert main(["stats", "--dataset", "day", "--format", "json"]) == 0
-    assert [switch.enabled for switch in switches] == [False, False, False]
+    for command in (["ingest", "--dataset", "day"],
+                    ["stats", "--dataset", "day", "--format", "json"]):
+        assert main(command) == 0
+        assert [switch.enabled for switch in switches] == [False, False, False]
+        assert len(log) == 0 and tracer.roots == [] and tracer.span_count() == 0
+        assert snapshot(registry)["metrics"] == []
     assert "ingest: OK" in capsys.readouterr().out
 
 
@@ -149,13 +156,11 @@ class TestHelpSync:
     def test_every_subcommand_registered(self):
         assert set(self.subcommand_parsers()) == {
             "generate", "pipeline", "bench", "check", "stats", "ingest",
-            "top", "debug-bundle",
         }
 
     @pytest.mark.parametrize(
         "command",
-        ["generate", "pipeline", "bench", "check", "stats", "ingest",
-         "top", "debug-bundle"],
+        ["generate", "pipeline", "bench", "check", "stats", "ingest"],
     )
     def test_help_exits_zero_and_lists_options(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:

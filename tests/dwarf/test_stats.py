@@ -1,9 +1,7 @@
 """Cube statistics: the node_count/cell_count scan of paper §4."""
 
-import pytest
-
 from repro.dwarf.builder import DwarfBuilder, build_cube
-from repro.dwarf.stats import compute_stats, describe
+from repro.dwarf.stats import compute_stats
 
 
 class TestCounts:
@@ -34,46 +32,6 @@ class TestCounts:
         stats = compute_stats(cube)
         assert stats.node_count == 1  # the open, empty root
         assert stats.cell_count == 0
-
-
-class TestDescribe:
-    def test_cube(self, sample_cube):
-        assert describe(sample_cube) == compute_stats(sample_cube)
-
-    def test_stats_method_object(self):
-        from repro.storage.btree import BTree
-
-        tree = BTree()
-        tree.insert(1, b"v")
-        assert describe(tree) == tree.stats()
-
-    def test_metrics_registry_renders_table(self):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("widget_total", "widgets").inc(3)
-        text = describe(registry)
-        assert "widget_total" in text and "3" in text
-
-    def test_tracer_and_merged_forest_render_tree(self):
-        from repro.telemetry.trace import Tracer
-
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        as_tracer = describe(tracer)
-        as_forest = describe(tracer.merged())
-        assert as_tracer == as_forest
-        assert "outer" in as_tracer and "inner" in as_tracer
-
-    def test_type_error_names_accepted_shapes(self):
-        with pytest.raises(TypeError) as excinfo:
-            describe(42)
-        message = str(excinfo.value)
-        for shape in ("DwarfCube", "Plan", "MetricsRegistry", "Tracer",
-                      "stats()"):
-            assert shape in message
 
 
 class TestGrowth:

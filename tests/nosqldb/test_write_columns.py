@@ -415,3 +415,40 @@ def test_a_fresh_batch_clears_a_cached_negative_read(tmp_path, checked):
         session.execute_many(insert, [(3, "c"), (4, "d")])
         assert session.execute("SELECT * FROM t WHERE id = 3").one() == {"id": 3, "tag": "c"}
         assert len(table) == 4
+
+
+# ----------------------------------------------------------------------
+# values the table cannot store as keys or as text
+# ----------------------------------------------------------------------
+def _session():
+    session = NoSQLEngine().connect()
+    session.execute("CREATE KEYSPACE ks")
+    session.execute("USE ks")
+    return session
+
+
+def test_a_nan_key_stops_the_batch_at_its_row():
+    """NaN equals no key, itself included: the memtable would hold one
+    row per NaN, so the key is refused."""
+    session = _session()
+    session.execute("CREATE TABLE f (x double PRIMARY KEY, v int)")
+    insert = session.prepare("INSERT INTO f (x, v) VALUES (?, ?)")
+    nan = float("nan")
+    with pytest.raises(InvalidRequest, match="primary key of 'f' cannot be NaN"):
+        session.execute_many(insert, [(1.0, 1), (nan, 2), (nan, 3)])
+    with pytest.raises(InvalidRequest, match="cannot be NaN"):
+        session.execute("INSERT INTO f (x, v) VALUES (?, 4)", (nan,))
+    assert session.execute("SELECT * FROM f").rows == [{"x": 1.0, "v": 1}]
+
+
+@pytest.mark.parametrize("column, value", [("s", "\ud800"), ("tags", {"ok", "\udc00"})])
+def test_a_lone_surrogate_stops_the_batch_at_its_row(column, value):
+    session = _session()
+    session.execute("CREATE TABLE t (id int PRIMARY KEY, s text, tags set<text>)")
+    insert = session.prepare(f"INSERT INTO t (id, {column}) VALUES (?, ?)")
+    good = "a" if column == "s" else {"a"}
+    with pytest.raises(InvalidRequest, match="not valid UTF-8"):
+        session.execute_many(insert, [(1, good), (2, value), (3, good)])
+    with pytest.raises(InvalidRequest, match="not valid UTF-8"):
+        session.execute(f"INSERT INTO t (id, {column}) VALUES (4, ?)", (value,))
+    assert [row["id"] for row in session.execute("SELECT * FROM t").rows] == [1]

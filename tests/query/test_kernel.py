@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dwarf.stats import describe
 from repro.query import (
     ACCESS_INDEX,
     ACCESS_MULTIGET,
@@ -141,15 +140,6 @@ class TestOperators:
 
         for name in ("get", "get_many", "_decoded_block"):
             assert not hasattr(SSTable, name), name
-
-    def test_describe_dispatches_plans_and_nodes(self):
-        scan = FullScan(FakeTable(ROWS), "t")
-        plan = Plan(scan)
-        plan.run(())
-        assert describe(plan) == plan.operator_stats()
-        assert describe(scan)[0].node == "FullScan"
-        cache = PlanCache()
-        assert describe(cache) == cache.stats()
 
     def test_reset_counters(self):
         plan = Plan(FullScan(FakeTable(ROWS), "t"))

@@ -50,6 +50,11 @@ class TestVarChar:
     def test_text_is_wide_varchar(self):
         TextType().validate("x" * 10_000)
 
+    def test_a_lone_surrogate_is_refused_with_the_engine_error(self):
+        for sql_type in (VarCharType(8), TextType()):
+            with pytest.raises(ProgrammingError, match="not valid UTF-8"):
+                sql_type.encode("\ud800")
+
 
 class TestBoolean:
     def test_round_trip(self):
@@ -77,6 +82,8 @@ class TestDouble:
     (BooleanType(), [True, 0, None], "t"),
     (VarCharType(3), ["ab", "ab", None, "abc"], "abcd"),
     (DoubleType(), [0.5, 3, None], "x"),
+    (VarCharType(3), ["ab", None], "\ud800"),  # a lone surrogate UTF-8 cannot encode
+    (TextType(), ["x"], "a\udc00"),
 ])
 def test_encode_column_stops_at_the_first_bad_value(sql_type, good, bad):
     """Cells are each value's own encoding (NULL stores nothing), up to

@@ -277,6 +277,41 @@ def session_with_table(extra=""):
     return session, session.engine.database("d")
 
 
+@pytest.mark.parametrize("kind", ["VARCHAR(8)", "TEXT"])
+def test_a_lone_surrogate_stops_the_batch_at_its_row(kind):
+    session = SQLEngine().connect()
+    session.execute("CREATE DATABASE d")
+    session.execute("USE d")
+    session.execute(f"CREATE TABLE t (id INT PRIMARY KEY, s {kind})")
+    session.execute("CREATE INDEX s_idx ON t (s)")
+    prepared = session.prepare("INSERT INTO t (id, s) VALUES (?, ?)")
+    with pytest.raises(ProgrammingError, match="not valid UTF-8"):
+        session.execute_many(prepared, [(1, "a"), (2, "\ud800"), (3, "b")])
+    with pytest.raises(ProgrammingError, match="not valid UTF-8"):
+        session.execute("INSERT INTO t (id, s) VALUES (4, ?)", ("\udfff",))
+    with pytest.raises(ProgrammingError, match="not valid UTF-8"):
+        session.execute("UPDATE t SET s = ? WHERE id = 1", ("\ud800",))
+    assert session.execute("SELECT id, s FROM t").rows == [{"id": 1, "s": "a"}]
+    assert session.execute("SELECT id FROM t WHERE s = 'a'").rows == [{"id": 1}]
+
+
+def test_a_nan_key_stops_the_batch_at_its_row():
+    """NaN equals no key, itself included: the B-tree cannot refuse it
+    as a duplicate, so it is refused as a value."""
+    session = SQLEngine().connect()
+    session.execute("CREATE DATABASE d")
+    session.execute("USE d")
+    session.execute("CREATE TABLE f (x DOUBLE PRIMARY KEY, y DOUBLE)")
+    prepared = session.prepare("INSERT INTO f (x, y) VALUES (?, ?)")
+    nan = float("nan")
+    with pytest.raises(ProgrammingError, match="primary key column 'x' cannot be NaN"):
+        session.execute_many(prepared, [(1.0, nan), (nan, 1.0), (nan, 2.0)])
+    with pytest.raises(ProgrammingError, match="cannot be NaN"):
+        session.execute("INSERT INTO f (x, y) VALUES (?, 3.0)", (nan,))
+    rows = session.execute("SELECT x, y FROM f").rows
+    assert len(rows) == 1 and rows[0]["x"] == 1.0 and rows[0]["y"] != rows[0]["y"]
+
+
 def test_template_constants_are_constant_columns():
     session, database = session_with_table(", tag VARCHAR(8)")
     prepared = session.prepare("INSERT INTO t (id, tag, m) VALUES (?, 'k', NULL)")

@@ -1,8 +1,12 @@
-"""The tracer: nesting, merging, slow-op log, thread behaviour, caps."""
+"""The tracer: nesting, merging, slow-op view, thread behaviour, caps."""
 
 import threading
 
-from repro.telemetry.trace import _NOOP_SPAN, MAX_SPANS, Tracer
+import pytest
+
+import repro.telemetry.trace as trace
+from repro.telemetry import snapshot
+from repro.telemetry.trace import _NOOP_SPAN, MAX_SLOW_OPS, MAX_SPANS, Tracer
 
 
 class TestGating:
@@ -18,6 +22,19 @@ class TestGating:
     def test_span_cap(self, tracer):
         tracer._n_spans = MAX_SPANS
         assert tracer.span("over") is _NOOP_SPAN
+
+    def test_spans_past_the_cap_are_counted_and_reach_the_snapshot(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_SPANS", 3)
+        tracer = Tracer(enabled=True)
+        with tracer.span("root"):
+            for _ in range(4):
+                with tracer.span("child"):
+                    pass
+        assert tracer.span_count() == 3
+        assert tracer.spans_dropped == 2
+        assert snapshot(tracer=tracer)["spans_dropped"] == 2
+        tracer.reset()
+        assert tracer.spans_dropped == 0
 
 
 class TestNesting:
@@ -92,52 +109,52 @@ class TestMerged:
         assert merged["worker"]["count"] == 4  # separate roots, folded
 
 
+@pytest.fixture
+def every_span_slow(monkeypatch):
+    """Make every finished span a slow op."""
+    monkeypatch.setattr(trace, "SLOW_OP_MS", 0.0)
+
+
 class TestSlowOps:
-    def test_threshold_zero_records_everything(self, tracer):
-        tracer.slow_ms = 0.0
+    def test_threshold_zero_records_everything(self, tracer, every_span_slow):
         with tracer.span("slow", detail="x"):
-            pass
-        assert len(tracer.slow_ops) == 1
-        op = tracer.slow_ops[0]
-        assert op["name"] == "slow"
-        assert op["attrs"] == {"detail": "x"}
-        assert op["wall_ms"] >= 0.0
+            with tracer.span("inner"):
+                pass
+        ops, dropped = tracer.slow_ops_view()
+        assert [op["name"] for op in ops] == ["inner", "slow"]  # finish order
+        assert ops[1]["attrs"] == {"detail": "x"}
+        assert ops[1]["wall_ms"] >= ops[0]["wall_ms"] >= 0.0
+        assert dropped == 0
 
     def test_fast_ops_not_recorded(self, tracer):
-        tracer.slow_ms = 10_000.0
         with tracer.span("fast"):
             pass
-        assert tracer.slow_ops == []
+        assert tracer.slow_ops_view() == ([], 0)
 
 
 class TestReset:
-    def test_reset_clears_everything(self, tracer):
-        tracer.slow_ms = 0.0
+    def test_reset_clears_everything(self, tracer, every_span_slow):
         with tracer.span("x"):
             pass
         tracer.reset()
         assert tracer.roots == []
-        assert tracer.slow_ops == []
+        assert tracer.slow_ops_view() == ([], 0)
         assert tracer.span_count() == 0
 
 
 class TestSlowOpRetention:
-    def test_overflow_counted_not_silent(self, tracer):
-        from repro.telemetry.trace import MAX_SLOW_OPS
-
-        tracer.slow_ms = 0.0
-        for _ in range(MAX_SLOW_OPS + 3):
-            with tracer.span("op"):
+    def test_overflow_counted_not_silent(self, tracer, every_span_slow):
+        for i in range(MAX_SLOW_OPS + 3):
+            with tracer.span("op", i=i):
                 pass
-        assert len(tracer.slow_ops) == MAX_SLOW_OPS
-        assert tracer.slow_ops_dropped == 3
+        ops, dropped = tracer.slow_ops_view()
+        assert len(ops) == MAX_SLOW_OPS
+        assert dropped == 3
+        assert ops[0]["attrs"] == {"i": 3}  # the earliest finished are left out
 
-    def test_reset_clears_drop_count(self, tracer):
-        from repro.telemetry.trace import MAX_SLOW_OPS
-
-        tracer.slow_ms = 0.0
+    def test_reset_clears_drop_count(self, tracer, every_span_slow):
         for _ in range(MAX_SLOW_OPS + 1):
             with tracer.span("op"):
                 pass
         tracer.reset()
-        assert tracer.slow_ops_dropped == 0
+        assert tracer.slow_ops_view()[1] == 0
