@@ -27,7 +27,7 @@ def _cql_type_of(value) -> str:
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, int):
-        return "int"
+        return "bigint"
     if isinstance(value, float):
         return "double"
     if isinstance(value, str):

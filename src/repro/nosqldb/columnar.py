@@ -203,7 +203,7 @@ class ColumnarCodec:
         concatenate to their 8-byte timestamps; ``orders`` holds each
         row's cell schema positions in cell order.  ``decoded`` is the build's
         :meth:`zone_memo`.  ``typed``, where given, holds per column the
-        values its raws encode, each exactly the type's ``value_type``
+        values its raws encode, each exactly of the type's ``value_types``
         (None where unknown): zone entries then come from them, and
         only the other columns decode their distinct raws.
 

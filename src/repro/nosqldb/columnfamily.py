@@ -95,26 +95,6 @@ def _overlaps(span, others) -> bool:
     )
 
 
-def _encode_cells(cql_type: CQLType, values: Sequence) -> Tuple[List, Optional[Exception]]:
-    """:meth:`CQLType.encode_column` of ``values`` up to the first value
-    that fails: the cells encoded before it, and its exception (None
-    when every value encoded) — the write loop still writes the rows
-    before it."""
-    try:
-        return cql_type.encode_column(values), None
-    except Exception:  # deferred to its row, raised once the rows before it are in
-        encode = cql_type.validate_encode
-        cells: List = []
-        for value in values:
-            try:
-                cells.append(None if value is None else encode(value))
-            except UnicodeEncodeError:  # a lone surrogate
-                return cells, InvalidRequest(f"{cql_type.name} value {value!r} is not valid UTF-8")
-            except Exception as error:
-                return cells, error
-        return cells, None
-
-
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
     """Record what a flush or compaction wrote — its blocks — and what it
     cost: encode, compress and write (spill) seconds, and the rows whose
@@ -211,8 +191,6 @@ class ColumnFamily:
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
         self._positions: Dict[str, int] = {name: index for index, name in enumerate(names)}
         self._pk_index = names.index(primary_key)
-        # A double key: NaN equals no key, itself included.
-        self._nan_key = isinstance(self.columns[self._pk_index].cql_type, DoubleType)
         self._memtable = Memtable()
         # Memtables handed to the (simulated) background flusher: sealed,
         # not yet built into SSTables.  Clients don't wait for flushes —
@@ -407,9 +385,10 @@ class ColumnFamily:
         Raises InvalidRequest, before anything is written, for a column
         this table does not have or one named twice — each column is
         resolved by name to this table's own.  Raises InvalidRequest for
-        a missing or NaN primary key or an ill-typed or unencodable value
-        in row ``k``: rows before ``k`` are written (row ``k``'s clock
-        tick too, for a value that fails its column), nothing after.
+        a missing primary key, or a key or value the value domain
+        (:mod:`repro.storage.values`) refuses, in row ``k``: rows before
+        ``k`` are written (row ``k``'s clock tick too, for a value that
+        fails its column), nothing after.
         """
         columns = [self.column(column.name) for column in columns]
         reject_repeated_columns([column.name for column in columns], InvalidRequest)
@@ -433,13 +412,10 @@ class ColumnFamily:
         if None in keys:
             stop = keys.index(None)
             error = InvalidRequest(f"INSERT into {self.name!r} misses primary key")
-        if self._nan_key:
-            nan_at = next((i for i, key in zip(range(stop), keys) if key != key), stop)
-            if nan_at < stop:
-                stop, error = nan_at, InvalidRequest(f"primary key of {self.name!r} cannot be NaN")
+        stop, error = columns[key_at].cql_type.refuse_keys(self.primary_key, keys, stop, error)
         cells = []
         for column, column_values in zip(columns, chunk):
-            encoded, failure = _encode_cells(column.cql_type, column_values[:stop])
+            encoded, failure = column.cql_type.encode_column(column_values[:stop])
             cells.append(encoded)
             if failure is not None:
                 stop, error, ticked = len(encoded), failure, 1
@@ -509,11 +485,13 @@ class ColumnFamily:
              rows: List[bytes], keys: Sequence) -> Run:
         """The :class:`Run` of a proven-fresh chunk written whole."""
         positions = tuple(self._positions[column.name] for column in columns)
-        none = type(None)
         typed = []
         for column, values in zip(columns, chunk):
-            value_type = column.cql_type.value_type
-            exact = value_type is not None and set(map(type, values)) <= {value_type, none}
+            cql_type = column.cql_type
+            # A double's bound values do not stand for its stored ones
+            # (NaN, -0.0), and sets have no zone entries.
+            exact = (not isinstance(cql_type, (DoubleType, SetType))
+                     and set(map(type, values)) <= cql_type.value_types | {type(None)})
             typed.append(values if exact else None)
         return Run(keys, rows, positions, cells, self._write_clock + 1, typed)
 
@@ -558,10 +536,13 @@ class ColumnFamily:
     def update(self, key, assignments: Dict[str, object]) -> None:
         """CQL UPDATE: read-modify-write of non-key columns.
 
-        Raises InvalidRequest when ``assignments`` touch the primary key.
+        Raises InvalidRequest when ``assignments`` touch the primary key,
+        and, before anything is read or written, for a key an INSERT
+        would refuse.
         """
         if self.primary_key in assignments:
             raise InvalidRequest("cannot update the primary key")
+        self.columns[self._pk_index].cql_type.check_key(self.primary_key, key)
         current = self.get(key)
         if current is None:
             current = {c.name: None for c in self.columns}
@@ -572,10 +553,10 @@ class ColumnFamily:
     def delete(self, key) -> None:
         """CQL DELETE by primary key: a tombstone, logged first.
 
-        Raises InvalidRequest, before anything is logged, for a key the
-        primary key's type rejects (as an INSERT of it would).
+        Raises InvalidRequest, before anything is logged, for a key an
+        INSERT would refuse.
         """
-        self.columns[self._pk_index].cql_type.validate(key)
+        self.columns[self._pk_index].cql_type.check_key(self.primary_key, key)
         if self._indexes:
             previous = self._read_encoded(key)
             if previous is not None:

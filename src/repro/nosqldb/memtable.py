@@ -24,8 +24,8 @@ class Run(NamedTuple):
     stored as ``rows[i]``; its cells are ``cells[j][i]`` (None: no cell)
     for the statement columns at schema ``positions[j]``, all stamped
     with write-clock tick ``tick + i``.  ``typed[j]`` is column ``j``'s
-    bound values where each is exactly its type's ``value_type``, else
-    None."""
+    bound values where each is exactly of its type's ``value_types``
+    (never for a double or a set), else None."""
 
     keys: Sequence
     rows: Sequence[bytes]

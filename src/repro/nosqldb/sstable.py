@@ -563,7 +563,7 @@ class _View(NamedTuple):
     None (no cell) or ``(rows, raws, stamps, bound)``: the positions
     holding a cell (None: every row), their raw values, their 8-byte
     timestamps as one byte string, and their bound values when each is
-    exactly the type's ``value_type`` (else None).  ``orders`` holds
+    exactly of the type's ``value_types`` (else None).  ``orders`` holds
     each row's cell schema positions."""
 
     lens: Sequence[int]

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.query.batch import Batch, VectorBatch
 from repro.query.session import reject_repeated_columns
 from repro.sqldb.errors import IntegrityError, ProgrammingError
-from repro.sqldb.types import DoubleType, SQLType
+from repro.sqldb.types import SQLType
 from repro.storage.btree import BTree
 from repro.telemetry import get_registry
 
@@ -65,11 +65,6 @@ def _first_none(values: Sequence, stop: int) -> int:
         return stop
 
 
-def _first_nan(values: Sequence, stop: int) -> int:
-    """Position of the first NaN among ``values[:stop]``, else ``stop``."""
-    return next((i for i, value in zip(range(stop), values) if value != value), stop)
-
-
 class SQLColumn:
     __slots__ = ("name", "sql_type", "not_null")
 
@@ -108,11 +103,6 @@ class Table:
         self._by_name = {c.name: c for c in self.columns}
         self._names = tuple(names)
         self._pk_positions = [names.index(part) for part in self.primary_key]
-        # DOUBLE key columns: NaN equals no key, itself included.
-        self._nan_keys = tuple(
-            part for part in self.primary_key
-            if isinstance(self._by_name[part].sql_type, DoubleType)
-        )
         self._locators = self._locate_columns()
         self._clustered = BTree()
         self._secondary: Dict[str, BTree] = {}
@@ -331,10 +321,9 @@ class Table:
             null_at = 0 if values is None else _first_none(values, stop)
             if null_at < stop:
                 stop, error = null_at, IntegrityError(f"primary key column {name!r} cannot be NULL")
-        for name in self._nan_keys:
-            nan_at = _first_nan(given.get(name, ()), stop)
-            if nan_at < stop:
-                stop, error = nan_at, ProgrammingError(f"primary key column {name!r} cannot be NaN")
+        for name in primary_key:
+            key_type = self._by_name[name].sql_type
+            stop, error = key_type.refuse_keys(name, given.get(name, ()), stop, error)
         rows = self._assemble(stop, fixed, varying, cells)
         if len(primary_key) == 1:
             keys = given[primary_key[0]] if stop else ()
@@ -433,8 +422,7 @@ class Table:
                 raise ProgrammingError("updating primary key columns is not supported")
             column = self.column(name)
             if value is not None:
-                column.sql_type.validate(value)
-                column.sql_type.encode(value)  # a value it cannot store fails here
+                column.sql_type.validate_encode(value)
             elif column.not_null:
                 raise IntegrityError(f"column {name!r} is NOT NULL")
         touched = 0

@@ -285,6 +285,11 @@ CONTRACTS = [
               ".github/workflows/ci.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md"),
              allowed=("tests/analysis/test_repo_contracts.py",),
              banned_paths=r"benchmarks/(bench_\w*|_timing|conftest)\.py"),
+    # One value domain: type, range, UTF-8, double-overflow and NaN-key
+    # checks live in repro.storage.values, not in either engine.
+    Contract("a value-domain check in an engine beside repro.storage.values",
+             r"UnicodeEncodeError|OverflowError|cannot be NaN|_first_nan|_encode_cells",
+             ("src/repro/sqldb", "src/repro/nosqldb")),
     # `repro stats` renders the debug bundle; the slow-op log is a view.
     Contract("a retired observability surface, parser or knob",
              r"from_prometheus|from_json|profiles_from_records|REPRO_SLOW_MS|REPRO_QUERY_LOG_MAX"
@@ -410,6 +415,23 @@ def test_contract_table_catches_a_retired_observability_surface(tmp_path, relati
     copy = tmp_path / relative
     copy.parent.mkdir(parents=True)
     copy.write_text(source + "\n    def describe(self) -> str:\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("src/repro/nosqldb/columnfamily.py", "            except UnicodeEncodeError:  # a lone surrogate"),
+    ("src/repro/sqldb/types.py", "        except OverflowError:"),
+    ("src/repro/sqldb/table.py",
+     '                stop, error = nan_at, ProgrammingError(f"primary key column {name!r} cannot be NaN")'),
+    ("src/repro/sqldb/table.py", "            nan_at = _first_nan(given.get(name, ()), stop)"),
+    ("src/repro/nosqldb/columnfamily.py",
+     "            encoded, failure = _encode_cells(column.cql_type, column_values[:stop])"),
+])
+def test_contract_table_catches_a_value_check_in_an_engine(tmp_path, relative, source):
+    contract = next(c for c in CONTRACTS if c.breach.startswith("a value-domain check"))
+    for path, text in ((relative, source), ("src/repro/storage/values.py", "    except OverflowError:")):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text + "\n", encoding="utf-8")
     assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
 
 

@@ -57,6 +57,13 @@ class TestStore:
         with pytest.raises(MappingError):
             store.store("Station", {"a": {}})
 
+    def test_an_int_attribute_past_32_bits_is_stored_as_bigint(self, store):
+        """The column type comes from the first row: an int attribute is
+        ``bigint``, which CQL codes as a varint like ``int``."""
+        store.store("Meter", {"m1": {"reading": 2 ** 40}, "m2": {"reading": 7}})
+        assert store.attributes("Meter", "m1") == {"reading": 2 ** 40}
+        assert store.attributes("Meter", "m2") == {"reading": 7}
+
     def test_restore_overwrites(self, store):
         store.store("Station", STATION_ROWS)
         updated = {m: dict(a, capacity=99) for m, a in STATION_ROWS.items()}

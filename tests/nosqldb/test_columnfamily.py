@@ -116,6 +116,24 @@ class TestDelete:
         assert sorted(row["id"] for row in cf.scan()) == [1, 2]
         assert len(cf) == 2
 
+    @pytest.mark.parametrize("key_type, key, match", [
+        ("text", "\ud800", "not valid UTF-8"),
+        ("int", 2 ** 40, "out of range for int"),
+        ("double", float("nan"), "primary key column 'id' cannot be NaN"),
+    ])
+    def test_a_key_an_insert_refuses_is_refused_before_the_log(self, key_type, key, match):
+        from repro.nosqldb.commitlog import CommitLog
+
+        log = CommitLog()
+        cf = ColumnFamily("u", [Column("id", parse_type(key_type)), Column("v", parse_type("int"))],
+                          primary_key="id", commit_log=log)
+        with pytest.raises(InvalidRequest, match=match):
+            cf.delete(key)
+        with pytest.raises(InvalidRequest, match=match):
+            cf.update(key, {"v": 1})
+        assert list(log.records()) == []
+        assert not cf._memtable.tombstones and len(cf._memtable) == 0
+
     def test_delete_from_memtable(self):
         cf = make_cf()
         cf.insert({"id": 1, "measure": 5})

@@ -30,7 +30,7 @@ def test_literal_insert_round_trips(key, text, number, flag, members):
     session.execute("CREATE KEYSPACE ks")
     session.execute("USE ks")
     session.execute(
-        "CREATE TABLE t (id int PRIMARY KEY, txt text, num int, "
+        "CREATE TABLE t (id int PRIMARY KEY, txt text, num bigint, "
         "flag boolean, members set<int>)"
     )
     set_literal = "{" + ", ".join(str(m) for m in sorted(members)) + "}"
@@ -52,7 +52,7 @@ def test_prepared_and_literal_agree(key, text, number):
     session = engine.connect()
     session.execute("CREATE KEYSPACE ks")
     session.execute("USE ks")
-    session.execute("CREATE TABLE t (id int PRIMARY KEY, txt text, num int)")
+    session.execute("CREATE TABLE t (id int PRIMARY KEY, txt text, num bigint)")
     prepared = session.prepare("INSERT INTO t (id, txt, num) VALUES (?, ?, ?)")
     session.execute_many(prepared, [(key, text, number)])
     via_plan = session.execute("SELECT * FROM t WHERE id = ?", (key,)).one()

@@ -434,7 +434,7 @@ def test_a_nan_key_stops_the_batch_at_its_row():
     session.execute("CREATE TABLE f (x double PRIMARY KEY, v int)")
     insert = session.prepare("INSERT INTO f (x, v) VALUES (?, ?)")
     nan = float("nan")
-    with pytest.raises(InvalidRequest, match="primary key of 'f' cannot be NaN"):
+    with pytest.raises(InvalidRequest, match="primary key column 'x' cannot be NaN"):
         session.execute_many(insert, [(1.0, 1), (nan, 2), (nan, 3)])
     with pytest.raises(InvalidRequest, match="cannot be NaN"):
         session.execute("INSERT INTO f (x, v) VALUES (?, 4)", (nan,))
@@ -452,3 +452,22 @@ def test_a_lone_surrogate_stops_the_batch_at_its_row(column, value):
     with pytest.raises(InvalidRequest, match="not valid UTF-8"):
         session.execute(f"INSERT INTO t (id, {column}) VALUES (4, ?)", (value,))
     assert [row["id"] for row in session.execute("SELECT * FROM t").rows] == [1]
+
+
+def test_an_int_too_large_for_a_double_stops_the_batch_at_its_row():
+    """A refused double is a value its column refuses, like an
+    ill-typed one: the rows before it are written and its own clock
+    tick is taken, as the row loop took it."""
+    session = _session()
+    session.execute("CREATE TABLE d (id int PRIMARY KEY, x double)")
+    table = session.engine.keyspace("ks").table("d")
+    insert = session.prepare("INSERT INTO d (id, x) VALUES (?, ?)")
+    clock = table._write_clock
+    with pytest.raises(InvalidRequest, match="out of range for double"):
+        session.execute_many(insert, [(1, 0.5), (2, 2 ** 1100), (3, 1.5)])
+    assert table._write_clock == clock + 2
+    with pytest.raises(InvalidRequest, match="out of range for double"):
+        session.execute("INSERT INTO d (id, x) VALUES (4, ?)", (2 ** 1100,))
+    with pytest.raises(InvalidRequest, match="out of range for double"):
+        session.execute("UPDATE d SET x = ? WHERE id = 1", (2 ** 1100,))
+    assert session.execute("SELECT * FROM d").rows == [{"id": 1, "x": 0.5}]
