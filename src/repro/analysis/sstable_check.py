@@ -335,8 +335,6 @@ def _check_row_cache_agreement(report: CheckReport, family: ColumnFamily) -> Non
 
 
 def _check_live_count(report: CheckReport, family: ColumnFamily) -> None:
-    if family._n_live is None:  # marked dirty (crash recovery); nothing to hold
-        return
     actual = sum(1 for _ in _live_rows(family))
     report.check(
         family._n_live == actual, _CHECKER, "sstable.live-count",

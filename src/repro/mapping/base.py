@@ -484,7 +484,7 @@ class CubeMapper:
         self.engine = engine
         self.namespace = namespace
         self.session = engine.connect()
-        self._prepared: Dict[str, object] = {}
+        self._installed = False
         self._query_statements: Dict[str, object] = {}
         self._epoch_table_present = False
         # Memoisations keyed by stored cube id.  Ids restart at 1 after
@@ -515,7 +515,7 @@ class CubeMapper:
     # -- write side ------------------------------------------------------
     def install(self) -> None:
         """Create the keyspace/database, its tables and indexes
-        (idempotent) and prepare the INSERTs."""
+        (idempotent)."""
         mapping, session = self.mapping, self.session
         session.execute(
             f"CREATE {mapping.backend.namespace_kind} IF NOT EXISTS {self.namespace}"
@@ -526,9 +526,7 @@ class CubeMapper:
         for table in mapping.tables:
             for column in table.indexes:
                 session.execute(f"CREATE INDEX IF NOT EXISTS ON {table.name} ({column})")
-        self._prepared = {
-            table.name: session.prepare(table.insert()) for table in mapping.stored_tables
-        }
+        self._installed = True
 
     def _next_ids(self) -> Dict[str, int]:
         """Allocate the next schema/node/cell ids by querying the registry (§4)."""
@@ -539,17 +537,17 @@ class CubeMapper:
     def store(self, cube: DwarfCube, is_cube: bool = False, probe_size: bool = True) -> int:
         """Persist ``cube`` — one registry row, then every other table's
         column batch through ``execute_many``; returns the new id."""
-        if not self._prepared:
+        if not self._installed:
             raise MappingError(f"{self.name}: call install() before store()")
         ids = self._next_ids()
         flat = cube_columns(cube, first_node_id=ids["node"], first_cell_id=ids["cell"])
         schema_id = ids["schema"]
+        registry = self.mapping.registry
         self.session.execute_prepared(
-            self._prepared[self.mapping.registry.name],
-            self._registry_row(flat, schema_id, is_cube),
+            cached_statement(self, registry.insert()), self._registry_row(flat, schema_id, is_cube)
         )
         for table, batch in self._batches(flat, cube.schema, schema_id):
-            self.session.execute_many(self._prepared[table.name], batch)
+            self.session.execute_many(cached_statement(self, table.insert()), batch)
         self._entry_cache[schema_id] = flat.entry_node_id
         if probe_size:
             self.probe_size(schema_id)
@@ -719,36 +717,28 @@ class CubeMapper:
     # -- removal ---------------------------------------------------------
     def delete_cube_rows(self, schema_id: int) -> int:
         """Remove one stored cube's node/cell/link/dimension rows
-        (compaction); returns the count removed.
+        (compaction) the way ``store`` wrote them: each table gets the
+        primary keys of the cube's rows as one batch through
+        ``execute_many`` of its key DELETE.  Returns the count removed.
 
-        The registry row is kept as an allocation watermark so
-        ``_next_ids`` never reissues the reclaimed range.
+        The keys come from the pushed cube scan; a link table's, which
+        carry no cube id, from the cell columns ``load`` joins, through
+        the :func:`_edges` that wrote them.  The registry row is kept as
+        an allocation watermark so ``_next_ids`` never reissues the
+        reclaimed range.
         """
-        mapping, session = self.mapping, self.session
-        owned = [t for t in (mapping.nodes, mapping.cells, mapping.dimensions) if t is not None]
+        mapping = self.mapping
+        linked = list(dict.fromkeys(c.role for link in mapping.links for c in link.key_columns))
+        cells = dict(zip(linked, self._cell_columns(schema_id, linked))) if linked else {}
         reclaimed = 0
-        if mapping.backend.deletes_by_key:
-            for table in owned:
-                key = table.columns[0]
-                delete = cached_statement(self, f"DELETE FROM {table.name} WHERE {key.name} = ?")
-                ids = self._columns(table, (key.role,), schema_id)[0]
-                for id_ in ids:
-                    session.execute_prepared(delete, (id_,))
-                reclaimed += len(ids)
-        else:
-            for link in mapping.links:
-                # Link rows carry no cube id: delete them per owning id,
-                # by the key prefix (the containing node, or the cell).
-                prefix = link.columns[0]
-                owner = mapping.nodes if prefix.role == "parent_node_id" else mapping.cells
-                delete = cached_statement(self, f"DELETE FROM {link.name} WHERE {prefix.name} = ?")
-                for id_ in self._columns(owner, (owner.columns[0].role,), schema_id)[0]:
-                    reclaimed += session.execute_prepared(delete, (id_,)).rowcount
-            for table in owned:
-                reclaimed += session.execute(
-                    f"DELETE FROM {table.name} WHERE {table.column('schema_id')} = ?",
-                    (schema_id,),
-                ).rowcount
+        for table in mapping.stored_tables[1:]:
+            roles = [column.role for column in table.key_columns]
+            if table in mapping.links:
+                keys = _edges(Columns(len(cells["cell_id"]), tuple(map(cells.get, roles))))
+            else:
+                columns = self._columns(table, roles, schema_id)
+                keys = Columns(len(columns[0]), tuple(columns))
+            reclaimed += self.session.execute_many(cached_statement(self, table.delete()), keys)
         self._entry_cache.pop(schema_id, None)
         return reclaimed
 

@@ -6,9 +6,9 @@ registry, the nodes, the cells and the node↔cell relation, what each
 column stores, which columns are indexed, and which engine runs them.
 So each schema is written down once as a frozen :class:`SchemaMapping`,
 and the access code is derived from it — DDL, prepared INSERTs and
-store/load by :class:`~repro.mapping.base.CubeMapper`, the stored-query
-walk's cell reads by :mod:`repro.mapping.stored_query`, the
-declaration check by :mod:`repro.analysis.mapping_check`.
+key DELETEs and store/load by :class:`~repro.mapping.base.CubeMapper`,
+the stored-query walk's cell reads by :mod:`repro.mapping.stored_query`,
+the declaration check by :mod:`repro.analysis.mapping_check`.
 
 A column's **role** names what it stores: a field of the flat
 :class:`~repro.mapping.base.NodeRecord` / ``CellRecord`` the
@@ -73,12 +73,23 @@ class Table(NamedTuple):
         only the size probe's UPDATE writes."""
         return tuple(c for c in self.columns if c.role != "size_as_bytes")
 
+    @property
+    def key_columns(self) -> Tuple[Column, ...]:
+        """The primary-key columns, in key order."""
+        by_name = {column.name: column for column in self.columns}
+        return tuple(by_name[name] for name in self.key) or self.columns[:1]
+
     def insert(self) -> str:
         names = [column.name for column in self.written]
         return (
             f"INSERT INTO {self.name} ({', '.join(names)}) "
             f"VALUES ({', '.join('?' * len(names))})"
         )
+
+    def delete(self) -> str:
+        """The DELETE of one row by its whole primary key."""
+        where = " AND ".join(f"{column.name} = ?" for column in self.key_columns)
+        return f"DELETE FROM {self.name} WHERE {where}"
 
 
 class Types(NamedTuple):
@@ -105,8 +116,6 @@ class Backend(NamedTuple):
     filtering: str
     #: ``settle(space)`` after TRUNCATE: drop the commit / redo log.
     settle: Callable
-    #: Rows can only be deleted by primary key (select ids, then delete).
-    deletes_by_key: bool
     #: Tables count block-cache hits a fetch can report.
     block_cache: bool
     types: Types
@@ -118,7 +127,6 @@ CQL = Backend(
     space=lambda engine, name: engine.keyspace(name),
     filtering=" ALLOW FILTERING",
     settle=lambda space: space.clear_commit_log(),
-    deletes_by_key=True,
     block_cache=True,
     types=Types("int", "boolean", "text", "text", "text"),
 )
@@ -129,7 +137,6 @@ SQL = Backend(
     space=lambda engine, name: engine.database(name),
     filtering="",
     settle=lambda space: space.checkpoint(),
-    deletes_by_key=False,
     block_cache=False,
     types=Types("INT", "BOOLEAN", "TEXT", "VARCHAR(64)", "VARCHAR(16)"),
 )

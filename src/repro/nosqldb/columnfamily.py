@@ -95,6 +95,12 @@ def _overlaps(span, others) -> bool:
     )
 
 
+def _row_bytes(hit) -> Optional[bytes]:
+    """The encoded row of a :meth:`ColumnFamily._locate` answer: a row
+    found in an SSTable block is rematerialized."""
+    return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
+
+
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
     """Record what a flush or compaction wrote — its blocks — and what it
     cost: encode, compress and write (spill) seconds, and the rows whose
@@ -202,9 +208,8 @@ class ColumnFamily:
             block_cache_budget() if block_cache_bytes is None else block_cache_bytes
         )
         self._generation = 0
-        # Live-row count maintained by the write path; None = unknown
-        # (recomputed lazily after crash recovery dropped the memtables).
-        self._n_live: Optional[int] = 0
+        # Live-row count, kept exact by the write path and crash recovery.
+        self._n_live = 0
         self._indexes: Dict[str, SecondaryIndex] = {}
         self._commit_log = commit_log
         self._data_dir = data_dir
@@ -249,12 +254,7 @@ class ColumnFamily:
         cql_type = self.column(column).cql_type
         if isinstance(cql_type, SetType):
             raise InvalidRequest("secondary indexes on collections are not supported")
-        index = SecondaryIndex(index_name, column)
-        # Backfill from existing data.
-        primary_key = self.primary_key
-        for row in self.scan():
-            index.add(row[column], row[primary_key])
-        self._indexes[column] = index
+        index = self._indexes[column] = self._filled([SecondaryIndex(index_name, column)])[0]
         return index
 
     @property
@@ -367,16 +367,17 @@ class ColumnFamily:
         Per :data:`ENCODE_CHUNK` rows: each column is validated and
         encoded over the chunk with its type resolved once, and each row
         assembled with the next write-clock tick as its cells' timestamp;
-        then per row, in row order, index maintenance or the liveness
-        probe, the memtable put, the row-cache invalidation and the flush
-        check; then the chunk's commit-log records in one append.  A
-        batch stores exactly the bytes the same rows written one at a
-        time would: cells in column order, the same timestamps, seal
-        points and commit-log records.
+        the rows the keys held before are read in one walk
+        (:meth:`_locate`, the liveness probe); then per row, in row
+        order, index maintenance, the memtable put, the row-cache
+        invalidation and the flush check; then the chunk's commit-log
+        records in one append.  A batch stores exactly the bytes the
+        same rows written one at a time would: cells in column order,
+        the same timestamps, seal points and commit-log records.
 
         The liveness probe is skipped for a chunk that proves its keys
         new (:meth:`_fresh`); a table with a secondary index reads every
-        key before writing it instead, to update the index.  Such a
+        key before writing it, to update the index.  A proven-new
         chunk, written whole, also leaves its encoded cell columns with
         the memtable(s) it landed in as a :class:`Run`, which the flush
         hands the SSTable emitter as they are; any other chunk drops the
@@ -425,36 +426,37 @@ class ColumnFamily:
         # Each indexed column's position in ``columns`` (None: not written).
         written = {column.name: j for j, column in enumerate(columns)}
         indexed_at = {name: written.get(name) for name in indexes}
-        counting = self._n_live is not None
-        fresh = counting and not indexes and self._fresh(keys)
+        fresh = not indexes and self._fresh(keys)
         run = self._run(columns, chunk, cells, rows, keys) if fresh and error is None else None
+        # The rows the keys held before, read in one walk: the index
+        # entries to replace, and the liveness probe a fresh chunk skips.
+        previous = {} if fresh else self._locate(keys)
         row_cache = self._row_cache
         memtable = self._memtable
         # Each memtable the chunk lands in, with the first row it took.
         landed = [(memtable, 0)]
         writes = self._n_writes
         # Rows past their commit-log point: a row that fails during its
-        # index update, probe or put is logged, as a log-first write of
-        # that row alone would have logged it.
+        # index update or put is logged, as a log-first write of that row
+        # alone would have logged it.
         reached = 0
         try:
             for position, (key, encoded) in enumerate(zip(keys, rows)):
                 reached += 1
+                old = previous.get(key)
                 if indexes:
-                    previous = self._read_encoded(key)
-                    if previous is not None:
-                        old_row = self.decode_row(previous)
+                    if old is not None:
+                        old_row = self.decode_row(_row_bytes(old))
                         for column_name, index in indexes.items():
                             index.remove(old_row.get(column_name), key)
                     for column_name, index in indexes.items():
                         at = indexed_at[column_name]
                         index.add(None if at is None else chunk[at][position], key)
-                    was_live = previous is not None
-                else:
-                    was_live = counting and not fresh and self._is_live(key)
                 memtable.put(key, encoded)
+                if not fresh:
+                    previous[key] = encoded  # a repeated key finds this row
                 row_cache.invalidate(key)
-                if counting and not was_live:
+                if old is None:
                     self._n_live += 1
                 self._n_writes += 1
                 if memtable.approximate_bytes >= FLUSH_THRESHOLD:
@@ -551,30 +553,40 @@ class ColumnFamily:
         self.insert({k: v for k, v in current.items() if v is not None})
 
     def delete(self, key) -> None:
-        """CQL DELETE by primary key: a tombstone, logged first.
+        """CQL DELETE by primary key: a one-key :meth:`delete_keys`."""
+        self.delete_keys((key,))
 
-        Raises InvalidRequest, before anything is logged, for a key an
-        INSERT would refuse.
+    def delete_keys(self, keys: Sequence) -> int:
+        """The one delete loop: a tombstone per key, in order; returns
+        the count of rows that were live.
+
+        The keys are checked as one column (:meth:`ValueType.check_keys`)
+        and their rows read in one layered walk (:meth:`_locate`), which
+        gives the secondary-index entries to remove and the exact
+        live-row count.  The tombstones' commit-log records — an empty
+        row payload each, the bytes one ``append`` per key writes — go
+        in one append, before the memtable takes the tombstones.
+
+        Raises InvalidRequest for a key an INSERT would refuse, at key
+        ``k``: the keys before ``k`` are deleted and logged, nothing
+        from ``k`` on.
         """
-        self.columns[self._pk_index].cql_type.check_key(self.primary_key, key)
-        if self._indexes:
-            previous = self._read_encoded(key)
-            if previous is not None:
-                old_row = self.decode_row(previous)
-                for column_name, index in self._indexes.items():
-                    index.remove(old_row.get(column_name), key)
-            was_live = previous is not None
-        elif self._n_live is not None:
-            was_live = self._is_live(key)
-        else:
-            was_live = False
-        if self._commit_log is not None:
-            # tombstones are logged as empty row payloads
-            self._commit_log.append(self.name, key, b"")
-        self._memtable.delete(key)
-        self._row_cache.invalidate(key)
-        if self._n_live is not None and was_live:
-            self._n_live -= 1
+        stop, error = self.columns[self._pk_index].cql_type.check_keys(self.primary_key, keys)
+        keys = keys[:stop]
+        live = {key: row for key, row in self._locate(keys).items() if row is not None}
+        for key, row in live.items() if self._indexes else ():
+            old_row = self.decode_row(_row_bytes(row))
+            for index in self._indexes.values():
+                index.remove(old_row.get(index.column), key)
+        if keys and self._commit_log is not None:
+            self._commit_log.append_many(self.name, keys, [b""] * len(keys))
+        for key in keys:
+            self._memtable.delete(key)
+            self._row_cache.invalidate(key)
+        self._n_live -= len(live)
+        if error is not None:
+            raise error
+        return len(live)
 
     def seal_memtable(self) -> None:
         """Hand the active memtable to the background flusher."""
@@ -684,86 +696,47 @@ class ColumnFamily:
     def drop_volatile_state(self) -> None:
         """Lose everything a crash loses: memtables, not SSTables.
 
-        The row cache dies with the process, and the live-row counters
-        are marked unknown — ``__len__`` recounts lazily after replay.
+        The row cache dies with the process, and the live-row count is
+        recounted over the SSTables left.
         """
         self._memtable = Memtable()
         self._pending = []
-        self._n_live = None
+        self._n_live = sum(batch.count() for batch in self.scan_batches())
         self._row_cache.clear()
         self._decode_memo.clear()
 
     def apply_replayed(self, key, encoded_row: bytes) -> None:
         """Re-apply one commit-log mutation (empty payload = tombstone)."""
-        was_live = self._is_live(key) if self._n_live is not None else False
+        was_live = self._locate((key,))[key] is not None
         self._memtable.drop_runs()
         if encoded_row:
             self._memtable.put(key, encoded_row)
-            if self._n_live is not None and not was_live:
-                self._n_live += 1
+            self._n_live += not was_live
         else:
             self._memtable.delete(key)
-            if self._n_live is not None and was_live:
-                self._n_live -= 1
+            self._n_live -= was_live
         self._row_cache.invalidate(key)
 
     def rebuild_indexes(self) -> None:
-        """Rebuild every secondary index from the recovered data (one
-        scan feeds every index)."""
-        if not self._indexes:
-            return
-        fresh = {
-            column_name: SecondaryIndex(old.name, old.column)
-            for column_name, old in self._indexes.items()
-        }
+        """Rebuild every secondary index from the recovered data."""
+        if self._indexes:
+            fresh = [SecondaryIndex(old.name, old.column) for old in self._indexes.values()]
+            self._indexes = {index.column: index for index in self._filled(fresh)}
+
+    def _filled(self, indexes: List[SecondaryIndex]) -> List[SecondaryIndex]:
+        """``indexes``, each given every live row's entry (one scan)."""
         primary_key = self.primary_key
         for row in self.scan():
-            key = row[primary_key]
-            for column_name, index in fresh.items():
-                index.add(row[column_name], key)
-        self._indexes = fresh
+            for index in indexes:
+                index.add(row[index.column], row[primary_key])
+        return indexes
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
-    def _read_encoded(self, key) -> Optional[bytes]:
-        """The stored row bytes of ``key`` through the row cache — the
-        write path's read-before-write (index maintenance)."""
-        cached = self._row_cache.get(key)
-        if cached is not None:
-            return None if cached is NEGATIVE else cached
-        encoded = self._read_encoded_uncached(key)
-        self._row_cache.put(key, encoded)
-        return encoded
-
     def _read_encoded_uncached(self, key) -> Optional[bytes]:
-        """The stored row bytes of ``key`` straight from the layers (a
-        row found in an SSTable block is rematerialized)."""
-        hit = self._locate((key,))[key]
-        return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
-
-    def _is_live(self, key) -> bool:
-        """Whether ``key`` currently has a live row — the write path's cheap probe for maintaining the live-row
-        counter.  Uses ``RowCache.peek`` so these internal probes leave
-        the hit/miss statistics to real read traffic."""
-        cached = self._row_cache.peek(key)
-        if cached is not None:
-            return cached is not NEGATIVE
-        if key in self._memtable:
-            return True
-        if self._memtable.is_deleted(key):
-            return False
-        for memtable in reversed(self._pending):
-            if key in memtable:
-                return True
-            if memtable.is_deleted(key):
-                return False
-        for sstable in reversed(self._sstables):
-            if sstable.is_deleted(key):
-                return False
-            if key in sstable:
-                return True
-        return False
+        """The stored row bytes of ``key`` straight from the layers."""
+        return _row_bytes(self._locate((key,))[key])
 
     def _locate(self, keys) -> Dict[object, object]:
         """Layered walk for ``keys`` — active memtable →
@@ -897,23 +870,6 @@ class ColumnFamily:
             return batch.rows()[0]
         return None
 
-    def get_many(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """:meth:`get_batches` as rows aligned with ``keys`` (None where
-        absent): ``get_many(ks) == [get(k) for k in ks]``."""
-        fetched = iter(
-            [row for batch in self.get_batches(keys) for row in batch.rows()]
-        )
-        primary_key = self.primary_key
-        rows: List[Optional[Dict[str, object]]] = []
-        row = next(fetched, None)
-        for key in keys:
-            if row is not None and row[primary_key] == key:
-                rows.append(row)
-                row = next(fetched, None)
-            else:
-                rows.append(None)
-        return rows
-
     def scan_batches(self, pushed=None) -> Iterator[Batch]:
         """Every live row as column batches; with ``pushed``
         (a bound predicate from :mod:`repro.query.pushdown`) each batch's
@@ -966,16 +922,6 @@ class ColumnFamily:
         for batch in self.scan_batches(pushed):
             yield from batch.rows()
 
-    def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
-        """The rows whose indexed ``column`` equals ``value`` — a row
-        view of :meth:`get_batches`.  Raises InvalidRequest when
-        ``column`` has no secondary index."""
-        return [
-            row
-            for batch in self.get_batches((value,), index=column)
-            for row in batch.rows()
-        ]
-
     def has_index(self, column: str) -> bool:
         return column in self._indexes
 
@@ -983,8 +929,6 @@ class ColumnFamily:
     # accounting
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._n_live is None:
-            self._n_live = sum(batch.count() for batch in self.scan_batches())
         return self._n_live
 
     @property

@@ -66,8 +66,8 @@ def _table_meta(table: ColumnFamily) -> TableMeta:
 class CQLExecutor(Executor):
     """The NoSQL engine's half of the CQL binding: its DDL, UPDATE and
     DELETE by primary key, logged batches, the SELECT plan builder and
-    the bulk INSERT writer.  Statements that return no rows return
-    None, as the Cassandra driver does."""
+    the bulk INSERT and key DELETE templates.  Statements that return
+    no rows return None, as the Cassandra driver does."""
 
     error = InvalidRequest
     result = ResultSet
@@ -191,6 +191,9 @@ class CQLExecutor(Executor):
             return table.insert_columns(columns, values)
 
         return write
+
+    def _key_columns(self, table: ColumnFamily, statement: ast.Delete):
+        return (table.primary_key,), [condition.column for condition in statement.where]
 
     # -- DDL ---------------------------------------------------------------------
     def _create_keyspace(self, stmt: ast.CreateKeyspace):

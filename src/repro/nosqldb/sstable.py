@@ -388,12 +388,6 @@ class SSTable:
                     found[key] = (block, position)
         return found
 
-    def __contains__(self, key) -> bool:
-        """Does this table hold a live row for ``key``?  (The write
-        path's liveness probe: :meth:`locate`, so nothing is
-        rematerialized to answer yes or no.)"""
-        return bool(self.locate((key,)))
-
     def is_deleted(self, key) -> bool:
         return key in self._tombstones
 

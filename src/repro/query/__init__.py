@@ -74,9 +74,9 @@ from repro.query.session import (
     Columns,
     Dialect,
     Executor,
-    InsertTemplate,
     PreparedStatement,
     Session,
+    WriteTemplate,
     reject_repeated_columns,
 )
 
@@ -105,7 +105,6 @@ __all__ = [
     "FullScan",
     "HashJoin",
     "IndexScan",
-    "InsertTemplate",
     "Limit",
     "MultiGet",
     "OperatorStats",
@@ -127,6 +126,7 @@ __all__ = [
     "Sort",
     "TableMeta",
     "VectorBatch",
+    "WriteTemplate",
     "choose_access",
     "choose_join_access",
     "compare",

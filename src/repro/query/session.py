@@ -5,10 +5,12 @@ SELECTs (and ``EXPLAIN ANALYZE``) compile to kernel plans memoised in the
 session's :class:`~repro.query.planner.PlanCache`, everything else runs
 through the dialect's generic executor.  Bulk DML ("the DWARF cubes were
 inserted in bulk", paper §5) goes through :meth:`Session.execute_many`:
-a prepared INSERT resolves once to an :class:`InsertTemplate`, cached
-under the same ``(namespace, text)`` key and table guard as SELECT
-plans, and its parameters reach the engine's single bulk write loop as
-one :class:`Columns` batch — one sequence per bind marker.
+a prepared INSERT, or a DELETE naming rows by their whole primary key,
+resolves once to a :class:`WriteTemplate`, cached under the same
+``(namespace, text)`` key and table guard as SELECT plans, and its
+parameters reach the engine's one bulk write loop (``insert_columns``)
+or bulk key delete (``delete_keys``) as one :class:`Columns` batch —
+one sequence per bind marker.
 
 What differs between SQL and CQL is declared in a :class:`Dialect`
 value; the engine packages subclass :class:`Session` only to attach it
@@ -28,11 +30,11 @@ from repro.query.analyze import (
     counter_totals,
     record_query,
 )
-from repro.query.expr import compile_value
+from repro.query.expr import Placeholder, compile_value
 from repro.query.plan import Plan
 from repro.query.planner import PlanCache, table_guard
 from repro.query.result import ResultSet
-from repro.query.syntax import Explain, Insert, Select, TableRef, Truncate, Use
+from repro.query.syntax import Delete, Explain, Insert, Select, TableRef, Truncate, Use
 from repro.telemetry import get_query_log, wall_clock
 
 _QUERY_LOG = get_query_log()
@@ -87,14 +89,15 @@ class Columns(NamedTuple):
         return zip(*self.values) if self.values else repeat((), self.n)
 
 
-class InsertTemplate:
-    """Plan-cache entry of a prepared INSERT.
+class WriteTemplate:
+    """Plan-cache entry of a prepared INSERT or key DELETE.
 
-    ``write(batch)`` binds a :class:`Columns` batch against the column
-    slots resolved at plan time and feeds it into ``table``'s bulk write
-    loop, returning the count written.  ``guards`` revalidate ``table``
-    on every cache hit, so DDL re-resolves the template instead of
-    writing into a dropped table object.
+    ``write(batch)`` binds a :class:`Columns` batch against the slots
+    resolved at plan time and feeds it into ``table``'s bulk write loop
+    or bulk key delete, returning the count written or deleted.
+    ``guards`` revalidate ``table`` on every cache hit, so DDL
+    re-resolves the template instead of writing into a dropped table
+    object.
     """
 
     __slots__ = ("table", "write", "guards")
@@ -126,8 +129,8 @@ class Executor:
     statement class and handles the statements both engines treat
     alike: SELECT, EXPLAIN, USE, TRUNCATE and INSERT.  An engine
     subclass sets the class attributes below, implements
-    :meth:`select_plan` and :meth:`_writer`, and adds its DDL and its
-    UPDATE/DELETE semantics to :attr:`handlers`.
+    :meth:`select_plan`, :meth:`_writer` and :meth:`_key_columns`, and
+    adds its DDL and its UPDATE/DELETE semantics to :attr:`handlers`.
     """
 
     #: The engine's request error (``ProgrammingError`` / ``InvalidRequest``).
@@ -235,23 +238,52 @@ class Executor:
             count += 1
         return self._done(count), None
 
-    def insert_template(self, statement) -> Optional[InsertTemplate]:
-        """Resolve a one-row INSERT once, for :meth:`Session.execute_many`.
-
-        The table and its value slots are resolved here, so bulk
-        execution only binds parameters.  Returns None for any other
-        statement, for an INSERT with no resolvable namespace, or when
-        the engine's :meth:`_writer` declines — those run through
-        :meth:`run`.
-        """
-        if not isinstance(statement, Insert) or len(statement.rows) != 1:
+    def write_template(self, statement) -> Optional[WriteTemplate]:
+        """Resolve a one-row INSERT or a key DELETE once, for
+        :meth:`Session.execute_many`: the table and its slots are
+        resolved here, so bulk execution only binds parameters.  None
+        for any other statement, for one with no resolvable namespace,
+        or when :meth:`_writer` or :meth:`_key_deleter` declines — those
+        run through :meth:`run`."""
+        insert = isinstance(statement, Insert)
+        if not (insert and len(statement.rows) == 1 or isinstance(statement, Delete)):
             return None
-        reject_repeated_columns(statement.columns, self.error)
+        if insert:
+            reject_repeated_columns(statement.columns, self.error)
         if (statement.source.namespace or self.namespace) is None:
             return None
         table, guard = self._guarded(statement.source)
-        write = self._writer(table, statement.columns, statement.rows[0])
-        return None if write is None else InsertTemplate(table, write, (guard,))
+        write = (self._writer(table, statement.columns, statement.rows[0]) if insert
+                 else self._key_deleter(table, statement))
+        return None if write is None else WriteTemplate(table, write, (guard,))
+
+    def _key_columns(self, table, statement: Delete) -> Tuple[Sequence[str], list]:
+        """``table``'s primary-key column names in key order, and the
+        column each WHERE conjunct names (None for one the dialect would
+        not resolve to ``table``)."""
+        raise NotImplementedError
+
+    def _key_deleter(self, table, statement: Delete):
+        """The ``write(Columns) -> count`` of a DELETE whose WHERE binds
+        every primary-key column with ``= ?`` and nothing else, handing
+        the batch's key columns to ``table.delete_keys``; else None."""
+        key, names = self._key_columns(table, statement)
+        slots = {}
+        for name, condition in zip(names, statement.where):
+            if condition.op != "=" or not isinstance(condition.value, Placeholder) or name in slots:
+                return None
+            slots[name] = condition.value.index
+        if set(slots) != set(key):
+            return None
+        markers = [slots[name] for name in key]
+
+        def write(batch: Columns) -> int:
+            if not batch.n:
+                return 0
+            keys = [batch.values[j] for j in markers]
+            return table.delete_keys(keys[0] if len(keys) == 1 else list(zip(*keys)))
+
+        return write
 
 
 class Session:
@@ -360,19 +392,19 @@ class Session:
         """Run one prepared DML statement per parameter row; returns the count.
 
         ``rows`` is a :class:`Columns` batch, or parameter rows, which
-        are transposed into one.  A plain INSERT hands the batch to its
-        cached :class:`InsertTemplate`; any other statement runs the
-        generic executor once per row.  Raises the dialect's
-        request/integrity errors; rows written before a failing one stay
-        written.
+        are transposed into one.  A plain INSERT or a key DELETE hands
+        the batch to its cached :class:`WriteTemplate`; any other
+        statement runs the generic executor once per row.  Raises the
+        dialect's request/integrity errors; rows written before a
+        failing one stay written.
         """
         t0 = wall_clock() if _QUERY_LOG.enabled else 0.0
         batch = rows if isinstance(rows, Columns) else Columns.of(rows)
         dialect = self.dialect
         key = (self.namespace, prepared.text)
         template = self.plan_cache.get(key)
-        if not isinstance(template, InsertTemplate):
-            template = dialect.executor(self.engine, (), self.namespace).insert_template(
+        if not isinstance(template, WriteTemplate):
+            template = dialect.executor(self.engine, (), self.namespace).write_template(
                 prepared.statement
             )
             if template is not None:

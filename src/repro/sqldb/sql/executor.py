@@ -74,7 +74,7 @@ def _table_meta(table: Table, alias: str) -> TableMeta:
 class SQLExecutor(Executor):
     """The relational engine's half of the SQL binding: its DDL, UPDATE
     and DELETE by predicate, the SELECT plan builder and the bulk
-    INSERT writer."""
+    INSERT and key DELETE templates."""
 
     error = ProgrammingError
     result = SQLResult
@@ -124,6 +124,13 @@ class SQLExecutor(Executor):
             ])
 
         return write
+
+    def _key_columns(self, table: Table, statement: ast.Delete):
+        alias = statement.source.alias
+        return table.primary_key, [
+            condition.column.name if condition.column.qualifier in (None, alias) else None
+            for condition in statement.where
+        ]
 
     # -- DDL ---------------------------------------------------------------------
     def _create_database(self, stmt: ast.CreateDatabase):

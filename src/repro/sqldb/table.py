@@ -447,20 +447,35 @@ class Table:
         return touched
 
     def delete_where(self, predicate) -> int:
-        victims: List[Tuple[object, Dict[str, object]]] = []
-        for pk, encoded in self._clustered.items():
-            row = self.decode_row(encoded)
-            if predicate(row):
-                victims.append((pk, row))
-        for pk, row in victims:
-            self._clustered.delete(pk)
-            for column_name, tree in self._secondary.items():
-                value = row.get(column_name)
-                if value is not None:
-                    tree.delete((value, pk))
-        self._n_rows -= len(victims)
-        self._version += len(victims)
-        return len(victims)
+        """Delete all rows matching ``predicate(row)``; returns the count."""
+        return self.delete_keys([
+            pk for pk, encoded in self._clustered.items() if predicate(self.decode_row(encoded))
+        ])
+
+    def delete_keys(self, keys: Sequence) -> int:
+        """Delete the rows of ``keys`` (a composite key as a tuple) by
+        descent of the clustered B-tree, their index entries by key too;
+        returns the count deleted.  A key no stored key equals — absent,
+        deleted already, NULL, or of a type no stored key compares with
+        — matches nothing, as a DELETE predicate would."""
+        clustered, secondary = self._clustered, self._secondary.items()
+        deleted = 0
+        for key in keys:
+            try:
+                encoded = clustered.get(key)
+            except TypeError:  # no stored key compares with it
+                continue
+            if encoded is None:
+                continue
+            clustered.delete(key)
+            row = self.decode_row(encoded) if secondary else {}
+            for column_name, tree in secondary:
+                if row[column_name] is not None:
+                    tree.delete((row[column_name], key))
+            deleted += 1
+        self._n_rows -= deleted
+        self._version += deleted
+        return deleted
 
     def truncate(self) -> None:
         self._clustered = BTree()

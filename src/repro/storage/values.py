@@ -131,11 +131,21 @@ class ValueType:
         that primary key column ``name`` cannot hold, and its error."""
         return stop, error
 
+    def check_keys(self, name: str, keys: Sequence) -> Tuple[int, Optional[Exception]]:
+        """``(stop, error)``: the first of ``keys`` that an INSERT would
+        refuse as a key of column ``name`` — None, outside the domain,
+        unencodable or NaN — and its error; ``(len(keys), None)`` when
+        it takes them all.  The column is checked whole, as
+        :meth:`encode_column` checks one."""
+        stop = keys.index(None) if None in keys else len(keys)
+        cells, error = self.encode_column(keys[:stop])
+        if error is None and stop < len(keys):
+            error = self.error(f"expected {self.label}, got None")
+        return self.refuse_keys(name, keys, len(cells), error)
+
     def check_key(self, name: str, key) -> None:
-        """Raises :attr:`error` for a key of column ``name`` that an
-        INSERT would refuse: outside the domain, unencodable or NaN."""
-        self.validate_encode(key)
-        error = self.refuse_keys(name, (key,), 1)[1]
+        """Raises :attr:`error` for a key :meth:`check_keys` refuses."""
+        error = self.check_keys(name, (key,))[1]
         if error is not None:
             raise error
 

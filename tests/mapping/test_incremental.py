@@ -5,6 +5,8 @@ rebuild over every fact seen so far — before a merge (base + delta
 overlay), after the flip (merged base), and after compaction.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.analysis.dwarf_check import structural_signature
@@ -29,6 +31,7 @@ from repro.mapping.stored_query import (
     stored_point_query,
     stored_select,
 )
+from repro.telemetry import get_query_log
 
 ALL_MAPPERS = [MySQLDwarfMapper, MySQLMinMapper, NoSQLDwarfMapper, NoSQLMinMapper]
 
@@ -61,6 +64,29 @@ def installed(mapper_cls):
     mapper = mapper_cls()
     mapper.install()
     return mapper
+
+
+def owned_rows(mapper):
+    """Every row of each table a stored cube owns (all but the
+    registry and the epoch table), by table."""
+    return {
+        table: mapper.session.execute(f"SELECT * FROM {table.name}").rows
+        for table in mapper.mapping.stored_tables[1:]
+    }
+
+
+def assert_only_live_rows(mapper, before, after, retired, reclaimed):
+    """Compaction left no row of a ``retired`` cube, no link row of a
+    cell that is gone, and removed exactly ``reclaimed`` rows."""
+    for table, rows in after.items():
+        cube = table.column("schema_id")
+        if cube is not None:
+            assert not {row[cube] for row in rows} & set(retired), table.name
+    cells = mapper.mapping.cells
+    live = {row[cells.column("cell_id")] for row in after[cells]}
+    for link in mapper.mapping.links:
+        assert {row[link.column("cell_id")] for row in after[link]} <= live, link.name
+    assert reclaimed == sum(len(before[table]) - len(after[table]) for table in before)
 
 
 def assert_answers(mapper, logical_id, reference):
@@ -100,10 +126,46 @@ class TestMaintenanceLoop:
             structural_signature(rebuild(3))
         )
 
-        # Compaction reclaims tombstoned rows without changing answers.
-        assert maintainer.compact() > 0
+        # Compaction reclaims exactly the tombstoned rows without
+        # changing answers.
+        before = owned_rows(mapper)
+        reclaimed = maintainer.compact()
+        assert reclaimed > 0
+        assert_only_live_rows(mapper, before, owned_rows(mapper), view.retired_ids, reclaimed)
         assert maintainer.view().retired_ids == ()
         assert_answers(mapper, logical_id, rebuild(3))
+
+    @pytest.mark.parametrize("n_facts", [4, 400])
+    def test_compaction_is_one_key_batch_per_table(self, mapper_cls, n_facts, monkeypatch):
+        """Whatever the cube's size, a compaction removes each retired
+        cube with one ``execute_many`` per owned table — one query-log
+        record each — and runs no DELETE statement row by row."""
+        facts = [(f"s{i % 13}", i % 9, f"h{i % 5}", i) for i in range(n_facts)]
+        mapper = installed(mapper_cls)
+        maintainer = CubeMaintainer.open(mapper, DwarfBuilder(schema()).build(facts[::2]))
+        maintainer.append(facts[1::2])
+        maintainer.merge()
+        retired = maintainer.view().retired_ids
+        session = mapper.session
+        log = get_query_log()
+        monkeypatch.setattr(log, "enabled", True)
+        log.reset()
+        with mock.patch.object(session, "execute", wraps=session.execute) as single, \
+                mock.patch.object(session, "execute_prepared",
+                                  wraps=session.execute_prepared) as prepared, \
+                mock.patch.object(session, "execute_many", wraps=session.execute_many) as many:
+            maintainer.compact()
+        owned = mapper.mapping.stored_tables[1:]
+        assert sorted(call.args[0].text for call in many.call_args_list) == sorted(
+            table.delete() for table in owned for _ in retired
+        )
+        texts = [call.args[0] for call in single.call_args_list] + [
+            call.args[0].text for call in prepared.call_args_list
+        ]
+        assert not [text for text in texts if text.startswith("DELETE")]
+        deletes = [r for r in log.records() if r.fingerprint.startswith("DELETE")]
+        log.reset()
+        assert len(deletes) == len(owned) * len(retired)
 
     def test_merge_async_publishes_before_join_returns(self, mapper_cls):
         mapper = installed(mapper_cls)

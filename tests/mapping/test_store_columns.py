@@ -79,25 +79,26 @@ def test_member_texts_keep_types_apart():
         assert len({base.encode_member(first), base.encode_member(second)}) == 2
 
 
-def _counting(monkeypatch, method):
+def _counting_reads(monkeypatch):
+    """Per table, the keys whose stored rows the layered walk reads."""
     calls = Counter()
-    real = getattr(ColumnFamily, method)
+    real = ColumnFamily._locate
 
-    def counted(table, key):
-        calls[table.name] += 1
-        return real(table, key)
+    def counted(table, keys):
+        calls[table.name] += len(keys)
+        return real(table, keys)
 
-    monkeypatch.setattr(ColumnFamily, method, counted)
+    monkeypatch.setattr(ColumnFamily, "_locate", counted)
     return calls
 
 
 def test_nosql_min_reads_before_every_indexed_write(bike_bundle, monkeypatch):
     """NoSQL-Min's two secondary indexes make every cell INSERT a
-    read-before-write (paper §5.1, Table 5): one ``_read_encoded`` per
-    row of the indexed table, none elsewhere."""
+    read-before-write (paper §5.1, Table 5): one key read per row of
+    the indexed table, none elsewhere."""
     cube = bike_bundle[2]
     mapper = make_mapper("NoSQL-Min")
-    reads = _counting(monkeypatch, "_read_encoded")
+    reads = _counting_reads(monkeypatch)
     mapper.store(cube, probe_size=False)
     mapper.store(cube, probe_size=False)
     assert reads == {"dwarf_cell": 2 * cube.stats.cell_count}
@@ -108,7 +109,7 @@ def test_nosql_dwarf_fresh_ids_skip_the_liveness_probe(bike_bundle, monkeypatch)
     batch of a NoSQL-DWARF store proves its keys new."""
     cube = bike_bundle[2]
     mapper = make_mapper("NoSQL-DWARF")
-    probes = _counting(monkeypatch, "_is_live")
+    probes = _counting_reads(monkeypatch)
     first = mapper.store(cube, probe_size=False)
     for table in mapper.space().tables:
         table.flush()

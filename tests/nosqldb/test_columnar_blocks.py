@@ -348,7 +348,7 @@ class TestFetch:
 
     def test_liveness_probe_never_materializes(self, monkeypatch, spy):
         # insert/delete keep the live-row counter by asking each layer
-        # "do you hold this key?" — a directory lookup, not a row read.
+        # where it holds the keys — a directory lookup, not a row read.
         session, table = self.session(monkeypatch, spy, row_cache_bytes=0)
         table.insert({"id": 5, "name": "z", "m": -5})      # overwrite
         table.insert({"id": 100, "name": "new", "m": 100})  # fresh key
@@ -356,7 +356,7 @@ class TestFetch:
         table.delete(200)                                   # absent
         assert len(table) == 60
         assert spy == {"materialize": [], "chunks": [], "decoded": []}
-        assert 7 in table._sstables[0] and 200 not in table._sstables[0]
+        assert set(table._sstables[0].locate((7, 200))) == {7}
 
 
 # ----------------------------------------------------------------------

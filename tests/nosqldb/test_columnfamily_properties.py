@@ -77,5 +77,5 @@ def test_secondary_index_always_consistent(ops):
     values = set(reference.values())
     for value in list(values)[:10]:
         expected = {k for k, v in reference.items() if v == value}
-        got = {r["id"] for r in cf.lookup_indexed("m", value)}
+        got = {row["id"] for batch in cf.get_batches((value,), index="m") for row in batch.rows()}
         assert got == expected

@@ -1,7 +1,8 @@
 """Read-path caches: multi-get equivalence, strict invalidation, stats.
 
 The row/block caches (docs/read_path.md) must be invisible to callers:
-``get_many`` agrees with per-key ``get`` under any mutation history, and
+the rows of a batched ``get_batches`` agree with per-key ``get`` under
+any mutation history, and
 every mutation path — update, delete, flush, compaction, truncate, crash
 recovery — leaves the caches agreeing with storage.  The invalidation
 tests run with the invariant checkers armed (REPRO_CHECK=1) so the
@@ -29,13 +30,18 @@ def make_cf(**kwargs) -> ColumnFamily:
     )
 
 
+def fetched(cf: ColumnFamily, keys) -> list:
+    """The rows :meth:`ColumnFamily.get_batches` fetches for ``keys``."""
+    return [row for batch in cf.get_batches(keys) for row in batch.rows()]
+
+
 def assert_clean(cf: ColumnFamily) -> None:
     report = columnfamily_check(cf)
     assert report.ok, report.format_lines()
 
 
 # ----------------------------------------------------------------------
-# property: get_many == per-key get, whatever the history
+# property: batched rows == per-key get, whatever the history
 # ----------------------------------------------------------------------
 ops_strategy = st.lists(
     st.tuples(
@@ -53,8 +59,10 @@ read_keys_strategy = st.lists(
 
 @given(ops=ops_strategy, keys=read_keys_strategy)
 @settings(max_examples=80, deadline=None)
-def test_get_many_matches_pointwise_get(ops, keys):
-    """Duplicates, misses and cache state never change the answers."""
+def test_get_batches_rows_match_pointwise_get(ops, keys):
+    """Duplicates, misses and cache state never change the answers: a
+    key's row is its ``get``, a repeated key repeats it, a miss is
+    skipped."""
     cf = make_cf()
     reference = {}
     for op, key, value in ops:
@@ -71,27 +79,23 @@ def test_get_many_matches_pointwise_get(ops, keys):
         elif op == "read":  # interleaved reads populate the caches
             cf.get(key)
         else:
-            cf.get_many([key, key + 1])
-    batched = cf.get_many(keys)
-    assert batched == [cf.get(key) for key in keys]
-    for row, key in zip(batched, keys):
-        if key in reference:
-            assert row is not None and row["m"] == reference[key]
-        else:
-            assert row is None
+            fetched(cf, [key, key + 1])
+    batched = fetched(cf, keys)
+    assert batched == [row for row in map(cf.get, keys) if row is not None]
+    assert batched == [{"id": key, "m": reference[key]} for key in keys if key in reference]
     assert_clean(cf)
 
 
-def test_get_many_preserves_order_and_duplicates():
+def test_get_batches_preserves_order_and_duplicates():
     cf = make_cf()
     for i in range(6):
         cf.insert({"id": i, "m": i * 10})
     cf.flush()
-    rows = cf.get_many([5, 0, 5, 99, 2])
-    assert [r and r["m"] for r in rows] == [50, 0, 50, None, 20]
+    rows = fetched(cf, [5, 0, 5, 99, 2])
+    assert [r["m"] for r in rows] == [50, 0, 50, 20]
 
 
-def test_get_many_spans_memtable_pending_and_sstables():
+def test_get_batches_spans_memtable_pending_and_sstables():
     cf = make_cf()
     cf.insert({"id": 1, "m": 1})
     cf.flush()
@@ -99,7 +103,7 @@ def test_get_many_spans_memtable_pending_and_sstables():
     cf.seal_memtable()
     cf.insert({"id": 3, "m": 3})
     cf.insert({"id": 1, "m": 100})  # shadows the SSTable version
-    rows = cf.get_many([1, 2, 3])
+    rows = fetched(cf, [1, 2, 3])
     assert [r["m"] for r in rows] == [100, 2, 3]
     assert cf._pending, "multi-get must not force materialisation"
 
@@ -141,18 +145,18 @@ class TestInvalidation:
         cf = make_cf()
         for i in range(10):
             cf.insert({"id": i, "m": i})
-        assert cf.get_many(list(range(10))) is not None
+        assert len(fetched(cf, list(range(10)))) == 10
         cf.flush()
-        assert [r["m"] for r in cf.get_many(list(range(10)))] == list(range(10))
+        assert [r["m"] for r in fetched(cf, list(range(10)))] == list(range(10))
         assert_clean(cf)
 
     def test_compaction_keeps_cache_agreeing(self):
         cf = make_cf()
         for round_number in range(6):  # several flushes force a compaction
             cf.insert({"id": round_number, "m": round_number})
-            cf.get_many(list(range(round_number + 1)))
+            fetched(cf, list(range(round_number + 1)))
             cf.flush()
-        assert [r["m"] for r in cf.get_many(list(range(6)))] == list(range(6))
+        assert [r["m"] for r in fetched(cf, list(range(6)))] == list(range(6))
         assert_clean(cf)
 
     def test_truncate_clears_caches(self):
@@ -160,9 +164,9 @@ class TestInvalidation:
         for i in range(5):
             cf.insert({"id": i, "m": i})
         cf.flush()
-        cf.get_many(list(range(5)))
+        fetched(cf, list(range(5)))
         cf.truncate()
-        assert cf.get_many(list(range(5))) == [None] * 5
+        assert fetched(cf, list(range(5))) == []
         assert len(cf) == 0
         assert_clean(cf)
 
@@ -175,13 +179,13 @@ class TestInvalidation:
         )
         for i in range(8):
             table.insert({"id": i, "m": i})
-        table.get_many(list(range(8)))  # warm the row cache
+        fetched(table, list(range(8)))  # warm the row cache
         table.delete(3)
         keyspace.simulate_crash()
         assert table._row_cache.stats().entries == 0
         keyspace.replay_commit_log()
-        rows = table.get_many(list(range(8)))
-        assert [r and r["m"] for r in rows] == [0, 1, 2, None, 4, 5, 6, 7]
+        rows = fetched(table, list(range(8)))
+        assert [r["m"] for r in rows] == [0, 1, 2, 4, 5, 6, 7]
         assert len(table) == 7  # recounted lazily after recovery
         assert_clean(table)
 
@@ -243,7 +247,7 @@ class TestCacheStats:
         for i in range(20):
             cf.insert({"id": i, "m": i})
         cf.flush()
-        assert [r["m"] for r in cf.get_many(list(range(20)))] == list(range(20))
+        assert [r["m"] for r in fetched(cf, list(range(20)))] == list(range(20))
         stats = cf.stats()
         assert stats.row_cache.capacity_bytes == 0
         assert stats.block_cache.capacity_bytes == 0
@@ -256,7 +260,7 @@ class TestCacheStats:
         for i in range(50):
             cf.insert({"id": i, "m": i})
         cf.flush()
-        assert [r["m"] for r in cf.get_many(list(range(50)))] == list(range(50))
+        assert [r["m"] for r in fetched(cf, list(range(50)))] == list(range(50))
         stats = cf.stats().row_cache
         assert stats.evictions > 0
         assert stats.used_bytes <= 256

@@ -69,7 +69,7 @@ def frozen_insert_bound_many(cf, items):
         if commit_log is not None:
             frozen_append(commit_log, cf.name, key, encoded)
         if indexes:
-            previous = cf._read_encoded(key)
+            previous = cf._read_encoded_uncached(key)
             if previous is not None:
                 old_row = cf.decode_row(previous)
                 for column_name, index in indexes.items():
@@ -79,7 +79,7 @@ def frozen_insert_bound_many(cf, items):
                 index.add(new_values.get(column_name), key)
             was_live = previous is not None
         elif cf._n_live is not None:
-            was_live = cf._is_live(key)
+            was_live = cf._read_encoded_uncached(key) is not None
         else:
             was_live = True
         memtable = cf._memtable
@@ -344,8 +344,8 @@ def test_a_fresh_ascending_batch_skips_the_liveness_probe(tmp_path):
     keyspace, cf = make_table(tmp_path, "int", False, True)
     columns = [cf.column(name) for name, _ in SCHEMA]
     probed = []
-    real = cf._is_live
-    cf._is_live = lambda key: probed.append(key) or real(key)
+    real = cf._locate
+    cf._locate = lambda keys: probed.extend(keys) or real(keys)
     column_write(cf, columns, _rows(5, 6, 9))
     cf.flush()
     column_write(cf, columns, _rows(10, 11))       # above the SSTable too

@@ -13,7 +13,7 @@ import pytest
 
 from repro.nosqldb.engine import NoSQLEngine
 from repro.nosqldb.errors import InvalidRequest
-from repro.query import Dialect, InsertTemplate, Session
+from repro.query import Dialect, Session, WriteTemplate
 from repro.sqldb.engine import SQLEngine
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.telemetry import get_query_log
@@ -162,7 +162,7 @@ class TestOneSession:
         insert = session.prepare(_INSERT)
         session.execute_many(insert, _ROWS[:2])
         entry = session.plan_cache.peek((dialect.namespace, _INSERT))
-        assert isinstance(entry, InsertTemplate)
+        assert isinstance(entry, WriteTemplate)
         hits = session.plan_cache.stats().hits
         session.execute_many(insert, _ROWS[2:])
         assert session.plan_cache.stats().hits == hits + 1
