@@ -16,8 +16,10 @@ the relational layer's own promises:
 * **Constraint integrity** — NOT NULL columns hold values in every
   stored row.
 * **Column reads** — every column of every leaf page read through
-  :meth:`~repro.sqldb.table.Table.decode_column` (null bit, then the
-  widths and spans of the columns before it) equals what the full-row
+  :meth:`~repro.sqldb.table.Table.decode_column`, the page decoder
+  queries use (rows grouped by null bitmap, each bitmap's compiled row
+  shape, length-prefix ends shared across columns, ``struct``
+  unpacking), equals what the full-row
   :meth:`~repro.sqldb.table.Table.decode_row` gives, NULLs included.
 * **Secondary-index ↔ heap agreement** — each secondary tree holds
   exactly the ``(value, pk)`` pairs derivable from the clustered rows.

@@ -426,21 +426,24 @@ def key_match(cells: Table, op: str = "=", marker: str = "?1") -> PushedConditio
 
 
 def build_cube_scan(mapper: "CubeMapper", keyed: bool = False, count: bool = False,
-                    table: Optional[Table] = None) -> Plan:
+                    table: Optional[Table] = None, among: bool = False) -> Plan:
     """One full scan over ``table`` (default: the cells), pushed down to
-    one stored cube where the table has a ``schema_id`` column.
+    one stored cube where the table has a ``schema_id`` column — with
+    ``among``, to every cube of a list of ids.
 
-    ``schema_id = ?0`` travels into the storage layer, so zone-mapped
-    columnar blocks holding only other cubes' rows are skipped unread;
-    ``keyed`` also pushes ``key IN ?1`` (all-keyed selects).  With
-    ``count``, ``Aggregate(FullScan)`` sums the surviving selections — no
-    cell row is ever materialised (docs/query_kernel.md).
+    ``schema_id = ?0`` (``schema_id IN ?0``) travels into the storage
+    layer, so zone-mapped columnar blocks holding only other cubes' rows
+    are skipped unread; ``keyed`` also pushes ``key IN ?1`` (all-keyed
+    selects).  With ``count``, ``Aggregate(FullScan)`` sums the
+    surviving selections — no cell row is ever materialised
+    (docs/query_kernel.md).
     """
     declared = table or mapper.mapping.cells
     storage, guards, _ = guarded_table(mapper, declared.name)
     cube = declared.column("schema_id")
+    op = "IN" if among else "="
     conditions = () if cube is None else (
-        PushedCondition(cube, "=", lambda params: params[0], f"{cube} = ?0"),
+        PushedCondition(cube, op, lambda params: params[0], f"{cube} {op} ?0"),
     )
     if keyed:
         conditions += (key_match(declared, "IN"),)
@@ -452,11 +455,12 @@ def build_cube_scan(mapper: "CubeMapper", keyed: bool = False, count: bool = Fal
 
 
 @lru_cache(maxsize=None)
-def scan_kernel(mapping: SchemaMapping, table: Table) -> Kernel:
+def scan_kernel(mapping: SchemaMapping, table: Table, among: bool = False) -> Kernel:
     """The :func:`build_cube_scan` of one of ``mapping``'s tables; the
     cells' is ``cube_scan``, the scan ``stored_select`` runs too."""
     name = "cube_scan" if table is mapping.cells else f"{table.name}_scan"
-    return Kernel(f"{mapping.label}:{name}", partial(build_cube_scan, table=table))
+    return Kernel(f"{mapping.label}:{name}{'_among' if among else ''}",
+                  partial(build_cube_scan, table=table, among=among))
 
 
 # ----------------------------------------------------------------------
@@ -619,12 +623,15 @@ class CubeMapper:
         rows = self.session.execute(f"SELECT * FROM {self.mapping.registry.name}")
         return sorted(map(self._info, rows), key=lambda info: info.schema_id)
 
-    def _columns(self, table: Table, roles: Sequence[str],
-                 schema_id: Optional[int] = None) -> List[List]:
+    def _columns(self, table: Table, roles: Sequence[str], schema_id: Optional[int] = None,
+                 schema_ids: Optional[Sequence[int]] = None) -> List[List]:
         """The ``roles`` columns of ``table``'s rows — of stored cube
-        ``schema_id`` where the table has a ``schema_id`` column."""
-        plan = kernel_plan(self, scan_kernel(self.mapping, table))
-        return plan.columns([table.column(role) for role in roles], (schema_id,))
+        ``schema_id``, or of every cube in ``schema_ids``, where the
+        table has a ``schema_id`` column."""
+        among = schema_ids is not None
+        plan = kernel_plan(self, scan_kernel(self.mapping, table, among))
+        return plan.columns([table.column(role) for role in roles],
+                            (schema_ids if among else schema_id,))
 
     def stored_schema(self, schema_id: int) -> CubeSchema:
         """The :class:`CubeSchema` stored with cube ``schema_id``, read
@@ -675,7 +682,7 @@ class CubeMapper:
             if schema is None:
                 schema = self.stored_schema(schema_id)
             roles = CELL_ROLES if dwarf else CELL_ROLES + ("is_root_cell",)
-            columns = self._cell_columns(schema_id, roles)
+            columns = self._cell_columns(roles, schema_id)
             parents = columns[3]
             if mapping.nodes is None:
                 # Rebuild the DWARF-node construct the schema chose not to store.
@@ -700,13 +707,15 @@ class CubeMapper:
             )
         return cube
 
-    def _cell_columns(self, schema_id: int, roles: Sequence[str]) -> List[List]:
-        """The cube's cells as one column per role: the cell table's
-        through the pushed cube scan, a role it lacks joined in by cell id
-        from the link table holding it."""
+    def _cell_columns(self, roles: Sequence[str], schema_id: Optional[int] = None,
+                      schema_ids: Optional[Sequence[int]] = None) -> List[List]:
+        """The cells of cube ``schema_id`` (of the cubes ``schema_ids``)
+        as one column per role: the cell table's through the pushed cube
+        scan, a role it lacks joined in by cell id from the link table
+        holding it."""
         cells = self.mapping.cells
         stored = [role for role in roles if cells.column(role) is not None]
-        read = dict(zip(stored, self._columns(cells, stored, schema_id)))
+        read = dict(zip(stored, self._columns(cells, stored, schema_id, schema_ids)))
         for role in roles:
             if role not in read:
                 link = self.mapping.link(role)
@@ -715,31 +724,37 @@ class CubeMapper:
         return [read[role] for role in roles]
 
     # -- removal ---------------------------------------------------------
-    def delete_cube_rows(self, schema_id: int) -> int:
-        """Remove one stored cube's node/cell/link/dimension rows
-        (compaction) the way ``store`` wrote them: each table gets the
-        primary keys of the cube's rows as one batch through
-        ``execute_many`` of its key DELETE.  Returns the count removed.
+    def delete_cube_rows(self, schema_ids: Sequence[int]) -> int:
+        """Remove the node/cell/link/dimension rows of the stored cubes
+        ``schema_ids`` (compaction) the way ``store`` wrote them: each
+        table gets the primary keys of those cubes' rows as one batch
+        through ``execute_many`` of its key DELETE.  Returns the count
+        removed.
 
-        The keys come from the pushed cube scan; a link table's, which
-        carry no cube id, from the cell columns ``load`` joins, through
-        the :func:`_edges` that wrote them.  The registry row is kept as
-        an allocation watermark so ``_next_ids`` never reissues the
+        The keys come from one pushed ``schema_id IN ?0`` scan per
+        table; a link table's, which carry no cube id, from the cell
+        columns ``load`` joins, read for every id at once, through the
+        :func:`_edges` that wrote them.  The registry rows are kept as
+        allocation watermarks so ``_next_ids`` never reissues a
         reclaimed range.
         """
+        ids = list(schema_ids)
+        if not ids:
+            return 0
         mapping = self.mapping
         linked = list(dict.fromkeys(c.role for link in mapping.links for c in link.key_columns))
-        cells = dict(zip(linked, self._cell_columns(schema_id, linked))) if linked else {}
+        cells = dict(zip(linked, self._cell_columns(linked, schema_ids=ids))) if linked else {}
         reclaimed = 0
         for table in mapping.stored_tables[1:]:
             roles = [column.role for column in table.key_columns]
             if table in mapping.links:
                 keys = _edges(Columns(len(cells["cell_id"]), tuple(map(cells.get, roles))))
             else:
-                columns = self._columns(table, roles, schema_id)
+                columns = self._columns(table, roles, schema_ids=ids)
                 keys = Columns(len(columns[0]), tuple(columns))
             reclaimed += self.session.execute_many(cached_statement(self, table.delete()), keys)
-        self._entry_cache.pop(schema_id, None)
+        for schema_id in ids:
+            self._entry_cache.pop(schema_id, None)
         return reclaimed
 
     def reset(self) -> None:

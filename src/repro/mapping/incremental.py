@@ -287,10 +287,8 @@ def compact_epoch(mapper: CubeMapper, logical_id: int) -> int:
     keep ``_next_ids`` monotone so reclaimed id ranges are never reused).
     """
     view = require_epoch(mapper, logical_id)
-    reclaimed = 0
     with get_tracer().span("ingest.compact", schema=mapper.name):
-        for physical in view.retired_ids:
-            reclaimed += mapper.delete_cube_rows(physical)
+        reclaimed = mapper.delete_cube_rows(view.retired_ids)
         view.retired_ids = ()
         _update_epoch_row(mapper, view)
     if reclaimed:

@@ -88,18 +88,10 @@ class BloomFilter:
         self._n_bits = max(64, n_keys * BLOOM_BITS_PER_KEY)
         self._bits = bytearray((self._n_bits + 7) // 8)
 
-    def _positions(self, key):
-        # Double hashing h1 + i*h2 mod m, with multiplicative mixing so
-        # that small integer keys (whose hash is the value itself) spread.
-        mixed = (hash(key) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h1 = mixed >> 32
-        h2 = (mixed & 0xFFFFFFFF) | 1
-        for i in range(BLOOM_HASHES):
-            yield (h1 + i * h2) % self._n_bits
-
     def add_all(self, keys) -> None:
-        """Set every key's bits; :meth:`_positions` inlined, since an
-        SSTable build adds all its keys at once."""
+        """Set every key's bits: double hashing ``h1 + i*h2 mod m``,
+        with multiplicative mixing so that small integer keys (whose
+        hash is the value itself) spread."""
         bits = self._bits
         n_bits = self._n_bits
         for key in keys:
@@ -112,9 +104,17 @@ class BloomFilter:
                 probe += step
 
     def might_contain(self, key) -> bool:
-        for position in self._positions(key):
-            if not self._bits[position >> 3] & (1 << (position & 7)):
+        """Whether every bit :meth:`add_all` sets for ``key`` is set."""
+        bits = self._bits
+        n_bits = self._n_bits
+        mixed = (hash(key) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        probe = mixed >> 32
+        step = (mixed & 0xFFFFFFFF) | 1
+        for _ in range(BLOOM_HASHES):
+            position = probe % n_bits
+            if not bits[position >> 3] & (1 << (position & 7)):
                 return False
+            probe += step
         return True
 
     @property

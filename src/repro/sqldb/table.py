@@ -10,6 +10,9 @@ relationship tables of the MySQL-DWARF schema expensive (paper §5.1).
 
 from __future__ import annotations
 
+import struct
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.query.batch import Batch, VectorBatch
@@ -65,6 +68,159 @@ def _first_none(values: Sequence, stop: int) -> int:
         return stop
 
 
+class _Shape:
+    """Where the columns of a row with one null bitmap sit, compiled
+    once per bitmap a table meets.
+
+    ``place[name]`` is None for a column the bitmap marks NULL, else
+    ``(anchor, after, sql_type, unpack, padded)``: the value starts
+    ``after`` bytes past the end of the variable-width column
+    ``anchor`` — past the row's start when no variable-width column
+    precedes it (``anchor`` None); ``unpack`` is a fixed-width value's
+    ``Struct.unpack_from``, None for text.  When every present column
+    is fixed width, each row of the shape is ``size`` bytes, and
+    ``padded`` is a ``Struct`` over a whole row that unpacks that column
+    alone; otherwise ``size`` and every ``padded`` are None.
+    """
+
+    __slots__ = ("place", "size")
+
+    def __init__(self, columns: Sequence["SQLColumn"], bitmap: bytes) -> None:
+        anchor, after = None, len(bitmap)
+        present = []
+        self.place: Dict[str, Optional[tuple]] = {}
+        for index, column in enumerate(columns):
+            self.place[column.name] = None
+            if bitmap[index >> 3] & (1 << (index & 7)):
+                present.append((column.name, anchor, after, column.sql_type))
+                if column.sql_type.code is None:
+                    anchor, after = column.name, 0
+                else:
+                    after += column.sql_type.width
+        self.size = after if anchor is None else None
+        for name, anchor, after, sql_type in present:
+            code = sql_type.code
+            unpack = padded = None
+            if code is not None:
+                unpack = struct.Struct("<" + code).unpack_from
+                if self.size is not None:
+                    tail = self.size - after - sql_type.width
+                    padded = struct.Struct(f"<{after}x{code}{tail}x")
+            self.place[name] = (anchor, after, sql_type, unpack, padded)
+
+
+def _ends(shape: _Shape, rows: Sequence[bytes], ends: Dict[str, List[int]], name: str) -> List[int]:
+    """Where variable-width column ``name`` ends in each of ``rows`` (of
+    ``shape``), found once and kept in ``ends`` for every column read
+    after it."""
+    found = ends.get(name)
+    if found is None:
+        anchor, after, sql_type, _, _ = shape.place[name]
+        starts = repeat(after) if anchor is None else map(
+            add, _ends(shape, rows, ends, anchor), repeat(after))
+        found = ends[name] = list(map(sql_type.span, rows, starts))
+    return found
+
+
+def _texts(rows: Sequence[bytes], starts, decode) -> Tuple[List[str], List[int]]:
+    """The text at ``starts`` in each of ``rows``, and where each ends:
+    a one-byte length head is read inline, a longer one by ``decode``."""
+    values: List[str] = []
+    ends: List[int] = []
+    for row, start in zip(rows, starts):
+        head = row[start]
+        if head < 0x80:  # zigzag: a length below 64 is its own byte, << 1
+            end = start + 1 + (head >> 1)
+            values.append(row[start + 1:end].decode("utf-8"))
+        else:
+            value, end = decode(row, start)
+            values.append(value)
+        ends.append(end)
+    return values, ends
+
+
+class PageBatch(VectorBatch):
+    """A page's encoded rows — a B-tree leaf's, or the rows a fetch
+    found — as a column batch: :meth:`column` decodes a column on first
+    touch (:meth:`decode`) and keeps it, so ``COUNT(*)`` decodes nothing
+    and a statement decodes only the columns it names.
+
+    The first decode groups the rows by null bitmap into runs (one, as
+    a rule), each with its table's compiled :class:`_Shape`.  Then a
+    variable-width column's end offsets are found once per run and
+    shared by every column read after it; a fixed-width column is one
+    ``unpack_from`` per row, or one ``iter_unpack`` over the run's
+    joined rows when every present column of its shape is fixed width.
+    """
+
+    __slots__ = ("table", "encoded", "_runs", "_decoded")
+
+    def __init__(self, table: "Table", rows: Sequence[bytes]) -> None:
+        # Spelled out, as VectorBatch's is: one is built per page read.
+        self.n = len(rows)
+        self.sel = self.names = self.labels = None
+        self._all_names = table._names
+        self.table = table
+        self.encoded = rows
+        self._runs: Optional[List[tuple]] = None
+        self._decoded: Dict[str, List[object]] = {}
+
+    def column(self, name: str) -> List[object]:
+        vector = self._decoded.get(name)
+        if vector is None:
+            vector = self._decoded[name] = self.decode(name)
+        return vector
+
+    def decode(self, name: str) -> List[object]:
+        """Column ``name`` of the page's rows, None where NULL.  Raises
+        KeyError for a column the table lacks."""
+        out = None
+        for shape, rows, at, ends in self._runs or self._group():
+            entry = shape.place[name]
+            if entry is None:
+                values = [None] * len(rows)
+            else:
+                anchor, after, sql_type, unpack, padded = entry
+                if padded is not None:
+                    values = [value for (value,) in padded.iter_unpack(b"".join(rows))]
+                elif unpack is None:
+                    starts = repeat(after) if anchor is None else map(
+                        add, _ends(shape, rows, ends, anchor), repeat(after))
+                    values, ends[name] = _texts(rows, starts, sql_type.decode)
+                elif anchor is None:
+                    values = [unpack(row, after)[0] for row in rows]
+                else:
+                    values = [unpack(row, end + after)[0]
+                              for row, end in zip(rows, _ends(shape, rows, ends, anchor))]
+            if at is None:
+                return values
+            if out is None:
+                out = [None] * self.n
+            for position, value in zip(at, values):
+                out[position] = value
+        return out
+
+    def _group(self) -> List[tuple]:
+        """The page's runs, ``(shape, rows, positions, ends)`` each, in
+        one pass over the rows; ``positions`` is None for a run that is
+        the whole page."""
+        rows, table = self.encoded, self.table
+        heads = list(map(table._bitmap_of, rows))
+        first = heads[0] if heads else bytes(table._bitmap_bytes)  # no rows: all NULL
+        if heads.count(first) == len(heads):
+            runs = [(table._shapes.get(first) or table._shape(first), rows, None, {})]
+        else:
+            at: Dict[bytes, List[int]] = {}
+            for position, head in enumerate(heads):
+                at.setdefault(head, []).append(position)
+            runs = [
+                (table._shape(head), [rows[i] for i in positions], positions, {})
+                for head, positions in at.items()
+            ]
+        self._runs = runs
+        return runs
+
+
 class SQLColumn:
     __slots__ = ("name", "sql_type", "not_null")
 
@@ -103,7 +259,9 @@ class Table:
         self._by_name = {c.name: c for c in self.columns}
         self._names = tuple(names)
         self._pk_positions = [names.index(part) for part in self.primary_key]
-        self._locators = self._locate_columns()
+        self._bitmap_bytes = (len(columns) + 7) // 8
+        self._bitmap_of = itemgetter(slice(self._bitmap_bytes))
+        self._shapes: Dict[bytes, _Shape] = {}
         self._clustered = BTree()
         self._secondary: Dict[str, BTree] = {}
         self._index_names: Dict[str, str] = {}
@@ -188,58 +346,20 @@ class Table:
                 row[column.name] = None
         return row
 
-    def _locate_columns(self) -> Dict[str, tuple]:
-        """How each column is found in an encoded row, worked out once:
-        ``(bitmap byte, bit mask, start, steps, decode)``.  A present
-        value sits at ``start`` plus what the present columns stored
-        before it occupy; ``steps`` holds each such column's ``(bitmap
-        byte, bit mask, width, span)``.  A leading run of fixed-width
-        primary-key columns — never NULL — is folded into ``start``."""
-        start = (len(self.columns) + 7) // 8
-        steps: List[tuple] = []
-        locators = {}
-        for index, column in enumerate(self.columns):
-            sql_type = column.sql_type
-            byte, mask = index >> 3, 1 << (index & 7)
-            locators[column.name] = (byte, mask, start, tuple(steps), sql_type.decode)
-            if not steps and sql_type.width and column.name in self.primary_key:
-                start += sql_type.width
-            else:
-                steps.append((byte, mask, sql_type.width, sql_type.span))
-        return locators
+    def _shape(self, bitmap: bytes) -> "_Shape":
+        """The row shape of ``bitmap``, compiled on first sight: where
+        each column sits in a row with those null bits."""
+        shape = self._shapes.get(bitmap)
+        if shape is None:
+            shape = self._shapes[bitmap] = _Shape(self.columns, bitmap)
+        return shape
 
     def decode_column(self, rows: Sequence[bytes], name: str) -> List[object]:
         """Column ``name`` of each encoded row, None where NULL — that
-        column decoded and no other: its null bit is tested, the present
-        columns stored before it are stepped over by width or span, one
-        value is built.  Raises KeyError for a column the table lacks."""
-        byte, mask, start, steps, decode = self._locators[name]
-        out: List[object] = []
-        append = out.append
-        for row in rows:
-            if not row[byte] & mask:
-                append(None)
-                continue
-            offset = start
-            for step_byte, step_mask, width, span in steps:
-                if row[step_byte] & step_mask:
-                    offset = span(row, offset) if width is None else offset + width
-            append(decode(row, offset)[0])
-        return out
-
-    def _batch(self, rows: List[bytes]) -> Batch:
-        """Encoded ``rows`` as a column batch: each column is decoded on
-        first touch, by :meth:`decode_column`, and kept for the batch."""
-        decode_column = self.decode_column
-        decoded: Dict[str, List[object]] = {}
-
-        def column_of(name: str) -> List[object]:
-            vector = decoded.get(name)
-            if vector is None:
-                vector = decoded[name] = decode_column(rows, name)
-            return vector
-
-        return VectorBatch(len(rows), column_of, self._names)
+        column decoded and no other, by the page decoder
+        (:meth:`PageBatch.decode`).  Raises KeyError for a column the
+        table lacks."""
+        return PageBatch(self, rows).decode(name)
 
     def _pk_of(self, row: Dict[str, object]):
         parts = []
@@ -535,7 +655,7 @@ class Table:
                     encoded = clustered.get(composite[1])
                     if encoded is not None:
                         encoded_rows.append(encoded)
-        return [self._batch(encoded_rows)] if encoded_rows else []
+        return [PageBatch(self, encoded_rows)] if encoded_rows else []
 
     def scan_batches(self, pushed=None) -> Iterator[Batch]:
         """Every row in key order, one column batch per B-tree leaf
@@ -544,14 +664,14 @@ class Table:
         narrowed to the rows satisfying it.
 
         A batch holds the page's *encoded* rows and decodes a column
-        only when it is read (:meth:`decode_column`), so ``COUNT(*)``
+        only when it is read (:class:`PageBatch`), so ``COUNT(*)``
         decodes nothing and a statement decodes the columns it names.
         The clustered B-tree has no zone maps: pushdown here is
         evaluating the predicate on the page's decoded columns, counted
         once per page.
         """
         for _, values in self._clustered.leaves():
-            batch = self._batch(values)
+            batch = PageBatch(self, values)
             if pushed is not None:
                 pushed.narrow(batch)
             yield batch

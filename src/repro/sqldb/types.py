@@ -11,6 +11,7 @@ shared value domain of :mod:`repro.storage.values`.
 from __future__ import annotations
 
 import struct
+from typing import Optional
 
 from repro.sqldb.errors import ProgrammingError
 from repro.storage.values import Boolean, Double, Integer, Text, ValueType
@@ -24,6 +25,9 @@ class SQLType(ValueType):
 
     error = ProgrammingError
     null = b""
+    #: The ``struct`` code of a fixed-width value, None for a
+    #: variable-width one: how a page decode unpacks it.
+    code: Optional[str] = None
 
     @property
     def label(self) -> str:
@@ -36,6 +40,7 @@ class SQLType(ValueType):
 class IntType(SQLType, Integer):
     name = "int"
     width = 4
+    code = "i"
     encode = staticmethod(_INT4.pack)
 
     def decode(self, buffer, offset: int):
@@ -45,6 +50,7 @@ class IntType(SQLType, Integer):
 class BigIntType(IntType):
     name = "bigint"
     width = 8
+    code = "q"
     bits = 64
     encode = staticmethod(_INT8.pack)
 
@@ -55,6 +61,7 @@ class BigIntType(IntType):
 class BooleanType(SQLType, Boolean):
     """MySQL's BOOL/TINYINT(1): an int is taken too."""
 
+    code = "?"
     value_types = frozenset((bool, int))
 
 
@@ -71,7 +78,7 @@ class TextType(VarCharType):
 
 
 class DoubleType(SQLType, Double):
-    pass
+    code = "d"
 
 
 def parse_type(spec: str) -> SQLType:

@@ -1,5 +1,7 @@
 """SSTables: block building, point reads, scans, compaction, bloom."""
 
+import random
+
 import pytest
 
 from repro.nosqldb.columnfamily import Column, ColumnFamily
@@ -195,3 +197,26 @@ class TestBloomFilter:
 
     def test_size_scales_with_keys(self):
         assert BloomFilter(10_000).size_bytes > BloomFilter(10).size_bytes
+
+    def test_probes_find_every_added_key_at_the_pinned_bits(self):
+        rng = random.Random(44)
+        keys = (
+            [rng.randrange(-2 ** 63, 2 ** 63) for _ in range(300)]
+            + ["".join(rng.choice("abcé\u4e2d") for _ in range(rng.randrange(12)))
+               for _ in range(300)]
+            + [(rng.randrange(1000), f"k{rng.randrange(1000)}") for _ in range(300)]
+        )
+        bloom = BloomFilter(len(keys))
+        bloom.add_all(keys)
+        assert all(bloom.might_contain(key) for key in keys)
+        # The bits are those of double hashing h1 + i*h2 mod m over the
+        # multiplicatively mixed hash: a reference computation pins them.
+        n_bits = max(64, len(keys) * 10)
+        expected = bytearray((n_bits + 7) // 8)
+        for key in keys:
+            mixed = (hash(key) * 0x9E3779B97F4A7C15) % 2 ** 64
+            h1, h2 = mixed // 2 ** 32, mixed % 2 ** 32 | 1
+            for i in range(3):
+                position = (h1 + i * h2) % n_bits
+                expected[position // 8] |= 1 << position % 8
+        assert bloom._bits == expected

@@ -22,6 +22,7 @@ from repro.nosqldb.columnar import ColumnVectors
 from repro.nosqldb.engine import NoSQLEngine
 from repro.query import BoundPredicate, RowBatch, VectorBatch
 from repro.sqldb.engine import SQLEngine
+from repro.sqldb.table import PageBatch
 
 N_ROWS = 3000  # dozens of columnar blocks / B-tree leaf pages
 
@@ -95,10 +96,10 @@ class TestLimitStopsTheScan:
     def test_sql_limit_decodes_only_the_pages_it_needs(self, monkeypatch):
         session, table = build_sql()
         decoded = []
-        original = table.decode_column
+        original = PageBatch.decode
         monkeypatch.setattr(
-            table, "decode_column",
-            lambda rows, name: decoded.extend([name] * len(rows)) or original(rows, name),
+            PageBatch, "decode",
+            lambda page, name: decoded.extend([name] * len(page.encoded)) or original(page, name),
         )
         assert [r["id"] for r in session.execute("SELECT id FROM t LIMIT 5").rows] == [0, 1, 2, 3, 4]
         assert set(decoded) == {"id"}
@@ -164,9 +165,9 @@ class TestLateMaterialization:
 
     def test_sql_count_decodes_nothing(self, monkeypatch):
         session, table = build_sql()
-        for decoder in ("decode_row", "decode_column"):
+        for owner, decoder in ((table, "decode_row"), (PageBatch, "decode")):
             monkeypatch.setattr(
-                table, decoder,
+                owner, decoder,
                 lambda *args: (_ for _ in ()).throw(AssertionError("COUNT(*) decoded a row")),
             )
         assert session.execute("SELECT COUNT(*) FROM t").rows == [{"count": N_ROWS}]
@@ -182,10 +183,11 @@ class TestLateMaterialization:
         expected = sum(row["measure"] for row in cells.scan()
                        if row["leaf"] and row["measure"] > 40)
         decoded = Counter()
-        original = cells.decode_column
+        original = PageBatch.decode
         monkeypatch.setattr(
-            cells, "decode_column",
-            lambda rows, name: decoded.update({name: len(rows)}) or original(rows, name),
+            PageBatch, "decode",
+            lambda page, name: decoded.update({(page.table.name, name): len(page.encoded)})
+            or original(page, name),
         )
         session = mapper.session
         total = session.execute(
@@ -193,10 +195,38 @@ class TestLateMaterialization:
         ).one()["sum(measure)"]
         assert total == expected
         # each named column decoded once per row, no other column at all
-        assert decoded == {"leaf": len(cells), "measure": len(cells)}
+        assert decoded == {("CELL", "leaf"): len(cells), ("CELL", "measure"): len(cells)}
         decoded.clear()
         assert session.execute("SELECT COUNT(*) FROM CELL").rows == [{"count": len(cells)}]
         assert not decoded
+
+    def test_sql_fixed_width_page_decodes_only_the_column_named(self, monkeypatch):
+        # NODE_CHILDREN(node_id, cell_id): every row is two INTs, so each
+        # page is one all-fixed run, unpacked by struct.
+        mapper = make_mapper("MySQL-DWARF")
+        cube = DwarfBuilder(CubeSchema("c", ["d1", "d2"])).build(
+            [(f"m{i % 7}", i % 5, i) for i in range(300)]
+        )
+        mapper.store(cube, probe_size=False)
+        links = mapper.table("NODE_CHILDREN")
+        expected = sorted(row["cell_id"] for row in links.scan())
+        decoded, pages = Counter(), []
+        original = PageBatch.decode
+
+        def spy(page, name):
+            decoded.update({(page.table.name, name): len(page.encoded)})
+            pages.append(page)
+            return original(page, name)
+
+        monkeypatch.setattr(PageBatch, "decode", spy)
+        rows = mapper.session.execute("SELECT cell_id FROM NODE_CHILDREN").rows
+        assert sorted(row["cell_id"] for row in rows) == expected
+        assert decoded == {("NODE_CHILDREN", "cell_id"): len(links)}
+        # one bitmap per page, of a 9-byte all-fixed shape: struct-unpacked
+        assert pages
+        for page in pages:
+            [(shape, _, _, _)] = page._runs
+            assert shape.size == 9
 
     def test_projection_builds_only_the_named_columns(self, built_rows):
         session, _ = build_cql()
