@@ -22,7 +22,8 @@ the relational layer's own promises:
   unpacking), equals what the full-row
   :meth:`~repro.sqldb.table.Table.decode_row` gives, NULLs included.
 * **Secondary-index ↔ heap agreement** — each secondary tree holds
-  exactly the ``(value, pk)`` pairs derivable from the clustered rows.
+  exactly the ``(value, pk)`` pairs derivable from the clustered rows
+  (a NULL or NaN value has none: :func:`~repro.storage.values.indexable`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Dict, List, Set, Tuple
 from repro.analysis.btree_check import btree_check
 from repro.analysis.violations import CheckReport
 from repro.sqldb.table import Table
+from repro.storage.values import indexable
 
 _CHECKER = "heap"
 
@@ -58,7 +60,7 @@ def heap_check(table: Table) -> CheckReport:
                 decoded.append((pk, encoded, row))
                 for column_name in expected:
                     value = row.get(column_name)
-                    if value is not None:
+                    if indexable(value):
                         expected[column_name].add((value, pk))
         _check_columns(report, table, decoded)
 

@@ -24,7 +24,8 @@ Column-family invariants add the cross-structure checks:
   live row (or an empty payload for a tombstone); this is what makes
   crash replay byte-faithful.
 * **Secondary-index ↔ data agreement** — index entries and live rows
-  describe each other exactly, in both directions.
+  describe each other exactly, in both directions (a NULL or NaN value
+  has no entry: :func:`~repro.storage.values.indexable`).
 * **Row-cache agreement** — every cached row (or cached negative read)
   matches what an uncached storage walk returns for that key; a stale
   entry means a mutation skipped its strict invalidation
@@ -43,6 +44,7 @@ from repro.nosqldb.cache import NEGATIVE
 from repro.nosqldb.columnfamily import ColumnFamily
 from repro.nosqldb.sstable import SSTable
 from repro.storage.btree import encode_key
+from repro.storage.values import indexable
 
 _CHECKER = "sstable"
 
@@ -292,7 +294,7 @@ def _check_index_agreement(report: CheckReport, family: ColumnFamily) -> None:
             continue
         for column in expected:
             value = row.get(column)
-            if value is not None:
+            if indexable(value):
                 expected[column].add((value, key))
     for column, index in family._indexes.items():
         actual = set(index._tree.keys())

@@ -30,6 +30,7 @@ from repro.query.batch import Batch, FetchedBatch, RowBatch
 from repro.query.session import reject_repeated_columns
 from repro.storage.btree import BTree
 from repro.storage.encoding import decode_text, encode_text
+from repro.storage.values import indexable
 from repro.storage.varint import decode_varint, encode_varint
 from repro.telemetry import get_registry, get_tracer
 
@@ -95,12 +96,6 @@ def _overlaps(span, others) -> bool:
     )
 
 
-def _row_bytes(hit) -> Optional[bytes]:
-    """The encoded row of a :meth:`ColumnFamily._locate` answer: a row
-    found in an SSTable block is rematerialized."""
-    return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
-
-
 def _set_block_counts(span, sstables: Sequence[SSTable]) -> None:
     """Record what a flush or compaction wrote — its blocks — and what it
     cost: encode, compress and write (spill) seconds, and the rows whose
@@ -131,7 +126,8 @@ class SecondaryIndex:
     Entries are ``(column_value, primary_key)`` pairs in a write-through
     B-tree: every mutation re-encodes the touched index page, which is
     the cost model for Cassandra's expensive secondary indexes — the
-    cause of NoSQL-Min's insertion times in Table 5 of the paper.
+    cause of NoSQL-Min's insertion times in Table 5 of the paper.  NULL
+    and NaN have no entry (:func:`~repro.storage.values.indexable`).
     """
 
     __slots__ = ("name", "column", "_tree")
@@ -142,14 +138,12 @@ class SecondaryIndex:
         self._tree = BTree(write_through=True)
 
     def add(self, value, key) -> None:
-        if value is None:
-            return
-        self._tree.insert((value, key))
+        if indexable(value):
+            self._tree.insert((value, key))
 
     def remove(self, value, key) -> None:
-        if value is None:
-            return
-        self._tree.delete((value, key))
+        if indexable(value):
+            self._tree.delete((value, key))
 
     def lookup(self, value) -> List[object]:
         """Primary keys whose indexed column equals ``value``."""
@@ -422,15 +416,16 @@ class ColumnFamily:
                 stop, error, ticked = len(encoded), failure, 1
         rows = self._encode_rows(columns, cells, stop)
         keys = keys[:stop]
-        indexes = self._indexes
-        # Each indexed column's position in ``columns`` (None: not written).
-        written = {column.name: j for j, column in enumerate(columns)}
-        indexed_at = {name: written.get(name) for name in indexes}
+        indexes = list(self._indexes.values())
+        # Each indexed column's values in the chunk (None: not written).
+        written = {column.name: values for column, values in zip(columns, chunk)}
+        indexed = [written.get(index.column) for index in indexes]
         fresh = not indexes and self._fresh(keys)
         run = self._run(columns, chunk, cells, rows, keys) if fresh and error is None else None
-        # The rows the keys held before, read in one walk: the index
-        # entries to replace, and the liveness probe a fresh chunk skips.
+        # The rows the keys held before, read in one walk: the liveness
+        # probe a fresh chunk skips, and the index entries to replace.
         previous = {} if fresh else self._locate(keys)
+        entries = self._indexed_values(previous)
         row_cache = self._row_cache
         memtable = self._memtable
         # Each memtable the chunk lands in, with the first row it took.
@@ -445,13 +440,14 @@ class ColumnFamily:
                 reached += 1
                 old = previous.get(key)
                 if indexes:
-                    if old is not None:
-                        old_row = self.decode_row(_row_bytes(old))
-                        for column_name, index in indexes.items():
-                            index.remove(old_row.get(column_name), key)
-                    for column_name, index in indexes.items():
-                        at = indexed_at[column_name]
-                        index.add(None if at is None else chunk[at][position], key)
+                    for index, value in zip(indexes, entries.get(key, ())):
+                        index.remove(value, key)
+                    # A repeated key finds this row's values.
+                    new = entries[key] = [
+                        None if values is None else values[position] for values in indexed
+                    ]
+                    for index, value in zip(indexes, new):
+                        index.add(value, key)
                 memtable.put(key, encoded)
                 if not fresh:
                     previous[key] = encoded  # a repeated key finds this row
@@ -573,20 +569,20 @@ class ColumnFamily:
         """
         stop, error = self.columns[self._pk_index].cql_type.check_keys(self.primary_key, keys)
         keys = keys[:stop]
-        live = {key: row for key, row in self._locate(keys).items() if row is not None}
-        for key, row in live.items() if self._indexes else ():
-            old_row = self.decode_row(_row_bytes(row))
-            for index in self._indexes.values():
-                index.remove(old_row.get(index.column), key)
+        located = self._locate(keys)
+        live = sum(hit is not None for hit in located.values())
+        for key, values in self._indexed_values(located).items():
+            for index, value in zip(self._indexes.values(), values):
+                index.remove(value, key)
         if keys and self._commit_log is not None:
             self._commit_log.append_many(self.name, keys, [b""] * len(keys))
         for key in keys:
             self._memtable.delete(key)
             self._row_cache.invalidate(key)
-        self._n_live -= len(live)
+        self._n_live -= live
         if error is not None:
             raise error
-        return len(live)
+        return live
 
     def seal_memtable(self) -> None:
         """Hand the active memtable to the background flusher."""
@@ -725,18 +721,35 @@ class ColumnFamily:
 
     def _filled(self, indexes: List[SecondaryIndex]) -> List[SecondaryIndex]:
         """``indexes``, each given every live row's entry (one scan)."""
-        primary_key = self.primary_key
-        for row in self.scan():
+        for batch in self.scan_batches():
+            keys = batch.values(self.primary_key)
             for index in indexes:
-                index.add(row[index.column], row[primary_key])
+                for value, key in zip(batch.values(index.column), keys):
+                    index.add(value, key)
         return indexes
+
+    def _indexed_values(self, located: Dict[object, object]) -> Dict[object, Sequence]:
+        """Each live key of a :meth:`_locate` answer with its row's
+        values of the indexed columns, in index order — read off batches
+        over the hits (:meth:`_fetched_batches`): an SSTable hit decodes
+        those columns at its position only."""
+        if not self._indexes:
+            return {}
+        live = [key for key, hit in located.items() if hit is not None]
+        batches = self._fetched_batches([located[key] for key in live])
+        columns = [
+            [value for batch in batches for value in batch.values(index.column)]
+            for index in self._indexes.values()
+        ]
+        return dict(zip(live, zip(*columns)))
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
     def _read_encoded_uncached(self, key) -> Optional[bytes]:
         """The stored row bytes of ``key`` straight from the layers."""
-        return _row_bytes(self._locate((key,))[key])
+        hit = self._locate((key,))[key]
+        return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
 
     def _locate(self, keys) -> Dict[object, object]:
         """Layered walk for ``keys`` — active memtable →
@@ -915,12 +928,6 @@ class ColumnFamily:
                     yield batch
             if record is not None:
                 record.update(layer.tombstones)
-
-    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
-        """:meth:`scan_batches` as rows — a view for index rebuilds,
-        checkers and tests; queries consume the batches."""
-        for batch in self.scan_batches(pushed):
-            yield from batch.rows()
 
     def has_index(self, column: str) -> bool:
         return column in self._indexes

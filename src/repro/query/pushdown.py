@@ -5,7 +5,8 @@ A WHERE conjunct reaches execution as a :class:`PushedCondition` —
 storage-evaluable ones (:data:`PUSHABLE_OPS`) *into* ``FullScan`` /
 ``IndexScan`` as a :class:`PushedPredicate`; the access node hands a
 per-execution :class:`BoundPredicate` to the table's
-``scan_batches(pushed)``.  The rest stay
+``scan_batches(pushed)``, as a SQL UPDATE or DELETE does with its whole
+WHERE clause to find its rows.  The rest stay
 :class:`~repro.query.plan.Filter` nodes.  Both are evaluated by the one
 evaluator here, :func:`select`: it reads a column of a
 :class:`~repro.query.batch.Batch` and narrows the batch's selection
@@ -31,7 +32,6 @@ from __future__ import annotations
 import operator
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.query.expr import compare
 from repro.telemetry import get_registry
 
 _REGISTRY = get_registry()
@@ -93,15 +93,6 @@ class BoundPredicate:
         self.conditions = conditions
         self.blocks_skipped = 0
         self.rows_pruned = 0
-
-    def matches(self, row: Mapping) -> bool:
-        """Evaluate against one decoded row — the row-at-a-time twin of
-        :meth:`narrow` (DML ``WHERE`` clauses use it): conditions in
-        order, short-circuiting, NULL-rejecting."""
-        for column, op, expected in self.conditions:
-            if not compare(op, row.get(column), expected):
-                return False
-        return True
 
     def narrow(self, batch) -> None:
         """Narrow ``batch.sel`` to the rows satisfying the predicate and

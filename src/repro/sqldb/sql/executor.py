@@ -163,13 +163,14 @@ class SQLExecutor(Executor):
         return self._done(), None
 
     # -- UPDATE/DELETE: rows chosen by predicate ----------------------------------
-    def _predicate(self, table: Table, alias: str, where: List[ast.Condition]):
+    def _predicate(self, table: Table, alias: str, where: List[ast.Condition]) -> BoundPredicate:
+        """The WHERE clause bound for this execution (SELECT's evaluator)."""
         builder = _SelectPlanBuilder({alias: table}, alias)
         params = self.params
         return BoundPredicate(tuple(
             (column, op, resolve(params))
             for column, op, resolve, _ in map(builder._condition, where)
-        )).matches
+        ))
 
     def _update(self, stmt: ast.Update):
         table = self._table(stmt.source)
@@ -358,22 +359,14 @@ class _SelectPlanBuilder:
         )
         right_name = right_ref.name
         build_table = probe_factory = None
-        if access == ACCESS_POINT:
-            detail = "eq_ref"
+        if access in (ACCESS_POINT, ACCESS_INDEX):
+            detail = "eq_ref" if access == ACCESS_POINT else "secondary-index"
+            index = None if access == ACCESS_POINT else right_name
 
             def probe_factory():
                 def probe(key):
-                    row = right_table.get(key)
-                    return (row,) if row is not None else ()
-
-                return probe
-
-        elif access == ACCESS_INDEX:
-            detail = "secondary-index"
-
-            def probe_factory():
-                def probe(key):
-                    return right_table.lookup_indexed(right_name, key)
+                    batches = right_table.get_batches((key,), index=index)
+                    return [row for batch in batches for row in batch.rows()]
 
                 return probe
 

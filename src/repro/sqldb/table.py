@@ -15,11 +15,12 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.query.batch import Batch, VectorBatch
+from repro.query.batch import Batch, VectorBatch, gather
 from repro.query.session import reject_repeated_columns
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.sqldb.types import SQLType
 from repro.storage.btree import BTree
+from repro.storage.values import indexable
 from repro.telemetry import get_registry
 
 #: InnoDB record overhead: 5 B record header + 6 B DB_TRX_ID + 7 B DB_ROLL_PTR.
@@ -153,15 +154,17 @@ class PageBatch(VectorBatch):
     joined rows when every present column of its shape is fixed width.
     """
 
-    __slots__ = ("table", "encoded", "_runs", "_decoded")
+    __slots__ = ("table", "encoded", "keys", "_runs", "_decoded")
 
-    def __init__(self, table: "Table", rows: Sequence[bytes]) -> None:
+    def __init__(self, table: "Table", rows: Sequence[bytes], keys: Optional[Sequence] = None) -> None:
         # Spelled out, as VectorBatch's is: one is built per page read.
         self.n = len(rows)
         self.sel = self.names = self.labels = None
         self._all_names = table._names
         self.table = table
         self.encoded = rows
+        # The rows' clustered keys, as stored (a leaf page's; else None).
+        self.keys = keys
         self._runs: Optional[List[tuple]] = None
         self._decoded: Dict[str, List[object]] = {}
 
@@ -298,10 +301,10 @@ class Table:
         if column in self._secondary:
             raise ProgrammingError(f"index on {self.name}.{column} already exists")
         tree = BTree()
-        for pk, encoded in self._clustered.items():
-            row = self.decode_row(encoded)
-            if row.get(column) is not None:
-                tree.insert((row[column], pk))
+        for batch in self.scan_batches():
+            for value, key in zip(batch.values(column), batch.keys):
+                if indexable(value):
+                    tree.insert((value, key))
         self._secondary[column] = tree
         self._index_names[column] = index_name
 
@@ -488,7 +491,7 @@ class Table:
                     )
                 for tree, values in indexed:
                     value = values[written]
-                    if value is not None:
+                    if indexable(value):
                         tree.insert((value, key))
                         entries += 1
                 written += 1
@@ -529,8 +532,10 @@ class Table:
         self._m_rows.inc(len(rows))
         self._m_index_entries.inc(entries)
 
-    def update_where(self, predicate, assignments: Dict[str, object]) -> int:
-        """Update all rows matching ``predicate(row)``; returns the count.
+    def update_where(self, pushed, assignments: Dict[str, object]) -> int:
+        """Update the rows satisfying ``pushed`` (a bound predicate from
+        :mod:`repro.query.pushdown`, None for every row), found by
+        :meth:`scan_batches`; returns the count.
 
         Every assignment is checked before any row or index is touched,
         with the rules :meth:`insert_columns` applies.  Raises
@@ -545,41 +550,40 @@ class Table:
                 column.sql_type.validate_encode(value)
             elif column.not_null:
                 raise IntegrityError(f"column {name!r} is NOT NULL")
-        touched = 0
-        updates: List[Tuple[object, Dict[str, object]]] = []
-        for pk, encoded in self._clustered.items():
-            row = self.decode_row(encoded)
-            if predicate(row):
-                updates.append((pk, row))
-        for pk, row in updates:
-            for column_name, tree in self._secondary.items():
-                old = row.get(column_name)
-                if old is not None:
-                    tree.delete((old, pk))
+        rows = [
+            pair for batch in self.scan_batches(pushed)
+            for pair in zip(gather(batch.keys, batch.sel), batch.rows())
+        ]
+        clustered, secondary = self._clustered, self._secondary.items()
+        for key, row in rows:
+            for column_name, tree in secondary:
+                if indexable(row[column_name]):
+                    tree.delete((row[column_name], key))
             row.update(assignments)
-            self._clustered.insert(pk, self.encode_row(row))
-            for column_name, tree in self._secondary.items():
-                new = row.get(column_name)
-                if new is not None:
-                    tree.insert((new, pk))
-            touched += 1
-            self._version += 1
-        return touched
+            clustered.insert(key, self.encode_row(row))
+            for column_name, tree in secondary:
+                if indexable(row[column_name]):
+                    tree.insert((row[column_name], key))
+        self._version += len(rows)
+        return len(rows)
 
-    def delete_where(self, predicate) -> int:
-        """Delete all rows matching ``predicate(row)``; returns the count."""
+    def delete_where(self, pushed) -> int:
+        """Delete the rows satisfying ``pushed`` (a bound predicate, None
+        for every row), found by :meth:`scan_batches`; returns the count."""
         return self.delete_keys([
-            pk for pk, encoded in self._clustered.items() if predicate(self.decode_row(encoded))
+            key for batch in self.scan_batches(pushed) for key in gather(batch.keys, batch.sel)
         ])
 
     def delete_keys(self, keys: Sequence) -> int:
         """Delete the rows of ``keys`` (a composite key as a tuple) by
-        descent of the clustered B-tree, their index entries by key too;
+        descent of the clustered B-tree, their index entries by key too,
+        each indexed column read off one :class:`PageBatch` of the rows;
         returns the count deleted.  A key no stored key equals — absent,
-        deleted already, NULL, or of a type no stored key compares with
-        — matches nothing, as a DELETE predicate would."""
-        clustered, secondary = self._clustered, self._secondary.items()
-        deleted = 0
+        deleted already, NULL, or of a type no stored key compares with —
+        matches nothing, as a DELETE predicate would."""
+        clustered = self._clustered
+        deleted: List[object] = []
+        rows: List[bytes] = []
         for key in keys:
             try:
                 encoded = clustered.get(key)
@@ -588,14 +592,17 @@ class Table:
             if encoded is None:
                 continue
             clustered.delete(key)
-            row = self.decode_row(encoded) if secondary else {}
-            for column_name, tree in secondary:
-                if row[column_name] is not None:
-                    tree.delete((row[column_name], key))
-            deleted += 1
-        self._n_rows -= deleted
-        self._version += deleted
-        return deleted
+            deleted.append(key)
+            rows.append(encoded)
+        if rows and self._secondary:
+            batch = PageBatch(self, rows)
+            for column_name, tree in self._secondary.items():
+                for value, key in zip(batch.values(column_name), deleted):
+                    if indexable(value):
+                        tree.delete((value, key))
+        self._n_rows -= len(deleted)
+        self._version += len(deleted)
+        return len(deleted)
 
     def truncate(self) -> None:
         self._clustered = BTree()
@@ -613,8 +620,10 @@ class Table:
     # reads
     # ------------------------------------------------------------------
     def get(self, key) -> Optional[Dict[str, object]]:
-        encoded = self._clustered.get(key)
-        return self.decode_row(encoded) if encoded is not None else None
+        """:meth:`get_batches` for one key, as a row (or None): a view for tests."""
+        for batch in self.get_batches((key,)):
+            return batch.rows()[0]
+        return None
 
     def get_batches(self, keys: Sequence, index: Optional[str] = None) -> List[Batch]:
         """The rows of ``keys`` as one column batch, in
@@ -670,27 +679,11 @@ class Table:
         evaluating the predicate on the page's decoded columns, counted
         once per page.
         """
-        for _, values in self._clustered.leaves():
-            batch = PageBatch(self, values)
+        for keys, values in self._clustered.leaves():
+            batch = PageBatch(self, values, keys)
             if pushed is not None:
                 pushed.narrow(batch)
             yield batch
-
-    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:
-        """:meth:`scan_batches` as rows — a view for checkers and tests;
-        queries consume the batches."""
-        for batch in self.scan_batches(pushed):
-            yield from batch.rows()
-
-    def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:
-        """The rows whose indexed ``column`` equals ``value`` — a row
-        view of :meth:`get_batches`.  Raises ProgrammingError when
-        ``column`` has no index."""
-        return [
-            row
-            for batch in self.get_batches((value,), index=column)
-            for row in batch.rows()
-        ]
 
     def __len__(self) -> int:
         return self._n_rows

@@ -4,10 +4,10 @@ The paper maps one cube onto two MySQL and two Cassandra schemas
 (Table 1), which holds only if both engines take the same values.  So
 which values a column takes is written here once — the type check, the
 32/64-bit range check, the UTF-8 check (a lone surrogate), the check
-that an int fits a double, the NaN-key check, their messages, and the
-whole-column fast path over them — and each engine's types
-(:mod:`repro.sqldb.types`, :mod:`repro.nosqldb.types`) subclass these
-domains, adding only what differs between them: the integer codec
+that an int fits a double, the NaN-key check, their messages, the
+whole-column fast path over them, and :func:`indexable` — and each
+engine's types (:mod:`repro.sqldb.types`, :mod:`repro.nosqldb.types`)
+subclass these domains, adding only what differs: the integer codec
 (fixed width against varint), the cell a NULL gives, the error class a
 refused value raises and the spelling of type names in messages.
 
@@ -30,6 +30,13 @@ from repro.storage.encoding import (
 from repro.storage.varint import encode_varint
 
 _NONE = type(None)
+
+
+def indexable(value) -> bool:
+    """Whether a secondary index holds ``value``: not NULL, nor NaN,
+    which compares with nothing (``x = NaN`` matches no row) and would
+    break the index's order."""
+    return value is not None and value == value
 
 
 class ValueType:

@@ -1,6 +1,7 @@
 """Relational heap invariants: clustered tree, row codec, indexes."""
 
 from repro.analysis.heap_check import heap_check
+from repro.query import BoundPredicate
 from repro.sqldb.table import SQLColumn, Table
 from repro.sqldb.types import VarCharType, parse_type
 
@@ -50,8 +51,8 @@ class TestCleanTables:
 
     def test_after_updates_and_deletes_passes(self):
         table = make_table()
-        table.update_where(lambda row: row["id"] < 10, {"measure": -1})
-        table.delete_where(lambda row: row["id"] % 5 == 0)
+        table.update_where(BoundPredicate((("id", "<", 10),)), {"measure": -1})
+        table.delete_where(BoundPredicate((("id", "IN", list(range(0, 60, 5))),)))
         report = heap_check(table)
         assert report.ok, "\n".join(report.format_lines())
 

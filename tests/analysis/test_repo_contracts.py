@@ -22,9 +22,11 @@
   ``DeltaDwarfBuilder`` merges: no worker pool, ``REPRO_WORKERS``,
   open-root build or second merge helper is back under ``src/``.
 * **One execution path.** Kernel operators execute batches only, and
-  leaves read storage through ``scan_batches`` / ``get_batches``: the
-  :data:`CONTRACTS` table lists the row paths that must not come back,
-  each with the paths where its pattern is allowed.
+  leaves read storage through ``scan_batches`` / ``get_batches``; so
+  does the engines' own index maintenance and DML, with no whole-row
+  decode outside the checkers: the :data:`CONTRACTS` table lists the
+  row paths that must not come back, each with the paths where its
+  pattern is allowed.
 * **One statement front end.** SQL and CQL share the tokenizer loop,
   the parser core and the generic executor in ``repro.query``; the same
   table keeps copies of them out of ``sqldb`` and ``nosqldb``.
@@ -241,6 +243,16 @@ CONTRACTS = [
              ("src/repro/query/plan.py",)),
     Contract("a kernel leaf calling its table beside get_batches and scan_batches",
              r"\.table\.(?!(get|scan)_batches\()\w+\(", ("src/repro/query/plan.py",)),
+    # Rows leave storage only as batches: no engine code decodes a whole
+    # row (decode_row is the codec reference the checkers compare
+    # against), and no row view or row-at-a-time WHERE sits beside
+    # scan_batches / get_batches.
+    Contract("a whole row decoded in engine code",
+             r"\.decode_row\(", allowed=("src/repro/analysis",)),
+    Contract("a row view beside the batch readers",
+             r"def (scan|lookup_indexed|matches)\(",
+             ("src/repro/sqldb/table.py", "src/repro/nosqldb/columnfamily.py",
+              "src/repro/query/pushdown.py")),
     Contract("a block decoded back to rows", r"_decoded_block"),
     Contract("rows rematerialized outside the codec, SSTable.items() and the checkers",
              r"all_rows\(", allowed=("src/repro/nosqldb/columnar.py",
@@ -356,6 +368,34 @@ def test_contract_table_catches_a_copy(tmp_path, source, breach):
     copy.parent.mkdir(parents=True)
     copy.write_text(source + "\n", encoding="utf-8")
     assert contract_hits(contract, tmp_path) == ["src/repro/sqldb/sql/lexer.py:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("src/repro/nosqldb/columnfamily.py", "            old_row = self.decode_row(encoded)"),
+    ("src/repro/sqldb/table.py", "        return self.decode_row(encoded) if encoded is not None else None"),
+    ("src/repro/mapping/base.py", "        rows = [table.decode_row(page) for page in pages]"),
+])
+def test_contract_table_catches_a_whole_row_decode_in_engine_code(tmp_path, relative, source):
+    contract = next(c for c in CONTRACTS if c.breach == "a whole row decoded in engine code")
+    for path, text in ((relative, source), ("src/repro/analysis/heap_check.py",
+                                            "        row = table.decode_row(encoded)")):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text + "\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
+
+
+@pytest.mark.parametrize("relative, source", [
+    ("src/repro/sqldb/table.py", "    def scan(self, pushed=None) -> Iterator[Dict[str, object]]:"),
+    ("src/repro/sqldb/table.py", "    def lookup_indexed(self, column: str, value) -> List[Dict[str, object]]:"),
+    ("src/repro/nosqldb/columnfamily.py", "    def scan(self, pushed=None):"),
+    ("src/repro/query/pushdown.py", "    def matches(self, row: Mapping) -> bool:"),
+])
+def test_contract_table_catches_a_row_view_beside_the_batch_readers(tmp_path, relative, source):
+    contract = next(c for c in CONTRACTS if c.breach == "a row view beside the batch readers")
+    copy = tmp_path / relative
+    copy.parent.mkdir(parents=True)
+    copy.write_text(source + "\n    def scan_batches(self, pushed=None):\n", encoding="utf-8")
+    assert contract_hits(contract, tmp_path) == [f"{relative}:1: " + source.strip()]
 
 
 @pytest.mark.parametrize("source", [

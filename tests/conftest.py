@@ -1,12 +1,26 @@
-"""Shared fixtures: small cubes, engines and bike-feed bundles."""
+"""Shared fixtures: small cubes, engines and bike-feed bundles; the
+hypothesis profiles; the test-side row view over a table's batches."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.schema import CubeSchema, Dimension
 from repro.core.tuples import TupleSet
 from repro.dwarf.builder import DwarfBuilder
+
+# Hypothesis budgets: tier-1 runs a state machine at the default
+# profile's budget (a few seconds); CI's deep job passes
+# ``--hypothesis-profile=deep``.
+settings.register_profile("deep", max_examples=1000, stateful_step_count=100, deadline=None)
+
+
+def scan_rows(table, pushed=None):
+    """Every live row of an sqldb ``Table`` or a nosqldb
+    ``ColumnFamily`` as dicts, read through ``scan_batches``."""
+    return [row for batch in table.scan_batches(pushed) for row in batch.rows()]
+
 
 #: The Fig. 1-style sample input used across the DWARF tests: three
 #: dimensions (country, city, station) and an integer measure.

@@ -39,6 +39,7 @@ from repro.mapping.stored_query import (
     stored_point_query,
     stored_select,
 )
+from tests.conftest import scan_rows
 
 MAPPER_NAMES = list(MAPPER_FACTORIES)
 
@@ -74,7 +75,7 @@ def _storage_digest(mapper) -> str:
     for table in sorted(_tables(mapper), key=lambda t: t.name):
         rows = sorted(
             repr(sorted((k, _canonical(v)) for k, v in row.items()))
-            for row in table.scan()
+            for row in scan_rows(table)
         )
         digest.update(table.name.encode())
         for row in rows:

@@ -20,6 +20,7 @@ from repro.nosqldb.sstable import SSTable
 from repro.nosqldb.types import parse_type
 from repro.query.pushdown import PushedCondition, PushedPredicate
 from repro.storage.btree import encode_key
+from tests.conftest import scan_rows
 
 
 def make_cf(**kwargs) -> ColumnFamily:
@@ -71,13 +72,13 @@ def test_formats_agree_byte_for_byte(rows):
     for id_, name, m in rows:
         cf.insert({"id": id_, "name": name, "m": m})
     memtable_items = cf._memtable.sorted_items()
-    scanned = sorted(cf.scan(), key=lambda row: row["id"])  # the table scans in key order
+    scanned = sorted(scan_rows(cf), key=lambda row: row["id"])  # the table scans in key order
     fetched = [cf.get(id_) for id_, _, _ in rows]
     cf.flush()
     (table,) = cf._sstables
     assert list(table.items()) == memtable_items
     assert table._block_keys[0] == memtable_items[0][0]
-    assert list(cf.scan()) == scanned
+    assert scan_rows(cf) == scanned
     assert [cf.get(id_) for id_, _, _ in rows] == fetched
     assert all(table._block_data(i)[0] == TAG_COLUMNAR for i in range(len(table._blocks)))
 
@@ -167,7 +168,7 @@ class TestZoneMaps:
         cf = make_cf()
         fill(cf, 120)
         cf.flush()
-        list(cf.scan(pushed=bound_eq("m", -1)))  # refutes every block
+        scan_rows(cf, bound_eq("m", -1))  # refutes every block
         stats = cf.stats()
         assert stats.columnar_blocks > 0
         assert stats.blocks_skipped > 0
@@ -180,11 +181,11 @@ class TestZoneMaps:
         cf.flush()
         cf.insert({"id": 1, "name": "new", "m": 1})
         cf.flush()
-        assert list(cf.scan(pushed=bound_eq("name", "old"))) == []
+        assert scan_rows(cf, bound_eq("name", "old")) == []
         # ...and so must a newer *memtable* version that fails it
         cf.insert({"id": 1, "name": "newest", "m": 1})
-        assert list(cf.scan(pushed=bound_eq("name", "new"))) == []
-        assert [row["name"] for row in cf.scan()] == ["newest"]
+        assert scan_rows(cf, bound_eq("name", "new")) == []
+        assert [row["name"] for row in scan_rows(cf)] == ["newest"]
 
     def test_key_disjoint_layers_keep_no_shadow_bookkeeping(self, monkeypatch):
         # Two stored cubes occupy disjoint id ranges: neither layer can
@@ -208,14 +209,14 @@ class TestZoneMaps:
 
         monkeypatch.setattr(SSTable, "scan_batches", spy)
         bound = bound_eq("name", "old")
-        assert len(list(cf.scan(pushed=bound))) == 40
+        assert len(scan_rows(cf, bound)) == 40
         assert calls == [(None, None), (None, None)]
         assert bound.blocks_skipped == 1  # the newer layer's only block
         # overlapping ranges bring the bookkeeping back
         cf.insert({"id": 20, "name": "old", "m": -1})
         cf.flush()
         calls.clear()
-        assert len(list(cf.scan(pushed=bound_eq("name", "old")))) == 40
+        assert len(scan_rows(cf, bound_eq("name", "old"))) == 40
         newest, middle, oldest = calls
         assert newest[0] is None and newest[1] is not None   # records only
         assert middle == (None, None)                          # disjoint from both
@@ -229,8 +230,8 @@ class TestZoneMaps:
         cf.delete(3)
         cf.flush()
         assert cf._sstables[1].key_range() == (3, 50)
-        assert sorted(row["id"] for row in cf.scan()) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 50]
-        assert len(list(cf.scan(pushed=bound_eq("m", 3)))) == 0
+        assert sorted(row["id"] for row in scan_rows(cf)) == [0, 1, 2, 4, 5, 6, 7, 8, 9, 50]
+        assert len(scan_rows(cf, bound_eq("m", 3))) == 0
 
     def test_all_null_column_is_skippable(self):
         cf = make_cf()
@@ -238,7 +239,7 @@ class TestZoneMaps:
             cf.insert({"id": i, "name": None, "m": i})
         cf.flush()
         bound = bound_eq("name", "x")
-        assert list(cf.scan(pushed=bound)) == []
+        assert scan_rows(cf, bound) == []
         assert bound.blocks_skipped > 0
 
 
@@ -327,7 +328,7 @@ class TestFetch:
         # that pass — out of a block of sixty
         assert sorted(spy["decoded"]) == ["m"] * 3 + ["name"] * 4
         # a scan that already left a whole typed vector is reused as is
-        list(table.scan())
+        scan_rows(table)
         del spy["decoded"][:]
         assert session.execute("SELECT m FROM t WHERE id = 5").rows == [{"m": 5}]
         assert spy["decoded"] == []
@@ -377,6 +378,6 @@ class TestMixedCompaction:
                 cf.insert({"id": i, "name": f"r{round_}", "m": round_ * 100 + i})
             cf.flush()
         assert len(cf._sstables) < 5  # compaction ran
-        assert {r["name"] for r in cf.scan()} == {"r4"}
+        assert {r["name"] for r in scan_rows(cf)} == {"r4"}
         report = columnfamily_check(cf)
         assert report.ok, report.format_lines()

@@ -5,6 +5,7 @@ import pytest
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
 from repro.nosqldb.types import parse_type
+from tests.conftest import scan_rows
 
 
 def indexed(cf: ColumnFamily, column: str, value) -> list:
@@ -99,7 +100,7 @@ class TestWriteRead:
         cf.flush()
         for i in range(10, 20):
             cf.insert({"id": i, "measure": i})
-        assert {row["id"] for row in cf.scan()} == set(range(20))
+        assert {row["id"] for row in scan_rows(cf)} == set(range(20))
 
 
 class TestDelete:
@@ -118,7 +119,7 @@ class TestDelete:
         assert list(log.records()) == logged
         assert not cf._memtable.tombstones
         cf.flush()
-        assert sorted(row["id"] for row in cf.scan()) == [1, 2]
+        assert sorted(row["id"] for row in scan_rows(cf)) == [1, 2]
         assert len(cf) == 2
 
     @pytest.mark.parametrize("key_type, key, match", [
@@ -238,7 +239,7 @@ class TestFlushAndCompaction:
         # reads search sealed memtables in place — no materialisation
         assert cf.get(1) is not None
         assert cf.get(1) == {c.name: (1 if c.name == "id" else None) for c in cf.columns}
-        assert list(cf.scan())
+        assert scan_rows(cf)
         assert len(cf) == 1
         assert cf._pending and not cf._sstables
         # only an explicit flush builds the SSTable

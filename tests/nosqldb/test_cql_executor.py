@@ -4,6 +4,7 @@ import pytest
 
 from repro.nosqldb.engine import NoSQLEngine
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
+from tests.conftest import scan_rows
 
 
 @pytest.fixture
@@ -209,7 +210,7 @@ class TestRepeatedInsertColumn:
             session.execute_many(p, [(2, 5, 6)])
         table = session.engine.keyspace("ks").table("cells")
         table.flush()
-        assert list(table.scan()) == []
+        assert scan_rows(table) == []
 
     def test_generic_insert_rejected(self, session):
         with pytest.raises(InvalidRequest, match="more than once"):

@@ -5,6 +5,7 @@ import pytest
 from repro.nosqldb.columnfamily import Column
 from repro.nosqldb.engine import NoSQLEngine
 from repro.nosqldb.types import parse_type
+from tests.conftest import scan_rows
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ class TestDiskSSTables:
         table.flush()
         assert table.get(150)["v"] == "row150"
         assert table.get(9999) is None
-        assert sum(1 for _ in table.scan()) == 200
+        assert len(scan_rows(table)) == 200
 
     def test_size_matches_files(self, disk_table):
         root, table = disk_table
@@ -55,7 +56,7 @@ class TestDiskSSTables:
             table.flush()
         files = list((root / "ks" / "cells").glob("*-Data.db"))
         assert len(files) < 5  # compaction merged and deleted old files
-        assert sum(1 for _ in table.scan()) == 5
+        assert len(scan_rows(table)) == 5
 
     def test_files_are_named_table_generation_data(self, disk_table):
         root, table = disk_table

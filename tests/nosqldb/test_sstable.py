@@ -8,6 +8,7 @@ from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.errors import CorruptBlock, NoSQLError
 from repro.nosqldb.sstable import BloomFilter, SSTable, compact
 from repro.nosqldb.types import parse_type
+from tests.conftest import scan_rows
 
 FAMILY = ColumnFamily(
     "t", [Column("id", parse_type("text")), Column("v", parse_type("text"))], "id"
@@ -176,7 +177,7 @@ class TestFormatTag:
         with pytest.raises(CorruptBlock):
             family.get(3)
         with pytest.raises(CorruptBlock):
-            list(family.scan())
+            scan_rows(family)
         with pytest.raises(CorruptBlock):
             family.compact()
 

@@ -35,6 +35,7 @@ from repro.storage.encoding import encode_bytes, encode_text
 from repro.storage.varint import encode_varint
 from repro.telemetry import get_registry
 
+from tests.conftest import scan_rows
 from tests.env import env
 
 
@@ -154,7 +155,7 @@ def settle(keyspace, cf):
     return {
         "files": [Path(sstable._path).read_bytes() for sstable in cf._sstables],
         "len": len(cf),
-        "rows": sorted(map(repr, cf.scan())),
+        "rows": sorted(map(repr, scan_rows(cf))),
         **snapshot(keyspace, cf),
     }
 

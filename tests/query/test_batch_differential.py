@@ -36,7 +36,7 @@ from repro.mapping.stored_query import stored_select
 from repro.nosqldb.columnfamily import ColumnFamily
 from repro.nosqldb.engine import NoSQLEngine
 from repro.query.expr import compare, evaluate_aggregate, null_safe_key
-from repro.query.pushdown import PUSHABLE_OPS
+from repro.query.pushdown import PUSHABLE_OPS, BoundPredicate
 from repro.sqldb.engine import SQLEngine
 
 from tests.env import env
@@ -263,19 +263,19 @@ def build(ops, dialect, row_cache_bytes=None, indexed=False):
             _, key, grp, val = op
             row = {"id": key, "grp": grp, "val": val}
             if dialect == "sql" and key in live:
-                table.update_where(lambda r, k=key: r["id"] == k, {"grp": grp, "val": val})
+                table.update_where(BoundPredicate((("id", "=", key),)), {"grp": grp, "val": val})
             else:
                 table.insert({k: v for k, v in row.items() if v is not None})
             live.add(key)
         elif kind == "null" and op[1] in live:
             if dialect == "sql":
-                table.update_where(lambda r, k=op[1]: r["id"] == k, {"val": None})
+                table.update_where(BoundPredicate((("id", "=", op[1]),)), {"val": None})
             else:
                 table.update(op[1], {"val": None})
         elif kind == "delete" and op[1] in live:
             live.discard(op[1])
             if dialect == "sql":
-                table.delete_where(lambda r, k=op[1]: r["id"] == k)
+                table.delete_where(BoundPredicate((("id", "=", op[1]),)))
             else:
                 table.delete(op[1])
         elif kind in ("flush", "compact", "seal_memtable") and dialect == "cql":

@@ -23,6 +23,7 @@ from repro.nosqldb.engine import NoSQLEngine
 from repro.query import BoundPredicate, RowBatch, VectorBatch
 from repro.sqldb.engine import SQLEngine
 from repro.sqldb.table import PageBatch
+from tests.conftest import scan_rows
 
 N_ROWS = 3000  # dozens of columnar blocks / B-tree leaf pages
 
@@ -139,7 +140,7 @@ class TestLateMaterialization:
         assert len(rows) == N_ROWS
         assert rows[0] == {"id": 1500, "grp": "g1", "val": 0}  # newest layer first
         assert sorted(r["id"] for r in rows) == list(range(N_ROWS))
-        assert len(list(table.scan())) == N_ROWS  # the row view rides the batches too
+        assert len(scan_rows(table)) == N_ROWS  # the row view rides the batches too
 
     def test_count_builds_no_row_dicts(self, built_rows):
         cql, cql_table = build_cql(layers=2)
@@ -180,7 +181,7 @@ class TestLateMaterialization:
         )
         mapper.store(cube, probe_size=False)
         cells = mapper.table("CELL")
-        expected = sum(row["measure"] for row in cells.scan()
+        expected = sum(row["measure"] for row in scan_rows(cells)
                        if row["leaf"] and row["measure"] > 40)
         decoded = Counter()
         original = PageBatch.decode
@@ -209,7 +210,7 @@ class TestLateMaterialization:
         )
         mapper.store(cube, probe_size=False)
         links = mapper.table("NODE_CHILDREN")
-        expected = sorted(row["cell_id"] for row in links.scan())
+        expected = sorted(row["cell_id"] for row in scan_rows(links))
         decoded, pages = Counter(), []
         original = PageBatch.decode
 

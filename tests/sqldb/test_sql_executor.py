@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.heap_check import heap_check
 from repro.sqldb.engine import SQLEngine
 from repro.sqldb.errors import IntegrityError, ProgrammingError
+from tests.conftest import scan_rows
 
 
 @pytest.fixture
@@ -176,12 +177,12 @@ class TestDML:
             "(3, 'c', 7, TRUE)"
         )
         table = session.engine.database("dwarf").table("t")
-        before = list(table.scan())
+        before = scan_rows(table)
         with pytest.raises(error):
             session.execute(f"UPDATE t SET {assignment} WHERE id >= 2")
         assert session.execute("EXPLAIN SELECT id FROM t WHERE m = 6").rows[0]["node"] == "IndexScan"
         assert session.execute("SELECT id FROM t WHERE m = 6").rows == [{"id": 2}]
-        assert list(table.scan()) == before
+        assert scan_rows(table) == before
         report = heap_check(table)
         assert report.ok, "\n".join(report.format_lines())
 

@@ -2,9 +2,21 @@
 
 import pytest
 
+from repro.query import BoundPredicate
 from repro.sqldb.errors import IntegrityError, ProgrammingError
 from repro.sqldb.table import SQLColumn, Table
 from repro.sqldb.types import parse_type
+from tests.conftest import scan_rows
+
+
+def where(*conditions):
+    """A bound WHERE clause: ``(column, op, value)`` conditions."""
+    return BoundPredicate(conditions)
+
+
+def lookup_indexed(table, column, value):
+    """The rows whose indexed ``column`` equals ``value``."""
+    return [row for batch in table.get_batches((value,), index=column) for row in batch.rows()]
 
 
 def make_table(primary_key=("id",)):
@@ -80,27 +92,27 @@ class TestScanUpdateDelete:
         t = make_table()
         for i in (3, 1, 2):
             t.insert({"id": i, "leaf": True})
-        assert [row["id"] for row in t.scan()] == [1, 2, 3]
+        assert [row["id"] for row in scan_rows(t)] == [1, 2, 3]
 
     def test_update_where(self):
         t = make_table()
         for i in range(5):
             t.insert({"id": i, "measure": i, "leaf": True})
-        touched = t.update_where(lambda r: r["measure"] >= 3, {"measure": 0})
+        touched = t.update_where(where(("measure", ">=", 3)), {"measure": 0})
         assert touched == 2
-        assert sum(r["measure"] for r in t.scan()) == 0 + 1 + 2
+        assert sum(r["measure"] for r in scan_rows(t)) == 0 + 1 + 2
 
     def test_update_pk_rejected(self):
         t = make_table()
         t.insert({"id": 1, "leaf": True})
         with pytest.raises(ProgrammingError):
-            t.update_where(lambda r: True, {"id": 9})
+            t.update_where(None, {"id": 9})
 
     def test_delete_where(self):
         t = make_table()
         for i in range(6):
             t.insert({"id": i, "leaf": i % 2 == 0})
-        assert t.delete_where(lambda r: r["leaf"]) == 3
+        assert t.delete_where(where(("leaf", "=", True))) == 3
         assert len(t) == 3
 
     def test_truncate(self):
@@ -117,29 +129,29 @@ class TestSecondaryIndexes:
         t.create_index("m_idx", "measure")
         for i in range(12):
             t.insert({"id": i, "measure": i % 3, "leaf": True})
-        assert {r["id"] for r in t.lookup_indexed("measure", 1)} == {1, 4, 7, 10}
+        assert {r["id"] for r in lookup_indexed(t, "measure", 1)} == {1, 4, 7, 10}
 
     def test_backfill(self):
         t = make_table()
         for i in range(6):
             t.insert({"id": i, "measure": i % 2, "leaf": True})
         t.create_index("m_idx", "measure")
-        assert len(t.lookup_indexed("measure", 0)) == 3
+        assert len(lookup_indexed(t, "measure", 0)) == 3
 
     def test_update_maintains_index(self):
         t = make_table()
         t.create_index("m_idx", "measure")
         t.insert({"id": 1, "measure": 5, "leaf": True})
-        t.update_where(lambda r: r["id"] == 1, {"measure": 6})
-        assert t.lookup_indexed("measure", 5) == []
-        assert t.lookup_indexed("measure", 6)[0]["id"] == 1
+        t.update_where(where(("id", "=", 1)), {"measure": 6})
+        assert lookup_indexed(t, "measure", 5) == []
+        assert lookup_indexed(t, "measure", 6)[0]["id"] == 1
 
     def test_delete_maintains_index(self):
         t = make_table()
         t.create_index("m_idx", "measure")
         t.insert({"id": 1, "measure": 5, "leaf": True})
-        t.delete_where(lambda r: True)
-        assert t.lookup_indexed("measure", 5) == []
+        t.delete_where(None)
+        assert lookup_indexed(t, "measure", 5) == []
 
     def test_duplicate_index_rejected(self):
         t = make_table()

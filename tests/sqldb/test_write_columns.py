@@ -27,6 +27,7 @@ from repro.sqldb.table import ROW_HEADER_BYTES, SQLColumn
 from repro.sqldb.types import parse_type
 from repro.storage.btree import _Internal
 from repro.telemetry import get_registry
+from tests.conftest import scan_rows
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +244,7 @@ def test_rows_before_the_failing_row_are_written(bad_row, error):
     with pytest.raises((ProgrammingError, IntegrityError), match=error.replace("(", r"\(")
                        .replace(")", r"\)")):
         column_write(table, BASE["written"], scenario["batches"][0])
-    assert [row["id"] for row in table.scan()] == [1, 2]
+    assert [row["id"] for row in scan_rows(table)] == [1, 2]
 
 
 def test_a_duplicate_within_the_batch_and_against_the_tree():
