@@ -19,10 +19,14 @@ value of each indexed column, ``len`` and a clean
 
 The budget comes from the loaded hypothesis profile: tier-1 runs the
 small default, ``--hypothesis-profile=deep`` many more runs and steps.
+
+Beside the machine, two flat properties replay one list of inserts,
+deletes, flushes and seals and compare the end state with a dict: the
+point reads, scan and ``len`` of every key, and the index lookups.
 """
 
 import hypothesis.strategies as st
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.analysis.sstable_check import columnfamily_check
@@ -180,3 +184,60 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
 
 ColumnFamilyMachine.TestCase.settings = settings(deadline=None)
 TestColumnFamily = ColumnFamilyMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# flat properties: one op list, compared at its end
+# ----------------------------------------------------------------------
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "flush", "seal"]),
+        KEYS,
+        st.integers(min_value=-1000, max_value=1000),
+    ),
+    max_size=120,
+)
+
+
+def replay(ops, indexed=False):
+    """A two-column family after ``ops``, and the dict it must equal."""
+    cf = ColumnFamily("t", [Column("id", parse_type("int")), Column("m", parse_type("int"))], "id")
+    if indexed:
+        cf.create_index("m_idx", "m")
+    reference = {}
+    for op, key, value in ops:
+        if op == "insert":
+            cf.insert({"id": key, "m": value})
+            reference[key] = value
+        elif op == "delete":
+            cf.delete(key)
+            reference.pop(key, None)
+        elif op == "flush":
+            cf.flush()
+        else:
+            cf.seal_memtable()
+    return cf, reference
+
+
+@given(ops=OPS)
+@settings(max_examples=80, deadline=None)
+def test_matches_reference_dict(ops):
+    cf, reference = replay(ops)
+    for key in range(31):
+        row = cf.get(key)
+        if key in reference:
+            assert row is not None and row["m"] == reference[key]
+        else:
+            assert row is None
+    assert {row["id"]: row["m"] for row in scan_rows(cf)} == reference
+    assert len(cf) == len(reference)
+
+
+@given(ops=OPS)
+@settings(max_examples=40, deadline=None)
+def test_secondary_index_always_consistent(ops):
+    cf, reference = replay(ops, indexed=True)
+    for value in set(reference.values()):
+        expected = {key for key, m in reference.items() if m == value}
+        got = {row["id"] for batch in cf.get_batches((value,), index="m") for row in batch.rows()}
+        assert got == expected
