@@ -27,11 +27,14 @@ Column-family invariants add the cross-structure checks:
   describe each other exactly, in both directions (a NULL or NaN value
   has no entry: :func:`~repro.storage.values.indexable`).
 * **Row-cache agreement** — every cached row (or cached negative read)
-  matches what an uncached storage walk returns for that key; a stale
-  entry means a mutation skipped its strict invalidation
-  (docs/read_path.md).
+  matches the reference decode (:func:`decode_row`) of what an uncached
+  storage walk returns for that key; a stale entry means a mutation
+  skipped its strict invalidation (docs/read_path.md).
 * **Live-count agreement** — the write-path-maintained row counter
   equals the deduplicated live-row count across memtables and SSTables.
+
+:func:`encode_row` / :func:`decode_row` are the reference row codec the
+checkers and tests hold the engine's column reads and writes to.
 """
 
 from __future__ import annotations
@@ -42,11 +45,43 @@ from repro.analysis.btree_check import btree_check
 from repro.analysis.violations import CheckReport
 from repro.nosqldb.cache import NEGATIVE
 from repro.nosqldb.columnfamily import ColumnFamily
+from repro.nosqldb.errors import InvalidRequest
 from repro.nosqldb.sstable import SSTable
 from repro.storage.btree import encode_key
+from repro.storage.encoding import decode_text, encode_text
 from repro.storage.values import indexable
+from repro.storage.varint import decode_varint, encode_varint
 
 _CHECKER = "sstable"
+
+
+# ----------------------------------------------------------------------
+# the reference row codec
+# ----------------------------------------------------------------------
+def encode_row(family: ColumnFamily, row: Dict[str, object], timestamp: int = 0) -> bytes:
+    """One row in Cassandra 2.x's format: a cell count, then a (name,
+    8-byte timestamp, value) triple per non-None cell, in column order."""
+    parts: List[bytes] = []
+    ts_bytes = timestamp.to_bytes(8, "little", signed=False)
+    for column in family.columns:
+        value = row.get(column.name)
+        if value is not None:
+            parts += (encode_text(column.name), ts_bytes, column.cql_type.encode(value))
+    return encode_varint(len(parts) // 3) + b"".join(parts)
+
+
+def decode_row(family: ColumnFamily, encoded: bytes) -> Dict[str, object]:
+    """One stored row as a dict of every column (None: no cell).
+    Raises InvalidRequest when a cell names a column the table lacks."""
+    row: Dict[str, object] = dict.fromkeys(family.column_names)
+    count, offset = decode_varint(encoded, 0)
+    for _ in range(count):
+        name, offset = decode_text(encoded, offset)
+        offset += 8  # write timestamp
+        if name not in row:
+            raise InvalidRequest(f"stored row names unknown column {name!r}")
+        row[name], offset = family.column(name).cql_type.decode(encoded, offset)
+    return row
 
 
 def sstable_check(table: SSTable, name: str = "sstable") -> CheckReport:
@@ -285,7 +320,7 @@ def _check_index_agreement(report: CheckReport, family: ColumnFamily) -> None:
     expected: Dict[str, set] = {column: set() for column in family._indexes}
     for key, encoded in _live_rows(family):
         try:
-            row = family.decode_row(encoded)
+            row = decode_row(family, encoded)
         except Exception as exc:
             report.add(
                 _CHECKER, "sstable.corrupt-row", f"{family.name}[{key!r}]",
@@ -314,7 +349,8 @@ def _check_index_agreement(report: CheckReport, family: ColumnFamily) -> None:
 
 
 def _check_row_cache_agreement(report: CheckReport, family: ColumnFamily) -> None:
-    """Every cached row must match an uncached storage walk for its key.
+    """Every cached row must equal the reference decode of an uncached
+    storage walk for its key, value for value (:func:`_exact`).
 
     This is the safety net behind the row cache's strict-invalidation
     rules: any mutation path that forgets ``invalidate``/``clear`` shows
@@ -322,18 +358,26 @@ def _check_row_cache_agreement(report: CheckReport, family: ColumnFamily) -> Non
     """
     location = f"{family.name}/row-cache"
     for key, cached in family._row_cache.items():
-        actual = family._read_encoded_uncached(key)
+        hit = family._locate((key,))[key]  # past the row cache
+        actual = hit[0].materialize(hit[1]) if type(hit) is tuple else hit
         if cached is NEGATIVE:
             report.check(
                 actual is None, _CHECKER, "sstable.row-cache-stale", location,
                 f"cache says key {key!r} is absent but storage holds a live row",
             )
         else:
+            stored = None if actual is None else list(decode_row(family, actual).values())
             report.check(
-                cached == actual, _CHECKER, "sstable.row-cache-stale", location,
+                stored is not None and _exact(cached) == _exact(stored),
+                _CHECKER, "sstable.row-cache-stale", location,
                 f"cached row for key {key!r} differs from the stored row "
                 "(a mutation skipped invalidation)",
             )
+
+
+def _exact(row) -> List[Tuple[type, str]]:
+    """A row's values by type and repr: NaN equals NaN, -0.0 is not 0.0."""
+    return [(type(value), repr(value)) for value in row]
 
 
 def _check_live_count(report: CheckReport, family: ColumnFamily) -> None:

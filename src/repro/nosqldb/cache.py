@@ -13,12 +13,14 @@ Budgets come from the environment, mirroring ``REPRO_SCALE`` /
 
 * ``REPRO_BLOCK_CACHE_BYTES`` — decoded-block budget per column family
   (default :data:`DEFAULT_BLOCK_CACHE_BYTES`; ``0`` disables).
-* ``REPRO_ROW_CACHE_BYTES`` — encoded-row budget per column family
-  (default :data:`DEFAULT_ROW_CACHE_BYTES`; ``0`` disables).
+* ``REPRO_ROW_CACHE_BYTES`` — decoded-row budget per column family,
+  each row charged its stored size (default
+  :data:`DEFAULT_ROW_CACHE_BYTES`; ``0`` disables).
 
-Both caches are plain LRU over an ``OrderedDict``; entries are charged
-their payload size plus a fixed per-entry overhead so budgets bound real
-memory, not just payload bytes.
+Both caches are plain LRU over an ``OrderedDict``; an entry is charged
+its payload plus a fixed per-entry overhead.  The payload is a block's
+stored bytes and directory, a row's stored size, so a budget bounds those
+bytes, not the memory the decoded values take (docs/read_path.md).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ _M_CACHE_INVALIDATIONS = get_registry().counter(
 #: Default decoded-block budget per column family (bytes).
 DEFAULT_BLOCK_CACHE_BYTES = 32 * 1024 * 1024
 
-#: Default encoded-row budget per column family (bytes).
+#: Default decoded-row budget per column family (bytes of stored rows).
 DEFAULT_ROW_CACHE_BYTES = 4 * 1024 * 1024
 
 #: Fixed bookkeeping charge per cached entry (keys, list headers, links).
@@ -156,15 +158,6 @@ class _LRUBytes:
         self._m_hits.inc()
         return entry[0]
 
-    def peek(self, key, default=None):
-        """Read without touching LRU order or hit/miss counters.
-
-        Internal probes (the write path's liveness check) use this so
-        cache statistics reflect only real read traffic.
-        """
-        entry = self._entries.get(key)
-        return default if entry is None else entry[0]
-
     def _put(self, key, value, nbytes: int) -> None:
         if not self._capacity:
             return
@@ -247,34 +240,30 @@ class BlockCache(_LRUBytes):
 
 
 class RowCache(_LRUBytes):
-    """Encoded rows keyed by primary key, with negative-read caching.
+    """Decoded rows keyed by primary key, with negative-read caching.
 
-    Stores the *encoded* row (the column family decodes on the way out,
-    as Cassandra's row cache stores serialized partitions).  Absent keys
-    are cached as :data:`NEGATIVE` so repeated misses also skip the
-    storage walk.  Every mutation of a key must call :meth:`invalidate`
-    — the strict-invalidation rules live in docs/read_path.md and are
-    enforced by ``repro.analysis.sstable_check.columnfamily_check``.
+    A row is held decoded once, a list of its values in schema column
+    order (None: no cell), charged its stored size.  Absent keys are
+    cached as :data:`NEGATIVE` so repeated misses also skip the storage
+    walk.  Every mutation of a key must call :meth:`invalidate` (rules:
+    docs/read_path.md, checked by ``sstable_check.columnfamily_check``).
     """
 
     KIND = "row"
 
     def get(self, key):
-        """The cached encoded row, :data:`NEGATIVE`, or None (uncached)."""
+        """The cached row, :data:`NEGATIVE`, or None (uncached)."""
         return self._get(key)
 
-    def put(self, key, encoded: Optional[bytes]) -> None:
-        """Cache an encoded row, or a negative read when ``encoded`` is None."""
-        if encoded is None:
-            self._put(key, NEGATIVE, 0)
-        else:
-            self._put(key, encoded, len(encoded))
+    def put(self, key, row: Optional[list], nbytes: int = 0) -> None:
+        """Cache ``row`` charged ``nbytes`` (its stored size); None: absent."""
+        self._put(key, NEGATIVE if row is None else row, nbytes)
 
     def invalidate(self, key) -> None:
         self._drop(key)
 
     def items(self):
-        """Snapshot of cached ``(key, encoded_or_NEGATIVE)`` pairs (for checkers)."""
+        """Snapshot of cached ``(key, row_or_NEGATIVE)`` pairs (for checkers)."""
         return [(key, value) for key, (value, _) in self._entries.items()]
 
     def __repr__(self) -> str:

@@ -119,10 +119,28 @@ class ColumnarCodec:
         }
         self._zoned = tuple(not isinstance(t, SetType) for _, t in columns)
 
-    # -- row codec bridge ---------------------------------------------
+    # -- typed decode ---------------------------------------------------
     def decode_value(self, name: str, raw: bytes):
         value, _ = self._types[name].decode(raw, 0)
         return value
+
+    def decode_column(self, name: str, raws: Sequence[Optional[bytes]]) -> List:
+        """Column ``name``'s raw cells (None: no cell) decoded, each distinct
+        raw once (DWARF keys, schema ids and flags repeat): the one typed
+        decode of block vectors, fetches and memtable rows."""
+        decode = self.decode_value
+        memo: Dict[bytes, object] = {}
+        vector = []
+        append = vector.append
+        for raw in raws:
+            if raw is None:
+                append(None)
+                continue
+            value = memo.get(raw)
+            if value is None:  # no type decodes to None
+                value = memo[raw] = decode(name, raw)
+            append(value)
+        return vector
 
     # -- block encode --------------------------------------------------
     def zone_memo(self) -> List[Dict[bytes, object]]:
@@ -541,30 +559,14 @@ class ColumnVectors:
     def typed(self, name: str) -> List:
         """Column ``name`` decoded into a value vector (None where the
         row has no such cell), memoized on the cached block — what a
-        scan reads.  Decoding goes through a per-distinct-bytes memo:
-        dictionary-encoded and low-cardinality chunks (DWARF keys,
-        schema ids, flags) decode each distinct value once, not once per
-        row."""
+        scan reads (:meth:`ColumnarCodec.decode_column`)."""
         vector = self._typed.get(name)
         if vector is None:
             raw_vec = self._raw(name)
-            if raw_vec is None:
-                vector = [None] * len(self.keys)
-            else:
-                decode = self.codec.decode_value
-                memo: Dict[bytes, object] = {}
-                vector = []
-                append = vector.append
-                for raw in raw_vec:
-                    if raw is None:
-                        append(None)
-                        continue
-                    value = memo.get(raw)
-                    if value is None and raw not in memo:
-                        value = decode(name, raw)
-                        memo[raw] = value
-                    append(value)
-            self._typed[name] = vector
+            vector = self._typed[name] = (
+                [None] * len(self.keys) if raw_vec is None
+                else self.codec.decode_column(name, raw_vec)
+            )
         return vector
 
     def values_at(self, name: str, positions: Sequence[int]) -> List:
@@ -577,12 +579,7 @@ class ColumnVectors:
         raw_vec = self._raw(name)
         if raw_vec is None:
             return [None] * len(positions)
-        decode = self.codec.decode_value
-        values = []
-        for i in positions:
-            raw = raw_vec[i]
-            values.append(None if raw is None else decode(name, raw))
-        return values
+        return self.codec.decode_column(name, [raw_vec[i] for i in positions])
 
     def materialize(self, i: int) -> bytes:
         """Row ``i`` re-encoded byte-identically to its row-major form."""
@@ -602,8 +599,48 @@ class ColumnVectors:
             parts.append(raw_vec[i])
         return b"".join(parts)
 
+    def row_size(self, i: int) -> int:
+        """The length of row ``i``'s row-major form (:meth:`materialize`)
+        without building it: what the row cache charges the row."""
+        size = len(encode_varint(len(self.orders[i])))
+        for col_index in self.orders[i]:
+            raw_vec, _, _, encoded_name = self._chunk(col_index)
+            size += len(encoded_name) + 8 + len(raw_vec[i])
+        return size
+
     def all_rows(self) -> Tuple[List, List[bytes]]:
         """The block in classic ``(keys, rows)`` form — every row
         rematerialized, for the callers whose business is encoded bytes
         (the round-trip checkers).  Nothing is kept."""
         return self.keys, [self.materialize(i) for i in range(len(self.keys))]
+
+
+class RowColumns:
+    """Encoded (memtable) rows read a column at a time: split once, on
+    the first column touched, as a flush splits them
+    (:meth:`ColumnarCodec.split_rows`: no cell name is decoded), and each
+    column decoded on first touch and kept, as a block's is."""
+
+    __slots__ = ("codec", "_rows", "_raw_cols", "_orders", "_typed")
+
+    def __init__(self, codec: ColumnarCodec, rows: Sequence[bytes]) -> None:
+        self.codec = codec
+        self._rows = rows
+        self._raw_cols: Optional[List[List[bytes]]] = None
+        self._orders: List[Tuple[int, ...]] = []
+        self._typed: Dict[str, List] = {}
+
+    def typed(self, name: str) -> List:
+        """Column ``name`` of every row (None where a row has no cell)."""
+        vector = self._typed.get(name)
+        if vector is None:
+            codec = self.codec
+            if self._raw_cols is None:
+                _, self._raw_cols, self._orders = codec.split_rows(self._rows)
+            index = codec.column_names.index(name)
+            raws = self._raw_cols[index]
+            if len(raws) < len(self._rows):  # some row has no such cell
+                cells = iter(raws)
+                raws = [next(cells) if index in order else None for order in self._orders]
+            vector = self._typed[name] = codec.decode_column(name, raws)
+        return vector

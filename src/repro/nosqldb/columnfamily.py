@@ -21,17 +21,17 @@ from repro.nosqldb.cache import (
     block_cache_budget,
     row_cache_budget,
 )
-from repro.nosqldb.columnar import ColumnarCodec
+from repro.nosqldb.columnar import ColumnarCodec, RowColumns
 from repro.nosqldb.errors import AlreadyExists, InvalidRequest
 from repro.nosqldb.memtable import Memtable, Run
 from repro.nosqldb.sstable import SSTable, compact, run_feed
 from repro.nosqldb.types import CQLType, DoubleType, SetType
-from repro.query.batch import Batch, FetchedBatch, RowBatch
+from repro.query.batch import Batch, FetchedBatch, VectorBatch
 from repro.query.session import reject_repeated_columns
 from repro.storage.btree import BTree
-from repro.storage.encoding import decode_text, encode_text
+from repro.storage.encoding import encode_text
 from repro.storage.values import indexable
-from repro.storage.varint import decode_varint, encode_varint
+from repro.storage.varint import encode_varint
 from repro.telemetry import get_registry, get_tracer
 
 _REGISTRY = get_registry()
@@ -64,10 +64,6 @@ ENCODE_CHUNK = 2048
 
 #: Number of SSTables that triggers a size-tiered compaction.
 COMPACTION_THRESHOLD = 4
-
-#: Entry cap for the per-table decoded-row memo (cleared wholesale when
-#: full; content-addressed, so staleness is impossible by construction).
-_DECODE_MEMO_ENTRIES = 8192
 
 
 class ColumnFamilyStats(NamedTuple):
@@ -213,10 +209,6 @@ class ColumnFamily:
         self._row_cache = RowCache(
             row_cache_budget() if row_cache_bytes is None else row_cache_bytes
         )
-        # Content-addressed decode memo: encoded row bytes -> decoded dict
-        # (in use while the row cache is; a budget is fixed for life).
-        self._decode_memo: Dict[bytes, Dict[str, object]] = {}
-        self._memoize_decodes = self._row_cache.enabled
         # Deterministic write clock standing in for microsecond timestamps.
         self._write_clock = 1_400_000_000_000_000
 
@@ -273,61 +265,6 @@ class ColumnFamily:
         attribute cache-backed block fetches to the plan's access node.
         """
         return self._block_cache.hits
-
-    # ------------------------------------------------------------------
-    # row codec (Cassandra 2.x storage format)
-    # ------------------------------------------------------------------
-    # Pre-3.0 Cassandra stored every cell as a (column name, timestamp,
-    # value) triple — the column name bytes and an 8-byte write timestamp
-    # repeat in every row.  Reproducing that format matters: it is why the
-    # paper's Cassandra sizes are comparable to MySQL's despite varint
-    # values and block compression.
-    def encode_row(self, row: Dict[str, object], timestamp: int = 0) -> bytes:
-        """Cassandra 2.x format: cell count, then (name, ts, value) triples."""
-        parts: List[bytes] = []
-        count = 0
-        ts_bytes = timestamp.to_bytes(8, "little", signed=False)
-        for column in self.columns:
-            value = row.get(column.name)
-            if value is None:
-                continue
-            count += 1
-            parts.append(column._encoded_name)
-            parts.append(ts_bytes)
-            parts.append(column.cql_type.encode(value))
-        return encode_varint(count) + b"".join(parts)
-
-    def decode_row(self, encoded: bytes) -> Dict[str, object]:
-        """Raises InvalidRequest when a stored cell names an unknown column.
-
-        Decoding is deterministic in ``encoded``, so repeated reads of the
-        same bytes are served from a content-addressed memo (never stale —
-        the key IS the input) while the row cache is enabled.  Callers get
-        a fresh shallow copy each time; cell values are immutable scalars.
-        """
-        if self._memoize_decodes:
-            memo = self._decode_memo
-            row = memo.get(encoded)
-            if row is None:
-                row = self._decode_row_fresh(encoded)
-                if len(memo) >= _DECODE_MEMO_ENTRIES:
-                    memo.clear()
-                memo[encoded] = row
-            return dict(row)
-        return self._decode_row_fresh(encoded)
-
-    def _decode_row_fresh(self, encoded: bytes) -> Dict[str, object]:
-        row: Dict[str, object] = {column.name: None for column in self.columns}
-        count, offset = decode_varint(encoded, 0)
-        for _ in range(count):
-            name, offset = decode_text(encoded, offset)
-            offset += 8  # write timestamp
-            column = self._by_name.get(name)
-            if column is None:
-                raise InvalidRequest(f"stored row names unknown column {name!r}")
-            value, offset = column.cql_type.decode(encoded, offset)
-            row[name] = value
-        return row
 
     # ------------------------------------------------------------------
     # write path
@@ -417,8 +354,9 @@ class ColumnFamily:
         rows = self._encode_rows(columns, cells, stop)
         keys = keys[:stop]
         indexes = list(self._indexes.values())
-        # Each indexed column's values in the chunk (None: not written).
-        written = {column.name: values for column, values in zip(columns, chunk)}
+        # Each indexed column's values in the chunk as stored (None: not written).
+        written = {column.name: column.cql_type.canonical(values[:stop])
+                   for column, values in zip(columns, chunk) if column.name in self._indexes}
         indexed = [written.get(index.column) for index in indexes]
         fresh = not indexes and self._fresh(keys)
         run = self._run(columns, chunk, cells, rows, keys) if fresh and error is None else None
@@ -494,10 +432,11 @@ class ColumnFamily:
         return Run(keys, rows, positions, cells, self._write_clock + 1, typed)
 
     def _encode_rows(self, columns: Sequence[Column], cells: List[List], n: int) -> List[bytes]:
-        """The first ``n`` stored rows (Cassandra 2.x format, see
-        :meth:`encode_row`) from encoded cell columns: row ``i`` carries
-        the write clock's ``i + 1``-th next tick as every cell's
-        timestamp, and only its non-None cells."""
+        """The first ``n`` stored rows from encoded cell columns in
+        Cassandra 2.x's format (docs/storage_formats.md): a cell count,
+        then a (name, 8-byte timestamp, value) triple per non-None cell,
+        row ``i``'s cells stamped with the write clock's ``i + 1``-th
+        next tick."""
         clock = self._write_clock + 1
         stamps = [tick.to_bytes(8, "little") for tick in range(clock, clock + n)]
         pieces = [
@@ -674,6 +613,9 @@ class ColumnFamily:
         self._compact_sstables()
 
     def truncate(self) -> None:
+        """Drop every row, and its commit-log records: no crash replays one."""
+        if self._commit_log is not None:
+            self._commit_log.discard(self.name)
         self._memtable = Memtable()
         self._pending = []
         for sstable in self._sstables:
@@ -681,7 +623,6 @@ class ColumnFamily:
         self._sstables = []
         self._n_live = 0
         self._row_cache.clear()
-        self._decode_memo.clear()
         for column_name in list(self._indexes):
             index = self._indexes[column_name]
             self._indexes[column_name] = SecondaryIndex(index.name, index.column)
@@ -699,7 +640,6 @@ class ColumnFamily:
         self._pending = []
         self._n_live = sum(batch.count() for batch in self.scan_batches())
         self._row_cache.clear()
-        self._decode_memo.clear()
 
     def apply_replayed(self, key, encoded_row: bytes) -> None:
         """Re-apply one commit-log mutation (empty payload = tombstone)."""
@@ -746,11 +686,6 @@ class ColumnFamily:
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
-    def _read_encoded_uncached(self, key) -> Optional[bytes]:
-        """The stored row bytes of ``key`` straight from the layers."""
-        hit = self._locate((key,))[key]
-        return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
-
     def _locate(self, keys) -> Dict[object, object]:
         """Layered walk for ``keys`` — active memtable →
         sealed memtables (searched in place: a read never forces the
@@ -790,22 +725,14 @@ class ColumnFamily:
     def get_batches(self, keys: Sequence, index: Optional[str] = None) -> List[Batch]:
         """The live rows of ``keys`` as column batches, in requested-key
         order (a repeated key repeats its row, an absent one is skipped)
-        — the fetch entry point beside :meth:`scan_batches`; no row is
-        built.  With ``index`` the keys are values of that secondary-
+        — the fetch entry point beside :meth:`scan_batches`; no row dict
+        is built.  With ``index`` the keys are values of that secondary-
         indexed column and every row holding one of them is fetched.
 
-        Keys are answered from the row cache where it has them; the
-        rest resolve in one batched walk (:meth:`_locate`), and the row
-        cache is then written with the encoded bytes of the fetched rows
-        (rematerialized for those found in SSTable blocks) and negative
-        entries for absent keys.
-
-        A key found in an SSTable block leaves as a position in a
-        :class:`~repro.query.batch.FetchedBatch` over the cached
-        vectors; rows that exist as encoded bytes (memtables, row-cache
-        hits) leave in lazily decoded
-        :class:`~repro.query.batch.RowBatch`es.  Consecutive keys from
-        one source share a batch.
+        Keys the row cache misses resolve in one batched walk
+        (:meth:`_locate`) whose hits leave as batches.  With the cache
+        on, those rows are decoded whole off the batches and cached
+        (:meth:`_cache_rows`): the answer is one batch over cached rows.
 
         Raises InvalidRequest when ``index`` names an unindexed column.
         """
@@ -819,58 +746,56 @@ class ColumnFamily:
             keys = [key for value in keys for key in secondary.lookup(value)]
         row_cache = self._row_cache
         hits: List[object] = list(map(row_cache.get, keys))
-        if None in hits and self._resolve_missed(keys, hits):
-            return self._fetched_batches(hits)
-        # Every row exists as encoded bytes — always so on the warm path,
-        # where the row cache answered every key.
-        if None in hits or NEGATIVE in hits:
-            hits = [hit for hit in hits if hit is not None and hit is not NEGATIVE]
-        return [RowBatch(hits, self.decode_row)] if hits else []
+        if None in hits:
+            located = self._locate({key: None for key, hit in zip(keys, hits) if hit is None})
+            if not row_cache.enabled:
+                return self._fetched_batches([located[key] for key in keys])
+            found = self._cache_rows(located)
+            hits = [found[key] if hit is None else hit for key, hit in zip(keys, hits)]
+        rows = [hit for hit in hits if hit is not NEGATIVE] if NEGATIVE in hits else hits
+        at = self._positions  # a cached row's values are in schema order
+        return [FetchedBatch(
+            len(rows), lambda name: list(map(operator.itemgetter(at[name]), rows)),
+            lambda name, sel: [rows[i][at[name]] for i in sel], self._codec.column_names, None,
+        )] if rows else []
 
-    def _resolve_missed(self, keys: Sequence, hits: List) -> bool:
-        """Fill in ``hits`` (per requested key: its row-cache answer, or
-        None where uncached) from storage, and the row cache with what
-        was found.  True when a key was found in an SSTable block — its
-        ``hits`` entry is then ``(ColumnVectors, position)``."""
-        missed: Dict[object, List[int]] = {}
-        for position, hit in enumerate(hits):
+    def _cache_rows(self, located: Dict[object, object]) -> Dict[object, object]:
+        """``located`` (a :meth:`_locate` answer) with each hit replaced by
+        its row decoded whole off the hits' batches, an absent key by
+        :data:`NEGATIVE`; each is cached, a row charged its stored size."""
+        names = self._codec.column_names
+        rows = iter([
+            list(row) for batch in self._fetched_batches(list(located.values()))
+            for row in zip(*[batch.values(name) for name in names])
+        ])
+        put = self._row_cache.put
+        for key, hit in located.items():
             if hit is None:
-                missed.setdefault(keys[position], []).append(position)
-        row_cache = self._row_cache
-        cache_rows = row_cache.enabled
-        columnar = False
-        for key, hit in self._locate(missed).items():
-            if type(hit) is tuple:
-                columnar = True
-                if cache_rows:
-                    row_cache.put(key, hit[0].materialize(hit[1]))
-            elif cache_rows:
-                row_cache.put(key, hit)
-            if hit is not None:
-                for position in missed[key]:
-                    hits[position] = hit
-        return columnar
+                located[key] = NEGATIVE
+                put(key, None)
+            else:
+                row = located[key] = next(rows)
+                put(key, row, hit[0].row_size(hit[1]) if type(hit) is tuple else len(hit))
+        return located
 
     def _fetched_batches(self, hits: List) -> List[Batch]:
-        """Per-key fetch results, in order, as batches: a run of encoded
-        rows becomes one ``RowBatch``; a run of ascending positions in
-        one SSTable block becomes one ``FetchedBatch``."""
+        """Per-key :meth:`_locate` hits, in order, as batches (an absent
+        key's None skipped): a run of encoded memtable rows becomes one
+        batch over their columns (:class:`RowColumns`); a run of
+        ascending positions in one SSTable block one ``FetchedBatch``."""
         runs: List[Tuple[object, List]] = []
         source = run = None
         for hit in hits:
-            if hit is None or hit is NEGATIVE:
+            if hit is None:
                 continue
             block, item = hit if type(hit) is tuple else (None, hit)
-            if run is None or block is not source or (
-                block is not None and item <= run[-1]
-            ):
+            if run is None or block is not source or (block is not None and item <= run[-1]):
                 source, run = block, []
                 runs.append((source, run))
             run.append(item)
-        decode = self.decode_row
         names = self._codec.column_names
         return [
-            RowBatch(run, decode) if block is None
+            VectorBatch(len(run), RowColumns(self._codec, run).typed, names) if block is None
             else FetchedBatch(len(block), block.typed, block.values_at, names, run)
             for block, run in runs
         ]
@@ -891,8 +816,9 @@ class ColumnFamily:
         Layers are visited newest first — active memtable, sealed
         memtables (searched in place: scanning never forces
         materialisation), SSTables — and no row is built: memtable rows
-        leave as one lazily decoded batch per memtable, SSTables as one
-        batch per block (:meth:`SSTable.scan_batches`).
+        leave as one batch per memtable over their columns, split and
+        decoded as a read touches them (:class:`RowColumns`), SSTables as
+        one batch per block (:meth:`SSTable.scan_batches`).
 
         LSM shadowing narrows a batch's selection by key and is only
         tracked where it can happen: a layer checks the
@@ -906,6 +832,7 @@ class ColumnFamily:
         """
         layers = [self._memtable, *reversed(self._pending), *reversed(self._sstables)]
         ranges = [layer.key_range() for layer in layers]
+        names = self._codec.column_names
         seen: set = set()
         for position, (layer, span) in enumerate(zip(layers, ranges)):
             if span is None:
@@ -922,7 +849,7 @@ class ColumnFamily:
                 if record is not None:
                     record.update(key for key, _ in layer)
                 if live:
-                    batch = RowBatch(live, self.decode_row)
+                    batch = VectorBatch(len(live), RowColumns(self._codec, live).typed, names)
                     if pushed is not None:
                         pushed.narrow(batch)
                     yield batch

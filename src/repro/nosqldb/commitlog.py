@@ -49,16 +49,18 @@ class CommitLog:
         Raises TypeError for a key type the log cannot encode; nothing
         of the batch is recorded then.
         """
-        head = bytes(RECORD_HEADER_BYTES) + encode_text(table_name)
-        payload = b"".join([
-            head + encode_key(key) + encode_bytes(row)
-            for key, row in zip(keys, encoded_rows)
-        ])
+        payload = _records(table_name, keys, encoded_rows)
         count = len(encoded_rows)
         self._buffer += payload
         self._n_records += count
         _M_APPENDS.inc(count)
         _M_APPEND_BYTES.inc(len(payload))
+
+    def discard(self, table_name: str) -> None:
+        """Drop ``table_name``'s records: a TRUNCATE replays nothing."""
+        kept = [record for record in self.records() if record[0] != table_name]
+        self._buffer = bytearray(b"".join(_records(name, (key,), (row,)) for name, key, row in kept))
+        self._n_records = len(kept)
 
     def records(self) -> Iterator[Tuple[str, object, bytes]]:
         """Decode every logged ``(table, key, encoded_row)`` mutation."""
@@ -83,3 +85,11 @@ class CommitLog:
     @property
     def size_bytes(self) -> int:
         return len(self._buffer)
+
+
+def _records(table_name: str, keys, encoded_rows) -> bytes:
+    """One record per ``(key, encoded row)``: header, table name, key, row."""
+    head = bytes(RECORD_HEADER_BYTES) + encode_text(table_name)
+    return b"".join([
+        head + encode_key(key) + encode_bytes(row) for key, row in zip(keys, encoded_rows)
+    ])

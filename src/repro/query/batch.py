@@ -13,16 +13,15 @@ Two backings share the contract:
 
 * :class:`VectorBatch` — rows addressed a column at a time:
   ``column_of(name)`` yields a decoded columnar SSTable block's memoized
-  typed vector, or decodes one column of a B-tree leaf page's (or a
-  relational fetch's) encoded rows on first touch, so a predicate or an
+  typed vector, or decodes one column of a B-tree leaf page's, a
+  memtable's or a relational fetch's encoded rows on first touch, or
+  reads one off the NoSQL row cache's decoded rows, so a predicate or an
   aggregate touches only the columns it reads.  A fetch (point,
   multi-get, index) that found its keys in a columnar block gets a
   :class:`FetchedBatch`: the same block with ``sel`` set to the keys'
   positions, whose columns are decoded at the selected positions only.
-* :class:`RowBatch` — rows that already exist as dicts (operator
-  outputs) or as encoded bytes that decode on first column access
-  (memtables, row-cache hits), so ``COUNT(*)`` over
-  them decodes nothing.
+* :class:`RowBatch` — rows that already exist as dicts: the outputs of
+  the operators that build rows (``HashJoin``, ``Aggregate``, ``Sort``).
 
 ``column(name)`` is addressed by position (index it with ``sel``);
 ``values(name)`` is the same column gathered down to the selected rows.
@@ -113,16 +112,16 @@ class VectorBatch(Batch):
 
 
 class FetchedBatch(VectorBatch):
-    """The rows a fetch located in a decoded columnar block, selected by
-    position.  ``values_at(name, positions)`` decodes a column at the
-    given positions only, so what a statement reads of a fetched row is
-    all that is ever decoded of the block."""
+    """The rows a fetch found — in a decoded columnar block, or cached
+    decoded — selected by position.  ``values_at(name, positions)``
+    reads a column at the given positions only, so what a statement
+    reads of a fetched row is all that is ever decoded of the block."""
 
     __slots__ = ("_values_at",)
 
     def __init__(self, n: int, column_of: Callable[[str], Sequence],
                  values_at: Callable[[str, Sequence[int]], Sequence],
-                 all_names: Sequence[str], sel: List[int]) -> None:
+                 all_names: Sequence[str], sel: Optional[List[int]]) -> None:
         super().__init__(n, column_of, all_names)
         self._values_at = values_at
         self.sel = sel
@@ -145,39 +144,19 @@ class FetchedBatch(VectorBatch):
 
 
 class RowBatch(Batch):
-    """Rows held as dicts, or as encoded bytes plus their ``decode``."""
+    """Rows held as dicts."""
 
-    __slots__ = ("_rows", "_decode")
+    __slots__ = ("_rows",)
 
-    def __init__(self, rows: List, decode: Optional[Callable] = None) -> None:
-        # Spelled out, not super().__init__: one of these is built per
-        # point read.
-        self.n = len(rows)
-        self.sel = self.names = self.labels = None
+    def __init__(self, rows: List[Dict[str, object]]) -> None:
+        super().__init__(len(rows))
         self._rows = rows
-        self._decode = decode
-
-    def _decoded(self) -> List[Dict[str, object]]:
-        decode = self._decode
-        if decode is not None:
-            self._rows = list(map(decode, self._rows))
-            self._decode = None
-        return self._rows
 
     def column(self, name: str) -> Sequence:
-        rows = self._rows if self._decode is None else self._decoded()
-        return [row[name] for row in rows]
-
-    def values(self, name: str) -> Sequence:
-        # Read straight off the selected rows: a fetch's Filter usually
-        # leaves one of them.
-        if self.sel is None:
-            return self.column(name)
-        rows = self._rows if self._decode is None else self._decoded()
-        return [rows[i][name] for i in self.sel]
+        return [row[name] for row in self._rows]
 
     def rows(self, names: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
-        rows = self._rows if self._decode is None else self._decoded()
+        rows = self._rows
         if self.sel is not None:
             rows = [rows[i] for i in self.sel]
         names, labels = self._output(names)

@@ -336,19 +336,6 @@ class Table:
             parts.append(column.sql_type.encode(value))
         return bytes(bitmap) + b"".join(parts)
 
-    def decode_row(self, encoded: bytes) -> Dict[str, object]:
-        n_cols = len(self.columns)
-        bitmap_len = (n_cols + 7) // 8
-        offset = bitmap_len
-        row: Dict[str, object] = {}
-        for index, column in enumerate(self.columns):
-            if encoded[index >> 3] & (1 << (index & 7)):
-                value, offset = column.sql_type.decode(encoded, offset)
-                row[column.name] = value
-            else:
-                row[column.name] = None
-        return row
-
     def _shape(self, bitmap: bytes) -> "_Shape":
         """The row shape of ``bitmap``, compiled on first sight: where
         each column sits in a row with those null bits."""
@@ -480,7 +467,9 @@ class Table:
         clustered = self._clustered
         insert_new = clustered.insert_new
         secondary = self._secondary
-        indexed = [(tree, given[name]) for name, tree in secondary.items() if name in given]
+        # Index the values as stored: what a backfill from the rows reads.
+        indexed = [(tree, self._by_name[name].sql_type.canonical(given[name][:len(rows)]))
+                   for name, tree in secondary.items() if name in given]
         dirty = self._dirty_bytes
         written = entries = 0
         try:
@@ -542,6 +531,7 @@ class Table:
         ProgrammingError for unknown, primary-key or ill-typed
         assignments and IntegrityError for NULL into a NOT NULL column.
         """
+        stored = {}  # each assignment as the column stores (and indexes) it
         for name, value in assignments.items():
             if name in self.primary_key:
                 raise ProgrammingError("updating primary key columns is not supported")
@@ -550,6 +540,7 @@ class Table:
                 column.sql_type.validate_encode(value)
             elif column.not_null:
                 raise IntegrityError(f"column {name!r} is NOT NULL")
+            stored[name] = column.sql_type.canonical((value,))[0]
         rows = [
             pair for batch in self.scan_batches(pushed)
             for pair in zip(gather(batch.keys, batch.sel), batch.rows())
@@ -559,7 +550,7 @@ class Table:
             for column_name, tree in secondary:
                 if indexable(row[column_name]):
                     tree.delete((row[column_name], key))
-            row.update(assignments)
+            row.update(stored)
             clustered.insert(key, self.encode_row(row))
             for column_name, tree in secondary:
                 if indexable(row[column_name]):

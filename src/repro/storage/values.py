@@ -5,11 +5,12 @@ The paper maps one cube onto two MySQL and two Cassandra schemas
 which values a column takes is written here once — the type check, the
 32/64-bit range check, the UTF-8 check (a lone surrogate), the check
 that an int fits a double, the NaN-key check, their messages, the
-whole-column fast path over them, and :func:`indexable` — and each
-engine's types (:mod:`repro.sqldb.types`, :mod:`repro.nosqldb.types`)
-subclass these domains, adding only what differs: the integer codec
-(fixed width against varint), the cell a NULL gives, the error class a
-refused value raises and the spelling of type names in messages.
+whole-column fast path over them, :meth:`ValueType.canonical` and
+:func:`indexable` — and each engine's types (:mod:`repro.sqldb.types`,
+:mod:`repro.nosqldb.types`) subclass these domains, adding only what
+differs: the integer codec (fixed width against varint), the cell a NULL
+gives, the error class a refused value raises and the spelling of type
+names in messages.
 
 The few dialect differences are written down in
 ``docs/storage_formats.md``.
@@ -74,6 +75,11 @@ class ValueType:
         """End offset of the value encoded at ``offset``: exactly
         ``decode(buffer, offset)[1]``, found without building the value."""
         return offset + self.width
+
+    def canonical(self, values: Sequence) -> Sequence:
+        """``values`` as their stored cells decode: what an index takes,
+        so it holds what a backfill from stored rows would."""
+        return values
 
     def validate_encode(self, value) -> bytes:
         """The one per-value check: :meth:`validate`, then :meth:`encode`,
@@ -246,6 +252,10 @@ class Double(ValueType):
         return encode_float(float(value))
 
     decode = staticmethod(decode_float)
+
+    def canonical(self, values):
+        """An int is stored as the double it equals."""
+        return [value if value is None else float(value) for value in values]
 
     def encode_valid(self, values):
         """Each value encoded on its own: 0.0 equals -0.0, yet each

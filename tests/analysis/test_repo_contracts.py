@@ -244,11 +244,12 @@ CONTRACTS = [
     Contract("a kernel leaf calling its table beside get_batches and scan_batches",
              r"\.table\.(?!(get|scan)_batches\()\w+\(", ("src/repro/query/plan.py",)),
     # Rows leave storage only as batches: no engine code decodes a whole
-    # row (decode_row is the codec reference the checkers compare
-    # against), and no row view or row-at-a-time WHERE sits beside
-    # scan_batches / get_batches.
+    # row — not by calling decode_row, nor by handing it to a batch
+    # (decode_row is the reference codec the checkers compare against) —
+    # and no row view or row-at-a-time WHERE sits beside scan_batches /
+    # get_batches.
     Contract("a whole row decoded in engine code",
-             r"\.decode_row\(", allowed=("src/repro/analysis",)),
+             r"\bdecode_row\b", allowed=("src/repro/analysis",)),
     Contract("a row view beside the batch readers",
              r"def (scan|lookup_indexed|matches)\(",
              ("src/repro/sqldb/table.py", "src/repro/nosqldb/columnfamily.py",
@@ -372,6 +373,7 @@ def test_contract_table_catches_a_copy(tmp_path, source, breach):
 
 @pytest.mark.parametrize("relative, source", [
     ("src/repro/nosqldb/columnfamily.py", "            old_row = self.decode_row(encoded)"),
+    ("src/repro/nosqldb/columnfamily.py", "                    batch = RowBatch(live, self.decode_row)"),
     ("src/repro/sqldb/table.py", "        return self.decode_row(encoded) if encoded is not None else None"),
     ("src/repro/mapping/base.py", "        rows = [table.decode_row(page) for page in pages]"),
 ])

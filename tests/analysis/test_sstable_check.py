@@ -1,6 +1,6 @@
 """SSTable and column-family invariants, including injected corruption."""
 
-from repro.analysis.sstable_check import columnfamily_check, sstable_check
+from repro.analysis.sstable_check import columnfamily_check, encode_row, sstable_check
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.commitlog import CommitLog
 from repro.nosqldb.sstable import SSTable, SSTableStats
@@ -10,7 +10,7 @@ from repro.nosqldb.types import parse_type
 def make_sstable(n=200, compressed=True, **kwargs) -> SSTable:
     family = make_family(0)
     items = [
-        (i, family.encode_row({"id": i, "label": f"row{i}-" + "x" * 60, "measure": i}, i))
+        (i, encode_row(family, {"id": i, "label": f"row{i}-" + "x" * 60, "measure": i}, i))
         for i in range(n)
     ]
     return SSTable(items, family._codec, compressed=compressed, **kwargs)
@@ -101,7 +101,7 @@ class TestColumnFamily:
         family = make_family(commit_log=log)
         assert columnfamily_check(family).ok
         # A memtable write that skipped the log: replay would lose it.
-        family._memtable.put(999, family.encode_row({"id": 999, "measure": 1}))
+        family._memtable.put(999, encode_row(family, {"id": 999, "measure": 1}))
         assert "sstable.commitlog-agreement" in rules_of(columnfamily_check(family))
 
     def test_index_agreement(self):

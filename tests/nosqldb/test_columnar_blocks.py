@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.sstable_check import columnfamily_check
+from repro.nosqldb.cache import NEGATIVE
 from repro.nosqldb.columnar import TAG_COLUMNAR, ColumnarCodec, ColumnVectors
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.engine import NoSQLEngine
@@ -324,9 +325,10 @@ class TestFetch:
         assert rows == [{"m": 9}, {"m": 3}, {"m": 9}]
         assert spy["materialize"] == []
         assert sorted(spy["chunks"]) == ["m", "name"]
-        # name is decoded for the four fetched rows, m for the three
-        # that pass — out of a block of sixty
-        assert sorted(spy["decoded"]) == ["m"] * 3 + ["name"] * 4
+        # the fetch is two runs of ascending positions, [9] and [3, 4, 9];
+        # each run decodes a column once per distinct value at its
+        # positions: name a | a, b and m 9 | 3, 9 — out of a block of sixty
+        assert sorted(spy["decoded"]) == ["m"] * 3 + ["name"] * 3
         # a scan that already left a whole typed vector is reused as is
         scan_rows(table)
         del spy["decoded"][:]
@@ -338,13 +340,17 @@ class TestFetch:
         text = "SELECT name FROM t WHERE id IN (9, 3, 99, 9)"
         expected = [{"name": "a"}, {"name": "a"}, {"name": "a"}]
         assert session.execute(text).rows == expected
-        assert sorted(spy["materialize"]) == [3, 9]
+        # a miss decodes its rows whole at their positions, and
+        # rematerializes nothing
+        assert spy["materialize"] == []
+        assert sorted(spy["decoded"]) == sorted(["id", "name", "m", "tags"] * 2)
         cached = dict(table._row_cache.items())
-        assert set(cached) == {3, 9, 99}
-        assert table.decode_row(cached[3]) == table.get(3)
-        # warm: served from the row cache, nothing rematerialized
+        assert set(cached) == {3, 9, 99} and cached[99] is NEGATIVE
+        assert cached[3] == [3, "a", 3, {3, 4}]
+        # warm: served from the row cache's decoded rows, nothing decoded
+        del spy["decoded"][:]
         assert session.execute(text).rows == expected
-        assert sorted(spy["materialize"]) == [3, 9]
+        assert spy == {"materialize": [], "chunks": ["id", "name", "m", "tags"], "decoded": []}
         assert not columnfamily_check(table).violations
 
     def test_liveness_probe_never_materializes(self, monkeypatch, spy):

@@ -4,12 +4,16 @@
 column family with secondary indexes, checked after every step against
 a dict-of-rows oracle.  Its steps are every way rows reach or leave the
 family — single inserts, ``insert_columns`` chunks (a key repeated
-within one chunk, None cells), read-modify-write updates,
-``delete_keys`` batches — and every way they move between layers:
-seal, flush, compaction, a crash that loses the memtables followed by
-commit-log replay (which rebuilds the indexes from a scan), and a late
-``CREATE INDEX`` (a backfill from a scan).  The row cache is on or off
-for a whole run.
+within one chunk, None cells), chunks of ascending keys above every key
+written so far, read-modify-write updates, ``delete_keys`` batches,
+``truncate`` — and every way they move between layers: seal, flush,
+compaction, a crash that loses the memtables followed by commit-log
+replay (which rebuilds the indexes from a scan), and a late ``CREATE
+INDEX`` (a backfill from a scan).  The row cache is on or off for a
+whole run.  :class:`IndexFreeColumnFamilyMachine` runs the same steps
+on a table with no index (and no late one), where an ascending chunk is
+proven fresh: it skips the liveness probe and leaves its cell columns
+with the memtable for the flush (a ``Run``).
 
 After every step each read path answers as the oracle does: the point
 read of every key, one ``get_batches`` over several keys (repeats and
@@ -61,6 +65,10 @@ def canonical_row(row):
 class ColumnFamilyMachine(RuleBasedStateMachine):
     """A column family beside the dict of rows it must hold."""
 
+    #: Whether the table starts with an index on ``m`` (and may get a
+    #: late one on ``x``).
+    INDEXED = True
+
     @initialize(row_cache=st.booleans())
     def start(self, row_cache):
         self.keyspace = Keyspace("k")
@@ -69,9 +77,12 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
             commit_log=self.keyspace._commit_log, row_cache_bytes=1 << 20 if row_cache else 0,
         )
         self.keyspace._tables["t"] = self.cf
-        self.cf.create_index("m_idx", "m")
+        if self.INDEXED:
+            self.cf.create_index("m_idx", "m")
         #: key -> its row's non-None cells, the key included.
         self.rows = {}
+        #: The highest key any step has written or deleted.
+        self.top = 30
 
     # ------------------------------------------------------------------
     # writes
@@ -88,7 +99,18 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
         written=st.sets(st.sampled_from(sorted(VALUES))),
     )
     def insert_columns(self, data, keys, written):
-        keys = [*keys, keys[0]]  # a key repeated within the chunk
+        self.write_chunk(data, [*keys, keys[0]], written)  # a key repeated within the chunk
+
+    @rule(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=12),
+        written=st.sets(st.sampled_from(sorted(VALUES))),
+    )
+    def insert_ascending(self, data, n, written):
+        self.write_chunk(data, list(range(self.top + 1, self.top + 1 + n)), written)
+        self.top += n
+
+    def write_chunk(self, data, keys, written):
         names = ["id", *sorted(written)]
         values = [keys] + [
             data.draw(st.lists(VALUES[name], min_size=len(keys), max_size=len(keys)))
@@ -114,6 +136,11 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
         for key in live:
             del self.rows[key]
 
+    @rule()
+    def truncate(self):
+        self.cf.truncate()
+        self.rows.clear()
+
     # ------------------------------------------------------------------
     # layers, crashes, indexes
     # ------------------------------------------------------------------
@@ -134,7 +161,7 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
         self.keyspace.simulate_crash()
         self.keyspace.replay_commit_log()
 
-    @precondition(lambda self: not self.cf.has_index("x"))
+    @precondition(lambda self: self.INDEXED and not self.cf.has_index("x"))
     @rule()
     def create_index(self):
         self.cf.create_index("x_idx", "x")
@@ -147,7 +174,7 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
 
     @invariant()
     def point_reads_match(self):
-        for key in range(31):
+        for key in sorted({*range(31), *self.rows, self.top + 1}):
             row = self.cf.get(key)
             if key in self.rows:
                 assert row is not None and canonical_row(row) == self.expected(key)
@@ -182,8 +209,17 @@ class ColumnFamilyMachine(RuleBasedStateMachine):
         assert report.ok, "\n".join(report.format_lines())
 
 
+class IndexFreeColumnFamilyMachine(ColumnFamilyMachine):
+    """The machine on a table without an index: ascending chunks are
+    proven fresh and flush from their cell columns."""
+
+    INDEXED = False
+
+
 ColumnFamilyMachine.TestCase.settings = settings(deadline=None)
 TestColumnFamily = ColumnFamilyMachine.TestCase
+IndexFreeColumnFamilyMachine.TestCase.settings = settings(deadline=None)
+TestIndexFreeColumnFamily = IndexFreeColumnFamilyMachine.TestCase
 
 
 # ----------------------------------------------------------------------

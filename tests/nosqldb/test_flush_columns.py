@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.analysis.sstable_check import encode_row
 from repro.nosqldb import columnfamily
 from repro.nosqldb.columnar import ColumnarCodec
 from repro.nosqldb.columnfamily import Column, ColumnFamily
@@ -170,7 +171,7 @@ def apply(cf, step, top, gap):
             write_column_wise(cf, ["id", *VALUE_COLUMNS], rows)
         return keys[-1]
     if kind == "replay":
-        cf.apply_replayed(keys[0], cf.encode_row({"id": keys[0], "big": 5}, 77))
+        cf.apply_replayed(keys[0], encode_row(cf, {"id": keys[0], "big": 5}, 77))
         return keys[0]
     if kind == "flush":
         flush_against_row_path(cf)
@@ -265,7 +266,7 @@ def test_a_mutation_outside_a_fresh_chunk_drops_the_runs(mutation):
     elif mutation == "delete":
         cf.delete(7)
     elif mutation == "replay":
-        cf.apply_replayed(100, cf.encode_row({"id": 100, "big": 1}, 3))
+        cf.apply_replayed(100, encode_row(cf, {"id": 100, "big": 1}, 3))
     elif mutation == "failing-row":
         rows = fresh_rows(100, 4)
         rows[2]["big"] = "x"
@@ -322,7 +323,7 @@ def built_table(codec, rows_by_key, tombstones):
     items = []
     for key in sorted(rows_by_key):
         order, row = rows_by_key[key]
-        items.append((key, cf.encode_row(row, 1000 + key) if order is None else _ordered(
+        items.append((key, encode_row(cf, row, 1000 + key) if order is None else _ordered(
             cf, order, row, 2000 + key)))
     return SSTable(items, codec, tombstones=frozenset(tombstones))
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.sstable_check import decode_row, encode_row
 from repro.nosqldb.columnfamily import Column, ColumnFamily
 from repro.nosqldb.errors import CorruptBlock, NoSQLError
 from repro.nosqldb.sstable import BloomFilter, SSTable, compact
@@ -18,7 +19,7 @@ CODEC = FAMILY._codec
 
 def row(value: str) -> bytes:
     """An encoded row holding ``value`` (keys live beside rows, not in them)."""
-    return FAMILY.encode_row({"v": value})
+    return encode_row(FAMILY, {"v": value})
 
 
 def table_of(items, **kwargs) -> SSTable:
@@ -28,7 +29,7 @@ def table_of(items, **kwargs) -> SSTable:
 def read(table, key):
     """The value of the row ``table`` holds for ``key`` (or None)."""
     hit = table.locate((key,)).get(key)
-    return None if hit is None else FAMILY.decode_row(hit[0].materialize(hit[1]))["v"]
+    return None if hit is None else decode_row(FAMILY, hit[0].materialize(hit[1]))["v"]
 
 
 def make_items(n, prefix="row"):

@@ -22,6 +22,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.analysis.sstable_check import decode_row
 from repro.nosqldb import columnfamily, commitlog
 from repro.nosqldb.cache import NEGATIVE
 from repro.nosqldb.columnfamily import Column
@@ -42,6 +43,12 @@ from tests.env import env
 # ----------------------------------------------------------------------
 # the frozen oracle: the row loop as it stood before the column loop
 # ----------------------------------------------------------------------
+def stored_row(cf, key):
+    """``key``'s stored row bytes from the layers, past the row cache."""
+    hit = cf._locate((key,))[key]
+    return hit[0].materialize(hit[1]) if type(hit) is tuple else hit
+
+
 def frozen_append(log, table_name, key, encoded_row):
     before = len(log._buffer)
     log._buffer += b"\x00" * commitlog.RECORD_HEADER_BYTES
@@ -70,9 +77,9 @@ def frozen_insert_bound_many(cf, items):
         if commit_log is not None:
             frozen_append(commit_log, cf.name, key, encoded)
         if indexes:
-            previous = cf._read_encoded_uncached(key)
+            previous = stored_row(cf, key)
             if previous is not None:
-                old_row = cf.decode_row(previous)
+                old_row = decode_row(cf, previous)
                 for column_name, index in indexes.items():
                     index.remove(old_row.get(column_name), key)
             new_values = {column.name: value for column, value in bound}
@@ -80,7 +87,7 @@ def frozen_insert_bound_many(cf, items):
                 index.add(new_values.get(column_name), key)
             was_live = previous is not None
         elif cf._n_live is not None:
-            was_live = cf._read_encoded_uncached(key) is not None
+            was_live = stored_row(cf, key) is not None
         else:
             was_live = True
         memtable = cf._memtable
@@ -411,7 +418,7 @@ def test_a_fresh_batch_clears_a_cached_negative_read(tmp_path, checked):
         session.execute_many(insert, [(1, "a"), (2, "b")])
         table = session.engine.keyspace("ks").table("t")
         assert session.execute("SELECT * FROM t WHERE id = 3").one() is None
-        assert table._row_cache.peek(3) is NEGATIVE
+        assert dict(table._row_cache.items())[3] is NEGATIVE
         assert table._fresh([3, 4])
         session.execute_many(insert, [(3, "c"), (4, "d")])
         assert session.execute("SELECT * FROM t WHERE id = 3").one() == {"id": 3, "tag": "c"}

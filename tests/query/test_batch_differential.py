@@ -25,6 +25,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import heap_check, sstable_check
 from repro.analysis.dwarf_check import structural_signature
 from repro.core.schema import CubeSchema
 from repro.dwarf.builder import DwarfBuilder
@@ -47,6 +48,12 @@ GROUPS = ("g0", "g1", "g2")
 # ----------------------------------------------------------------------
 # the oracle: the deleted row-at-a-time path
 # ----------------------------------------------------------------------
+def reference_decode(table, encoded):
+    """One stored row decoded whole by the engine's reference codec."""
+    checker = sstable_check if isinstance(table, ColumnFamily) else heap_check
+    return checker.decode_row(table, encoded)
+
+
 def _passes(row, conditions):
     return all(compare(op, row.get(column), expected) for column, op, expected in conditions)
 
@@ -58,7 +65,7 @@ def oracle_scan(table, pushed):
     rows, pruned = [], 0
     if not isinstance(table, ColumnFamily):
         for _, encoded in table._clustered.items():
-            row = table.decode_row(encoded)
+            row = reference_decode(table, encoded)
             if _passes(row, pushed):
                 rows.append(row)
             else:
@@ -70,7 +77,7 @@ def oracle_scan(table, pushed):
             if key in seen or key in deleted:
                 continue
             seen.add(key)
-            row = table.decode_row(encoded)
+            row = reference_decode(table, encoded)
             if _passes(row, pushed):
                 rows.append(row)
             else:
@@ -78,7 +85,7 @@ def oracle_scan(table, pushed):
         deleted |= memtable.tombstones
     for sstable in reversed(table._sstables):
         for key, encoded in sstable.items():
-            row = table.decode_row(encoded)
+            row = reference_decode(table, encoded)
             matched = _passes(row, pushed)
             pruned += not matched  # counted before the shadow check
             if key in seen or key in deleted:
@@ -96,11 +103,11 @@ def oracle_get(table, key):
     knows the key (as a row or a tombstone) answering."""
     if not isinstance(table, ColumnFamily):
         encoded = table._clustered.get(key)
-        return table.decode_row(encoded) if encoded is not None else None
+        return reference_decode(table, encoded) if encoded is not None else None
     for memtable in (table._memtable, *reversed(table._pending)):
         encoded = memtable.get(key)
         if encoded is not None:
-            return table.decode_row(encoded)
+            return reference_decode(table, encoded)
         if memtable.is_deleted(key):
             return None
     for sstable in reversed(table._sstables):
@@ -108,7 +115,7 @@ def oracle_get(table, key):
             return None
         for entry_key, encoded in sstable.items():
             if entry_key == key:
-                return table.decode_row(encoded)
+                return reference_decode(table, encoded)
     return None
 
 
@@ -558,7 +565,7 @@ def oracle_typed(t, l, spec):
         rows = sorted((row for row in oracle_scan(t, [])[0] if row[column] == wanted),
                       key=lambda row: row["id"])
     elif kind == "prefix":  # the composite key's leading column
-        rows = [l.decode_row(encoded) for _, encoded in l._clustered.items()]
+        rows = [reference_decode(l, encoded) for _, encoded in l._clustered.items()]
     else:
         rows = oracle_scan(t, [])[0]
     rows = [row for row in rows if _passes(row, spec["where"])]

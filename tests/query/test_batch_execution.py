@@ -166,11 +166,10 @@ class TestLateMaterialization:
 
     def test_sql_count_decodes_nothing(self, monkeypatch):
         session, table = build_sql()
-        for owner, decoder in ((table, "decode_row"), (PageBatch, "decode")):
-            monkeypatch.setattr(
-                owner, decoder,
-                lambda *args: (_ for _ in ()).throw(AssertionError("COUNT(*) decoded a row")),
-            )
+        monkeypatch.setattr(
+            PageBatch, "decode",
+            lambda *args: (_ for _ in ()).throw(AssertionError("COUNT(*) decoded a row")),
+        )
         assert session.execute("SELECT COUNT(*) FROM t").rows == [{"count": N_ROWS}]
 
     def test_sql_reads_decode_only_the_columns_they_name(self, monkeypatch):

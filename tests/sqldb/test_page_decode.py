@@ -5,12 +5,13 @@ A leaf page (or a fetch's rows) is read a column at a time by
 variable-width end offsets shared across columns, fixed-width runs
 unpacked by ``struct``.  Whatever the table, the NULL pattern, the
 values and the order the columns are read in, every column must equal
-what :meth:`~repro.sqldb.table.Table.decode_row` gives.
+what :func:`~repro.analysis.heap_check.decode_row` gives.
 """
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from repro.analysis.heap_check import decode_row
 from repro.sqldb.table import PageBatch, SQLColumn, Table
 from repro.sqldb.types import parse_type
 
@@ -64,7 +65,7 @@ def _exact(values):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_every_column_of_a_page_equals_the_row_decode(page):
     table, rows, order = page
-    decoded = [table.decode_row(row) for row in rows]
+    decoded = [decode_row(table, row) for row in rows]
     batch = PageBatch(table, rows)
     for name in order:  # any read order shares the same offsets
         expected = _exact(row[name] for row in decoded)

@@ -66,8 +66,8 @@ def frozen_insert_rows(table, rows):
         clustered.insert(key, encoded)
         for column_name, tree in table._secondary.items():
             value = row.get(column_name)
-            if value is not None:
-                tree.insert((value, key))
+            if value is not None:  # indexed as stored: an int as a DOUBLE's float
+                tree.insert((by_name[column_name].sql_type.canonical((value,))[0], key))
         table._n_rows += 1
         table._version += 1
         table._dirty_bytes += len(encoded) + ROW_HEADER_BYTES

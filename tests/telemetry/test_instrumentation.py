@@ -155,6 +155,7 @@ class TestBlockFormatCounts:
     from (the write loop's columns, or a re-split of its bytes)."""
 
     def test_flush_and_compaction_report_blocks_and_cell_sources(self, live_telemetry):
+        from repro.analysis.sstable_check import encode_row
         from repro.nosqldb.columnfamily import Column, ColumnFamily
         from repro.nosqldb.errors import InvalidRequest
         from repro.nosqldb.types import parse_type
@@ -170,7 +171,7 @@ class TestBlockFormatCounts:
         # row has no run
         with pytest.raises(InvalidRequest, match="more than once"):
             cf.insert_columns([cf.column("id"), m, m], [[2], [5], [6]])
-        cf.apply_replayed(2, cf.encode_row({"id": 2, "m": 6}, 9))
+        cf.apply_replayed(2, encode_row(cf, {"id": 2, "m": 6}, 9))
         cf.flush()
         cf.compact()
 
